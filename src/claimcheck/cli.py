@@ -286,6 +286,34 @@ def cmd_export(args) -> int:
     return OK
 
 
+_CORPUS_VERDICTS = {
+    MSAN: ("Verified", "DontKnow"),
+    EQUIV: ("Equivalent", "NotEquivalent", "Inconclusive"),
+}
+
+
+def _manifest_entries(manifest) -> list[dict]:
+    """The manifest's entries, or ValueError naming the first unusable one."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("fixtures"), list):
+        raise ValueError('top level must be an object with a "fixtures" list')
+    entries = manifest["fixtures"]
+    for number, entry in enumerate(entries, start=1):
+        where = f"entry {number}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not an object")
+        if not isinstance(entry.get("name", ""), str):
+            raise ValueError(f'{where}: "name" must be a string')
+        for key in ("task", "path", "expected"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f'{where}: "{key}" must be a string')
+        verdicts = _CORPUS_VERDICTS.get(entry["task"])
+        if verdicts is None:
+            raise ValueError(f'{where}: unknown task {entry["task"]!r}')
+        if entry["expected"] not in verdicts:
+            raise ValueError(f'{where}: "expected" must be one of {", ".join(verdicts)}')
+    return entries
+
+
 def _corpus_row(entry: dict, base: Path) -> dict:
     name = entry.get("name", "<unnamed>")
     task = entry["task"]
@@ -312,9 +340,8 @@ def _corpus_row(entry: dict, base: Path) -> dict:
 def cmd_corpus(args) -> int:
     path = Path(args.manifest)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        entries = manifest["fixtures"]
-    except (OSError, ValueError, KeyError) as exc:
+        entries = _manifest_entries(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return USAGE_ERROR
     base = path.parent

@@ -3,14 +3,21 @@
 Evaluation computes the minimal model stratum by stratum: within each
 stratum the least fixpoint of the positive rules is reached semi-naively
 (only joins touching tuples new in the previous round are re-run), and
-negated atoms consult relations of strictly lower strata.  Iteration order
-is not part of the contract; set equality of the result is.
+negated atoms consult relations of strictly lower strata.
+
+Each rule is compiled once per delta position into a join plan whose atoms
+are probed through hash indexes on their bound columns; negated atoms are
+single index probes.  Plans and indexes live for one :func:`evaluate` call.
+Relations are kept in insertion order and no step iterates over a hashed
+set, so verdicts and provenance (the first derivation found for each tuple)
+do not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ..errors import (
     ArityMismatchError,
@@ -69,34 +76,33 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
         if len(atom.args) != expected:
             raise ArityMismatchError(atom.predicate, expected, len(atom.args))
 
-    def note(predicate: str, index: int, sort: str, context: str) -> None:
+    def note(predicate: str, index: int, sort: str, context: Callable[[], str]) -> None:
         current = slots[predicate][index]
         if current == _UNKNOWN:
             slots[predicate][index] = sort
         elif current != sort:
             if predicate in declared:
                 raise SortError(
-                    f"{context}: argument {index + 1} of {predicate!r} is declared "
+                    f"{context()}: argument {index + 1} of {predicate!r} is declared "
                     f"{current}, found {sort}"
                 )
             raise SortError(
-                f"{context}: argument {index + 1} of {predicate!r} is used both "
+                f"{context()}: argument {index + 1} of {predicate!r} is used both "
                 f"as {current} and as {sort}"
             )
 
+    # A slot never changes once set, so one pass over the facts settles
+    # every slot they touch; only the rules need the fixpoint.
+    for fact in program.facts:
+        context = lambda: f"fact {print_atom(fact)}"  # formatted only on error
+        for i, term in enumerate(fact.args):
+            if isinstance(term, Sym):
+                note(fact.predicate, i, SYMBOL, context)
+            elif isinstance(term, Num):
+                note(fact.predicate, i, NUMBER, context)
     changed = True
     while changed:
         changed = False
-        for fact in program.facts:
-            for i, term in enumerate(fact.args):
-                if isinstance(term, Sym):
-                    before = slots[fact.predicate][i]
-                    note(fact.predicate, i, SYMBOL, f"fact {print_atom(fact)}")
-                    changed |= before == _UNKNOWN
-                elif isinstance(term, Num):
-                    before = slots[fact.predicate][i]
-                    note(fact.predicate, i, NUMBER, f"fact {print_atom(fact)}")
-                    changed |= before == _UNKNOWN
         for rule in program.rules:
             var_sorts: dict[str, str] = {}
             atoms = [rule.head] + [
@@ -118,9 +124,9 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
                                 f"{term.name!r} is used both as "
                                 f"{var_sorts[term.name]} and as {slot}"
                             )
+            context = lambda: f"rule for {rule.head.predicate!r}"
             for atom in atoms:
                 for i, term in enumerate(atom.args):
-                    context = f"rule for {rule.head.predicate!r}"
                     if isinstance(term, Sym):
                         before = slots[atom.predicate][i]
                         note(atom.predicate, i, SYMBOL, context)
@@ -314,119 +320,280 @@ def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
     return binding if new_binding is None else new_binding
 
 
-def _term_value(term: Term, binding: dict):
-    if isinstance(term, Sym):
-        return term.text
-    if isinstance(term, Num):
-        return term.value
-    if isinstance(term, Var):
-        return binding[term.name]
-    raise ValueError("wildcard has no value")
-
-
 _CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
 }
 
 
-def _comparison_holds(cmp: Comparison, binding: dict) -> bool:
-    return _CMP[cmp.op](_term_value(cmp.left, binding), _term_value(cmp.right, binding))
+def _tuple_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
+    """``values -> tuple(values[p] for p in positions)``, always a tuple."""
+    if len(positions) >= 2:
+        return operator.itemgetter(*positions)
+    if positions:
+        (only,) = positions
+        return lambda values: (values[only],)
+    return lambda values: ()
 
 
-def _checks_hold(rule: Rule, binding: dict, state: dict[str, set]) -> bool:
-    for lit in rule.body:
-        if isinstance(lit, Comparison):
-            if not _comparison_holds(lit, binding):
-                return False
-        elif isinstance(lit, NegatedAtom):
-            rel = state.get(lit.atom.predicate, set())
-            if any(_match(lit.atom, tup, binding) is not None for tup in rel):
-                return False
-    return True
+class _Relation:
+    """One relation during evaluation: tuples in insertion order, plus hash
+    indexes from a tuple of bound columns to the tuples carrying those values.
+    """
+
+    __slots__ = ("tuples", "indexes")
+
+    def __init__(self) -> None:
+        self.tuples: dict[tuple, None] = {}
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+
+    def add(self, values: tuple) -> bool:
+        if values in self.tuples:
+            return False
+        self.tuples[values] = None
+        for key_of, index in self.indexes.values():
+            index.setdefault(key_of(values), []).append(values)
+        return True
+
+    def index(self, columns: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        entry = self.indexes.get(columns)
+        if entry is None:
+            key_of = _tuple_getter(list(columns))
+            index: dict[tuple, list[tuple]] = {}
+            for values in self.tuples:
+                index.setdefault(key_of(values), []).append(values)
+            entry = self.indexes[columns] = (key_of, index)
+        return entry[1]
 
 
-def _instantiate_head(head: Atom, binding: dict) -> tuple:
-    return tuple(_term_value(term, binding) for term in head.args)
+Derived = list[tuple[tuple, tuple[tuple[str, tuple], ...]]]
 
 
-def _eval_rule(
-    rule: Rule,
-    state: dict[str, set],
-    delta_position: int | None = None,
-    delta: set | None = None,
-) -> list[tuple[tuple, tuple[tuple[str, tuple], ...]]]:
-    positives = rule.positive_atoms()
-    out: list[tuple[tuple, tuple[tuple[str, tuple], ...]]] = []
-    support: list[tuple[str, tuple]] = []
+class _Step(NamedTuple):
+    """One positive atom of a join plan, in plan order."""
 
-    def rec(i: int, binding: dict) -> None:
-        if i == len(positives):
-            if _checks_hold(rule, binding, state):
-                out.append((_instantiate_head(rule.head, binding), tuple(support)))
-            return
-        atom = positives[i]
-        source = delta if i == delta_position else state.get(atom.predicate, set())
-        for values in sorted(source, key=repr):
-            extended = _match(atom, values, binding)
-            if extended is not None:
-                support.append((atom.predicate, values))
-                rec(i + 1, extended)
-                support.pop()
+    position: int  # among the rule's positive atoms: its slot in the support
+    predicate: str
+    columns: list[int]  # columns bound before this step: the index key
+    key_slots: list[int]  # environment slots holding the key's values
+    same: list[tuple[int, int]]  # (column, earlier column) sharing a new variable
+    assign: list[tuple[int, int]]  # (column, slot) binding a new variable
+    filters: list[Callable[[list], bool]]  # checks decidable once this step binds
 
-    rec(0, {})
-    return out
+
+def _compile(
+    rule: Rule, delta_position: int | None, relations: dict[str, _Relation]
+) -> Callable[[list], Derived]:
+    """A join plan for one rule, as a function from the delta to the derived
+    (head tuple, support) pairs in enumeration order.
+
+    The delta atom (if any) is scanned first; then, greedily, the atom with
+    the most bound arguments (ties to the earlier body position) is probed
+    through an index keyed by its bound columns.  Variables and constants
+    live in slots of one environment list, so keys, comparisons and the head
+    are read out of it with item getters.
+    Negated atoms and comparisons run as soon as their variables are bound.
+    """
+    atoms = rule.positive_atoms()
+    env: list = []
+    slots: dict[str, int] = {}
+
+    def slot_of(term: Term) -> int:
+        if isinstance(term, Var):
+            return slots[term.name]
+        env.append(term.text if isinstance(term, Sym) else term.value)
+        return len(env) - 1
+
+    def bound_args(atom: Atom) -> int:
+        return sum(
+            isinstance(t, (Sym, Num)) or (isinstance(t, Var) and t.name in slots)
+            for t in atom.args
+        )
+
+    def variables(lit) -> set[str]:
+        terms = lit.atom.args if isinstance(lit, NegatedAtom) else (lit.left, lit.right)
+        return {t.name for t in terms if isinstance(t, Var)}
+
+    def ready_filters() -> list[Callable[[list], bool]]:
+        ready = [lit for lit in pending if variables(lit).issubset(slots)]
+        for lit in ready:
+            pending.remove(lit)
+        return [_compile_filter(lit, slot_of, relations) for lit in ready]
+
+    pending = [lit for lit in rule.body if not isinstance(lit, Atom)]
+    prefilters = ready_filters()
+    remaining = list(range(len(atoms)))
+    steps = []
+    while remaining:
+        if delta_position in remaining:
+            position = delta_position
+        else:
+            position = max(remaining, key=lambda i: (bound_args(atoms[i]), -i))
+        remaining.remove(position)
+        atom = atoms[position]
+        columns: list[int] = []
+        key_slots: list[int] = []
+        first_column: dict[str, int] = {}
+        same: list[tuple[int, int]] = []
+        for column, term in enumerate(atom.args):
+            if isinstance(term, Wildcard):
+                continue
+            if isinstance(term, Var) and term.name not in slots:
+                if term.name in first_column:
+                    same.append((column, first_column[term.name]))
+                else:
+                    first_column[term.name] = column
+                continue
+            columns.append(column)
+            key_slots.append(slot_of(term))
+        assign = []
+        for name, column in first_column.items():
+            slots[name] = len(env)
+            env.append(None)
+            assign.append((column, slots[name]))
+        steps.append(
+            _Step(position, atom.predicate, columns, key_slots, same, assign, ready_filters())
+        )
+
+    support: list = [None] * len(atoms)
+    out: Derived = []
+    head_of = _tuple_getter([slot_of(t) for t in rule.head.args])
+    delta_box: list = [()]
+
+    def emit() -> None:
+        out.append((head_of(env), tuple(support)))
+
+    run_next = emit
+    for number in reversed(range(len(steps))):
+        from_delta = number == 0 and delta_position is not None
+        run_next = _compile_step(
+            steps[number], from_delta, relations, env, support, delta_box, run_next
+        )
+
+    def run(delta: list) -> Derived:
+        nonlocal out
+        out = []
+        if all(check(env) for check in prefilters):
+            delta_box[0] = delta
+            run_next()
+        return out
+
+    return run
+
+
+def _compile_filter(
+    lit: Comparison | NegatedAtom,
+    slot_of: Callable[[Term], int],
+    relations: dict[str, _Relation],
+) -> Callable[[list], bool]:
+    if isinstance(lit, Comparison):
+        holds, left, right = _CMP[lit.op], slot_of(lit.left), slot_of(lit.right)
+        return lambda env: holds(env[left], env[right])
+    atom = lit.atom
+    columns = [c for c, t in enumerate(atom.args) if not isinstance(t, Wildcard)]
+    key_of = _tuple_getter([slot_of(atom.args[c]) for c in columns])
+    if len(columns) == len(atom.args):
+        present = relations[atom.predicate].tuples
+    else:
+        present = relations[atom.predicate].index(tuple(columns))
+    return lambda env: key_of(env) not in present
+
+
+def _compile_step(
+    step: _Step,
+    from_delta: bool,
+    relations: dict[str, _Relation],
+    env: list,
+    support: list,
+    delta_box: list,
+    run_next: Callable[[], None],
+) -> Callable[[], None]:
+    """The loop over one step's candidate tuples, calling ``run_next`` for
+    each that matches; ``delta_box[0]`` holds the delta of the current run."""
+    position, predicate, columns, key_slots, same, assign, filters = step
+    relation = relations[predicate]
+    key_of = _tuple_getter(key_slots)
+    if from_delta:
+        # nothing is bound before the delta atom: its bound columns are constants
+        column_values = _tuple_getter(columns)
+
+        def candidates():
+            if not columns:
+                return delta_box[0]
+            key = key_of(env)
+            return [v for v in delta_box[0] if column_values(v) == key]
+
+    elif columns:
+        index = relation.index(tuple(columns))
+
+        def candidates():
+            return index.get(key_of(env), ())
+
+    else:
+        tuples = relation.tuples
+
+        def candidates():
+            return tuples
+
+    def step_fn() -> None:
+        for values in candidates():
+            if same and any(values[a] != values[b] for a, b in same):
+                continue
+            for column, slot in assign:
+                env[slot] = values[column]
+            if filters and not all(check(env) for check in filters):
+                continue
+            support[position] = (predicate, values)
+            run_next()
+
+    return step_fn
 
 
 def evaluate(program: Program) -> Database:
     """Minimal model of a valid program; total on stratifiable inputs."""
     check_program(program)
     strata = stratify(program)
-    state: dict[str, set] = {name: set() for name in program.declarations}
+    relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
     for fact in program.facts:
         values = fact.value_tuple()
-        if values not in state[fact.predicate]:
-            state[fact.predicate].add(values)
+        if relations[fact.predicate].add(values):
             provenance[(fact.predicate, values)] = None
 
+    def insert(rule: Rule, derived: Derived, delta: dict[str, list]) -> None:
+        name = rule.head.predicate
+        relation, new = relations[name], delta[name]
+        for values, support in derived:
+            if relation.add(values):
+                new.append(values)
+                provenance[(name, values)] = (rule, support)
+
     for stratum in strata:
-        members = set(stratum)
-        rules = [r for r in program.rules if r.head.predicate in members]
+        rules = [r for r in program.rules if r.head.predicate in stratum]
         if not rules:
             continue
-        delta: dict[str, set] = {name: set() for name in members}
+        delta: dict[str, list] = {name: [] for name in stratum}
         for rule in rules:
-            for values, support in _eval_rule(rule, state):
-                rel = rule.head.predicate
-                if values not in state[rel]:
-                    state[rel].add(values)
-                    delta[rel].add(values)
-                    provenance[(rel, values)] = (rule, support)
+            insert(rule, _compile(rule, None, relations)([]), delta)
+        plans = [
+            (rule, atom.predicate, _compile(rule, i, relations))
+            for rule in rules
+            for i, atom in enumerate(rule.positive_atoms())
+            if atom.predicate in delta
+        ]
         while any(delta.values()):
-            new_delta: dict[str, set] = {name: set() for name in members}
-            for rule in rules:
-                positives = rule.positive_atoms()
-                for i, atom in enumerate(positives):
-                    if atom.predicate not in members:
-                        continue
-                    if not delta[atom.predicate]:
-                        continue
-                    derived = _eval_rule(rule, state, i, delta[atom.predicate])
-                    for values, support in derived:
-                        rel = rule.head.predicate
-                        if values not in state[rel]:
-                            state[rel].add(values)
-                            new_delta[rel].add(values)
-                            provenance[(rel, values)] = (rule, support)
+            new_delta: dict[str, list] = {name: [] for name in stratum}
+            for rule, predicate, plan in plans:
+                if delta[predicate]:
+                    insert(rule, plan(delta[predicate]), new_delta)
             delta = new_delta
 
     return Database(
-        relations={name: frozenset(tuples) for name, tuples in state.items()},
+        relations={name: frozenset(rel.tuples) for name, rel in relations.items()},
         provenance=provenance,
     )
 
@@ -458,31 +625,56 @@ def query(db: Database, pattern: Atom) -> list[dict]:
 
 @dataclass(frozen=True)
 class Derivation:
-    """One derivation tree: leaves are input facts, inner nodes rule firings."""
+    """One derivation: leaves are input facts, inner nodes rule firings.
+
+    Nodes built by :func:`explain` are shared between every occurrence of
+    the same fact, so a derivation is a DAG whose unfolding is the proof tree.
+    """
 
     fact: Atom
     rule: Rule | None
     children: tuple["Derivation", ...] = ()
 
     def leaves(self) -> list[Atom]:
-        if self.rule is None:
-            return [self.fact]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
+        """Input facts at the leaves of the unfolded tree, left to right."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.rule is None:
+                out.append(node.fact)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
 
 def explain(db: Database, fact: Atom) -> Derivation:
-    """One derivation of a ground fact; raises NotDerivableError otherwise."""
-    key = (fact.predicate, fact.value_tuple())
-    if fact.predicate not in db.relations or key[1] not in db.relations[fact.predicate]:
+    """One derivation of a ground fact; raises NotDerivableError otherwise.
+
+    Built bottom-up with an explicit stack, one node per distinct fact, so
+    neither proof depth nor repeated sub-proofs are limited by recursion.
+    """
+    root = (fact.predicate, fact.value_tuple())
+    if fact.predicate not in db.relations or root[1] not in db.relations[fact.predicate]:
         raise NotDerivableError(print_atom(fact))
-    step = db.provenance.get(key)
-    if step is None:
-        return Derivation(fact, None)
-    rule, support = step
-    children = tuple(
-        explain(db, fact_tuple_to_atom(pred, values)) for pred, values in support
-    )
-    return Derivation(fact, rule, children)
+    built: dict[tuple[str, tuple], Derivation] = {}
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in built:
+            stack.pop()
+            continue
+        step = db.provenance.get(key)
+        if step is not None:
+            pending = [child for child in step[1] if child not in built]
+            if pending:
+                # provenance only cites tuples derived earlier, so this ends
+                stack.extend(reversed(pending))
+                continue
+        atom = fact if key == root else fact_tuple_to_atom(*key)
+        if step is None:
+            built[key] = Derivation(atom, None)
+        else:
+            rule, support = step
+            built[key] = Derivation(atom, rule, tuple(built[child] for child in support))
+        stack.pop()
+    return built[root]

@@ -307,3 +307,35 @@ def test_corpus_flags_wrong_expectation(capsys, tmp_path):
 
 def test_corpus_unreadable_manifest(capsys, tmp_path):
     assert main(["corpus", str(tmp_path / "missing.json")]) == 2
+
+
+def _corpus_usage_error(capsys, tmp_path, manifest) -> str:
+    (tmp_path / "trace.facts").write_text(
+        open(f"{FIXTURES}/msan/audio_buffer_trace.facts").read()
+    )
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["corpus", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # validated before any entry runs
+    return captured.err
+
+
+def test_corpus_manifest_top_level_list_is_usage_error(capsys, tmp_path):
+    entry = {"name": "t", "task": "msan", "path": "trace.facts", "expected": "Verified"}
+    err = _corpus_usage_error(capsys, tmp_path, [entry])
+    assert '"fixtures" list' in err
+
+
+def test_corpus_entry_without_task_is_usage_error(capsys, tmp_path):
+    good = {"name": "ok", "task": "msan", "path": "trace.facts", "expected": "Verified"}
+    bad = {"name": "no-task", "path": "trace.facts", "expected": "Verified"}
+    err = _corpus_usage_error(capsys, tmp_path, {"fixtures": [good, bad]})
+    assert 'entry 2: "task"' in err
+
+
+def test_corpus_entry_without_path_is_usage_error(capsys, tmp_path):
+    bad = {"name": "no-path", "task": "msan", "expected": "Verified"}
+    err = _corpus_usage_error(capsys, tmp_path, {"fixtures": [bad]})
+    assert 'entry 1: "path"' in err

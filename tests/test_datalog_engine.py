@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,8 @@ from claimcheck.datalog import (
     query,
 )
 from claimcheck.errors import NotDerivableError, UnknownRelationError
+from claimcheck.facts import FlowFact, MsanFactSet, SiteFact
+from claimcheck.msan import msan_program
 
 from generators import random_fact_atoms, random_positive_program
 from oracles import brute_force_query, naive_evaluate, replay_derivation
@@ -177,3 +184,84 @@ def test_monotonicity_on_positive_programs():
         extended = evaluate(extended_program)
         for name in base.relations:
             assert base[name] <= extended[name]
+
+
+def test_transitive_closure_of_200_edge_chain_is_fast():
+    n = 200
+    edges = " ".join(f'edge("n{i}", "n{i + 1}").' for i in range(n))
+    program = parse_program(
+        "path(x, y) :- edge(x, y).\n"
+        "path(x, z) :- path(x, y), edge(y, z).\n" + edges
+    )
+    start = time.perf_counter()
+    db = evaluate(program)
+    elapsed = time.perf_counter() - start
+    assert len(db["path"]) == n * (n + 1) // 2 == 20_100
+    assert elapsed < 2.0, f"TC over a {n}-edge chain took {elapsed:.2f} s"
+
+
+def test_explain_1100_step_flow_chain():
+    steps = 1100
+    sites = [SiteFact(f"v{i}", "chain.c", i + 1) for i in range(steps + 1)]
+    flows = [FlowFact(*a, *b) for a, b in zip(sites, sites[1:])]
+    facts = MsanFactSet(
+        uses=frozenset(sites[-1:]),
+        uninitialized=frozenset(sites[:1]),
+        flow=frozenset(flows),
+    )
+    db = evaluate(msan_program(facts))
+    tree = explain(db, Atom("satisfied", ()))
+    leaves = [leaf for leaf in tree.leaves() if leaf.predicate == "flow"]
+    assert len(leaves) == steps
+    assert [leaf.value_tuple() for leaf in leaves] == [tuple(f) for f in flows]
+    # the uninitialized fact supports both satisfied() and the first
+    # flowStar step; both occurrences share one node
+    node = tree.children[1]
+    while node.fact.predicate == "flowStar":
+        node = node.children[0]
+    assert node is tree.children[0]
+
+
+_DETERMINISM_SCRIPT = """
+import random, sys
+from pathlib import Path
+from claimcheck.datalog import evaluate, explain, parse_program, print_atom, print_rule
+from claimcheck.datalog.ast import fact_tuple_to_atom
+from claimcheck.facts import load_msan_facts
+from claimcheck.msan import msan_program
+from generators import random_positive_program
+
+fixtures = Path(sys.argv[1])
+programs = [
+    parse_program((fixtures / "datalog" / "nonzero_output_check.dl").read_text()),
+    msan_program(load_msan_facts((fixtures / "msan" / "audio_buffer_trace.facts").read_text())),
+] + [random_positive_program(random.Random(seed)) for seed in range(6)]
+for program in programs:
+    db = evaluate(program)
+    print("derivation order:", list(db.provenance))
+    for name in sorted(db.relations):
+        for values in sorted(db[name]):
+            stack = [(explain(db, fact_tuple_to_atom(name, values)), 0)]
+            while stack:
+                node, depth = stack.pop()
+                how = print_rule(node.rule) if node.rule else "input"
+                print("  " * depth + print_atom(node.fact), "<-", how)
+                stack.extend((child, depth + 1) for child in reversed(node.children))
+"""
+
+
+def test_evaluate_and_explain_do_not_depend_on_hash_seed(fixtures_dir):
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    outputs = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        run = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, str(fixtures_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") > 100
+    assert all(output == outputs[0] for output in outputs[1:])
