@@ -10,31 +10,37 @@ Most callers need only the loaders and the two verifiers:
 
     from claimcheck import load_msan_facts, verify_msan
     from claimcheck import load_equiv_bundle_text, verify_equiv
+
+Each submodule is imported on first access to one of its names (PEP 562),
+so a caller pays only for the modules it uses.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .equivalence import verify_equiv
-from .facts import (
-    lint_equiv,
-    lint_msan,
-    load_equiv_bundle,
-    load_equiv_bundle_text,
-    load_msan_facts,
-)
-from .loop import http_source, mock_source, run_loop
-from .msan import verify_msan
+# public name -> submodule that defines it
+_LAZY = {
+    "http_source": "loop",
+    "lint_equiv": "facts",
+    "lint_msan": "facts",
+    "load_equiv_bundle": "facts",
+    "load_equiv_bundle_text": "facts",
+    "load_msan_facts": "facts",
+    "mock_source": "loop",
+    "run_loop": "loop",
+    "verify_equiv": "equivalence",
+    "verify_msan": "msan",
+}
 
-__all__ = [
-    "__version__",
-    "http_source",
-    "lint_equiv",
-    "lint_msan",
-    "load_equiv_bundle",
-    "load_equiv_bundle_text",
-    "load_msan_facts",
-    "mock_source",
-    "run_loop",
-    "verify_equiv",
-    "verify_msan",
-]
+__all__ = ["__version__", *_LAZY]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

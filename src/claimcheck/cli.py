@@ -13,32 +13,26 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .datalog.export import export_external
-from .datalog.parser import parse_program
-from .equivalence import EquivVerdict, verify_equiv, build_pairing, equiv_rules
 from .errors import ClaimcheckError
 from .facts import (
+    EQUIV,
+    MSAN,
     lint_equiv,
     lint_msan,
     load_equiv_bundle,
     load_equiv_bundle_text,
     load_msan_facts,
 )
-from .loop import (
-    DEFAULT_MAX_ITERS,
-    EQUIV,
-    MSAN,
-    HttpSourceConfig,
-    http_source,
-    mock_source,
-    run_loop,
-)
-from .msan import MsanVerdict, msan_program, verify_msan
-from .toy import extract_equiv_facts, extract_msan_facts, normalize, parse_toy
+
+# Each command imports the verifiers, the loop and the toy language itself,
+# so that a launch loads only the modules its command runs.
+if TYPE_CHECKING:
+    from .equivalence import EquivVerdict
+    from .msan import MsanVerdict
 
 OK, NOT_PROVEN, USAGE_ERROR = 0, 1, 2
 
@@ -127,6 +121,8 @@ def _equiv_witness(verdict: EquivVerdict):
 
 
 def cmd_verify_msan(args) -> int:
+    from .msan import verify_msan
+
     started = time.perf_counter()
     path = Path(args.facts)
     try:
@@ -156,6 +152,8 @@ def _load_bundle_args(args):
 
 
 def cmd_verify_equiv(args) -> int:
+    from .equivalence import verify_equiv
+
     started = time.perf_counter()
     try:
         bundle, paths = _load_bundle_args(args)
@@ -191,6 +189,8 @@ def cmd_lint(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .toy import extract_equiv_facts, extract_msan_facts, normalize, parse_toy
+
     started = time.perf_counter()
     try:
         program = normalize(parse_toy(Path(args.toy).read_text(encoding="utf-8")))
@@ -221,6 +221,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_formalize(args) -> int:
+    from .loop import DEFAULT_MAX_ITERS, HttpSourceConfig, http_source, mock_source, run_loop
+
     started = time.perf_counter()
     try:
         snippets = Path(args.snippets).read_text(encoding="utf-8")
@@ -231,7 +233,8 @@ def cmd_formalize(args) -> int:
             source = mock_source(ground_truth, args.withhold, args.seed)
         else:
             source = http_source(HttpSourceConfig(url=args.url, debug=args.debug))
-        result, log = run_loop(source, args.task, snippets, max_iters=args.iters)
+        iters = DEFAULT_MAX_ITERS if args.iters is None else args.iters
+        result, log = run_loop(source, args.task, snippets, max_iters=iters)
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -246,9 +249,13 @@ def cmd_formalize(args) -> int:
     if args.verify:
         try:
             if args.task == MSAN:
+                from .msan import verify_msan
+
                 v = verify_msan(result.to_msan_facts())
                 verdict, witness, lint = v.outcome, _msan_witness(v), v.lint.to_json()
             else:
+                from .equivalence import verify_equiv
+
                 v = verify_equiv(result.to_equiv_bundle())
                 verdict, witness, lint = v.outcome, _equiv_witness(v), v.lint.to_json()
             status = _EXIT_BY_VERDICT[verdict]
@@ -269,13 +276,21 @@ def cmd_formalize(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .datalog.export import export_external
+
     try:
         if args.task == "datalog":
+            from .datalog.parser import parse_program
+
             program = parse_program(Path(args.input).read_text(encoding="utf-8"))
         elif args.task == MSAN:
+            from .msan import msan_program
+
             facts = load_msan_facts(Path(args.input).read_text(encoding="utf-8"))
             program = msan_program(facts)
         else:
+            from .equivalence import build_pairing, equiv_rules
+
             bundle = load_equiv_bundle_text(Path(args.input).read_text(encoding="utf-8"))
             program = equiv_rules(bundle, build_pairing(bundle))
         rules_path = export_external(program, args.output)
@@ -319,9 +334,13 @@ def _corpus_row(entry: dict, base: Path) -> dict:
     task = entry["task"]
     try:
         if task == MSAN:
+            from .msan import verify_msan
+
             facts = load_msan_facts((base / entry["path"]).read_text(encoding="utf-8"))
             actual = verify_msan(facts).outcome
         else:
+            from .equivalence import verify_equiv
+
             bundle = load_equiv_bundle_text(
                 (base / entry["path"]).read_text(encoding="utf-8")
             )
@@ -344,9 +363,7 @@ def cmd_corpus(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    base = path.parent
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda e: _corpus_row(e, base), entries))
+    rows = [_corpus_row(entry, path.parent) for entry in entries]
     if args.pretty:
         width = max((len(r["name"]) for r in rows), default=4)
         for row in rows:
@@ -411,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snippets", help="code snippets / explanation file")
     p.add_argument("--task", choices=(MSAN, EQUIV), required=True)
     p.add_argument("--source", choices=("mock", "http"), default="mock")
-    p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--iters", type=int)
     p.add_argument("--withhold", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ground-truth", help="fact file the mock source draws from")
@@ -430,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="verify a manifest of fixtures")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=int, default=4)
     add_pretty(p)
     p.set_defaults(func=cmd_corpus)
 

@@ -1,54 +1,51 @@
-"""In-process Datalog: values, parser, evaluator, and external export."""
+"""In-process Datalog: values, parser, evaluator, and external export.
 
-from .ast import (
-    Atom,
-    Comparison,
-    NegatedAtom,
-    Num,
-    NUMBER,
-    Program,
-    Rule,
-    Sym,
-    SYMBOL,
-    Term,
-    Var,
-    WILDCARD,
-    Wildcard,
-    print_atom,
-    print_program,
-    print_rule,
-)
-from .engine import Database, Derivation, check_program, evaluate, explain, query, stratify
-from .export import export_external, import_external
-from .parser import parse_fact_lines, parse_facts, parse_program
+Each public name loads its submodule on first access (PEP 562), so a
+caller that only parses facts never imports the evaluator or the export.
+"""
 
-__all__ = [
-    "Atom",
-    "Comparison",
-    "Database",
-    "Derivation",
-    "NegatedAtom",
-    "Num",
-    "NUMBER",
-    "Program",
-    "Rule",
-    "Sym",
-    "SYMBOL",
-    "Term",
-    "Var",
-    "WILDCARD",
-    "Wildcard",
-    "check_program",
-    "evaluate",
-    "explain",
-    "export_external",
-    "import_external",
-    "parse_fact_lines",
-    "parse_facts",
-    "parse_program",
-    "print_atom",
-    "print_program",
-    "print_rule",
-    "query",
-    "stratify",
-]
+from importlib import import_module
+
+# public name -> submodule that defines it
+_LAZY = {
+    "Atom": "ast",
+    "Comparison": "ast",
+    "NegatedAtom": "ast",
+    "Num": "ast",
+    "NUMBER": "ast",
+    "Program": "ast",
+    "Rule": "ast",
+    "Sym": "ast",
+    "SYMBOL": "ast",
+    "Term": "ast",
+    "Var": "ast",
+    "WILDCARD": "ast",
+    "Wildcard": "ast",
+    "print_atom": "ast",
+    "print_program": "ast",
+    "print_rule": "ast",
+    "Database": "engine",
+    "Derivation": "engine",
+    "check_program": "engine",
+    "evaluate": "engine",
+    "explain": "engine",
+    "query": "engine",
+    "stratify": "engine",
+    "export_external": "export",
+    "import_external": "export",
+    "parse_fact_lines": "parser",
+    "parse_facts": "parser",
+    "parse_program": "parser",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -42,6 +42,7 @@ from .ast import (
     Wildcard,
     fact_tuple_to_atom,
     print_atom,
+    print_rule,
 )
 
 _UNKNOWN = "?"
@@ -623,17 +624,23 @@ def query(db: Database, pattern: Atom) -> list[dict]:
     return results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """One derivation: leaves are input facts, inner nodes rule firings.
 
     Nodes built by :func:`explain` are shared between every occurrence of
     the same fact, so a derivation is a DAG whose unfolding is the proof tree.
+    Equality and hashing are by identity, and the repr shows one level, so
+    none of them recurse through a long proof.
     """
 
     fact: Atom
     rule: Rule | None
     children: tuple["Derivation", ...] = ()
+
+    def __repr__(self) -> str:
+        rule = None if self.rule is None else print_rule(self.rule)
+        return f"Derivation({print_atom(self.fact)!r}, rule={rule!r}, children={len(self.children)})"
 
     def leaves(self) -> list[Atom]:
         """Input facts at the leaves of the unfolded tree, left to right."""

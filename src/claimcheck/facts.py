@@ -35,6 +35,8 @@ from .errors import (
 )
 
 DEFAULT_FILE = "main.cpp"
+# task names: the trace vocabulary and the equivalence vocabulary
+MSAN, EQUIV = "msan", "equiv"
 
 
 def _norm_path(path: str) -> str:

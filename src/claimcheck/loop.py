@@ -16,8 +16,6 @@ import os
 import random
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -28,6 +26,8 @@ from .facts import (
     CODE2,
     CORRESPONDENCE,
     CORRESPONDENCE_PREDICATES,
+    EQUIV,
+    MSAN,
     EquivBundle,
     MsanFactSet,
     equiv_bundle_from_atoms,
@@ -37,10 +37,11 @@ from .prompts import render_template
 
 logger = logging.getLogger("claimcheck.loop")
 
-MSAN, EQUIV = "msan", "equiv"
 DEFAULT_MAX_ITERS = 5
 URL_ENV = "CLAIMCHECK_LLM_URL"
 TOKEN_ENV = "CLAIMCHECK_LLM_TOKEN"
+# Responses longer than this fail their iteration, like a transport error.
+MAX_RESPONSE_BYTES = 1 << 20
 
 MSAN_SIGNATURES = (
     "uses(x: str, f: str, l: num)",
@@ -319,7 +320,8 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
     response's ``text`` field.  For the trace task two requests are made
     per iteration (trace extraction, then formalization); the equivalence
     task is a single request with the vocabulary prompt.  Transport errors
-    yield an empty response, which the loop records as a failed iteration.
+    and responses over ``MAX_RESPONSE_BYTES`` yield an empty response, which
+    the loop records as a failed iteration.
     """
     config = config or HttpSourceConfig()
 
@@ -336,9 +338,14 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
         body = json.dumps({"system": system, "user": user}).encode("utf-8")
         if config.debug:
             logger.debug("request to %s: %s", url, body.decode("utf-8"))
+        import urllib.request  # the HTTP stack loads only when a request is made
+
         request = urllib.request.Request(url, data=body, headers=headers)
         with urllib.request.urlopen(request, timeout=config.timeout_s) as response:
-            payload = response.read().decode("utf-8")
+            payload = response.read(MAX_RESPONSE_BYTES + 1)
+        if len(payload) > MAX_RESPONSE_BYTES:
+            raise ValueError(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
+        payload = payload.decode("utf-8")
         if config.debug:
             logger.debug("response: %s", payload)
         return json.loads(payload)["text"]
@@ -374,7 +381,7 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
                 ),
                 snippets,
             )
-        except (urllib.error.URLError, OSError, ValueError, KeyError, RuntimeError) as exc:
+        except (OSError, ValueError, KeyError, RuntimeError) as exc:
             logger.warning("http source call failed: %s", exc)
             return ""
 

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from claimcheck.cli import main
 
 FIXTURES = "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -119,6 +126,47 @@ def test_reports_are_stable_across_runs(capsys):
         return json.dumps(report, sort_keys=True)
 
     assert snapshot() == snapshot()
+
+
+# ---------------------------------------------------------------------------
+# imports: a launch loads only the modules its command runs
+# ---------------------------------------------------------------------------
+
+_NEW_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from claimcheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_NOT_FOR_VERIFY = {
+    "urllib.request",
+    "ssl",
+    "concurrent.futures",
+    "claimcheck.loop",
+    "claimcheck.toy",
+    "claimcheck.datalog.engine",
+    "claimcheck.datalog.export",
+}
+
+
+@pytest.mark.parametrize("argv, verifier, other", [
+    (["verify-msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
+     "claimcheck.msan", "claimcheck.equivalence"),
+    (["verify-equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"],
+     "claimcheck.equivalence", "claimcheck.msan"),
+], ids=["verify-msan", "verify-equiv"])
+def test_verify_commands_load_only_their_own_modules(argv, verifier, other):
+    run = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES_SCRIPT, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stdout))
+    assert verifier in loaded
+    assert sorted(loaded & (_NOT_FOR_VERIFY | {other})) == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from claimcheck.datalog import (
     explain,
     parse_program,
     print_atom,
+    print_rule,
     query,
 )
 from claimcheck.errors import NotDerivableError, UnknownRelationError
@@ -220,6 +221,12 @@ def test_explain_1100_step_flow_chain():
     while node.fact.predicate == "flowStar":
         node = node.children[0]
     assert node is tree.children[0]
+    # comparing, hashing and printing the proof do not recurse through it;
+    # equality is identity, so a proof built again is a different node
+    again = explain(db, Atom("satisfied", ()))
+    assert tree == tree and tree != again
+    assert len({tree, again, tree}) == 2
+    assert repr(tree) == f"Derivation('satisfied()', rule={print_rule(tree.rule)!r}, children=3)"
 
 
 _DETERMINISM_SCRIPT = """

@@ -9,6 +9,7 @@ from claimcheck.loop import (
     EQUIV,
     MSAN,
     EQUIV_SIGNATURES,
+    MAX_RESPONSE_BYTES,
     MSAN_SIGNATURES,
     HttpSourceConfig,
     http_source,
@@ -245,6 +246,16 @@ def test_http_source_maps_transport_errors_to_empty(monkeypatch):
     result, log = run_loop(source, MSAN, "x", max_iters=2)
     assert result.fact_count() == 0
     assert len(log.records) == 2
+
+
+def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_text, caplog):
+    # every fact is in the body; only its padded size makes the call fail
+    _Stub.canned = trace_facts_text + " " * MAX_RESPONSE_BYTES
+    source = http_source(HttpSourceConfig(url=stub_server))
+    result, log = run_loop(source, MSAN, "x", max_iters=2)
+    assert result.fact_count() == 0
+    assert len(log.records) == 2
+    assert "exceeds" in caplog.text
 
 
 def test_cli_formalize_against_loopback_stub(stub_server, tmp_path, capsys, trace_facts_text):
