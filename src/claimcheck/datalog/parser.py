@@ -11,12 +11,15 @@ symbols are double-quoted with backslash escaping of ``"`` and ``\\``,
 comments run from ``//`` to end of line, and ``_`` is the wildcard.  The bare
 keywords ``true``/``false`` are accepted as the symbol constants ``"true"``/
 ``"false"`` because published fact sets write branch flags unquoted.
+
+The tokenizer makes one regex match per token, whitespace and comments
+included, and a token records only its offset: the line and column of a
+``DatalogSyntaxError`` are computed from the source when it is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from ..errors import DatalogSyntaxError
@@ -35,49 +38,49 @@ from .ast import (
     WILDCARD,
 )
 
+# Whitespace and comments.  Unambiguous: a whitespace run must be maximal
+# and a comment must reach the end of its line, so a failed match backtracks
+# over it linearly and never re-reads a comment as tokens.
+_SKIP = r"(?:\s+(?!\s)|//[^\n]*(?![^\n]))*"
+# One match per token: the skip prefix, then one token alternative.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<decl>\.decl\b)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<number>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|!=|:-|<|>|=|!|\(|\)|,|\.|:)
+    _SKIP
+    + r"""
+    (?:
+      (?P<decl>\.decl\b)
+    | (?P<string>"(?:\\.|[^"\\])*")
+    | (?P<number>-?\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><=|>=|!=|:-|<|>|=|!|\(|\)|,|\.|:)
+    )
 """,
     re.VERBOSE,
 )
+_SKIP_RE = re.compile(_SKIP)
+
+# A token is (kind, text, offset); kind is a group name of _TOKEN_RE or "eof".
+_Token = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``source``."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise DatalogSyntaxError(
-                line, pos - line_start + 1, f"unexpected character {source[pos]!r}"
-            )
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    append = tokens.append
+    for m in iter(_TOKEN_RE.scanner(source).match, None):
+        kind = m.lastgroup
+        append((kind, m[kind], m.start(kind)))
+    # The scanner stops where no token follows; only the end may be there.
+    end = _SKIP_RE.match(source, m.end() if tokens else 0).end()
+    if end < len(source):
+        raise DatalogSyntaxError(
+            *_position(source, end), f"unexpected character {source[end]!r}"
+        )
+    append(("eof", "", end))
     return tokens
 
 
@@ -92,77 +95,73 @@ def _unescape(quoted: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str) -> DatalogSyntaxError:
-        tok = self.peek()
-        return DatalogSyntaxError(tok.line, tok.column, message)
+        return DatalogSyntaxError(*_position(self.source, self.peek()[2]), message)
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        found = self.peek()[1]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}")
+        self.pos += 1
 
     # -- grammar productions -------------------------------------------------
 
     def parse_program(self) -> Program:
         program = Program()
-        while self.peek().kind != "eof":
-            if self.peek().kind == "decl":
+        while self.peek()[0] != "eof":
+            if self.peek()[0] == "decl":
                 self.parse_declaration(program)
             else:
                 self.parse_clause(program)
         return program
 
     def parse_declaration(self, program: Program) -> None:
-        self.next()  # .decl
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
+        self.pos += 1  # .decl
+        kind, name, _ = self.peek()
+        if kind != "ident":
             raise self.error("expected relation name after .decl")
-        name = self.next().text
+        self.pos += 1
         self.expect("(")
         sorts: list[str] = []
-        if self.peek().text != ")":
+        if self.peek()[1] != ")":
             while True:
-                if self.peek().kind != "ident":
+                if self.peek()[0] != "ident":
                     raise self.error("expected argument name in declaration")
-                self.next()  # argument name is documentation only
+                self.pos += 1  # argument name is documentation only
                 self.expect(":")
-                sort_tok = self.peek()
-                if sort_tok.text not in ("symbol", "number"):
+                sort = self.peek()[1]
+                if sort not in ("symbol", "number"):
                     raise self.error(
-                        f"unknown sort {sort_tok.text!r} (expected symbol or number)"
+                        f"unknown sort {sort!r} (expected symbol or number)"
                     )
-                sorts.append(self.next().text)
-                if self.peek().text == ",":
-                    self.next()
+                self.pos += 1
+                sorts.append(sort)
+                if self.peek()[1] == ",":
+                    self.pos += 1
                     continue
                 break
         self.expect(")")
-        if self.peek().text == ".":
-            self.next()
+        if self.peek()[1] == ".":
+            self.pos += 1
         if name in program.declarations and program.declarations[name] != tuple(sorts):
             raise self.error(f"conflicting redeclaration of {name!r}")
         program.declarations[name] = tuple(sorts)
 
     def parse_clause(self, program: Program) -> None:
         head = self.parse_atom()
-        if self.peek().text == ":-":
-            self.next()
+        if self.peek()[1] == ":-":
+            self.pos += 1
             body: list[Literal] = [self.parse_literal()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek()[1] == ",":
+                self.pos += 1
                 body.append(self.parse_literal())
             self.expect(".")
             program.rules.append(Rule(head, tuple(body)))
@@ -171,56 +170,55 @@ class _Parser:
             program.facts.append(head)
 
     def parse_literal(self) -> Literal:
-        if self.peek().text == "!":
-            self.next()
+        if self.peek()[1] == "!":
+            self.pos += 1
             return NegatedAtom(self.parse_atom())
         # Could be an atom or a comparison; a comparison starts with a term
         # that is not followed by '('.
-        tok = self.peek()
-        if tok.kind == "ident" and self.tokens[self.pos + 1].text == "(":
+        if self.peek()[0] == "ident" and self.tokens[self.pos + 1][1] == "(":
             return self.parse_atom()
         left = self.parse_term()
-        op_tok = self.peek()
-        if op_tok.text not in COMPARISON_OPS:
-            raise self.error(f"expected comparison operator, found {op_tok.text!r}")
-        self.next()
+        op = self.peek()[1]
+        if op not in COMPARISON_OPS:
+            raise self.error(f"expected comparison operator, found {op!r}")
+        self.pos += 1
         right = self.parse_term()
-        return Comparison(op_tok.text, left, right)
+        return Comparison(op, left, right)
 
     def parse_atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected predicate name, found {tok.text!r}")
-        name = self.next().text
+        kind, name, _ = self.peek()
+        if kind != "ident":
+            raise self.error(f"expected predicate name, found {name!r}")
+        self.pos += 1
         self.expect("(")
         args: list[Term] = []
-        if self.peek().text != ")":
+        if self.peek()[1] != ")":
             while True:
                 args.append(self.parse_term())
-                if self.peek().text == ",":
-                    self.next()
+                if self.peek()[1] == ",":
+                    self.pos += 1
                     continue
                 break
         self.expect(")")
         return Atom(name, tuple(args))
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.next()
-            return Sym(_unescape(tok.text))
-        if tok.kind == "number":
-            self.next()
-            return Num(int(tok.text))
-        if tok.text == "_":
-            self.next()
+        kind, text, _ = self.peek()
+        if kind == "string":
+            self.pos += 1
+            return Sym(_unescape(text))
+        if kind == "number":
+            self.pos += 1
+            return Num(int(text))
+        if text == "_":
+            self.pos += 1
             return WILDCARD
-        if tok.kind == "ident":
-            self.next()
-            if tok.text in ("true", "false"):
-                return Sym(tok.text)
-            return Var(tok.text)
-        raise self.error(f"expected a term, found {tok.text!r}")
+        if kind == "ident":
+            self.pos += 1
+            if text in ("true", "false"):
+                return Sym(text)
+            return Var(text)
+        raise self.error(f"expected a term, found {text!r}")
 
 
 def parse_program(source: str, validate: bool = True) -> Program:
@@ -230,7 +228,7 @@ def parse_program(source: str, validate: bool = True) -> Program:
     enforces range restriction and ground facts, and rejects negation on a
     recursive cycle.
     """
-    program = _Parser(_tokenize(source)).parse_program()
+    program = _Parser(source).parse_program()
     if validate:
         from .engine import check_program
 
@@ -240,7 +238,7 @@ def parse_program(source: str, validate: bool = True) -> Program:
 
 def parse_facts(source: str) -> list[Atom]:
     """Parse a facts-only document; any rule or declaration is an error."""
-    program = _Parser(_tokenize(source)).parse_program()
+    program = _Parser(source).parse_program()
     if program.rules:
         raise DatalogSyntaxError(0, 0, "rules are not allowed in a fact file")
     if program.declarations:

@@ -53,7 +53,13 @@ def verify_msan(fs: MsanFactSet) -> MsanVerdict:
     """Breadth-first search for the shortest qualifying flow chain.
 
     Ties between equally short chains break lexicographically by
-    (file, line, variable) along the chain.
+    (file, line, variable) along the chain.  The search is linear in sites
+    and flows: each site records the site it was first reached from, and
+    the witness is rebuilt from those parent pointers.  Levels need no
+    sorting, as each is generated in tie-break order: the starts and every
+    site's successors are sorted, each site is reached once, and a level is
+    produced from the previous one in order, so its chains order by their
+    parents' chains first and by their last site second.
     """
     lint = lint_msan(fs)
     uses = {(f.var, f.file, f.line) for f in fs.uses}
@@ -77,26 +83,35 @@ def verify_msan(fs: MsanFactSet) -> MsanVerdict:
         ((f.var, f.file, f.line) for f in fs.uninitialized), key=_site_key
     )
     # Parallel BFS from all uninitialized sites; the first qualifying site
-    # popped has the shortest chain, and the queue is kept in tie-break order.
-    best: dict[Site, tuple[Site, ...]] = {}
-    frontier: list[tuple[Site, ...]] = []
+    # of the shallowest level ends the shortest, least chain.
+    parent: dict[Site, Optional[Site]] = {}
+    frontier: list[Site] = []
     for site in starts:
-        if site not in best:
-            best[site] = (site,)
-            frontier.append((site,))
+        if site not in parent:
+            parent[site] = None
+            frontier.append(site)
     while frontier:
-        frontier.sort(key=lambda chain: tuple(_site_key(s) for s in chain))
-        for chain in frontier:
-            if qualifies(chain[-1]):
-                return MsanVerdict(VERIFIED, witness=chain, lint=lint)
-        next_frontier: list[tuple[Site, ...]] = []
-        for chain in frontier:
-            for dst in edges.get(chain[-1], ()):
-                if dst not in best:
-                    best[dst] = chain + (dst,)
-                    next_frontier.append(chain + (dst,))
+        for site in frontier:
+            if qualifies(site):
+                return MsanVerdict(VERIFIED, witness=_chain(parent, site), lint=lint)
+        next_frontier: list[Site] = []
+        for site in frontier:
+            for dst in edges.get(site, ()):
+                if dst not in parent:
+                    parent[dst] = site
+                    next_frontier.append(dst)
         frontier = next_frontier
     return MsanVerdict(DONT_KNOW, witness=None, lint=lint)
+
+
+def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
+    chain: list[Site] = []
+    site: Optional[Site] = last
+    while site is not None:
+        chain.append(site)
+        site = parent[site]
+    chain.reverse()
+    return tuple(chain)
 
 
 _RULES_SOURCE = """

@@ -114,7 +114,7 @@ def random_fact_atoms(rng: random.Random, program: Program, count: int) -> list[
 
 
 def random_msan_facts(
-    rng: random.Random, with_memory_error: bool | None = None
+    rng: random.Random, with_memory_error: bool | None = None, max_flows: int = 6
 ) -> MsanFactSet:
     files = ["a.cc", "b.cc"]
     variables = ["p", "q", "r", "s"]
@@ -125,11 +125,11 @@ def random_msan_facts(
     sites = {site() for _ in range(rng.randint(2, 8))}
     sites = sorted(sites)
     flows = set()
-    for _ in range(rng.randint(0, 6)):
+    for _ in range(rng.randint(0, max_flows)):
         src, dst = rng.choice(sites), rng.choice(sites)
         flows.add(FlowFact(*src, *dst))
     uses = {SiteFact(*s) for s in rng.sample(sites, k=rng.randint(0, len(sites)))}
-    uninit = {SiteFact(*s) for s in rng.sample(sites, k=rng.randint(0, 2))}
+    uninit = {SiteFact(*s) for s in rng.sample(sites, k=rng.randint(0, min(2, len(sites))))}
     errors = set()
     if with_memory_error is None:
         with_memory_error = rng.random() < 0.5

@@ -1,13 +1,17 @@
-"""Independent reference implementations used to check the engine.
+"""Independent reference implementations used to check the package.
 
 Nothing here reuses the evaluator: stratification is recomputed by
 level-number relaxation instead of SCCs, and the fixpoint is a naive
-full-recompute over cartesian products of the body relations.
+full-recompute over cartesian products of the body relations.  The
+tokenizer oracle matches one token (whitespace included) at a time and
+tracks line and column as it goes; the msan witness oracle enumerates
+every chain instead of searching.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from claimcheck.datalog.ast import (
     Atom,
@@ -18,6 +22,7 @@ from claimcheck.datalog.ast import (
     Sym,
     Wildcard,
 )
+from claimcheck.errors import DatalogSyntaxError
 
 _CMP = {
     "<": lambda a, b: a < b,
@@ -145,14 +150,12 @@ def brute_force_query(relation: frozenset, pattern: Atom) -> list[dict]:
     return out
 
 
-def replay_derivation(node, input_facts: set[tuple], db) -> bool:
-    """Re-derive the tree's root: leaves must be input facts, inner nodes
-    must re-fire their rule on the children's facts."""
+def _replays_step(node, input_facts: set[tuple], db) -> bool:
+    """One node alone: a leaf must be an input fact, an inner node must
+    re-fire its rule on its children's facts."""
     key = (node.fact.predicate, node.fact.value_tuple())
     if node.rule is None:
         return key in input_facts
-    if not all(replay_derivation(child, input_facts, db) for child in node.children):
-        return False
     rule = node.rule
     positives = rule.positive_atoms()
     if len(positives) != len(node.children):
@@ -176,3 +179,94 @@ def replay_derivation(node, input_facts: set[tuple], db) -> bool:
                 return False
     head = tuple(_term_value(t, binding) for t in rule.head.args)
     return head == node.fact.value_tuple()
+
+
+def replay_derivation(root, input_facts: set[tuple], db) -> bool:
+    """Re-derive the tree's root: every node must replay on its own and all
+    its children must replay.  Post-order with an explicit stack, so depth
+    is not bounded by the recursion limit; a sub-proof shared by several
+    parents is checked once (memoised by node identity)."""
+    replayed: dict[int, bool] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in replayed:
+            stack.pop()
+            continue
+        pending = [child for child in node.children if id(child) not in replayed]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        replayed[id(node)] = all(
+            replayed[id(child)] for child in node.children
+        ) and _replays_step(node, input_facts, db)
+    return replayed[id(root)]
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<decl>\.decl\b)
+  | (?P<string>"(?:\\.|[^"\\])*")
+  | (?P<number>-?\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><=|>=|!=|:-|<|>|=|!|\(|\)|,|\.|:)
+""",
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` per token, ending with ``eof``."""
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise DatalogSyntaxError(
+                line, pos - line_start + 1, f"unexpected character {source[pos]!r}"
+            )
+        kind = m.lastgroup or ""
+        text = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, line, pos - line_start + 1))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+def msan_witness_oracle(fs, pick=min):
+    """Shortest qualifying msan chain by enumeration.
+
+    Every chain is extended by every flow, level by level, with no record
+    of visited sites; among the qualifying chains of the first level that
+    has any, ``pick`` chooses by the (file, line, var) keys along the
+    chain.  A qualifying chain ends at a claimed use and, when the set
+    claims memory errors, at a claimed error site.
+    """
+    uses = {(f.var, f.file, f.line) for f in fs.uses}
+    error_sites = {(f.file, f.line) for f in fs.memory_error}
+    targets = {u for u in uses if not error_sites or (u[1], u[2]) in error_sites}
+    flows = [
+        ((f.src_var, f.src_file, f.src_line), (f.dst_var, f.dst_file, f.dst_line))
+        for f in fs.flow
+    ]
+    chains = [((f.var, f.file, f.line),) for f in fs.uninitialized]
+    sites = {chain[0] for chain in chains} | {site for flow in flows for site in flow}
+    # a shortest chain visits no site twice, so it has at most len(sites) sites
+    for _ in range(len(sites)):
+        found = [chain for chain in chains if chain[-1] in targets]
+        if found:
+            return pick(
+                found, key=lambda chain: tuple((f, l, v) for v, f, l in chain)
+            )
+        chains = [chain + (dst,) for chain in chains for src, dst in flows if src == chain[-1]]
+    return None

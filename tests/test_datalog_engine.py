@@ -210,10 +210,13 @@ def test_explain_1100_step_flow_chain():
         uninitialized=frozenset(sites[:1]),
         flow=frozenset(flows),
     )
-    db = evaluate(msan_program(facts))
+    program = msan_program(facts)
+    db = evaluate(program)
     tree = explain(db, Atom("satisfied", ()))
     leaves = [leaf for leaf in tree.leaves() if leaf.predicate == "flow"]
     assert len(leaves) == steps
+    inputs = {(f.predicate, f.value_tuple()) for f in program.facts}
+    assert replay_derivation(tree, inputs, db)
     assert [leaf.value_tuple() for leaf in leaves] == [tuple(f) for f in flows]
     # the uninitialized fact supports both satisfied() and the first
     # flowStar step; both occurrences share one node

@@ -12,6 +12,7 @@ from claimcheck.datalog import (
     print_atom,
     print_program,
 )
+from claimcheck.datalog.parser import _position, _tokenize
 from claimcheck.errors import (
     ArityMismatchError,
     DatalogSyntaxError,
@@ -19,6 +20,8 @@ from claimcheck.errors import (
     SortError,
     UnstratifiableNegationError,
 )
+
+from oracles import reference_tokenize
 
 
 def test_fixture_program_shape(nonzero_output_program_text):
@@ -140,3 +143,56 @@ def test_fact_print_parse_round_trip(raw_facts):
     program = Program(declarations=signatures, facts=atoms)
     reparsed = parse_program(print_program(program))
     assert set(map(print_atom, reparsed.facts)) == set(map(print_atom, atoms))
+
+
+def _tokens_or_error(tokenize, source: str):
+    try:
+        return tokenize(source)
+    except DatalogSyntaxError as exc:
+        return ("error", exc.line, exc.column, exc.message)
+
+
+def _positioned_tokens(source: str):
+    return [
+        (kind, text, *_position(source, offset)) for kind, text, offset in _tokenize(source)
+    ]
+
+
+# the grammar's characters, plus comment starts and a letter the grammar lacks
+_SOURCE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list('()",.:-!<>=_/\\ \n') + ["//", "\u00e9"]),
+        st.sampled_from(list("abdelx019") + ["decl", ".decl", "true", "p(1)."]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_SOURCE_TEXT)
+def test_tokenizer_matches_reference(source):
+    assert _tokens_or_error(_positioned_tokens, source) == _tokens_or_error(
+        reference_tokenize, source
+    )
+
+
+@pytest.mark.parametrize(
+    ("source", "line", "column", "message"),
+    [
+        ("p(1). // x y\n@", 2, 1, "unexpected character '@'"),
+        ('p("abc).\nq(1).', 1, 3, "unexpected character '\"'"),
+        ("// one\n// two\np(1).\n  \u00e9 q(2).", 4, 3, "unexpected character '\u00e9'"),
+    ],
+)
+def test_tokenizer_error_positions(source, line, column, message):
+    assert _tokens_or_error(reference_tokenize, source) == ("error", line, column, message)
+    assert _tokens_or_error(_positioned_tokens, source) == ("error", line, column, message)
+
+
+def test_missing_final_dot_is_reported_at_eof():
+    source = "p(1).\n// done\nq(2) // no dot"
+    assert _positioned_tokens(source)[-1] == ("eof", "", 3, 15)
+    with pytest.raises(DatalogSyntaxError) as info:
+        parse_program(source)
+    assert (info.value.line, info.value.column) == (3, 15)
+    assert info.value.message == "expected '.', found ''"

@@ -12,6 +12,7 @@ from claimcheck.facts import (
 from claimcheck.msan import DONT_KNOW, VERIFIED, msan_program, msan_rules, verify_msan
 
 from generators import msan_reachability_oracle, random_msan_facts
+from oracles import msan_witness_oracle
 
 
 def test_trace_fixture_verifies_with_error_site_witness(trace_facts_text):
@@ -76,6 +77,20 @@ def test_witness_is_shortest_with_lexicographic_ties():
         ),
     )
     assert verify_msan(fs).witness[-1] == ("a", "f", 2)
+
+
+def test_witness_matches_enumeration_oracle_on_random_sets():
+    # half the sets are dense, so that equally short chains compete often
+    rng = random.Random(2024)
+    verified = ties = 0
+    for index in range(400):
+        fs = random_msan_facts(rng, max_flows=6 if index % 2 else 16)
+        witness = msan_witness_oracle(fs)
+        assert verify_msan(fs).witness == witness
+        if witness is not None:
+            verified += 1
+            ties += msan_witness_oracle(fs, pick=max) != witness
+    assert verified >= 100 and ties >= 20  # the tie-break actually decided
 
 
 def test_verdict_matches_reachability_oracle_on_random_sets():
