@@ -102,14 +102,8 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _msan_witness(verdict: MsanVerdict):
-    if verdict.witness is None:
-        return None
-    return {
-        "chain": [
-            {"var": var, "file": file, "line": line}
-            for var, file, line in verdict.witness
-        ]
-    }
+    chain = verdict.to_json()["chain"]
+    return None if chain is None else {"chain": chain}
 
 
 def _equiv_witness(verdict: EquivVerdict):

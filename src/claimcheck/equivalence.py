@@ -19,18 +19,22 @@ only.  The same diff is also emitted as a stratified Datalog program
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from .datalog.ast import Atom, Num, Program, Sym
+from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
 from .errors import ConflictingVarMapError
 from .facts import (
     CODE1,
     CODE2,
+    SIDE_FIELDS,
+    SIDE_SORTS,
     EquivBundle,
     EquivSide,
+    FlowFact,
     LintReport,
     SiteFact,
+    fact_atom,
+    fact_atoms,
+    fact_text,
     lint_equiv,
 )
 
@@ -222,8 +226,9 @@ class Mismatch:
         }
 
 
-def _use_repr(f: SiteFact, predicate: str = "use") -> str:
-    return f'{predicate}("{f.var}", "{f.file}", {f.line})'
+def _facts_of(tag: str, *texts: str) -> dict:
+    """The ``side1``/``side2`` argument that puts fact texts on ``tag``'s side."""
+    return {"side1": texts} if tag == CODE1 else {"side2": texts}
 
 
 def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
@@ -234,63 +239,49 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
         (bundle.code2, bundle.code1, pairing.var_pairs_rev, pairing.map_line_rev, CODE2),
     )
 
-    for var, (file, line) in pairing.residue_defs_1:
-        out.append(
-            Mismatch(
-                "unpaired_def", file, line, var,
-                f"{CODE1} defines {var!r} at {file}:{line} with no paired "
-                "definition on the other side",
-                side1=(f'def("{var}", "{file}", {line})',),
+    for tag, residue in ((CODE1, pairing.residue_defs_1), (CODE2, pairing.residue_defs_2)):
+        for var, (file, line) in residue:
+            out.append(
+                Mismatch(
+                    "unpaired_def", file, line, var,
+                    f"{tag} defines {var!r} at {file}:{line} with no paired "
+                    "definition on the other side",
+                    **_facts_of(tag, fact_text("def", SiteFact(var, file, line))),
+                )
             )
-        )
-    for var, (file, line) in pairing.residue_defs_2:
-        out.append(
-            Mismatch(
-                "unpaired_def", file, line, var,
-                f"{CODE2} defines {var!r} at {file}:{line} with no paired "
-                "definition on the other side",
-                side2=(f'def("{var}", "{file}", {line})',),
-            )
-        )
 
     for here, there, var_map, map_line, tag in sides:
-        is_code1 = tag == CODE1
         for f in sorted(here.uses):
             if f.var not in var_map:
                 out.append(
                     Mismatch(
                         "unpaired_use", f.file, f.line, f.var,
                         f"{tag} uses {f.var!r}, a variable with no pair",
-                        side1=(_use_repr(f),) if is_code1 else (),
-                        side2=() if is_code1 else (_use_repr(f),),
+                        **_facts_of(tag, fact_text("use", f)),
                     )
                 )
                 continue
             other = SiteFact(var_map[f.var], *map_line((f.file, f.line)))
             if other not in there.uses:
+                rendered = fact_text("use", f)
                 out.append(
                     Mismatch(
                         "missing_use", f.file, f.line, f.var,
-                        f"{tag} has {_use_repr(f)} with no counterpart "
-                        f"{_use_repr(other)}",
-                        side1=(_use_repr(f),) if is_code1 else (),
-                        side2=() if is_code1 else (_use_repr(f),),
+                        f"{tag} has {rendered} with no counterpart "
+                        f"{fact_text('use', other)}",
+                        **_facts_of(tag, rendered),
                     )
                 )
         for f in sorted(here.flows):
-            rendered = (
-                f'flow("{f.src_var}", "{f.src_file}", {f.src_line}, '
-                f'"{f.dst_var}", "{f.dst_file}", {f.dst_line})'
-            )
             unpaired = [v for v in (f.src_var, f.dst_var) if v not in var_map]
             if unpaired:
+                rendered = fact_text("flow", f)
                 for v in dict.fromkeys(unpaired):
                     out.append(
                         Mismatch(
                             "unpaired_flow", f.src_file, f.src_line, v,
                             f"{tag} flow mentions {v!r}, a variable with no pair",
-                            side1=(rendered,) if is_code1 else (),
-                            side2=() if is_code1 else (rendered,),
+                            **_facts_of(tag, rendered),
                         )
                     )
                 continue
@@ -301,48 +292,45 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                 var_map[f.dst_var], dst[0], dst[1],
             )
             if image not in there.flows:
+                rendered = fact_text("flow", f)
                 out.append(
                     Mismatch(
                         "missing_flow", f.src_file, f.src_line, f.src_var,
                         f"{tag} has {rendered} with no counterpart under the "
                         "pairing",
-                        side1=(rendered,) if is_code1 else (),
-                        side2=() if is_code1 else (rendered,),
+                        **_facts_of(tag, rendered),
                     )
                 )
         for f in sorted(here.def_with_expr):
-            rendered = _use_repr(f, "defWithExpr")
             if f.var not in var_map:
+                rendered = fact_text("defWithExpr", f)
                 out.append(
                     Mismatch(
                         "unpaired_defexpr", f.file, f.line, f.var,
                         f"{tag} has {rendered} for a variable with no pair",
-                        side1=(rendered,) if is_code1 else (),
-                        side2=() if is_code1 else (rendered,),
+                        **_facts_of(tag, rendered),
                     )
                 )
                 continue
             other = SiteFact(var_map[f.var], *map_line((f.file, f.line)))
             if other not in there.def_with_expr:
+                rendered = fact_text("defWithExpr", f)
                 out.append(
                     Mismatch(
                         "missing_defexpr", f.file, f.line, f.var,
                         f"{tag} has {rendered} with no counterpart",
-                        side1=(rendered,) if is_code1 else (),
-                        side2=() if is_code1 else (rendered,),
+                        **_facts_of(tag, rendered),
                     )
                 )
         for f in sorted(here.cond_with_expr):
             mapped = map_line((f.file, f.line))
             if not any((c.file, c.line) == mapped for c in there.cond_with_expr):
-                rendered = f'condWithExpr("{f.file}", {f.line})'
                 out.append(
                     Mismatch(
                         "missing_condexpr", f.file, f.line, "-",
                         f"{tag} marks a complex condition at {f.file}:{f.line} "
                         "with no counterpart",
-                        side1=(rendered,) if is_code1 else (),
-                        side2=() if is_code1 else (rendered,),
+                        **_facts_of(tag, fact_text("condWithExpr", f)),
                     )
                 )
 
@@ -414,17 +402,11 @@ def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
             or any(not b_agrees_rev(g) for g in b2)
         )
         if differs:
-            render1 = tuple(
-                f'unaryFun("{f.op}", "{f.operand}", "{f.file}", {f.line})' for f in u1
-            ) + tuple(
-                f'binaryFun("{f.op}", "{f.left}", "{f.right}", "{f.file}", {f.line})'
-                for f in b1
+            render1 = tuple(fact_text("unaryFun", f) for f in u1) + tuple(
+                fact_text("binaryFun", f) for f in b1
             )
-            render2 = tuple(
-                f'unaryFun("{f.op}", "{f.operand}", "{f.file}", {f.line})' for f in u2
-            ) + tuple(
-                f'binaryFun("{f.op}", "{f.left}", "{f.right}", "{f.file}", {f.line})'
-                for f in b2
+            render2 = tuple(fact_text("unaryFun", f) for f in u2) + tuple(
+                fact_text("binaryFun", f) for f in b2
             )
             for subject in sorted(subjects[s1]):
                 out.append(
@@ -471,19 +453,13 @@ def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
 
         if all(agrees_fwd(f) for f in cd1) and all(agrees_rev(g) for g in cd2):
             continue
-
-        def render(f):
-            return (
-                f'controldep("{f.var}", "{f.file}", {f.line}, "{f.cond}", '
-                f'"{f.branch}", "{f.cond_file}", {f.cond_line})'
-            )
         out.append(
             Mismatch(
                 "controldep_mismatch", s1[0], s1[1], var1,
                 f"control dependencies of {var1!r} at {s1[0]}:{s1[1]} and "
                 f"{var2!r} at {s2[0]}:{s2[1]} disagree",
-                side1=tuple(render(f) for f in cd1),
-                side2=tuple(render(f) for f in cd2),
+                side1=tuple(fact_text("controldep", f) for f in cd1),
+                side2=tuple(fact_text("controldep", f) for f in cd2),
             )
         )
     return out
@@ -493,7 +469,7 @@ def _diff_constants(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
     out = []
 
     def fact(name):
-        return (f'isConstantValue("{name}")',)
+        return (fact_text("isConstantValue", name),)
 
     for name in sorted(bundle.code1.constants):
         paired = pairing.var_pairs.get(name)
@@ -565,7 +541,7 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                     "watchvar_unmatched", f.file, f.line, f.var,
                     f"{CODE1} watches {f.var!r} but the other side does not "
                     "watch its pair",
-                    side1=(_use_repr(f, "watchVar"),),
+                    side1=(fact_text("watchVar", f),),
                 )
             )
         else:
@@ -578,7 +554,7 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                     "watchvar_unmatched", f.file, f.line, f.var,
                     f"{CODE2} watches {f.var!r} but the other side does not "
                     "watch its pair",
-                    side2=(_use_repr(f, "watchVar"),),
+                    side2=(fact_text("watchVar", f),),
                 )
             )
 
@@ -598,10 +574,7 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
             }
             for site in sorted(reach1):
                 if pairing.map_line(site) not in reach2:
-                    rendered = (
-                        f'flow("{var1}", "{site[0]}", {site[1]}, '
-                        f'"{var1}", "{ef1}", {e1})'
-                    )
+                    rendered = fact_text("flow", FlowFact(var1, *site, var1, ef1, e1))
                     out.append(
                         Mismatch(
                             "reaching_defs_differ", site[0], site[1], var1,
@@ -613,10 +586,7 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                     )
             for site in sorted(reach2):
                 if pairing.map_line_rev(site) not in reach1:
-                    rendered = (
-                        f'flow("{var2}", "{site[0]}", {site[1]}, '
-                        f'"{var2}", "{ef2}", {e2})'
-                    )
+                    rendered = fact_text("flow", FlowFact(var2, *site, var2, ef2, e2))
                     out.append(
                         Mismatch(
                             "reaching_defs_differ", site[0], site[1], var2,
@@ -652,6 +622,10 @@ class EquivVerdict:
         }
 
 
+def all_mismatches(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
+    return diff_structure(bundle, pairing) + check_watchvars(bundle, pairing)
+
+
 def verify_equiv(bundle: EquivBundle) -> EquivVerdict:
     lint = lint_equiv(bundle)
     if lint.errors:
@@ -660,21 +634,12 @@ def verify_equiv(bundle: EquivBundle) -> EquivVerdict:
             obligations=tuple(issue.message for issue in lint.errors),
             lint=lint,
         )
-    pairing = build_pairing(bundle)
-    mismatches = tuple(diff_structure(bundle, pairing)) + tuple(
-        check_watchvars(bundle, pairing)
-    )
+    mismatches = tuple(all_mismatches(bundle, build_pairing(bundle)))
     if mismatches:
         return EquivVerdict(
             NOT_EQUIVALENT, witness=mismatches[0], mismatches=mismatches, lint=lint
         )
     return EquivVerdict(EQUIVALENT, lint=lint)
-
-
-def all_mismatches(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
-    return list(diff_structure(bundle, pairing)) + list(
-        check_watchvars(bundle, pairing)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -795,31 +760,31 @@ has_mismatch() :- mismatch(_, _, _, _).
 equivalent() :- !has_mismatch().
 """
 
-_DECLS = """
-.decl def_c1(x: symbol, f: symbol, l: number)
-.decl def_c2(x: symbol, f: symbol, l: number)
-.decl use_c1(x: symbol, f: symbol, l: number)
-.decl use_c2(x: symbol, f: symbol, l: number)
-.decl flow_c1(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
-.decl flow_c2(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
-.decl cdep_c1(x: symbol, f1: symbol, l1: number, c: symbol, br: symbol, f2: symbol, l2: number)
-.decl cdep_c2(x: symbol, f1: symbol, l1: number, c: symbol, br: symbol, f2: symbol, l2: number)
-.decl defexpr_c1(x: symbol, f: symbol, l: number)
-.decl defexpr_c2(x: symbol, f: symbol, l: number)
-.decl condexpr_c1(f: symbol, l: number)
-.decl condexpr_c2(f: symbol, l: number)
-.decl unary_c1(op: symbol, a: symbol, f: symbol, l: number)
-.decl unary_c2(op: symbol, a: symbol, f: symbol, l: number)
-.decl binary_c1(op: symbol, a: symbol, b: symbol, f: symbol, l: number)
-.decl binary_c2(op: symbol, a: symbol, b: symbol, f: symbol, l: number)
-.decl const_c1(x: symbol)
-.decl const_c2(x: symbol)
-.decl watch_c1(x: symbol, f: symbol, l: number)
-.decl watch_c2(x: symbol, f: symbol, l: number)
-.decl entry_c1(fn: symbol, f: symbol, l: number)
-.decl entry_c2(fn: symbol, f: symbol, l: number)
-.decl exit_c1(f: symbol, l: number)
-.decl exit_c2(f: symbol, l: number)
+# The rule relation of each side predicate; code1's facts carry the suffix
+# ``_c1``, code2's ``_c2``.
+_RULE_RELATIONS = {
+    "entry": "entry",
+    "isConstantValue": "const",
+    "def": "def",
+    "defWithExpr": "defexpr",
+    "condWithExpr": "condexpr",
+    "use": "use",
+    "flow": "flow",
+    "controldep": "cdep",
+    "unaryFun": "unary",
+    "binaryFun": "binary",
+    "exit": "exit",
+    "watchVar": "watch",
+}
+_SUFFIXES = ("c1", "c2")
+
+# Declarations of the side relations come from the fact types; only the
+# rule-local relations are written out.
+_DECLS = "".join(
+    print_declaration(f"{_RULE_RELATIONS[predicate]}_{suffix}", sorts) + "\n"
+    for suffix in _SUFFIXES
+    for predicate, sorts in SIDE_SORTS.items()
+) + """
 .decl pair_var(x: symbol, y: symbol)
 .decl pair_var_same(x: symbol, y: symbol)
 .decl cond_pair(x: symbol, y: symbol)
@@ -832,49 +797,6 @@ _DECLS = """
 .decl has_mismatch()
 .decl equivalent()
 """
-
-
-def _side_facts(side: EquivSide, suffix: str) -> Iterable[Atom]:
-    s = lambda t: Sym(t)
-    n = lambda v: Num(v)
-    for f in sorted(side.defs):
-        yield Atom(f"def_{suffix}", (s(f.var), s(f.file), n(f.line)))
-    for f in sorted(side.uses):
-        yield Atom(f"use_{suffix}", (s(f.var), s(f.file), n(f.line)))
-    for f in sorted(side.flows):
-        yield Atom(
-            f"flow_{suffix}",
-            (
-                s(f.src_var), s(f.src_file), n(f.src_line),
-                s(f.dst_var), s(f.dst_file), n(f.dst_line),
-            ),
-        )
-    for f in sorted(side.controldeps):
-        yield Atom(
-            f"cdep_{suffix}",
-            (
-                s(f.var), s(f.file), n(f.line),
-                s(f.cond), s(f.branch), s(f.cond_file), n(f.cond_line),
-            ),
-        )
-    for f in sorted(side.def_with_expr):
-        yield Atom(f"defexpr_{suffix}", (s(f.var), s(f.file), n(f.line)))
-    for f in sorted(side.cond_with_expr):
-        yield Atom(f"condexpr_{suffix}", (s(f.file), n(f.line)))
-    for f in sorted(side.unary):
-        yield Atom(f"unary_{suffix}", (s(f.op), s(f.operand), s(f.file), n(f.line)))
-    for f in sorted(side.binary):
-        yield Atom(
-            f"binary_{suffix}", (s(f.op), s(f.left), s(f.right), s(f.file), n(f.line))
-        )
-    for name in sorted(side.constants):
-        yield Atom(f"const_{suffix}", (s(name),))
-    for f in sorted(side.watch_vars):
-        yield Atom(f"watch_{suffix}", (s(f.var), s(f.file), n(f.line)))
-    for f in sorted(side.entries):
-        yield Atom(f"entry_{suffix}", (s(f.function), s(f.file), n(f.line)))
-    for f in sorted(side.exits):
-        yield Atom(f"exit_{suffix}", (s(f.file), n(f.line)))
 
 
 def _fact_lines(side: EquivSide) -> set[Site]:
@@ -905,15 +827,14 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     holds exactly when that union is empty.
     """
     program = parse_program(_DECLS + _EQUIV_RULES, validate=False)
-    program.facts.extend(_side_facts(bundle.code1, "c1"))
-    program.facts.extend(_side_facts(bundle.code2, "c2"))
-    s = lambda t: Sym(t)
-    n = lambda v: Num(v)
+    for side, suffix in zip((bundle.code1, bundle.code2), _SUFFIXES):
+        relations = [(name, f"{_RULE_RELATIONS[p]}_{suffix}") for name, p in SIDE_FIELDS]
+        program.facts.extend(fact_atoms(side, relations))
     for x in sorted(pairing.var_pairs):
         y = pairing.var_pairs[x]
-        program.facts.append(Atom("pair_var", (s(x), s(y))))
+        program.facts.append(fact_atom("pair_var", (x, y)))
         if x == y:
-            program.facts.append(Atom("pair_var_same", (s(x), s(y))))
+            program.facts.append(fact_atom("pair_var_same", (x, y)))
     conds1 = {f.cond for f in bundle.code1.controldeps}
     conds2 = {f.cond for f in bundle.code2.controldeps}
     cond_pairs = {
@@ -924,26 +845,18 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
             for e2 in conds2:
                 if _is_entry_cond(e2):
                     cond_pairs.add((e1, e2))
-    for x, y in sorted(cond_pairs):
-        program.facts.append(Atom("cond_pair", (s(x), s(y))))
-    for var1, (f1, l1), var2, (f2, l2) in pairing.def_site_pairs:
-        program.facts.append(
-            Atom("pair_def_site", (s(var1), s(f1), n(l1), s(var2), s(f2), n(l2)))
-        )
-    for (f1, l1), (f2, l2) in pairing.cond_site_pairs:
-        program.facts.append(Atom("pair_cond_site", (s(f1), n(l1), s(f2), n(l2))))
-    for (f1, l1), (f2, l2) in pairing.exit_pairs:
-        program.facts.append(Atom("pair_exit", (s(f1), n(l1), s(f2), n(l2))))
+    for pair in sorted(cond_pairs):
+        program.facts.append(fact_atom("cond_pair", pair))
+    for var1, site1, var2, site2 in pairing.def_site_pairs:
+        program.facts.append(fact_atom("pair_def_site", (var1, *site1, var2, *site2)))
+    for site1, site2 in pairing.cond_site_pairs:
+        program.facts.append(fact_atom("pair_cond_site", site1 + site2))
+    for site1, site2 in pairing.exit_pairs:
+        program.facts.append(fact_atom("pair_exit", site1 + site2))
     for site in sorted(_fact_lines(bundle.code1)):
-        mapped = pairing.map_line(site)
-        program.facts.append(
-            Atom("pair_line", (s(site[0]), n(site[1]), s(mapped[0]), n(mapped[1])))
-        )
+        program.facts.append(fact_atom("pair_line", site + pairing.map_line(site)))
     for site in sorted(_fact_lines(bundle.code2)):
-        mapped = pairing.map_line_rev(site)
-        program.facts.append(
-            Atom("pair_line_rev", (s(site[0]), n(site[1]), s(mapped[0]), n(mapped[1])))
-        )
+        program.facts.append(fact_atom("pair_line_rev", site + pairing.map_line_rev(site)))
     from .datalog.engine import check_program
 
     check_program(program)

@@ -54,7 +54,10 @@ class NotDerivableError(ClaimcheckError):
 
 
 class UnknownPredicateError(ClaimcheckError):
+    """Names each offending predicate once, in order of first appearance."""
+
     def __init__(self, names: list[str]):
+        names = list(dict.fromkeys(names))
         super().__init__("predicate(s) outside the task vocabulary: " + ", ".join(names))
         self.names = names
 

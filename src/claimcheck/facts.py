@@ -11,20 +11,31 @@ Two vocabularies are supported:
   ``watchVar``) plus the correspondence predicates (``varMap``,
   ``entryMap``, ``exitMap``).
 
-Loaders accept the canonical arities (every site carries a file name) as
-well as the abbreviated forms that published fact sets use, inserting
-``main.cpp`` where a file name is omitted.  ``outputVar`` is accepted as a
-synonym for ``watchVar``.  Any predicate outside the vocabulary is rejected,
-never coerced.
+Each fact container lists its predicates once, in an ordered
+``(field, predicate)`` table (``MSAN_FIELDS``, ``SIDE_FIELDS``,
+``CORRESPONDENCE_FIELDS``).  A predicate's argument order and sorts are
+those of the field's NamedTuple (``str`` fields are symbols, ``int`` fields
+numbers, a bare ``str`` is a 1-ary fact).  Rendering, counting, the Datalog
+facts and declarations of the rule sets and the text of witness facts are
+all derived from these tables; ``datalog.ast.print_atom`` writes every fact.
+
+Loaders accept the canonical arities, in which every site carries a file
+name.  Only the equivalence vocabulary has abbreviated forms, the ones
+published fact sets use: an omitted file name becomes ``main.cpp`` (an
+omitted ``entryMap`` label becomes ``main``).  Only trace paths have runs
+of ``/`` collapsed.  ``outputVar`` is accepted as a synonym for
+``watchVar``.  Any predicate outside the vocabulary is rejected, never
+coerced.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from functools import cache
+from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
-from .datalog.ast import Atom, Num, Sym
+from .datalog.ast import NUMBER, SYMBOL, Atom, Num, Sym, print_atom
 from .datalog.parser import parse_facts
 from .errors import (
     ArityMismatchError,
@@ -62,9 +73,44 @@ def _num(atom: Atom, index: int) -> int:
     return term.value
 
 
-def _q(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+def fact_atom(predicate: str, fact) -> Atom:
+    """A typed fact as a ground atom.
+
+    ``str`` fields become symbols and ``int`` fields numbers; a bare ``str``
+    is a 1-ary fact.
+    """
+    if isinstance(fact, str):
+        return Atom(predicate, (Sym(fact),))
+    return Atom(predicate, tuple([Num(v) if type(v) is int else Sym(v) for v in fact]))
+
+
+def fact_text(predicate: str, fact) -> str:
+    """A typed fact as Datalog text, without the final dot."""
+    return print_atom(fact_atom(predicate, fact))
+
+
+def fact_atoms(container, fields: Iterable[tuple[str, str]]) -> Iterator[Atom]:
+    """A container's facts as atoms, in table order, each field sorted."""
+    for name, predicate in fields:
+        for fact in sorted(getattr(container, name)):
+            yield fact_atom(predicate, fact)
+
+
+def _render(atoms: Iterable[Atom]) -> str:
+    return "".join(print_atom(atom) + ".\n" for atom in atoms)
+
+
+@cache  # fields share fact types, and every launch pays for evaluating annotations
+def _sorts(fact_type) -> tuple[str, ...]:
+    types = (str,) if fact_type is str else get_type_hints(fact_type).values()
+    return tuple(NUMBER if t is int else SYMBOL for t in types)
+
+
+def _vocabulary(container_type, fields) -> dict[str, tuple[str, ...]]:
+    """Each predicate of a table with its argument sorts, read from the
+    NamedTuple in the annotation of its field."""
+    hints = get_type_hints(container_type)
+    return {predicate: _sorts(*hints[name].__args__) for name, predicate in fields}
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +246,16 @@ class LintReport:
 # Memory-sanitizer fact set
 # ---------------------------------------------------------------------------
 
-MSAN_PREDICATES = (
-    "uses",
-    "uninitialized",
-    "hasInitializer",
-    "hasMemberInitializer",
-    "allocated",
-    "declared",
-    "flow",
-    "memoryError",
+# Render order, which is also the order of the Datalog facts.
+MSAN_FIELDS = (
+    ("uninitialized", "uninitialized"),
+    ("declared", "declared"),
+    ("allocated", "allocated"),
+    ("has_initializer", "hasInitializer"),
+    ("has_member_initializer", "hasMemberInitializer"),
+    ("uses", "uses"),
+    ("flow", "flow"),
+    ("memory_error", "memoryError"),
 )
 
 
@@ -224,106 +271,49 @@ class MsanFactSet:
     memory_error: frozenset[MemoryErrorFact] = frozenset()
 
     def __len__(self) -> int:
-        return (
-            len(self.uses)
-            + len(self.uninitialized)
-            + len(self.has_initializer)
-            + len(self.has_member_initializer)
-            + len(self.allocated)
-            + len(self.declared)
-            + len(self.flow)
-            + len(self.memory_error)
-        )
+        return sum(len(getattr(self, name)) for name, _ in MSAN_FIELDS)
 
     def union(self, other: "MsanFactSet") -> "MsanFactSet":
         return MsanFactSet(
-            uses=self.uses | other.uses,
-            uninitialized=self.uninitialized | other.uninitialized,
-            has_initializer=self.has_initializer | other.has_initializer,
-            has_member_initializer=self.has_member_initializer
-            | other.has_member_initializer,
-            allocated=self.allocated | other.allocated,
-            declared=self.declared | other.declared,
-            flow=self.flow | other.flow,
-            memory_error=self.memory_error | other.memory_error,
+            **{name: getattr(self, name) | getattr(other, name) for name, _ in MSAN_FIELDS}
         )
 
     def render(self) -> str:
-        lines = []
-        for f in sorted(self.uninitialized):
-            lines.append(f"uninitialized({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.declared):
-            lines.append(f"declared({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.allocated):
-            lines.append(f"allocated({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.has_initializer):
-            lines.append(f"hasInitializer({_q(f.var)}, {_q(f.context)}).")
-        for f in sorted(self.has_member_initializer):
-            lines.append(f"hasMemberInitializer({_q(f.var)}, {_q(f.context)}).")
-        for f in sorted(self.uses):
-            lines.append(f"uses({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.flow):
-            lines.append(
-                f"flow({_q(f.src_var)}, {_q(f.src_file)}, {f.src_line}, "
-                f"{_q(f.dst_var)}, {_q(f.dst_file)}, {f.dst_line})."
-            )
-        for f in sorted(self.memory_error):
-            lines.append(
-                f"memoryError({_q(f.var)}, {_q(f.kind)}, {_q(f.file)}, {f.line})."
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _render(fact_atoms(self, MSAN_FIELDS))
+
+
+MSAN_SORTS = _vocabulary(MsanFactSet, MSAN_FIELDS)
+MSAN_PREDICATES = tuple(MSAN_SORTS)
 
 
 def msan_facts_from_atoms(atoms: Iterable[Atom]) -> MsanFactSet:
-    buckets: dict[str, set] = {name: set() for name in MSAN_PREDICATES}
+    found: dict[str, set] = {predicate: set() for predicate in MSAN_SORTS}
     unknown: list[str] = []
     for atom in atoms:
         name = atom.predicate
-        if name not in buckets:
-            if name not in unknown:
-                unknown.append(name)
+        sorts = MSAN_SORTS.get(name)
+        if sorts is None:
+            unknown.append(name)
             continue
-        arity = {"hasInitializer": 2, "hasMemberInitializer": 2, "flow": 6, "memoryError": 4}.get(name, 3)
-        if len(atom.args) != arity:
-            raise ArityMismatchError(name, arity, len(atom.args))
+        if len(atom.args) != len(sorts):
+            raise ArityMismatchError(name, len(sorts), len(atom.args))
         if name in ("uses", "uninitialized", "allocated", "declared"):
-            buckets[name].add(
-                SiteFact(_sym(atom, 0), _norm_path(_sym(atom, 1)), _num(atom, 2))
-            )
+            fact = SiteFact(_sym(atom, 0), _norm_path(_sym(atom, 1)), _num(atom, 2))
         elif name in ("hasInitializer", "hasMemberInitializer"):
-            buckets[name].add(InitFact(_sym(atom, 0), _sym(atom, 1)))
+            fact = InitFact(_sym(atom, 0), _sym(atom, 1))
         elif name == "flow":
-            buckets[name].add(
-                FlowFact(
-                    _sym(atom, 0),
-                    _norm_path(_sym(atom, 1)),
-                    _num(atom, 2),
-                    _sym(atom, 3),
-                    _norm_path(_sym(atom, 4)),
-                    _num(atom, 5),
-                )
+            fact = FlowFact(
+                _sym(atom, 0), _norm_path(_sym(atom, 1)), _num(atom, 2),
+                _sym(atom, 3), _norm_path(_sym(atom, 4)), _num(atom, 5),
             )
         else:
-            buckets[name].add(
-                MemoryErrorFact(
-                    _sym(atom, 0),
-                    _sym(atom, 1),
-                    _norm_path(_sym(atom, 2)),
-                    _num(atom, 3),
-                )
+            fact = MemoryErrorFact(
+                _sym(atom, 0), _sym(atom, 1), _norm_path(_sym(atom, 2)), _num(atom, 3)
             )
+        found[name].add(fact)
     if unknown:
         raise UnknownPredicateError(unknown)
-    return MsanFactSet(
-        uses=frozenset(buckets["uses"]),
-        uninitialized=frozenset(buckets["uninitialized"]),
-        has_initializer=frozenset(buckets["hasInitializer"]),
-        has_member_initializer=frozenset(buckets["hasMemberInitializer"]),
-        allocated=frozenset(buckets["allocated"]),
-        declared=frozenset(buckets["declared"]),
-        flow=frozenset(buckets["flow"]),
-        memory_error=frozenset(buckets["memoryError"]),
-    )
+    return MsanFactSet(**{name: frozenset(found[p]) for name, p in MSAN_FIELDS})
 
 
 def load_msan_facts(source: str) -> MsanFactSet:
@@ -383,22 +373,27 @@ def lint_msan(fs: MsanFactSet) -> LintReport:
 # Equivalence bundle
 # ---------------------------------------------------------------------------
 
-SIDE_PREDICATES = (
-    "use",
-    "def",
-    "flow",
-    "controldep",
-    "defWithExpr",
-    "condWithExpr",
-    "unaryFun",
-    "binaryFun",
-    "entry",
-    "exit",
-    "isConstantValue",
-    "watchVar",
-)
-CORRESPONDENCE_PREDICATES = ("varMap", "entryMap", "exitMap")
 CODE1, CODE2, CORRESPONDENCE = "code1", "code2", "correspondence"
+# Render order, which is also the order of the Datalog facts.
+SIDE_FIELDS = (
+    ("entries", "entry"),
+    ("constants", "isConstantValue"),
+    ("defs", "def"),
+    ("def_with_expr", "defWithExpr"),
+    ("cond_with_expr", "condWithExpr"),
+    ("uses", "use"),
+    ("flows", "flow"),
+    ("controldeps", "controldep"),
+    ("unary", "unaryFun"),
+    ("binary", "binaryFun"),
+    ("exits", "exit"),
+    ("watch_vars", "watchVar"),
+)
+CORRESPONDENCE_FIELDS = (
+    ("entry_maps", "entryMap"),
+    ("exit_maps", "exitMap"),
+    ("var_maps", "varMap"),
+)
 
 
 @dataclass(frozen=True)
@@ -417,20 +412,7 @@ class EquivSide:
     watch_vars: frozenset[SiteFact] = frozenset()
 
     def __len__(self) -> int:
-        return (
-            len(self.uses)
-            + len(self.defs)
-            + len(self.flows)
-            + len(self.controldeps)
-            + len(self.def_with_expr)
-            + len(self.cond_with_expr)
-            + len(self.unary)
-            + len(self.binary)
-            + len(self.entries)
-            + len(self.exits)
-            + len(self.constants)
-            + len(self.watch_vars)
-        )
+        return sum(len(getattr(self, name)) for name, _ in SIDE_FIELDS)
 
     def variables(self) -> frozenset[str]:
         """Every name that occupies a variable position on this side."""
@@ -452,43 +434,7 @@ class EquivSide:
         return frozenset(names)
 
     def render(self) -> str:
-        lines = []
-        for f in sorted(self.entries):
-            lines.append(f"entry({_q(f.function)}, {_q(f.file)}, {f.line}).")
-        for var in sorted(self.constants):
-            lines.append(f"isConstantValue({_q(var)}).")
-        for f in sorted(self.defs):
-            lines.append(f"def({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.def_with_expr):
-            lines.append(f"defWithExpr({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.cond_with_expr):
-            lines.append(f"condWithExpr({_q(f.file)}, {f.line}).")
-        for f in sorted(self.uses):
-            lines.append(f"use({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        for f in sorted(self.flows):
-            lines.append(
-                f"flow({_q(f.src_var)}, {_q(f.src_file)}, {f.src_line}, "
-                f"{_q(f.dst_var)}, {_q(f.dst_file)}, {f.dst_line})."
-            )
-        for f in sorted(self.controldeps):
-            lines.append(
-                f"controldep({_q(f.var)}, {_q(f.file)}, {f.line}, {_q(f.cond)}, "
-                f"{_q(f.branch)}, {_q(f.cond_file)}, {f.cond_line})."
-            )
-        for f in sorted(self.unary):
-            lines.append(
-                f"unaryFun({_q(f.op)}, {_q(f.operand)}, {_q(f.file)}, {f.line})."
-            )
-        for f in sorted(self.binary):
-            lines.append(
-                f"binaryFun({_q(f.op)}, {_q(f.left)}, {_q(f.right)}, "
-                f"{_q(f.file)}, {f.line})."
-            )
-        for f in sorted(self.exits):
-            lines.append(f"exit({_q(f.file)}, {f.line}).")
-        for f in sorted(self.watch_vars):
-            lines.append(f"watchVar({_q(f.var)}, {_q(f.file)}, {f.line}).")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _render(fact_atoms(self, SIDE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -520,23 +466,6 @@ class EquivBundle:
             ),
         )
 
-    def render_correspondence(self) -> str:
-        lines = []
-        for m in sorted(self.entry_maps):
-            lines.append(
-                f"entryMap({_q(m.label1)}, {m.line1}, {_q(m.label2)}, {m.line2})."
-            )
-        for m in sorted(self.exit_maps):
-            lines.append(
-                f"exitMap({_q(m.file1)}, {m.line1}, {_q(m.file2)}, {m.line2})."
-            )
-        for m in sorted(self.var_maps):
-            lines.append(
-                f"varMap({_q(m.var1)}, {_q(m.file1)}, {m.line1}, "
-                f"{_q(m.var2)}, {_q(m.file2)}, {m.line2})."
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def render(self) -> str:
         return (
             f"=== {CODE1} ===\n"
@@ -544,203 +473,127 @@ class EquivBundle:
             + f"=== {CODE2} ===\n"
             + self.code2.render()
             + f"=== {CORRESPONDENCE} ===\n"
-            + self.render_correspondence()
+            + _render(fact_atoms(self, CORRESPONDENCE_FIELDS))
         )
 
 
+SIDE_SORTS = _vocabulary(EquivSide, SIDE_FIELDS)
+CORRESPONDENCE_SORTS = _vocabulary(EquivBundle, CORRESPONDENCE_FIELDS)
+SIDE_PREDICATES = tuple(SIDE_SORTS)
+CORRESPONDENCE_PREDICATES = tuple(CORRESPONDENCE_SORTS)
+
+# The abbreviated forms: the canonical argument slots a short form leaves
+# out, and the value that fills them.
+_ABBREVIATED = {
+    "use": ((1,), DEFAULT_FILE),
+    "def": ((1,), DEFAULT_FILE),
+    "defWithExpr": ((1,), DEFAULT_FILE),
+    "watchVar": ((1,), DEFAULT_FILE),
+    "outputVar": ((1,), DEFAULT_FILE),
+    "entry": ((1,), DEFAULT_FILE),
+    "flow": ((1, 4), DEFAULT_FILE),
+    "controldep": ((1, 5), DEFAULT_FILE),
+    "condWithExpr": ((0,), DEFAULT_FILE),
+    "exit": ((0,), DEFAULT_FILE),
+    "unaryFun": ((2,), DEFAULT_FILE),
+    "binaryFun": ((3,), DEFAULT_FILE),
+    "varMap": ((1, 4), DEFAULT_FILE),
+    "entryMap": ((0, 2), "main"),
+    "exitMap": ((0, 2), DEFAULT_FILE),
+}
+
+
+def _expand(atom: Atom, sorts: tuple[str, ...]) -> Atom:
+    """An atom of the wrong arity, expanded to its canonical arity if it is
+    an abbreviated form; else an ArityMismatchError naming that arity."""
+    omitted, default = _ABBREVIATED.get(atom.predicate, ((), ""))
+    if not omitted or len(atom.args) != len(sorts) - len(omitted):
+        raise ArityMismatchError(atom.predicate, len(sorts), len(atom.args))
+    # Sort errors name the argument as written, so check before inserting.
+    given = [sort for slot, sort in enumerate(sorts) if slot not in omitted]
+    for index, sort in enumerate(given):
+        (_num if sort == NUMBER else _sym)(atom, index)
+    args = list(atom.args)
+    for slot in omitted:
+        args.insert(slot, Sym(default))
+    return Atom(atom.predicate, tuple(args))
+
+
+# outputVar loads as a synonym of watchVar.
+_SIDE_LOAD_SORTS = {**SIDE_SORTS, "outputVar": SIDE_SORTS["watchVar"]}
+
+
 def _side_from_atoms(atoms: Iterable[Atom], section: str) -> EquivSide:
-    uses: set[SiteFact] = set()
-    defs: set[SiteFact] = set()
-    flows: set[FlowFact] = set()
-    controldeps: set[ControlDepFact] = set()
-    def_expr: set[SiteFact] = set()
-    cond_expr: set[CondExprFact] = set()
-    unary: set[UnaryFact] = set()
-    binary: set[BinaryFact] = set()
-    entries: set[EntryFact] = set()
-    exits: set[ExitFact] = set()
-    constants: set[str] = set()
-    watch: set[SiteFact] = set()
+    found: dict[str, set] = {predicate: set() for predicate in SIDE_SORTS}
+    found["outputVar"] = found["watchVar"]
     unknown: list[str] = []
-
     for atom in atoms:
         name = atom.predicate
-        n = len(atom.args)
+        sorts = _SIDE_LOAD_SORTS.get(name)
+        if sorts is None:
+            if name in CORRESPONDENCE_SORTS:
+                name = f"{name} (correspondence predicate in section {section})"
+            unknown.append(name)
+            continue
+        if len(atom.args) != len(sorts):
+            atom = _expand(atom, sorts)
         if name in ("use", "def", "defWithExpr", "watchVar", "outputVar"):
-            if n == 3:
-                fact = SiteFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2))
-            elif n == 2:
-                fact = SiteFact(_sym(atom, 0), DEFAULT_FILE, _num(atom, 1))
-            else:
-                raise ArityMismatchError(name, 3, n)
-            {"use": uses, "def": defs, "defWithExpr": def_expr}.get(name, watch).add(fact)
+            fact = SiteFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2))
         elif name == "flow":
-            if n == 6:
-                flows.add(
-                    FlowFact(
-                        _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                        _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
-                    )
-                )
-            elif n == 4:
-                flows.add(
-                    FlowFact(
-                        _sym(atom, 0), DEFAULT_FILE, _num(atom, 1),
-                        _sym(atom, 2), DEFAULT_FILE, _num(atom, 3),
-                    )
-                )
-            else:
-                raise ArityMismatchError(name, 6, n)
+            fact = FlowFact(
+                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
+                _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
+            )
         elif name == "controldep":
-            if n == 7:
-                controldeps.add(
-                    ControlDepFact(
-                        _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                        _sym(atom, 3), _sym(atom, 4).lower(),
-                        _sym(atom, 5), _num(atom, 6),
-                    )
-                )
-            elif n == 5:
-                controldeps.add(
-                    ControlDepFact(
-                        _sym(atom, 0), DEFAULT_FILE, _num(atom, 1),
-                        _sym(atom, 2), _sym(atom, 3).lower(),
-                        DEFAULT_FILE, _num(atom, 4),
-                    )
-                )
-            else:
-                raise ArityMismatchError(name, 7, n)
+            fact = ControlDepFact(
+                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
+                _sym(atom, 3), _sym(atom, 4).lower(),
+                _sym(atom, 5), _num(atom, 6),
+            )
         elif name == "condWithExpr":
-            if n == 2:
-                cond_expr.add(CondExprFact(_sym(atom, 0), _num(atom, 1)))
-            elif n == 1:
-                cond_expr.add(CondExprFact(DEFAULT_FILE, _num(atom, 0)))
-            else:
-                raise ArityMismatchError(name, 2, n)
+            fact = CondExprFact(_sym(atom, 0), _num(atom, 1))
         elif name == "unaryFun":
-            if n == 4:
-                unary.add(
-                    UnaryFact(_sym(atom, 0), _sym(atom, 1), _sym(atom, 2), _num(atom, 3))
-                )
-            elif n == 3:
-                unary.add(
-                    UnaryFact(_sym(atom, 0), _sym(atom, 1), DEFAULT_FILE, _num(atom, 2))
-                )
-            else:
-                raise ArityMismatchError(name, 4, n)
+            fact = UnaryFact(_sym(atom, 0), _sym(atom, 1), _sym(atom, 2), _num(atom, 3))
         elif name == "binaryFun":
-            if n == 5:
-                binary.add(
-                    BinaryFact(
-                        _sym(atom, 0), _sym(atom, 1), _sym(atom, 2),
-                        _sym(atom, 3), _num(atom, 4),
-                    )
-                )
-            elif n == 4:
-                binary.add(
-                    BinaryFact(
-                        _sym(atom, 0), _sym(atom, 1), _sym(atom, 2),
-                        DEFAULT_FILE, _num(atom, 3),
-                    )
-                )
-            else:
-                raise ArityMismatchError(name, 5, n)
+            fact = BinaryFact(
+                _sym(atom, 0), _sym(atom, 1), _sym(atom, 2), _sym(atom, 3), _num(atom, 4)
+            )
         elif name == "entry":
-            if n == 3:
-                entries.add(EntryFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2)))
-            elif n == 2:
-                entries.add(EntryFact(_sym(atom, 0), DEFAULT_FILE, _num(atom, 1)))
-            else:
-                raise ArityMismatchError(name, 3, n)
+            fact = EntryFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2))
         elif name == "exit":
-            if n == 2:
-                exits.add(ExitFact(_sym(atom, 0), _num(atom, 1)))
-            elif n == 1:
-                exits.add(ExitFact(DEFAULT_FILE, _num(atom, 0)))
-            else:
-                raise ArityMismatchError(name, 2, n)
-        elif name == "isConstantValue":
-            if n != 1:
-                raise ArityMismatchError(name, 1, n)
-            constants.add(_sym(atom, 0))
-        elif name in CORRESPONDENCE_PREDICATES:
-            unknown.append(f"{name} (correspondence predicate in section {section})")
+            fact = ExitFact(_sym(atom, 0), _num(atom, 1))
         else:
-            if name not in unknown:
-                unknown.append(name)
+            fact = _sym(atom, 0)
+        found[name].add(fact)
     if unknown:
         raise UnknownPredicateError(unknown)
-    return EquivSide(
-        uses=frozenset(uses),
-        defs=frozenset(defs),
-        flows=frozenset(flows),
-        controldeps=frozenset(controldeps),
-        def_with_expr=frozenset(def_expr),
-        cond_with_expr=frozenset(cond_expr),
-        unary=frozenset(unary),
-        binary=frozenset(binary),
-        entries=frozenset(entries),
-        exits=frozenset(exits),
-        constants=frozenset(constants),
-        watch_vars=frozenset(watch),
-    )
+    return EquivSide(**{name: frozenset(found[p]) for name, p in SIDE_FIELDS})
 
 
-def _correspondence_from_atoms(
-    atoms: Iterable[Atom],
-) -> tuple[frozenset[VarMapFact], frozenset[EntryMapFact], frozenset[ExitMapFact]]:
-    var_maps: set[VarMapFact] = set()
-    entry_maps: set[EntryMapFact] = set()
-    exit_maps: set[ExitMapFact] = set()
+def _correspondence_from_atoms(atoms: Iterable[Atom]) -> dict[str, frozenset]:
+    found: dict[str, set] = {predicate: set() for predicate in CORRESPONDENCE_SORTS}
     unknown: list[str] = []
     for atom in atoms:
         name = atom.predicate
-        n = len(atom.args)
+        sorts = CORRESPONDENCE_SORTS.get(name)
+        if sorts is None:
+            unknown.append(f"{name} (not a correspondence predicate)")
+            continue
+        if len(atom.args) != len(sorts):
+            atom = _expand(atom, sorts)
         if name == "varMap":
-            if n == 6:
-                var_maps.add(
-                    VarMapFact(
-                        _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                        _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
-                    )
-                )
-            elif n == 4:
-                var_maps.add(
-                    VarMapFact(
-                        _sym(atom, 0), DEFAULT_FILE, _num(atom, 1),
-                        _sym(atom, 2), DEFAULT_FILE, _num(atom, 3),
-                    )
-                )
-            else:
-                raise ArityMismatchError(name, 6, n)
+            fact = VarMapFact(
+                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
+                _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
+            )
         elif name == "entryMap":
-            if n == 4:
-                entry_maps.add(
-                    EntryMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
-                )
-            elif n == 2:
-                entry_maps.add(
-                    EntryMapFact("main", _num(atom, 0), "main", _num(atom, 1))
-                )
-            else:
-                raise ArityMismatchError(name, 4, n)
-        elif name == "exitMap":
-            if n == 4:
-                exit_maps.add(
-                    ExitMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
-                )
-            elif n == 2:
-                exit_maps.add(
-                    ExitMapFact(DEFAULT_FILE, _num(atom, 0), DEFAULT_FILE, _num(atom, 1))
-                )
-            else:
-                raise ArityMismatchError(name, 4, n)
+            fact = EntryMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
         else:
-            if name not in unknown:
-                unknown.append(f"{name} (not a correspondence predicate)")
+            fact = ExitMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
+        found[name].add(fact)
     if unknown:
         raise UnknownPredicateError(unknown)
-    return frozenset(var_maps), frozenset(entry_maps), frozenset(exit_maps)
+    return {name: frozenset(found[p]) for name, p in CORRESPONDENCE_FIELDS}
 
 
 def _check_map_references(bundle: EquivBundle) -> None:
@@ -780,10 +633,11 @@ def equiv_bundle_from_atoms(
     code2_atoms: Iterable[Atom],
     correspondence_atoms: Iterable[Atom],
 ) -> EquivBundle:
-    side1 = _side_from_atoms(code1_atoms, CODE1)
-    side2 = _side_from_atoms(code2_atoms, CODE2)
-    var_maps, entry_maps, exit_maps = _correspondence_from_atoms(correspondence_atoms)
-    bundle = EquivBundle(side1, side2, var_maps, entry_maps, exit_maps)
+    bundle = EquivBundle(
+        _side_from_atoms(code1_atoms, CODE1),
+        _side_from_atoms(code2_atoms, CODE2),
+        **_correspondence_from_atoms(correspondence_atoms),
+    )
     _check_map_references(bundle)
     return bundle
 

@@ -319,9 +319,11 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
     Each call posts ``{"system": ..., "user": ...}`` as JSON and reads the
     response's ``text`` field.  For the trace task two requests are made
     per iteration (trace extraction, then formalization); the equivalence
-    task is a single request with the vocabulary prompt.  Transport errors
-    and responses over ``MAX_RESPONSE_BYTES`` yield an empty response, which
-    the loop records as a failed iteration.
+    task is a single request with the vocabulary prompt.  Failures raise:
+    a missing URL, a transport error, an HTTP error status (its code is in
+    the message), a response over ``MAX_RESPONSE_BYTES`` or one without a
+    ``text`` field.  :func:`run_loop` records the message as the failed
+    iteration's ``source error``.
     """
     config = config or HttpSourceConfig()
 
@@ -351,38 +353,32 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
         return json.loads(payload)["text"]
 
     def source(task, snippets, vocabulary, prior_facts):
-        try:
-            prior = prior_facts.strip() or "(none yet)"
-            if task == MSAN:
-                explanation = _split_marked(snippets, "explanation") or snippets
-                context = _split_marked(snippets, "context") or snippets
-                trace = post(
-                    render_template(
-                        config.trace_template,
-                        file_context=context,
-                        explanation=explanation,
-                    ),
-                    explanation,
-                )
-                return post(
-                    render_template(
-                        config.msan_template, trace=trace, prior_facts=prior
-                    ),
-                    trace,
-                )
-            code1 = _split_marked(snippets, "code1") or snippets
-            code2 = _split_marked(snippets, "code2") or snippets
-            return post(
+        prior = prior_facts.strip() or "(none yet)"
+        if task == MSAN:
+            explanation = _split_marked(snippets, "explanation") or snippets
+            context = _split_marked(snippets, "context") or snippets
+            trace = post(
                 render_template(
-                    config.equiv_template,
-                    code1=code1,
-                    code2=code2,
-                    prior_facts=prior,
+                    config.trace_template,
+                    file_context=context,
+                    explanation=explanation,
                 ),
-                snippets,
+                explanation,
             )
-        except (OSError, ValueError, KeyError, RuntimeError) as exc:
-            logger.warning("http source call failed: %s", exc)
-            return ""
+            return post(
+                render_template(config.msan_template, trace=trace, prior_facts=prior),
+                trace,
+            )
+        code1 = _split_marked(snippets, "code1") or snippets
+        code2 = _split_marked(snippets, "code2") or snippets
+        return post(
+            render_template(
+                config.equiv_template,
+                code1=code1,
+                code2=code2,
+                prior_facts=prior,
+            ),
+            snippets,
+        )
 
     return source

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .datalog.ast import Atom, Num, Program, Sym
+from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
-from .facts import LintReport, MsanFactSet, SiteFact, lint_msan
+from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, fact_atoms, lint_msan
 
 VERIFIED = "Verified"
 DONT_KNOW = "DontKnow"
@@ -114,15 +114,11 @@ def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
     return tuple(chain)
 
 
-_RULES_SOURCE = """
-.decl uses(x: symbol, f: symbol, l: number)
-.decl uninitialized(x: symbol, f: symbol, l: number)
-.decl hasInitializer(x: symbol, m: symbol)
-.decl hasMemberInitializer(x: symbol, m: symbol)
-.decl allocated(x: symbol, f: symbol, l: number)
-.decl declared(x: symbol, f: symbol, l: number)
-.decl flow(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
-.decl memoryError(x: symbol, kind: symbol, f: symbol, l: number)
+# Declarations of the vocabulary come from the fact types; only the
+# rule-local relations are written out.
+_RULES_SOURCE = "".join(
+    print_declaration(predicate, sorts) + "\n" for predicate, sorts in MSAN_SORTS.items()
+) + """
 .decl flowStar(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
 .decl hasMemoryErrorClaim()
 .decl satisfied()
@@ -149,42 +145,8 @@ def msan_rules() -> Program:
     return parse_program(_RULES_SOURCE)
 
 
-def _site_atom(predicate: str, fact: SiteFact) -> Atom:
-    return Atom(predicate, (Sym(fact.var), Sym(fact.file), Num(fact.line)))
-
-
 def msan_program(fs: MsanFactSet) -> Program:
     """Rules plus the fact set, ready for evaluation or export."""
     program = msan_rules()
-    for f in sorted(fs.uses):
-        program.facts.append(_site_atom("uses", f))
-    for f in sorted(fs.uninitialized):
-        program.facts.append(_site_atom("uninitialized", f))
-    for f in sorted(fs.allocated):
-        program.facts.append(_site_atom("allocated", f))
-    for f in sorted(fs.declared):
-        program.facts.append(_site_atom("declared", f))
-    for f in sorted(fs.has_initializer):
-        program.facts.append(Atom("hasInitializer", (Sym(f.var), Sym(f.context))))
-    for f in sorted(fs.has_member_initializer):
-        program.facts.append(
-            Atom("hasMemberInitializer", (Sym(f.var), Sym(f.context)))
-        )
-    for f in sorted(fs.flow):
-        program.facts.append(
-            Atom(
-                "flow",
-                (
-                    Sym(f.src_var), Sym(f.src_file), Num(f.src_line),
-                    Sym(f.dst_var), Sym(f.dst_file), Num(f.dst_line),
-                ),
-            )
-        )
-    for f in sorted(fs.memory_error):
-        program.facts.append(
-            Atom(
-                "memoryError",
-                (Sym(f.var), Sym(f.kind), Sym(f.file), Num(f.line)),
-            )
-        )
+    program.facts.extend(fact_atoms(fs, MSAN_FIELDS))
     return program

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from claimcheck.datalog import evaluate
+from claimcheck.datalog import evaluate, parse_facts, print_atom
 from claimcheck.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -351,3 +351,21 @@ def test_rules_path_agrees_on_random_toy_pairs():
         db = evaluate(equiv_rules(bundle, pairing))
         assert set(db["mismatch"]) == direct, mutation.kind
         assert bool(db["equivalent"]) == (not direct)
+
+
+def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):
+    text = (fixtures_dir / "equiv" / "guarded_call_self_pair.bundle").read_text()
+    code1, code2 = text.split("=== code2 ===")
+    # d"q\ for d in code1, and =\= for the == operator in code2
+    code1 = code1.replace('"d"', r'"d\"q\\"')
+    code2 = code2.replace('"=="', r'"=\\="')
+    verdict = verify_equiv(load_equiv_bundle_text(code1 + "=== code2 ===" + code2))
+    assert verdict.outcome == NOT_EQUIVALENT
+    symbols = set()
+    for mismatch in verdict.mismatches:
+        for fact in mismatch.side1 + mismatch.side2:
+            atoms = parse_facts(fact + ".")
+            assert len(atoms) == 1
+            assert print_atom(atoms[0]) == fact
+            symbols.update(arg.text for arg in atoms[0].args if hasattr(arg, "text"))
+    assert {'d"q\\', "=\\="} <= symbols

@@ -2,12 +2,17 @@ import dataclasses
 
 import pytest
 
+from claimcheck.datalog import parse_facts
 from claimcheck.errors import (
     ArityMismatchError,
     DanglingMapReferenceError,
+    SortError,
     UnknownPredicateError,
 )
 from claimcheck.facts import (
+    CORRESPONDENCE_SORTS,
+    MSAN_SORTS,
+    SIDE_SORTS,
     EquivBundle,
     EquivSide,
     InitFact,
@@ -147,6 +152,90 @@ def test_correspondence_predicates_rejected_in_code_sections():
 def test_side_predicates_rejected_in_correspondence():
     with pytest.raises(UnknownPredicateError):
         load_equiv_bundle("", "", 'def("a", "f", 1).')
+
+
+def test_each_unknown_predicate_is_named_once():
+    with pytest.raises(UnknownPredicateError) as info:
+        load_equiv_bundle("", "", "foo(1). foo(2).")
+    assert info.value.names == ["foo (not a correspondence predicate)"]
+    with pytest.raises(UnknownPredicateError) as info:
+        load_equiv_bundle('varMap("a", 1, "b", 1). varMap("c", 2, "d", 2). bar(1). bar(2).', "", "")
+    assert info.value.names == ["varMap (correspondence predicate in section code1)", "bar"]
+    assert str(info.value).count("varMap") == 1
+
+
+# Every abbreviated form with its canonical spelling.  The correspondence
+# cases need an exit at line 8 on both sides for exitMap to refer to.
+_ABBREVIATED = [
+    ("use", 'use("x", 3)', 'use("x", "main.cpp", 3)'),
+    ("def", 'def("x", 3)', 'def("x", "main.cpp", 3)'),
+    ("defWithExpr", 'defWithExpr("x", 3)', 'defWithExpr("x", "main.cpp", 3)'),
+    ("watchVar", 'watchVar("x", 8)', 'watchVar("x", "main.cpp", 8)'),
+    ("outputVar", 'outputVar("x", 8)', 'watchVar("x", "main.cpp", 8)'),
+    ("entry", 'entry("main", 0)', 'entry("main", "main.cpp", 0)'),
+    ("exit", "exit(8)", 'exit("main.cpp", 8)'),
+    ("flow", 'flow("x", 1, "y", 2)', 'flow("x", "main.cpp", 1, "y", "main.cpp", 2)'),
+    ("controldep", 'controldep("x", 4, "c", "TRUE", 2)',
+     'controldep("x", "main.cpp", 4, "c", "true", "main.cpp", 2)'),
+    ("condWithExpr", "condWithExpr(5)", 'condWithExpr("main.cpp", 5)'),
+    ("unaryFun", 'unaryFun("-", "a", 6)', 'unaryFun("-", "a", "main.cpp", 6)'),
+    ("binaryFun", 'binaryFun("+", "a", "b", 7)', 'binaryFun("+", "a", "b", "main.cpp", 7)'),
+    ("varMap", 'varMap("x", 1, "y", 2)', 'varMap("x", "main.cpp", 1, "y", "main.cpp", 2)'),
+    ("entryMap", "entryMap(0, 0)", 'entryMap("main", 0, "main", 0)'),
+    ("exitMap", "exitMap(8, 8)", 'exitMap("main.cpp", 8, "main.cpp", 8)'),
+]
+
+
+def _load_one(predicate: str, text: str) -> EquivBundle:
+    if predicate in CORRESPONDENCE_SORTS:
+        side = 'exit("main.cpp", 8).'
+        return load_equiv_bundle(side, side, text + ".")
+    return load_equiv_bundle(text + ".", "", "")
+
+
+@pytest.mark.parametrize("predicate,short,canonical", _ABBREVIATED, ids=[c[0] for c in _ABBREVIATED])
+def test_abbreviated_form_loads_as_its_canonical_spelling(predicate, short, canonical):
+    bundle = _load_one(predicate, short)
+    assert bundle == _load_one(predicate, canonical)
+    assert len(bundle.code1) == 1
+    assert len(bundle.var_maps | bundle.entry_maps | bundle.exit_maps) == (
+        predicate in CORRESPONDENCE_SORTS
+    )
+
+
+_ARITIES = [
+    (task, predicate, len(sorts))
+    for task, tables in (("equiv", (SIDE_SORTS, CORRESPONDENCE_SORTS)), ("msan", (MSAN_SORTS,)))
+    for table in tables
+    for predicate, sorts in table.items()
+] + [("equiv", "outputVar", 3)]
+_SHORT_ARITY = {p: len(parse_facts(short + ".")[0].args) for p, short, _ in _ABBREVIATED}
+
+
+@pytest.mark.parametrize("task,predicate,arity", _ARITIES, ids=[f"{t}-{p}" for t, p, _ in _ARITIES])
+def test_other_arities_name_the_canonical_arity(task, predicate, arity):
+    for n in range(9):
+        if n == arity or (task == "equiv" and n == _SHORT_ARITY.get(predicate)):
+            continue
+        text = f"{predicate}({', '.join(str(i) for i in range(n))})"
+        with pytest.raises(ArityMismatchError) as info:
+            load_msan_facts(text + ".") if task == "msan" else _load_one(predicate, text)
+        assert (info.value.expected, info.value.found) == (arity, n)
+        assert f"arity {arity}," in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('def("x", "y")', "def: argument 2 must be a number"),
+        ('flow("x", 1, 2, 3)', "flow: argument 3 must be a quoted symbol"),
+        ('controldep("x", 4, "c", "t", -2)', "controldep: line numbers must be >= 0"),
+        ('binaryFun("+", "a", 1, 7)', "binaryFun: argument 3 must be a quoted symbol"),
+    ],
+)
+def test_sort_errors_in_abbreviated_forms_name_the_argument_as_written(text, message):
+    with pytest.raises(SortError, match=f"^{message}$"):
+        load_equiv_bundle(text + ".", "", "")
 
 
 def test_bundle_round_trip(renamed_fn_bundle_text):

@@ -190,13 +190,14 @@ def test_unknown_template_id():
 
 class _Stub(BaseHTTPRequestHandler):
     canned = ""
+    status = 200
     requests: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests.append(json.loads(self.rfile.read(length)))
         body = json.dumps({"text": type(self).canned}).encode()
-        self.send_response(200)
+        self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -209,6 +210,7 @@ class _Stub(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server(trace_facts_text):
     _Stub.canned = trace_facts_text
+    _Stub.status = 200
     _Stub.requests = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Stub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -256,6 +258,14 @@ def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_
     assert result.fact_count() == 0
     assert len(log.records) == 2
     assert "exceeds" in caplog.text
+
+
+def test_http_error_status_is_logged_as_a_source_error(stub_server):
+    _Stub.status = 503
+    source = http_source(HttpSourceConfig(url=stub_server))
+    result, log = run_loop(source, MSAN, "x", max_iters=1)
+    assert result.fact_count() == 0
+    assert any("503" in reason for _, reason in log.records[0].failures)
 
 
 def test_cli_formalize_against_loopback_stub(stub_server, tmp_path, capsys, trace_facts_text):

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 
-from claimcheck.datalog import evaluate
+from claimcheck.datalog import evaluate, print_atom
 from claimcheck.facts import (
     FlowFact,
     MemoryErrorFact,
@@ -154,3 +154,12 @@ def test_witness_hops_are_claimed_facts(trace_facts_text):
         assert (src, dst) in flow_edges
     assert chain[0] in {(f.var, f.file, f.line) for f in fs.uninitialized}
     assert chain[-1] in {(f.var, f.file, f.line) for f in fs.uses}
+
+
+def test_render_lines_are_the_program_facts():
+    rng = random.Random(5)
+    for _ in range(200):
+        fs = random_msan_facts(rng)
+        assert set(fs.render().splitlines()) == {
+            print_atom(a) + "." for a in msan_program(fs).facts
+        }
