@@ -11,11 +11,9 @@ _LAZY = {
     "Atom": "ast",
     "Comparison": "ast",
     "NegatedAtom": "ast",
-    "Num": "ast",
     "NUMBER": "ast",
     "Program": "ast",
     "Rule": "ast",
-    "Sym": "ast",
     "SYMBOL": "ast",
     "Term": "ast",
     "Var": "ast",

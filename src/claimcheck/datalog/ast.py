@@ -2,8 +2,10 @@
 
 A program manipulates exactly two sorts of ground values: symbols (arbitrary
 UTF-8 text, e.g. file paths and code identifiers) and numbers (integers).
-Ground tuples in a database are plain Python tuples mixing ``str`` and
-``int`` according to the relation's declared sorts.
+A constant term is the value itself: a ``str`` is a symbol and an ``int``
+that is not a ``bool`` is a number.  Variables and wildcards are classes of
+their own, so ``"x"`` and ``Var("x")`` never compare equal.  The arguments
+of a ground atom are therefore exactly its database tuple.
 """
 
 from __future__ import annotations
@@ -15,20 +17,6 @@ SYMBOL = "symbol"
 NUMBER = "number"
 
 COMPARISON_OPS = ("<=", ">=", "!=", "<", ">", "=")
-
-
-@dataclass(frozen=True)
-class Sym:
-    """Symbol constant."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class Num:
-    """Integer constant."""
-
-    value: int
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ class Wildcard:
 
 WILDCARD = Wildcard()
 
-Term = Union[Sym, Num, Var, Wildcard]
+Term = Union[str, int, Var, Wildcard]
 
 
 @dataclass(frozen=True)
@@ -54,19 +42,13 @@ class Atom:
     args: tuple[Term, ...] = ()
 
     def is_ground(self) -> bool:
-        return all(isinstance(a, (Sym, Num)) for a in self.args)
+        return all(type(a) is str or type(a) is int for a in self.args)
 
     def value_tuple(self) -> tuple:
-        """Ground atom to a database tuple (str for symbols, int for numbers)."""
-        out = []
-        for a in self.args:
-            if isinstance(a, Sym):
-                out.append(a.text)
-            elif isinstance(a, Num):
-                out.append(a.value)
-            else:
-                raise ValueError(f"atom {self} is not ground")
-        return tuple(out)
+        """Ground atom to its database tuple, which is its arguments."""
+        if not self.is_ground():
+            raise ValueError(f"atom {self} is not ground")
+        return self.args
 
 
 @dataclass(frozen=True)
@@ -115,22 +97,6 @@ class Program:
     facts: list[Atom] = field(default_factory=list)
 
 
-def atom_to_fact_tuple(atom: Atom) -> tuple:
-    return (atom.predicate,) + atom.value_tuple()
-
-
-def fact_tuple_to_atom(predicate: str, values: tuple) -> Atom:
-    args: list[Term] = []
-    for v in values:
-        if isinstance(v, bool):  # bool is an int subclass; keep it out of Num
-            raise ValueError("boolean values are not datalog terms")
-        if isinstance(v, int):
-            args.append(Num(v))
-        else:
-            args.append(Sym(str(v)))
-    return Atom(predicate, tuple(args))
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing.  parse(print(p)) reproduces an equivalent program.
 # ---------------------------------------------------------------------------
@@ -141,10 +107,10 @@ def _escape_symbol(text: str) -> str:
 
 
 def print_term(term: Term) -> str:
-    if isinstance(term, Sym):
-        return f'"{_escape_symbol(term.text)}"'
-    if isinstance(term, Num):
-        return str(term.value)
+    if type(term) is str:
+        return f'"{_escape_symbol(term)}"'
+    if type(term) is int:
+        return str(term)
     if isinstance(term, Var):
         return term.name
     return "_"

@@ -31,16 +31,13 @@ from .ast import (
     Atom,
     Comparison,
     NegatedAtom,
-    Num,
     NUMBER,
     Program,
     Rule,
-    Sym,
     SYMBOL,
     Term,
     Var,
     Wildcard,
-    fact_tuple_to_atom,
     print_atom,
     print_rule,
 )
@@ -97,9 +94,9 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
     for fact in program.facts:
         context = lambda: f"fact {print_atom(fact)}"  # formatted only on error
         for i, term in enumerate(fact.args):
-            if isinstance(term, Sym):
+            if type(term) is str:
                 note(fact.predicate, i, SYMBOL, context)
-            elif isinstance(term, Num):
+            elif type(term) is int:
                 note(fact.predicate, i, NUMBER, context)
     changed = True
     while changed:
@@ -128,18 +125,17 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
             context = lambda: f"rule for {rule.head.predicate!r}"
             for atom in atoms:
                 for i, term in enumerate(atom.args):
-                    if isinstance(term, Sym):
-                        before = slots[atom.predicate][i]
-                        note(atom.predicate, i, SYMBOL, context)
-                        changed |= before == _UNKNOWN
-                    elif isinstance(term, Num):
-                        before = slots[atom.predicate][i]
-                        note(atom.predicate, i, NUMBER, context)
-                        changed |= before == _UNKNOWN
+                    if type(term) is str:
+                        sort = SYMBOL
+                    elif type(term) is int:
+                        sort = NUMBER
                     elif isinstance(term, Var) and term.name in var_sorts:
-                        before = slots[atom.predicate][i]
-                        note(atom.predicate, i, var_sorts[term.name], context)
-                        changed |= before == _UNKNOWN
+                        sort = var_sorts[term.name]
+                    else:
+                        continue
+                    before = slots[atom.predicate][i]
+                    note(atom.predicate, i, sort, context)
+                    changed |= before == _UNKNOWN
     return slots
 
 
@@ -172,10 +168,10 @@ def _check_rule(rule: Rule, slots: dict[str, list[str]]) -> None:
                 raise RangeRestrictionError(
                     f"rule for {rule.head.predicate!r}: wildcard in comparison"
                 )
-            if isinstance(side, Sym):
+            if type(side) is str:
                 raise SortError(
                     f"rule for {rule.head.predicate!r}: comparison over symbol "
-                    f"{side.text!r}"
+                    f"{side!r}"
                 )
             if isinstance(side, Var) and side.name not in positive_vars:
                 raise RangeRestrictionError(
@@ -260,8 +256,9 @@ def stratify(program: Program) -> list[list[str]]:
     return list(reversed(sccs))
 
 
-def check_program(program: Program) -> None:
-    """Validate and complete a program in place (auto-declaring predicates)."""
+def check_program(program: Program) -> list[list[str]]:
+    """Validate and complete a program in place (auto-declaring predicates);
+    returns its strata, as :func:`stratify` does."""
     slots = _infer_declarations(program)
     program.declarations = {
         name: tuple(SYMBOL if s == _UNKNOWN else s for s in sorts)
@@ -274,7 +271,7 @@ def check_program(program: Program) -> None:
             )
     for rule in program.rules:
         _check_rule(rule, slots)
-    stratify(program)
+    return stratify(program)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +301,7 @@ class Database(Mapping):
 def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
     new_binding = None
     for term, value in zip(atom.args, values):
-        if isinstance(term, (Sym, Num)):
-            const = term.text if isinstance(term, Sym) else term.value
-            if const != value:
-                return None
-        elif isinstance(term, Wildcard):
-            continue
-        else:
+        if isinstance(term, Var):
             current = (new_binding or binding).get(term.name, _UNKNOWN)
             if current is _UNKNOWN:
                 if new_binding is None:
@@ -318,6 +309,10 @@ def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
                 new_binding[term.name] = value
             elif current != value:
                 return None
+        elif isinstance(term, Wildcard):
+            continue
+        elif term != value:
+            return None
     return binding if new_binding is None else new_binding
 
 
@@ -406,12 +401,12 @@ def _compile(
     def slot_of(term: Term) -> int:
         if isinstance(term, Var):
             return slots[term.name]
-        env.append(term.text if isinstance(term, Sym) else term.value)
+        env.append(term)
         return len(env) - 1
 
     def bound_args(atom: Atom) -> int:
         return sum(
-            isinstance(t, (Sym, Num)) or (isinstance(t, Var) and t.name in slots)
+            t.name in slots if isinstance(t, Var) else not isinstance(t, Wildcard)
             for t in atom.args
         )
 
@@ -556,14 +551,12 @@ def _compile_step(
 
 def evaluate(program: Program) -> Database:
     """Minimal model of a valid program; total on stratifiable inputs."""
-    check_program(program)
-    strata = stratify(program)
+    strata = check_program(program)
     relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
-    for fact in program.facts:
-        values = fact.value_tuple()
-        if relations[fact.predicate].add(values):
-            provenance[(fact.predicate, values)] = None
+    for fact in program.facts:  # ground, so its arguments are its tuple
+        if relations[fact.predicate].add(fact.args):
+            provenance[(fact.predicate, fact.args)] = None
 
     def insert(rule: Rule, derived: Derived, delta: dict[str, list]) -> None:
         name = rule.head.predicate
@@ -677,7 +670,7 @@ def explain(db: Database, fact: Atom) -> Derivation:
                 # provenance only cites tuples derived earlier, so this ends
                 stack.extend(reversed(pending))
                 continue
-        atom = fact if key == root else fact_tuple_to_atom(*key)
+        atom = fact if key == root else Atom(*key)
         if step is None:
             built[key] = Derivation(atom, None)
         else:

@@ -14,9 +14,7 @@ from ..errors import UnknownRelationError
 from .ast import (
     Atom,
     NUMBER,
-    Num,
     Program,
-    Sym,
     print_declaration,
     print_rule,
 )
@@ -67,7 +65,7 @@ def import_external(directory: str | Path) -> Program:
                     f"declaration has {len(sorts)}"
                 )
             args = tuple(
-                Num(int(field)) if sort == NUMBER else Sym(field)
+                int(field) if sort == NUMBER else field
                 for field, sort in zip(fields, sorts)
             )
             program.facts.append(Atom(relation, args))

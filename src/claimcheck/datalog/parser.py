@@ -29,10 +29,8 @@ from .ast import (
     Comparison,
     Literal,
     NegatedAtom,
-    Num,
     Program,
     Rule,
-    Sym,
     Term,
     Var,
     WILDCARD,
@@ -206,17 +204,17 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "string":
             self.pos += 1
-            return Sym(_unescape(text))
+            return _unescape(text)
         if kind == "number":
             self.pos += 1
-            return Num(int(text))
+            return int(text)
         if text == "_":
             self.pos += 1
             return WILDCARD
         if kind == "ident":
             self.pos += 1
             if text in ("true", "false"):
-                return Sym(text)
+                return text
             return Var(text)
         raise self.error(f"expected a term, found {text!r}")
 

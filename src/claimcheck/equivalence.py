@@ -19,6 +19,9 @@ only.  The same diff is also emitted as a stratified Datalog program
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import get_type_hints
+
 from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
 from .errors import ConflictingVarMapError
@@ -799,22 +802,30 @@ _DECLS = "".join(
 """
 
 
+@cache  # read from the annotations on first use, not at import
+def _site_columns() -> tuple[tuple[str, list[tuple[int, int]]], ...]:
+    """Each side field with the (file, line) column pairs of its fact type:
+    ``file``/``line`` and their ``src_``, ``dst_`` and ``cond_`` forms."""
+    hints = get_type_hints(EquivSide)
+    table = []
+    for name, _ in SIDE_FIELDS:
+        fields = getattr(hints[name].__args__[0], "_fields", ())
+        columns = [
+            (i, fields.index(f[: -len("file")] + "line"))
+            for i, f in enumerate(fields)
+            if f.endswith("file")
+        ]
+        table.append((name, columns))
+    return tuple(table)
+
+
 def _fact_lines(side: EquivSide) -> set[Site]:
+    """Every (file, line) site that a fact of the side names."""
     lines: set[Site] = set()
-    for f in side.uses | side.defs | side.def_with_expr | side.watch_vars:
-        lines.add((f.file, f.line))
-    for f in side.flows:
-        lines.add((f.src_file, f.src_line))
-        lines.add((f.dst_file, f.dst_line))
-    for f in side.controldeps:
-        lines.add((f.file, f.line))
-        lines.add((f.cond_file, f.cond_line))
-    for f in side.cond_with_expr:
-        lines.add((f.file, f.line))
-    for f in side.unary | side.binary:
-        lines.add((f.file, f.line))
-    for f in side.exits:
-        lines.add((f.file, f.line))
+    for name, columns in _site_columns():
+        for fact in getattr(side, name):
+            for file_column, line_column in columns:
+                lines.add((fact[file_column], fact[line_column]))
     return lines
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
-from .datalog.ast import NUMBER, SYMBOL, Atom, Num, Sym, print_atom
+from .datalog.ast import NUMBER, SYMBOL, Atom, print_atom
 from .datalog.parser import parse_facts
 from .errors import (
     ArityMismatchError,
@@ -57,31 +57,26 @@ def _norm_path(path: str) -> str:
 
 def _sym(atom: Atom, index: int) -> str:
     term = atom.args[index]
-    if not isinstance(term, Sym):
+    if type(term) is not str:
         raise SortError(
             f"{atom.predicate}: argument {index + 1} must be a quoted symbol"
         )
-    return term.text
+    return term
 
 
 def _num(atom: Atom, index: int) -> int:
     term = atom.args[index]
-    if not isinstance(term, Num):
+    if type(term) is not int:
         raise SortError(f"{atom.predicate}: argument {index + 1} must be a number")
-    if term.value < 0:
+    if term < 0:
         raise SortError(f"{atom.predicate}: line numbers must be >= 0")
-    return term.value
+    return term
 
 
 def fact_atom(predicate: str, fact) -> Atom:
-    """A typed fact as a ground atom.
-
-    ``str`` fields become symbols and ``int`` fields numbers; a bare ``str``
-    is a 1-ary fact.
-    """
-    if isinstance(fact, str):
-        return Atom(predicate, (Sym(fact),))
-    return Atom(predicate, tuple([Num(v) if type(v) is int else Sym(v) for v in fact]))
+    """A typed fact as a ground atom whose arguments are the fact's fields
+    (``str`` symbols, ``int`` numbers); a bare ``str`` is a 1-ary fact."""
+    return Atom(predicate, (fact,) if isinstance(fact, str) else tuple(fact))
 
 
 def fact_text(predicate: str, fact) -> str:
@@ -515,7 +510,7 @@ def _expand(atom: Atom, sorts: tuple[str, ...]) -> Atom:
         (_num if sort == NUMBER else _sym)(atom, index)
     args = list(atom.args)
     for slot in omitted:
-        args.insert(slot, Sym(default))
+        args.insert(slot, default)
     return Atom(atom.predicate, tuple(args))
 
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .datalog.ast import Atom, Sym, print_atom
+from .datalog.ast import Atom, print_atom
 from .datalog.parser import parse_fact_lines
 from .facts import (
     CODE1,
@@ -169,8 +169,8 @@ def _strip_tags(atom: Atom) -> tuple[Atom, str | None]:
     section = None
     args = []
     for term in atom.args:
-        if isinstance(term, Sym) and term.text in _TAGS:
-            section = section or _TAGS[term.text]
+        if term in _TAGS:
+            section = section or _TAGS[term]
             continue
         args.append(term)
     return Atom(atom.predicate, tuple(args)), section

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from claimcheck.datalog.ast import Atom, Comparison, Num, Program, Rule, Sym, Var
+from claimcheck.datalog.ast import Atom, Comparison, Program, Rule, Var
 from claimcheck.facts import MsanFactSet, SiteFact, FlowFact, MemoryErrorFact
 from claimcheck.toy.lang import (
     BinaryDef,
@@ -39,11 +39,7 @@ def random_positive_program(rng: random.Random) -> Program:
         relations.append((name, sorts))
 
     def random_const(sort: str):
-        return (
-            Sym(rng.choice(_SYMBOL_POOL))
-            if sort == "symbol"
-            else Num(rng.randint(0, 6))
-        )
+        return rng.choice(_SYMBOL_POOL) if sort == "symbol" else rng.randint(0, 6)
 
     facts = []
     for _ in range(rng.randint(0, 30)):
@@ -79,7 +75,7 @@ def random_positive_program(rng: random.Random) -> Program:
                 Comparison(
                     rng.choice(("<", "<=", ">", ">=", "!=")),
                     Var(rng.choice(number_vars)),
-                    Num(rng.randint(0, 6)),
+                    rng.randint(0, 6),
                 )
             )
         head_name, head_sorts = rng.choice(relations)
@@ -101,7 +97,7 @@ def random_fact_atoms(rng: random.Random, program: Program, count: int) -> list[
         name = rng.choice(names)
         sorts = program.declarations[name]
         args = tuple(
-            Sym(rng.choice(_SYMBOL_POOL)) if s == "symbol" else Num(rng.randint(0, 6))
+            rng.choice(_SYMBOL_POOL) if s == "symbol" else rng.randint(0, 6)
             for s in sorts
         )
         out.append(Atom(name, args))

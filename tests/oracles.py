@@ -17,9 +17,8 @@ from claimcheck.datalog.ast import (
     Atom,
     Comparison,
     NegatedAtom,
-    Num,
     Program,
-    Sym,
+    Var,
     Wildcard,
 )
 from claimcheck.errors import DatalogSyntaxError
@@ -37,27 +36,21 @@ _CMP = {
 def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
     binding = dict(binding)
     for term, value in zip(atom.args, values):
-        if isinstance(term, Sym):
-            if term.text != value:
-                return None
-        elif isinstance(term, Num):
-            if term.value != value:
-                return None
-        elif isinstance(term, Wildcard):
-            continue
-        else:
+        if isinstance(term, Var):
             if term.name in binding and binding[term.name] != value:
                 return None
             binding[term.name] = value
+        elif isinstance(term, Wildcard):
+            continue
+        elif term != value:
+            return None
     return binding
 
 
 def _term_value(term, binding):
-    if isinstance(term, Sym):
-        return term.text
-    if isinstance(term, Num):
-        return term.value
-    return binding[term.name]
+    if isinstance(term, Var):
+        return binding[term.name]
+    return term
 
 
 def _levels(program: Program) -> dict[str, int]:

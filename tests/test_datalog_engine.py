@@ -9,8 +9,6 @@ import pytest
 
 from claimcheck.datalog import (
     Atom,
-    Num,
-    Sym,
     Var,
     evaluate,
     explain,
@@ -19,7 +17,7 @@ from claimcheck.datalog import (
     print_rule,
     query,
 )
-from claimcheck.errors import NotDerivableError, UnknownRelationError
+from claimcheck.errors import NotDerivableError, RangeRestrictionError, UnknownRelationError
 from claimcheck.facts import FlowFact, MsanFactSet, SiteFact
 from claimcheck.msan import msan_program
 
@@ -38,6 +36,22 @@ def test_facts_only_program_is_its_own_model():
     db = evaluate(parse_program('p("a", 1). p("b", 2). q().'))
     assert db["p"] == {("a", 1), ("b", 2)}
     assert db["q"] == {()}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None])
+def test_fact_argument_must_be_str_or_int(value):
+    # a bool is an int subclass, but not a number constant
+    program = parse_program('p("a").', validate=False)
+    program.facts.append(Atom("p", (value,)))
+    with pytest.raises(RangeRestrictionError):
+        evaluate(program)
+
+
+def test_quoted_argument_is_a_constant_not_a_variable():
+    constant = evaluate(parse_program('q("y"). p("x") :- q("x").'))
+    assert constant["p"] == frozenset()
+    variable = evaluate(parse_program('q("y"). p(x) :- q(x).'))
+    assert variable["p"] == {("y",)}
 
 
 def test_duplicate_facts_are_deduplicated():
@@ -122,9 +136,7 @@ def test_query_matches_brute_force_scan():
                 if roll < 0.4:
                     pattern_args.append(Var(f"q{position}"))
                 elif roll < 0.6:
-                    pattern_args.append(
-                        Num(rng.randint(0, 6)) if sort == "number" else Sym("a")
-                    )
+                    pattern_args.append(rng.randint(0, 6) if sort == "number" else "a")
                 else:
                     pattern_args.append(Var(f"q{position}"))
             pattern = Atom(name, tuple(pattern_args))
@@ -144,14 +156,14 @@ def test_explain_fixture_leaves(nonzero_output_program_text):
 def test_explain_input_fact_is_leaf(nonzero_output_program_text):
     program = parse_program(nonzero_output_program_text)
     db = evaluate(program)
-    tree = explain(db, Atom("defZero", (Sym("a"), Num(1))))
+    tree = explain(db, Atom("defZero", ("a", 1)))
     assert tree.rule is None and tree.children == ()
 
 
 def test_explain_not_derivable(nonzero_output_program_text):
     db = evaluate(parse_program(nonzero_output_program_text))
     with pytest.raises(NotDerivableError):
-        explain(db, Atom("defZero", (Sym("zz"), Num(1))))
+        explain(db, Atom("defZero", ("zz", 1)))
 
 
 def test_every_derivation_replays_on_random_programs():
@@ -162,13 +174,7 @@ def test_every_derivation_replays_on_random_programs():
         facts = {(f.predicate, f.value_tuple()) for f in program.facts}
         for name in sorted(db.relations):
             for values in sorted(db[name], key=repr):
-                atom = Atom(
-                    name,
-                    tuple(
-                        Num(v) if isinstance(v, int) else Sym(v) for v in values
-                    ),
-                )
-                assert replay_derivation(explain(db, atom), facts, db)
+                assert replay_derivation(explain(db, Atom(name, values)), facts, db)
 
 
 def test_monotonicity_on_positive_programs():
@@ -235,8 +241,7 @@ def test_explain_1100_step_flow_chain():
 _DETERMINISM_SCRIPT = """
 import random, sys
 from pathlib import Path
-from claimcheck.datalog import evaluate, explain, parse_program, print_atom, print_rule
-from claimcheck.datalog.ast import fact_tuple_to_atom
+from claimcheck.datalog import Atom, evaluate, explain, parse_program, print_atom, print_rule
 from claimcheck.facts import load_msan_facts
 from claimcheck.msan import msan_program
 from generators import random_positive_program
@@ -251,7 +256,7 @@ for program in programs:
     print("derivation order:", list(db.provenance))
     for name in sorted(db.relations):
         for values in sorted(db[name]):
-            stack = [(explain(db, fact_tuple_to_atom(name, values)), 0)]
+            stack = [(explain(db, Atom(name, values)), 0)]
             while stack:
                 node, depth = stack.pop()
                 how = print_rule(node.rule) if node.rule else "input"

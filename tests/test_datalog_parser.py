@@ -3,9 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from claimcheck.datalog import (
     Atom,
-    Num,
     Program,
-    Sym,
     parse_facts,
     parse_fact_lines,
     parse_program,
@@ -53,13 +51,21 @@ def test_auto_declaration_infers_number_sort():
 def test_symbols_escape_round_trip():
     source = 'p("quo\\"te", "back\\\\slash").'
     program = parse_program(source)
-    assert program.facts[0].args[0] == Sym('quo"te')
+    assert program.facts[0].args[0] == 'quo"te'
     assert parse_program(print_program(program)).facts == program.facts
 
 
 def test_true_false_are_symbols():
     facts = parse_facts('p("d", 6, "c", true, 5).')
-    assert facts[0].args[3] == Sym("true")
+    assert facts[0].args[3] == "true"
+
+
+def test_constants_are_plain_values():
+    facts = parse_facts('p("1", 1).')
+    assert facts[0].args == ("1", 1)
+    assert type(facts[0].args[1]) is int
+    assert print_atom(facts[0]) == 'p("1", 1)'
+    assert parse_facts(print_atom(facts[0]) + ".") == facts
 
 
 def test_comments_and_wildcards():
@@ -113,11 +119,11 @@ def test_lenient_line_parse_skips_prose():
 
 
 _term = st.one_of(
-    st.integers(min_value=-99, max_value=99).map(Num),
+    st.integers(min_value=-99, max_value=99),
     st.text(
         alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
         max_size=12,
-    ).map(Sym),
+    ),
 )
 
 
@@ -136,8 +142,8 @@ def test_fact_print_parse_round_trip(raw_facts):
     atoms = []
     signatures: dict[str, tuple] = {}
     for name, args in raw_facts:
-        sorts = tuple("number" if isinstance(a, Num) else "symbol" for a in args)
-        key = f"{name}_{len(args)}_{abs(hash(sorts)) % 997}"
+        sorts = tuple("number" if isinstance(a, int) else "symbol" for a in args)
+        key = f"{name}_{len(args)}_{''.join(s[0] for s in sorts)}"
         signatures[key] = sorts
         atoms.append(Atom(key, tuple(args)))
     program = Program(declarations=signatures, facts=atoms)

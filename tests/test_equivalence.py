@@ -17,6 +17,7 @@ from claimcheck.equivalence import (
 )
 from claimcheck.errors import ConflictingVarMapError
 from claimcheck.facts import (
+    EntryFact,
     EquivBundle,
     EquivSide,
     SiteFact,
@@ -353,6 +354,23 @@ def test_rules_path_agrees_on_random_toy_pairs():
         assert bool(db["equivalent"]) == (not direct)
 
 
+def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):
+    bundle = _load(fixtures_dir, "guarded_call_self_pair.bundle")
+    # no fact of either side but this entry names lib.cpp:42
+    entry = EntryFact("helper", "lib.cpp", 42)
+    extended = dataclasses.replace(
+        bundle,
+        code1=dataclasses.replace(bundle.code1, entries=bundle.code1.entries | {entry}),
+        code2=dataclasses.replace(bundle.code2, entries=bundle.code2.entries | {entry}),
+    )
+    program = equiv_rules(extended, build_pairing(extended))
+    for relation in ("pair_line", "pair_line_rev"):
+        sites = {f.value_tuple()[:2] for f in program.facts if f.predicate == relation}
+        assert ("lib.cpp", 42) in sites, relation
+    before = evaluate(equiv_rules(bundle, build_pairing(bundle)))
+    assert evaluate(program)["mismatch"] == before["mismatch"]
+
+
 def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):
     text = (fixtures_dir / "equiv" / "guarded_call_self_pair.bundle").read_text()
     code1, code2 = text.split("=== code2 ===")
@@ -367,5 +385,5 @@ def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):
             atoms = parse_facts(fact + ".")
             assert len(atoms) == 1
             assert print_atom(atoms[0]) == fact
-            symbols.update(arg.text for arg in atoms[0].args if hasattr(arg, "text"))
+            symbols.update(arg for arg in atoms[0].args if isinstance(arg, str))
     assert {'d"q\\', "=\\="} <= symbols
