@@ -11,7 +11,7 @@ of a ground atom are therefore exactly its database tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 SYMBOL = "symbol"
 NUMBER = "number"
@@ -116,8 +116,13 @@ def print_term(term: Term) -> str:
     return "_"
 
 
+def print_fact(predicate: str, values: Iterable[Term]) -> str:
+    """``predicate(v1, ..., vn)``: the one writer of fact and atom text."""
+    return f"{predicate}({', '.join(map(print_term, values))})"
+
+
 def print_atom(atom: Atom) -> str:
-    return f"{atom.predicate}({', '.join(print_term(t) for t in atom.args)})"
+    return print_fact(atom.predicate, atom.args)
 
 
 def print_literal(lit: Literal) -> str:

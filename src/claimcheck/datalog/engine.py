@@ -256,6 +256,20 @@ def stratify(program: Program) -> list[list[str]]:
     return list(reversed(sccs))
 
 
+def _reject_argument(fact: Atom) -> None:
+    """Raise for the first argument of ``fact`` that is not a constant."""
+    for i, term in enumerate(fact.args, 1):
+        if isinstance(term, (Var, Wildcard)):
+            raise RangeRestrictionError(
+                f"fact {fact.predicate} contains a variable or wildcard"
+            )
+        if type(term) is not str and type(term) is not int:
+            raise RangeRestrictionError(
+                f"fact {fact.predicate}: argument {i} is {term!r}, "
+                "neither a symbol (str) nor a number (int)"
+            )
+
+
 def check_program(program: Program) -> list[list[str]]:
     """Validate and complete a program in place (auto-declaring predicates);
     returns its strata, as :func:`stratify` does."""
@@ -266,9 +280,7 @@ def check_program(program: Program) -> list[list[str]]:
     }
     for fact in program.facts:
         if not fact.is_ground():
-            raise RangeRestrictionError(
-                f"fact {fact.predicate} contains a variable or wildcard"
-            )
+            _reject_argument(fact)
     for rule in program.rules:
         _check_rule(rule, slots)
     return stratify(program)

@@ -17,7 +17,7 @@ Each fact container lists its predicates once, in an ordered
 those of the field's NamedTuple (``str`` fields are symbols, ``int`` fields
 numbers, a bare ``str`` is a 1-ary fact).  Rendering, counting, the Datalog
 facts and declarations of the rule sets and the text of witness facts are
-all derived from these tables; ``datalog.ast.print_atom`` writes every fact.
+all derived from these tables; ``datalog.ast.print_fact`` writes every fact.
 
 Loaders accept the canonical arities, in which every site carries a file
 name.  Only the equivalence vocabulary has abbreviated forms, the ones
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
-from .datalog.ast import NUMBER, SYMBOL, Atom, print_atom
+from .datalog.ast import NUMBER, SYMBOL, Atom, print_fact
 from .datalog.parser import parse_facts
 from .errors import (
     ArityMismatchError,
@@ -81,7 +81,7 @@ def fact_atom(predicate: str, fact) -> Atom:
 
 def fact_text(predicate: str, fact) -> str:
     """A typed fact as Datalog text, without the final dot."""
-    return print_atom(fact_atom(predicate, fact))
+    return print_fact(predicate, (fact,) if isinstance(fact, str) else fact)
 
 
 def fact_atoms(container, fields: Iterable[tuple[str, str]]) -> Iterator[Atom]:
@@ -91,8 +91,13 @@ def fact_atoms(container, fields: Iterable[tuple[str, str]]) -> Iterator[Atom]:
             yield fact_atom(predicate, fact)
 
 
-def _render(atoms: Iterable[Atom]) -> str:
-    return "".join(print_atom(atom) + ".\n" for atom in atoms)
+def _render(container, fields: Iterable[tuple[str, str]]) -> str:
+    """A container's facts as fact text, in table order, each field sorted."""
+    return "".join(
+        fact_text(predicate, fact) + ".\n"
+        for name, predicate in fields
+        for fact in sorted(getattr(container, name))
+    )
 
 
 @cache  # fields share fact types, and every launch pays for evaluating annotations
@@ -274,7 +279,7 @@ class MsanFactSet:
         )
 
     def render(self) -> str:
-        return _render(fact_atoms(self, MSAN_FIELDS))
+        return _render(self, MSAN_FIELDS)
 
 
 MSAN_SORTS = _vocabulary(MsanFactSet, MSAN_FIELDS)
@@ -429,7 +434,7 @@ class EquivSide:
         return frozenset(names)
 
     def render(self) -> str:
-        return _render(fact_atoms(self, SIDE_FIELDS))
+        return _render(self, SIDE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -468,7 +473,7 @@ class EquivBundle:
             + f"=== {CODE2} ===\n"
             + self.code2.render()
             + f"=== {CORRESPONDENCE} ===\n"
-            + _render(fact_atoms(self, CORRESPONDENCE_FIELDS))
+            + _render(self, CORRESPONDENCE_FIELDS)
         )
 
 

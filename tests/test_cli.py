@@ -56,6 +56,15 @@ def test_verify_msan_corrupted_line_is_usage_error(capsys, tmp_path):
     assert "line 6" in report["error"]
 
 
+def test_verify_msan_variable_in_fact_reports_its_position(capsys, tmp_path):
+    path = tmp_path / "variable.facts"
+    path.write_text('uses("x", "a.cc", 1).\nuses(x, "a.cc", 2).\n')
+    code, report = run_json(capsys, "verify-msan", str(path))
+    assert code == 2
+    assert report["verdict"] is None
+    assert report["error"] == "line 2, column 1: fact uses contains a variable or wildcard"
+
+
 # ---------------------------------------------------------------------------
 # verify-equiv
 # ---------------------------------------------------------------------------

@@ -41,10 +41,13 @@ def test_facts_only_program_is_its_own_model():
 @pytest.mark.parametrize("value", [True, 1.5, None])
 def test_fact_argument_must_be_str_or_int(value):
     # a bool is an int subclass, but not a number constant
-    program = parse_program('p("a").', validate=False)
-    program.facts.append(Atom("p", (value,)))
-    with pytest.raises(RangeRestrictionError):
+    program = parse_program('p("a", 1).', validate=False)
+    program.facts.append(Atom("p", ("b", value)))
+    with pytest.raises(RangeRestrictionError) as info:
         evaluate(program)
+    assert str(info.value) == (
+        f"fact p: argument 2 is {value!r}, neither a symbol (str) nor a number (int)"
+    )
 
 
 def test_quoted_argument_is_a_constant_not_a_variable():

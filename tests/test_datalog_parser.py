@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,7 @@ from claimcheck.datalog import (
     print_atom,
     print_program,
 )
-from claimcheck.datalog.parser import _position, _tokenize
+from claimcheck.datalog.parser import _parse_facts_fully, _position, _scan_facts, _tokenize
 from claimcheck.errors import (
     ArityMismatchError,
     DatalogSyntaxError,
@@ -18,6 +21,7 @@ from claimcheck.errors import (
     SortError,
     UnstratifiableNegationError,
 )
+from claimcheck.facts import split_bundle_sections
 
 from oracles import reference_tokenize
 
@@ -151,9 +155,9 @@ def test_fact_print_parse_round_trip(raw_facts):
     assert set(map(print_atom, reparsed.facts)) == set(map(print_atom, atoms))
 
 
-def _tokens_or_error(tokenize, source: str):
+def _result_or_error(parse, source: str):
     try:
-        return tokenize(source)
+        return parse(source)
     except DatalogSyntaxError as exc:
         return ("error", exc.line, exc.column, exc.message)
 
@@ -177,7 +181,7 @@ _SOURCE_TEXT = st.lists(
 @settings(max_examples=1000, deadline=None)
 @given(_SOURCE_TEXT)
 def test_tokenizer_matches_reference(source):
-    assert _tokens_or_error(_positioned_tokens, source) == _tokens_or_error(
+    assert _result_or_error(_positioned_tokens, source) == _result_or_error(
         reference_tokenize, source
     )
 
@@ -191,8 +195,8 @@ def test_tokenizer_matches_reference(source):
     ],
 )
 def test_tokenizer_error_positions(source, line, column, message):
-    assert _tokens_or_error(reference_tokenize, source) == ("error", line, column, message)
-    assert _tokens_or_error(_positioned_tokens, source) == ("error", line, column, message)
+    assert _result_or_error(reference_tokenize, source) == ("error", line, column, message)
+    assert _result_or_error(_positioned_tokens, source) == ("error", line, column, message)
 
 
 def test_missing_final_dot_is_reported_at_eof():
@@ -202,3 +206,132 @@ def test_missing_final_dot_is_reported_at_eof():
         parse_program(source)
     assert (info.value.line, info.value.column) == (3, 15)
     assert info.value.message == "expected '.', found ''"
+
+
+# ---------------------------------------------------------------------------
+# The ground-fact scan against the full parser
+# ---------------------------------------------------------------------------
+
+
+def _assert_scan_matches_parser(source: str) -> None:
+    """parse_facts equals the full parser plus the facts-only checks, error
+    positions and messages included; what the scan accepts is that too."""
+    expected = _result_or_error(_parse_facts_fully, source)
+    assert _result_or_error(parse_facts, source) == expected
+    scanned = _scan_facts(source)
+    if scanned is not None:
+        assert scanned == expected
+
+
+# separators, including a comment inside a fact, which the scan leaves to
+# the full parser
+_GAP = st.sampled_from(["", "", " ", "\n", "\t", "\u2003", "\u2028", " // c\n"])
+_FACT_TERM = st.sampled_from([
+    '"a"', '""', '"a b/c.cc"', '"x, y)."', '"// not a comment"', '"q\\"uote"',
+    '"back\\\\slash"', '"\\n"', '"\u00e9"', "true", "false", "trueish", "true_",
+    "0", "42", "-007", "-1", "\u0663", "x", "_",
+])
+
+
+@st.composite
+def _fact_statement(draw):
+    gap = lambda: draw(_GAP)
+    args = draw(st.lists(_FACT_TERM, max_size=4))
+    inner = (gap() + "," + gap()).join(args)
+    name = draw(st.sampled_from(["p", "q_1", "uses", "true", "declx"]))
+    return f"{gap()}{name}{gap()}({gap()}{inner}{gap()}){gap()}."
+
+
+_FACT_DOCUMENT = st.lists(
+    st.one_of(
+        _fact_statement(),
+        _fact_statement(),
+        st.sampled_from(
+            ["// comment\n", "//", "\n", "\u2003", " ", ".decl p(a: number)",
+             "q(x) :- p(x).", "decl", "(", ")", ",", ".", '"', "\\", "-", "@"]
+        ),
+    ),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_FACT_DOCUMENT)
+def test_fact_scan_matches_full_parser(source):
+    _assert_scan_matches_parser(source)
+
+
+@pytest.mark.parametrize(
+    ("source", "expected"),
+    [
+        ("p(1).decl(2).", ("error", 1, 5, "expected '.', found '.decl'")),
+        ("p(1).declx(2).", [Atom("p", (1,)), Atom("declx", (2,))]),
+        ("p (1) .", [Atom("p", (1,))]),
+        ("p().", [Atom("p", ())]),
+        ('p(1).\nq("a")', ("error", 2, 7, "expected '.', found ''")),
+        ("p(-007, \u0663, true, false).", [Atom("p", (-7, 3, "true", "false"))]),
+        ("p(-007, \u0663, true, trueish).", (
+            "error", 1, 1, "fact p contains a variable or wildcard")),
+        ('p("\\\\", "a\\"b").', [Atom("p", ("\\", 'a"b'))]),
+    ],
+)
+def test_fact_scan_edge_cases(source, expected):
+    assert _result_or_error(parse_facts, source) == expected
+    _assert_scan_matches_parser(source)
+
+
+@pytest.mark.parametrize(
+    ("source", "line", "column", "message"),
+    [
+        ('p(1).\n  q(x) :- p(x).\n.decl r(a: number)\nr(_).', 2, 3,
+         "rules are not allowed in a fact file"),
+        ('p(1).\n\n  .decl r(a: number)\nr(_).', 3, 3,
+         "declarations are not allowed in a fact file"),
+        ('p(1).\n// c\np(2). uses(x,\n "a.cc", 2).', 3, 7,
+         "fact uses contains a variable or wildcard"),
+    ],
+)
+def test_fact_file_errors_point_at_the_first_offending_statement(
+    source, line, column, message
+):
+    assert _result_or_error(parse_facts, source) == ("error", line, column, message)
+
+
+def _fixture_fact_texts() -> list[str]:
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    texts = [path.read_text() for path in sorted(root.glob("msan/*.facts"))]
+    for path in sorted(root.glob("equiv/*.bundle")):
+        texts.extend(split_bundle_sections(path.read_text()).values())
+    return texts
+
+
+def test_fact_scan_reads_every_fixture():
+    texts = _fixture_fact_texts()
+    assert len(texts) == 19
+    for text in texts:
+        assert _scan_facts(text) is not None
+        _assert_scan_matches_parser(text)
+
+
+_MUTATION_PIECES = list('()",.:-!_/\\ \nx0') + [
+    "//", ".decl", "true", "\u2003", "\u0663", "p(1).", ":-",
+]
+
+
+def test_fact_scan_matches_full_parser_on_mutated_fixtures():
+    rng = random.Random(20261018)
+    texts = _fixture_fact_texts()
+    texts.append((Path(__file__).resolve().parent.parent
+                  / "fixtures/datalog/nonzero_output_check.dl").read_text())
+    for _ in range(1000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:  # delete a short span
+                text = text[:at] + text[at + rng.randint(1, 3):]
+            elif edit == 1:  # insert a piece of the grammar
+                text = text[:at] + rng.choice(_MUTATION_PIECES) + text[at:]
+            else:  # replace one character
+                text = text[:at] + rng.choice(_MUTATION_PIECES) + text[at + 1:]
+        _assert_scan_matches_parser(text)

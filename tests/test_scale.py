@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from claimcheck.datalog import parse_facts
+from claimcheck.errors import DatalogSyntaxError
 from claimcheck.facts import FlowFact, MemoryErrorFact, MsanFactSet, SiteFact
 from claimcheck.msan import VERIFIED, verify_msan
 from claimcheck.toy import extract_equiv_facts, normalize
@@ -116,3 +118,15 @@ def test_msan_file_cut_inside_a_string_is_usage_error(tmp_path):
     report = json.loads(run.stdout)
     assert report["verdict"] is None
     assert "unexpected character '\"'" in report["error"]
+
+
+def test_20000_fact_document_reports_the_line_of_its_syntax_error():
+    lines = [f'uses("v{i}", "big.c", {i}).' for i in range(20000)]
+    atoms = parse_facts("\n".join(lines))
+    assert len(atoms) == 20000
+    assert atoms[-1].args == ("v19999", "big.c", 19999)
+    lines[-1] = 'uses("v19999", "big.c" 19999).'
+    with pytest.raises(DatalogSyntaxError) as info:
+        parse_facts("\n".join(lines))
+    assert (info.value.line, info.value.column) == (20000, 24)
+    assert info.value.message == "expected ')', found '19999'"
