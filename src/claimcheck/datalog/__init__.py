@@ -24,9 +24,11 @@ _LAZY = {
     "print_rule": "ast",
     "Database": "engine",
     "Derivation": "engine",
+    "RuleSet": "engine",
     "check_program": "engine",
     "evaluate": "engine",
     "explain": "engine",
+    "prepare": "engine",
     "query": "engine",
     "stratify": "engine",
     "export_external": "export",

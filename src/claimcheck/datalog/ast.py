@@ -11,7 +11,10 @@ of a ground atom are therefore exactly its database tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
+
+if TYPE_CHECKING:
+    from .engine import RuleSet
 
 SYMBOL = "symbol"
 NUMBER = "number"
@@ -88,13 +91,17 @@ class Program:
     """Declarations, rules, and ground facts.
 
     ``declarations`` maps each relation name to its argument-sort list
-    (values from ``SYMBOL``/``NUMBER``).  Programs are treated as immutable
-    after validation; nothing in the package mutates one in place.
+    (values from ``SYMBOL``/``NUMBER``).  Validation completes
+    ``declarations`` in place; nothing else in the package mutates a
+    program once it is built.
     """
 
     declarations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     rules: list[Rule] = field(default_factory=list)
     facts: list[Atom] = field(default_factory=list)
+    # The prepared rule set the rules came from, if any; evaluation relies on
+    # it only while the rules and declarations are still exactly its own.
+    rule_set: Optional[RuleSet] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ negated atoms consult relations of strictly lower strata.
 Each rule is compiled once per delta position into a join plan whose atoms
 are probed through hash indexes on their bound columns; negated atoms are
 single index probes.  Plans and indexes live for one :func:`evaluate` call.
+A rule set evaluated over many fact sets is validated and stratified once
+per process by :func:`prepare`; evaluating a program built from the
+resulting :class:`RuleSet` then checks only its facts.
+
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and provenance (the first derivation found for each tuple)
 do not depend on ``PYTHONHASHSEED``.
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
 from ..errors import (
     ArityMismatchError,
@@ -50,64 +55,93 @@ _UNKNOWN = "?"
 # ---------------------------------------------------------------------------
 
 
-def _occurrences(program: Program) -> Iterator[Atom]:
-    for fact in program.facts:
-        yield fact
-    for rule in program.rules:
-        yield rule.head
-        for lit in rule.body:
-            if isinstance(lit, Atom):
-                yield lit
-            elif isinstance(lit, NegatedAtom):
-                yield lit.atom
+def _sort_clash(
+    context: str, predicate: str, index: int, current: str, sort: str,
+    declared: Container[str],
+) -> SortError:
+    if predicate in declared:
+        return SortError(
+            f"{context}: argument {index + 1} of {predicate!r} is declared "
+            f"{current}, found {sort}"
+        )
+    return SortError(
+        f"{context}: argument {index + 1} of {predicate!r} is used both "
+        f"as {current} and as {sort}"
+    )
+
+
+def _check_facts(
+    facts: Sequence[Atom], slots: dict[str, list[str]], declared: Container[str]
+) -> None:
+    """Check facts against ``slots`` (relation -> argument sorts so far) and
+    settle the slots they touch; a relation no slot names yet gets one from
+    its first fact.  Raises for a wrong arity, a clashing sort, or an
+    argument that is not a constant, in that order of precedence.
+    """
+    for fact in facts:
+        sorts = slots.get(fact.predicate)
+        if sorts is None:
+            slots[fact.predicate] = [_UNKNOWN] * len(fact.args)
+        elif len(fact.args) != len(sorts):
+            raise ArityMismatchError(fact.predicate, len(sorts), len(fact.args))
+    # A slot never changes once set, so one pass settles every slot facts touch.
+    for fact in facts:
+        sorts = slots[fact.predicate]
+        for i, term in enumerate(fact.args):
+            if type(term) is str:
+                sort = SYMBOL
+            elif type(term) is int:
+                sort = NUMBER
+            else:
+                continue
+            if sorts[i] == _UNKNOWN:
+                sorts[i] = sort
+            elif sorts[i] != sort:
+                raise _sort_clash(
+                    f"fact {print_atom(fact)}", fact.predicate, i, sorts[i], sort, declared
+                )
+    for fact in facts:
+        for i, term in enumerate(fact.args, 1):
+            if isinstance(term, (Var, Wildcard)):
+                raise RangeRestrictionError(
+                    f"fact {fact.predicate} contains a variable or wildcard"
+                )
+            if type(term) is not str and type(term) is not int:
+                raise RangeRestrictionError(
+                    f"fact {fact.predicate}: argument {i} is {term!r}, "
+                    "neither a symbol (str) nor a number (int)"
+                )
 
 
 def _infer_declarations(program: Program) -> dict[str, list[str]]:
+    """Argument sorts of every relation, from the declarations, the facts
+    and then the rules; a slot nothing settles stays ``_UNKNOWN``."""
     slots: dict[str, list[str]] = {
         name: list(sorts) for name, sorts in program.declarations.items()
     }
     declared = set(program.declarations)
-    for atom in _occurrences(program):
-        if atom.predicate not in slots:
-            slots[atom.predicate] = [_UNKNOWN] * len(atom.args)
-        expected = len(slots[atom.predicate])
-        if len(atom.args) != expected:
-            raise ArityMismatchError(atom.predicate, expected, len(atom.args))
+    _check_facts(program.facts, slots, declared)
+    atoms_of = [
+        [rule.head] + [
+            lit.atom if isinstance(lit, NegatedAtom) else lit
+            for lit in rule.body
+            if isinstance(lit, (Atom, NegatedAtom))
+        ]
+        for rule in program.rules
+    ]
+    for atoms in atoms_of:
+        for atom in atoms:
+            if atom.predicate not in slots:
+                slots[atom.predicate] = [_UNKNOWN] * len(atom.args)
+            expected = len(slots[atom.predicate])
+            if len(atom.args) != expected:
+                raise ArityMismatchError(atom.predicate, expected, len(atom.args))
 
-    def note(predicate: str, index: int, sort: str, context: Callable[[], str]) -> None:
-        current = slots[predicate][index]
-        if current == _UNKNOWN:
-            slots[predicate][index] = sort
-        elif current != sort:
-            if predicate in declared:
-                raise SortError(
-                    f"{context()}: argument {index + 1} of {predicate!r} is declared "
-                    f"{current}, found {sort}"
-                )
-            raise SortError(
-                f"{context()}: argument {index + 1} of {predicate!r} is used both "
-                f"as {current} and as {sort}"
-            )
-
-    # A slot never changes once set, so one pass over the facts settles
-    # every slot they touch; only the rules need the fixpoint.
-    for fact in program.facts:
-        context = lambda: f"fact {print_atom(fact)}"  # formatted only on error
-        for i, term in enumerate(fact.args):
-            if type(term) is str:
-                note(fact.predicate, i, SYMBOL, context)
-            elif type(term) is int:
-                note(fact.predicate, i, NUMBER, context)
     changed = True
     while changed:
         changed = False
-        for rule in program.rules:
+        for rule, atoms in zip(program.rules, atoms_of):
             var_sorts: dict[str, str] = {}
-            atoms = [rule.head] + [
-                lit.atom if isinstance(lit, NegatedAtom) else lit
-                for lit in rule.body
-                if isinstance(lit, (Atom, NegatedAtom))
-            ]
             for cmp in rule.comparisons():
                 for side in (cmp.left, cmp.right):
                     if isinstance(side, Var):
@@ -122,7 +156,6 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
                                 f"{term.name!r} is used both as "
                                 f"{var_sorts[term.name]} and as {slot}"
                             )
-            context = lambda: f"rule for {rule.head.predicate!r}"
             for atom in atoms:
                 for i, term in enumerate(atom.args):
                     if type(term) is str:
@@ -133,9 +166,15 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
                         sort = var_sorts[term.name]
                     else:
                         continue
-                    before = slots[atom.predicate][i]
-                    note(atom.predicate, i, sort, context)
-                    changed |= before == _UNKNOWN
+                    current = slots[atom.predicate][i]
+                    if current == _UNKNOWN:
+                        slots[atom.predicate][i] = sort
+                        changed = True
+                    elif current != sort:
+                        raise _sort_clash(
+                            f"rule for {rule.head.predicate!r}",
+                            atom.predicate, i, current, sort, declared,
+                        )
     return slots
 
 
@@ -256,34 +295,97 @@ def stratify(program: Program) -> list[list[str]]:
     return list(reversed(sccs))
 
 
-def _reject_argument(fact: Atom) -> None:
-    """Raise for the first argument of ``fact`` that is not a constant."""
-    for i, term in enumerate(fact.args, 1):
-        if isinstance(term, (Var, Wildcard)):
-            raise RangeRestrictionError(
-                f"fact {fact.predicate} contains a variable or wildcard"
-            )
-        if type(term) is not str and type(term) is not int:
-            raise RangeRestrictionError(
-                f"fact {fact.predicate}: argument {i} is {term!r}, "
-                "neither a symbol (str) nor a number (int)"
-            )
+def _complete(program: Program, slots: dict[str, list[str]]) -> list[list[str]]:
+    """Declare every relation with its inferred sorts (an unsettled argument
+    is a symbol), check the rules, and return the strata."""
+    program.declarations = {
+        name: tuple(SYMBOL if s == _UNKNOWN else s for s in sorts)
+        for name, sorts in slots.items()
+    }
+    for rule in program.rules:
+        _check_rule(rule, slots)
+    return stratify(program)
 
 
 def check_program(program: Program) -> list[list[str]]:
     """Validate and complete a program in place (auto-declaring predicates);
     returns its strata, as :func:`stratify` does."""
+    return _complete(program, _infer_declarations(program))
+
+
+_TYPE_OF_SORT = {SYMBOL: str, NUMBER: int}
+
+
+@dataclass(frozen=True, eq=False)
+class RuleSet:
+    """A facts-free program validated and stratified once, by :func:`prepare`.
+
+    ``declarations`` cover every relation the rules name, with all argument
+    sorts settled, so a program built by :meth:`program` only has its facts
+    checked against them when it is evaluated.
+    """
+
+    rules: tuple[Rule, ...]
+    declarations: Mapping[str, tuple[str, ...]]
+    strata: tuple[tuple[str, ...], ...]
+    # relation -> type of each argument of a valid fact: str or int
+    fact_types: Mapping[str, tuple[type, ...]]
+
+    def program(self) -> Program:
+        """A new program of these rules and declarations, without facts."""
+        return Program(dict(self.declarations), list(self.rules), rule_set=self)
+
+    def admits(self, program: Program) -> bool:
+        """Whether ``program`` still holds exactly these rules and declarations."""
+        return (
+            len(program.rules) == len(self.rules)
+            and all(map(operator.is_, program.rules, self.rules))
+            and program.declarations == self.declarations
+        )
+
+
+def prepare(rules: Program) -> RuleSet:
+    """Validate and stratify a rule set once, for evaluation over many fact sets.
+
+    Raises what :func:`check_program` raises, and a :class:`SortError` when an
+    argument's sort would be left to the facts to settle.
+    """
+    if rules.facts:
+        raise ValueError("a rule set to prepare must not hold facts")
+    program = Program(dict(rules.declarations), list(rules.rules))
     slots = _infer_declarations(program)
-    program.declarations = {
-        name: tuple(SYMBOL if s == _UNKNOWN else s for s in sorts)
-        for name, sorts in slots.items()
-    }
+    for name, sorts in slots.items():
+        if _UNKNOWN in sorts:
+            raise SortError(
+                f"argument {sorts.index(_UNKNOWN) + 1} of {name!r} has a sort "
+                "that only facts would settle; declare it"
+            )
+    strata = _complete(program, slots)
+    return RuleSet(
+        rules=tuple(program.rules),
+        declarations=MappingProxyType(program.declarations),
+        strata=tuple(map(tuple, strata)),
+        fact_types=MappingProxyType({
+            name: tuple(_TYPE_OF_SORT[sort] for sort in sorts)
+            for name, sorts in program.declarations.items()
+        }),
+    )
+
+
+def _check_prepared_facts(program: Program, rule_set: RuleSet) -> None:
+    """The fact checks of :func:`check_program`, for a program that
+    ``rule_set`` admits: its rules are valid and its sorts are fixed."""
+    types_of = rule_set.fact_types.get
     for fact in program.facts:
-        if not fact.is_ground():
-            _reject_argument(fact)
-    for rule in program.rules:
-        _check_rule(rule, slots)
-    return stratify(program)
+        if types_of(fact.predicate) != tuple(map(type, fact.args)):
+            break
+    else:
+        return  # each fact is a constant tuple of its relation's declared sorts
+    slots = {name: list(sorts) for name, sorts in rule_set.declarations.items()}
+    _check_facts(program.facts, slots, rule_set.declarations)
+    # valid after all: some fact names a relation no rule does, declared here
+    # as check_program would declare it
+    program.declarations = {name: tuple(sorts) for name, sorts in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +664,18 @@ def _compile_step(
 
 
 def evaluate(program: Program) -> Database:
-    """Minimal model of a valid program; total on stratifiable inputs."""
-    strata = check_program(program)
+    """Minimal model of a valid program; total on stratifiable inputs.
+
+    A program built from a prepared :class:`RuleSet`, whose rules and
+    declarations are still the rule set's, has only its facts checked; any
+    other program goes through :func:`check_program`.
+    """
+    rule_set = program.rule_set
+    if rule_set is not None and rule_set.admits(program):
+        _check_prepared_facts(program, rule_set)
+        strata = rule_set.strata
+    else:
+        strata = check_program(program)
     relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
     for fact in program.facts:  # ground, so its arguments are its tuple

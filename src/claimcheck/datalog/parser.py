@@ -19,9 +19,10 @@ included, and a token records only its offset: the line and column of a
 A fact file takes a faster path: :func:`parse_facts` first scans it with one
 regex match per ground fact (or ``//`` line comment) and reads each fact's
 arguments with one ``findall``.  Any other text -- a rule, a declaration, a
-variable, a comment inside a fact, a syntax error -- stops that scan, and the
-whole source then goes to the full parser, so every result and every error
-message, line and column is the full parser's.
+variable, a comment inside a fact, a syntax error, a number literal too long
+for ``int()`` -- stops that scan, and the whole source then goes to the full
+parser, so every result and every error message, line and column is the full
+parser's.
 """
 
 from __future__ import annotations
@@ -244,8 +245,14 @@ class _Parser:
             self.pos += 1
             return _unescape(text)
         if kind == "number":
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's int conversion limit
+                raise self.error(
+                    f"number literal of {len(text.lstrip('-'))} digits is too long"
+                ) from None
             self.pos += 1
-            return int(text)
+            return value
         if text == "_":
             self.pos += 1
             self.first.setdefault("variable", self.start)
@@ -276,20 +283,23 @@ def parse_program(source: str, validate: bool = True) -> Program:
 
 def _scan_facts(source: str) -> list[Atom] | None:
     """The ground facts of ``source``, or None where the fact scan stops
-    before its end."""
+    before its end or meets a number too long to convert."""
     facts = []
     append = facts.append
     constants = _CONSTANT_RE.findall
     end = 0
-    for m in iter(_FACT_SCAN_RE.scanner(source).match, None):
-        end = m.end()
-        predicate = m[1]
-        if predicate is not None:  # else a comment
-            append(Atom(predicate, tuple([
-                (_unescape(t) if "\\" in t else t[1:-1]) if t[0] == '"'
-                else t if t[0] in "tf" else int(t)
-                for t in constants(source, *m.span(2))
-            ])))
+    try:
+        for m in iter(_FACT_SCAN_RE.scanner(source).match, None):
+            end = m.end()
+            predicate = m[1]
+            if predicate is not None:  # else a comment
+                append(Atom(predicate, tuple([
+                    (_unescape(t) if "\\" in t else t[1:-1]) if t[0] == '"'
+                    else t if t[0] in "tf" else int(t)
+                    for t in constants(source, *m.span(2))
+                ])))
+    except ValueError:  # the full parser reports where
+        return None
     if _SKIP_RE.match(source, end).end() < len(source):
         return None
     return facts

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
@@ -40,6 +40,9 @@ from .facts import (
     fact_text,
     lint_equiv,
 )
+
+if TYPE_CHECKING:
+    from .datalog.engine import RuleSet
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
@@ -829,15 +832,24 @@ def _fact_lines(side: EquivSide) -> set[Site]:
     return lines
 
 
+@cache  # built on first use, not at import
+def _rule_set() -> RuleSet:
+    from .datalog.engine import prepare
+
+    return prepare(parse_program(_DECLS + _EQUIV_RULES, validate=False))
+
+
 def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     """The structural diff as Datalog over the bundle plus pairing facts.
 
     Evaluating the program derives one ``mismatch(kind, file, line, subject)``
     tuple per structural difference; the tuple set equals the projections of
     :func:`diff_structure` and :func:`check_watchvars`, and ``equivalent()``
-    holds exactly when that union is empty.
+    holds exactly when that union is empty.  The rules are parsed, validated
+    and stratified once per process; each call returns a new program sharing
+    the prepared rules, so evaluating it checks only its facts.
     """
-    program = parse_program(_DECLS + _EQUIV_RULES, validate=False)
+    program = _rule_set().program()
     for side, suffix in zip((bundle.code1, bundle.code2), _SUFFIXES):
         relations = [(name, f"{_RULE_RELATIONS[p]}_{suffix}") for name, p in SIDE_FIELDS]
         program.facts.extend(fact_atoms(side, relations))
@@ -868,7 +880,4 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
         program.facts.append(fact_atom("pair_line", site + pairing.map_line(site)))
     for site in sorted(_fact_lines(bundle.code2)):
         program.facts.append(fact_atom("pair_line_rev", site + pairing.map_line_rev(site)))
-    from .datalog.engine import check_program
-
-    check_program(program)
     return program

@@ -51,8 +51,11 @@ MSAN, EQUIV = "msan", "equiv"
 
 
 def _norm_path(path: str) -> str:
-    """Collapse duplicate separators; trace dumps are inconsistent about ``//``."""
-    return re.sub(r"/{2,}", "/", path)
+    """Collapse duplicate separators; trace dumps are inconsistent about ``//``.
+
+    Most paths have none, and an ``in`` test is far cheaper than a ``sub``.
+    """
+    return re.sub(r"/{2,}", "/", path) if "//" in path else path
 
 
 def _sym(atom: Atom, index: int) -> str:

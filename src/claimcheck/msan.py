@@ -12,11 +12,15 @@ condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cache
+from typing import TYPE_CHECKING, Optional
 
 from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
 from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, fact_atoms, lint_msan
+
+if TYPE_CHECKING:
+    from .datalog.engine import RuleSet
 
 VERIFIED = "Verified"
 DONT_KNOW = "DontKnow"
@@ -135,14 +139,23 @@ satisfied() :- uninitialized(x, fx, lx), flowStar(x, fx, lx, y, fy, ly),
 """
 
 
+@cache  # built on first use, not at import
+def _rule_set() -> RuleSet:
+    from .datalog.engine import prepare
+
+    return prepare(parse_program(_RULES_SOURCE, validate=False))
+
+
 def msan_rules() -> Program:
     """The verification condition as a stratified rule set over the vocabulary.
 
     Evaluating these rules over a fact set derives ``satisfied()`` exactly
     when :func:`verify_msan` returns Verified; the two code paths are
-    cross-checked in the test suite.
+    cross-checked in the test suite.  The rules are parsed, validated and
+    stratified once per process; each call returns a new program sharing
+    the prepared rules, so evaluating it checks only the facts added to it.
     """
-    return parse_program(_RULES_SOURCE)
+    return _rule_set().program()
 
 
 def msan_program(fs: MsanFactSet) -> Program:

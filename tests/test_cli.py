@@ -65,6 +65,21 @@ def test_verify_msan_variable_in_fact_reports_its_position(capsys, tmp_path):
     assert report["error"] == "line 2, column 1: fact uses contains a variable or wildcard"
 
 
+def test_verify_msan_overlong_number_is_usage_error(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts number literals of any length")
+    digits = "9" * max(5000, limit + 1)
+    path = tmp_path / "overlong.facts"
+    path.write_text(f'uses("x", "a.cc", 1).\nuses("x", "a.cc", {digits}).\n')
+    code, report = run_json(capsys, "verify-msan", str(path))
+    assert code == 2
+    assert report["verdict"] is None
+    assert report["error"] == (
+        f"line 2, column 19: number literal of {len(digits)} digits is too long"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify-equiv
 # ---------------------------------------------------------------------------

@@ -9,19 +9,36 @@ import pytest
 
 from claimcheck.datalog import (
     Atom,
+    Program,
     Var,
     evaluate,
     explain,
     parse_program,
+    prepare,
     print_atom,
     print_rule,
     query,
 )
-from claimcheck.errors import NotDerivableError, RangeRestrictionError, UnknownRelationError
+from claimcheck.equivalence import build_pairing, equiv_rules
+from claimcheck.errors import (
+    ArityMismatchError,
+    ClaimcheckError,
+    NotDerivableError,
+    RangeRestrictionError,
+    SortError,
+    UnknownRelationError,
+)
 from claimcheck.facts import FlowFact, MsanFactSet, SiteFact
 from claimcheck.msan import msan_program
+from claimcheck.toy import extract_equiv_facts, normalize
 
-from generators import random_fact_atoms, random_positive_program
+from generators import (
+    mutate_toy,
+    random_fact_atoms,
+    random_msan_facts,
+    random_positive_program,
+    random_toy,
+)
 from oracles import brute_force_query, naive_evaluate, replay_derivation
 
 
@@ -239,6 +256,103 @@ def test_explain_1100_step_flow_chain():
     assert tree == tree and tree != again
     assert len({tree, again, tree}) == 2
     assert repr(tree) == f"Derivation('satisfied()', rule={print_rule(tree.rule)!r}, children=3)"
+
+
+# ---------------------------------------------------------------------------
+# Prepared rule sets
+# ---------------------------------------------------------------------------
+
+
+def _unprepared(program: Program) -> Program:
+    return Program(dict(program.declarations), list(program.rules), list(program.facts))
+
+
+def _outcome(program: Program):
+    """What evaluating a program gives: the error, or the model, the
+    derivation order and the input leaves of every tuple's derivation."""
+    try:
+        db = evaluate(program)
+    except ClaimcheckError as exc:
+        return type(exc), str(exc)
+    leaves = {
+        (name, values): explain(db, Atom(name, values)).leaves()
+        for name, relation in db.relations.items()
+        for values in relation
+    }
+    return dict(db.relations), list(db.provenance.items()), leaves
+
+
+def _rules_programs() -> list[Program]:
+    rng = random.Random(8)
+    programs = [msan_program(random_msan_facts(rng)) for _ in range(40)]
+    for _ in range(20):
+        toy = normalize(random_toy(rng))
+        mutation = mutate_toy(rng, toy)
+        bundle = extract_equiv_facts(toy, mutation.program, mutation.var_map)
+        programs.append(equiv_rules(bundle, build_pairing(bundle)))
+    return programs
+
+
+def test_prepared_rules_evaluate_as_check_program_does():
+    for program in _rules_programs():
+        assert program.rule_set is not None
+        assert program.rule_set.admits(program)
+        assert _outcome(program) == _outcome(_unprepared(program))
+
+
+def _small_rules_program(kind: str) -> Program:
+    if kind == "msan":
+        return msan_program(MsanFactSet(uses=frozenset({SiteFact("p", "a.cc", 1)})))
+    toy = normalize(random_toy(random.Random(3)))
+    bundle = extract_equiv_facts(toy, toy, {})
+    return equiv_rules(bundle, build_pairing(bundle))
+
+
+_INVALID_ARGS = {  # each for a relation of sorts (symbol, symbol, number)
+    "arity": (("x", "a.cc"), ArityMismatchError),
+    "sort": (("x", "a.cc", "1"), SortError),
+    "variable": ((Var("x"), "a.cc", 1), RangeRestrictionError),
+    "bool": (("x", "a.cc", True), RangeRestrictionError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INVALID_ARGS))
+@pytest.mark.parametrize(("rules", "relation"), [("msan", "uses"), ("equiv", "use_c1")])
+def test_prepared_rules_reject_invalid_facts_as_check_program_does(rules, relation, kind):
+    args, error = _INVALID_ARGS[kind]
+    prepared = _small_rules_program(rules)
+    assert prepared.declarations[relation] == ("symbol", "symbol", "number")
+    prepared.facts.append(Atom(relation, args))
+    outcome = _outcome(prepared)
+    assert outcome == _outcome(_unprepared(prepared))
+    assert outcome[0] is error
+
+
+def test_prepared_rules_declare_a_fact_only_relation_as_check_program_does():
+    # check_program declares a relation that only facts name, so both paths
+    # accept its facts; sorts clash within it as they do for any relation
+    prepared = _small_rules_program("msan")
+    prepared.facts.append(Atom("note", ("p", 1)))
+    outcome = _outcome(prepared)
+    assert outcome == _outcome(_unprepared(prepared))
+    assert outcome[0]["note"] == {("p", 1)}
+    assert prepared.declarations["note"] == ("symbol", "number")
+    clash = msan_program(MsanFactSet())
+    clash.facts += [Atom("note", ("p", 1)), Atom("note", (2, 1))]
+    outcome = _outcome(clash)
+    assert outcome == _outcome(_unprepared(clash))
+    assert outcome[0] is SortError
+
+
+def test_prepare_rejects_sorts_left_to_facts():
+    with pytest.raises(SortError):
+        prepare(parse_program("path(x, y) :- edge(x, y).", validate=False))
+    rule_set = prepare(parse_program(
+        ".decl edge(a: symbol, b: symbol)\npath(x, y) :- edge(x, y).", validate=False
+    ))
+    assert rule_set.declarations["path"] == ("symbol", "symbol")
+    with pytest.raises(ValueError):
+        prepare(parse_program('.decl edge(a: symbol, b: symbol)\nedge("a", "b").'))
 
 
 _DETERMINISM_SCRIPT = """

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,24 @@ def test_fact_file_errors_point_at_the_first_offending_statement(
     source, line, column, message
 ):
     assert _result_or_error(parse_facts, source) == ("error", line, column, message)
+
+
+def _overlong_digits() -> str:
+    """A number literal longer than ``int()`` converts (5,000 digits by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts number literals of any length")
+    return "9" * max(5000, limit + 1)
+
+
+def test_overlong_number_literal_is_a_syntax_error():
+    digits = _overlong_digits()
+    message = f"number literal of {len(digits)} digits is too long"
+    facts = f'p(1).\n// c\n  uses("x", "a.cc", -{digits}).'
+    assert _scan_facts(facts) is None
+    assert _result_or_error(parse_facts, facts) == ("error", 3, 21, message)
+    rule = f"q(x) :- p(x), x < {digits}."
+    assert _result_or_error(parse_program, rule) == ("error", 1, 19, message)
 
 
 def _fixture_fact_texts() -> list[str]:

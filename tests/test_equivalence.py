@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from claimcheck.datalog import evaluate, parse_facts, print_atom
+from claimcheck.datalog import engine, evaluate, parse_facts, print_atom
 from claimcheck.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -369,6 +369,25 @@ def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):
         assert ("lib.cpp", 42) in sites, relation
     before = evaluate(equiv_rules(bundle, build_pairing(bundle)))
     assert evaluate(program)["mismatch"] == before["mismatch"]
+
+
+def test_rules_program_edits_leave_the_shared_rules(monkeypatch, renamed_fn_bundle_text):
+    bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
+    pairing = build_pairing(bundle)
+    program = equiv_rules(bundle, pairing)
+    rules, declarations = list(program.rules), dict(program.declarations)
+    checked = []
+    check_program = engine.check_program
+    monkeypatch.setattr(
+        engine, "check_program", lambda p: checked.append(p) or check_program(p)
+    )
+    assert program.rules.pop().head.predicate == "equivalent"
+    assert evaluate(program)["equivalent"] == frozenset()
+    assert checked == [program]
+    fresh = equiv_rules(bundle, pairing)
+    assert fresh.rules == rules and fresh.declarations == declarations
+    assert len(evaluate(fresh)["mismatch"]) == 1
+    assert checked == [program]
 
 
 def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):

@@ -17,6 +17,7 @@ from claimcheck.facts import (
     EquivSide,
     InitFact,
     SiteFact,
+    _norm_path,
     lint_equiv,
     lint_msan,
     load_equiv_bundle,
@@ -44,6 +45,10 @@ def test_trace_paths_are_normalized(trace_facts_text):
     fs = load_msan_facts(trace_facts_text)
     files = {f.dst_file for f in fs.flow} | {f.file for f in fs.memory_error}
     assert all("//" not in path for path in files)
+    (use,) = load_msan_facts('uses("x", "a//b///c.cc", 1).').uses
+    assert use.file == "a/b/c.cc"
+    path = "a/b/c.cc"
+    assert _norm_path(path) is path
 
 
 def test_empty_text_gives_empty_set():

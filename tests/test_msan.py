@@ -1,7 +1,7 @@
 import dataclasses
 import random
 
-from claimcheck.datalog import evaluate, print_atom
+from claimcheck.datalog import engine, evaluate, parse_program, print_atom
 from claimcheck.facts import (
     FlowFact,
     MemoryErrorFact,
@@ -115,11 +115,33 @@ def test_rules_on_fixture_and_empty(trace_facts_text):
     assert not evaluate(msan_program(MsanFactSet()))["satisfied"]
 
 
-def test_rules_export_shape():
+def test_rules_export_shape(monkeypatch):
     program = msan_rules()
     assert "satisfied" in program.declarations
     assert "flowStar" in program.declarations
     assert len(program.rules) == 5
+    rules, declarations = list(program.rules), dict(program.declarations)
+
+    # an edited program is validated in full; the shared rule set is untouched
+    checked = []
+    check_program = engine.check_program
+    monkeypatch.setattr(
+        engine, "check_program", lambda p: checked.append(p) or check_program(p)
+    )
+    fs = MsanFactSet(uses=frozenset({SiteFact("p", "a.cc", 1)}))
+    extended = msan_program(fs)
+    extended.rules += parse_program("used(x) :- uses(x, _, _).", validate=False).rules
+    assert evaluate(extended)["used"] == {("p",)}
+    redeclared = msan_program(fs)
+    redeclared.declarations["note"] = ("number",)
+    assert evaluate(redeclared)["note"] == frozenset()
+    assert checked == [extended, redeclared]
+
+    for fresh in (msan_rules(), msan_program(fs)):
+        assert fresh.rules == rules and len(fresh.rules) == 5
+        assert fresh.declarations == declarations
+    evaluate(msan_program(fs))
+    assert len(checked) == 2
 
 
 def test_verified_is_stable_under_additions_preserving_error_claims():
