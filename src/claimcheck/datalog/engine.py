@@ -5,12 +5,15 @@ stratum the least fixpoint of the positive rules is reached semi-naively
 (only joins touching tuples new in the previous round are re-run), and
 negated atoms consult relations of strictly lower strata.
 
-Each rule is compiled once per delta position into a join plan whose atoms
-are probed through hash indexes on their bound columns; negated atoms are
-single index probes.  Plans and indexes live for one :func:`evaluate` call.
-A rule set evaluated over many fact sets is validated and stratified once
-per process by :func:`prepare`; evaluating a program built from the
-resulting :class:`RuleSet` then checks only its facts.
+Each rule is generated once per delta position into a join plan: a Python
+function of nested loops whose atoms are probed through hash indexes on
+their bound columns, with negated atoms as single index probes.  A rule set
+evaluated over many fact sets is validated and stratified once per process
+by :func:`prepare`; the resulting :class:`RuleSet` generates its plans on
+its first :func:`evaluate` and keeps them, so evaluating a program built
+from it checks only its facts and binds the plans to that call's relations
+and indexes, which live for the one call.  Any other program is planned
+per call, and the code of equal generated source is compiled once.
 
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and provenance (the first derivation found for each tuple)
@@ -20,7 +23,9 @@ do not depend on ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import operator
+import zlib
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
@@ -343,6 +348,12 @@ class RuleSet:
             and program.declarations == self.declarations
         )
 
+    @cached_property
+    def plans(self) -> tuple[_StratumPlans, ...]:
+        """Join plans of the rules, generated on first use: ``export``
+        needs the rules, not the plans."""
+        return _plans(self.rules, self.strata)
+
 
 def prepare(rules: Program) -> RuleSet:
     """Validate and stratify a rule set once, for evaluation over many fact sets.
@@ -430,16 +441,6 @@ def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
     return binding if new_binding is None else new_binding
 
 
-_CMP = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "=": operator.eq,
-    "!=": operator.ne,
-}
-
-
 def _tuple_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
     """``values -> tuple(values[p] for p in positions)``, always a tuple."""
     if len(positions) >= 2:
@@ -482,62 +483,117 @@ class _Relation:
 
 Derived = list[tuple[tuple, tuple[tuple[str, tuple], ...]]]
 
-
-class _Step(NamedTuple):
-    """One positive atom of a join plan, in plan order."""
-
-    position: int  # among the rule's positive atoms: its slot in the support
-    predicate: str
-    columns: list[int]  # columns bound before this step: the index key
-    key_slots: list[int]  # environment slots holding the key's values
-    same: list[tuple[int, int]]  # (column, earlier column) sharing a new variable
-    assign: list[tuple[int, int]]  # (column, slot) binding a new variable
-    filters: list[Callable[[list], bool]]  # checks decidable once this step binds
+_PYTHON_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
+# for loops per generated function; CPython allows 20 statically nested blocks
+_LOOPS_PER_FUNCTION = 16
 
 
-def _compile(
-    rule: Rule, delta_position: int | None, relations: dict[str, _Relation]
-) -> Callable[[list], Derived]:
-    """A join plan for one rule, as a function from the delta to the derived
-    (head tuple, support) pairs in enumeration order.
+class _Plan(NamedTuple):
+    """A rule compiled for one delta position, not yet bound to relations."""
+
+    rule: Rule
+    delta: str | None  # predicate of the atom read from the delta, if any
+    make: Callable[..., Callable[[list], Derived]]  # generated; see _plan
+    constants: tuple  # constants and predicate names, passed to make first
+    # then one relation read each: (predicate, None) for its tuples, or
+    # (predicate, columns) for its index on those columns
+    reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
+
+    def bind(self, relations: dict[str, _Relation]) -> Callable[[list], Derived]:
+        """The plan over these relations: a function from the delta to the
+        derived (head tuple, support) pairs in enumeration order."""
+        return self.make(*self.constants, *[
+            relations[name].tuples if columns is None else relations[name].index(columns)
+            for name, columns in self.reads
+        ])
+
+
+def _tuple_source(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str) -> Callable:
+    """The ``make`` function that generated source defines.  Source text
+    holds no constant or name from a rule, so equal text is equal code.
+    The file name differs with the text, so profilers keep plans apart."""
+    namespace: dict = {}
+    filename = f"<join plan {zlib.crc32(source.encode()):08x}>"
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+def _plan(rule: Rule, delta_position: int | None) -> _Plan:
+    """Generate the join plan of one rule: nested ``for`` loops over index
+    lookups, one per positive atom, appending (head tuple, support) pairs.
 
     The delta atom (if any) is scanned first; then, greedily, the atom with
     the most bound arguments (ties to the earlier body position) is probed
-    through an index keyed by its bound columns.  Variables and constants
-    live in slots of one environment list, so keys, comparisons and the head
-    are read out of it with item getters.
-    Negated atoms and comparisons run as soon as their variables are bound.
+    through an index keyed by its bound columns.  Negated atoms (single index
+    probes) and comparisons run as soon as their variables are bound.
+    Variables become locals ``v0, v1, ...``, the tuple of each step ``t<n>``;
+    constants, predicate names and relation reads are arguments of ``make``,
+    so no text of the rule reaches the source.  Loops past
+    ``_LOOPS_PER_FUNCTION`` continue in a further generated function.
     """
     atoms = rule.positive_atoms()
-    env: list = []
-    slots: dict[str, int] = {}
+    names: dict[str, str] = {}  # rule variable -> local name
+    constants: list = []
+    reads: list[tuple[str, Optional[tuple[int, ...]]]] = []
 
-    def slot_of(term: Term) -> int:
+    def value(term: Term) -> str:
         if isinstance(term, Var):
-            return slots[term.name]
-        env.append(term)
-        return len(env) - 1
+            return names[term.name]
+        constants.append(term)
+        return f"c{len(constants) - 1}"
+
+    def key(terms) -> str:
+        return _tuple_source([value(term) for term in terms])
+
+    def read(predicate: str, columns: Optional[tuple[int, ...]]) -> str:
+        reads.append((predicate, columns))
+        return f"r{len(reads) - 1}"
+
+    def fails(lit: Comparison | NegatedAtom) -> str:
+        """A condition that holds when ``lit`` does not."""
+        if isinstance(lit, Comparison):
+            return f"not {value(lit.left)} {_PYTHON_OP[lit.op]} {value(lit.right)}"
+        args = lit.atom.args
+        columns = tuple(c for c, t in enumerate(args) if not isinstance(t, Wildcard))
+        present = read(lit.atom.predicate, None if len(columns) == len(args) else columns)
+        return f"{key(args[c] for c in columns)} in {present}"
+
+    def ready_filters() -> list[str]:
+        ready = [
+            lit for lit in pending
+            if all(
+                t.name in names
+                for t in (lit.atom.args if isinstance(lit, NegatedAtom) else (lit.left, lit.right))
+                if isinstance(t, Var)
+            )
+        ]
+        for lit in ready:
+            pending.remove(lit)
+        return [fails(lit) for lit in ready]
 
     def bound_args(atom: Atom) -> int:
         return sum(
-            t.name in slots if isinstance(t, Var) else not isinstance(t, Wildcard)
+            t.name in names if isinstance(t, Var) else not isinstance(t, Wildcard)
             for t in atom.args
         )
 
-    def variables(lit) -> set[str]:
-        terms = lit.atom.args if isinstance(lit, NegatedAtom) else (lit.left, lit.right)
-        return {t.name for t in terms if isinstance(t, Var)}
+    functions = [["def run(delta):", "    out = []", "    append = out.append"]]
+    depth = 1  # indentation inside the current function
+    loops = 0
 
-    def ready_filters() -> list[Callable[[list], bool]]:
-        ready = [lit for lit in pending if variables(lit).issubset(slots)]
-        for lit in ready:
-            pending.remove(lit)
-        return [_compile_filter(lit, slot_of, relations) for lit in ready]
+    def emit(line: str) -> None:
+        functions[-1].append("    " * depth + line)
 
     pending = [lit for lit in rule.body if not isinstance(lit, Atom)]
-    prefilters = ready_filters()
+    for condition in ready_filters():
+        emit(f"if {condition}: return out")
+    steps: dict[int, str] = {}  # atom position -> local holding its tuple
     remaining = list(range(len(atoms)))
-    steps = []
     while remaining:
         if delta_position in remaining:
             position = delta_position
@@ -545,122 +601,86 @@ def _compile(
             position = max(remaining, key=lambda i: (bound_args(atoms[i]), -i))
         remaining.remove(position)
         atom = atoms[position]
+        if loops == _LOOPS_PER_FUNCTION:
+            live = ", ".join(["append", *steps.values(), *names.values()])
+            emit(f"s{len(functions)}({live})")
+            functions.append([f"def s{len(functions)}({live}):"])
+            depth, loops = 1, 0
+        row = f"t{len(steps)}"
+        steps[position] = row
         columns: list[int] = []
-        key_slots: list[int] = []
+        bound: list[Term] = []
         first_column: dict[str, int] = {}
         same: list[tuple[int, int]] = []
         for column, term in enumerate(atom.args):
             if isinstance(term, Wildcard):
                 continue
-            if isinstance(term, Var) and term.name not in slots:
+            if isinstance(term, Var) and term.name not in names:
                 if term.name in first_column:
                     same.append((column, first_column[term.name]))
                 else:
                     first_column[term.name] = column
                 continue
             columns.append(column)
-            key_slots.append(slot_of(term))
-        assign = []
-        for name, column in first_column.items():
-            slots[name] = len(env)
-            env.append(None)
-            assign.append((column, slots[name]))
-        steps.append(
-            _Step(position, atom.predicate, columns, key_slots, same, assign, ready_filters())
-        )
-
-    support: list = [None] * len(atoms)
-    out: Derived = []
-    head_of = _tuple_getter([slot_of(t) for t in rule.head.args])
-    delta_box: list = [()]
-
-    def emit() -> None:
-        out.append((head_of(env), tuple(support)))
-
-    run_next = emit
-    for number in reversed(range(len(steps))):
-        from_delta = number == 0 and delta_position is not None
-        run_next = _compile_step(
-            steps[number], from_delta, relations, env, support, delta_box, run_next
-        )
-
-    def run(delta: list) -> Derived:
-        nonlocal out
-        out = []
-        if all(check(env) for check in prefilters):
-            delta_box[0] = delta
-            run_next()
-        return out
-
-    return run
-
-
-def _compile_filter(
-    lit: Comparison | NegatedAtom,
-    slot_of: Callable[[Term], int],
-    relations: dict[str, _Relation],
-) -> Callable[[list], bool]:
-    if isinstance(lit, Comparison):
-        holds, left, right = _CMP[lit.op], slot_of(lit.left), slot_of(lit.right)
-        return lambda env: holds(env[left], env[right])
-    atom = lit.atom
-    columns = [c for c, t in enumerate(atom.args) if not isinstance(t, Wildcard)]
-    key_of = _tuple_getter([slot_of(atom.args[c]) for c in columns])
-    if len(columns) == len(atom.args):
-        present = relations[atom.predicate].tuples
-    else:
-        present = relations[atom.predicate].index(tuple(columns))
-    return lambda env: key_of(env) not in present
+            bound.append(term)
+        if position == delta_position:
+            candidates = "delta"
+        elif columns:
+            candidates = f"{read(atom.predicate, tuple(columns))}.get({key(bound)}, ())"
+        else:
+            candidates = read(atom.predicate, None)
+        emit(f"for {row} in {candidates}:")
+        depth, loops = depth + 1, loops + 1
+        if position == delta_position:
+            # nothing is bound before the delta atom: its bound columns are constants
+            for column, term in zip(columns, bound):
+                emit(f"if {row}[{column}] != {value(term)}: continue")
+        for column, earlier in same:
+            emit(f"if {row}[{column}] != {row}[{earlier}]: continue")
+        if first_column:
+            targets = ["_"] * len(atom.args)
+            for name, column in first_column.items():
+                names[name] = targets[column] = f"v{len(names)}"
+            emit(f"{_tuple_source(targets)} = {row}")
+        for condition in ready_filters():
+            emit(f"if {condition}: continue")
+    support = _tuple_source([
+        f"({value(atoms[p].predicate)}, {steps[p]})" for p in range(len(atoms))
+    ])
+    emit(f"append(({key(rule.head.args)}, {support}))")
+    functions[0].append("    return out")
+    parameters = [f"c{i}" for i in range(len(constants))] + [f"r{i}" for i in range(len(reads))]
+    source = "\n".join(
+        [f"def make({', '.join(parameters)}):"]
+        + ["    " + line for lines in functions for line in lines]
+        + ["    return run", ""]
+    )
+    delta = None if delta_position is None else atoms[delta_position].predicate
+    return _Plan(rule, delta, _compiled(source), tuple(constants), tuple(reads))
 
 
-def _compile_step(
-    step: _Step,
-    from_delta: bool,
-    relations: dict[str, _Relation],
-    env: list,
-    support: list,
-    delta_box: list,
-    run_next: Callable[[], None],
-) -> Callable[[], None]:
-    """The loop over one step's candidate tuples, calling ``run_next`` for
-    each that matches; ``delta_box[0]`` holds the delta of the current run."""
-    position, predicate, columns, key_slots, same, assign, filters = step
-    relation = relations[predicate]
-    key_of = _tuple_getter(key_slots)
-    if from_delta:
-        # nothing is bound before the delta atom: its bound columns are constants
-        column_values = _tuple_getter(columns)
+# a stratum's predicates, the plans run once over the lower strata, and the
+# plans re-run on each round's delta
+_StratumPlans = tuple[Sequence[str], tuple[_Plan, ...], tuple[_Plan, ...]]
 
-        def candidates():
-            if not columns:
-                return delta_box[0]
-            key = key_of(env)
-            return [v for v in delta_box[0] if column_values(v) == key]
 
-    elif columns:
-        index = relation.index(tuple(columns))
-
-        def candidates():
-            return index.get(key_of(env), ())
-
-    else:
-        tuples = relation.tuples
-
-        def candidates():
-            return tuples
-
-    def step_fn() -> None:
-        for values in candidates():
-            if same and any(values[a] != values[b] for a, b in same):
-                continue
-            for column, slot in assign:
-                env[slot] = values[column]
-            if filters and not all(check(env) for check in filters):
-                continue
-            support[position] = (predicate, values)
-            run_next()
-
-    return step_fn
+def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_StratumPlans, ...]:
+    """The plans of each stratum that has rules, in evaluation order."""
+    out = []
+    for stratum in strata:
+        members = [r for r in rules if r.head.predicate in stratum]
+        if members:
+            out.append((
+                stratum,
+                tuple(_plan(rule, None) for rule in members),
+                tuple(
+                    _plan(rule, i)
+                    for rule in members
+                    for i, atom in enumerate(rule.positive_atoms())
+                    if atom.predicate in stratum
+                ),
+            ))
+    return tuple(out)
 
 
 def evaluate(program: Program) -> Database:
@@ -673,9 +693,9 @@ def evaluate(program: Program) -> Database:
     rule_set = program.rule_set
     if rule_set is not None and rule_set.admits(program):
         _check_prepared_facts(program, rule_set)
-        strata = rule_set.strata
+        plans = rule_set.plans
     else:
-        strata = check_program(program)
+        plans = _plans(program.rules, check_program(program))
     relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
     for fact in program.facts:  # ground, so its arguments are its tuple
@@ -690,24 +710,16 @@ def evaluate(program: Program) -> Database:
                 new.append(values)
                 provenance[(name, values)] = (rule, support)
 
-    for stratum in strata:
-        rules = [r for r in program.rules if r.head.predicate in stratum]
-        if not rules:
-            continue
+    for stratum, initial, recursive in plans:
         delta: dict[str, list] = {name: [] for name in stratum}
-        for rule in rules:
-            insert(rule, _compile(rule, None, relations)([]), delta)
-        plans = [
-            (rule, atom.predicate, _compile(rule, i, relations))
-            for rule in rules
-            for i, atom in enumerate(rule.positive_atoms())
-            if atom.predicate in delta
-        ]
+        for plan in initial:
+            insert(plan.rule, plan.bind(relations)([]), delta)
+        bound = [(plan.rule, plan.delta, plan.bind(relations)) for plan in recursive]
         while any(delta.values()):
             new_delta: dict[str, list] = {name: [] for name in stratum}
-            for rule, predicate, plan in plans:
+            for rule, predicate, run in bound:
                 if delta[predicate]:
-                    insert(rule, plan(delta[predicate]), new_delta)
+                    insert(rule, run(delta[predicate]), new_delta)
             delta = new_delta
 
     return Database(
@@ -741,7 +753,6 @@ def query(db: Database, pattern: Atom) -> list[dict]:
     return results
 
 
-@dataclass(frozen=True, eq=False)
 class Derivation:
     """One derivation: leaves are input facts, inner nodes rule firings.
 
@@ -751,9 +762,14 @@ class Derivation:
     none of them recurse through a long proof.
     """
 
-    fact: Atom
-    rule: Rule | None
-    children: tuple["Derivation", ...] = ()
+    __slots__ = ("fact", "rule", "children")
+
+    def __init__(
+        self, fact: Atom, rule: Rule | None, children: tuple[Derivation, ...] = ()
+    ) -> None:
+        self.fact = fact
+        self.rule = rule
+        self.children = children
 
     def __repr__(self) -> str:
         rule = None if self.rule is None else print_rule(self.rule)

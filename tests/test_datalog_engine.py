@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -7,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from claimcheck import equivalence, msan
+from claimcheck.cli import main
 from claimcheck.datalog import (
     Atom,
+    Comparison,
+    NegatedAtom,
     Program,
+    Rule,
     Var,
+    engine,
     evaluate,
     explain,
     parse_program,
@@ -28,7 +35,7 @@ from claimcheck.errors import (
     SortError,
     UnknownRelationError,
 )
-from claimcheck.facts import FlowFact, MsanFactSet, SiteFact
+from claimcheck.facts import FlowFact, MsanFactSet, SiteFact, load_equiv_bundle_text
 from claimcheck.msan import msan_program
 from claimcheck.toy import extract_equiv_facts, normalize
 
@@ -258,6 +265,105 @@ def test_explain_1100_step_flow_chain():
     assert repr(tree) == f"Derivation('satisfied()', rule={print_rule(tree.rule)!r}, children=3)"
 
 
+def _replays_everywhere(program: Program, db) -> bool:
+    facts = {(f.predicate, f.value_tuple()) for f in program.facts}
+    return all(
+        replay_derivation(explain(db, Atom(name, values)), facts, db)
+        for name in sorted(db.relations)
+        for values in sorted(db[name], key=repr)
+    )
+
+
+@pytest.mark.parametrize("atoms", [22, 40])
+def test_rule_deeper_than_python_loop_nesting(atoms):
+    # one loop per positive atom; CPython nests at most 20 blocks per function
+    n = atoms
+    recursive = {2, n // 2, n - 2}  # r atoms there make delta plans start deep
+    body = [f"{'r' if i in recursive else f'e{i}'}(x{i}, x{i + 1})" for i in range(n)]
+    rules = (
+        f"r(x0, x{n}) :- {', '.join(body)}, !blocked(x{n - 1}), x3 < x{n - 3}.\n"
+        "r(x, y) :- link(x, y).\n"
+    )
+    facts = [f"e{i}({i}, {i + 1})." for i in range(n) if i not in recursive]
+    facts += [f"link({i}, {i + 1})." for i in sorted(recursive)]
+    # a second path around two atoms, and one that the negation blocks
+    facts += [f"e{n - 5}({n - 5}, 900).", f"e{n - 4}(900, {n - 3}).", "blocked(901).",
+              f"link({n - 2}, 901).", f"e{n - 1}(901, {n})."]
+    program = parse_program(rules + " ".join(facts))
+    db = evaluate(program)
+    assert (0, n) in db["r"]
+    assert dict(db.relations) == naive_evaluate(program)
+    assert _replays_everywhere(program, db)
+
+
+# Names that are Python keywords, builtins or the generated locals, and
+# symbols that would end a string literal or a line of source.
+_HOSTILE_PREDICATES = {"path": "class", "edge": "lambda", "out": "__import__",
+                       "mark": "append", "weight": "r0"}
+_HOSTILE_VARIABLES = {"x": "lambda", "y": "v0", "z": "__import__", "n": "class",
+                      "w": "t0"}
+_HOSTILE_SYMBOLS = {"K1": '"', "K2": "\\", "K3": "\n", "K4": "')",
+                    "K5": "__import__('os').getcwd()"}
+
+
+def _renamed(program: Program, predicates: dict, variables: dict, symbols: dict) -> Program:
+    def term(t):
+        if isinstance(t, Var):
+            return Var(variables.get(t.name, t.name))
+        return symbols.get(t, t) if type(t) is str else t
+
+    def atom(a):
+        return Atom(predicates.get(a.predicate, a.predicate), tuple(map(term, a.args)))
+
+    def literal(lit):
+        if isinstance(lit, Atom):
+            return atom(lit)
+        if isinstance(lit, NegatedAtom):
+            return NegatedAtom(atom(lit.atom))
+        return Comparison(lit.op, term(lit.left), term(lit.right))
+
+    return Program(
+        {predicates.get(name, name): sorts for name, sorts in program.declarations.items()},
+        [Rule(atom(r.head), tuple(map(literal, r.body))) for r in program.rules],
+        [atom(fact) for fact in program.facts],
+    )
+
+
+def test_rule_text_never_reaches_generated_source():
+    plain = parse_program("""
+        path(x, y) :- edge(x, y).
+        path(x, z) :- path(x, y), edge(y, z).
+        out(x, "K1", n) :- path(x, y), weight(y, n), !mark(y), n > 1, w = n, weight(_, w).
+        out(x, x, n) :- edge(x, x), weight(x, n), !mark("K5").
+        mark("K2").
+        edge("K1", "K2"). edge("K2", "K3"). edge("K3", "K4"). edge("K4", "K1").
+        edge("K5", "K5"). edge("K4", "K5").
+        weight("K3", 2). weight("K5", 7). weight("K1", 1). weight("K2", 3).
+    """)
+    hostile = _renamed(plain, _HOSTILE_PREDICATES, _HOSTILE_VARIABLES, _HOSTILE_SYMBOLS)
+    db = evaluate(hostile)
+    assert dict(db.relations) == naive_evaluate(hostile)
+    assert _replays_everywhere(hostile, db)
+    # plans do not depend on names: the same derivations in the same order
+    symbol_of = {v: k for k, v in _HOSTILE_SYMBOLS.items()}
+    predicate_of = {v: k for k, v in _HOSTILE_PREDICATES.items()}
+
+    def back(key):
+        name, values = key
+        return predicate_of[name], tuple(symbol_of.get(v, v) for v in values)
+
+    plain_db = evaluate(plain)
+    rule_number = {rule: i for i, rule in enumerate(hostile.rules)}
+    assert [
+        (back(key), None if step is None else (rule_number[step[0]], tuple(map(back, step[1]))))
+        for key, step in db.provenance.items()
+    ] == [
+        (key, None if step is None else (plain.rules.index(step[0]), step[1]))
+        for key, step in plain_db.provenance.items()
+    ]
+    assert len(db.provenance) > len(hostile.facts)
+
+
 # ---------------------------------------------------------------------------
 # Prepared rule sets
 # ---------------------------------------------------------------------------
@@ -353,6 +459,41 @@ def test_prepare_rejects_sorts_left_to_facts():
     assert rule_set.declarations["path"] == ("symbol", "symbol")
     with pytest.raises(ValueError):
         prepare(parse_program('.decl edge(a: symbol, b: symbol)\nedge("a", "b").'))
+
+
+def test_prepared_rules_generate_their_plans_once(monkeypatch, tmp_path, fixtures_dir):
+    # fresh rule sets, so that evaluations earlier in this process do not count
+    for module in (msan, equivalence):
+        monkeypatch.setattr(module, "_rule_set", functools.cache(module._rule_set.__wrapped__))
+    generated, checked = [], []
+    plan, check_program = engine._plan, engine.check_program
+    monkeypatch.setattr(engine, "_plan", lambda *args: generated.append(args) or plan(*args))
+    monkeypatch.setattr(engine, "check_program", lambda p: checked.append(p) or check_program(p))
+    msan_input = fixtures_dir / "msan" / "audio_buffer_trace.facts"
+    equiv_input = fixtures_dir / "equiv" / "loop_cond_swap.bundle"
+    for task, source in (("msan", msan_input), ("equiv", equiv_input)):
+        assert main(["export", str(source), "--task", task, "-o", str(tmp_path / task)]) == 0
+    assert generated == []
+
+    fs = MsanFactSet(uses=frozenset({SiteFact("p", "a.cc", 1)}))
+    bundle = load_equiv_bundle_text(equiv_input.read_text(encoding="utf-8"))
+    for build in (lambda: msan_program(fs), lambda: equiv_rules(bundle, build_pairing(bundle))):
+        first = evaluate(build())
+        assert generated
+        generated.clear()
+        assert evaluate(build()) == first
+        assert generated == []
+
+    # an edited program is checked in full and planned afresh, each time
+    for _ in range(2):
+        edited = msan_program(fs)
+        edited.rules += parse_program("used(x) :- uses(x, _, _).", validate=False).rules
+        assert evaluate(edited)["used"] == {("p",)}
+        assert checked == [edited] and len(generated) == 7  # 6 rules, one recursive
+        checked.clear()
+        generated.clear()
+    evaluate(msan_program(fs))
+    assert checked == [] and generated == []
 
 
 _DETERMINISM_SCRIPT = """
