@@ -45,12 +45,20 @@ _EXIT_BY_VERDICT = {
 }
 
 
+def _read(path: Path) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ClaimcheckError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ClaimcheckError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _inputs(paths: list[Path]) -> list[dict]:
-    return [{"path": str(p), "sha256": _sha256(p)} for p in paths]
+    return [{"path": str(p), "sha256": _sha256(p)} for p in paths if p.is_file()]
 
 
 def _report(
@@ -120,9 +128,9 @@ def cmd_verify_msan(args) -> int:
     started = time.perf_counter()
     path = Path(args.facts)
     try:
-        facts = load_msan_facts(path.read_text(encoding="utf-8"))
+        facts = load_msan_facts(_read(path))
     except (OSError, ClaimcheckError) as exc:
-        _emit(_report(MSAN, None, None, None, [path] if path.exists() else [], started, error=str(exc)), args.pretty)
+        _emit(_report(MSAN, None, None, None, [path], started, error=str(exc)), args.pretty)
         return USAGE_ERROR
     verdict = verify_msan(facts)
     report = _report(
@@ -135,13 +143,13 @@ def cmd_verify_msan(args) -> int:
 def _load_bundle_args(args):
     if args.bundle:
         path = Path(args.bundle)
-        return load_equiv_bundle_text(path.read_text(encoding="utf-8")), [path]
+        return load_equiv_bundle_text(_read(path)), [path]
     if not (args.code1 and args.code2 and args.correspondence is not None):
         raise ClaimcheckError(
             "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
         )
     paths = [Path(args.code1), Path(args.code2), Path(args.correspondence)]
-    bundle = load_equiv_bundle(*(p.read_text(encoding="utf-8") for p in paths))
+    bundle = load_equiv_bundle(*(_read(p) for p in paths))
     return bundle, paths
 
 
@@ -169,7 +177,7 @@ def cmd_lint(args) -> int:
             if not args.input:
                 raise ClaimcheckError("lint --task msan needs a fact file")
             path = Path(args.input)
-            report = lint_msan(load_msan_facts(path.read_text(encoding="utf-8")))
+            report = lint_msan(load_msan_facts(_read(path)))
             paths = [path]
         else:
             args.bundle = args.input
@@ -187,7 +195,7 @@ def cmd_extract(args) -> int:
 
     started = time.perf_counter()
     try:
-        program = normalize(parse_toy(Path(args.toy).read_text(encoding="utf-8")))
+        program = normalize(parse_toy(_read(Path(args.toy))))
         if args.task == MSAN:
             marked = set(filter(None, (args.uninit or "").split(",")))
             facts = extract_msan_facts(program, marked, file=args.file_name)
@@ -195,7 +203,7 @@ def cmd_extract(args) -> int:
         else:
             if not args.toy2:
                 raise ClaimcheckError("equivalence extraction needs two toy programs")
-            other = normalize(parse_toy(Path(args.toy2).read_text(encoding="utf-8")))
+            other = normalize(parse_toy(_read(Path(args.toy2))))
             var_map = {}
             for pair in filter(None, (args.var_map or "").split(",")):
                 left, _, right = pair.partition("=")
@@ -219,11 +227,11 @@ def cmd_formalize(args) -> int:
 
     started = time.perf_counter()
     try:
-        snippets = Path(args.snippets).read_text(encoding="utf-8")
+        snippets = _read(Path(args.snippets))
         if args.source == "mock":
             if not args.ground_truth:
                 raise ClaimcheckError("--source mock needs --ground-truth FILE")
-            ground_truth = Path(args.ground_truth).read_text(encoding="utf-8")
+            ground_truth = _read(Path(args.ground_truth))
             source = mock_source(ground_truth, args.withhold, args.seed)
         else:
             source = http_source(HttpSourceConfig(url=args.url, debug=args.debug))
@@ -276,16 +284,16 @@ def cmd_export(args) -> int:
         if args.task == "datalog":
             from .datalog.parser import parse_program
 
-            program = parse_program(Path(args.input).read_text(encoding="utf-8"))
+            program = parse_program(_read(Path(args.input)))
         elif args.task == MSAN:
             from .msan import msan_program
 
-            facts = load_msan_facts(Path(args.input).read_text(encoding="utf-8"))
+            facts = load_msan_facts(_read(Path(args.input)))
             program = msan_program(facts)
         else:
             from .equivalence import build_pairing, equiv_rules
 
-            bundle = load_equiv_bundle_text(Path(args.input).read_text(encoding="utf-8"))
+            bundle = load_equiv_bundle_text(_read(Path(args.input)))
             program = equiv_rules(bundle, build_pairing(bundle))
         rules_path = export_external(program, args.output)
     except (OSError, ClaimcheckError) as exc:
@@ -330,14 +338,12 @@ def _corpus_row(entry: dict, base: Path) -> dict:
         if task == MSAN:
             from .msan import verify_msan
 
-            facts = load_msan_facts((base / entry["path"]).read_text(encoding="utf-8"))
+            facts = load_msan_facts(_read(base / entry["path"]))
             actual = verify_msan(facts).outcome
         else:
             from .equivalence import verify_equiv
 
-            bundle = load_equiv_bundle_text(
-                (base / entry["path"]).read_text(encoding="utf-8")
-            )
+            bundle = load_equiv_bundle_text(_read(base / entry["path"]))
             actual = verify_equiv(bundle).outcome
     except (OSError, ClaimcheckError) as exc:
         actual = f"error: {exc}"
@@ -353,8 +359,8 @@ def _corpus_row(entry: dict, base: Path) -> dict:
 def cmd_corpus(args) -> int:
     path = Path(args.manifest)
     try:
-        entries = _manifest_entries(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
+        entries = _manifest_entries(json.loads(_read(path)))
+    except (OSError, ValueError, ClaimcheckError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return USAGE_ERROR
     rows = [_corpus_row(entry, path.parent) for entry in entries]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING, Hashable, Iterable, get_type_hints
 
 from .datalog.ast import Program, print_declaration
 from .datalog.parser import parse_program
@@ -86,23 +86,16 @@ class SitePairing:
     def map_line_rev(self, site: Site) -> Site:
         return self.line_map_rev.get(site, site)
 
-    def cond_paired(self, cond1: str, cond2: str) -> bool:
-        if _is_entry_cond(cond1) and _is_entry_cond(cond2):
-            return True
-        return self.var_pairs.get(cond1) == cond2
-
     def is_empty(self) -> bool:
         return not (self.var_pairs or self.def_site_pairs or self.exit_pairs)
 
 
-def _def_sites(side: EquivSide, var: str) -> list[Site]:
-    return sorted({(f.file, f.line) for f in side.defs if f.var == var})
-
-
-def _cond_sites(side: EquivSide, cond: str) -> list[Site]:
-    return sorted(
-        {(f.cond_file, f.cond_line) for f in side.controldeps if f.cond == cond}
-    )
+def _index(pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
+    """Each key with the set of values paired with it."""
+    index: dict = {}
+    for key, value in pairs:
+        index.setdefault(key, set()).add(value)
+    return index
 
 
 def build_pairing(bundle: EquivBundle) -> SitePairing:
@@ -128,35 +121,38 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
 
     paired_sites_1: set[tuple[str, Site]] = set()
     paired_sites_2: set[tuple[str, Site]] = set()
+    def_sites_1, def_sites_2 = (
+        _index((f.var, (f.file, f.line)) for f in side.defs)
+        for side in (bundle.code1, bundle.code2)
+    )
     for var1 in sorted(pairing.var_pairs):
         var2 = pairing.var_pairs[var1]
-        sites1 = _def_sites(bundle.code1, var1)
-        sites2 = _def_sites(bundle.code2, var2)
+        sites1 = sorted(def_sites_1.get(var1, ()))
+        sites2 = sorted(def_sites_2.get(var2, ()))
         for s1, s2 in zip(sites1, sites2):
             pairing.def_site_pairs.append((var1, s1, var2, s2))
             paired_sites_1.add((var1, s1))
             paired_sites_2.add((var2, s2))
-    pairing.residue_defs_1 = sorted(
-        {
-            (f.var, (f.file, f.line))
-            for f in bundle.code1.defs
-            if (f.var, (f.file, f.line)) not in paired_sites_1
-        }
-    )
-    pairing.residue_defs_2 = sorted(
-        {
-            (f.var, (f.file, f.line))
-            for f in bundle.code2.defs
-            if (f.var, (f.file, f.line)) not in paired_sites_2
-        }
+    pairing.residue_defs_1, pairing.residue_defs_2 = (
+        sorted(
+            (var, site)
+            for var, sites in def_sites.items()
+            for site in sites
+            if (var, site) not in paired
+        )
+        for def_sites, paired in ((def_sites_1, paired_sites_1), (def_sites_2, paired_sites_2))
     )
 
-    for cond1 in sorted({f.cond for f in bundle.code1.controldeps}):
+    cond_sites_1, cond_sites_2 = (
+        _index((f.cond, (f.cond_file, f.cond_line)) for f in side.controldeps)
+        for side in (bundle.code1, bundle.code2)
+    )
+    for cond1 in sorted(cond_sites_1):
         if _is_entry_cond(cond1) or cond1 not in pairing.var_pairs:
             continue
         cond2 = pairing.var_pairs[cond1]
         for s1, s2 in zip(
-            _cond_sites(bundle.code1, cond1), _cond_sites(bundle.code2, cond2)
+            sorted(cond_sites_1[cond1]), sorted(cond_sites_2.get(cond2, ()))
         ):
             pairing.cond_site_pairs.append((s1, s2))
     sites1 = sorted({(f.file, f.line) for f in bundle.code1.cond_with_expr})
@@ -329,8 +325,8 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                     )
                 )
         for f in sorted(here.cond_with_expr):
-            mapped = map_line((f.file, f.line))
-            if not any((c.file, c.line) == mapped for c in there.cond_with_expr):
+            # a condWithExpr fact is its (file, line) site
+            if map_line((f.file, f.line)) not in there.cond_with_expr:
                 out.append(
                     Mismatch(
                         "missing_condexpr", f.file, f.line, "-",
@@ -359,54 +355,31 @@ def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
         targets.setdefault(s1, set()).add(s2)
         subjects.setdefault(s1, set()).add("-")
 
+    unary1, unary2, binary1, binary2 = (
+        _index(((f.file, f.line), f) for f in facts)
+        for facts in (
+            bundle.code1.unary, bundle.code2.unary,
+            bundle.code1.binary, bundle.code2.binary,
+        )
+    )
+    rename = pairing.var_pairs.get
     out = []
     for s1 in sorted(targets):
         s2_sites = targets[s1]
-        u1 = sorted(f for f in bundle.code1.unary if (f.file, f.line) == s1)
-        b1 = sorted(f for f in bundle.code1.binary if (f.file, f.line) == s1)
-        u2 = sorted(
-            f for f in bundle.code2.unary if (f.file, f.line) in s2_sites
-        )
-        b2 = sorted(
-            f for f in bundle.code2.binary if (f.file, f.line) in s2_sites
-        )
+        u1 = sorted(unary1.get(s1, ()))
+        b1 = sorted(binary1.get(s1, ()))
+        u2 = sorted(g for s2 in s2_sites for g in unary2.get(s2, ()))
+        b2 = sorted(g for s2 in s2_sites for g in binary2.get(s2, ()))
         if not (u1 or b1 or u2 or b2):
             continue
-
-        def u_agrees_fwd(f) -> bool:
-            return any(
-                g.op == f.op and pairing.var_pairs.get(f.operand) == g.operand
-                for g in u2
-            )
-
-        def u_agrees_rev(g) -> bool:
-            return any(
-                f.op == g.op and pairing.var_pairs.get(f.operand) == g.operand
-                for f in u1
-            )
-
-        def b_agrees_fwd(f) -> bool:
-            return any(
-                g.op == f.op
-                and pairing.var_pairs.get(f.left) == g.left
-                and pairing.var_pairs.get(f.right) == g.right
-                for g in b2
-            )
-
-        def b_agrees_rev(g) -> bool:
-            return any(
-                f.op == g.op
-                and pairing.var_pairs.get(f.left) == g.left
-                and pairing.var_pairs.get(f.right) == g.right
-                for f in b1
-            )
-
-        differs = (
-            any(not u_agrees_fwd(f) for f in u1)
-            or any(not u_agrees_rev(g) for g in u2)
-            or any(not b_agrees_fwd(f) for f in b1)
-            or any(not b_agrees_rev(g) for g in b2)
-        )
+        # Every fact must meet one on the other side with the same operator
+        # and paired operands: the operands of code1 renamed into code2's
+        # names give the same set of keys on both sides.
+        differs = {(f.op, rename(f.operand)) for f in u1} != {
+            (g.op, g.operand) for g in u2
+        } or {(f.op, rename(f.left), rename(f.right)) for f in b1} != {
+            (g.op, g.left, g.right) for g in b2
+        }
         if differs:
             render1 = tuple(fact_text("unaryFun", f) for f in u1) + tuple(
                 fact_text("binaryFun", f) for f in b1
@@ -429,35 +402,34 @@ def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
     return out
 
 
+def _controldeps_agree(here: list[tuple], there: list[tuple]) -> bool:
+    """Whether each (branch, condition, is entry) control dependency in
+    ``here`` has one in ``there`` with the same branch and the same condition,
+    or an entry condition if its own is one: any two entry conditions pair."""
+    keys = {(branch, cond) for branch, cond, _ in there}
+    entry_branches = {branch for branch, _, entry in there if entry}
+    return all(
+        (branch, cond) in keys or (entry and branch in entry_branches)
+        for branch, cond, entry in here
+    )
+
+
 def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
+    by_def1, by_def2 = (
+        _index(((f.var, f.file, f.line), f) for f in side.controldeps)
+        for side in (bundle.code1, bundle.code2)
+    )
+    rename = pairing.var_pairs.get
     out = []
     for var1, s1, var2, s2 in pairing.def_site_pairs:
-        cd1 = sorted(
-            f
-            for f in bundle.code1.controldeps
-            if f.var == var1 and (f.file, f.line) == s1
-        )
-        cd2 = sorted(
-            f
-            for f in bundle.code2.controldeps
-            if f.var == var2 and (f.file, f.line) == s2
-        )
+        cd1 = sorted(by_def1.get((var1, *s1), ()))
+        cd2 = sorted(by_def2.get((var2, *s2), ()))
         if not cd1 and not cd2:
             continue
-
-        def agrees_fwd(fact):
-            return any(
-                g.branch == fact.branch and pairing.cond_paired(fact.cond, g.cond)
-                for g in cd2
-            )
-
-        def agrees_rev(fact):
-            return any(
-                f.branch == fact.branch and pairing.cond_paired(f.cond, fact.cond)
-                for f in cd1
-            )
-
-        if all(agrees_fwd(f) for f in cd1) and all(agrees_rev(g) for g in cd2):
+        # code1's conditions renamed into code2's names
+        here = [(f.branch, rename(f.cond), _is_entry_cond(f.cond)) for f in cd1]
+        there = [(g.branch, g.cond, _is_entry_cond(g.cond)) for g in cd2]
+        if _controldeps_agree(here, there) and _controldeps_agree(there, here):
             continue
         out.append(
             Mismatch(
@@ -564,20 +536,19 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                 )
             )
 
+    # (var, destination site) -> source sites of the var's flows into it
+    reaching1, reaching2 = (
+        _index(
+            ((f.dst_var, f.dst_file, f.dst_line), (f.src_file, f.src_line))
+            for f in side.flows
+            if f.src_var == f.dst_var
+        )
+        for side in (bundle.code1, bundle.code2)
+    )
     for var1, var2 in sorted(dict.fromkeys(pairs).keys()):
         for (ef1, e1), (ef2, e2) in pairing.exit_pairs:
-            reach1 = {
-                (f.src_file, f.src_line)
-                for f in bundle.code1.flows
-                if f.src_var == var1 and f.dst_var == var1
-                and (f.dst_file, f.dst_line) == (ef1, e1)
-            }
-            reach2 = {
-                (f.src_file, f.src_line)
-                for f in bundle.code2.flows
-                if f.src_var == var2 and f.dst_var == var2
-                and (f.dst_file, f.dst_line) == (ef2, e2)
-            }
+            reach1 = reaching1.get((var1, ef1, e1), ())
+            reach2 = reaching2.get((var2, ef2, e2), ())
             for site in sorted(reach1):
                 if pairing.map_line(site) not in reach2:
                     rendered = fact_text("flow", FlowFact(var1, *site, var1, ef1, e1))
@@ -697,28 +668,31 @@ mismatch("missing_condexpr", f, l, "-") :-
     condexpr_c2(f, l), pair_line_rev(f, l, f1, l1), !condexpr_c1(f1, l1).
 
 // Expression comparison at paired sites: same operator, positional operands.
+// Each fact is checked on its own, keyed by the code1 site it is compared at.
 site_pair(f1, l1, f2, l2) :- pair_def_site(_, f1, l1, _, f2, l2).
 site_pair(f1, l1, f2, l2) :- pair_cond_site(f1, l1, f2, l2).
-agree_u1(f1, l1, op) :-
+agree_u1(f1, l1, op, a) :-
     site_pair(f1, l1, f2, l2), unary_c1(op, a, f1, l1), unary_c2(op, b, f2, l2),
     pair_var(a, b).
-agree_u2(f2, l2, op) :-
+agree_u2(f1, l1, op, b) :-
     site_pair(f1, l1, f2, l2), unary_c2(op, b, f2, l2), unary_c1(op, a, f1, l1),
     pair_var(a, b).
-agree_b1(f1, l1, op) :-
+agree_b1(f1, l1, op, a1, a2) :-
     site_pair(f1, l1, f2, l2), binary_c1(op, a1, a2, f1, l1),
     binary_c2(op, b1, b2, f2, l2), pair_var(a1, b1), pair_var(a2, b2).
-agree_b2(f2, l2, op) :-
+agree_b2(f1, l1, op, b1, b2) :-
     site_pair(f1, l1, f2, l2), binary_c2(op, b1, b2, f2, l2),
     binary_c1(op, a1, a2, f1, l1), pair_var(a1, b1), pair_var(a2, b2).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), unary_c1(op, a, f1, l1), !agree_u1(f1, l1, op).
+    site_pair(f1, l1, f2, l2), unary_c1(op, a, f1, l1), !agree_u1(f1, l1, op, a).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), unary_c2(op, b, f2, l2), !agree_u2(f2, l2, op).
+    site_pair(f1, l1, f2, l2), unary_c2(op, b, f2, l2), !agree_u2(f1, l1, op, b).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), binary_c1(op, a1, a2, f1, l1), !agree_b1(f1, l1, op).
+    site_pair(f1, l1, f2, l2), binary_c1(op, a1, a2, f1, l1),
+    !agree_b1(f1, l1, op, a1, a2).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), binary_c2(op, b1, b2, f2, l2), !agree_b2(f2, l2, op).
+    site_pair(f1, l1, f2, l2), binary_c2(op, b1, b2, f2, l2),
+    !agree_b2(f1, l1, op, b1, b2).
 mismatch("expr_mismatch", f1, l1, x) :-
     pair_def_site(x, f1, l1, _, _, _), expr_differs(f1, l1).
 mismatch("expr_mismatch", f1, l1, "-") :-

@@ -17,10 +17,13 @@ from claimcheck.equivalence import (
 )
 from claimcheck.errors import ConflictingVarMapError
 from claimcheck.facts import (
+    BinaryFact,
+    ControlDepFact,
     EntryFact,
     EquivBundle,
     EquivSide,
     SiteFact,
+    UnaryFact,
     VarMapFact,
     load_equiv_bundle,
     load_equiv_bundle_text,
@@ -352,6 +355,81 @@ def test_rules_path_agrees_on_random_toy_pairs():
         db = evaluate(equiv_rules(bundle, pairing))
         assert set(db["mismatch"]) == direct, mutation.kind
         assert bool(db["equivalent"]) == (not direct)
+
+
+def _crowded_site(rng):
+    """A toy self-pair whose one paired definition site also holds 50 to 80
+    paired unaryFun/binaryFun/controldep facts (code1 names p*, code2 names
+    q*, paired by varMap; entry conditions differ in name), and then up to
+    three of code2's facts with an operand or branch changed."""
+    program = normalize(random_toy(rng))
+    bundle = extract_equiv_facts(program, program)
+    var1, (f1, l1), var2, (f2, l2) = rng.choice(build_pairing(bundle).def_site_pairs)
+    names = [f"p{i}" for i in range(5)]
+    twin = {name: "q" + name[1:] for name in names}
+    twin.update({"Entry": "Entry:main", "Entry:main": "Entry"})
+    facts1, facts2 = [], []
+    for _ in range(rng.randint(50, 80)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            op, a = rng.choice("-!~"), rng.choice(names)
+            facts1.append(UnaryFact(op, a, f1, l1))
+            facts2.append(UnaryFact(op, twin[a], f2, l2))
+        elif kind == 1:
+            op, a, b = rng.choice("+*<"), rng.choice(names), rng.choice(names)
+            facts1.append(BinaryFact(op, a, b, f1, l1))
+            facts2.append(BinaryFact(op, twin[a], twin[b], f2, l2))
+        else:
+            cond = rng.choice(names + ["Entry", "Entry:main"])
+            branch = rng.choice(["true", "false"])
+            facts1.append(ControlDepFact(var1, f1, l1, cond, branch, f1, l1))
+            facts2.append(ControlDepFact(var2, f2, l2, twin[cond], branch, f2, l2))
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        i = rng.randrange(len(facts2))
+        fact = facts2[i]
+        if isinstance(fact, ControlDepFact):
+            flipped = "false" if fact.branch == "true" else "true"
+            facts2[i] = fact._replace(branch=flipped)
+        elif isinstance(fact, UnaryFact):
+            facts2[i] = fact._replace(operand=rng.choice(list(twin.values())))
+        else:
+            facts2[i] = fact._replace(right=rng.choice(list(twin.values())))
+
+    def crowd(side, facts):
+        return dataclasses.replace(
+            side,
+            unary=side.unary | {f for f in facts if isinstance(f, UnaryFact)},
+            binary=side.binary | {f for f in facts if isinstance(f, BinaryFact)},
+            controldeps=side.controldeps
+            | {f for f in facts if isinstance(f, ControlDepFact)},
+        )
+
+    var_maps = frozenset(
+        VarMapFact(name, f1, l1, twin[name], f2, l2) for name in names
+    )
+    return EquivBundle(
+        crowd(bundle.code1, facts1), crowd(bundle.code2, facts2), var_maps,
+        bundle.entry_maps, bundle.exit_maps,
+    )
+
+
+def test_rules_path_agrees_when_one_site_has_many_facts():
+    rng = random.Random(50)
+    kinds, agreeing = set(), 0
+    for _ in range(40):
+        bundle = _crowded_site(rng)
+        for candidate in (bundle, bundle.swapped()):
+            pairing = build_pairing(candidate)
+            direct = {m.project() for m in all_mismatches(candidate, pairing)}
+            db = evaluate(equiv_rules(candidate, pairing))
+            assert set(db["mismatch"]) == direct
+            crowded = {kind for kind, *_ in direct} & {
+                "expr_mismatch", "controldep_mismatch"
+            }
+            kinds |= crowded
+            agreeing += not crowded
+    assert kinds == {"expr_mismatch", "controldep_mismatch"}
+    assert agreeing >= 10
 
 
 def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from claimcheck.datalog import parse_facts
+from claimcheck.equivalence import EQUIVALENT, NOT_EQUIVALENT, verify_equiv
 from claimcheck.errors import DatalogSyntaxError
 from claimcheck.facts import FlowFact, MemoryErrorFact, MsanFactSet, SiteFact
 from claimcheck.msan import VERIFIED, verify_msan
@@ -59,6 +60,26 @@ def test_5000_step_chain_with_decoys_is_fast():
         (f"v{i}", "chain.c", i + 1) for i in range(5001)
     )
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["self-pair", "mutation"])
+def test_verify_equiv_on_2560_definitions_is_fast(mutated):
+    rng = random.Random(2560)
+    program = normalize(random_toy(rng, n_free=3, n_defs=2560))
+    other, var_map, expected = program, None, EQUIVALENT
+    if mutated:
+        mutation = mutate_toy(rng, program)
+        other, var_map = normalize(mutation.program), mutation.var_map
+        expected = EQUIVALENT if mutation.kind == "rename" else NOT_EQUIVALENT
+    bundle = extract_equiv_facts(program, other, var_map)
+    assert len(bundle.code1) + len(bundle.code2) >= 30000
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        verdict = verify_equiv(bundle)
+        best = min(best, time.perf_counter() - started)
+    assert verdict.outcome == expected
+    assert best < 1.0, f"{best:.2f} s"
 
 
 def _cli(*argv):
@@ -130,3 +151,55 @@ def test_20000_fact_document_reports_the_line_of_its_syntax_error():
         parse_facts("\n".join(lines))
     assert (info.value.line, info.value.column) == (20000, 24)
     assert info.value.message == "expected ')', found '19999'"
+
+
+_READERS = {
+    "verify-msan": "verify-msan {}",
+    "verify-equiv": "verify-equiv {}",
+    "verify-equiv-three-files": "verify-equiv --code1 {0} --code2 {0} --correspondence {0}",
+    "lint-msan": "lint --task msan {}",
+    "lint-equiv": "lint --task equiv {}",
+}
+
+
+@pytest.mark.parametrize("argv", _READERS.values(), ids=_READERS)
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_input_is_usage_error(tmp_path, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    run = _cli(*argv.format(path).split())
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    report = json.loads(run.stdout)
+    assert report["verdict"] is None
+    if kind == "not-utf8":
+        assert report["error"].startswith(f"{path} is not UTF-8 text")
+    else:
+        assert "Is a directory" in report["error"]
+        assert report["inputs"] == []
+
+
+def test_not_utf8_input_of_export_and_corpus_is_reported(tmp_path):
+    path = tmp_path / "input.facts"
+    path.write_bytes(b"\xff\xfe")
+    for task in ("datalog", "msan", "equiv"):
+        run = _cli("export", str(path), "--task", task, "-o", str(tmp_path / "out"))
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith(f"error: {path} is not UTF-8 text")
+    manifest = tmp_path / "corpus.json"
+    manifest.write_text(json.dumps({"fixtures": [
+        {"name": "m", "task": "msan", "path": path.name, "expected": "Verified"},
+        {"name": "e", "task": "equiv", "path": path.name, "expected": "Equivalent"},
+    ]}))
+    run = _cli("corpus", str(manifest))
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    rows = json.loads(run.stdout)["results"]
+    assert [row["actual"].startswith(f"error: {path} is not UTF-8") for row in rows] == [True, True]
+    run = _cli("corpus", str(path))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
