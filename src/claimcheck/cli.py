@@ -140,28 +140,33 @@ def cmd_verify_msan(args) -> int:
     return _EXIT_BY_VERDICT[verdict.outcome]
 
 
-def _load_bundle_args(args):
+def _bundle_paths(args) -> list[Path]:
+    """The input files a bundle command names: one sectioned bundle, or the
+    section files given so far."""
     if args.bundle:
-        path = Path(args.bundle)
-        return load_equiv_bundle_text(_read(path)), [path]
+        return [Path(args.bundle)]
+    return [Path(p) for p in (args.code1, args.code2, args.correspondence) if p is not None]
+
+
+def _load_bundle(args, paths: list[Path]):
+    if args.bundle:
+        return load_equiv_bundle_text(_read(paths[0]))
     if not (args.code1 and args.code2 and args.correspondence is not None):
         raise ClaimcheckError(
             "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
         )
-    paths = [Path(args.code1), Path(args.code2), Path(args.correspondence)]
-    bundle = load_equiv_bundle(*(_read(p) for p in paths))
-    return bundle, paths
+    return load_equiv_bundle(*(_read(p) for p in paths))
 
 
 def cmd_verify_equiv(args) -> int:
     from .equivalence import verify_equiv
 
     started = time.perf_counter()
+    paths = _bundle_paths(args)
     try:
-        bundle, paths = _load_bundle_args(args)
-        verdict = verify_equiv(bundle)
+        verdict = verify_equiv(_load_bundle(args, paths))
     except (OSError, ClaimcheckError) as exc:
-        _emit(_report(EQUIV, None, None, None, [], started, error=str(exc)), args.pretty)
+        _emit(_report(EQUIV, None, None, None, paths, started, error=str(exc)), args.pretty)
         return USAGE_ERROR
     report = _report(
         EQUIV, verdict.outcome, _equiv_witness(verdict), verdict.lint.to_json(), paths, started
@@ -172,19 +177,17 @@ def cmd_verify_equiv(args) -> int:
 
 def cmd_lint(args) -> int:
     started = time.perf_counter()
+    args.bundle = args.input
+    paths = _bundle_paths(args)
     try:
         if args.task == MSAN:
             if not args.input:
                 raise ClaimcheckError("lint --task msan needs a fact file")
-            path = Path(args.input)
-            report = lint_msan(load_msan_facts(_read(path)))
-            paths = [path]
+            report = lint_msan(load_msan_facts(_read(paths[0])))
         else:
-            args.bundle = args.input
-            bundle, paths = _load_bundle_args(args)
-            report = lint_equiv(bundle)
+            report = lint_equiv(_load_bundle(args, paths))
     except (OSError, ClaimcheckError) as exc:
-        _emit(_report(args.task, None, None, None, [], started, error=str(exc)), args.pretty)
+        _emit(_report(args.task, None, None, None, paths, started, error=str(exc)), args.pretty)
         return USAGE_ERROR
     _emit(_report(args.task, None, None, report.to_json(), paths, started), args.pretty)
     return OK if report.ok else NOT_PROVEN

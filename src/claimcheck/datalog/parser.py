@@ -16,13 +16,11 @@ The tokenizer makes one regex match per token, whitespace and comments
 included, and a token records only its offset: the line and column of a
 ``DatalogSyntaxError`` are computed from the source when it is raised.
 
-A fact file takes a faster path: :func:`parse_facts` first scans it with one
-regex match per ground fact (or ``//`` line comment) and reads each fact's
-arguments with one ``findall``.  Any other text -- a rule, a declaration, a
-variable, a comment inside a fact, a syntax error, a number literal too long
-for ``int()`` -- stops that scan, and the whole source then goes to the full
-parser, so every result and every error message, line and column is the full
-parser's.
+A fact file goes through the same parser (:func:`parse_facts`), which then
+rejects rules, declarations and non-ground facts.  The fact loaders in
+``claimcheck.facts`` first read fact text with their own typed scan, one
+regex match per fact, and send here only the text that scan cannot read in
+full, so each error message, line and column is this parser's.
 """
 
 from __future__ import annotations
@@ -64,25 +62,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _SKIP_RE = re.compile(_SKIP)
-
-# The ground-fact scan: each match takes leading whitespace and then one line
-# comment or one whole fact whose arguments are all constants.  Its tokens
-# are the tokenizer's, and the final dot may not be followed by ``decl``,
-# which the tokenizer would read as one ``.decl`` token.  A string matches
-# what the tokenizer's does, unrolled: a run of plain characters costs one
-# repeat instead of one alternation per character.  A constant must be
-# followed by ``,`` or ``)``, so ``trueish`` or ``12ab`` never matches.
-_CONSTANT = r'"[^"\\]*(?:\\.[^"\\]*)*"|-?\d+|true|false'
-_FACT_SCAN_RE = re.compile(
-    rf"""\s*(?:
-      //[^\n]*
-    | ([A-Za-z_][A-Za-z0-9_]*)\s*\(
-      ((?:\s*(?:{_CONSTANT})(?:\s*,\s*(?:{_CONSTANT}))*)?)
-      \s*\)\s*\.(?!decl\b)
-    )""",
-    re.VERBOSE,
-)
-_CONSTANT_RE = re.compile(_CONSTANT)
 
 # A token is (kind, text, offset); kind is a group name of _TOKEN_RE or "eof".
 _Token = tuple[str, str, int]
@@ -281,33 +260,9 @@ def parse_program(source: str, validate: bool = True) -> Program:
     return program
 
 
-def _scan_facts(source: str) -> list[Atom] | None:
-    """The ground facts of ``source``, or None where the fact scan stops
-    before its end or meets a number too long to convert."""
-    facts = []
-    append = facts.append
-    constants = _CONSTANT_RE.findall
-    end = 0
-    try:
-        for m in iter(_FACT_SCAN_RE.scanner(source).match, None):
-            end = m.end()
-            predicate = m[1]
-            if predicate is not None:  # else a comment
-                append(Atom(predicate, tuple([
-                    (_unescape(t) if "\\" in t else t[1:-1]) if t[0] == '"'
-                    else t if t[0] in "tf" else int(t)
-                    for t in constants(source, *m.span(2))
-                ])))
-    except ValueError:  # the full parser reports where
-        return None
-    if _SKIP_RE.match(source, end).end() < len(source):
-        return None
-    return facts
-
-
-def _parse_facts_fully(source: str) -> list[Atom]:
-    """parse_facts through the full parser; errors point at the first
-    statement of the first offending class."""
+def parse_facts(source: str) -> list[Atom]:
+    """Parse a facts-only document; any rule, declaration or non-ground
+    fact is an error that points at the first statement of its class."""
     parser = _Parser(source)
     program = parser.parse_program()
     if program.rules:
@@ -320,12 +275,6 @@ def _parse_facts_fully(source: str) -> list[Atom]:
                 "variable", f"fact {fact.predicate} contains a variable or wildcard"
             )
     return program.facts
-
-
-def parse_facts(source: str) -> list[Atom]:
-    """Parse a facts-only document; any rule or declaration is an error."""
-    facts = _scan_facts(source)
-    return _parse_facts_fully(source) if facts is None else facts
 
 
 _FACT_LINE_RE = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")

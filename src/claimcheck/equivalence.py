@@ -23,7 +23,6 @@ from functools import cache
 from typing import TYPE_CHECKING, Hashable, Iterable, get_type_hints
 
 from .datalog.ast import Program, print_declaration
-from .datalog.parser import parse_program
 from .errors import ConflictingVarMapError
 from .facts import (
     CODE1,
@@ -809,6 +808,7 @@ def _fact_lines(side: EquivSide) -> set[Site]:
 @cache  # built on first use, not at import
 def _rule_set() -> RuleSet:
     from .datalog.engine import prepare
+    from .datalog.parser import parse_program
 
     return prepare(parse_program(_DECLS + _EQUIV_RULES, validate=False))
 

@@ -26,6 +26,13 @@ omitted ``entryMap`` label becomes ``main``).  Only trace paths have runs
 of ``/`` collapsed.  ``outputVar`` is accepted as a synonym for
 ``watchVar``.  Any predicate outside the vocabulary is rejected, never
 coerced.
+
+Loaders read fact text straight into the fact tuples: one regex match per
+fact, one group per constant, and one generated converter per (predicate,
+arity) pair that the text uses.  Text that this scan does not read in full
+(an escape, a negative number, a comment inside a fact, an unknown
+predicate, a wrong arity or sort, a rule) goes whole to the Datalog parser
+and the checks on atoms (``*_from_atoms``), which report every error.
 """
 
 from __future__ import annotations
@@ -33,10 +40,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 from .datalog.ast import NUMBER, SYMBOL, Atom, print_fact
-from .datalog.parser import parse_facts
 from .errors import (
     ArityMismatchError,
     ClaimcheckError,
@@ -109,11 +115,34 @@ def _sorts(fact_type) -> tuple[str, ...]:
     return tuple(NUMBER if t is int else SYMBOL for t in types)
 
 
-def _vocabulary(container_type, fields) -> dict[str, tuple[str, ...]]:
-    """Each predicate of a table with its argument sorts, read from the
-    NamedTuple in the annotation of its field."""
+class _Relation(NamedTuple):
+    """How the facts of one predicate load into their container."""
+
+    field: str  # the container field that holds them
+    fact_type: type  # their NamedTuple, or str for a 1-ary fact
+    sorts: tuple[str, ...]
+    normalize: tuple[tuple[int, Callable[[str], str]], ...]  # (column, function)
+    omitted: tuple[int, ...] = ()  # the slots an abbreviated form leaves out
+    default: str = ""  # and the value that fills them
+
+
+def _relations(container_type, fields, normalize: dict, abbreviated: dict) -> dict[str, _Relation]:
+    """Each predicate of a table with its relation, read from the NamedTuple
+    in the annotation of its field; ``normalize`` maps a column name to the
+    function applied to its values."""
     hints = get_type_hints(container_type)
-    return {predicate: _sorts(*hints[name].__args__) for name, predicate in fields}
+    table = {}
+    for name, predicate in fields:
+        (fact_type,) = hints[name].__args__
+        columns = getattr(fact_type, "_fields", ("value",))
+        table[predicate] = _Relation(
+            name,
+            fact_type,
+            _sorts(fact_type),
+            tuple((i, normalize[c]) for i, c in enumerate(columns) if c in normalize),
+            *abbreviated.get(predicate, ()),
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -285,42 +314,25 @@ class MsanFactSet:
         return _render(self, MSAN_FIELDS)
 
 
-MSAN_SORTS = _vocabulary(MsanFactSet, MSAN_FIELDS)
+# Trace dumps are inconsistent about "//" in the file columns of every fact.
+_MSAN_RELATIONS = _relations(
+    MsanFactSet, MSAN_FIELDS, dict.fromkeys(("file", "src_file", "dst_file"), _norm_path), {}
+)
+MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
 MSAN_PREDICATES = tuple(MSAN_SORTS)
 
 
 def msan_facts_from_atoms(atoms: Iterable[Atom]) -> MsanFactSet:
-    found: dict[str, set] = {predicate: set() for predicate in MSAN_SORTS}
-    unknown: list[str] = []
-    for atom in atoms:
-        name = atom.predicate
-        sorts = MSAN_SORTS.get(name)
-        if sorts is None:
-            unknown.append(name)
-            continue
-        if len(atom.args) != len(sorts):
-            raise ArityMismatchError(name, len(sorts), len(atom.args))
-        if name in ("uses", "uninitialized", "allocated", "declared"):
-            fact = SiteFact(_sym(atom, 0), _norm_path(_sym(atom, 1)), _num(atom, 2))
-        elif name in ("hasInitializer", "hasMemberInitializer"):
-            fact = InitFact(_sym(atom, 0), _sym(atom, 1))
-        elif name == "flow":
-            fact = FlowFact(
-                _sym(atom, 0), _norm_path(_sym(atom, 1)), _num(atom, 2),
-                _sym(atom, 3), _norm_path(_sym(atom, 4)), _num(atom, 5),
-            )
-        else:
-            fact = MemoryErrorFact(
-                _sym(atom, 0), _sym(atom, 1), _norm_path(_sym(atom, 2)), _num(atom, 3)
-            )
-        found[name].add(fact)
-    if unknown:
-        raise UnknownPredicateError(unknown)
-    return MsanFactSet(**{name: frozenset(found[p]) for name, p in MSAN_FIELDS})
+    return MsanFactSet(**_frozen(_load_atoms(atoms, _MSAN_RELATIONS, str), MSAN_FIELDS))
 
 
 def load_msan_facts(source: str) -> MsanFactSet:
-    return msan_facts_from_atoms(parse_facts(source))
+    found = _scan(source, _MSAN_RELATIONS)
+    if found is None:
+        from .datalog.parser import parse_facts
+
+        return msan_facts_from_atoms(parse_facts(source))
+    return MsanFactSet(**_frozen(found, MSAN_FIELDS))
 
 
 def lint_msan(fs: MsanFactSet) -> LintReport:
@@ -480,11 +492,6 @@ class EquivBundle:
         )
 
 
-SIDE_SORTS = _vocabulary(EquivSide, SIDE_FIELDS)
-CORRESPONDENCE_SORTS = _vocabulary(EquivBundle, CORRESPONDENCE_FIELDS)
-SIDE_PREDICATES = tuple(SIDE_SORTS)
-CORRESPONDENCE_PREDICATES = tuple(CORRESPONDENCE_SORTS)
-
 # The abbreviated forms: the canonical argument slots a short form leaves
 # out, and the value that fills them.
 _ABBREVIATED = {
@@ -492,7 +499,6 @@ _ABBREVIATED = {
     "def": ((1,), DEFAULT_FILE),
     "defWithExpr": ((1,), DEFAULT_FILE),
     "watchVar": ((1,), DEFAULT_FILE),
-    "outputVar": ((1,), DEFAULT_FILE),
     "entry": ((1,), DEFAULT_FILE),
     "flow": ((1, 4), DEFAULT_FILE),
     "controldep": ((1, 5), DEFAULT_FILE),
@@ -505,98 +511,170 @@ _ABBREVIATED = {
     "exitMap": ((0, 2), DEFAULT_FILE),
 }
 
-
-def _expand(atom: Atom, sorts: tuple[str, ...]) -> Atom:
-    """An atom of the wrong arity, expanded to its canonical arity if it is
-    an abbreviated form; else an ArityMismatchError naming that arity."""
-    omitted, default = _ABBREVIATED.get(atom.predicate, ((), ""))
-    if not omitted or len(atom.args) != len(sorts) - len(omitted):
-        raise ArityMismatchError(atom.predicate, len(sorts), len(atom.args))
-    # Sort errors name the argument as written, so check before inserting.
-    given = [sort for slot, sort in enumerate(sorts) if slot not in omitted]
-    for index, sort in enumerate(given):
-        (_num if sort == NUMBER else _sym)(atom, index)
-    args = list(atom.args)
-    for slot in omitted:
-        args.insert(slot, default)
-    return Atom(atom.predicate, tuple(args))
-
-
+_SIDE_RELATIONS = _relations(EquivSide, SIDE_FIELDS, {"branch": str.lower}, _ABBREVIATED)
+_CORRESPONDENCE_RELATIONS = _relations(EquivBundle, CORRESPONDENCE_FIELDS, {}, _ABBREVIATED)
+SIDE_SORTS = {p: relation.sorts for p, relation in _SIDE_RELATIONS.items()}
+CORRESPONDENCE_SORTS = {
+    p: relation.sorts for p, relation in _CORRESPONDENCE_RELATIONS.items()
+}
+SIDE_PREDICATES = tuple(SIDE_SORTS)
+CORRESPONDENCE_PREDICATES = tuple(CORRESPONDENCE_SORTS)
 # outputVar loads as a synonym of watchVar.
-_SIDE_LOAD_SORTS = {**SIDE_SORTS, "outputVar": SIDE_SORTS["watchVar"]}
+_SIDE_RELATIONS["outputVar"] = _SIDE_RELATIONS["watchVar"]
 
 
-def _side_from_atoms(atoms: Iterable[Atom], section: str) -> EquivSide:
-    found: dict[str, set] = {predicate: set() for predicate in SIDE_SORTS}
-    found["outputVar"] = found["watchVar"]
+# ---------------------------------------------------------------------------
+# Loading: the typed fact scan, and the checks on atoms behind it
+# ---------------------------------------------------------------------------
+
+
+def _frozen(found: dict[str, set], fields) -> dict[str, frozenset]:
+    return {name: frozenset(found.get(name, ())) for name, _ in fields}
+
+
+def _omitted(relation: _Relation, arity: int) -> tuple[int, ...] | None:
+    """The slots that a form of ``arity`` arguments leaves out, or None if
+    the relation has no form of that arity."""
+    omitted = () if arity == len(relation.sorts) else relation.omitted
+    return omitted if arity == len(relation.sorts) - len(omitted) else None
+
+
+def _load_atoms(
+    atoms: Iterable[Atom], relations: dict[str, _Relation], unknown_name: Callable[[str], str]
+) -> dict[str, set]:
+    """The typed facts of ``atoms`` by container field.  Arity and sort
+    errors raise at the first offending atom; predicates outside
+    ``relations`` are named through ``unknown_name`` and raise at the end."""
+    found: dict[str, set] = {}
     unknown: list[str] = []
     for atom in atoms:
-        name = atom.predicate
-        sorts = _SIDE_LOAD_SORTS.get(name)
-        if sorts is None:
-            if name in CORRESPONDENCE_SORTS:
-                name = f"{name} (correspondence predicate in section {section})"
-            unknown.append(name)
+        relation = relations.get(atom.predicate)
+        if relation is None:
+            unknown.append(unknown_name(atom.predicate))
             continue
-        if len(atom.args) != len(sorts):
-            atom = _expand(atom, sorts)
-        if name in ("use", "def", "defWithExpr", "watchVar", "outputVar"):
-            fact = SiteFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2))
-        elif name == "flow":
-            fact = FlowFact(
-                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
-            )
-        elif name == "controldep":
-            fact = ControlDepFact(
-                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                _sym(atom, 3), _sym(atom, 4).lower(),
-                _sym(atom, 5), _num(atom, 6),
-            )
-        elif name == "condWithExpr":
-            fact = CondExprFact(_sym(atom, 0), _num(atom, 1))
-        elif name == "unaryFun":
-            fact = UnaryFact(_sym(atom, 0), _sym(atom, 1), _sym(atom, 2), _num(atom, 3))
-        elif name == "binaryFun":
-            fact = BinaryFact(
-                _sym(atom, 0), _sym(atom, 1), _sym(atom, 2), _sym(atom, 3), _num(atom, 4)
-            )
-        elif name == "entry":
-            fact = EntryFact(_sym(atom, 0), _sym(atom, 1), _num(atom, 2))
-        elif name == "exit":
-            fact = ExitFact(_sym(atom, 0), _num(atom, 1))
-        else:
-            fact = _sym(atom, 0)
-        found[name].add(fact)
+        omitted = _omitted(relation, len(atom.args))
+        if omitted is None:
+            raise ArityMismatchError(atom.predicate, len(relation.sorts), len(atom.args))
+        # Sort errors name the argument as written, so check before inserting.
+        given = [sort for slot, sort in enumerate(relation.sorts) if slot not in omitted]
+        values = [(_num if sort == NUMBER else _sym)(atom, i) for i, sort in enumerate(given)]
+        for slot in omitted:
+            values.insert(slot, relation.default)
+        for column, normalize in relation.normalize:
+            values[column] = normalize(values[column])
+        fact = values[0] if relation.fact_type is str else relation.fact_type(*values)
+        found.setdefault(relation.field, set()).add(fact)
     if unknown:
         raise UnknownPredicateError(unknown)
-    return EquivSide(**{name: frozenset(found[p]) for name, p in SIDE_FIELDS})
+    return found
 
 
-def _correspondence_from_atoms(atoms: Iterable[Atom]) -> dict[str, frozenset]:
-    found: dict[str, set] = {predicate: set() for predicate in CORRESPONDENCE_SORTS}
-    unknown: list[str] = []
-    for atom in atoms:
-        name = atom.predicate
-        sorts = CORRESPONDENCE_SORTS.get(name)
-        if sorts is None:
-            unknown.append(f"{name} (not a correspondence predicate)")
+@cache  # compiled on first load, not at import
+def _fact_scan() -> re.Pattern:
+    """One match per ``//`` line comment or ground fact, after leading
+    whitespace.  Group 1 is the predicate; each constant has its own group,
+    nested so that ``lastindex`` is one more than the fact's arity.  A
+    constant is a quoted string without escapes, a number without sign, or
+    a bare ``true``/``false``, and must be followed by ``,`` or ``)``.  A
+    ``.decl`` after a fact's dot stops the scan, as ``decl`` is no predicate
+    of any vocabulary."""
+    constant = r'("[^"\\]*"|\d+|true|false)'
+    tables = (MSAN_SORTS, SIDE_SORTS, CORRESPONDENCE_SORTS)
+    longest = max(len(sorts) for table in tables for sorts in table.values())
+    rest = ""
+    for _ in range(longest - 1):
+        rest = rf"(?:\s*,\s*{constant}{rest})?"
+    return re.compile(
+        rf"\s*(?://[^\n]*|([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?:{constant}{rest})?\s*\)\s*\.)"
+    )
+
+
+def _bare(text: str) -> str:
+    """A symbol written without quotes; the scan's other bare constants are
+    numbers, which no symbol column takes."""
+    if text in ("true", "false"):
+        return text
+    raise ValueError(f"{text} is not a symbol")
+
+
+@cache  # relations of one shape share their code
+def _compiled(source: str) -> Callable:
+    namespace: dict = {}
+    exec(compile(source, "<fact converter>", "exec"), namespace)
+    return namespace["make"]
+
+
+@cache  # built for the (predicate, arity) pairs that texts use
+def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] | None:
+    """The function from a fact-scan match of ``arity`` constants to the
+    typed fact, or None where the relation has no form of that arity.  It
+    raises ValueError where a constant is not of its column's sort."""
+    omitted = _omitted(relation, arity)
+    if omitted is None:
+        return None
+    normalize = dict(relation.normalize)
+    given = iter(range(arity))
+    values = []
+    for column, sort in enumerate(relation.sorts):
+        if column in omitted:
+            values.append("default")
             continue
-        if len(atom.args) != len(sorts):
-            atom = _expand(atom, sorts)
-        if name == "varMap":
-            fact = VarMapFact(
-                _sym(atom, 0), _sym(atom, 1), _num(atom, 2),
-                _sym(atom, 3), _sym(atom, 4), _num(atom, 5),
-            )
-        elif name == "entryMap":
-            fact = EntryMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
-        else:
-            fact = ExitMapFact(_sym(atom, 0), _num(atom, 1), _sym(atom, 2), _num(atom, 3))
-        found[name].add(fact)
-    if unknown:
-        raise UnknownPredicateError(unknown)
-    return {name: frozenset(found[p]) for name, p in CORRESPONDENCE_FIELDS}
+        a = f"a{next(given)}"
+        value = f"int({a})" if sort == NUMBER else f"({a}[1:-1] if {a}[0] == '\"' else bare({a}))"
+        values.append(f"n{column}({value})" if column in normalize else value)
+    names = ", ".join(f"a{i}" for i in range(arity))
+    groups = ", ".join(str(i + 2) for i in range(arity))
+    unpack = "a0 = m[2]" if arity == 1 else f"{names} = m.group({groups})"
+    result = values[0] if relation.fact_type is str else f"new(fact, ({', '.join(values)},))"
+    params = ", ".join(["new", "bare", "fact", "default", *(f"n{c}" for c in normalize)])
+    make = _compiled(
+        f"def make({params}):\n"
+        f"    def convert(m):\n"
+        f"        {unpack}\n"
+        f"        return {result}\n"
+        f"    return convert\n"
+    )
+    return make(tuple.__new__, _bare, relation.fact_type, relation.default, *normalize.values())
+
+
+def _scan(source: str, relations: dict[str, _Relation]) -> dict[str, set] | None:
+    """The typed facts of ``source`` by container field, one match of the
+    fact scan per fact; None where the scan does not read all of ``source``
+    or a constant does not fit its column, which only the parser and the
+    checks on atoms can report."""
+    found: dict[str, set] = {}
+    steps: dict[tuple, tuple] = {}  # (predicate, last group) -> (convert, add)
+    m = None
+    try:
+        for m in iter(_fact_scan().scanner(source).match, None):
+            key = m[1], m.lastindex
+            step = steps.get(key)
+            if step is None:
+                if m[1] is None:  # a comment
+                    continue
+                relation = relations.get(m[1])
+                convert = relation and _converter(relation, m.lastindex - 1)
+                if convert is None:
+                    return None
+                step = steps[key] = convert, found.setdefault(relation.field, set()).add
+            convert, add = step
+            add(convert(m))
+    except ValueError:  # a constant of the wrong sort, or a number too long for int()
+        return None
+    if source[0 if m is None else m.end():].strip():
+        return None
+    return found
+
+
+def _bundle(code1: dict[str, set], code2: dict[str, set], correspondence: dict[str, set]):
+    """The bundle of three loaded sections, its map references checked."""
+    bundle = EquivBundle(
+        EquivSide(**_frozen(code1, SIDE_FIELDS)),
+        EquivSide(**_frozen(code2, SIDE_FIELDS)),
+        **_frozen(correspondence, CORRESPONDENCE_FIELDS),
+    )
+    _check_map_references(bundle)
+    return bundle
 
 
 def _check_map_references(bundle: EquivBundle) -> None:
@@ -636,19 +714,37 @@ def equiv_bundle_from_atoms(
     code2_atoms: Iterable[Atom],
     correspondence_atoms: Iterable[Atom],
 ) -> EquivBundle:
-    bundle = EquivBundle(
-        _side_from_atoms(code1_atoms, CODE1),
-        _side_from_atoms(code2_atoms, CODE2),
-        **_correspondence_from_atoms(correspondence_atoms),
+    def in_side(section: str) -> Callable[[str], str]:
+        return lambda name: (
+            f"{name} (correspondence predicate in section {section})"
+            if name in CORRESPONDENCE_SORTS
+            else name
+        )
+
+    return _bundle(
+        _load_atoms(code1_atoms, _SIDE_RELATIONS, in_side(CODE1)),
+        _load_atoms(code2_atoms, _SIDE_RELATIONS, in_side(CODE2)),
+        _load_atoms(
+            correspondence_atoms,
+            _CORRESPONDENCE_RELATIONS,
+            "{} (not a correspondence predicate)".format,
+        ),
     )
-    _check_map_references(bundle)
-    return bundle
 
 
 def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundle:
-    return equiv_bundle_from_atoms(
-        parse_facts(code1), parse_facts(code2), parse_facts(correspondence)
-    )
+    found = [
+        _scan(code1, _SIDE_RELATIONS),
+        _scan(code2, _SIDE_RELATIONS),
+        _scan(correspondence, _CORRESPONDENCE_RELATIONS),
+    ]
+    if None in found:
+        from .datalog.parser import parse_facts
+
+        return equiv_bundle_from_atoms(
+            parse_facts(code1), parse_facts(code2), parse_facts(correspondence)
+        )
+    return _bundle(*found)
 
 
 _SECTION_RE = re.compile(r"^===\s*(code1|code2|correspondence)\s*===\s*$", re.IGNORECASE)

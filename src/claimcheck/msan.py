@@ -16,7 +16,6 @@ from functools import cache
 from typing import TYPE_CHECKING, Optional
 
 from .datalog.ast import Program, print_declaration
-from .datalog.parser import parse_program
 from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, fact_atoms, lint_msan
 
 if TYPE_CHECKING:
@@ -142,6 +141,7 @@ satisfied() :- uninitialized(x, fx, lx), flowStar(x, fx, lx, y, fy, ly),
 @cache  # built on first use, not at import
 def _rule_set() -> RuleSet:
     from .datalog.engine import prepare
+    from .datalog.parser import parse_program
 
     return prepare(parse_program(_RULES_SOURCE, validate=False))
 

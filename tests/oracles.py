@@ -5,7 +5,8 @@ level-number relaxation instead of SCCs, and the fixpoint is a naive
 full-recompute over cartesian products of the body relations.  The
 tokenizer oracle matches one token (whitespace included) at a time and
 tracks line and column as it goes; the msan witness oracle enumerates
-every chain instead of searching.
+every chain instead of searching.  The reference loaders read fact text
+through the full parser and the checks on atoms, never the typed fact scan.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from claimcheck.datalog.ast import (
     Var,
     Wildcard,
 )
-from claimcheck.errors import DatalogSyntaxError
+from claimcheck.datalog.parser import parse_facts
+from claimcheck.errors import ClaimcheckError, DatalogSyntaxError
+from claimcheck.facts import equiv_bundle_from_atoms, msan_facts_from_atoms
 
 _CMP = {
     "<": lambda a, b: a < b,
@@ -263,3 +266,24 @@ def msan_witness_oracle(fs, pick=min):
             )
         chains = [chain + (dst,) for chain in chains for src, dst in flows if src == chain[-1]]
     return None
+
+
+def reference_load_msan_facts(source: str):
+    """``load_msan_facts`` as the full parser and the checks on atoms read it."""
+    return msan_facts_from_atoms(parse_facts(source))
+
+
+def reference_load_equiv_bundle(code1: str, code2: str, correspondence: str):
+    """``load_equiv_bundle`` as the full parser and the checks on atoms read it."""
+    return equiv_bundle_from_atoms(
+        parse_facts(code1), parse_facts(code2), parse_facts(correspondence)
+    )
+
+
+def load_outcome(load, *texts):
+    """What ``load(*texts)`` returns, or the type and message of the
+    ClaimcheckError it raises."""
+    try:
+        return load(*texts)
+    except ClaimcheckError as exc:
+        return type(exc).__name__, str(exc)

@@ -14,7 +14,7 @@ from claimcheck.datalog import (
     print_atom,
     print_program,
 )
-from claimcheck.datalog.parser import _parse_facts_fully, _position, _scan_facts, _tokenize
+from claimcheck.datalog.parser import _position, _tokenize
 from claimcheck.errors import (
     ArityMismatchError,
     DatalogSyntaxError,
@@ -22,9 +22,14 @@ from claimcheck.errors import (
     SortError,
     UnstratifiableNegationError,
 )
-from claimcheck.facts import split_bundle_sections
+from claimcheck.facts import load_equiv_bundle, load_msan_facts, split_bundle_sections
 
-from oracles import reference_tokenize
+from oracles import (
+    load_outcome,
+    reference_load_equiv_bundle,
+    reference_load_msan_facts,
+    reference_tokenize,
+)
 
 
 def test_fixture_program_shape(nonzero_output_program_text):
@@ -210,18 +215,20 @@ def test_missing_final_dot_is_reported_at_eof():
 
 
 # ---------------------------------------------------------------------------
-# The ground-fact scan against the full parser
+# The typed fact scan of the loaders against the full parser
 # ---------------------------------------------------------------------------
 
 
 def _assert_scan_matches_parser(source: str) -> None:
-    """parse_facts equals the full parser plus the facts-only checks, error
-    positions and messages included; what the scan accepts is that too."""
-    expected = _result_or_error(_parse_facts_fully, source)
-    assert _result_or_error(parse_facts, source) == expected
-    scanned = _scan_facts(source)
-    if scanned is not None:
-        assert scanned == expected
+    """The loaders read ``source`` -- as a trace file, a code section and a
+    correspondence section -- as the full parser and the checks on atoms
+    do: the same facts, or the same error type and message."""
+    for load, reference, texts in (
+        (load_msan_facts, reference_load_msan_facts, (source,)),
+        (load_equiv_bundle, reference_load_equiv_bundle, (source, "", "")),
+        (load_equiv_bundle, reference_load_equiv_bundle, ("", "", source)),
+    ):
+        assert load_outcome(load, *texts) == load_outcome(reference, *texts)
 
 
 # separators, including a comment inside a fact, which the scan leaves to
@@ -310,8 +317,9 @@ def test_overlong_number_literal_is_a_syntax_error():
     digits = _overlong_digits()
     message = f"number literal of {len(digits)} digits is too long"
     facts = f'p(1).\n// c\n  uses("x", "a.cc", -{digits}).'
-    assert _scan_facts(facts) is None
     assert _result_or_error(parse_facts, facts) == ("error", 3, 21, message)
+    _assert_scan_matches_parser(facts)
+    _assert_scan_matches_parser(facts.replace("-", ""))
     rule = f"q(x) :- p(x), x < {digits}."
     assert _result_or_error(parse_program, rule) == ("error", 1, 19, message)
 
@@ -328,7 +336,6 @@ def test_fact_scan_reads_every_fixture():
     texts = _fixture_fact_texts()
     assert len(texts) == 19
     for text in texts:
-        assert _scan_facts(text) is not None
         _assert_scan_matches_parser(text)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from claimcheck.datalog import engine, evaluate, parse_facts, print_atom
 from claimcheck.equivalence import (
@@ -18,10 +19,15 @@ from claimcheck.equivalence import (
 from claimcheck.errors import ConflictingVarMapError
 from claimcheck.facts import (
     BinaryFact,
+    CondExprFact,
     ControlDepFact,
     EntryFact,
+    EntryMapFact,
     EquivBundle,
     EquivSide,
+    ExitFact,
+    ExitMapFact,
+    FlowFact,
     SiteFact,
     UnaryFact,
     VarMapFact,
@@ -430,6 +436,57 @@ def test_rules_path_agrees_when_one_site_has_many_facts():
             agreeing += not crowded
     assert kinds == {"expr_mismatch", "controldep_mismatch"}
     assert agreeing >= 10
+
+
+# Raw bundles: any facts over six names, two files and five lines, not only
+# the well-formed ones the toy extractor emits.
+_NAME = st.sampled_from(["a", "b", "c", "x", "y", "Entry"])
+_FILE = st.sampled_from(["main.cpp", "lib.cpp"])
+_LINE = st.integers(0, 4)
+
+
+def _few(fact_type, *fields):
+    return st.frozensets(st.builds(fact_type, *fields), max_size=4)
+
+
+_BRANCH = st.sampled_from(["true", "false"])
+_RAW_SIDE = st.builds(
+    EquivSide,
+    uses=_few(SiteFact, _NAME, _FILE, _LINE),
+    defs=_few(SiteFact, _NAME, _FILE, _LINE),
+    flows=_few(FlowFact, _NAME, _FILE, _LINE, _NAME, _FILE, _LINE),
+    controldeps=_few(ControlDepFact, _NAME, _FILE, _LINE, _NAME, _BRANCH, _FILE, _LINE),
+    def_with_expr=_few(SiteFact, _NAME, _FILE, _LINE),
+    cond_with_expr=_few(CondExprFact, _FILE, _LINE),
+    unary=_few(UnaryFact, _NAME, _NAME, _FILE, _LINE),
+    binary=_few(BinaryFact, _NAME, _NAME, _NAME, _FILE, _LINE),
+    entries=_few(EntryFact, _NAME, _FILE, _LINE),
+    exits=_few(ExitFact, _FILE, _LINE),
+    constants=st.frozensets(_NAME, max_size=2),
+    watch_vars=_few(SiteFact, _NAME, _FILE, _LINE),
+)
+_RAW_BUNDLE = st.builds(
+    EquivBundle,
+    _RAW_SIDE,
+    _RAW_SIDE,
+    var_maps=_few(VarMapFact, _NAME, _FILE, _LINE, _NAME, _FILE, _LINE),
+    entry_maps=_few(EntryMapFact, _NAME, _LINE, _NAME, _LINE),
+    exit_maps=_few(ExitMapFact, _FILE, _LINE, _FILE, _LINE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_BUNDLE)
+def test_rules_path_agrees_on_raw_bundles(bundle):
+    for candidate in (bundle, bundle.swapped()):
+        try:
+            pairing = build_pairing(candidate)
+        except ConflictingVarMapError:
+            return
+        direct = {m.project() for m in all_mismatches(candidate, pairing)}
+        db = evaluate(equiv_rules(candidate, pairing))
+        assert set(db["mismatch"]) == direct
+        assert bool(db["equivalent"]) == (not direct)
 
 
 def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):

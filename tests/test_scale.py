@@ -5,6 +5,7 @@ fast (no super-linear path), give a verdict, and keep its documented exit
 codes (0 or 1 with a JSON report, 2 with an error and no traceback).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -177,6 +178,8 @@ def test_unreadable_input_is_usage_error(tmp_path, argv, kind):
     assert report["verdict"] is None
     if kind == "not-utf8":
         assert report["error"].startswith(f"{path} is not UTF-8 text")
+        digest = hashlib.sha256(b"\xff\xfe").hexdigest()
+        assert report["inputs"] == [{"path": str(path), "sha256": digest}] * argv.count("{")
     else:
         assert "Is a directory" in report["error"]
         assert report["inputs"] == []
