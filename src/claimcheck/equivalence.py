@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Hashable, Iterable, get_type_hints
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, get_type_hints
 
 from .datalog.ast import Program, print_declaration
 from .errors import ConflictingVarMapError
@@ -158,22 +158,20 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
     sites2 = sorted({(f.file, f.line) for f in bundle.code2.cond_with_expr})
     pairing.cond_site_pairs.extend(zip(sites1, sites2))
 
+    # A map fact is its two (label or file, line) sites; without maps, the
+    # lines (entries) or sites (exits) that both sides share pair.
     if bundle.entry_maps:
-        for m in sorted(bundle.entry_maps):
-            pairing.entry_pairs.append(((m.label1, m.line1), (m.label2, m.line2)))
+        pairing.entry_pairs = [(m[:2], m[2:]) for m in sorted(bundle.entry_maps)]
     else:
-        lines1 = {f.line for f in bundle.code1.entries}
-        lines2 = {f.line for f in bundle.code2.entries}
-        for line in sorted(lines1 & lines2):
-            pairing.entry_pairs.append((("main", line), ("main", line)))
+        lines = {f.line for f in bundle.code1.entries}
+        lines &= {f.line for f in bundle.code2.entries}
+        pairing.entry_pairs = [(("main", line), ("main", line)) for line in sorted(lines)]
     if bundle.exit_maps:
-        for m in sorted(bundle.exit_maps):
-            pairing.exit_pairs.append(((m.file1, m.line1), (m.file2, m.line2)))
+        pairing.exit_pairs = [(m[:2], m[2:]) for m in sorted(bundle.exit_maps)]
     else:
-        sites1 = {(f.file, f.line) for f in bundle.code1.exits}
-        sites2 = {(f.file, f.line) for f in bundle.code2.exits}
-        for site in sorted(sites1 & sites2):
-            pairing.exit_pairs.append((site, site))
+        sites = {(f.file, f.line) for f in bundle.code1.exits}
+        sites &= {(f.file, f.line) for f in bundle.code2.exits}
+        pairing.exit_pairs = [(site, site) for site in sorted(sites)]
 
     def register(site1: Site, site2: Site) -> None:
         pairing.line_map.setdefault(site1, site2)
@@ -232,15 +230,20 @@ def _facts_of(tag: str, *texts: str) -> dict:
     return {"side1": texts} if tag == CODE1 else {"side2": texts}
 
 
-def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
-    """Pointwise structural diff; empty means isomorphic modulo the pairing."""
-    out: list[Mismatch] = []
-    sides = (
+def _sides(bundle: EquivBundle, pairing: SitePairing) -> tuple[tuple, tuple]:
+    """Each side as (its facts, the other side's facts, its variable pairing,
+    its site pairing, its tag), code1 first."""
+    return (
         (bundle.code1, bundle.code2, pairing.var_pairs, pairing.map_line, CODE1),
         (bundle.code2, bundle.code1, pairing.var_pairs_rev, pairing.map_line_rev, CODE2),
     )
 
-    for tag, residue in ((CODE1, pairing.residue_defs_1), (CODE2, pairing.residue_defs_2)):
+
+def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
+    """Pointwise structural diff; empty means isomorphic modulo the pairing."""
+    out: list[Mismatch] = []
+    residues = (pairing.residue_defs_1, pairing.residue_defs_2)
+    for (here, there, var_map, map_line, tag), residue in zip(_sides(bundle, pairing), residues):
         for var, (file, line) in residue:
             out.append(
                 Mismatch(
@@ -250,8 +253,6 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                     **_facts_of(tag, fact_text("def", SiteFact(var, file, line))),
                 )
             )
-
-    for here, there, var_map, map_line, tag in sides:
         for f in sorted(here.uses):
             if f.var not in var_map:
                 out.append(
@@ -444,59 +445,53 @@ def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
 
 def _diff_constants(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     out = []
-
-    def fact(name):
-        return (fact_text("isConstantValue", name),)
-
-    for name in sorted(bundle.code1.constants):
-        paired = pairing.var_pairs.get(name)
-        if paired is None:
+    for here, there, var_map, _, tag in _sides(bundle, pairing):
+        for name in sorted(here.constants):
+            paired = var_map.get(name)
+            if paired in there.constants:
+                if tag == CODE1 and paired != name:  # one record per pair
+                    out.append(
+                        Mismatch(
+                            "constant_mismatch", "-", 0, name,
+                            f"constants are compared by literal text: {name!r} vs "
+                            f"{paired!r}",
+                            side1=(fact_text("isConstantValue", name),),
+                            side2=(fact_text("isConstantValue", paired),),
+                        )
+                    )
+                continue
             out.append(
                 Mismatch(
                     "constant_mismatch", "-", 0, name,
-                    f"{CODE1} constant {name!r} has no paired variable",
-                    side1=fact(name),
-                )
-            )
-        elif paired not in bundle.code2.constants:
-            out.append(
-                Mismatch(
-                    "constant_mismatch", "-", 0, name,
-                    f"{CODE1} constant {name!r} pairs with {paired!r}, which is "
+                    f"{tag} constant {name!r} has no paired variable"
+                    if paired is None
+                    else f"{tag} constant {name!r} pairs with {paired!r}, which is "
                     "not a constant on the other side",
-                    side1=fact(name),
-                )
-            )
-        elif paired != name:
-            out.append(
-                Mismatch(
-                    "constant_mismatch", "-", 0, name,
-                    f"constants are compared by literal text: {name!r} vs "
-                    f"{paired!r}",
-                    side1=fact(name),
-                    side2=fact(paired),
-                )
-            )
-    for name in sorted(bundle.code2.constants):
-        paired = pairing.var_pairs_rev.get(name)
-        if paired is None:
-            out.append(
-                Mismatch(
-                    "constant_mismatch", "-", 0, name,
-                    f"{CODE2} constant {name!r} has no paired variable",
-                    side2=fact(name),
-                )
-            )
-        elif paired not in bundle.code1.constants:
-            out.append(
-                Mismatch(
-                    "constant_mismatch", "-", 0, name,
-                    f"{CODE2} constant {name!r} pairs with {paired!r}, which is "
-                    "not a constant on the other side",
-                    side2=fact(name),
+                    **_facts_of(tag, fact_text("isConstantValue", name)),
                 )
             )
     return out
+
+
+def _unpaired_reaching(
+    out: list[Mismatch], tag: str, var: str, exit_file: str, exit_line: int,
+    reach: Collection[Site], there: Collection[Site], line_map: dict[Site, Site],
+) -> None:
+    """Append a record for each site in ``reach`` (the definitions of ``var``
+    that reach one exit) whose paired site is not in ``there`` (those that
+    reach the paired exit on the other side)."""
+    for site in sorted(reach):
+        if line_map.get(site, site) not in there:
+            rendered = fact_text("flow", FlowFact(var, *site, var, exit_file, exit_line))
+            out.append(
+                Mismatch(
+                    "reaching_defs_differ", site[0], site[1], var,
+                    f"definition of {var!r} at {site[0]}:{site[1]} "
+                    f"reaches the exit at {exit_file}:{exit_line} with no paired "
+                    "reaching definition on the other side",
+                    **_facts_of(tag, rendered),
+                )
+            )
 
 
 def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
@@ -507,33 +502,18 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
     flows into the exit-line use) must correspond under the site pairing.
     """
     out: list[Mismatch] = []
-    watched1 = {f.var for f in bundle.code1.watch_vars}
-    watched2 = {f.var for f in bundle.code2.watch_vars}
-    pairs: list[tuple[str, str]] = []
-    for f in sorted(bundle.code1.watch_vars):
-        counterpart = pairing.var_pairs.get(f.var)
-        if counterpart is None or counterpart not in watched2:
-            out.append(
-                Mismatch(
-                    "watchvar_unmatched", f.file, f.line, f.var,
-                    f"{CODE1} watches {f.var!r} but the other side does not "
-                    "watch its pair",
-                    side1=(fact_text("watchVar", f),),
+    for here, there, var_map, _, tag in _sides(bundle, pairing):
+        watched = {f.var for f in there.watch_vars}
+        for f in here.watch_vars:  # no two of these records share a sort key
+            if var_map.get(f.var) not in watched:
+                out.append(
+                    Mismatch(
+                        "watchvar_unmatched", f.file, f.line, f.var,
+                        f"{tag} watches {f.var!r} but the other side does not "
+                        "watch its pair",
+                        **_facts_of(tag, fact_text("watchVar", f)),
+                    )
                 )
-            )
-        else:
-            pairs.append((f.var, counterpart))
-    for f in sorted(bundle.code2.watch_vars):
-        counterpart = pairing.var_pairs_rev.get(f.var)
-        if counterpart is None or counterpart not in watched1:
-            out.append(
-                Mismatch(
-                    "watchvar_unmatched", f.file, f.line, f.var,
-                    f"{CODE2} watches {f.var!r} but the other side does not "
-                    "watch its pair",
-                    side2=(fact_text("watchVar", f),),
-                )
-            )
 
     # (var, destination site) -> source sites of the var's flows into it
     reaching1, reaching2 = (
@@ -544,34 +524,20 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
         )
         for side in (bundle.code1, bundle.code2)
     )
-    for var1, var2 in sorted(dict.fromkeys(pairs).keys()):
+    watched2 = {f.var for f in bundle.code2.watch_vars}
+    pairs = {
+        (f.var, pairing.var_pairs[f.var])
+        for f in bundle.code1.watch_vars
+        if pairing.var_pairs.get(f.var) in watched2
+    }
+    # Per watch pair and exit pair, code1's records come before code2's: the
+    # sort key leaves out the side, so this order is the tie-break.
+    for var1, var2 in sorted(pairs):
         for (ef1, e1), (ef2, e2) in pairing.exit_pairs:
             reach1 = reaching1.get((var1, ef1, e1), ())
             reach2 = reaching2.get((var2, ef2, e2), ())
-            for site in sorted(reach1):
-                if pairing.map_line(site) not in reach2:
-                    rendered = fact_text("flow", FlowFact(var1, *site, var1, ef1, e1))
-                    out.append(
-                        Mismatch(
-                            "reaching_defs_differ", site[0], site[1], var1,
-                            f"definition of {var1!r} at {site[0]}:{site[1]} "
-                            f"reaches the exit at {ef1}:{e1} with no paired "
-                            "reaching definition on the other side",
-                            side1=(rendered,),
-                        )
-                    )
-            for site in sorted(reach2):
-                if pairing.map_line_rev(site) not in reach1:
-                    rendered = fact_text("flow", FlowFact(var2, *site, var2, ef2, e2))
-                    out.append(
-                        Mismatch(
-                            "reaching_defs_differ", site[0], site[1], var2,
-                            f"definition of {var2!r} at {site[0]}:{site[1]} "
-                            f"reaches the exit at {ef2}:{e2} with no paired "
-                            "reaching definition on the other side",
-                            side2=(rendered,),
-                        )
-                    )
+            _unpaired_reaching(out, CODE1, var1, ef1, e1, reach1, reach2, pairing.line_map)
+            _unpaired_reaching(out, CODE2, var2, ef2, e2, reach2, reach1, pairing.line_map_rev)
     return sorted(out, key=Mismatch.sort_key)
 
 

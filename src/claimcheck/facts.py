@@ -677,36 +677,25 @@ def _bundle(code1: dict[str, set], code2: dict[str, set], correspondence: dict[s
     return bundle
 
 
+# Each kind of map with its bundle field and the side field whose lines it cites.
+_MAPS = (("exit", "exit_maps", "exits"), ("entry", "entry_maps", "entries"))
+
+
 def _check_map_references(bundle: EquivBundle) -> None:
-    exit_lines_1 = {f.line for f in bundle.code1.exits}
-    exit_lines_2 = {f.line for f in bundle.code2.exits}
-    for m in sorted(bundle.exit_maps):
-        if m.line1 not in exit_lines_1:
-            raise DanglingMapReferenceError(
-                f"exitMap cites line {m.line1} on code1 but exits are at "
-                f"{sorted(exit_lines_1)}"
-            )
-        if m.line2 not in exit_lines_2:
-            raise DanglingMapReferenceError(
-                f"exitMap cites line {m.line2} on code2 but exits are at "
-                f"{sorted(exit_lines_2)}"
-            )
-    # An entryMap against a side with no entry facts is the published style:
-    # the map itself announces the entry points.  It only dangles when entry
-    # facts exist and disagree.
-    entry_lines_1 = {f.line for f in bundle.code1.entries}
-    entry_lines_2 = {f.line for f in bundle.code2.entries}
-    for m in sorted(bundle.entry_maps):
-        if entry_lines_1 and m.line1 not in entry_lines_1:
-            raise DanglingMapReferenceError(
-                f"entryMap cites line {m.line1} on code1 but entries are at "
-                f"{sorted(entry_lines_1)}"
-            )
-        if entry_lines_2 and m.line2 not in entry_lines_2:
-            raise DanglingMapReferenceError(
-                f"entryMap cites line {m.line2} on code2 but entries are at "
-                f"{sorted(entry_lines_2)}"
-            )
+    for kind, maps, cited in _MAPS:
+        known1, known2 = (
+            {f.line for f in getattr(side, cited)} for side in (bundle.code1, bundle.code2)
+        )
+        for m in sorted(getattr(bundle, maps)):
+            for tag, line, known in ((CODE1, m.line1, known1), (CODE2, m.line2, known2)):
+                # An entryMap against a side with no entry facts is the
+                # published style: the map itself announces the entry points.
+                # It only dangles when entry facts exist and disagree.
+                if line not in known and (known or kind == "exit"):
+                    raise DanglingMapReferenceError(
+                        f"{kind}Map cites line {line} on {tag} but {cited} are at "
+                        f"{sorted(known)}"
+                    )
 
 
 def equiv_bundle_from_atoms(
@@ -747,25 +736,32 @@ def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundl
     return _bundle(*found)
 
 
-_SECTION_RE = re.compile(r"^===\s*(code1|code2|correspondence)\s*===\s*$", re.IGNORECASE)
+# A marker line with the "\n" before it: a bundle line ends at "\n", and
+# any other whitespace may surround the marker's parts.
+_MARKER_RE = re.compile(
+    r"\n[^\S\n]*===[^\S\n]*(code1|code2|correspondence)[^\S\n]*===[^\S\n]*(?=\n|\Z)",
+    re.IGNORECASE,
+)
 
 
 def split_bundle_sections(text: str) -> dict[str, str]:
-    sections = {CODE1: [], CODE2: [], CORRESPONDENCE: []}
-    current: list[str] | None = None
-    for line in text.splitlines():
-        m = _SECTION_RE.match(line.strip())
-        if m:
-            current = sections[m.group(1).lower()]
-            continue
-        if current is None:
-            if line.strip() and not line.strip().startswith("//"):
-                raise ClaimcheckError(
-                    "bundle text must start with a '=== code1 ===' style marker"
-                )
-            continue
-        current.append(line)
-    return {name: "\n".join(lines) + "\n" for name, lines in sections.items()}
+    """The text of each section as written, its repeats joined in order."""
+    # Found in "\n" + text, a marker's start and end are the offsets in text
+    # of its line and of the section text after that line.
+    markers = list(_MARKER_RE.finditer("\n" + text))
+    preamble = text[: markers[0].start()] if markers else text
+    for line in preamble.split("\n"):
+        if line.strip() and not line.strip().startswith("//"):
+            raise ClaimcheckError(
+                "bundle text must start with a '=== code1 ===' style marker"
+            )
+    sections: dict[str, list[str]] = {CODE1: [], CODE2: [], CORRESPONDENCE: []}
+    ends = [m.start() for m in markers[1:]] + [len(text)]
+    for m, end in zip(markers, ends):
+        body = text[m.end() : end]
+        if body:
+            sections[m[1].casefold()].append(body if body.endswith("\n") else body + "\n")
+    return {name: "".join(parts) or "\n" for name, parts in sections.items()}
 
 
 def load_equiv_bundle_text(text: str) -> EquivBundle:
@@ -810,26 +806,18 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                 repr(f),
             )
         )
-    for f in sorted(side.def_with_expr):
-        if (f.file, f.line) not in expr_sites:
-            report.errors.append(
-                LintIssue(
-                    "expr-without-operator",
-                    f"{tag}: defWithExpr at {f.file}:{f.line} has no "
-                    "unaryFun/binaryFun at that site",
-                    repr(f),
+    expr_facts = (("defWithExpr", side.def_with_expr), ("condWithExpr", side.cond_with_expr))
+    for predicate, facts in expr_facts:
+        for f in sorted(facts):
+            if (f.file, f.line) not in expr_sites:
+                report.errors.append(
+                    LintIssue(
+                        "expr-without-operator",
+                        f"{tag}: {predicate} at {f.file}:{f.line} has no "
+                        "unaryFun/binaryFun at that site",
+                        repr(f),
+                    )
                 )
-            )
-    for f in sorted(side.cond_with_expr):
-        if (f.file, f.line) not in expr_sites:
-            report.errors.append(
-                LintIssue(
-                    "expr-without-operator",
-                    f"{tag}: condWithExpr at {f.file}:{f.line} has no "
-                    "unaryFun/binaryFun at that site",
-                    repr(f),
-                )
-            )
     for f in sorted(side.uses):
         if f.var in defined_vars or f.var in flows_into_var:
             continue
@@ -887,27 +875,18 @@ def lint_equiv(bundle: EquivBundle) -> LintReport:
                 "",
             )
         )
-    if not bundle.exit_maps:
-        lines1 = sorted(f.line for f in bundle.code1.exits)
-        lines2 = sorted(f.line for f in bundle.code2.exits)
+    for kind, maps, cited in _MAPS:
+        if getattr(bundle, maps):
+            continue
+        lines1, lines2 = (
+            sorted(f.line for f in getattr(side, cited)) for side in (bundle.code1, bundle.code2)
+        )
         if lines1 != lines2:
             report.errors.append(
                 LintIssue(
-                    "exitmap-missing",
-                    f"exit lines differ ({lines1} vs {lines2}) and no exitMap "
+                    f"{kind}map-missing",
+                    f"{kind} lines differ ({lines1} vs {lines2}) and no {kind}Map "
                     "is supplied",
-                    "",
-                )
-            )
-    if not bundle.entry_maps:
-        lines1 = sorted(f.line for f in bundle.code1.entries)
-        lines2 = sorted(f.line for f in bundle.code2.entries)
-        if lines1 != lines2:
-            report.errors.append(
-                LintIssue(
-                    "entrymap-missing",
-                    f"entry lines differ ({lines1} vs {lines2}) and no "
-                    "entryMap is supplied",
                     "",
                 )
             )

@@ -296,12 +296,7 @@ def mock_source(
 @dataclass
 class HttpSourceConfig:
     url: str | None = None
-    url_env: str = URL_ENV
-    token_env: str = TOKEN_ENV
     timeout_s: float = 30.0
-    trace_template: str = "msan_trace_v1"
-    msan_template: str = "msan_formalize_v1"
-    equiv_template: str = "equiv_formalize_v1"
     debug: bool = False
 
 
@@ -328,13 +323,11 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
     config = config or HttpSourceConfig()
 
     def post(system: str, user: str) -> str:
-        url = config.url or os.environ.get(config.url_env)
+        url = config.url or os.environ.get(URL_ENV)
         if not url:
-            raise RuntimeError(
-                f"no endpoint URL configured (set {config.url_env} or pass url=)"
-            )
+            raise RuntimeError(f"no endpoint URL configured (set {URL_ENV} or pass url=)")
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(config.token_env)
+        token = os.environ.get(TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = json.dumps({"system": system, "user": user}).encode("utf-8")
@@ -359,21 +352,21 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
             context = _split_marked(snippets, "context") or snippets
             trace = post(
                 render_template(
-                    config.trace_template,
+                    "msan_trace_v1",
                     file_context=context,
                     explanation=explanation,
                 ),
                 explanation,
             )
             return post(
-                render_template(config.msan_template, trace=trace, prior_facts=prior),
+                render_template("msan_formalize_v1", trace=trace, prior_facts=prior),
                 trace,
             )
         code1 = _split_marked(snippets, "code1") or snippets
         code2 = _split_marked(snippets, "code2") or snippets
         return post(
             render_template(
-                config.equiv_template,
+                "equiv_formalize_v1",
                 code1=code1,
                 code2=code2,
                 prior_facts=prior,

@@ -46,7 +46,7 @@ def test_verify_msan_empty_file(capsys, tmp_path):
 
 
 def test_verify_msan_corrupted_line_is_usage_error(capsys, tmp_path):
-    lines = open(f"{FIXTURES}/msan/audio_buffer_trace.facts").read().splitlines()
+    lines = Path(FIXTURES, "msan", "audio_buffer_trace.facts").read_text().splitlines()
     lines[5] = 'uses("sample_ptr", "internal/client/encoders/audio_encoder.cc" 218).'
     bad = tmp_path / "bad.facts"
     bad.write_text("\n".join(lines))
@@ -345,7 +345,7 @@ def test_corpus_manifest_all_match(capsys):
 
 
 def test_corpus_report_order_follows_manifest(capsys):
-    manifest = json.loads(open(f"{FIXTURES}/corpus.json").read())
+    manifest = json.loads(Path(FIXTURES, "corpus.json").read_text())
     _, report = run_json(capsys, "corpus", f"{FIXTURES}/corpus.json")
     assert [row["name"] for row in report["results"]] == [
         entry["name"] for entry in manifest["fixtures"]
@@ -371,7 +371,7 @@ def test_corpus_flags_wrong_expectation(capsys, tmp_path):
         ]
     }
     (tmp_path / "trace.facts").write_text(
-        open(f"{FIXTURES}/msan/audio_buffer_trace.facts").read()
+        Path(FIXTURES, "msan", "audio_buffer_trace.facts").read_text()
     )
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
@@ -387,7 +387,7 @@ def test_corpus_unreadable_manifest(capsys, tmp_path):
 
 def _corpus_usage_error(capsys, tmp_path, manifest) -> str:
     (tmp_path / "trace.facts").write_text(
-        open(f"{FIXTURES}/msan/audio_buffer_trace.facts").read()
+        Path(FIXTURES, "msan", "audio_buffer_trace.facts").read_text()
     )
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))

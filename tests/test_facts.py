@@ -5,6 +5,7 @@ import pytest
 from claimcheck.datalog import parse_facts
 from claimcheck.errors import (
     ArityMismatchError,
+    ClaimcheckError,
     DanglingMapReferenceError,
     SortError,
     UnknownPredicateError,
@@ -23,6 +24,7 @@ from claimcheck.facts import (
     load_equiv_bundle,
     load_equiv_bundle_text,
     load_msan_facts,
+    split_bundle_sections,
 )
 
 
@@ -147,6 +149,58 @@ def test_dangling_exit_map_is_rejected(renamed_fn_bundle_text):
     mutated = renamed_fn_bundle_text.replace("exitMap(8, 8).", "exitMap(9, 9).")
     with pytest.raises(DanglingMapReferenceError):
         load_equiv_bundle_text(mutated)
+
+
+# Every line break of str.splitlines() but "\n"; a bundle line ends at "\n" only.
+_OTHER_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("char", _OTHER_LINE_BREAKS, ids=map(hex, map(ord, _OTHER_LINE_BREAKS)))
+def test_bundle_symbols_keep_line_break_characters(char):
+    side = f'def("a{char}b", "main.cpp", 1).\n'
+    from_bundle = load_equiv_bundle_text(
+        f"=== code1 ===\n{side}=== code2 ===\n{side}=== correspondence ===\n"
+    )
+    assert from_bundle == load_equiv_bundle(side, side, "")
+    assert from_bundle.code1.defs == {SiteFact(f"a{char}b", "main.cpp", 1)}
+
+
+@pytest.mark.parametrize("escape", [False, True], ids=["scan", "parser"])
+def test_crlf_bundle_loads_like_lf(fixtures_dir, escape):
+    for path in sorted((fixtures_dir / "equiv").glob("*.bundle")):
+        text = path.read_text()
+        if escape:  # an escaped quote sends the sections to the full parser
+            text = text.replace("=== code1 ===\n", '=== code1 ===\ndef("q\\"", 1).\n', 1)
+        lf = load_equiv_bundle_text(text)
+        assert load_equiv_bundle_text(text.replace("\n", "\r\n")) == lf, path.name
+
+
+def test_bundle_marker_rules():
+    sections = split_bundle_sections(
+        "// a comment line\n"
+        "  \t\n"
+        "  ===  Code1 ===  \n"
+        'def("a", 1).\n'
+        "===CORRESPONDENCE===\r\n"
+        "exitMap(1, 1).\n"
+        "=== code1 ===\n"
+        'def("b", 2).'
+    )
+    assert sections == {
+        "code1": 'def("a", 1).\ndef("b", 2).\n',
+        "code2": "\n",
+        "correspondence": "exitMap(1, 1).\n",
+    }
+    # a marker is a whole line: "===" and its name on two lines are not one
+    text = "=== code1 ===\n===\ncode2 ===\n"
+    assert split_bundle_sections(text)["code1"] == "===\ncode2 ===\n"
+    # any case, in the sense of re.IGNORECASE: the long s matches "s"
+    assert split_bundle_sections("=== corre\u017fpondence ===\nx\n")["correspondence"] == "x\n"
+    # before the first marker, only blank and "//" lines, which end at "\n"
+    assert split_bundle_sections("// note\u2028x\n=== code2 ===\nx\n")["code2"] == "x\n"
+    for preamble in ("def(1).\n", "x\u2028// y\n"):
+        with pytest.raises(ClaimcheckError, match="must start with"):
+            split_bundle_sections(preamble + "=== code1 ===\n")
 
 
 def test_correspondence_predicates_rejected_in_code_sections():

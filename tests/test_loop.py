@@ -192,10 +192,12 @@ class _Stub(BaseHTTPRequestHandler):
     canned = ""
     status = 200
     requests: list[dict] = []
+    authorizations: list[str | None] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests.append(json.loads(self.rfile.read(length)))
+        type(self).authorizations.append(self.headers["Authorization"])
         body = json.dumps({"text": type(self).canned}).encode()
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
@@ -212,12 +214,14 @@ def stub_server(trace_facts_text):
     _Stub.canned = trace_facts_text
     _Stub.status = 200
     _Stub.requests = []
+    _Stub.authorizations = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Stub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_http_source_round_trip(stub_server, trace_facts_text):
@@ -228,6 +232,23 @@ def test_http_source_round_trip(stub_server, trace_facts_text):
     # two requests per iteration for the trace task: extract, then formalize
     assert len(_Stub.requests) == 2 * len(log.records)
     assert all(set(r) == {"system", "user"} for r in _Stub.requests)
+
+
+def test_http_source_reads_url_and_token_from_the_environment(stub_server, monkeypatch):
+    monkeypatch.setenv("CLAIMCHECK_LLM_URL", stub_server)
+    monkeypatch.setenv("CLAIMCHECK_LLM_TOKEN", "secret-token")
+    result, _ = run_loop(http_source(HttpSourceConfig(url=None)), MSAN, "x", max_iters=1)
+    assert result.fact_count() == 11
+    assert _Stub.authorizations == ["Bearer secret-token"] * 2
+
+
+def test_http_source_without_a_url_logs_a_source_error(monkeypatch):
+    monkeypatch.delenv("CLAIMCHECK_LLM_URL", raising=False)
+    monkeypatch.delenv("CLAIMCHECK_LLM_TOKEN", raising=False)
+    _, log = run_loop(http_source(), MSAN, "x", max_iters=1)
+    assert log.records[0].failures == [
+        (0, "source error: no endpoint URL configured (set CLAIMCHECK_LLM_URL or pass url=)")
+    ]
 
 
 def test_http_source_renders_vocabulary_into_requests(stub_server):
