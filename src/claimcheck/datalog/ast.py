@@ -10,7 +10,6 @@ of a ground atom are therefore exactly its database tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:
@@ -22,16 +21,45 @@ NUMBER = "number"
 COMPARISON_OPS = ("<=", ">=", "!=", "<", ">", "=")
 
 
-@dataclass(frozen=True)
-class Var:
+class Record:
+    """Base of the package's ``__slots__`` records, whose value is the fields
+    named in ``_fields``.  Equality, ``hash`` and ``repr`` take the class
+    into account, so a record never equals a tuple or another class's record.
+    A record that holds a list or a dict is unhashable through it.  Fields
+    are not write-protected: a check would slow down every construction."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Var(Record):
     """Named variable; only legal inside rules."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Wildcard:
+class Wildcard(Record):
     """Anonymous term ``_``; only legal in rule bodies."""
+
+    __slots__ = ()
 
 
 WILDCARD = Wildcard()
@@ -39,10 +67,11 @@ WILDCARD = Wildcard()
 Term = Union[str, int, Var, Wildcard]
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
+class Atom(Record):
+    __slots__ = _fields = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()) -> None:
+        self.predicate, self.args = predicate, args
 
     def is_ground(self) -> bool:
         return all(type(a) is str or type(a) is int for a in self.args)
@@ -54,27 +83,30 @@ class Atom:
         return self.args
 
 
-@dataclass(frozen=True)
-class NegatedAtom:
-    atom: Atom
+class NegatedAtom(Record):
+    __slots__ = _fields = ("atom",)
+
+    def __init__(self, atom: Atom) -> None:
+        self.atom = atom
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """Integer comparison between two terms; both sides must be numbers."""
 
-    op: str
-    left: Term
-    right: Term
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Term, right: Term) -> None:
+        self.op, self.left, self.right = op, left, right
 
 
 Literal = Union[Atom, NegatedAtom, Comparison]
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Atom
-    body: tuple[Literal, ...]
+class Rule(Record):
+    __slots__ = _fields = ("head", "body")
+
+    def __init__(self, head: Atom, body: tuple[Literal, ...]) -> None:
+        self.head, self.body = head, body
 
     def positive_atoms(self) -> list[Atom]:
         return [lit for lit in self.body if isinstance(lit, Atom)]
@@ -86,8 +118,7 @@ class Rule:
         return [lit for lit in self.body if isinstance(lit, Comparison)]
 
 
-@dataclass
-class Program:
+class Program(Record):
     """Declarations, rules, and ground facts.
 
     ``declarations`` maps each relation name to its argument-sort list
@@ -96,12 +127,21 @@ class Program:
     program once it is built.
     """
 
-    declarations: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    rules: list[Rule] = field(default_factory=list)
-    facts: list[Atom] = field(default_factory=list)
+    _fields = ("declarations", "rules", "facts")
     # The prepared rule set the rules came from, if any; evaluation relies on
     # it only while the rules and declarations are still exactly its own.
-    rule_set: Optional[RuleSet] = field(default=None, compare=False, repr=False)
+    # Equality and repr leave it out.
+    __slots__ = (*_fields, "rule_set")
+
+    def __init__(
+        self, declarations: dict[str, tuple[str, ...]] | None = None,
+        rules: list[Rule] | None = None, facts: list[Atom] | None = None,
+        rule_set: Optional[RuleSet] = None,
+    ) -> None:
+        self.declarations = {} if declarations is None else declarations
+        self.rules = [] if rules is None else rules
+        self.facts = [] if facts is None else facts
+        self.rule_set = rule_set
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import operator
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
@@ -43,6 +42,7 @@ from .ast import (
     NegatedAtom,
     NUMBER,
     Program,
+    Record,
     Rule,
     SYMBOL,
     Term,
@@ -321,20 +321,24 @@ def check_program(program: Program) -> list[list[str]]:
 _TYPE_OF_SORT = {SYMBOL: str, NUMBER: int}
 
 
-@dataclass(frozen=True, eq=False)
 class RuleSet:
     """A facts-free program validated and stratified once, by :func:`prepare`.
 
     ``declarations`` cover every relation the rules name, with all argument
     sorts settled, so a program built by :meth:`program` only has its facts
-    checked against them when it is evaluated.
+    checked against them when it is evaluated.  Equality is identity.
     """
 
-    rules: tuple[Rule, ...]
-    declarations: Mapping[str, tuple[str, ...]]
-    strata: tuple[tuple[str, ...], ...]
-    # relation -> type of each argument of a valid fact: str or int
-    fact_types: Mapping[str, tuple[type, ...]]
+    __slots__ = ("rules", "declarations", "strata", "fact_types", "_join_plans")
+
+    def __init__(
+        self, rules: tuple[Rule, ...], declarations: Mapping[str, tuple[str, ...]],
+        strata: tuple[tuple[str, ...], ...], fact_types: Mapping[str, tuple[type, ...]],
+    ) -> None:
+        self.rules, self.declarations, self.strata = rules, declarations, strata
+        # relation -> type of each argument of a valid fact: str or int
+        self.fact_types = fact_types
+        self._join_plans: tuple[_StratumPlans, ...] | None = None
 
     def program(self) -> Program:
         """A new program of these rules and declarations, without facts."""
@@ -348,11 +352,13 @@ class RuleSet:
             and program.declarations == self.declarations
         )
 
-    @cached_property
+    @property
     def plans(self) -> tuple[_StratumPlans, ...]:
         """Join plans of the rules, generated on first use: ``export``
         needs the rules, not the plans."""
-        return _plans(self.rules, self.strata)
+        if self._join_plans is None:
+            self._join_plans = _plans(self.rules, self.strata)
+        return self._join_plans
 
 
 def prepare(rules: Program) -> RuleSet:
@@ -406,12 +412,17 @@ def _check_prepared_facts(program: Program, rule_set: RuleSet) -> None:
 Provenance = Optional[tuple[Rule, tuple[tuple[str, tuple], ...]]]
 
 
-@dataclass
-class Database(Mapping):
+class Database(Record, Mapping):
     """Relation name -> frozen set of ground tuples, plus one derivation each."""
 
-    relations: dict[str, frozenset]
-    provenance: dict[tuple[str, tuple], Provenance] = field(default_factory=dict)
+    __slots__ = _fields = ("relations", "provenance")
+
+    def __init__(
+        self, relations: dict[str, frozenset],
+        provenance: dict[tuple[str, tuple], Provenance] | None = None,
+    ) -> None:
+        self.relations = relations
+        self.provenance = {} if provenance is None else provenance
 
     def __getitem__(self, name: str) -> frozenset:
         return self.relations[name]

@@ -18,11 +18,10 @@ only.  The same diff is also emitted as a stratified Datalog program
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, get_type_hints
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, NamedTuple, get_type_hints
 
-from .datalog.ast import Program, print_declaration
+from .datalog.ast import Program, Record, print_declaration
 from .errors import ConflictingVarMapError
 from .facts import (
     CODE1,
@@ -59,25 +58,29 @@ def _is_entry_cond(cond: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SitePairing:
+class SitePairing(Record):
     """Partial bijection between the two programs' names and sites."""
 
-    var_pairs: dict[str, str] = field(default_factory=dict)
-    var_pairs_rev: dict[str, str] = field(default_factory=dict)
-    # (var1, site1, var2, site2), one entry per paired definition
-    def_site_pairs: list[tuple[str, Site, str, Site]] = field(default_factory=list)
-    cond_site_pairs: list[tuple[Site, Site]] = field(default_factory=list)
-    entry_pairs: list[tuple[tuple[str, int], tuple[str, int]]] = field(
-        default_factory=list
+    __slots__ = _fields = (
+        "var_pairs", "var_pairs_rev", "def_site_pairs", "cond_site_pairs", "entry_pairs",
+        "exit_pairs", "line_map", "line_map_rev", "residue_defs_1", "residue_defs_2",
+        "residue_vars_1", "residue_vars_2",
     )
-    exit_pairs: list[tuple[Site, Site]] = field(default_factory=list)
-    line_map: dict[Site, Site] = field(default_factory=dict)
-    line_map_rev: dict[Site, Site] = field(default_factory=dict)
-    residue_defs_1: list[tuple[str, Site]] = field(default_factory=list)
-    residue_defs_2: list[tuple[str, Site]] = field(default_factory=list)
-    residue_vars_1: list[str] = field(default_factory=list)
-    residue_vars_2: list[str] = field(default_factory=list)
+
+    def __init__(self) -> None:
+        self.var_pairs: dict[str, str] = {}
+        self.var_pairs_rev: dict[str, str] = {}
+        # (var1, site1, var2, site2), one entry per paired definition
+        self.def_site_pairs: list[tuple[str, Site, str, Site]] = []
+        self.cond_site_pairs: list[tuple[Site, Site]] = []
+        self.entry_pairs: list[tuple[tuple[str, int], tuple[str, int]]] = []
+        self.exit_pairs: list[tuple[Site, Site]] = []
+        self.line_map: dict[Site, Site] = {}
+        self.line_map_rev: dict[Site, Site] = {}
+        self.residue_defs_1: list[tuple[str, Site]] = []
+        self.residue_defs_2: list[tuple[str, Site]] = []
+        self.residue_vars_1: list[str] = []
+        self.residue_vars_2: list[str] = []
 
     def map_line(self, site: Site) -> Site:
         return self.line_map.get(site, site)
@@ -197,8 +200,7 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     kind: str
     file: str
     line: int
@@ -515,21 +517,25 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                     )
                 )
 
-    # (var, destination site) -> source sites of the var's flows into it
-    reaching1, reaching2 = (
-        _index(
-            ((f.dst_var, f.dst_file, f.dst_line), (f.src_file, f.src_line))
-            for f in side.flows
-            if f.src_var == f.dst_var
-        )
-        for side in (bundle.code1, bundle.code2)
-    )
     watched2 = {f.var for f in bundle.code2.watch_vars}
     pairs = {
         (f.var, pairing.var_pairs[f.var])
         for f in bundle.code1.watch_vars
         if pairing.var_pairs.get(f.var) in watched2
     }
+    # (var, destination site) -> source sites of the var's flows into it,
+    # for the variables of the watch pairs and the sites of the exit pairs
+    reaching1, reaching2 = (
+        _index(
+            ((f.dst_var, f.dst_file, f.dst_line), (f.src_file, f.src_line))
+            for f in side.flows
+            if f.src_var == f.dst_var and f.dst_var in names and (f.dst_file, f.dst_line) in exits
+        )
+        for side, names, exits in (
+            (bundle.code1, {v for v, _ in pairs}, {s for s, _ in pairing.exit_pairs}),
+            (bundle.code2, {v for _, v in pairs}, {s for _, s in pairing.exit_pairs}),
+        )
+    )
     # Per watch pair and exit pair, code1's records come before code2's: the
     # sort key leaves out the side, so this order is the tie-break.
     for var1, var2 in sorted(pairs):
@@ -546,13 +552,12 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(NamedTuple):
     outcome: str
-    witness: Mismatch | None = None
-    obligations: tuple[str, ...] = ()
-    mismatches: tuple[Mismatch, ...] = ()
-    lint: LintReport = field(default_factory=LintReport)
+    witness: Mismatch | None
+    obligations: tuple[str, ...]
+    mismatches: tuple[Mismatch, ...]
+    lint: LintReport
 
     def to_json(self) -> dict:
         return {
@@ -571,17 +576,12 @@ def all_mismatches(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
 def verify_equiv(bundle: EquivBundle) -> EquivVerdict:
     lint = lint_equiv(bundle)
     if lint.errors:
-        return EquivVerdict(
-            INCONCLUSIVE,
-            obligations=tuple(issue.message for issue in lint.errors),
-            lint=lint,
-        )
+        obligations = tuple(issue.message for issue in lint.errors)
+        return EquivVerdict(INCONCLUSIVE, None, obligations, (), lint)
     mismatches = tuple(all_mismatches(bundle, build_pairing(bundle)))
     if mismatches:
-        return EquivVerdict(
-            NOT_EQUIVALENT, witness=mismatches[0], mismatches=mismatches, lint=lint
-        )
-    return EquivVerdict(EQUIVALENT, lint=lint)
+        return EquivVerdict(NOT_EQUIVALENT, mismatches[0], (), mismatches, lint)
+    return EquivVerdict(EQUIVALENT, None, (), (), lint)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,10 @@ and the checks on atoms (``*_from_atoms``), which report every error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
-from .datalog.ast import NUMBER, SYMBOL, Atom, print_fact
+from .datalog.ast import NUMBER, SYMBOL, Atom, Record, print_fact
 from .errors import (
     ArityMismatchError,
     ClaimcheckError,
@@ -248,8 +247,7 @@ class ExitMapFact(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LintIssue:
+class LintIssue(NamedTuple):
     code: str
     message: str
     fact: str
@@ -258,10 +256,12 @@ class LintIssue:
         return {"code": self.code, "message": self.message, "fact": self.fact}
 
 
-@dataclass
-class LintReport:
-    errors: list[LintIssue] = field(default_factory=list)
-    warnings: list[LintIssue] = field(default_factory=list)
+class LintReport(Record):
+    __slots__ = _fields = ("errors", "warnings")
+
+    def __init__(self) -> None:
+        self.errors: list[LintIssue] = []
+        self.warnings: list[LintIssue] = []
 
     @property
     def ok(self) -> bool:
@@ -272,6 +272,26 @@ class LintReport:
             "errors": [issue.to_json() for issue in self.errors],
             "warnings": [issue.to_json() for issue in self.warnings],
         }
+
+
+class _Facts(Record):
+    """A container of fact sets, one per field; a field not given by keyword
+    is empty.  ``len()`` counts the facts, and ``_replace`` derives a
+    container with some fields changed."""
+
+    __slots__ = ()
+
+    def __init__(self, **facts: frozenset) -> None:
+        for name in self._fields:
+            setattr(self, name, facts.pop(name, frozenset()))
+        if facts:
+            raise TypeError(f"{self.__class__.__name__} has no field {min(facts)!r}")
+
+    def __len__(self) -> int:
+        return sum(map(len, self._values()))
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +311,19 @@ MSAN_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class MsanFactSet:
-    uses: frozenset[SiteFact] = frozenset()
-    uninitialized: frozenset[SiteFact] = frozenset()
-    has_initializer: frozenset[InitFact] = frozenset()
-    has_member_initializer: frozenset[InitFact] = frozenset()
-    allocated: frozenset[SiteFact] = frozenset()
-    declared: frozenset[SiteFact] = frozenset()
-    flow: frozenset[FlowFact] = frozenset()
-    memory_error: frozenset[MemoryErrorFact] = frozenset()
-
-    def __len__(self) -> int:
-        return sum(len(getattr(self, name)) for name, _ in MSAN_FIELDS)
+class MsanFactSet(_Facts):
+    __slots__ = _fields = (
+        "uses", "uninitialized", "has_initializer", "has_member_initializer",
+        "allocated", "declared", "flow", "memory_error",
+    )
+    uses: frozenset[SiteFact]
+    uninitialized: frozenset[SiteFact]
+    has_initializer: frozenset[InitFact]
+    has_member_initializer: frozenset[InitFact]
+    allocated: frozenset[SiteFact]
+    declared: frozenset[SiteFact]
+    flow: frozenset[FlowFact]
+    memory_error: frozenset[MemoryErrorFact]
 
     def union(self, other: "MsanFactSet") -> "MsanFactSet":
         return MsanFactSet(
@@ -411,23 +431,23 @@ CORRESPONDENCE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class EquivSide:
-    uses: frozenset[SiteFact] = frozenset()
-    defs: frozenset[SiteFact] = frozenset()
-    flows: frozenset[FlowFact] = frozenset()
-    controldeps: frozenset[ControlDepFact] = frozenset()
-    def_with_expr: frozenset[SiteFact] = frozenset()
-    cond_with_expr: frozenset[CondExprFact] = frozenset()
-    unary: frozenset[UnaryFact] = frozenset()
-    binary: frozenset[BinaryFact] = frozenset()
-    entries: frozenset[EntryFact] = frozenset()
-    exits: frozenset[ExitFact] = frozenset()
-    constants: frozenset[str] = frozenset()
-    watch_vars: frozenset[SiteFact] = frozenset()
-
-    def __len__(self) -> int:
-        return sum(len(getattr(self, name)) for name, _ in SIDE_FIELDS)
+class EquivSide(_Facts):
+    __slots__ = _fields = (
+        "uses", "defs", "flows", "controldeps", "def_with_expr", "cond_with_expr",
+        "unary", "binary", "entries", "exits", "constants", "watch_vars",
+    )
+    uses: frozenset[SiteFact]
+    defs: frozenset[SiteFact]
+    flows: frozenset[FlowFact]
+    controldeps: frozenset[ControlDepFact]
+    def_with_expr: frozenset[SiteFact]
+    cond_with_expr: frozenset[CondExprFact]
+    unary: frozenset[UnaryFact]
+    binary: frozenset[BinaryFact]
+    entries: frozenset[EntryFact]
+    exits: frozenset[ExitFact]
+    constants: frozenset[str]
+    watch_vars: frozenset[SiteFact]
 
     def variables(self) -> frozenset[str]:
         """Every name that occupies a variable position on this side."""
@@ -452,13 +472,20 @@ class EquivSide:
         return _render(self, SIDE_FIELDS)
 
 
-@dataclass(frozen=True)
-class EquivBundle:
+class EquivBundle(_Facts):
+    __slots__ = _fields = ("code1", "code2", "var_maps", "entry_maps", "exit_maps")
     code1: EquivSide
     code2: EquivSide
-    var_maps: frozenset[VarMapFact] = frozenset()
-    entry_maps: frozenset[EntryMapFact] = frozenset()
-    exit_maps: frozenset[ExitMapFact] = frozenset()
+    var_maps: frozenset[VarMapFact]
+    entry_maps: frozenset[EntryMapFact]
+    exit_maps: frozenset[ExitMapFact]
+
+    def __init__(
+        self, code1: EquivSide, code2: EquivSide, var_maps: frozenset = frozenset(),
+        entry_maps: frozenset = frozenset(), exit_maps: frozenset = frozenset(),
+    ) -> None:
+        self.code1, self.code2 = code1, code2
+        self.var_maps, self.entry_maps, self.exit_maps = var_maps, entry_maps, exit_maps
 
     def side(self, tag: str) -> EquivSide:
         return self.code1 if tag == CODE1 else self.code2

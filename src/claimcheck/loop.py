@@ -16,10 +16,9 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Protocol
 
-from .datalog.ast import Atom, print_atom
+from .datalog.ast import Atom, Record, print_atom
 from .datalog.parser import parse_fact_lines
 from .facts import (
     CODE1,
@@ -78,14 +77,15 @@ class FactSource(Protocol):
     ) -> str: ...
 
 
-@dataclass
-class IterationRecord:
-    index: int
-    raw_text: str
-    parsed_facts: int
-    new_facts: int
-    failures: list[tuple[int, str]] = field(default_factory=list)
-    wall_ms: float = 0.0
+class IterationRecord(Record):
+    __slots__ = _fields = ("index", "raw_text", "parsed_facts", "new_facts", "failures", "wall_ms")
+
+    def __init__(
+        self, index: int, raw_text: str, parsed_facts: int, new_facts: int,
+        failures: list[tuple[int, str]], wall_ms: float,
+    ) -> None:
+        self.index, self.raw_text, self.parsed_facts = index, raw_text, parsed_facts
+        self.new_facts, self.failures, self.wall_ms = new_facts, failures, wall_ms
 
     def to_json(self) -> dict:
         return {
@@ -97,9 +97,11 @@ class IterationRecord:
         }
 
 
-@dataclass
-class IterationLog:
-    records: list[IterationRecord] = field(default_factory=list)
+class IterationLog(Record):
+    __slots__ = _fields = ("records",)
+
+    def __init__(self) -> None:
+        self.records: list[IterationRecord] = []
 
     def new_fact_counts(self) -> list[int]:
         return [r.new_facts for r in self.records]
@@ -115,10 +117,11 @@ class IterationLog:
         return [r.to_json() for r in self.records]
 
 
-@dataclass
-class LoopResult:
-    task: str
-    sections: dict[str, frozenset[Atom]]
+class LoopResult(Record):
+    __slots__ = _fields = ("task", "sections")
+
+    def __init__(self, task: str, sections: dict[str, frozenset[Atom]]) -> None:
+        self.task, self.sections = task, sections
 
     def fact_count(self) -> int:
         return sum(len(atoms) for atoms in self.sections.values())
@@ -293,11 +296,13 @@ def mock_source(
     return source
 
 
-@dataclass
-class HttpSourceConfig:
-    url: str | None = None
-    timeout_s: float = 30.0
-    debug: bool = False
+class HttpSourceConfig(Record):
+    __slots__ = _fields = ("url", "timeout_s", "debug")
+
+    def __init__(
+        self, url: str | None = None, timeout_s: float = 30.0, debug: bool = False
+    ) -> None:
+        self.url, self.timeout_s, self.debug = url, timeout_s, debug
 
 
 def _split_marked(text: str, marker: str) -> str | None:

@@ -11,9 +11,8 @@ condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .datalog.ast import Program, print_declaration
 from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, fact_atoms, lint_msan
@@ -32,11 +31,10 @@ def _site_key(site: Site) -> tuple[str, int, str]:
     return (file, line, var)
 
 
-@dataclass(frozen=True)
-class MsanVerdict:
+class MsanVerdict(NamedTuple):
     outcome: str
-    witness: Optional[tuple[Site, ...]] = None
-    lint: LintReport = field(default_factory=LintReport)
+    witness: Optional[tuple[Site, ...]]
+    lint: LintReport
 
     @property
     def verified(self) -> bool:

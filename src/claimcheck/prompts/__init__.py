@@ -7,23 +7,15 @@ literal braces).
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
-TEMPLATES = {
-    "msan_trace_v1": "msan_trace_v1.txt",
-    "msan_formalize_v1": "msan_formalize_v1.txt",
-    "equiv_formalize_v1": "equiv_formalize_v1.txt",
-}
+TEMPLATES = ("msan_trace_v1", "msan_formalize_v1", "equiv_formalize_v1")  # each in <id>.txt
 
 
 def load_template(template_id: str) -> str:
-    try:
-        filename = TEMPLATES[template_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown template {template_id!r}; known: {sorted(TEMPLATES)}"
-        ) from None
-    return (resources.files(__package__) / filename).read_text(encoding="utf-8")
+    if template_id not in TEMPLATES:
+        raise KeyError(f"unknown template {template_id!r}; known: {sorted(TEMPLATES)}")
+    return Path(__file__).with_name(f"{template_id}.txt").read_text(encoding="utf-8")
 
 
 def render_template(template_id: str, **slots: str) -> str:

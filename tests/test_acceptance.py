@@ -4,7 +4,6 @@ The terminal summary (see conftest) prints one PASS/FAIL line per
 criterion at the end of the run.
 """
 
-import dataclasses
 import json
 import random
 import time
@@ -186,7 +185,7 @@ def test_criterion_09_msan_verdict_monotonicity():
         base = random_msan_facts(rng)
         additions = random_msan_facts(rng, with_memory_error=bool(base.memory_error))
         if not base.memory_error:
-            additions = dataclasses.replace(additions, memory_error=frozenset())
+            additions = additions._replace(memory_error=frozenset())
         if verify_msan(base).outcome == VERIFIED:
             verified_seen += 1
             assert verify_msan(base.union(additions)).outcome == VERIFIED

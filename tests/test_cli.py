@@ -165,11 +165,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-# The fact scan reads every fixture, so no command here loads the parser.
-_NOT_FOR_VERIFY = {
-    "urllib.request",
-    "ssl",
-    "concurrent.futures",
+# dataclasses, with the inspect it imports, costs every launch about 10 ms.
+_NEVER = {"dataclasses", "inspect"}
+_NETWORK = {"urllib.request", "ssl", "concurrent.futures"}
+# The fact scan reads every fixture, so no verify command loads the parser.
+_NOT_FOR_VERIFY = _NEVER | _NETWORK | {
     "claimcheck.loop",
     "claimcheck.toy",
     "claimcheck.datalog.engine",
@@ -178,23 +178,32 @@ _NOT_FOR_VERIFY = {
 }
 
 
-@pytest.mark.parametrize("argv, needed, others", [
+@pytest.mark.parametrize("argv, needed, forbidden", [
     (["verify-msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
-     "claimcheck.msan", {"claimcheck.equivalence"}),
+     "claimcheck.msan", _NOT_FOR_VERIFY | {"claimcheck.equivalence"}),
     (["verify-equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"],
-     "claimcheck.equivalence", {"claimcheck.msan"}),
+     "claimcheck.equivalence", _NOT_FOR_VERIFY | {"claimcheck.msan"}),
     (["lint", "--task", "equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"],
-     "claimcheck.facts", {"claimcheck.msan", "claimcheck.equivalence"}),
-], ids=["verify-msan", "verify-equiv", "lint"])
-def test_verify_commands_load_only_their_own_modules(argv, needed, others):
+     "claimcheck.facts", _NOT_FOR_VERIFY | {"claimcheck.msan", "claimcheck.equivalence"}),
+    (["corpus", f"{FIXTURES}/corpus.json"], "claimcheck.equivalence", _NOT_FOR_VERIFY),
+    (["export", "--task", "equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle", "-o", "{tmp}"],
+     "claimcheck.datalog.export",
+     _NEVER | _NETWORK | {"claimcheck.loop", "claimcheck.toy", "claimcheck.msan"}),
+    (["formalize", f"{FIXTURES}/msan/audio_buffer_trace.facts", "--task", "msan",
+      "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
+     "claimcheck.loop", _NEVER | _NETWORK | {"claimcheck.toy", "importlib.resources"}),
+], ids=["verify-msan", "verify-equiv", "lint", "corpus", "export", "formalize"])
+def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
+    # -S: no .pth file of the host may load a module before the command does
     run = subprocess.run(
-        [sys.executable, "-c", _NEW_MODULES_SCRIPT, *argv],
+        [sys.executable, "-S", "-c", _NEW_MODULES_SCRIPT,
+         *(arg.format(tmp=tmp_path / "out") for arg in argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
     loaded = set(json.loads(run.stdout))
     assert needed in loaded
-    assert sorted(loaded & (_NOT_FOR_VERIFY | others)) == []
+    assert sorted(loaded & forbidden) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -45,10 +44,9 @@ def _load(fixtures_dir, name):
 
 def _with_watchvars(bundle, names, line=8):
     watch = frozenset(SiteFact(v, "main.cpp", line) for v in names)
-    return dataclasses.replace(
-        bundle,
-        code1=dataclasses.replace(bundle.code1, watch_vars=watch),
-        code2=dataclasses.replace(bundle.code2, watch_vars=watch),
+    return bundle._replace(
+        code1=bundle.code1._replace(watch_vars=watch),
+        code2=bundle.code2._replace(watch_vars=watch),
     )
 
 
@@ -118,7 +116,7 @@ def test_fixture_diff_is_exactly_the_renamed_call(renamed_fn_bundle_text):
 
 def test_identical_sides_have_empty_diff(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
-    identical = dataclasses.replace(bundle, code2=bundle.code1)
+    identical = bundle._replace(code2=bundle.code1)
     assert diff_structure(identical, build_pairing(identical)) == []
 
 
@@ -134,9 +132,8 @@ def test_operand_order_is_significant(renamed_fn_bundle_text):
     swapped_binary = {
         f._replace(left=f.right, right=f.left) for f in bundle.code2.binary
     }
-    mutated = dataclasses.replace(
-        bundle,
-        code2=dataclasses.replace(bundle.code2, binary=frozenset(swapped_binary)),
+    mutated = bundle._replace(
+        code2=bundle.code2._replace(binary=frozenset(swapped_binary)),
     )
     kinds = {m.kind for m in diff_structure(mutated, build_pairing(mutated))}
     assert "expr_mismatch" in kinds
@@ -168,10 +165,8 @@ def test_deleted_watchvar_is_reported(renamed_fn_bundle_text):
     bundle = _with_watchvars(
         load_equiv_bundle_text(renamed_fn_bundle_text), ("a", "b", "c", "d")
     )
-    mutated = dataclasses.replace(
-        bundle,
-        code2=dataclasses.replace(
-            bundle.code2,
+    mutated = bundle._replace(
+        code2=bundle.code2._replace(
             watch_vars=frozenset(
                 f for f in bundle.code2.watch_vars if f.var != "d"
             ),
@@ -191,8 +186,8 @@ def test_changed_reaching_def_is_reported(renamed_fn_bundle_text):
         for f in bundle.code2.flows
         if not (f.src_var == "d" and f.src_line == 6 and f.dst_line == 8)
     )
-    mutated = dataclasses.replace(
-        bundle, code2=dataclasses.replace(bundle.code2, flows=pruned)
+    mutated = bundle._replace(
+        code2=bundle.code2._replace(flows=pruned)
     )
     kinds = {m.kind for m in check_watchvars(mutated, build_pairing(mutated))}
     assert "reaching_defs_differ" in kinds
@@ -214,7 +209,7 @@ def test_fixture_verdicts(fixtures_dir, renamed_fn_bundle_text):
 
 def test_identity_is_equivalent(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
-    identical = dataclasses.replace(bundle, code2=bundle.code1)
+    identical = bundle._replace(code2=bundle.code1)
     assert verify_equiv(identical).outcome == EQUIVALENT
 
 
@@ -222,8 +217,8 @@ def test_all_watchvars_deleted_from_one_side_is_inconclusive(renamed_fn_bundle_t
     bundle = _with_watchvars(
         load_equiv_bundle_text(renamed_fn_bundle_text), ("a", "b", "c", "d")
     )
-    mutated = dataclasses.replace(
-        bundle, code1=dataclasses.replace(bundle.code1, watch_vars=frozenset())
+    mutated = bundle._replace(
+        code1=bundle.code1._replace(watch_vars=frozenset())
     )
     verdict = verify_equiv(mutated)
     assert verdict.outcome == INCONCLUSIVE
@@ -309,7 +304,7 @@ def test_renaming_invariance(renamed_fn_bundle_text):
         VarMapFact(v, "main.cpp", 0, v + "_r", "main.cpp", 0)
         for v in ("0", "2", "a", "b", "c", "d")
     )
-    renamed = dataclasses.replace(bundle, code2=renamed_side, var_maps=var_maps)
+    renamed = bundle._replace(code2=renamed_side, var_maps=var_maps)
     verdict = verify_equiv(renamed)
     # still exactly the foo/bar call difference, nothing about the renaming
     assert verdict.outcome == NOT_EQUIVALENT
@@ -328,7 +323,7 @@ def test_rules_path_on_fixture(renamed_fn_bundle_text):
     db = evaluate(equiv_rules(bundle, pairing))
     assert len(db["mismatch"]) == 1
     assert db["equivalent"] == frozenset()
-    identical = dataclasses.replace(bundle, code2=bundle.code1)
+    identical = bundle._replace(code2=bundle.code1)
     db = evaluate(equiv_rules(identical, build_pairing(identical)))
     assert db["mismatch"] == frozenset()
     assert db["equivalent"] == {()}
@@ -402,8 +397,7 @@ def _crowded_site(rng):
             facts2[i] = fact._replace(right=rng.choice(list(twin.values())))
 
     def crowd(side, facts):
-        return dataclasses.replace(
-            side,
+        return side._replace(
             unary=side.unary | {f for f in facts if isinstance(f, UnaryFact)},
             binary=side.binary | {f for f in facts if isinstance(f, BinaryFact)},
             controldeps=side.controldeps
@@ -493,10 +487,9 @@ def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):
     bundle = _load(fixtures_dir, "guarded_call_self_pair.bundle")
     # no fact of either side but this entry names lib.cpp:42
     entry = EntryFact("helper", "lib.cpp", 42)
-    extended = dataclasses.replace(
-        bundle,
-        code1=dataclasses.replace(bundle.code1, entries=bundle.code1.entries | {entry}),
-        code2=dataclasses.replace(bundle.code2, entries=bundle.code2.entries | {entry}),
+    extended = bundle._replace(
+        code1=bundle.code1._replace(entries=bundle.code1.entries | {entry}),
+        code2=bundle.code2._replace(entries=bundle.code2.entries | {entry}),
     )
     program = equiv_rules(extended, build_pairing(extended))
     for relation in ("pair_line", "pair_line_rev"):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from claimcheck.datalog import parse_facts
@@ -86,8 +84,7 @@ def test_lint_empty_set_is_clean():
 
 def test_lint_warns_on_initializer_for_uninitialized_var(trace_facts_text):
     fs = load_msan_facts(trace_facts_text)
-    mutated = dataclasses.replace(
-        fs,
+    mutated = fs._replace(
         has_initializer=frozenset({InitFact("data_", "AudioBuffer::AudioBuffer")}),
     )
     report = lint_msan(mutated)
@@ -309,10 +306,8 @@ def test_lint_bundle_fixture_is_clean(renamed_fn_bundle_text):
 
 def test_lint_def_without_source(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
-    mutated = dataclasses.replace(
-        bundle,
-        code1=dataclasses.replace(
-            bundle.code1,
+    mutated = bundle._replace(
+        code1=bundle.code1._replace(
             defs=bundle.code1.defs | {SiteFact("z", "main.cpp", 6)},
         ),
     )
@@ -322,18 +317,17 @@ def test_lint_def_without_source(renamed_fn_bundle_text):
 def test_lint_expr_without_operator(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
     unary = {f for f in bundle.code1.unary if f.line != 6}
-    mutated = dataclasses.replace(
-        bundle, code1=dataclasses.replace(bundle.code1, unary=frozenset(unary))
+    mutated = bundle._replace(
+        code1=bundle.code1._replace(unary=frozenset(unary))
     )
     assert [e.code for e in lint_equiv(mutated).errors] == ["expr-without-operator"]
 
 
 def test_lint_use_without_def(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
-    mutated = dataclasses.replace(
-        bundle,
-        code2=dataclasses.replace(
-            bundle.code2, uses=bundle.code2.uses | {SiteFact("phantom", "main.cpp", 5)}
+    mutated = bundle._replace(
+        code2=bundle.code2._replace(
+            uses=bundle.code2.uses | {SiteFact("phantom", "main.cpp", 5)}
         ),
     )
     assert [e.code for e in lint_equiv(mutated).errors] == ["use-without-def"]

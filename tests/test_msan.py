@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 from claimcheck.datalog import engine, evaluate, parse_program, print_atom
@@ -157,7 +156,7 @@ def test_verified_is_stable_under_additions_preserving_error_claims():
             rng, with_memory_error=bool(fs.memory_error)
         )
         if not fs.memory_error:
-            additions = dataclasses.replace(additions, memory_error=frozenset())
+            additions = additions._replace(memory_error=frozenset())
         if verify_msan(fs).outcome == VERIFIED:
             checked += 1
             assert verify_msan(fs.union(additions)).outcome == VERIFIED

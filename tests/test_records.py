@@ -6,6 +6,8 @@ constant or a tuple; each ``repr`` is the one the records have always shown;
 ``len()`` of a fact container counts its facts.
 """
 
+import pytest
+
 from claimcheck.datalog.ast import (
     WILDCARD,
     Atom,
@@ -138,3 +140,16 @@ def test_lint_reports_do_not_share_their_lists():
     assert first != second
     verdicts = verify_msan(MsanFactSet()), verify_msan(MsanFactSet())
     assert verdicts[0].lint is not verdicts[1].lint
+
+
+def test_replace_derives_a_changed_container():
+    fs = MsanFactSet(uses=frozenset({SiteFact("p", "a.cc", 2)}))
+    changed = fs._replace(uninitialized=frozenset({SiteFact("p", "a.cc", 1)}))
+    assert changed.uses == fs.uses and len(changed) == 2 and len(fs) == 1
+    bundle = EquivBundle(EquivSide(), EquivSide(exits=frozenset({ExitFact("main.cpp", 9)})))
+    assert bundle._replace(code1=bundle.code2) == EquivBundle(bundle.code2, bundle.code2)
+    assert len(bundle) == 1 and len(bundle._replace(code1=bundle.code2)) == 2
+    with pytest.raises(TypeError):
+        fs._replace(flows=frozenset())
+    with pytest.raises(TypeError):
+        EquivSide(flow=frozenset())
