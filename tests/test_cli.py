@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from claimcheck import __version__
 from claimcheck.cli import main
 
 FIXTURES = "fixtures"
@@ -424,3 +426,112 @@ def test_corpus_entry_without_path_is_usage_error(capsys, tmp_path):
     bad = {"name": "no-path", "task": "msan", "expected": "Verified"}
     err = _corpus_usage_error(capsys, tmp_path, {"fixtures": [bad]})
     assert 'entry 1: "path"' in err
+
+
+# ---------------------------------------------------------------------------
+# error reports
+# ---------------------------------------------------------------------------
+
+
+def _error_report(capsys, *argv):
+    """The exit code and the report of a command that fails, without its
+    timing."""
+    code, report = run_json(capsys, *argv)
+    del report["timing_ms"]
+    return code, report
+
+
+def _failed(task, error, inputs, iterations=()):
+    return {
+        "task": task,
+        "verdict": None,
+        "witness": None,
+        "lint": {"errors": [], "warnings": []},
+        "iterations": list(iterations),
+        "version": __version__,
+        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
+        "error": error,
+    }
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_lint_msan_without_a_file_is_usage_error(capsys):
+    assert _error_report(capsys, "lint", "--task", "msan") == (
+        2, _failed("msan", "lint --task msan needs a fact file", []),
+    )
+
+
+_PROVIDE = "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
+
+
+@pytest.mark.parametrize("command", [["verify-equiv"], ["lint", "--task", "equiv"]])
+def test_partial_section_inputs_list_only_the_files_that_exist(capsys, tmp_path, command):
+    code1 = tmp_path / "c1"
+    code1.write_text('def("a", "main.cpp", 1).\nexit(2).\n')
+    missing = tmp_path / "missing"
+    assert _error_report(
+        capsys, *command, "--code1", str(code1), "--code2", str(missing),
+    ) == (2, _failed("equiv", _PROVIDE, [code1]))
+    assert _error_report(
+        capsys, *command,
+        "--code1", str(code1), "--code2", str(missing), "--correspondence", str(code1),
+    ) == (
+        2,
+        _failed("equiv", f"[Errno 2] No such file or directory: '{missing}'", [code1, code1]),
+    )
+
+
+def test_conflicting_var_maps_are_usage_error(capsys, tmp_path):
+    bundle = tmp_path / "conflict.bundle"
+    bundle.write_text(
+        Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle").read_text()
+        + 'varMap("a", "main.cpp", 1, "a", "main.cpp", 1).\n'
+        + 'varMap("a", "main.cpp", 1, "b", "main.cpp", 2).\n'
+    )
+    assert _error_report(capsys, "verify-equiv", str(bundle)) == (
+        2, _failed("equiv", "varMap pairs variable 'a' inconsistently", [bundle]),
+    )
+
+
+def test_corpus_entry_with_a_missing_file_reports_the_error(capsys, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"fixtures": [
+        {"name": "gone", "task": "msan", "path": "missing.facts", "expected": "Verified"},
+    ]}))
+    code, report = run_json(capsys, "corpus", str(manifest))
+    assert code == 1
+    assert report == {
+        "results": [{
+            "name": "gone",
+            "task": "msan",
+            "expected": "Verified",
+            "actual": "error: [Errno 2] No such file or directory: "
+            f"'{tmp_path / 'missing.facts'}'",
+            "ok": False,
+        }],
+        "version": __version__,
+    }
+
+
+def test_formalize_verify_outside_the_vocabulary_is_usage_error(capsys, tmp_path):
+    facts = tmp_path / "gt.facts"
+    facts.write_text('uses("x", "a.cc", 1).\nbogus("x").\n')
+    code, report = _error_report(
+        capsys, "formalize", str(facts), "--task", "msan", "--source", "mock",
+        "--ground-truth", str(facts), "--verify",
+    )
+    for record in report["iterations"]:
+        del record["wall_ms"]
+    assert (code, report) == (
+        2,
+        _failed(
+            "msan", "predicate(s) outside the task vocabulary: bogus", [facts],
+            iterations=[
+                {"index": 1, "parsed_facts": 2, "new_facts": 2, "failures": []},
+                {"index": 2, "parsed_facts": 2, "new_facts": 0, "failures": []},
+            ],
+        ),
+    )

@@ -9,6 +9,7 @@ import pytest
 from claimcheck.equivalence import Mismatch, build_pairing, check_watchvars, diff_structure
 from claimcheck.errors import DanglingMapReferenceError
 from claimcheck.facts import (
+    CondExprFact,
     EquivBundle,
     EquivSide,
     ExitFact,
@@ -231,3 +232,118 @@ def test_missing_map_lint_messages():
             "",
         ),
     ]
+
+
+# The pointwise obligations: x and y pair by name and their definitions pair
+# 2 -> 3 and 4 -> 5; p and r are code1's only, q is code2's only.  The
+# condWithExpr sites pair by sorted position (4 -> 3, 10 -> 11), but the
+# definition pairs claim lines 4 and 3 first, so each side's first site maps
+# onto a line the other side does not mark.
+def _flow(src, src_line, dst, dst_line):
+    return FlowFact(src, "main.cpp", src_line, dst, "main.cpp", dst_line)
+
+
+def _cond(line):
+    return CondExprFact("main.cpp", line)
+
+
+_POINTWISE_BUNDLE = EquivBundle(
+    EquivSide(
+        defs=frozenset({_site("x", 2), _site("y", 4)}),
+        uses=frozenset({_site("x", 2), _site("y", 4), _site("p", 6)}),
+        flows=frozenset({
+            _flow("x", 2, "y", 4),  # its image is on code2
+            _flow("y", 4, "x", 7),
+            _flow("x", 2, "p", 6),  # dst only unpaired
+            _flow("p", 6, "x", 2),  # src only unpaired
+            _flow("p", 6, "r", 6),  # both unpaired: one record each
+            _flow("p", 6, "p", 8),  # the same variable at both ends: one record
+            _flow("p", 9, "y", 4),  # two flows from one site whose records tie
+            _flow("p", 9, "x", 2),
+        }),
+        def_with_expr=frozenset({_site("x", 2), _site("y", 4), _site("p", 6)}),
+        cond_with_expr=frozenset({_cond(4), _cond(10)}),
+    ),
+    EquivSide(
+        defs=frozenset({_site("x", 3), _site("y", 5)}),
+        uses=frozenset({_site("x", 3), _site("q", 6), _site("y", 7)}),
+        flows=frozenset({_flow("x", 3, "y", 5), _flow("q", 6, "x", 3)}),
+        def_with_expr=frozenset({_site("x", 3), _site("q", 6), _site("y", 9)}),
+        cond_with_expr=frozenset({_cond(3), _cond(11)}),
+    ),
+)
+
+_FLOWS_MENTION_P = "{} flow mentions 'p', a variable with no pair"
+# (kind, line, subject, detail with {} for the tag, fact text, side of the
+# fact), in the order diff_structure returns them.
+_POINTWISE_RECORDS = [
+    ("unpaired_flow", 2, "p", _FLOWS_MENTION_P,
+     'flow("x", "main.cpp", 2, "p", "main.cpp", 6)', 0),
+    ("missing_condexpr", 3, "-",
+     "{} marks a complex condition at main.cpp:3 with no counterpart",
+     'condWithExpr("main.cpp", 3)', 1),
+    ("missing_condexpr", 4, "-",
+     "{} marks a complex condition at main.cpp:4 with no counterpart",
+     'condWithExpr("main.cpp", 4)', 0),
+    ("missing_defexpr", 4, "y",
+     '{} has defWithExpr("y", "main.cpp", 4) with no counterpart',
+     'defWithExpr("y", "main.cpp", 4)', 0),
+    ("missing_flow", 4, "y",
+     '{} has flow("y", "main.cpp", 4, "x", "main.cpp", 7) with no counterpart under '
+     "the pairing",
+     'flow("y", "main.cpp", 4, "x", "main.cpp", 7)', 0),
+    ("missing_use", 4, "y",
+     '{} has use("y", "main.cpp", 4) with no counterpart use("y", "main.cpp", 5)',
+     'use("y", "main.cpp", 4)', 0),
+    ("unpaired_defexpr", 6, "p",
+     '{} has defWithExpr("p", "main.cpp", 6) for a variable with no pair',
+     'defWithExpr("p", "main.cpp", 6)', 0),
+    ("unpaired_defexpr", 6, "q",
+     '{} has defWithExpr("q", "main.cpp", 6) for a variable with no pair',
+     'defWithExpr("q", "main.cpp", 6)', 1),
+    ("unpaired_flow", 6, "p", _FLOWS_MENTION_P,
+     'flow("p", "main.cpp", 6, "p", "main.cpp", 8)', 0),
+    ("unpaired_flow", 6, "p", _FLOWS_MENTION_P,
+     'flow("p", "main.cpp", 6, "r", "main.cpp", 6)', 0),
+    ("unpaired_flow", 6, "p", _FLOWS_MENTION_P,
+     'flow("p", "main.cpp", 6, "x", "main.cpp", 2)', 0),
+    ("unpaired_flow", 6, "q", "{} flow mentions 'q', a variable with no pair",
+     'flow("q", "main.cpp", 6, "x", "main.cpp", 3)', 1),
+    ("unpaired_flow", 6, "r", "{} flow mentions 'r', a variable with no pair",
+     'flow("p", "main.cpp", 6, "r", "main.cpp", 6)', 0),
+    ("unpaired_use", 6, "p", "{} uses 'p', a variable with no pair",
+     'use("p", "main.cpp", 6)', 0),
+    ("unpaired_use", 6, "q", "{} uses 'q', a variable with no pair",
+     'use("q", "main.cpp", 6)', 1),
+    ("missing_use", 7, "y",
+     '{} has use("y", "main.cpp", 7) with no counterpart use("y", "main.cpp", 7)',
+     'use("y", "main.cpp", 7)', 1),
+    ("missing_defexpr", 9, "y",
+     '{} has defWithExpr("y", "main.cpp", 9) with no counterpart',
+     'defWithExpr("y", "main.cpp", 9)', 1),
+    ("unpaired_flow", 9, "p", _FLOWS_MENTION_P,
+     'flow("p", "main.cpp", 9, "x", "main.cpp", 2)', 0),
+    ("unpaired_flow", 9, "p", _FLOWS_MENTION_P,
+     'flow("p", "main.cpp", 9, "y", "main.cpp", 4)', 0),
+]
+_POINTWISE_KINDS = {
+    "unpaired_use", "missing_use", "unpaired_flow", "missing_flow",
+    "unpaired_defexpr", "missing_defexpr", "missing_condexpr",
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["bundle", "swapped"])
+def test_pointwise_records_from_each_side(swap):
+    # Swapped, every fact moves to the other side and keeps its record and
+    # its place among records that tie on the sort key.
+    bundle = _POINTWISE_BUNDLE.swapped() if swap else _POINTWISE_BUNDLE
+    pairing = build_pairing(bundle)
+    expected = []
+    for kind, line, subject, detail, fact, side in _POINTWISE_RECORDS:
+        side ^= swap
+        facts = {"side2" if side else "side1": (fact,)}
+        expected.append(
+            Mismatch(kind, "main.cpp", line, subject, detail.format(f"code{side + 1}"), **facts)
+        )
+    records = [m for m in diff_structure(bundle, pairing) if m.kind in _POINTWISE_KINDS]
+    assert records == expected
