@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ClaimcheckError
@@ -30,9 +29,6 @@ from .facts import (
 
 # Each command imports the verifiers, the loop and the toy language itself,
 # so that a launch loads only the modules its command runs.
-if TYPE_CHECKING:
-    from .equivalence import EquivVerdict
-    from .msan import MsanVerdict
 
 OK, NOT_PROVEN, USAGE_ERROR = 0, 1, 2
 
@@ -109,88 +105,70 @@ def _emit(report: dict, pretty: bool) -> None:
         )
 
 
-def _msan_witness(verdict: MsanVerdict):
-    chain = verdict.to_json()["chain"]
-    return None if chain is None else {"chain": chain}
+def _verdict(task: str, facts) -> tuple[str, dict | None, dict]:
+    """The outcome of verifying the task's facts, its witness JSON and its
+    lint JSON."""
+    if task == MSAN:
+        from .msan import verify_msan
+
+        verdict = verify_msan(facts)
+        chain = verdict.to_json()["chain"]
+        witness = None if chain is None else {"chain": chain}
+    else:
+        from .equivalence import INCONCLUSIVE, verify_equiv
+
+        verdict = verify_equiv(facts)
+        if verdict.outcome == INCONCLUSIVE:
+            witness = {"missing_obligations": list(verdict.obligations)}
+        else:
+            witness = None if verdict.witness is None else verdict.witness.to_json()
+    return verdict.outcome, witness, verdict.lint.to_json()
 
 
-def _equiv_witness(verdict: EquivVerdict):
-    if verdict.outcome == "Inconclusive":
-        return {"missing_obligations": list(verdict.obligations)}
-    if verdict.witness is not None:
-        return verdict.witness.to_json()
-    return None
+# How each task reads one input file.
+_LOAD_TEXT = {MSAN: load_msan_facts, EQUIV: load_equiv_bundle_text}
 
 
-def cmd_verify_msan(args) -> int:
-    from .msan import verify_msan
-
-    started = time.perf_counter()
-    path = Path(args.facts)
-    try:
-        facts = load_msan_facts(_read(path))
-    except (OSError, ClaimcheckError) as exc:
-        _emit(_report(MSAN, None, None, None, [path], started, error=str(exc)), args.pretty)
-        return USAGE_ERROR
-    verdict = verify_msan(facts)
-    report = _report(
-        MSAN, verdict.outcome, _msan_witness(verdict), verdict.lint.to_json(), [path], started
-    )
-    _emit(report, args.pretty)
-    return _EXIT_BY_VERDICT[verdict.outcome]
-
-
-def _bundle_paths(args) -> list[Path]:
-    """The input files a bundle command names: one sectioned bundle, or the
-    section files given so far."""
-    if args.bundle:
-        return [Path(args.bundle)]
+def _input_paths(args) -> list[Path]:
+    """The input files a command names: its one file, or the bundle section
+    files given so far."""
+    if args.input is not None:
+        return [Path(args.input)]
     return [Path(p) for p in (args.code1, args.code2, args.correspondence) if p is not None]
 
 
-def _load_bundle(args, paths: list[Path]):
-    if args.bundle:
-        return load_equiv_bundle_text(_read(paths[0]))
+def _load(args):
+    """The facts of ``args.task`` in the command's input files."""
+    if args.input is not None:
+        return _LOAD_TEXT[args.task](_read(Path(args.input)))
+    if args.task == MSAN:
+        raise ClaimcheckError("lint --task msan needs a fact file")
     if not (args.code1 and args.code2 and args.correspondence is not None):
         raise ClaimcheckError(
             "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
         )
-    return load_equiv_bundle(*(_read(p) for p in paths))
+    return load_equiv_bundle(*(_read(p) for p in _input_paths(args)))
 
 
-def cmd_verify_equiv(args) -> int:
-    from .equivalence import verify_equiv
-
+def cmd_check(args) -> int:
+    """verify-msan, verify-equiv and lint: load the input, then verify it or,
+    for lint, only run the well-formedness checks."""
     started = time.perf_counter()
-    paths = _bundle_paths(args)
+    paths = _input_paths(args)
     try:
-        verdict = verify_equiv(_load_bundle(args, paths))
-    except (OSError, ClaimcheckError) as exc:
-        _emit(_report(EQUIV, None, None, None, paths, started, error=str(exc)), args.pretty)
-        return USAGE_ERROR
-    report = _report(
-        EQUIV, verdict.outcome, _equiv_witness(verdict), verdict.lint.to_json(), paths, started
-    )
-    _emit(report, args.pretty)
-    return _EXIT_BY_VERDICT[verdict.outcome]
-
-
-def cmd_lint(args) -> int:
-    started = time.perf_counter()
-    args.bundle = args.input
-    paths = _bundle_paths(args)
-    try:
-        if args.task == MSAN:
-            if not args.input:
-                raise ClaimcheckError("lint --task msan needs a fact file")
-            report = lint_msan(load_msan_facts(_read(paths[0])))
+        facts = _load(args)
+        if args.command == "lint":
+            report = (lint_msan if args.task == MSAN else lint_equiv)(facts)
+            verdict, witness, lint = None, None, report.to_json()
+            status = OK if report.ok else NOT_PROVEN
         else:
-            report = lint_equiv(_load_bundle(args, paths))
+            verdict, witness, lint = _verdict(args.task, facts)
+            status = _EXIT_BY_VERDICT[verdict]
     except (OSError, ClaimcheckError) as exc:
         _emit(_report(args.task, None, None, None, paths, started, error=str(exc)), args.pretty)
         return USAGE_ERROR
-    _emit(_report(args.task, None, None, report.to_json(), paths, started), args.pretty)
-    return OK if report.ok else NOT_PROVEN
+    _emit(_report(args.task, verdict, witness, lint, paths, started), args.pretty)
+    return status
 
 
 def cmd_extract(args) -> int:
@@ -237,7 +215,7 @@ def cmd_formalize(args) -> int:
             ground_truth = _read(Path(args.ground_truth))
             source = mock_source(ground_truth, args.withhold, args.seed)
         else:
-            source = http_source(HttpSourceConfig(url=args.url, debug=args.debug))
+            source = http_source(HttpSourceConfig(url=args.url))
         iters = DEFAULT_MAX_ITERS if args.iters is None else args.iters
         result, log = run_loop(source, args.task, snippets, max_iters=iters)
     except (OSError, ClaimcheckError, ValueError) as exc:
@@ -247,23 +225,12 @@ def cmd_formalize(args) -> int:
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
 
-    verdict = None
-    witness = None
-    lint = None
+    verdict = witness = lint = None
     status = OK
     if args.verify:
         try:
-            if args.task == MSAN:
-                from .msan import verify_msan
-
-                v = verify_msan(result.to_msan_facts())
-                verdict, witness, lint = v.outcome, _msan_witness(v), v.lint.to_json()
-            else:
-                from .equivalence import verify_equiv
-
-                v = verify_equiv(result.to_equiv_bundle())
-                verdict, witness, lint = v.outcome, _equiv_witness(v), v.lint.to_json()
-            status = _EXIT_BY_VERDICT[verdict]
+            facts = result.to_msan_facts() if args.task == MSAN else result.to_equiv_bundle()
+            verdict, witness, lint = _verdict(args.task, facts)
         except ClaimcheckError as exc:
             _emit(
                 _report(args.task, None, None, None, [Path(args.snippets)], started,
@@ -271,6 +238,7 @@ def cmd_formalize(args) -> int:
                 args.pretty,
             )
             return USAGE_ERROR
+        status = _EXIT_BY_VERDICT[verdict]
     report = _report(
         args.task, verdict, witness, lint, [Path(args.snippets)], started,
         iterations=log.to_json(),
@@ -291,12 +259,11 @@ def cmd_export(args) -> int:
         elif args.task == MSAN:
             from .msan import msan_program
 
-            facts = load_msan_facts(_read(Path(args.input)))
-            program = msan_program(facts)
+            program = msan_program(_load(args))
         else:
             from .equivalence import build_pairing, equiv_rules
 
-            bundle = load_equiv_bundle_text(_read(Path(args.input)))
+            bundle = _load(args)
             program = equiv_rules(bundle, build_pairing(bundle))
         rules_path = export_external(program, args.output)
     except (OSError, ClaimcheckError) as exc:
@@ -338,16 +305,7 @@ def _corpus_row(entry: dict, base: Path) -> dict:
     name = entry.get("name", "<unnamed>")
     task = entry["task"]
     try:
-        if task == MSAN:
-            from .msan import verify_msan
-
-            facts = load_msan_facts(_read(base / entry["path"]))
-            actual = verify_msan(facts).outcome
-        else:
-            from .equivalence import verify_equiv
-
-            bundle = load_equiv_bundle_text(_read(base / entry["path"]))
-            actual = verify_equiv(bundle).outcome
+        actual = _verdict(task, _LOAD_TEXT[task](_read(base / entry["path"])))[0]
     except (OSError, ClaimcheckError) as exc:
         actual = f"error: {exc}"
     return {
@@ -392,30 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="pretty", action="store_false",
                        help="JSON output (default)")
 
-    p = sub.add_parser("verify-msan", help="verify an uninitialized-value fact file")
-    p.add_argument("facts")
-    add_pretty(p)
-    p.set_defaults(func=cmd_verify_msan)
-
-    def add_bundle_args(p):
-        p.add_argument("bundle", nargs="?", help="sectioned bundle file")
+    def add_sections(p):
         p.add_argument("--code1")
         p.add_argument("--code2")
         p.add_argument("--correspondence")
 
-    p = sub.add_parser("verify-equiv", help="verify a two-program fact bundle")
-    add_bundle_args(p)
+    p = sub.add_parser("verify-msan", help="verify an uninitialized-value fact file")
+    p.add_argument("input", metavar="facts")
     add_pretty(p)
-    p.set_defaults(func=cmd_verify_equiv)
+    p.set_defaults(func=cmd_check, task=MSAN)
+
+    p = sub.add_parser("verify-equiv", help="verify a two-program fact bundle")
+    p.add_argument("input", nargs="?", metavar="bundle", help="sectioned bundle file")
+    add_sections(p)
+    add_pretty(p)
+    p.set_defaults(func=cmd_check, task=EQUIV)
 
     p = sub.add_parser("lint", help="run the well-formedness checks only")
     p.add_argument("--task", choices=(MSAN, EQUIV), required=True)
     p.add_argument("input", nargs="?")
-    p.add_argument("--code1")
-    p.add_argument("--code2")
-    p.add_argument("--correspondence")
+    add_sections(p)
     add_pretty(p)
-    p.set_defaults(func=cmd_lint, bundle=None)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extract", help="extract ground-truth facts from toy programs")
     p.add_argument("toy")
@@ -436,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ground-truth", help="fact file the mock source draws from")
     p.add_argument("--url", help="endpoint URL (default: $CLAIMCHECK_LLM_URL)")
-    p.add_argument("--debug", action="store_true", help="log request/response bodies")
     p.add_argument("--verify", action="store_true", help="verify the consolidated facts")
     p.add_argument("-o", "--output", help="write consolidated facts here")
     add_pretty(p)

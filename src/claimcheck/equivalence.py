@@ -28,6 +28,7 @@ from .facts import (
     CODE2,
     SIDE_FIELDS,
     SIDE_SORTS,
+    CondExprFact,
     EquivBundle,
     EquivSide,
     FlowFact,
@@ -241,6 +242,41 @@ def _sides(bundle: EquivBundle, pairing: SitePairing) -> tuple[tuple, tuple]:
     )
 
 
+def _columns(fact_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The variable columns (``var``, ``*_var``) and the file columns
+    (``file``, ``*_file``, each followed by its line) of a fact type."""
+    names = fact_type._fields
+    return (
+        tuple(i for i, name in enumerate(names) if name == "var" or name.endswith("_var")),
+        tuple(i for i, name in enumerate(names) if name == "file" or name.endswith("_file")),
+    )
+
+
+# The obligation that each fact's image under the pairing is on the other
+# side, one row per predicate: its side field, its predicate, the suffix of
+# its mismatch kinds, its variable and file columns, and the details of its
+# unpaired and missing records, formatted with the side's tag, the unpaired
+# var, the fact and its image as fact text, and the fact's first file and
+# line.  A condWithExpr fact names no variable, so it has no unpaired record.
+_POINTWISE = tuple(
+    (field, predicate, suffix, *_columns(fact_type), unpaired, missing)
+    for field, predicate, suffix, fact_type, unpaired, missing in (
+        ("uses", "use", "use", SiteFact,
+         "{tag} uses {var!r}, a variable with no pair",
+         "{tag} has {fact} with no counterpart {image}"),
+        ("flows", "flow", "flow", FlowFact,
+         "{tag} flow mentions {var!r}, a variable with no pair",
+         "{tag} has {fact} with no counterpart under the pairing"),
+        ("def_with_expr", "defWithExpr", "defexpr", SiteFact,
+         "{tag} has {fact} for a variable with no pair",
+         "{tag} has {fact} with no counterpart"),
+        ("cond_with_expr", "condWithExpr", "condexpr", CondExprFact,
+         None,
+         "{tag} marks a complex condition at {file}:{line} with no counterpart"),
+    )
+)
+
+
 def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     """Pointwise structural diff; empty means isomorphic modulo the pairing."""
     out: list[Mismatch] = []
@@ -255,88 +291,40 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                     **_facts_of(tag, fact_text("def", SiteFact(var, file, line))),
                 )
             )
-        for f in sorted(here.uses):
-            if f.var not in var_map:
-                out.append(
-                    Mismatch(
-                        "unpaired_use", f.file, f.line, f.var,
-                        f"{tag} uses {f.var!r}, a variable with no pair",
-                        **_facts_of(tag, fact_text("use", f)),
-                    )
-                )
-                continue
-            other = SiteFact(var_map[f.var], *map_line((f.file, f.line)))
-            if other not in there.uses:
-                rendered = fact_text("use", f)
-                out.append(
-                    Mismatch(
-                        "missing_use", f.file, f.line, f.var,
-                        f"{tag} has {rendered} with no counterpart "
-                        f"{fact_text('use', other)}",
-                        **_facts_of(tag, rendered),
-                    )
-                )
-        for f in sorted(here.flows):
-            unpaired = [v for v in (f.src_var, f.dst_var) if v not in var_map]
-            if unpaired:
-                rendered = fact_text("flow", f)
-                for v in dict.fromkeys(unpaired):
+        for field, predicate, suffix, variables, files, unpaired, missing in _POINTWISE:
+            images = getattr(there, field)
+            for f in sorted(getattr(here, field)):
+                file, line = f[files[0]], f[files[0] + 1]
+                names = [f[i] for i in variables if f[i] not in var_map]
+                if names:
+                    rendered = fact_text(predicate, f)
+                    for var in dict.fromkeys(names):
+                        out.append(
+                            Mismatch(
+                                "unpaired_" + suffix, file, line, var,
+                                unpaired.format(tag=tag, var=var, fact=rendered),
+                                **_facts_of(tag, rendered),
+                            )
+                        )
+                    continue
+                image = list(f)
+                for i in variables:
+                    image[i] = var_map[image[i]]
+                for i in files:
+                    image[i : i + 2] = map_line((image[i], image[i + 1]))
+                if tuple(image) not in images:
+                    rendered = fact_text(predicate, f)
                     out.append(
                         Mismatch(
-                            "unpaired_flow", f.src_file, f.src_line, v,
-                            f"{tag} flow mentions {v!r}, a variable with no pair",
+                            "missing_" + suffix, file, line,
+                            f[variables[0]] if variables else "-",
+                            missing.format(
+                                tag=tag, fact=rendered, image=fact_text(predicate, image),
+                                file=file, line=line,
+                            ),
                             **_facts_of(tag, rendered),
                         )
                     )
-                continue
-            src = map_line((f.src_file, f.src_line))
-            dst = map_line((f.dst_file, f.dst_line))
-            image = type(f)(
-                var_map[f.src_var], src[0], src[1],
-                var_map[f.dst_var], dst[0], dst[1],
-            )
-            if image not in there.flows:
-                rendered = fact_text("flow", f)
-                out.append(
-                    Mismatch(
-                        "missing_flow", f.src_file, f.src_line, f.src_var,
-                        f"{tag} has {rendered} with no counterpart under the "
-                        "pairing",
-                        **_facts_of(tag, rendered),
-                    )
-                )
-        for f in sorted(here.def_with_expr):
-            if f.var not in var_map:
-                rendered = fact_text("defWithExpr", f)
-                out.append(
-                    Mismatch(
-                        "unpaired_defexpr", f.file, f.line, f.var,
-                        f"{tag} has {rendered} for a variable with no pair",
-                        **_facts_of(tag, rendered),
-                    )
-                )
-                continue
-            other = SiteFact(var_map[f.var], *map_line((f.file, f.line)))
-            if other not in there.def_with_expr:
-                rendered = fact_text("defWithExpr", f)
-                out.append(
-                    Mismatch(
-                        "missing_defexpr", f.file, f.line, f.var,
-                        f"{tag} has {rendered} with no counterpart",
-                        **_facts_of(tag, rendered),
-                    )
-                )
-        for f in sorted(here.cond_with_expr):
-            # a condWithExpr fact is its (file, line) site
-            if map_line((f.file, f.line)) not in there.cond_with_expr:
-                out.append(
-                    Mismatch(
-                        "missing_condexpr", f.file, f.line, "-",
-                        f"{tag} marks a complex condition at {f.file}:{f.line} "
-                        "with no counterpart",
-                        **_facts_of(tag, fact_text("condWithExpr", f)),
-                    )
-                )
 
     out.extend(_diff_expressions(bundle, pairing))
     out.extend(_diff_controldeps(bundle, pairing))

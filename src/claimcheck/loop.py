@@ -11,10 +11,10 @@ nothing to compare it against.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 import re
+import sys
 import time
 from typing import Protocol
 
@@ -34,47 +34,14 @@ from .facts import (
 )
 from .prompts import render_template
 
-logger = logging.getLogger("claimcheck.loop")
-
 DEFAULT_MAX_ITERS = 5
 URL_ENV = "CLAIMCHECK_LLM_URL"
 TOKEN_ENV = "CLAIMCHECK_LLM_TOKEN"
 # Responses longer than this fail their iteration, like a transport error.
 MAX_RESPONSE_BYTES = 1 << 20
 
-MSAN_SIGNATURES = (
-    "uses(x: str, f: str, l: num)",
-    "uninitialized(x: str, f: str, l: num)",
-    "hasInitializer(x: str, m: str)",
-    "hasMemberInitializer(x: str, m: str)",
-    "allocated(x: str, f: str, l: num)",
-    "declared(x: str, f: str, l: num)",
-    "flow(x: str, f1: str, l1: num, y: str, f2: str, l2: num)",
-    "memoryError(x: str, error_type: str, f: str, l: num)",
-)
-EQUIV_SIGNATURES = (
-    "use(x: str, f: str, l: num)",
-    "def(x: str, f: str, l: num)",
-    "flow(x: str, f1: str, l1: num, y: str, f2: str, l2: num)",
-    "controldep(x: str, f1: str, l1: num, cond: str, choice: bool, f2: str, l2: num)",
-    "defWithExpr(x: str, f: str, l: num)",
-    "condWithExpr(f: str, l: num)",
-    "unaryFun(operator: str, operand: str, f: str, l: num)",
-    "binaryFun(op: str, opd1: str, opd2: str, f: str, l: num)",
-    "entry(fun: str, f: str, l: num)",
-    "exit(f: str, l: num)",
-    "isConstantValue(x: str)",
-    "watchVar(x: str, f: str, l: num)",
-    "varMap(x: str, f1: str, l1: num, y: str, f2: str, l2: num)",
-    "entryMap(f1: str, l1: num, f2: str, l2: num)",
-    "exitMap(f1: str, l1: num, f2: str, l2: num)",
-)
-
-
 class FactSource(Protocol):
-    def __call__(
-        self, task: str, snippets: str, vocabulary: tuple[str, ...], prior_facts: str
-    ) -> str: ...
+    def __call__(self, task: str, snippets: str, prior_facts: str) -> str: ...
 
 
 class IterationRecord(Record):
@@ -223,7 +190,6 @@ def run_loop(
         raise ValueError(f"unknown task {task!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    vocabulary = MSAN_SIGNATURES if task == MSAN else EQUIV_SIGNATURES
     consolidated: dict[str, set[Atom]] = {}
     log = IterationLog()
     for index in range(1, max_iters + 1):
@@ -232,9 +198,9 @@ def run_loop(
             task, {k: frozenset(v) for k, v in consolidated.items()}
         )
         try:
-            text = source(task, snippets, vocabulary, result.render())
+            text = source(task, snippets, result.render())
         except Exception as exc:  # a broken source must not kill the loop
-            logger.warning("fact source failed on iteration %d: %s", index, exc)
+            print(f"fact source failed on iteration {index}: {exc}", file=sys.stderr)
             text = ""
             sections, failures = {}, [(0, f"source error: {exc}")]
         else:
@@ -283,7 +249,7 @@ def mock_source(
     fact_line = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")
     calls = {"n": 0}
 
-    def source(task, snippets, vocabulary, prior_facts):
+    def source(task, snippets, prior_facts):
         calls["n"] += 1
         rng = random.Random(seed * 1_000_003 + calls["n"])
         kept = []
@@ -297,12 +263,10 @@ def mock_source(
 
 
 class HttpSourceConfig(Record):
-    __slots__ = _fields = ("url", "timeout_s", "debug")
+    __slots__ = _fields = ("url", "timeout_s")
 
-    def __init__(
-        self, url: str | None = None, timeout_s: float = 30.0, debug: bool = False
-    ) -> None:
-        self.url, self.timeout_s, self.debug = url, timeout_s, debug
+    def __init__(self, url: str | None = None, timeout_s: float = 30.0) -> None:
+        self.url, self.timeout_s = url, timeout_s
 
 
 def _split_marked(text: str, marker: str) -> str | None:
@@ -336,8 +300,6 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = json.dumps({"system": system, "user": user}).encode("utf-8")
-        if config.debug:
-            logger.debug("request to %s: %s", url, body.decode("utf-8"))
         import urllib.request  # the HTTP stack loads only when a request is made
 
         request = urllib.request.Request(url, data=body, headers=headers)
@@ -345,12 +307,9 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
             payload = response.read(MAX_RESPONSE_BYTES + 1)
         if len(payload) > MAX_RESPONSE_BYTES:
             raise ValueError(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
-        payload = payload.decode("utf-8")
-        if config.debug:
-            logger.debug("response: %s", payload)
-        return json.loads(payload)["text"]
+        return json.loads(payload.decode("utf-8"))["text"]
 
-    def source(task, snippets, vocabulary, prior_facts):
+    def source(task, snippets, prior_facts):
         prior = prior_facts.strip() or "(none yet)"
         if task == MSAN:
             explanation = _split_marked(snippets, "explanation") or snippets

@@ -193,7 +193,8 @@ _NOT_FOR_VERIFY = _NEVER | _NETWORK | {
      _NEVER | _NETWORK | {"claimcheck.loop", "claimcheck.toy", "claimcheck.msan"}),
     (["formalize", f"{FIXTURES}/msan/audio_buffer_trace.facts", "--task", "msan",
       "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
-     "claimcheck.loop", _NEVER | _NETWORK | {"claimcheck.toy", "importlib.resources"}),
+     "claimcheck.loop",
+     _NEVER | _NETWORK | {"claimcheck.toy", "importlib.resources", "logging"}),
 ], ids=["verify-msan", "verify-equiv", "lint", "corpus", "export", "formalize"])
 def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
     # -S: no .pth file of the host may load a module before the command does

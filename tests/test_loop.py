@@ -5,12 +5,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from claimcheck.equivalence import NOT_EQUIVALENT, verify_equiv
+from claimcheck.facts import CORRESPONDENCE_PREDICATES, MSAN_PREDICATES, SIDE_PREDICATES
 from claimcheck.loop import (
     EQUIV,
     MSAN,
-    EQUIV_SIGNATURES,
     MAX_RESPONSE_BYTES,
-    MSAN_SIGNATURES,
     HttpSourceConfig,
     http_source,
     mock_source,
@@ -51,11 +50,11 @@ def test_union_is_monotone_and_source_failures_are_survivable(trace_facts_text):
     calls = {"n": 0}
     good = mock_source(trace_facts_text, withhold_fraction=0.5, seed=3)
 
-    def flaky(task, snippets, vocabulary, prior):
+    def flaky(task, snippets, prior):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("backend down")
-        return good(task, snippets, vocabulary, prior)
+        return good(task, snippets, prior)
 
     result, log = run_loop(flaky, MSAN, "")
     counts = [r.parsed_facts for r in log.records]
@@ -80,7 +79,7 @@ def test_mock_is_deterministic_under_seed(renamed_fn_bundle_text):
 
 def test_mock_fraction_zero_returns_everything(trace_facts_text):
     source = mock_source(trace_facts_text, withhold_fraction=0.0, seed=1)
-    assert source(MSAN, "", MSAN_SIGNATURES, "") == source(MSAN, "", MSAN_SIGNATURES, "")
+    assert source(MSAN, "", "") == source(MSAN, "", "")
     result, _ = run_loop(source, MSAN, "")
     assert result.fact_count() == 11
 
@@ -156,12 +155,13 @@ def test_msan_template_carries_the_full_vocabulary():
     for head in ("uses(", "uninitialized(", "hasInitializer(", "hasMemberInitializer(",
                  "allocated(", "declared(", "memoryError("):
         assert head in text
+    for head in MSAN_PREDICATES:
+        assert head + "(" in text
 
 
 def test_equiv_template_carries_the_full_vocabulary():
     text = load_template("equiv_formalize_v1")
-    for signature in EQUIV_SIGNATURES:
-        head = signature.split("(")[0]
+    for head in SIDE_PREDICATES + CORRESPONDENCE_PREDICATES:
         assert head + "(" in text or head == "watchVar"  # prompt names it outputVar
     assert "outputVar(" in text
 
@@ -271,14 +271,14 @@ def test_http_source_maps_transport_errors_to_empty(monkeypatch):
     assert len(log.records) == 2
 
 
-def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_text, caplog):
+def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_text, capsys):
     # every fact is in the body; only its padded size makes the call fail
     _Stub.canned = trace_facts_text + " " * MAX_RESPONSE_BYTES
     source = http_source(HttpSourceConfig(url=stub_server))
     result, log = run_loop(source, MSAN, "x", max_iters=2)
     assert result.fact_count() == 0
     assert len(log.records) == 2
-    assert "exceeds" in caplog.text
+    assert "exceeds" in capsys.readouterr().err
 
 
 def test_http_error_status_is_logged_as_a_source_error(stub_server):
