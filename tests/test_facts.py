@@ -242,6 +242,45 @@ _ABBREVIATED = [
 ]
 
 
+# Each predicate's argument sorts, in table order: a line column read as a
+# symbol would change every declaration, export and sort check.
+_MSAN_SORTS = {
+    "uninitialized": ("symbol", "symbol", "number"),
+    "declared": ("symbol", "symbol", "number"),
+    "allocated": ("symbol", "symbol", "number"),
+    "hasInitializer": ("symbol", "symbol"),
+    "hasMemberInitializer": ("symbol", "symbol"),
+    "uses": ("symbol", "symbol", "number"),
+    "flow": ("symbol", "symbol", "number", "symbol", "symbol", "number"),
+    "memoryError": ("symbol", "symbol", "symbol", "number"),
+}
+_SIDE_SORTS = {
+    "entry": ("symbol", "symbol", "number"),
+    "isConstantValue": ("symbol",),
+    "def": ("symbol", "symbol", "number"),
+    "defWithExpr": ("symbol", "symbol", "number"),
+    "condWithExpr": ("symbol", "number"),
+    "use": ("symbol", "symbol", "number"),
+    "flow": ("symbol", "symbol", "number", "symbol", "symbol", "number"),
+    "controldep": ("symbol", "symbol", "number", "symbol", "symbol", "symbol", "number"),
+    "unaryFun": ("symbol", "symbol", "symbol", "number"),
+    "binaryFun": ("symbol", "symbol", "symbol", "symbol", "number"),
+    "exit": ("symbol", "number"),
+    "watchVar": ("symbol", "symbol", "number"),
+}
+_CORRESPONDENCE_SORTS = {
+    "entryMap": ("symbol", "number", "symbol", "number"),
+    "exitMap": ("symbol", "number", "symbol", "number"),
+    "varMap": ("symbol", "symbol", "number", "symbol", "symbol", "number"),
+}
+
+
+def test_sorts_of_each_vocabulary():
+    assert list(MSAN_SORTS.items()) == list(_MSAN_SORTS.items())
+    assert list(SIDE_SORTS.items()) == list(_SIDE_SORTS.items())
+    assert list(CORRESPONDENCE_SORTS.items()) == list(_CORRESPONDENCE_SORTS.items())
+
+
 def _load_one(predicate: str, text: str) -> EquivBundle:
     if predicate in CORRESPONDENCE_SORTS:
         side = 'exit("main.cpp", 8).'
