@@ -389,20 +389,14 @@ def prepare(rules: Program) -> RuleSet:
     )
 
 
-def _check_prepared_facts(program: Program, rule_set: RuleSet) -> None:
-    """The fact checks of :func:`check_program`, for a program that
-    ``rule_set`` admits: its rules are valid and its sorts are fixed."""
+def _fits(program: Program, rule_set: RuleSet) -> bool:
+    """Whether ``rule_set`` admits ``program`` and each of its facts is a
+    constant tuple of its relation's declared types, so that the program is
+    valid with the rule set's declarations and strata."""
+    if not rule_set.admits(program):
+        return False
     types_of = rule_set.fact_types.get
-    for fact in program.facts:
-        if types_of(fact.predicate) != tuple(map(type, fact.args)):
-            break
-    else:
-        return  # each fact is a constant tuple of its relation's declared sorts
-    slots = {name: list(sorts) for name, sorts in rule_set.declarations.items()}
-    _check_facts(program.facts, slots, rule_set.declarations)
-    # valid after all: some fact names a relation no rule does, declared here
-    # as check_program would declare it
-    program.declarations = {name: tuple(sorts) for name, sorts in slots.items()}
+    return all(types_of(fact.predicate) == tuple(map(type, fact.args)) for fact in program.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +692,12 @@ def evaluate(program: Program) -> Database:
     """Minimal model of a valid program; total on stratifiable inputs.
 
     A program built from a prepared :class:`RuleSet`, whose rules and
-    declarations are still the rule set's, has only its facts checked; any
-    other program goes through :func:`check_program`.
+    declarations are still the rule set's and whose facts fit those
+    declarations, has only its facts checked; any other program goes through
+    :func:`check_program`.
     """
     rule_set = program.rule_set
-    if rule_set is not None and rule_set.admits(program):
-        _check_prepared_facts(program, rule_set)
+    if rule_set is not None and _fits(program, rule_set):
         plans = rule_set.plans
     else:
         plans = _plans(program.rules, check_program(program))

@@ -19,7 +19,7 @@ only.  The same diff is also emitted as a stratified Datalog program
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, NamedTuple, get_type_hints
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, NamedTuple
 
 from .datalog.ast import Program, Record, print_declaration
 from .errors import ConflictingVarMapError
@@ -28,7 +28,6 @@ from .facts import (
     CODE2,
     SIDE_FIELDS,
     SIDE_SORTS,
-    CondExprFact,
     EquivBundle,
     EquivSide,
     FlowFact,
@@ -65,7 +64,6 @@ class SitePairing(Record):
     __slots__ = _fields = (
         "var_pairs", "var_pairs_rev", "def_site_pairs", "cond_site_pairs", "entry_pairs",
         "exit_pairs", "line_map", "line_map_rev", "residue_defs_1", "residue_defs_2",
-        "residue_vars_1", "residue_vars_2",
     )
 
     def __init__(self) -> None:
@@ -80,8 +78,6 @@ class SitePairing(Record):
         self.line_map_rev: dict[Site, Site] = {}
         self.residue_defs_1: list[tuple[str, Site]] = []
         self.residue_defs_2: list[tuple[str, Site]] = []
-        self.residue_vars_1: list[str] = []
-        self.residue_vars_2: list[str] = []
 
     def map_line(self, site: Site) -> Site:
         return self.line_map.get(site, site)
@@ -119,8 +115,6 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
         if name not in pairing.var_pairs and name not in pairing.var_pairs_rev:
             pairing.var_pairs[name] = name
             pairing.var_pairs_rev[name] = name
-    pairing.residue_vars_1 = sorted(vars1 - set(pairing.var_pairs))
-    pairing.residue_vars_2 = sorted(vars2 - set(pairing.var_pairs_rev))
 
     paired_sites_1: set[tuple[str, Site]] = set()
     paired_sites_2: set[tuple[str, Site]] = set()
@@ -245,7 +239,7 @@ def _sides(bundle: EquivBundle, pairing: SitePairing) -> tuple[tuple, tuple]:
 def _columns(fact_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The variable columns (``var``, ``*_var``) and the file columns
     (``file``, ``*_file``, each followed by its line) of a fact type."""
-    names = fact_type._fields
+    names = getattr(fact_type, "_fields", ())
     return (
         tuple(i for i, name in enumerate(names) if name == "var" or name.endswith("_var")),
         tuple(i for i, name in enumerate(names) if name == "file" or name.endswith("_file")),
@@ -253,27 +247,30 @@ def _columns(fact_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 # The obligation that each fact's image under the pairing is on the other
-# side, one row per predicate: its side field, its predicate, the suffix of
-# its mismatch kinds, its variable and file columns, and the details of its
-# unpaired and missing records, formatted with the side's tag, the unpaired
-# var, the fact and its image as fact text, and the fact's first file and
-# line.  A condWithExpr fact names no variable, so it has no unpaired record.
+# side, one row per side field: the suffix of its mismatch kinds and the
+# details of its unpaired and missing records, formatted with the side's
+# tag, the unpaired var, the fact and its image as fact text, and the fact's
+# first file and line.  Each row gains the field's predicate and the
+# variable and file columns of its fact type from ``SIDE_FIELDS``.  A
+# condWithExpr fact names no variable, so it has no unpaired record.
 _POINTWISE = tuple(
     (field, predicate, suffix, *_columns(fact_type), unpaired, missing)
-    for field, predicate, suffix, fact_type, unpaired, missing in (
-        ("uses", "use", "use", SiteFact,
+    for field, suffix, unpaired, missing in (
+        ("uses", "use",
          "{tag} uses {var!r}, a variable with no pair",
          "{tag} has {fact} with no counterpart {image}"),
-        ("flows", "flow", "flow", FlowFact,
+        ("flows", "flow",
          "{tag} flow mentions {var!r}, a variable with no pair",
          "{tag} has {fact} with no counterpart under the pairing"),
-        ("def_with_expr", "defWithExpr", "defexpr", SiteFact,
+        ("def_with_expr", "defexpr",
          "{tag} has {fact} for a variable with no pair",
          "{tag} has {fact} with no counterpart"),
-        ("cond_with_expr", "condWithExpr", "condexpr", CondExprFact,
+        ("cond_with_expr", "condexpr",
          None,
          "{tag} marks a complex condition at {file}:{line} with no counterpart"),
     )
+    for name, predicate, fact_type in SIDE_FIELDS
+    if name == field
 )
 
 
@@ -732,30 +729,14 @@ _DECLS = "".join(
 """
 
 
-@cache  # read from the annotations on first use, not at import
-def _site_columns() -> tuple[tuple[str, list[tuple[int, int]]], ...]:
-    """Each side field with the (file, line) column pairs of its fact type:
-    ``file``/``line`` and their ``src_``, ``dst_`` and ``cond_`` forms."""
-    hints = get_type_hints(EquivSide)
-    table = []
-    for name, _ in SIDE_FIELDS:
-        fields = getattr(hints[name].__args__[0], "_fields", ())
-        columns = [
-            (i, fields.index(f[: -len("file")] + "line"))
-            for i, f in enumerate(fields)
-            if f.endswith("file")
-        ]
-        table.append((name, columns))
-    return tuple(table)
-
-
 def _fact_lines(side: EquivSide) -> set[Site]:
     """Every (file, line) site that a fact of the side names."""
     lines: set[Site] = set()
-    for name, columns in _site_columns():
+    for name, _, fact_type in SIDE_FIELDS:
+        files = _columns(fact_type)[1]
         for fact in getattr(side, name):
-            for file_column, line_column in columns:
-                lines.add((fact[file_column], fact[line_column]))
+            for i in files:
+                lines.add((fact[i], fact[i + 1]))
     return lines
 
 
@@ -779,7 +760,7 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     """
     program = _rule_set().program()
     for side, suffix in zip((bundle.code1, bundle.code2), _SUFFIXES):
-        relations = [(name, f"{_RULE_RELATIONS[p]}_{suffix}") for name, p in SIDE_FIELDS]
+        relations = [(name, f"{_RULE_RELATIONS[p]}_{suffix}", t) for name, p, t in SIDE_FIELDS]
         program.facts.extend(fact_atoms(side, relations))
     for x in sorted(pairing.var_pairs):
         y = pairing.var_pairs[x]

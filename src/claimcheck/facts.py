@@ -11,13 +11,14 @@ Two vocabularies are supported:
   ``watchVar``) plus the correspondence predicates (``varMap``,
   ``entryMap``, ``exitMap``).
 
-Each fact container lists its predicates once, in an ordered
-``(field, predicate)`` table (``MSAN_FIELDS``, ``SIDE_FIELDS``,
-``CORRESPONDENCE_FIELDS``).  A predicate's argument order and sorts are
-those of the field's NamedTuple (``str`` fields are symbols, ``int`` fields
-numbers, a bare ``str`` is a 1-ary fact).  Rendering, counting, the Datalog
-facts and declarations of the rule sets and the text of witness facts are
-all derived from these tables; ``datalog.ast.print_fact`` writes every fact.
+The vocabulary is stated once, in one table of ``(field, predicate, fact
+type)`` rows per container (``MSAN_FIELDS``, ``SIDE_FIELDS``,
+``CORRESPONDENCE_FIELDS``), in render order, which is also the order of the
+Datalog facts.  A predicate's argument order and sorts are the fields and
+field types of its fact type (``str`` fields are symbols, ``int`` fields
+numbers); a fact type of ``str`` is a 1-ary fact.  Loading, rendering, the
+Datalog facts and declarations of the rule sets and the text of witness
+facts all read these tables; ``datalog.ast.print_fact`` writes every fact.
 
 Loaders accept the canonical arities, in which every site carries a file
 name.  Only the equivalence vocabulary has abbreviated forms, the ones
@@ -35,11 +36,9 @@ predicate, a wrong arity or sort, a rule) goes whole to the Datalog parser
 and the checks on atoms (``*_from_atoms``), which report every error.
 """
 
-from __future__ import annotations
-
 import re
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .datalog.ast import NUMBER, SYMBOL, Atom, Record, print_fact
 from .errors import (
@@ -92,25 +91,24 @@ def fact_text(predicate: str, fact) -> str:
     return print_fact(predicate, (fact,) if isinstance(fact, str) else fact)
 
 
-def fact_atoms(container, fields: Iterable[tuple[str, str]]) -> Iterator[Atom]:
+def fact_atoms(container, fields: Iterable[tuple]) -> Iterator[Atom]:
     """A container's facts as atoms, in table order, each field sorted."""
-    for name, predicate in fields:
+    for name, predicate, _ in fields:
         for fact in sorted(getattr(container, name)):
             yield fact_atom(predicate, fact)
 
 
-def _render(container, fields: Iterable[tuple[str, str]]) -> str:
+def _render(container, fields: Iterable[tuple]) -> str:
     """A container's facts as fact text, in table order, each field sorted."""
     return "".join(
         fact_text(predicate, fact) + ".\n"
-        for name, predicate in fields
+        for name, predicate, _ in fields
         for fact in sorted(getattr(container, name))
     )
 
 
-@cache  # fields share fact types, and every launch pays for evaluating annotations
 def _sorts(fact_type) -> tuple[str, ...]:
-    types = (str,) if fact_type is str else get_type_hints(fact_type).values()
+    types = (str,) if fact_type is str else fact_type.__annotations__.values()
     return tuple(NUMBER if t is int else SYMBOL for t in types)
 
 
@@ -125,14 +123,11 @@ class _Relation(NamedTuple):
     default: str = ""  # and the value that fills them
 
 
-def _relations(container_type, fields, normalize: dict, abbreviated: dict) -> dict[str, _Relation]:
-    """Each predicate of a table with its relation, read from the NamedTuple
-    in the annotation of its field; ``normalize`` maps a column name to the
-    function applied to its values."""
-    hints = get_type_hints(container_type)
+def _relations(fields, normalize: dict, abbreviated: dict) -> dict[str, _Relation]:
+    """Each predicate of a table with its relation; ``normalize`` maps a
+    column name to the function applied to its values."""
     table = {}
-    for name, predicate in fields:
-        (fact_type,) = hints[name].__args__
+    for name, predicate, fact_type in fields:
         columns = getattr(fact_type, "_fields", ("value",))
         table[predicate] = _Relation(
             name,
@@ -300,14 +295,14 @@ class _Facts(Record):
 
 # Render order, which is also the order of the Datalog facts.
 MSAN_FIELDS = (
-    ("uninitialized", "uninitialized"),
-    ("declared", "declared"),
-    ("allocated", "allocated"),
-    ("has_initializer", "hasInitializer"),
-    ("has_member_initializer", "hasMemberInitializer"),
-    ("uses", "uses"),
-    ("flow", "flow"),
-    ("memory_error", "memoryError"),
+    ("uninitialized", "uninitialized", SiteFact),
+    ("declared", "declared", SiteFact),
+    ("allocated", "allocated", SiteFact),
+    ("has_initializer", "hasInitializer", InitFact),
+    ("has_member_initializer", "hasMemberInitializer", InitFact),
+    ("uses", "uses", SiteFact),
+    ("flow", "flow", FlowFact),
+    ("memory_error", "memoryError", MemoryErrorFact),
 )
 
 
@@ -316,18 +311,10 @@ class MsanFactSet(_Facts):
         "uses", "uninitialized", "has_initializer", "has_member_initializer",
         "allocated", "declared", "flow", "memory_error",
     )
-    uses: frozenset[SiteFact]
-    uninitialized: frozenset[SiteFact]
-    has_initializer: frozenset[InitFact]
-    has_member_initializer: frozenset[InitFact]
-    allocated: frozenset[SiteFact]
-    declared: frozenset[SiteFact]
-    flow: frozenset[FlowFact]
-    memory_error: frozenset[MemoryErrorFact]
 
     def union(self, other: "MsanFactSet") -> "MsanFactSet":
         return MsanFactSet(
-            **{name: getattr(self, name) | getattr(other, name) for name, _ in MSAN_FIELDS}
+            **{name: getattr(self, name) | getattr(other, name) for name in self._fields}
         )
 
     def render(self) -> str:
@@ -336,7 +323,7 @@ class MsanFactSet(_Facts):
 
 # Trace dumps are inconsistent about "//" in the file columns of every fact.
 _MSAN_RELATIONS = _relations(
-    MsanFactSet, MSAN_FIELDS, dict.fromkeys(("file", "src_file", "dst_file"), _norm_path), {}
+    MSAN_FIELDS, dict.fromkeys(("file", "src_file", "dst_file"), _norm_path), {}
 )
 MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
 MSAN_PREDICATES = tuple(MSAN_SORTS)
@@ -411,23 +398,23 @@ def lint_msan(fs: MsanFactSet) -> LintReport:
 CODE1, CODE2, CORRESPONDENCE = "code1", "code2", "correspondence"
 # Render order, which is also the order of the Datalog facts.
 SIDE_FIELDS = (
-    ("entries", "entry"),
-    ("constants", "isConstantValue"),
-    ("defs", "def"),
-    ("def_with_expr", "defWithExpr"),
-    ("cond_with_expr", "condWithExpr"),
-    ("uses", "use"),
-    ("flows", "flow"),
-    ("controldeps", "controldep"),
-    ("unary", "unaryFun"),
-    ("binary", "binaryFun"),
-    ("exits", "exit"),
-    ("watch_vars", "watchVar"),
+    ("entries", "entry", EntryFact),
+    ("constants", "isConstantValue", str),
+    ("defs", "def", SiteFact),
+    ("def_with_expr", "defWithExpr", SiteFact),
+    ("cond_with_expr", "condWithExpr", CondExprFact),
+    ("uses", "use", SiteFact),
+    ("flows", "flow", FlowFact),
+    ("controldeps", "controldep", ControlDepFact),
+    ("unary", "unaryFun", UnaryFact),
+    ("binary", "binaryFun", BinaryFact),
+    ("exits", "exit", ExitFact),
+    ("watch_vars", "watchVar", SiteFact),
 )
 CORRESPONDENCE_FIELDS = (
-    ("entry_maps", "entryMap"),
-    ("exit_maps", "exitMap"),
-    ("var_maps", "varMap"),
+    ("entry_maps", "entryMap", EntryMapFact),
+    ("exit_maps", "exitMap", ExitMapFact),
+    ("var_maps", "varMap", VarMapFact),
 )
 
 
@@ -436,18 +423,6 @@ class EquivSide(_Facts):
         "uses", "defs", "flows", "controldeps", "def_with_expr", "cond_with_expr",
         "unary", "binary", "entries", "exits", "constants", "watch_vars",
     )
-    uses: frozenset[SiteFact]
-    defs: frozenset[SiteFact]
-    flows: frozenset[FlowFact]
-    controldeps: frozenset[ControlDepFact]
-    def_with_expr: frozenset[SiteFact]
-    cond_with_expr: frozenset[CondExprFact]
-    unary: frozenset[UnaryFact]
-    binary: frozenset[BinaryFact]
-    entries: frozenset[EntryFact]
-    exits: frozenset[ExitFact]
-    constants: frozenset[str]
-    watch_vars: frozenset[SiteFact]
 
     def variables(self) -> frozenset[str]:
         """Every name that occupies a variable position on this side."""
@@ -472,13 +447,14 @@ class EquivSide(_Facts):
         return _render(self, SIDE_FIELDS)
 
 
+def _swap_halves(m: tuple) -> tuple:
+    """A map fact with its code1 half (the first) and code2 half exchanged."""
+    half = len(m) // 2
+    return m._make(m[half:] + m[:half])
+
+
 class EquivBundle(_Facts):
     __slots__ = _fields = ("code1", "code2", "var_maps", "entry_maps", "exit_maps")
-    code1: EquivSide
-    code2: EquivSide
-    var_maps: frozenset[VarMapFact]
-    entry_maps: frozenset[EntryMapFact]
-    exit_maps: frozenset[ExitMapFact]
 
     def __init__(
         self, code1: EquivSide, code2: EquivSide, var_maps: frozenset = frozenset(),
@@ -492,20 +468,12 @@ class EquivBundle(_Facts):
 
     def swapped(self) -> "EquivBundle":
         return EquivBundle(
-            code1=self.code2,
-            code2=self.code1,
-            var_maps=frozenset(
-                VarMapFact(m.var2, m.file2, m.line2, m.var1, m.file1, m.line1)
-                for m in self.var_maps
-            ),
-            entry_maps=frozenset(
-                EntryMapFact(m.label2, m.line2, m.label1, m.line1)
-                for m in self.entry_maps
-            ),
-            exit_maps=frozenset(
-                ExitMapFact(m.file2, m.line2, m.file1, m.line1)
-                for m in self.exit_maps
-            ),
+            self.code2,
+            self.code1,
+            **{
+                name: frozenset(map(_swap_halves, getattr(self, name)))
+                for name, _, _ in CORRESPONDENCE_FIELDS
+            },
         )
 
     def render(self) -> str:
@@ -538,8 +506,8 @@ _ABBREVIATED = {
     "exitMap": ((0, 2), DEFAULT_FILE),
 }
 
-_SIDE_RELATIONS = _relations(EquivSide, SIDE_FIELDS, {"branch": str.lower}, _ABBREVIATED)
-_CORRESPONDENCE_RELATIONS = _relations(EquivBundle, CORRESPONDENCE_FIELDS, {}, _ABBREVIATED)
+_SIDE_RELATIONS = _relations(SIDE_FIELDS, {"branch": str.lower}, _ABBREVIATED)
+_CORRESPONDENCE_RELATIONS = _relations(CORRESPONDENCE_FIELDS, {}, _ABBREVIATED)
 SIDE_SORTS = {p: relation.sorts for p, relation in _SIDE_RELATIONS.items()}
 CORRESPONDENCE_SORTS = {
     p: relation.sorts for p, relation in _CORRESPONDENCE_RELATIONS.items()
@@ -556,7 +524,7 @@ _SIDE_RELATIONS["outputVar"] = _SIDE_RELATIONS["watchVar"]
 
 
 def _frozen(found: dict[str, set], fields) -> dict[str, frozenset]:
-    return {name: frozenset(found.get(name, ())) for name, _ in fields}
+    return {name: frozenset(found.get(name, ())) for name, _, _ in fields}
 
 
 def _omitted(relation: _Relation, arity: int) -> tuple[int, ...] | None:

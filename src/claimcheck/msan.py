@@ -36,10 +36,6 @@ class MsanVerdict(NamedTuple):
     witness: Optional[tuple[Site, ...]]
     lint: LintReport
 
-    @property
-    def verified(self) -> bool:
-        return self.outcome == VERIFIED
-
     def to_json(self) -> dict:
         chain = None
         if self.witness is not None:

@@ -61,7 +61,6 @@ def test_fixture_pairs_completely(renamed_fn_bundle_text):
     assert pairing.var_pairs == {v: v for v in ("0", "2", "a", "b", "c", "d")}
     assert len(pairing.def_site_pairs) == 7
     assert pairing.residue_defs_1 == [] and pairing.residue_defs_2 == []
-    assert pairing.residue_vars_1 == [] and pairing.residue_vars_2 == []
 
 
 def test_empty_bundle_pairs_to_nothing():

@@ -9,12 +9,16 @@ from claimcheck.errors import (
     UnknownPredicateError,
 )
 from claimcheck.facts import (
+    CORRESPONDENCE_FIELDS,
     CORRESPONDENCE_SORTS,
+    MSAN_FIELDS,
     MSAN_SORTS,
+    SIDE_FIELDS,
     SIDE_SORTS,
     EquivBundle,
     EquivSide,
     InitFact,
+    MsanFactSet,
     SiteFact,
     _norm_path,
     lint_equiv,
@@ -279,6 +283,23 @@ def test_sorts_of_each_vocabulary():
     assert list(MSAN_SORTS.items()) == list(_MSAN_SORTS.items())
     assert list(SIDE_SORTS.items()) == list(_SIDE_SORTS.items())
     assert list(CORRESPONDENCE_SORTS.items()) == list(_CORRESPONDENCE_SORTS.items())
+
+
+@pytest.mark.parametrize(
+    "container,fields,sorts",
+    [
+        (MsanFactSet, MSAN_FIELDS, MSAN_SORTS),
+        (EquivSide, SIDE_FIELDS, SIDE_SORTS),
+        (EquivBundle, CORRESPONDENCE_FIELDS, CORRESPONDENCE_SORTS),
+    ],
+    ids=["msan", "side", "correspondence"],
+)
+def test_each_fact_field_has_one_row_of_its_predicates_arity(container, fields, sorts):
+    fact_fields = [name for name in container._fields if name not in ("code1", "code2")]
+    assert sorted(name for name, _, _ in fields) == sorted(fact_fields)
+    for _, predicate, fact_type in fields:
+        arity = 1 if fact_type is str else len(fact_type._fields)
+        assert arity == len(sorts[predicate])
 
 
 def _load_one(predicate: str, text: str) -> EquivBundle:
