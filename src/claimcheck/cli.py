@@ -129,25 +129,35 @@ def _verdict(task: str, facts) -> tuple[str, dict | None, dict]:
 _LOAD_TEXT = {MSAN: load_msan_facts, EQUIV: load_equiv_bundle_text}
 
 
+def _sections(args) -> list[str | None]:
+    """The files of --code1, --code2 and --correspondence; ``export`` has none."""
+    return [getattr(args, name, None) for name in ("code1", "code2", "correspondence")]
+
+
 def _input_paths(args) -> list[Path]:
-    """The input files a command names: its one file, or the bundle section
-    files given so far."""
-    if args.input is not None:
-        return [Path(args.input)]
-    return [Path(p) for p in (args.code1, args.code2, args.correspondence) if p is not None]
+    """The input files a command names: its one file and the section files."""
+    return [Path(p) for p in (args.input, *_sections(args)) if p is not None]
 
 
 def _load(args):
     """The facts of ``args.task`` in the command's input files."""
+    code1, code2, correspondence = sections = _sections(args)
+    named = any(p is not None for p in sections)
+    if named and args.task == MSAN:
+        raise ClaimcheckError("--code1/--code2/--correspondence are for --task equiv only")
     if args.input is not None:
+        if named:
+            raise ClaimcheckError(
+                "a bundle file and --code1/--code2/--correspondence are exclusive"
+            )
         return _LOAD_TEXT[args.task](_read(Path(args.input)))
     if args.task == MSAN:
         raise ClaimcheckError("lint --task msan needs a fact file")
-    if not (args.code1 and args.code2 and args.correspondence is not None):
+    if not (code1 and code2 and correspondence is not None):
         raise ClaimcheckError(
             "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
         )
-    return load_equiv_bundle(*(_read(p) for p in _input_paths(args)))
+    return load_equiv_bundle(*(_read(Path(p)) for p in sections))
 
 
 def cmd_check(args) -> int:

@@ -485,6 +485,32 @@ def test_partial_section_inputs_list_only_the_files_that_exist(capsys, tmp_path,
     )
 
 
+_EXCLUSIVE = "a bundle file and --code1/--code2/--correspondence are exclusive"
+_EQUIV_ONLY = "--code1/--code2/--correspondence are for --task equiv only"
+
+
+@pytest.mark.parametrize("command", [["verify-equiv"], ["lint", "--task", "equiv"]])
+def test_bundle_file_and_section_options_are_usage_error(capsys, tmp_path, command):
+    bundle = Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle")
+    code1 = tmp_path / "c1"
+    code1.write_text('def("a", "main.cpp", 1).\nexit(2).\n')
+    assert _error_report(capsys, *command, str(bundle), "--code1", str(code1)) == (
+        2, _failed("equiv", _EXCLUSIVE, [bundle, code1]),
+    )
+
+
+def test_section_options_with_task_msan_are_usage_error(capsys, tmp_path):
+    facts = Path(FIXTURES, "msan", "audio_buffer_trace.facts")
+    missing = tmp_path / "missing"
+    lint_msan = ("lint", "--task", "msan")
+    assert _error_report(capsys, *lint_msan, str(facts), "--code2", str(missing)) == (
+        2, _failed("msan", _EQUIV_ONLY, [facts]),
+    )
+    assert _error_report(capsys, *lint_msan, "--code1", str(facts)) == (
+        2, _failed("msan", _EQUIV_ONLY, [facts]),
+    )
+
+
 def test_conflicting_var_maps_are_usage_error(capsys, tmp_path):
     bundle = tmp_path / "conflict.bundle"
     bundle.write_text(
