@@ -141,7 +141,7 @@ def _input_paths(args) -> list[Path]:
 
 def _load(args):
     """The facts of ``args.task`` in the command's input files."""
-    code1, code2, correspondence = sections = _sections(args)
+    sections = _sections(args)
     named = any(p is not None for p in sections)
     if named and args.task == MSAN:
         raise ClaimcheckError("--code1/--code2/--correspondence are for --task equiv only")
@@ -153,7 +153,7 @@ def _load(args):
         return _LOAD_TEXT[args.task](_read(Path(args.input)))
     if args.task == MSAN:
         raise ClaimcheckError("lint --task msan needs a fact file")
-    if not (code1 and code2 and correspondence is not None):
+    if None in sections:
         raise ClaimcheckError(
             "provide a sectioned bundle file or all of --code1/--code2/--correspondence"
         )

@@ -19,9 +19,9 @@ only.  The same diff is also emitted as a stratified Datalog program
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
-from .datalog.ast import Program, Record, print_declaration
+from .datalog.ast import SYMBOL, Atom, Program, Record, print_declaration
 from .errors import ConflictingVarMapError
 from .facts import (
     CODE1,
@@ -33,7 +33,7 @@ from .facts import (
     FlowFact,
     LintReport,
     SiteFact,
-    fact_atom,
+    entry_files,
     fact_atoms,
     fact_text,
     lint_equiv,
@@ -62,8 +62,8 @@ class SitePairing(Record):
     """Partial bijection between the two programs' names and sites."""
 
     __slots__ = _fields = (
-        "var_pairs", "var_pairs_rev", "def_site_pairs", "cond_site_pairs", "entry_pairs",
-        "exit_pairs", "line_map", "line_map_rev", "residue_defs_1", "residue_defs_2",
+        "var_pairs", "var_pairs_rev", "def_site_pairs", "cond_site_pairs", "exit_pairs",
+        "line_map", "line_map_rev", "residue_defs_1", "residue_defs_2",
     )
 
     def __init__(self) -> None:
@@ -72,7 +72,6 @@ class SitePairing(Record):
         # (var1, site1, var2, site2), one entry per paired definition
         self.def_site_pairs: list[tuple[str, Site, str, Site]] = []
         self.cond_site_pairs: list[tuple[Site, Site]] = []
-        self.entry_pairs: list[tuple[tuple[str, int], tuple[str, int]]] = []
         self.exit_pairs: list[tuple[Site, Site]] = []
         self.line_map: dict[Site, Site] = {}
         self.line_map_rev: dict[Site, Site] = {}
@@ -84,9 +83,6 @@ class SitePairing(Record):
 
     def map_line_rev(self, site: Site) -> Site:
         return self.line_map_rev.get(site, site)
-
-    def is_empty(self) -> bool:
-        return not (self.var_pairs or self.def_site_pairs or self.exit_pairs)
 
 
 def _index(pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
@@ -156,14 +152,15 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
     sites2 = sorted({(f.file, f.line) for f in bundle.code2.cond_with_expr})
     pairing.cond_site_pairs.extend(zip(sites1, sites2))
 
-    # A map fact is its two (label or file, line) sites; without maps, the
-    # lines (entries) or sites (exits) that both sides share pair.
+    # A map fact is its two (label or file, line) halves; without maps, the
+    # (function, line) keys of entries or the sites of exits that both sides
+    # share pair.
     if bundle.entry_maps:
-        pairing.entry_pairs = [(m[:2], m[2:]) for m in sorted(bundle.entry_maps)]
+        entry_pairs = [(m[:2], m[2:]) for m in sorted(bundle.entry_maps)]
     else:
-        lines = {f.line for f in bundle.code1.entries}
-        lines &= {f.line for f in bundle.code2.entries}
-        pairing.entry_pairs = [(("main", line), ("main", line)) for line in sorted(lines)]
+        keys = {(f.function, f.line) for f in bundle.code1.entries}
+        keys &= {(f.function, f.line) for f in bundle.code2.entries}
+        entry_pairs = [(key, key) for key in sorted(keys)]
     if bundle.exit_maps:
         pairing.exit_pairs = [(m[:2], m[2:]) for m in sorted(bundle.exit_maps)]
     else:
@@ -181,11 +178,10 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
         register(s1, s2)
     for s1, s2 in pairing.exit_pairs:
         register(s1, s2)
-    entry_files_1 = {f.file for f in bundle.code1.entries}
-    entry_files_2 = {f.file for f in bundle.code2.entries}
-    for (label1, line1), (label2, line2) in pairing.entry_pairs:
-        for file1 in sorted(entry_files_1) or [label1]:
-            for file2 in sorted(entry_files_2) or [label2]:
+    resolve1, resolve2 = entry_files(bundle.code1), entry_files(bundle.code2)
+    for (label1, line1), (label2, line2) in entry_pairs:
+        for file1 in resolve1(label1, line1):
+            for file2 in resolve2(label2, line2):
                 register((file1, line1), (file2, line2))
     return pairing
 
@@ -460,27 +456,6 @@ def _diff_constants(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
     return out
 
 
-def _unpaired_reaching(
-    out: list[Mismatch], tag: str, var: str, exit_file: str, exit_line: int,
-    reach: Collection[Site], there: Collection[Site], line_map: dict[Site, Site],
-) -> None:
-    """Append a record for each site in ``reach`` (the definitions of ``var``
-    that reach one exit) whose paired site is not in ``there`` (those that
-    reach the paired exit on the other side)."""
-    for site in sorted(reach):
-        if line_map.get(site, site) not in there:
-            rendered = fact_text("flow", FlowFact(var, *site, var, exit_file, exit_line))
-            out.append(
-                Mismatch(
-                    "reaching_defs_differ", site[0], site[1], var,
-                    f"definition of {var!r} at {site[0]}:{site[1]} "
-                    f"reaches the exit at {exit_file}:{exit_line} with no paired "
-                    "reaching definition on the other side",
-                    **_facts_of(tag, rendered),
-                )
-            )
-
-
 def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     """The two universally quantified watch-variable obligations.
 
@@ -502,33 +477,49 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
                     )
                 )
 
+    # Per side: each watch variable with its paired watch variable, each
+    # exit with the exits paired with it, and (var, exit site) -> source
+    # sites of the var's flows into that exit, for those variables and exits
     watched2 = {f.var for f in bundle.code2.watch_vars}
     pairs = {
-        (f.var, pairing.var_pairs[f.var])
+        f.var: pairing.var_pairs[f.var]
         for f in bundle.code1.watch_vars
         if pairing.var_pairs.get(f.var) in watched2
     }
-    # (var, destination site) -> source sites of the var's flows into it,
-    # for the variables of the watch pairs and the sites of the exit pairs
-    reaching1, reaching2 = (
+    partners = (pairs, {var2: var1 for var1, var2 in pairs.items()})
+    exits = (_index(pairing.exit_pairs), _index((s2, s1) for s1, s2 in pairing.exit_pairs))
+    reaching = [
         _index(
             ((f.dst_var, f.dst_file, f.dst_line), (f.src_file, f.src_line))
             for f in side.flows
-            if f.src_var == f.dst_var and f.dst_var in names and (f.dst_file, f.dst_line) in exits
+            if f.src_var == f.dst_var and f.dst_var in partner
+            and (f.dst_file, f.dst_line) in paired_exits
         )
-        for side, names, exits in (
-            (bundle.code1, {v for v, _ in pairs}, {s for s, _ in pairing.exit_pairs}),
-            (bundle.code2, {v for _, v in pairs}, {s for _, s in pairing.exit_pairs}),
-        )
-    )
-    # Per watch pair and exit pair, code1's records come before code2's: the
-    # sort key leaves out the side, so this order is the tie-break.
-    for var1, var2 in sorted(pairs):
-        for (ef1, e1), (ef2, e2) in pairing.exit_pairs:
-            reach1 = reaching1.get((var1, ef1, e1), ())
-            reach2 = reaching2.get((var2, ef2, e2), ())
-            _unpaired_reaching(out, CODE1, var1, ef1, e1, reach1, reach2, pairing.line_map)
-            _unpaired_reaching(out, CODE2, var2, ef2, e2, reach2, reach1, pairing.line_map_rev)
+        for side, partner, paired_exits in zip((bundle.code1, bundle.code2), partners, exits)
+    ]
+    # A record for each definition that reaches an exit and whose paired
+    # site does not reach the paired exit on the other side.  code1's
+    # records come before code2's: the sort key leaves out the side, so
+    # this order is the tie-break.
+    for (_, _, _, map_line, tag), partner, paired_exits, here, there in zip(
+        _sides(bundle, pairing), partners, exits, reaching, reaching[::-1]
+    ):
+        for (var, exit_file, exit_line), reach in here.items():
+            for other_exit in paired_exits[exit_file, exit_line]:
+                reached = there.get((partner[var], *other_exit), ())
+                for file, line in sorted(reach):
+                    if map_line((file, line)) in reached:
+                        continue
+                    flow = FlowFact(var, file, line, var, exit_file, exit_line)
+                    out.append(
+                        Mismatch(
+                            "reaching_defs_differ", file, line, var,
+                            f"definition of {var!r} at {file}:{line} reaches the exit at "
+                            f"{exit_file}:{exit_line} with no paired reaching definition "
+                            "on the other side",
+                            **_facts_of(tag, fact_text("flow", flow)),
+                        )
+                    )
     return sorted(out, key=Mismatch.sort_key)
 
 
@@ -573,156 +564,105 @@ def verify_equiv(bundle: EquivBundle) -> EquivVerdict:
 # The same diff as a stratified Datalog program
 # ---------------------------------------------------------------------------
 
+# Each side relation is its vocabulary predicate with a leading side column,
+# "code1" or "code2"; other(s, t) names the other side t of each side s.
+# pair_var, pair_def_site, pair_line and pair_exit hold each side's pairing
+# into the other side; the expression and control-dependency comparisons
+# are keyed by the code1 site, as the direct diff groups them.  A rule
+# starts with other(s, t) where t must be bound before the other side's
+# facts are probed.
 _EQUIV_RULES = """
-// Helpers over pairing facts.
-paired_def_site1(x, f, l) :- pair_def_site(x, f, l, _, _, _).
-paired_def_site2(y, f, l) :- pair_def_site(_, _, _, y, f, l).
-var_paired1(x) :- pair_var(x, _).
-var_paired2(y) :- pair_var(_, y).
+mismatch("unpaired_def", f, l, x) :- def(s, x, f, l), !pair_def_site(s, x, f, l, _, _, _).
 
-mismatch("unpaired_def", f, l, x) :- def_c1(x, f, l), !paired_def_site1(x, f, l).
-mismatch("unpaired_def", f, l, y) :- def_c2(y, f, l), !paired_def_site2(y, f, l).
-
-mismatch("unpaired_use", f, l, x) :- use_c1(x, f, l), !var_paired1(x).
-mismatch("unpaired_use", f, l, y) :- use_c2(y, f, l), !var_paired2(y).
+mismatch("unpaired_use", f, l, x) :- use(s, x, f, l), !pair_var(s, x, _).
 mismatch("missing_use", f, l, x) :-
-    use_c1(x, f, l), pair_var(x, y), pair_line(f, l, f2, l2), !use_c2(y, f2, l2).
-mismatch("missing_use", f, l, y) :-
-    use_c2(y, f, l), pair_var(x, y), pair_line_rev(f, l, f1, l1), !use_c1(x, f1, l1).
+    use(s, x, f, l), pair_var(s, x, y), pair_line(s, f, l, g, m), other(s, t),
+    !use(t, y, g, m).
 
-mismatch("unpaired_flow", fa, la, x) :- flow_c1(x, fa, la, y, fb, lb), !var_paired1(x).
-mismatch("unpaired_flow", fa, la, y) :- flow_c1(x, fa, la, y, fb, lb), !var_paired1(y).
-mismatch("unpaired_flow", fa, la, x) :- flow_c2(x, fa, la, y, fb, lb), !var_paired2(x).
-mismatch("unpaired_flow", fa, la, y) :- flow_c2(x, fa, la, y, fb, lb), !var_paired2(y).
+mismatch("unpaired_flow", fa, la, x) :- flow(s, x, fa, la, _, _, _), !pair_var(s, x, _).
+mismatch("unpaired_flow", fa, la, y) :- flow(s, _, fa, la, y, _, _), !pair_var(s, y, _).
 mismatch("missing_flow", fa, la, x) :-
-    flow_c1(x, fa, la, y, fb, lb), pair_var(x, x2), pair_var(y, y2),
-    pair_line(fa, la, fa2, la2), pair_line(fb, lb, fb2, lb2),
-    !flow_c2(x2, fa2, la2, y2, fb2, lb2).
-mismatch("missing_flow", fa, la, x) :-
-    flow_c2(x, fa, la, y, fb, lb), pair_var(x1, x), pair_var(y1, y),
-    pair_line_rev(fa, la, fa1, la1), pair_line_rev(fb, lb, fb1, lb1),
-    !flow_c1(x1, fa1, la1, y1, fb1, lb1).
+    flow(s, x, fa, la, y, fb, lb), pair_var(s, x, x2), pair_var(s, y, y2),
+    pair_line(s, fa, la, ga, ma), pair_line(s, fb, lb, gb, mb), other(s, t),
+    !flow(t, x2, ga, ma, y2, gb, mb).
 
-mismatch("unpaired_defexpr", f, l, x) :- defexpr_c1(x, f, l), !var_paired1(x).
-mismatch("unpaired_defexpr", f, l, y) :- defexpr_c2(y, f, l), !var_paired2(y).
+mismatch("unpaired_defexpr", f, l, x) :- defWithExpr(s, x, f, l), !pair_var(s, x, _).
 mismatch("missing_defexpr", f, l, x) :-
-    defexpr_c1(x, f, l), pair_var(x, y), pair_line(f, l, f2, l2),
-    !defexpr_c2(y, f2, l2).
-mismatch("missing_defexpr", f, l, y) :-
-    defexpr_c2(y, f, l), pair_var(x, y), pair_line_rev(f, l, f1, l1),
-    !defexpr_c1(x, f1, l1).
+    defWithExpr(s, x, f, l), pair_var(s, x, y), pair_line(s, f, l, g, m), other(s, t),
+    !defWithExpr(t, y, g, m).
 
 mismatch("missing_condexpr", f, l, "-") :-
-    condexpr_c1(f, l), pair_line(f, l, f2, l2), !condexpr_c2(f2, l2).
-mismatch("missing_condexpr", f, l, "-") :-
-    condexpr_c2(f, l), pair_line_rev(f, l, f1, l1), !condexpr_c1(f1, l1).
+    condWithExpr(s, f, l), pair_line(s, f, l, g, m), other(s, t), !condWithExpr(t, g, m).
 
 // Expression comparison at paired sites: same operator, positional operands.
-// Each fact is checked on its own, keyed by the code1 site it is compared at.
-site_pair(f1, l1, f2, l2) :- pair_def_site(_, f1, l1, _, f2, l2).
-site_pair(f1, l1, f2, l2) :- pair_cond_site(f1, l1, f2, l2).
-agree_u1(f1, l1, op, a) :-
-    site_pair(f1, l1, f2, l2), unary_c1(op, a, f1, l1), unary_c2(op, b, f2, l2),
-    pair_var(a, b).
-agree_u2(f1, l1, op, b) :-
-    site_pair(f1, l1, f2, l2), unary_c2(op, b, f2, l2), unary_c1(op, a, f1, l1),
-    pair_var(a, b).
-agree_b1(f1, l1, op, a1, a2) :-
-    site_pair(f1, l1, f2, l2), binary_c1(op, a1, a2, f1, l1),
-    binary_c2(op, b1, b2, f2, l2), pair_var(a1, b1), pair_var(a2, b2).
-agree_b2(f1, l1, op, b1, b2) :-
-    site_pair(f1, l1, f2, l2), binary_c2(op, b1, b2, f2, l2),
-    binary_c1(op, a1, a2, f1, l1), pair_var(a1, b1), pair_var(a2, b2).
+// compared_at(s, f, l, f1, l1): the site (f, l) of side s is compared at the
+// code1 site (f1, l1).  Each fact must meet one with paired operands at a
+// site of the other side compared at the same code1 site.
+agree_unary(f1, l1, s, op, a) :-
+    other(s, t), compared_at(s, f, l, f1, l1), unaryFun(s, op, a, f, l), pair_var(s, a, b),
+    compared_at(t, g, m, f1, l1), unaryFun(t, op, b, g, m).
+agree_binary(f1, l1, s, op, a, b) :-
+    other(s, t), compared_at(s, f, l, f1, l1), binaryFun(s, op, a, b, f, l),
+    pair_var(s, a, c), pair_var(s, b, d), compared_at(t, g, m, f1, l1),
+    binaryFun(t, op, c, d, g, m).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), unary_c1(op, a, f1, l1), !agree_u1(f1, l1, op, a).
+    compared_at(s, f, l, f1, l1), unaryFun(s, op, a, f, l), !agree_unary(f1, l1, s, op, a).
 expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), unary_c2(op, b, f2, l2), !agree_u2(f1, l1, op, b).
-expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), binary_c1(op, a1, a2, f1, l1),
-    !agree_b1(f1, l1, op, a1, a2).
-expr_differs(f1, l1) :-
-    site_pair(f1, l1, f2, l2), binary_c2(op, b1, b2, f2, l2),
-    !agree_b2(f1, l1, op, b1, b2).
-mismatch("expr_mismatch", f1, l1, x) :-
-    pair_def_site(x, f1, l1, _, _, _), expr_differs(f1, l1).
-mismatch("expr_mismatch", f1, l1, "-") :-
-    pair_cond_site(f1, l1, _, _), expr_differs(f1, l1).
+    compared_at(s, f, l, f1, l1), binaryFun(s, op, a, b, f, l),
+    !agree_binary(f1, l1, s, op, a, b).
+mismatch("expr_mismatch", f, l, x) :-
+    pair_def_site("code1", x, f, l, _, _, _), expr_differs(f, l).
+mismatch("expr_mismatch", f, l, "-") :- pair_cond_site(f, l, _, _), expr_differs(f, l).
 
-// Control dependencies at paired definition sites: paired condition
-// variable and identical branch flag.
-agree_cd1(x, f1, l1, c, br) :-
-    pair_def_site(x, f1, l1, y, f2, l2), cdep_c1(x, f1, l1, c, br, _, _),
-    cdep_c2(y, f2, l2, c2, br, _, _), cond_pair(c, c2).
-agree_cd2(y, f2, l2, c, br) :-
-    pair_def_site(x, f1, l1, y, f2, l2), cdep_c2(y, f2, l2, c, br, _, _),
-    cdep_c1(x, f1, l1, c1, br, _, _), cond_pair(c1, c).
-mismatch("controldep_mismatch", f1, l1, x) :-
-    pair_def_site(x, f1, l1, y, f2, l2), cdep_c1(x, f1, l1, c, br, _, _),
-    !agree_cd1(x, f1, l1, c, br).
-mismatch("controldep_mismatch", f1, l1, x) :-
-    pair_def_site(x, f1, l1, y, f2, l2), cdep_c2(y, f2, l2, c, br, _, _),
-    !agree_cd2(y, f2, l2, c, br).
+// Control dependencies at paired definition sites: the same branch flag and
+// paired condition variables, or two entry conditions.
+agree_cd(s, x, f, l, c, br) :-
+    other(s, t), pair_def_site(s, x, f, l, y, g, m), controldep(s, x, f, l, c, br, _, _),
+    pair_var(s, c, d), controldep(t, y, g, m, d, br, _, _).
+agree_cd(s, x, f, l, c, br) :-
+    other(s, t), pair_def_site(s, x, f, l, y, g, m), controldep(s, x, f, l, c, br, _, _),
+    entry_cond(c), controldep(t, y, g, m, d, br, _, _), entry_cond(d).
+mismatch("controldep_mismatch", f, l, x) :-
+    pair_def_site("code1", x, f, l, _, _, _), controldep("code1", x, f, l, c, br, _, _),
+    !agree_cd("code1", x, f, l, c, br).
+mismatch("controldep_mismatch", f, l, x) :-
+    pair_def_site("code1", x, f, l, y, g, m), controldep("code2", y, g, m, c, br, _, _),
+    !agree_cd("code2", y, g, m, c, br).
 
 // Constants: compared by literal text.
-mismatch("constant_mismatch", "-", 0, x) :- const_c1(x), !var_paired1(x).
+mismatch("constant_mismatch", "-", 0, x) :- isConstantValue(s, x), !pair_var(s, x, _).
 mismatch("constant_mismatch", "-", 0, x) :-
-    const_c1(x), pair_var(x, y), !const_c2(y).
+    isConstantValue(s, x), pair_var(s, x, y), other(s, t), !isConstantValue(t, y).
 mismatch("constant_mismatch", "-", 0, x) :-
-    const_c1(x), pair_var(x, y), const_c2(y), !pair_var_same(x, y).
-mismatch("constant_mismatch", "-", 0, y) :- const_c2(y), !var_paired2(y).
-mismatch("constant_mismatch", "-", 0, y) :-
-    const_c2(y), pair_var(x, y), !const_c1(x).
+    isConstantValue("code1", x), pair_var("code1", x, y), isConstantValue("code2", y),
+    !pair_var("code1", x, x).
 
 // Watch variables and their reaching definitions at mapped exits.
-watch_pair(x, y) :- watch_c1(x, f1, l1), watch_c2(y, f2, l2), pair_var(x, y).
-watch_has_pair1(x) :- watch_pair(x, _).
-watch_has_pair2(y) :- watch_pair(_, y).
-mismatch("watchvar_unmatched", f, l, x) :- watch_c1(x, f, l), !watch_has_pair1(x).
-mismatch("watchvar_unmatched", f, l, y) :- watch_c2(y, f, l), !watch_has_pair2(y).
-mismatch("reaching_defs_differ", sf, sl, x) :-
-    watch_pair(x, y), pair_exit(ef1, e1, ef2, e2), flow_c1(x, sf, sl, x, ef1, e1),
-    pair_line(sf, sl, sf2, sl2), !flow_c2(y, sf2, sl2, y, ef2, e2).
-mismatch("reaching_defs_differ", sf, sl, y) :-
-    watch_pair(x, y), pair_exit(ef1, e1, ef2, e2), flow_c2(y, sf, sl, y, ef2, e2),
-    pair_line_rev(sf, sl, sf1, sl1), !flow_c1(x, sf1, sl1, x, ef1, e1).
+watch_pair(s, x, y) :-
+    watchVar(s, x, _, _), pair_var(s, x, y), other(s, t), watchVar(t, y, _, _).
+mismatch("watchvar_unmatched", f, l, x) :- watchVar(s, x, f, l), !watch_pair(s, x, _).
+mismatch("reaching_defs_differ", f, l, x) :-
+    watch_pair(s, x, y), pair_exit(s, ef, el, eg, em), flow(s, x, f, l, x, ef, el),
+    pair_line(s, f, l, g, m), other(s, t), !flow(t, y, g, m, y, eg, em).
 
 has_mismatch() :- mismatch(_, _, _, _).
 equivalent() :- !has_mismatch().
 """
 
-# The rule relation of each side predicate; code1's facts carry the suffix
-# ``_c1``, code2's ``_c2``.
-_RULE_RELATIONS = {
-    "entry": "entry",
-    "isConstantValue": "const",
-    "def": "def",
-    "defWithExpr": "defexpr",
-    "condWithExpr": "condexpr",
-    "use": "use",
-    "flow": "flow",
-    "controldep": "cdep",
-    "unaryFun": "unary",
-    "binaryFun": "binary",
-    "exit": "exit",
-    "watchVar": "watch",
-}
-_SUFFIXES = ("c1", "c2")
-
 # Declarations of the side relations come from the fact types; only the
-# rule-local relations are written out.
+# pairing and rule-local relations are written out.
 _DECLS = "".join(
-    print_declaration(f"{_RULE_RELATIONS[predicate]}_{suffix}", sorts) + "\n"
-    for suffix in _SUFFIXES
+    print_declaration(predicate, (SYMBOL, *sorts)) + "\n"
     for predicate, sorts in SIDE_SORTS.items()
 ) + """
-.decl pair_var(x: symbol, y: symbol)
-.decl pair_var_same(x: symbol, y: symbol)
-.decl cond_pair(x: symbol, y: symbol)
-.decl pair_def_site(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
+.decl other(s: symbol, t: symbol)
+.decl entry_cond(c: symbol)
+.decl pair_var(s: symbol, x: symbol, y: symbol)
+.decl pair_def_site(s: symbol, x: symbol, f: symbol, l: number, y: symbol, g: symbol, m: number)
 .decl pair_cond_site(f1: symbol, l1: number, f2: symbol, l2: number)
-.decl pair_line(f1: symbol, l1: number, f2: symbol, l2: number)
-.decl pair_line_rev(f2: symbol, l2: number, f1: symbol, l1: number)
-.decl pair_exit(f1: symbol, l1: number, f2: symbol, l2: number)
+.decl compared_at(s: symbol, f: symbol, l: number, f1: symbol, l1: number)
+.decl pair_line(s: symbol, f: symbol, l: number, g: symbol, m: number)
+.decl pair_exit(s: symbol, f: symbol, l: number, g: symbol, m: number)
 .decl mismatch(kind: symbol, f: symbol, l: number, subject: symbol)
 .decl has_mismatch()
 .decl equivalent()
@@ -759,34 +699,31 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     the prepared rules, so evaluating it checks only its facts.
     """
     program = _rule_set().program()
-    for side, suffix in zip((bundle.code1, bundle.code2), _SUFFIXES):
-        relations = [(name, f"{_RULE_RELATIONS[p]}_{suffix}", t) for name, p, t in SIDE_FIELDS]
-        program.facts.extend(fact_atoms(side, relations))
-    for x in sorted(pairing.var_pairs):
-        y = pairing.var_pairs[x]
-        program.facts.append(fact_atom("pair_var", (x, y)))
-        if x == y:
-            program.facts.append(fact_atom("pair_var_same", (x, y)))
-    conds1 = {f.cond for f in bundle.code1.controldeps}
-    conds2 = {f.cond for f in bundle.code2.controldeps}
-    cond_pairs = {
-        (x, y) for x, y in pairing.var_pairs.items() if x in conds1 or y in conds2
-    }
-    for e1 in conds1:
-        if _is_entry_cond(e1):
-            for e2 in conds2:
-                if _is_entry_cond(e2):
-                    cond_pairs.add((e1, e2))
-    for pair in sorted(cond_pairs):
-        program.facts.append(fact_atom("cond_pair", pair))
-    for var1, site1, var2, site2 in pairing.def_site_pairs:
-        program.facts.append(fact_atom("pair_def_site", (var1, *site1, var2, *site2)))
-    for site1, site2 in pairing.cond_site_pairs:
-        program.facts.append(fact_atom("pair_cond_site", site1 + site2))
-    for site1, site2 in pairing.exit_pairs:
-        program.facts.append(fact_atom("pair_exit", site1 + site2))
-    for site in sorted(_fact_lines(bundle.code1)):
-        program.facts.append(fact_atom("pair_line", site + pairing.map_line(site)))
-    for site in sorted(_fact_lines(bundle.code2)):
-        program.facts.append(fact_atom("pair_line_rev", site + pairing.map_line_rev(site)))
+    facts = program.facts
+    facts += [Atom("other", (CODE1, CODE2)), Atom("other", (CODE2, CODE1))]
+    conds = {f.cond for side in (bundle.code1, bundle.code2) for f in side.controldeps}
+    facts += [Atom("entry_cond", (c,)) for c in sorted(conds) if _is_entry_cond(c)]
+    flipped = [(var2, s2, var1, s1) for var1, s1, var2, s2 in pairing.def_site_pairs]
+    for (here, _, var_map, map_line, tag), def_site_pairs, exit_pairs in zip(
+        _sides(bundle, pairing),
+        (pairing.def_site_pairs, flipped),
+        (pairing.exit_pairs, [(s2, s1) for s1, s2 in pairing.exit_pairs]),
+    ):
+        facts.extend(fact_atoms(here, SIDE_FIELDS, tag))
+        facts += [Atom("pair_var", (tag, x, var_map[x])) for x in sorted(var_map)]
+        facts += [
+            Atom("pair_def_site", (tag, x, *site, y, *image))
+            for x, site, y, image in def_site_pairs
+        ]
+        facts += [Atom("pair_exit", (tag, *site, *image)) for site, image in exit_pairs]
+        facts += [
+            Atom("pair_line", (tag, *site, *map_line(site)))
+            for site in sorted(_fact_lines(here))
+        ]
+    facts += [Atom("pair_cond_site", s1 + s2) for s1, s2 in pairing.cond_site_pairs]
+    # Each code1 site of a paired definition or condition is compared at
+    # itself, and each code2 site at the code1 site that it pairs with.
+    sites = [(s1, s2) for _, s1, _, s2 in pairing.def_site_pairs] + pairing.cond_site_pairs
+    facts += [Atom("compared_at", (CODE1, *s1, *s1)) for s1 in sorted(dict(sites))]
+    facts += [Atom("compared_at", (CODE2, *s2, *s1)) for s1, s2 in sites]
     return program

@@ -80,22 +80,17 @@ def _num(atom: Atom, index: int) -> int:
     return term
 
 
-def fact_atom(predicate: str, fact) -> Atom:
-    """A typed fact as a ground atom whose arguments are the fact's fields
-    (``str`` symbols, ``int`` numbers); a bare ``str`` is a 1-ary fact."""
-    return Atom(predicate, (fact,) if isinstance(fact, str) else tuple(fact))
-
-
 def fact_text(predicate: str, fact) -> str:
     """A typed fact as Datalog text, without the final dot."""
     return print_fact(predicate, (fact,) if isinstance(fact, str) else fact)
 
 
-def fact_atoms(container, fields: Iterable[tuple]) -> Iterator[Atom]:
-    """A container's facts as atoms, in table order, each field sorted."""
+def fact_atoms(container, fields: Iterable[tuple], *lead: str) -> Iterator[Atom]:
+    """A container's facts as atoms, in table order, each field sorted; the
+    constants ``lead`` come before each fact's own arguments."""
     for name, predicate, _ in fields:
         for fact in sorted(getattr(container, name)):
-            yield fact_atom(predicate, fact)
+            yield Atom(predicate, lead + ((fact,) if isinstance(fact, str) else tuple(fact)))
 
 
 def _render(container, fields: Iterable[tuple]) -> str:
@@ -672,24 +667,52 @@ def _bundle(code1: dict[str, set], code2: dict[str, set], correspondence: dict[s
     return bundle
 
 
-# Each kind of map with its bundle field and the side field whose lines it cites.
-_MAPS = (("exit", "exit_maps", "exits"), ("entry", "entry_maps", "entries"))
+def entry_files(side: EquivSide) -> Callable[[str, int], list[str]]:
+    """The resolver of entry labels on ``side``: (label, line) -> the files,
+    in order, of its entry facts at that line whose function or file is the
+    label.  On a side without entry facts, the published style, the entryMap
+    itself announces the entry points, and each label resolves to itself."""
+    if not side.entries:
+        return lambda label, line: [label]
+    files: dict[tuple[str, int], set[str]] = {}
+    for f in side.entries:
+        files.setdefault((f.function, f.line), set()).add(f.file)
+        files.setdefault((f.file, f.line), set()).add(f.file)
+    return lambda label, line: sorted(files.get((label, line), ()))
+
+
+def _exit_files(side: EquivSide) -> Callable[[str, int], list[str]]:
+    """The resolver of exit sites on ``side``: (file, line) -> [file] where
+    an exit fact is at that site, else []."""
+    sites = {(f.file, f.line) for f in side.exits}
+    return lambda file, line: [file] if (file, line) in sites else []
+
+
+# Each kind of map with its bundle field, the side field whose facts it
+# cites, and the resolver of the (label or file, line) halves of its facts.
+_MAPS = (
+    ("exit", "exit_maps", "exits", _exit_files),
+    ("entry", "entry_maps", "entries", entry_files),
+)
 
 
 def _check_map_references(bundle: EquivBundle) -> None:
-    for kind, maps, cited in _MAPS:
-        known1, known2 = (
-            {f.line for f in getattr(side, cited)} for side in (bundle.code1, bundle.code2)
-        )
+    """Each half of each map names a fact of its side."""
+    for kind, maps, cited, resolver in _MAPS:
+        if not getattr(bundle, maps):
+            continue
+        sides = [
+            (tag, sorted({f.line for f in getattr(side, cited)}), resolver(side))
+            for tag, side in ((CODE1, bundle.code1), (CODE2, bundle.code2))
+        ]
         for m in sorted(getattr(bundle, maps)):
-            for tag, line, known in ((CODE1, m.line1, known1), (CODE2, m.line2, known2)):
-                # An entryMap against a side with no entry facts is the
-                # published style: the map itself announces the entry points.
-                # It only dangles when entry facts exist and disagree.
-                if line not in known and (known or kind == "exit"):
+            for (tag, lines, resolve), (name, line) in zip(sides, (m[:2], m[2:])):
+                if not resolve(name, line):
                     raise DanglingMapReferenceError(
-                        f"{kind}Map cites line {line} on {tag} but {cited} are at "
-                        f"{sorted(known)}"
+                        f"{kind}Map cites line {line} on {tag} but {cited} are at {lines}"
+                        if line not in lines
+                        else f"{kind}Map cites {name!r} at line {line} on {tag} but no "
+                        f"{kind} fact at that line names it"
                     )
 
 
@@ -826,14 +849,12 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                 repr(f),
             )
         )
-    exit_lines = {(f.file, f.line) for f in side.exits}
+    exit_sites = {(f.file, f.line) for f in side.exits}
+    exit_used = {
+        f.var for f in side.uses if (f.file, f.line) in exit_sites and f in inbound
+    }
     for f in sorted(side.watch_vars):
-        covered = any(
-            SiteFact(f.var, ef, el) in side.uses
-            and (f.var, ef, el) in inbound
-            for ef, el in exit_lines
-        )
-        if not covered:
+        if f.var not in exit_used:
             report.errors.append(
                 LintIssue(
                     "watchvar-without-exit-use",
@@ -870,7 +891,7 @@ def lint_equiv(bundle: EquivBundle) -> LintReport:
                 "",
             )
         )
-    for kind, maps, cited in _MAPS:
+    for kind, maps, cited, _ in _MAPS:
         if getattr(bundle, maps):
             continue
         lines1, lines2 = (

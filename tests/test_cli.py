@@ -485,6 +485,34 @@ def test_partial_section_inputs_list_only_the_files_that_exist(capsys, tmp_path,
     )
 
 
+@pytest.mark.parametrize("empty", ["--code1", "--correspondence"])
+def test_empty_section_option_is_read_as_a_path(capsys, empty):
+    bundle = Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle")
+    options = {option: str(bundle) for option in ("--code1", "--code2", "--correspondence")}
+    options[empty] = ""
+    argv = [part for option in options.items() for part in option]
+    assert _error_report(capsys, "verify-equiv", *argv) == (
+        2, _failed("equiv", "[Errno 21] Is a directory: '.'", [bundle, bundle]),
+    )
+
+
+def test_exit_map_naming_no_exit_fact_is_usage_error(capsys, tmp_path):
+    bundle = tmp_path / "ghost.bundle"
+    bundle.write_text(
+        Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle").read_text()
+        + 'exitMap("nowhere.cpp", 8, "nowhere.cpp", 8).\n'
+    )
+    assert _error_report(capsys, "verify-equiv", str(bundle)) == (
+        2,
+        _failed(
+            "equiv",
+            "exitMap cites 'nowhere.cpp' at line 8 on code1 but no exit fact at that "
+            "line names it",
+            [bundle],
+        ),
+    )
+
+
 _EXCLUSIVE = "a bundle file and --code1/--code2/--correspondence are exclusive"
 _EQUIV_ONLY = "--code1/--code2/--correspondence are for --task equiv only"
 

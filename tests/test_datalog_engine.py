@@ -423,7 +423,7 @@ _INVALID_ARGS = {  # each for a relation of sorts (symbol, symbol, number)
 
 
 @pytest.mark.parametrize("kind", sorted(_INVALID_ARGS))
-@pytest.mark.parametrize(("rules", "relation"), [("msan", "uses"), ("equiv", "use_c1")])
+@pytest.mark.parametrize(("rules", "relation"), [("msan", "uses"), ("equiv", "exit")])
 def test_prepared_rules_reject_invalid_facts_as_check_program_does(rules, relation, kind):
     args, error = _INVALID_ARGS[kind]
     prepared = _small_rules_program(rules)

@@ -24,188 +24,128 @@ _EXPORTED = {
         "uses.facts": "8fe1e20d3a1c626a490df4991e27a9d75688fc7728e0e3e8bc1898fe0f8e5a48",
     },
     ("equiv", "equiv/guarded_call_renamed_fn.bundle"): {
-        "binary_c1.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "binary_c2.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "cdep_c1.facts": "607aa77448c171962843f3738414a02534374e05687132228810af02d163a103",
-        "cdep_c2.facts": "607aa77448c171962843f3738414a02534374e05687132228810af02d163a103",
-        "cond_pair.facts": "7600953e159fd7e3637ad0a342f99c4ef2507b95033919a9ae446990c49a2cd4",
-        "def_c1.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "def_c2.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "defexpr_c1.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "defexpr_c2.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "exit_c1.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "exit_c2.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "flow_c1.facts": "4c7a371b483098d6ba83b0708050c714f10f787ce4e81f21048999a9da09a12e",
-        "flow_c2.facts": "4c7a371b483098d6ba83b0708050c714f10f787ce4e81f21048999a9da09a12e",
+        "binaryFun.facts": "56eb6f4cccb36b3e18430dc464439419a46a09f340056a12d1e49926cecf863b",
+        "compared_at.facts": "e078c18a52879fd024dc861b83c161dba0a8abd13811f871e98c074e6677eb35",
+        "controldep.facts": "52b775a9680743bcf8984382fe04fdf64e6bce8c1df3ce6a8a75b56865e20fba",
+        "def.facts": "7654670cba9360db533f6255cdddda10946f4a7d84b3a3c2487beccc6903c4d7",
+        "defWithExpr.facts": "f3d17726132f2558c7de749b2bdd2ff76cd677d1228b7d3d8a406b3879a64912",
+        "exit.facts": "b95abad400106601a4f4a76dc07d2b7c60ea16b7113dcc05169e07ba875ede5d",
+        "flow.facts": "edc05d51ffa2d8accfb60cbe7d0f317ed3d0bb1aac8bbe3a1a4c25ce1a771eae",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
         "pair_cond_site.facts": "cef0aeaf8d9541ed096b1d14c956dda83ddce5ff38461531a93ccc3b1dacf91c",
-        "pair_def_site.facts": "5ee9b2f1f66af27b850acc0f2516559094b2a60adb142e25b631d293b109c231",
-        "pair_exit.facts": "0969e5ee2f88b1ca58b7ee9ed2cbff182d26f165c94fb5098b5ab13d451ad863",
-        "pair_line.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_line_rev.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_var.facts": "e30ece4f669770a0fefabf7dd85f241b004c16dd3e3a87aff58ad06f4c673caf",
-        "pair_var_same.facts": "e30ece4f669770a0fefabf7dd85f241b004c16dd3e3a87aff58ad06f4c673caf",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "839d37b88268809b5085a7f95625efe76e07110873499cfdcc72d2a8272272fb",
-        "unary_c2.facts": "1e5f3a26195a4c4a8c154921a4996fc6c6e1028d245aaf3d6f9fb1b1f2322b2c",
-        "use_c1.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
-        "use_c2.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
+        "pair_def_site.facts": "6dd5408dcabb5a2ec0b37364a6c8e30a18d5a7d3c964dccfb826d8e7c33f3603",
+        "pair_exit.facts": "b6b4ab782dc4c22d38646bd22d251a7627fa34a783ad3833299072b4680af2a4",
+        "pair_line.facts": "9ebd1248991696e7a4d6aa77277a7e01376d8675fed3764e08e8a5a644f61d67",
+        "pair_var.facts": "4f3e24cf6b9b7d96049d02779864b28b46774506fa8f34c3e5b0e64e9bc69afc",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "1da5af8badc782f1bc422be8a7e171713a5975d06616945c441725e8d4171f1a",
+        "use.facts": "0363a4dd08b7d9dbc3d29dd391af9847f1909d763f499c59a1a45b4214d2a683",
     },
     ("equiv", "equiv/field_assign_reorder.bundle"): {
-        "binary_c1.facts": "09bbc0207acd33cce429dfbd3711febc2682ad5597c5aa699c8bbbdf198ede20",
-        "binary_c2.facts": "75189e67ad2578dc090ca029508e771ee1d905b61c76f4af52e17a31f710ff79",
-        "cdep_c1.facts": "bd17eaaea077eaaefa78d8edeedd071f080627606fe526a767bebe509160c929",
-        "cdep_c2.facts": "6f0a699bdb143d675eed73460bbfe25c1a70d337d5275c8df722c50e4a4e5259",
-        "cond_pair.facts": "dd796197069211c15aa5b45fb3dd0dc6b10e16198afef39951bbfeada34867be",
-        "condexpr_c1.facts": "ece2e020658e3b37c8432ddfdbcfcb94948922e8c7d076cdc0130555f76bf1cf",
-        "condexpr_c2.facts": "ac3f7b218aba3f4a0d854e6975840924f2ceaab16fdca653528648045b5dcea5",
-        "const_c1.facts": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-        "const_c2.facts": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-        "def_c1.facts": "09713293621fe8ca4352e01da4d8e34a356355b0bcd752e7f9fa6b2f351e1349",
-        "def_c2.facts": "e9ba63c4afa588ecfa91299fb198e9c965324fff1095a145d3e4517ef5ac9dfa",
-        "defexpr_c1.facts": "cf8ac4cebeb0c3045a77bb6f0b0104eb2a5a1539a002de0c3652389a35b96fdd",
-        "defexpr_c2.facts": "b3fdbfbf0d11fc055a9021388cf348160f877f4912d08d4ae15874f0693bf9cf",
-        "entry_c1.facts": "02c50bd51163b49a9d83baadc897ac93ed50e823d5153c715767e2d42312ef28",
-        "entry_c2.facts": "02c50bd51163b49a9d83baadc897ac93ed50e823d5153c715767e2d42312ef28",
-        "exit_c1.facts": "8bffcfe158cc50e2422fb2e5174f547e81d9ad11c874547ace97866be7e9eb07",
-        "exit_c2.facts": "524959e165656869cb9894bbf7a028f23d2897e31c33c96381bf9ff769bab02e",
-        "flow_c1.facts": "f273ea683396242401d2bbfeacf661c2a875829bcd300e3944c80420f292533a",
-        "flow_c2.facts": "eaebef6316d8173febdf701716f9811cd845d9f527920c9a111eae5047c7ee1f",
+        "binaryFun.facts": "e6ea0904b2ba339c04a774557107664525ff1850b69851df96fa8cd27e794c9a",
+        "compared_at.facts": "33ad132c6db11857a90afbecd44e34c22fdccb2b53d9f72f24eb258f94d7a3af",
+        "condWithExpr.facts": "ebfa6fb1dc26def77cd11dc662fdb5f5d5bd40eeaa0058b323d9746856b2fd56",
+        "controldep.facts": "fecb6f44d00940590097d56feacdb40f5c9c3442727b194c72df7dc0c718d0a5",
+        "def.facts": "715d79cf88ebdec6681bed45508ef81aa2f4d499b3045f38f684ada78c4312c2",
+        "defWithExpr.facts": "b8b95c4aee13f924a62c7eb5456c6ab2ebeaeb594c874ccf16437063b20d4269",
+        "entry.facts": "3356d3424b1c2f1223ac81df4cc2c64ac67af034be3551fad7b186c717545a04",
+        "entry_cond.facts": "351d3c38de3da02e2843f5e939d04b97ce69bc630f6ded560e289f1cdb6c34e1",
+        "exit.facts": "7616c55cee54ccc5ddc3c402c0bd71f5ffa85404eaa3764061a06b9a5a64619d",
+        "flow.facts": "16d9b29e4439b74aa202383ef7635265334722e39df06ae5eec9601c301d400c",
+        "isConstantValue.facts": "688339575101d0ce759463e6ca34a2ffec185668fcd082c0eb89df5b73f24d54",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
         "pair_cond_site.facts": "518287359e75933c51a606612387b3a3424602cb0f8b7bf6535da3a92530e0de",
-        "pair_def_site.facts": "48c9a1c6574158a832a5aaf991532dd916d2a7de98d976613a99d7f7ff7c1730",
-        "pair_exit.facts": "e1f7a0a2a6e53cae13e9c4417cf59abfc91cb145ed8e51eddf092ff1ae125772",
-        "pair_line.facts": "0737e2f31f3e97626446a4c1139f52ddc11e179ad1a841c3bb0e40da54313359",
-        "pair_line_rev.facts": "4e0394c699304be2cb4ce7e8a583411f014b12eb810c281030be61e22dd4d1ea",
-        "pair_var.facts": "feb8edada93aa1e3b4e73a7b1ebe99185d47c660d3bfec91026485e32dcac285",
-        "pair_var_same.facts": "feb8edada93aa1e3b4e73a7b1ebe99185d47c660d3bfec91026485e32dcac285",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "331028a6984ad994cbc1e065332849cd3dca628ece49af31e91a925bab4b0312",
-        "unary_c2.facts": "45c65f2c6dc2da4fd5ded90979e12639b81fefb02a8bdb2e2d695949da2bd9a5",
-        "use_c1.facts": "29a6a6fcb9bbaa4747d37e0baf639afd3be1614ce7fcc5e2cbd3117b4a60f5f6",
-        "use_c2.facts": "d46b159b1c59f49f1af8939dfa9412fdc1cc78e21f66b903ca9b107d339fcb4c",
-        "watch_c1.facts": "93bf9758eea45a45eae7d73d1aaf6d518526064fa9e4bd08d277c9b553f6514d",
-        "watch_c2.facts": "93bf9758eea45a45eae7d73d1aaf6d518526064fa9e4bd08d277c9b553f6514d",
+        "pair_def_site.facts": "80c4ec8b960be22d7ebfb412145b5f4add39c62176b885638a71db7f3cca5ea8",
+        "pair_exit.facts": "e00a0896a96349aaad7460b9d09b2cbc3d50c301fc4e641a8fd3845233a06830",
+        "pair_line.facts": "8573df59fd495189ae6c65d3fb936ab0e5f7de3f75f564ba6799980d014e0ae3",
+        "pair_var.facts": "d9abe6741c7d97bd080894daefa67b492456d0c403ca63925330d3c22e401699",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "34a85584a835cf350a2e6fcd575a90a293d7bb064f82fa0c60d176398ed0b234",
+        "use.facts": "9c0bd20f3cf4abf5759cd222fd45bcc78d5adc8bad1c80cc71a3119032b4ec87",
+        "watchVar.facts": "27e78dbf0456f7fb79dfbafed5a41cbefc22874040ff36983400e4f34598c588",
     },
     ("equiv", "equiv/loop_cond_swap.bundle"): {
-        "binary_c1.facts": "da50b53baf878cbc5bf7ef243043b7013d6da8d84b7ca434ad19c63c3ad413b4",
-        "binary_c2.facts": "da50b53baf878cbc5bf7ef243043b7013d6da8d84b7ca434ad19c63c3ad413b4",
-        "cdep_c1.facts": "f6b4cf63de91fee615a03e5632a7da4a7fc57c15ca89e316c5ea5224a7792a21",
-        "cdep_c2.facts": "a85c4e55582612549bcc7c1234b32eb8088690f48a6004b2c047b097af8c1e85",
-        "cond_pair.facts": "3eba9868a6f5d4ef95d11eb30dd42bfcbf1b0770d585253cf003499574d61098",
-        "def_c1.facts": "ac7a85ba9fe92549831abb131addcddf1d157371a9b0cf71a6bbd0fcb4d36f4c",
-        "def_c2.facts": "ac7a85ba9fe92549831abb131addcddf1d157371a9b0cf71a6bbd0fcb4d36f4c",
-        "defexpr_c1.facts": "78af3cdd89e259b133cd6fb1e126441653e41326fe7036f509064e76c7c5753f",
-        "defexpr_c2.facts": "78af3cdd89e259b133cd6fb1e126441653e41326fe7036f509064e76c7c5753f",
-        "entry_c1.facts": "f5145e87351ff36e38b8b9207cc2bb71d97bdfa5a4db76a7290f839d13675c82",
-        "entry_c2.facts": "f5145e87351ff36e38b8b9207cc2bb71d97bdfa5a4db76a7290f839d13675c82",
-        "exit_c1.facts": "ecb87b1f17e8ee6ef1ded044fb79e162e90024c5bf9b768b99b883cc2642dd4c",
-        "exit_c2.facts": "ecb87b1f17e8ee6ef1ded044fb79e162e90024c5bf9b768b99b883cc2642dd4c",
-        "flow_c1.facts": "5de3c8206ad45297fc0f348442386845c8fb59c3f063b1608155f504f3343d4e",
-        "flow_c2.facts": "5de3c8206ad45297fc0f348442386845c8fb59c3f063b1608155f504f3343d4e",
+        "binaryFun.facts": "b159c066014306852399b581987277c7b75a1bf41c03af87c3087f812b2cf2e6",
+        "compared_at.facts": "e71bfe6a3b584c3ecbbe50e7bc4aaa3eb02fa123f54f319f43f855e7380f663a",
+        "controldep.facts": "81e37641c630838ec41cbc97d22c57930782b0e65d8a3442164baad84e84095e",
+        "def.facts": "5b13f96e327cb2dfa7820eaed56ebe1a42eccf321875381dcb85b802e9387429",
+        "defWithExpr.facts": "817518740b0fcdad3f1702d2b194d48c1f1f1cb5b2c9ca5837186d7b02561526",
+        "entry.facts": "5fd29bec53d5dea33af10487fc1c26587ff306bd4eea28d584caab742e4a2cf8",
+        "entry_cond.facts": "09669782d9cdc19f04f03da2ffa9953f5fcbe62a90f6c82a5849bd13ef259223",
+        "exit.facts": "0a7c6d9d4ee5264400f5aad5e31a6c4b08da30060c03493e9b474eafa0269ebc",
+        "flow.facts": "fbecb698fedb4bac29c24f76dbd68401750a88bacee88d74c6221114f63f73f7",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
         "pair_cond_site.facts": "5e6ba52abc2b3033960c42a95c15ada48b1db8e276e302680e336f104d0e17f0",
-        "pair_def_site.facts": "e0738e63434cdf275a8c2501af76507d7c31d85ef9e7593c372926052f09a55d",
-        "pair_exit.facts": "d6481fad613bc9281b6394fdf0945659065ccc5986e1777ee83455b9337d8f23",
-        "pair_line.facts": "3c6d466a37c17b2ede297f8c7b40b779b6fb1b9f121ad53ad94c7c65de6f88b2",
-        "pair_line_rev.facts": "3c6d466a37c17b2ede297f8c7b40b779b6fb1b9f121ad53ad94c7c65de6f88b2",
-        "pair_var.facts": "8bb0b38d4707284ec56e1d0b2dd1b5c40d45362702bb2a4f201cbf25b32f70ad",
-        "pair_var_same.facts": "8bb0b38d4707284ec56e1d0b2dd1b5c40d45362702bb2a4f201cbf25b32f70ad",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "fcf877b9fdf2bb9467b7687fce3b7eda11eae921a9ad49696194fd707ae89c3a",
-        "unary_c2.facts": "fcf877b9fdf2bb9467b7687fce3b7eda11eae921a9ad49696194fd707ae89c3a",
-        "use_c1.facts": "fe5e4f5ba8a685965ce76d00cc24bed269bb6e07ea5bace1039f0254de429a76",
-        "use_c2.facts": "fe5e4f5ba8a685965ce76d00cc24bed269bb6e07ea5bace1039f0254de429a76",
-        "watch_c1.facts": "c5b4f768fcb214fc2f0aa8ee7fbc39213543e5c0a761e30ef6658861520b2cac",
-        "watch_c2.facts": "c5b4f768fcb214fc2f0aa8ee7fbc39213543e5c0a761e30ef6658861520b2cac",
+        "pair_def_site.facts": "26c265e6782419d5ece0497f6e5a05e9177a394f7e584e06f416db50bbf3f84a",
+        "pair_exit.facts": "ced71f5083f3f57b3720bb6afe693fa7229797b79e9409e999cca349b31fe34b",
+        "pair_line.facts": "e88f2b3d3414aa2e5fbb763eb5fc5eb5e8749bf2b6bf77ba4c09c814fbef9faf",
+        "pair_var.facts": "0d8a08f245a0b84bffb7df751ad7728349abcb18fd06ed7875fb0bcdb21942cd",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "dcc20f3aa4fd537074196cefcdf955dbee388ce86a17d1adc4a77cc04e21d7af",
+        "use.facts": "f42a23b5614c7d052849567ee4cdfa8cdce4dcaaf9a45155d879810e05c35937",
+        "watchVar.facts": "3a38b4929c7d4a08ae00d8af328dbef9d370333fd5e66ccc38adcb6d5b224df0",
     },
     ("equiv", "equiv/switch_vs_ifelse.bundle"): {
-        "binary_c2.facts": "dae1256fc2e70efbc2efd1cbd0923ce2767d09b8b1d4064b306b339bcffd4aef",
-        "cdep_c1.facts": "f1696f48d494871edfad0cc308e1e945234defc14583782ab26b446831a6ec70",
-        "cdep_c2.facts": "22e80f35690ad28d4eeaa8bfe0a8473fbd1c7e44e6eda4b15793dc00ae3b96d5",
-        "cond_pair.facts": "c887a5fefdbb0224f4b7d6f9ecb84b3f44e5a659196a222d8b835c5dd0f327b1",
-        "const_c2.facts": "daee1cd25194ae952d046ad9b9c81d3c07dc5332440b58d6d7461b248be56712",
-        "def_c1.facts": "0b8cf224c3b807035be89856acb224c58a44cbbd9cd422f3c960dd805a4f486a",
-        "def_c2.facts": "cd985d92875161d937922fc8a927deb1baea9afda412cacc41638df74e3f02a1",
-        "defexpr_c1.facts": "f6c82c82a410fb5f7d78a67609cdbee793945e0b8a3ddf0f5f343ee8423ec991",
-        "defexpr_c2.facts": "8493ca8ccb17a9e756500e7a8ab8c710639bf5a11fe974728f779120c3453799",
-        "entry_c1.facts": "d88f8c1d43b5be2f7c2cbfd90efc0b4a1a40bfeff7fc27bbf82c619574f4b0c1",
-        "entry_c2.facts": "d88f8c1d43b5be2f7c2cbfd90efc0b4a1a40bfeff7fc27bbf82c619574f4b0c1",
-        "exit_c1.facts": "0fc8e78b98bfab718c02b31d3265070fc637718dacdccaacf34bec4da89e92c0",
-        "exit_c2.facts": "670de9c955233f2186d2a8fdc063e00c532cad49e061e4d15e1973f4fd1a2fcc",
-        "flow_c1.facts": "7c4fc6c59c4e1e39068d2d18c77b9fb2c0fcf9bfd9f30f91248187a258a81029",
-        "flow_c2.facts": "5bb9f91560f6fffc989ddbaf301f2f7d06a8a538958ab06ffe21c993e7fadfdb",
-        "pair_def_site.facts": "6d93d2fdedb04fc73f4113310b7ed1016a30bb3e8eddab4ad8b7a2f39199f400",
-        "pair_exit.facts": "efbed161d4664faea54109d4ec333c66f6a4a99a724ccc4900ffac3c038e3c2b",
-        "pair_line.facts": "9c79721b71967b666dbe40ebbacb77afef544d21f0ddcba27d857fce69997cc2",
-        "pair_line_rev.facts": "aef35f1ef196d947fbec1eed1fcd066299d60d8a43e65bfe0a7a1d56061c7d9f",
-        "pair_var.facts": "806a80063e4935b25459aac1d8dc9f9327e0c65e2840d4aa0559bd69957bf8d6",
-        "pair_var_same.facts": "806a80063e4935b25459aac1d8dc9f9327e0c65e2840d4aa0559bd69957bf8d6",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "df3ace58fea6f1406c188cd665cca75ccec7afb5d46996759557c23e53482627",
-        "unary_c2.facts": "7fe81e9312461bb31340b65b0d036af42b910f6d98a5a2835a339de3aafcf32e",
-        "use_c1.facts": "fe11a0b26016d15c71c6f09ba26bac7729da72173b8e288e066603d6ec493d49",
-        "use_c2.facts": "4ff40c73b9fe7bf78d02e4c4e92ce7ad80b0ff5a552401fd927591bb3ce9d417",
-        "watch_c1.facts": "228e05a3312ad71a624392dd107338598140942a769e23ec2944de725a738ba3",
-        "watch_c2.facts": "9b89483aa704c1fc526764f7985b3e66859eccb9587cb2eb735fc995d562076e",
+        "binaryFun.facts": "831a7c4d08abb543a3562913b651e12e97a93f8f193fcddbb608263ce48ae058",
+        "compared_at.facts": "9fa68863cbe5b4aaecd75342cd9be2b3244ebaf53191482811adbb7af38d6013",
+        "controldep.facts": "fb81cb397761a0275078875c25d9ccfb1d90afdb301b2e172d61304acc865d92",
+        "def.facts": "11e11ea7b2ebf8813b98caaccf6d5aa3f904a7a94b2d0a06425147a19f60ea37",
+        "defWithExpr.facts": "091f28559cf6bfedee01ee173525344785d353e462ece7e6ddf515e03faaa252",
+        "entry.facts": "e85f1a0b0f696dac89f7d378ecb43e3acb7327d39999fc603f64025854fccbb3",
+        "entry_cond.facts": "b74eb4561dc9bf5d30090d61c42c45d91ae1f46ce0086fbe2d60cbdaeb80f3fb",
+        "exit.facts": "78ed71f3210d93db45c138fdf2e9419e8c00a8a55a2e78ed57fa994d1ed9fe6a",
+        "flow.facts": "e4f93ffe875d27c101bed10a2991f394a6456ff0d959eb89243145a7ce9c982d",
+        "isConstantValue.facts": "87e73a8002c036bc3968c69ff1acd5da08d9198fa69b009eeecda745ee7d023e",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
+        "pair_def_site.facts": "f594054b67aa6f0d1473b57d5f4b6deebf8b09aae3f7e97808776b50563b35ec",
+        "pair_exit.facts": "0db2cd404c53a3eadd5c55198549eceb0d943669dcb59c996297b46b74c05190",
+        "pair_line.facts": "569db395022698c21e27cec605e1c30ddb4e553981a7e2ba3da9fc791517533c",
+        "pair_var.facts": "6dcc49cea6341ea47e4df7c6522e6c13c3c09b3bf4e6532ae22c6d5dc3226324",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "847bef3dac3eff9aed952d775f0b63f7d20dfa584aa6e8a70392f84f0183f900",
+        "use.facts": "d42001cdd335fbd76e2cd55aa1d3e504bcb5b93d75356ec164cece080ead7ab6",
+        "watchVar.facts": "0786a2aa8e5cc4b0a61a998aee49a3f770f3a61d4b35e60bac1f802bdf57d70f",
     },
     ("equiv", "equiv/guarded_call_self_pair.bundle"): {
-        "binary_c1.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "binary_c2.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "cdep_c1.facts": "88edc30ff75fcac645ce59b37afd5b92a96eae820a0fb63cac4d7f39515781d6",
-        "cdep_c2.facts": "88edc30ff75fcac645ce59b37afd5b92a96eae820a0fb63cac4d7f39515781d6",
-        "cond_pair.facts": "d8794ee18df7fd5c032d7c605295638cedb4216d4b4c631c9e00924437332808",
-        "const_c1.facts": "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
-        "const_c2.facts": "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
-        "def_c1.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "def_c2.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "defexpr_c1.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "defexpr_c2.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "entry_c1.facts": "3b0400dc45a0a2c8760f80f2cc04e300fa7fcd8868229c892fb065b2ec526870",
-        "entry_c2.facts": "3b0400dc45a0a2c8760f80f2cc04e300fa7fcd8868229c892fb065b2ec526870",
-        "exit_c1.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "exit_c2.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "flow_c1.facts": "d233e74be1c53e85f49bcb1c8b6842a4d99ec9aacbcc29d8ddb80ceee3c4c7f5",
-        "flow_c2.facts": "d233e74be1c53e85f49bcb1c8b6842a4d99ec9aacbcc29d8ddb80ceee3c4c7f5",
+        "binaryFun.facts": "56eb6f4cccb36b3e18430dc464439419a46a09f340056a12d1e49926cecf863b",
+        "compared_at.facts": "e078c18a52879fd024dc861b83c161dba0a8abd13811f871e98c074e6677eb35",
+        "controldep.facts": "35589a53ec6ef076d8d74d62b7b0920bf927a07914f4a78277785e7c6f6d2e7e",
+        "def.facts": "7654670cba9360db533f6255cdddda10946f4a7d84b3a3c2487beccc6903c4d7",
+        "defWithExpr.facts": "f3d17726132f2558c7de749b2bdd2ff76cd677d1228b7d3d8a406b3879a64912",
+        "entry.facts": "108b26589e0f0b58adb9b9425ccb96213d731b33246138f29c397556e7c86591",
+        "entry_cond.facts": "b74eb4561dc9bf5d30090d61c42c45d91ae1f46ce0086fbe2d60cbdaeb80f3fb",
+        "exit.facts": "b95abad400106601a4f4a76dc07d2b7c60ea16b7113dcc05169e07ba875ede5d",
+        "flow.facts": "f31755578c77180d48b3aff8f5da4c82e24ccf6c079fca0b032b29cba999d9f0",
+        "isConstantValue.facts": "10a573de9c2e01088fe422d104254ee38e07cd9b4584767323cdde4f7a927d11",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
         "pair_cond_site.facts": "cef0aeaf8d9541ed096b1d14c956dda83ddce5ff38461531a93ccc3b1dacf91c",
-        "pair_def_site.facts": "5ee9b2f1f66af27b850acc0f2516559094b2a60adb142e25b631d293b109c231",
-        "pair_exit.facts": "0969e5ee2f88b1ca58b7ee9ed2cbff182d26f165c94fb5098b5ab13d451ad863",
-        "pair_line.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_line_rev.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_var.facts": "ff771161c136eda12545f7b58df4936bd6fee06692b509f90225e95778942ab2",
-        "pair_var_same.facts": "ff771161c136eda12545f7b58df4936bd6fee06692b509f90225e95778942ab2",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "839d37b88268809b5085a7f95625efe76e07110873499cfdcc72d2a8272272fb",
-        "unary_c2.facts": "839d37b88268809b5085a7f95625efe76e07110873499cfdcc72d2a8272272fb",
-        "use_c1.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
-        "use_c2.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
-        "watch_c1.facts": "d946ca8228a41667b88aae753ade8e8cb57ea327872f0d122f23bf981a83e466",
-        "watch_c2.facts": "d946ca8228a41667b88aae753ade8e8cb57ea327872f0d122f23bf981a83e466",
+        "pair_def_site.facts": "6dd5408dcabb5a2ec0b37364a6c8e30a18d5a7d3c964dccfb826d8e7c33f3603",
+        "pair_exit.facts": "b6b4ab782dc4c22d38646bd22d251a7627fa34a783ad3833299072b4680af2a4",
+        "pair_line.facts": "9ebd1248991696e7a4d6aa77277a7e01376d8675fed3764e08e8a5a644f61d67",
+        "pair_var.facts": "93672d16c00ee595ba24ea6b7f126d8591bfdc080bebd6baea6f50b56b7eb7ee",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "01bdbd9a9982582af385f55ba41ab6ec8eb152564c1ca5f0579f7641f0c8a669",
+        "use.facts": "0363a4dd08b7d9dbc3d29dd391af9847f1909d763f499c59a1a45b4214d2a683",
+        "watchVar.facts": "0cebe3acd9ef4bf88d427a237d957da09db381188c50d13cd55bfe199824dc9d",
     },
     ("equiv", "equiv/guarded_call_onesided_watch.bundle"): {
-        "binary_c1.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "binary_c2.facts": "7310966b06ac2476d84f20bcd5925359bd222e57729e3c5dc2a13bb334cd0bc3",
-        "cdep_c1.facts": "607aa77448c171962843f3738414a02534374e05687132228810af02d163a103",
-        "cdep_c2.facts": "607aa77448c171962843f3738414a02534374e05687132228810af02d163a103",
-        "cond_pair.facts": "7600953e159fd7e3637ad0a342f99c4ef2507b95033919a9ae446990c49a2cd4",
-        "def_c1.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "def_c2.facts": "73f0a1704633143c9db62e8cf4022dae4568d74c3ee52e7731f801293ac652f8",
-        "defexpr_c1.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "defexpr_c2.facts": "be684f85a0eed6c84654db92fff241b68513b8ac2f2cb1de5c0822f86179b7b3",
-        "exit_c1.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "exit_c2.facts": "da3f273317630e334f3ff6f91dc16384c26c594d1e660f26c3d84481eb3576e2",
-        "flow_c1.facts": "4c7a371b483098d6ba83b0708050c714f10f787ce4e81f21048999a9da09a12e",
-        "flow_c2.facts": "4c7a371b483098d6ba83b0708050c714f10f787ce4e81f21048999a9da09a12e",
+        "binaryFun.facts": "56eb6f4cccb36b3e18430dc464439419a46a09f340056a12d1e49926cecf863b",
+        "compared_at.facts": "e078c18a52879fd024dc861b83c161dba0a8abd13811f871e98c074e6677eb35",
+        "controldep.facts": "52b775a9680743bcf8984382fe04fdf64e6bce8c1df3ce6a8a75b56865e20fba",
+        "def.facts": "7654670cba9360db533f6255cdddda10946f4a7d84b3a3c2487beccc6903c4d7",
+        "defWithExpr.facts": "f3d17726132f2558c7de749b2bdd2ff76cd677d1228b7d3d8a406b3879a64912",
+        "exit.facts": "b95abad400106601a4f4a76dc07d2b7c60ea16b7113dcc05169e07ba875ede5d",
+        "flow.facts": "edc05d51ffa2d8accfb60cbe7d0f317ed3d0bb1aac8bbe3a1a4c25ce1a771eae",
+        "other.facts": "a385067639c63d142e5f203678201a5e53bf9059cf1c3945963232f9a0c7680a",
         "pair_cond_site.facts": "cef0aeaf8d9541ed096b1d14c956dda83ddce5ff38461531a93ccc3b1dacf91c",
-        "pair_def_site.facts": "5ee9b2f1f66af27b850acc0f2516559094b2a60adb142e25b631d293b109c231",
-        "pair_exit.facts": "0969e5ee2f88b1ca58b7ee9ed2cbff182d26f165c94fb5098b5ab13d451ad863",
-        "pair_line.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_line_rev.facts": "adf80ebf19bf964d9a9a3c16541b1ae4d7538f9f947c584f2a2809771c7ae861",
-        "pair_var.facts": "e30ece4f669770a0fefabf7dd85f241b004c16dd3e3a87aff58ad06f4c673caf",
-        "pair_var_same.facts": "e30ece4f669770a0fefabf7dd85f241b004c16dd3e3a87aff58ad06f4c673caf",
-        "program.dl": "6513531efc5b13f0f550d91af8636b3b8e820e044d61e7b59b2f12a3333b975f",
-        "unary_c1.facts": "839d37b88268809b5085a7f95625efe76e07110873499cfdcc72d2a8272272fb",
-        "unary_c2.facts": "1e5f3a26195a4c4a8c154921a4996fc6c6e1028d245aaf3d6f9fb1b1f2322b2c",
-        "use_c1.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
-        "use_c2.facts": "901f042f152843a11e54ddc2f23b0d2f587cb0e02a8b62a639cccf18c5e36f11",
-        "watch_c2.facts": "c5ae8a4c6839d26edbdbbba589f20618fd95ca1ad1c2185d2820c55072ed9f42",
+        "pair_def_site.facts": "6dd5408dcabb5a2ec0b37364a6c8e30a18d5a7d3c964dccfb826d8e7c33f3603",
+        "pair_exit.facts": "b6b4ab782dc4c22d38646bd22d251a7627fa34a783ad3833299072b4680af2a4",
+        "pair_line.facts": "9ebd1248991696e7a4d6aa77277a7e01376d8675fed3764e08e8a5a644f61d67",
+        "pair_var.facts": "4f3e24cf6b9b7d96049d02779864b28b46774506fa8f34c3e5b0e64e9bc69afc",
+        "program.dl": "ebeceb48967cc60d9856d54797d5c7187f38ef2a7ff19938ef9ad03b101458a0",
+        "unaryFun.facts": "1da5af8badc782f1bc422be8a7e171713a5975d06616945c441725e8d4171f1a",
+        "use.facts": "0363a4dd08b7d9dbc3d29dd391af9847f1909d763f499c59a1a45b4214d2a683",
+        "watchVar.facts": "f08759abe031bff5e429625b1ceb58416c677dc717c1ae506d487122229306d4",
     },
     ("datalog", "datalog/nonzero_output_check.dl"): {
         "copy.facts": "0c7bf89c4cc3bc701dafc3658cf7c6022effd977b79ffcbe38e544fd22ff2dfa",

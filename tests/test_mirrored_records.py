@@ -200,6 +200,31 @@ def test_dangling_map_reference_messages(code1, code2, correspondence, message):
 
 
 @pytest.mark.parametrize(
+    "correspondence, message",
+    [
+        ('exitMap("lib.cpp", 9, "main.cpp", 8).',
+         "exitMap cites 'lib.cpp' at line 9 on code1 but no exit fact at that line names it"),
+        ('entryMap("main", 1, "helper", 4).',
+         "entryMap cites 'helper' at line 4 on code2 but no entry fact at that line names it"),
+    ],
+    ids=["exit", "entry"],
+)
+def test_map_naming_no_fact_at_a_cited_line_dangles(correspondence, message):
+    with pytest.raises(DanglingMapReferenceError) as raised:
+        load_equiv_bundle_text(_bundle_text(_ONE_ENTRY, _TWO_ENTRIES, correspondence))
+    assert str(raised.value) == message
+
+
+def test_entry_map_label_names_a_function_or_a_file():
+    code1 = 'exit(9).\nentry("main", 1).\nentry("helper", "lib.cpp", 1).'
+    for label in ("helper", "lib.cpp"):
+        bundle = load_equiv_bundle_text(
+            _bundle_text(code1, _TWO_ENTRIES, f'entryMap("{label}", 1, "main", 4).')
+        )
+        assert build_pairing(bundle).line_map[("lib.cpp", 1)] == ("main.cpp", 4)
+
+
+@pytest.mark.parametrize(
     "code1, code2, correspondence",
     [
         ("exit(9).", _TWO_ENTRIES, 'entryMap("main", 5, "main", 1).'),
