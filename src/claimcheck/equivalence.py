@@ -464,62 +464,43 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
     flows into the exit-line use) must correspond under the site pairing.
     """
     out: list[Mismatch] = []
-    for here, there, var_map, _, tag in _sides(bundle, pairing):
+    exits = (_index(pairing.exit_pairs), _index((s2, s1) for s1, s2 in pairing.exit_pairs))
+    for (here, there, var_map, map_line, tag), paired_exits in zip(_sides(bundle, pairing), exits):
         watched = {f.var for f in there.watch_vars}
+        partner = {}  # each watch variable with its paired watch variable
         for f in here.watch_vars:  # no two of these records share a sort key
-            if var_map.get(f.var) not in watched:
+            if var_map.get(f.var) in watched:
+                partner[f.var] = var_map[f.var]
+                continue
+            out.append(
+                Mismatch(
+                    "watchvar_unmatched", f.file, f.line, f.var,
+                    f"{tag} watches {f.var!r} but the other side does not "
+                    "watch its pair",
+                    **_facts_of(tag, fact_text("watchVar", f)),
+                )
+            )
+        # A record for each flow of a paired watch variable into a paired
+        # exit whose image, at an exit paired with that one, is not on the
+        # other side.  code1's records come before code2's: the sort key
+        # leaves out the side, so this order is the tie-break.
+        for f in here.flows:
+            var, exit_site = f.dst_var, (f.dst_file, f.dst_line)
+            if f.src_var != var or var not in partner or exit_site not in paired_exits:
+                continue
+            image = (partner[var], *map_line((f.src_file, f.src_line)), partner[var])
+            for other_exit in paired_exits[exit_site]:
+                if FlowFact(*image, *other_exit) in there.flows:
+                    continue
                 out.append(
                     Mismatch(
-                        "watchvar_unmatched", f.file, f.line, f.var,
-                        f"{tag} watches {f.var!r} but the other side does not "
-                        "watch its pair",
-                        **_facts_of(tag, fact_text("watchVar", f)),
+                        "reaching_defs_differ", f.src_file, f.src_line, var,
+                        f"definition of {var!r} at {f.src_file}:{f.src_line} reaches the "
+                        f"exit at {f.dst_file}:{f.dst_line} with no paired reaching "
+                        "definition on the other side",
+                        **_facts_of(tag, fact_text("flow", f)),
                     )
                 )
-
-    # Per side: each watch variable with its paired watch variable, each
-    # exit with the exits paired with it, and (var, exit site) -> source
-    # sites of the var's flows into that exit, for those variables and exits
-    watched2 = {f.var for f in bundle.code2.watch_vars}
-    pairs = {
-        f.var: pairing.var_pairs[f.var]
-        for f in bundle.code1.watch_vars
-        if pairing.var_pairs.get(f.var) in watched2
-    }
-    partners = (pairs, {var2: var1 for var1, var2 in pairs.items()})
-    exits = (_index(pairing.exit_pairs), _index((s2, s1) for s1, s2 in pairing.exit_pairs))
-    reaching = [
-        _index(
-            ((f.dst_var, f.dst_file, f.dst_line), (f.src_file, f.src_line))
-            for f in side.flows
-            if f.src_var == f.dst_var and f.dst_var in partner
-            and (f.dst_file, f.dst_line) in paired_exits
-        )
-        for side, partner, paired_exits in zip((bundle.code1, bundle.code2), partners, exits)
-    ]
-    # A record for each definition that reaches an exit and whose paired
-    # site does not reach the paired exit on the other side.  code1's
-    # records come before code2's: the sort key leaves out the side, so
-    # this order is the tie-break.
-    for (_, _, _, map_line, tag), partner, paired_exits, here, there in zip(
-        _sides(bundle, pairing), partners, exits, reaching, reaching[::-1]
-    ):
-        for (var, exit_file, exit_line), reach in here.items():
-            for other_exit in paired_exits[exit_file, exit_line]:
-                reached = there.get((partner[var], *other_exit), ())
-                for file, line in sorted(reach):
-                    if map_line((file, line)) in reached:
-                        continue
-                    flow = FlowFact(var, file, line, var, exit_file, exit_line)
-                    out.append(
-                        Mismatch(
-                            "reaching_defs_differ", file, line, var,
-                            f"definition of {var!r} at {file}:{line} reaches the exit at "
-                            f"{exit_file}:{exit_line} with no paired reaching definition "
-                            "on the other side",
-                            **_facts_of(tag, fact_text("flow", flow)),
-                        )
-                    )
     return sorted(out, key=Mismatch.sort_key)
 
 

@@ -796,8 +796,12 @@ def load_equiv_bundle_text(text: str) -> EquivBundle:
 
 def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     side = bundle.side(tag)
-    entry_lines = {0} | {f.line for f in side.entries}
-    entry_lines |= {
+    # Besides line 0, a def needs no source at an entry fact's site, which
+    # each entryMap half names (see _check_map_references).  On a side
+    # without entry facts an entryMap label names no file, so there any
+    # line an entryMap names counts.
+    entry_sites = {(f.file, f.line) for f in side.entries}
+    map_lines = set() if side.entries else {
         m.line1 if tag == CODE1 else m.line2 for m in bundle.entry_maps
     }
     inbound: dict[tuple[str, str, int], bool] = {}
@@ -810,7 +814,7 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     flows_into_var = {f.dst_var for f in side.flows}
 
     for f in sorted(side.defs):
-        if f.line in entry_lines:
+        if f.line == 0 or f.line in map_lines or (f.file, f.line) in entry_sites:
             continue
         if (f.var, f.file, f.line) in inbound:
             continue

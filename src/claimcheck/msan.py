@@ -12,10 +12,11 @@ condition.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .datalog.ast import Program, print_declaration
-from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, fact_atoms, lint_msan
+from .datalog.ast import Atom, Program, print_declaration
+from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, lint_msan
 
 if TYPE_CHECKING:
     from .datalog.engine import RuleSet
@@ -26,9 +27,8 @@ DONT_KNOW = "DontKnow"
 Site = tuple[str, str, int]  # (variable, file, line)
 
 
-def _site_key(site: Site) -> tuple[str, int, str]:
-    var, file, line = site
-    return (file, line, var)
+# verify_msan's tie-break order, (file, line, variable), of a site
+_site_key = itemgetter(1, 2, 0)
 
 
 class MsanVerdict(NamedTuple):
@@ -112,23 +112,25 @@ def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
 
 
 # Declarations of the vocabulary come from the fact types; only the
-# rule-local relations are written out.
+# rule-local relations are written out.  The engine keeps each tuple's
+# first derivation, which has minimal height, so over msan_program's fact
+# order the first satisfied() is verify_msan's witness.  ``reach`` stays
+# first in each satisfied() body: scanned in insertion order, it yields
+# the shallowest site first.
 _RULES_SOURCE = "".join(
     print_declaration(predicate, sorts) + "\n" for predicate, sorts in MSAN_SORTS.items()
 ) + """
-.decl flowStar(x: symbol, f1: symbol, l1: number, y: symbol, f2: symbol, l2: number)
+.decl reach(x: symbol, f: symbol, l: number)
 .decl hasMemoryErrorClaim()
 .decl satisfied()
 
-flowStar(x, f, l, x, f, l) :- uninitialized(x, f, l).
-flowStar(x, f1, l1, z, f3, l3) :- flowStar(x, f1, l1, y, f2, l2), flow(y, f2, l2, z, f3, l3).
+reach(x, f, l) :- uninitialized(x, f, l).
+reach(y, g, m) :- reach(x, f, l), flow(x, f, l, y, g, m).
 
 hasMemoryErrorClaim() :- memoryError(_, _, _, _).
 
-satisfied() :- uninitialized(x, fx, lx), flowStar(x, fx, lx, y, fy, ly),
-    uses(y, fy, ly), !hasMemoryErrorClaim().
-satisfied() :- uninitialized(x, fx, lx), flowStar(x, fx, lx, y, fy, ly),
-    uses(y, fy, ly), memoryError(_, _, fy, ly).
+satisfied() :- reach(x, f, l), uses(x, f, l), !hasMemoryErrorClaim().
+satisfied() :- reach(x, f, l), uses(x, f, l), memoryError(_, _, f, l).
 """
 
 
@@ -144,16 +146,31 @@ def msan_rules() -> Program:
     """The verification condition as a stratified rule set over the vocabulary.
 
     Evaluating these rules over a fact set derives ``satisfied()`` exactly
-    when :func:`verify_msan` returns Verified; the two code paths are
-    cross-checked in the test suite.  The rules are parsed, validated and
-    stratified once per process; each call returns a new program sharing
-    the prepared rules, so evaluating it checks only the facts added to it.
+    when :func:`verify_msan` returns Verified, and over the facts of
+    :func:`msan_program` its first derivation is the witness; the two code
+    paths are cross-checked in the test suite.  The rules are parsed,
+    validated and stratified once per process; each call returns a new
+    program sharing the prepared rules, so evaluating it checks only the
+    facts added to it.
     """
     return _rule_set().program()
 
 
+# the tie-break order of a flow: its source's, then its destination's
+_SEARCH_ORDER = {"uninitialized": _site_key, "flow": itemgetter(1, 2, 0, 4, 5, 3)}
+
+
 def msan_program(fs: MsanFactSet) -> Program:
-    """Rules plus the fact set, ready for evaluation or export."""
+    """Rules plus the fact set, ready for evaluation or export.
+
+    The engine scans a relation in insertion order, so the ``uninitialized``
+    and ``flow`` facts come in :func:`verify_msan`'s tie-break order; the
+    others are sorted.
+    """
     program = msan_rules()
-    program.facts.extend(fact_atoms(fs, MSAN_FIELDS))
+    program.facts.extend(
+        Atom(predicate, tuple(fact))
+        for name, predicate, _ in MSAN_FIELDS
+        for fact in sorted(getattr(fs, name), key=_SEARCH_ORDER.get(name))
+    )
     return program

@@ -20,7 +20,7 @@ temporaries.  ``!`` is guard syntax only, not an expression operator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from ..errors import ToySyntaxError, UseBeforeDefError
@@ -407,24 +407,8 @@ def normalize(program: ToyProgram) -> ToyProgram:
     for stmt in program.statements:
         if isinstance(stmt, ExprDef):
             flatten(stmt.var, stmt.expr)
-        elif isinstance(stmt, FreeDecl):
-            emit(lambda l: FreeDecl(l, stmt.var))
-        elif isinstance(stmt, ConstDef):
-            emit(lambda l: ConstDef(l, stmt.var, stmt.value))
-        elif isinstance(stmt, CopyDef):
-            emit(lambda l: CopyDef(l, stmt.var, stmt.src))
-        elif isinstance(stmt, UnaryDef):
-            emit(lambda l: UnaryDef(l, stmt.var, stmt.op, stmt.operand))
-        elif isinstance(stmt, BinaryDef):
-            emit(lambda l: BinaryDef(l, stmt.var, stmt.op, stmt.left, stmt.right))
-        elif isinstance(stmt, GuardOpen):
-            emit(lambda l: GuardOpen(l, stmt.var, stmt.negated))
-        elif isinstance(stmt, GuardClose):
-            emit(lambda l: GuardClose(l))
-        elif isinstance(stmt, Output):
-            emit(lambda l: Output(l, stmt.var))
         else:
-            emit(lambda l: Return(l))
+            emit(lambda l: replace(stmt, line=l))
     return ToyProgram(tuple(out), program.free_vars, line)
 
 

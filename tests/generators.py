@@ -1,4 +1,4 @@
-"""Seeded random generators for engine and verifier sweeps."""
+"""Seeded random generators, and fixed shapes, for engine and verifier sweeps."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from claimcheck.datalog.ast import Atom, Comparison, Program, Rule, Var
-from claimcheck.facts import MsanFactSet, SiteFact, FlowFact, MemoryErrorFact
+from claimcheck.facts import MsanFactSet, SiteFact, FlowFact, MemoryErrorFact, load_equiv_bundle
 from claimcheck.toy.lang import (
     BinaryDef,
     ConstDef,
@@ -140,6 +140,19 @@ def random_msan_facts(
     )
 
 
+def many_sources_chain(n: int) -> MsanFactSet:
+    """A 2n-step flow chain whose first n sites are uninitialized, the
+    others declared (so every flow lands on a claimed site), and whose last
+    site is used."""
+    sites = [SiteFact(f"v{i}", "chain.c", i + 1) for i in range(2 * n + 1)]
+    return MsanFactSet(
+        uses=frozenset(sites[-1:]),
+        uninitialized=frozenset(sites[:n]),
+        declared=frozenset(sites[n:-1]),
+        flow=frozenset(FlowFact(*a, *b) for a, b in zip(sites, sites[1:])),
+    )
+
+
 def msan_reachability_oracle(fs: MsanFactSet) -> bool:
     """Set-based transitive closure; independent of the BFS in the verifier."""
     uses = {(f.var, f.file, f.line) for f in fs.uses}
@@ -163,6 +176,22 @@ def msan_reachability_oracle(fs: MsanFactSet) -> bool:
                     nxt.add(dst)
         frontier = nxt
     return bool(reached & targets)
+
+
+def two_file_self_pair():
+    """f0 in f0.c and f1 in f1.c, each with a parameter that flows out of
+    its entry line 0 into a use at its exit line 1, paired with itself
+    under identity maps."""
+    side = "".join(
+        f'entry("f{i}", "f{i}.c", 0).\nflow("p{i}", "f{i}.c", 0, "p{i}", "f{i}.c", 1).\n'
+        f'use("p{i}", "f{i}.c", 1).\nexit("f{i}.c", 1).\n'
+        for i in range(2)
+    )
+    maps = "".join(
+        f'entryMap("f{i}", 0, "f{i}", 0).\nexitMap("f{i}.c", 1, "f{i}.c", 1).\n'
+        for i in range(2)
+    )
+    return load_equiv_bundle(side, side, maps)
 
 
 # ---------------------------------------------------------------------------

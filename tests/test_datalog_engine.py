@@ -251,18 +251,27 @@ def test_explain_1100_step_flow_chain():
     inputs = {(f.predicate, f.value_tuple()) for f in program.facts}
     assert replay_derivation(tree, inputs, db)
     assert [leaf.value_tuple() for leaf in leaves] == [tuple(f) for f in flows]
-    # the uninitialized fact supports both satisfied() and the first
-    # flowStar step; both occurrences share one node
-    node = tree.children[1]
-    while node.fact.predicate == "flowStar":
+    # one reach step per site, from the use back to the uninitialized leaf
+    node, reached = tree.children[0], []
+    while node.fact.predicate == "reach":
+        reached.append(node.fact.value_tuple())
         node = node.children[0]
-    assert node is tree.children[0]
+    assert reached[::-1] == [tuple(site) for site in sites]
+    assert node.rule is None and node.fact.value_tuple() == tuple(sites[0])
     # comparing, hashing and printing the proof do not recurse through it;
     # equality is identity, so a proof built again is a different node
     again = explain(db, Atom("satisfied", ()))
     assert tree == tree and tree != again
     assert len({tree, again, tree}) == 2
-    assert repr(tree) == f"Derivation('satisfied()', rule={print_rule(tree.rule)!r}, children=3)"
+    assert repr(tree) == f"Derivation('satisfied()', rule={print_rule(tree.rule)!r}, children=2)"
+
+
+def test_explain_shares_one_node_per_fact():
+    program = parse_program("c(). a() :- c(). b() :- c(). both() :- a(), b().")
+    tree = explain(evaluate(program), Atom("both", ()))
+    first, second = (child.children[0] for child in tree.children)
+    assert first is second and first.rule is None
+    assert [print_atom(leaf) for leaf in tree.leaves()] == ["c()", "c()"]
 
 
 def _replays_everywhere(program: Program, db) -> bool:

@@ -1,4 +1,7 @@
 import random
+from pathlib import Path
+
+import pytest
 
 from claimcheck.datalog import (
     evaluate,
@@ -9,7 +12,11 @@ from claimcheck.datalog import (
     print_rule,
 )
 
-from generators import random_positive_program
+from claimcheck.equivalence import build_pairing, equiv_rules
+from claimcheck.facts import load_equiv_bundle_text, load_msan_facts
+from claimcheck.msan import msan_program
+
+from generators import many_sources_chain, random_positive_program, two_file_self_pair
 from oracles import naive_evaluate
 
 
@@ -66,3 +73,39 @@ def test_random_round_trips(tmp_path):
             print_rule(r) for r in program.rules
         ]
         assert dict(evaluate(back).relations) == naive_evaluate(program)
+
+
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _equiv(bundle):
+    return equiv_rules(bundle, build_pairing(bundle)), ("mismatch", "equivalent")
+
+
+def _msan(fs):
+    return msan_program(fs), ("satisfied", "reach")
+
+
+# name -> (the program, and the relations that carry its meaning)
+_RULE_PROGRAMS = {
+    **{
+        f"equiv/{p.name}": lambda p=p: _equiv(load_equiv_bundle_text(p.read_text()))
+        for p in sorted((_FIXTURES / "equiv").iterdir())
+    },
+    "equiv/two-file self pair": lambda: _equiv(two_file_self_pair()),
+    "msan/audio_buffer_trace.facts": lambda: _msan(
+        load_msan_facts((_FIXTURES / "msan" / "audio_buffer_trace.facts").read_text())
+    ),
+    "msan/many sources": lambda: _msan(many_sources_chain(20)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_PROGRAMS))
+def test_exported_rules_derive_what_the_program_derives(tmp_path, name):
+    program, relations = _RULE_PROGRAMS[name]()
+    direct = evaluate(program)
+    export_external(program, tmp_path)
+    imported = evaluate(import_external(tmp_path))
+    for relation in relations:
+        assert imported[relation] == direct[relation]
+    assert any(direct[relation] for relation in relations)  # not vacuous

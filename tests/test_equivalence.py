@@ -1,11 +1,9 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from claimcheck.datalog import engine, evaluate, parse_facts, print_atom
-from claimcheck.datalog.export import export_external, import_external
 from claimcheck.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -37,7 +35,7 @@ from claimcheck.facts import (
 )
 from claimcheck.toy import extract_equiv_facts, normalize
 
-from generators import mutate_toy, random_toy
+from generators import mutate_toy, random_toy, two_file_self_pair
 
 
 def _load(fixtures_dir, name):
@@ -499,45 +497,13 @@ def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):
     assert evaluate(program)["mismatch"] == before["mismatch"]
 
 
-def _two_file_self_pair():
-    """f0 in f0.c and f1 in f1.c, each with a parameter that flows out of
-    its entry line 0 into a use at its exit line 1, paired with itself
-    under identity maps."""
-    side = "".join(
-        f'entry("f{i}", "f{i}.c", 0).\nflow("p{i}", "f{i}.c", 0, "p{i}", "f{i}.c", 1).\n'
-        f'use("p{i}", "f{i}.c", 1).\nexit("f{i}.c", 1).\n'
-        for i in range(2)
-    )
-    maps = "".join(
-        f'entryMap("f{i}", 0, "f{i}", 0).\nexitMap("f{i}.c", 1, "f{i}.c", 1).\n'
-        for i in range(2)
-    )
-    return load_equiv_bundle(side, side, maps)
-
-
 def test_two_file_self_pair_pairs_entries_by_function():
-    bundle = _two_file_self_pair()
+    bundle = two_file_self_pair()
     pairing = build_pairing(bundle)
     assert pairing.line_map[("f1.c", 0)] == ("f1.c", 0)
     assert verify_equiv(bundle).outcome == EQUIVALENT
     db = evaluate(equiv_rules(bundle, pairing))
     assert db["mismatch"] == frozenset() and db["equivalent"] == {()}
-
-
-_EQUIV_FIXTURES = sorted(
-    p.name for p in (Path(__file__).resolve().parent.parent / "fixtures" / "equiv").iterdir()
-)
-
-
-@pytest.mark.parametrize("name", [*_EQUIV_FIXTURES, "two-file self pair"])
-def test_exported_rules_derive_what_the_program_derives(fixtures_dir, tmp_path, name):
-    bundle = _two_file_self_pair() if name == "two-file self pair" else _load(fixtures_dir, name)
-    program = equiv_rules(bundle, build_pairing(bundle))
-    direct = evaluate(program)
-    export_external(program, tmp_path)
-    imported = evaluate(import_external(tmp_path))
-    assert imported["mismatch"] == direct["mismatch"]
-    assert imported["equivalent"] == direct["equivalent"]
 
 
 def test_rules_program_edits_leave_the_shared_rules(monkeypatch, renamed_fn_bundle_text):

@@ -19,7 +19,7 @@ _EXPORTED = {
         "allocated.facts": "3a417345568ce3a8d651af6e2717f57e0fd6a5d4d7e357d7b2ee20da788eea2c",
         "flow.facts": "2d77c868c1a910cf98de9dba12007b8c3dd04ef639ee07770cafc692a118a333",
         "memoryError.facts": "f088188a6318fb6e727a21490845673d53ea3ac3dd3fcaaac91448e76cfc311a",
-        "program.dl": "5c4f405ef0865da89b0e4ca5e716d21855090b60794157c01971c946516d7374",
+        "program.dl": "b6985949c7b1d00dc2a67274208da7b1ab761ac9d4927204531383e4151cb567",
         "uninitialized.facts": "3a417345568ce3a8d651af6e2717f57e0fd6a5d4d7e357d7b2ee20da788eea2c",
         "uses.facts": "8fe1e20d3a1c626a490df4991e27a9d75688fc7728e0e3e8bc1898fe0f8e5a48",
     },

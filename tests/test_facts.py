@@ -374,6 +374,25 @@ def test_lint_def_without_source(renamed_fn_bundle_text):
     assert [e.code for e in lint_equiv(mutated).errors] == ["def-without-source"]
 
 
+def _sourceless_defs(side, maps=""):
+    report = lint_equiv(load_equiv_bundle(side, side, maps))
+    return [e.fact for e in report.errors if e.code == "def-without-source"]
+
+
+def test_lint_entry_exemption_keys_on_the_entry_site():
+    # with entry facts, a def needs no source at line 0 or at an entry's site
+    sites = [("a.c", 0), ("b.c", 0), ("a.c", 5), ("b.c", 5), ("b.c", 7)]
+    side = 'entry("main", "a.c", 5).\nexit("a.c", 9).\n' + "".join(
+        f'def("x", "{file}", {line}).\n' for file, line in sites
+    )
+    flagged = [repr(SiteFact("x", "b.c", 5)), repr(SiteFact("x", "b.c", 7))]
+    assert _sourceless_defs(side) == flagged * 2
+    # without them an entryMap label names no file: its line counts in any
+    side = 'exit("a.c", 9).\ndef("x", "b.c", 5).\ndef("x", "b.c", 7).\n'
+    maps = 'entryMap("main", 5, "main", 5).\n'
+    assert _sourceless_defs(side, maps) == [repr(SiteFact("x", "b.c", 7))] * 2
+
+
 def test_lint_expr_without_operator(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
     unary = {f for f in bundle.code1.unary if f.line != 6}

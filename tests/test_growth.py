@@ -1,11 +1,15 @@
-"""Growth of the equivalence check with the number of functions in a bundle.
+"""Growth of the checks on shapes that are legal but large.
 
-The bundle is a self pair of k functions in one file, each lint-clean: a
-parameter defined at the entry line, a definition computed from it, both
-control-dependent on the function's own ``Entry:f<i>``, and a watched
-variable used at the function's exit.  Going from k = n to k = 8n, the
-direct check must grow about linearly in time and the rules program
-linearly in input facts and derived tuples.
+- k functions in one file: the bundle is a self pair of k functions, each
+  lint-clean: a parameter defined at the entry line, a definition computed
+  from it, both control-dependent on the function's own ``Entry:f<i>``, and
+  a watched variable used at the function's exit.
+- many uninitialized sources on one chain: the first n sites of a 2n-step
+  flow chain are uninitialized, the others declared, and the last site is
+  used.
+
+Going from n to 8n, each direct check must grow about linearly in time and
+each rules program linearly in input facts and derived tuples.
 """
 
 import time
@@ -13,11 +17,17 @@ import time
 from claimcheck.datalog import evaluate
 from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
 from claimcheck.facts import load_equiv_bundle
+from claimcheck.msan import VERIFIED, msan_program, verify_msan
+
+from generators import many_sources_chain
 
 N = 100
 # per function: 49 input facts (13 per side, 23 of pairing), 8 derived tuples
 FACTS_PER_FUNCTION = 50
 DERIVED_PER_FUNCTION = 10
+SOURCES = 400
+# one reach tuple per site and satisfied(): 2n + 2 for n sources
+DERIVED_PER_SOURCE = 3
 
 
 def _functions(k):
@@ -44,19 +54,27 @@ def _functions(k):
     return load_equiv_bundle(text, text, "")
 
 
-def _best_of_5(bundle):
-    best = float("inf")
-    for _ in range(5):
-        started = time.perf_counter()
-        verdict = verify_equiv(bundle)
-        best = min(best, time.perf_counter() - started)
-    assert verdict.outcome == EQUIVALENT and not verdict.lint.errors
-    return best
+def _time_ratio(check, outcome, small, large):
+    """Best-of-5 time of ``check`` on ``large`` over that on ``small``."""
+    times = []
+    for facts in (small, large):
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            verdict = check(facts)
+            best = min(best, time.perf_counter() - started)
+        assert verdict.outcome == outcome and not verdict.lint.errors
+        times.append(best)
+    return times[1] / times[0]
 
 
 def test_verify_equiv_time_grows_about_linearly():
-    small, large = _functions(N), _functions(8 * N)
-    assert _best_of_5(large) / _best_of_5(small) < 24
+    assert _time_ratio(verify_equiv, EQUIVALENT, _functions(N), _functions(8 * N)) < 24
+
+
+def test_verify_msan_time_grows_about_linearly_in_sources():
+    small, large = many_sources_chain(SOURCES), many_sources_chain(8 * SOURCES)
+    assert _time_ratio(verify_msan, VERIFIED, small, large) < 24
 
 
 def test_rules_facts_and_derived_tuples_grow_linearly():
@@ -69,3 +87,12 @@ def test_rules_facts_and_derived_tuples_grow_linearly():
         assert db["equivalent"] == {()}
         derived = sum(map(len, db.relations.values())) - len(inputs)
         assert derived <= DERIVED_PER_FUNCTION * k
+
+
+def test_msan_rules_derived_tuples_grow_linearly_in_sources():
+    for n in (SOURCES, 8 * SOURCES):  # n first: a quadratic rule set fails there
+        program = msan_program(many_sources_chain(n))
+        db = evaluate(program)
+        assert db["satisfied"] == {()}
+        derived = sum(map(len, db.relations.values())) - len(set(program.facts))
+        assert derived <= DERIVED_PER_SOURCE * n

@@ -1,6 +1,6 @@
 import random
 
-from claimcheck.datalog import engine, evaluate, parse_program, print_atom
+from claimcheck.datalog import Atom, engine, evaluate, explain, parse_program, print_atom
 from claimcheck.facts import (
     FlowFact,
     MemoryErrorFact,
@@ -100,13 +100,28 @@ def test_verdict_matches_reachability_oracle_on_random_sets():
         assert verify_msan(fs).outcome == expected
 
 
+def _rules_chain(db):
+    """The sites of the ``reach`` steps under the first satisfied(), in
+    chain order."""
+    node, chain = explain(db, Atom("satisfied", ())).children[0], []
+    while node.fact.predicate == "reach":
+        chain.append(node.fact.value_tuple())
+        node = node.children[0]
+    return tuple(reversed(chain))
+
+
 def test_rules_path_agrees_with_direct_path():
     rng = random.Random(4)
+    verified = 0
     for _ in range(100):
         fs = random_msan_facts(rng)
         db = evaluate(msan_program(fs))
-        datalog_verified = bool(db["satisfied"])
-        assert datalog_verified == (verify_msan(fs).outcome == VERIFIED)
+        verdict = verify_msan(fs)
+        assert bool(db["satisfied"]) == (verdict.outcome == VERIFIED)
+        if db["satisfied"]:
+            verified += 1
+            assert _rules_chain(db) == verdict.witness
+    assert verified >= 30
 
 
 def test_rules_on_fixture_and_empty(trace_facts_text):
@@ -117,7 +132,7 @@ def test_rules_on_fixture_and_empty(trace_facts_text):
 def test_rules_export_shape(monkeypatch):
     program = msan_rules()
     assert "satisfied" in program.declarations
-    assert "flowStar" in program.declarations
+    assert "reach" in program.declarations
     assert len(program.rules) == 5
     rules, declarations = list(program.rules), dict(program.declarations)
 
