@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from claimcheck.equivalence import (
     equiv_rules,
     verify_equiv,
 )
-from claimcheck.errors import ConflictingVarMapError
+from claimcheck.errors import ClaimcheckError, ConflictingVarMapError
 from claimcheck.facts import (
     BinaryFact,
     CondExprFact,
@@ -30,6 +32,7 @@ from claimcheck.facts import (
     SiteFact,
     UnaryFact,
     VarMapFact,
+    fact_text,
     load_equiv_bundle,
     load_equiv_bundle_text,
 )
@@ -541,3 +544,126 @@ def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):
             assert print_atom(atoms[0]) == fact
             symbols.update(arg for arg in atoms[0].args if isinstance(arg, str))
     assert {'d"q\\', "=\\="} <= symbols
+
+
+@pytest.mark.parametrize("tag", ["code1", "code2"])
+def test_resited_watched_flow_into_an_exit_differs(tag):
+    """Moving one side's flow of a watch variable into the exit to a line
+    that defines nothing reports the moved flow from that side and the
+    original, now without an image, from the other; the rules agree."""
+    program = normalize(random_toy(random.Random(7)))
+    bundle = extract_equiv_facts(program, program)
+    here = bundle.side(tag)
+    watched = {f.var for f in here.watch_vars}
+    exits = {(f.file, f.line) for f in here.exits}
+    flow = max(
+        f for f in here.flows
+        if f.src_var == f.dst_var and f.src_var in watched
+        and (f.dst_file, f.dst_line) in exits
+    )
+    moved = flow._replace(src_line=program.line_count + 5)
+    edited = here._replace(flows=here.flows - {flow} | {moved})
+    other = "code2" if tag == "code1" else "code1"
+    bundle = bundle._replace(**{tag: edited})
+    differ = {
+        (m.line, m.side1 + m.side2, bool(m.side1))
+        for m in check_watchvars(bundle, build_pairing(bundle))
+        if m.kind == "reaching_defs_differ"
+    }
+    assert differ == {
+        (moved.src_line, (fact_text("flow", moved),), tag == "code1"),
+        (flow.src_line, (fact_text("flow", flow),), other == "code1"),
+    }
+    for candidate in (bundle, bundle.swapped()):
+        pairing = build_pairing(candidate)
+        direct = {m.project() for m in all_mismatches(candidate, pairing)}
+        assert evaluate(equiv_rules(candidate, pairing))["mismatch"] == direct
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: every record, verdict and rules fact on a seeded sweep
+# ---------------------------------------------------------------------------
+
+
+def _seeded_raw_bundle(rng):
+    """A raw bundle drawn as ``_RAW_BUNDLE`` draws one, from ``rng``."""
+
+    def few(make, most=4):
+        return frozenset(make() for _ in range(rng.randint(0, most)))
+
+    def name():
+        return rng.choice(["a", "b", "c", "x", "y", "Entry"])
+
+    def file():
+        return rng.choice(["main.cpp", "lib.cpp"])
+
+    def line():
+        return rng.randint(0, 4)
+
+    def side():
+        return EquivSide(
+            uses=few(lambda: SiteFact(name(), file(), line())),
+            defs=few(lambda: SiteFact(name(), file(), line())),
+            flows=few(lambda: FlowFact(name(), file(), line(), name(), file(), line())),
+            controldeps=few(lambda: ControlDepFact(
+                name(), file(), line(), name(), rng.choice(["true", "false"]), file(), line()
+            )),
+            def_with_expr=few(lambda: SiteFact(name(), file(), line())),
+            cond_with_expr=few(lambda: CondExprFact(file(), line())),
+            unary=few(lambda: UnaryFact(name(), name(), file(), line())),
+            binary=few(lambda: BinaryFact(name(), name(), name(), file(), line())),
+            entries=few(lambda: EntryFact(name(), file(), line())),
+            exits=few(lambda: ExitFact(file(), line())),
+            constants=few(name, 2),
+            watch_vars=few(lambda: SiteFact(name(), file(), line())),
+        )
+
+    return EquivBundle(
+        side(), side(),
+        var_maps=few(lambda: VarMapFact(name(), file(), line(), name(), file(), line())),
+        entry_maps=few(lambda: EntryMapFact(name(), line(), name(), line())),
+        exit_maps=few(lambda: ExitMapFact(file(), line(), file(), line())),
+    )
+
+
+def _pinned_bundles(fixtures_dir):
+    """The shipped bundles loaded from text, 300 seeded raw bundles and their
+    mirrors, then 100 toy pairs: even draws pair a program with itself, odd
+    draws with a mutation of it."""
+    for path in sorted((fixtures_dir / "equiv").glob("*.bundle")):
+        yield lambda path=path: load_equiv_bundle_text(path.read_text())
+    rng = random.Random(1809)
+    for _ in range(300):
+        bundle = _seeded_raw_bundle(rng)
+        yield lambda bundle=bundle: bundle
+        yield bundle.swapped
+    rng = random.Random(1810)
+    for i in range(100):
+        program = normalize(random_toy(rng))
+        if i % 2 == 0:
+            yield lambda program=program: extract_equiv_facts(program, program)
+        else:
+            mutation = mutate_toy(rng, program)
+            yield lambda program=program, m=mutation: extract_equiv_facts(
+                program, m.program, m.var_map
+            )
+
+
+# The sha256 of the records, verdicts and rules facts of ``_pinned_bundles``.
+_PINNED_DIGEST = "757d7256aedda8f95b082bb5971127c77b9a8d5e6e22e515b4cc3d57b0e0de82"
+
+
+def test_outputs_on_a_seeded_sweep_are_pinned(fixtures_dir):
+    digest = hashlib.sha256()
+    for load in _pinned_bundles(fixtures_dir):
+        try:
+            bundle = load()
+            pairing = build_pairing(bundle)
+        except ClaimcheckError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        records = [m.to_json() for m in all_mismatches(bundle, pairing)]
+        facts = sorted(print_atom(f) for f in equiv_rules(bundle, pairing).facts)
+        for part in (records, verify_equiv(bundle).to_json(), facts):
+            digest.update(json.dumps(part, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == _PINNED_DIGEST
