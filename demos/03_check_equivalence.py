@@ -21,12 +21,17 @@ BUNDLE = ROOT / "fixtures" / "equiv" / "guarded_call_renamed_fn.bundle"
 bundle = load_equiv_bundle_text(BUNDLE.read_text())
 print(f"code1: {len(bundle.code1)} facts, code2: {len(bundle.code2)} facts")
 
+# The pairing holds one oriented half per side; code1's half maps code1's
+# names and sites to their images in code2.
 pairing = build_pairing(bundle)
-print(f"paired variables: {sorted(pairing.var_pairs)}")
-print(f"paired definition sites: {len(pairing.def_site_pairs)}, "
-      f"unpaired: {len(pairing.residue_defs_1) + len(pairing.residue_defs_2)}")
+mismatches = diff_structure(bundle, pairing)
+print(f"paired variables: {sorted(pairing.code1.var_map.items())}")
+print("paired definition sites:")
+for var, (file, line), image, (image_file, image_line) in pairing.code1.def_site_pairs:
+    print(f"  {var} at {file}:{line} -> {image} at {image_file}:{image_line}")
+print("unpaired definitions:", sum(m.kind == "unpaired_def" for m in mismatches))
 
-for mismatch in diff_structure(bundle, pairing):
+for mismatch in mismatches:
     print("\nmismatch:", mismatch.kind, "at", f"{mismatch.file}:{mismatch.line}")
     print("  code1:", ", ".join(mismatch.side1))
     print("  code2:", ", ".join(mismatch.side2))

@@ -58,31 +58,32 @@ def _is_entry_cond(cond: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class SitePairing(Record):
-    """Partial bijection between the two programs' names and sites."""
+class SidePairing(Record):
+    """One side's half of the pairing: its names and sites with their images
+    on the other side."""
 
-    __slots__ = _fields = (
-        "var_pairs", "var_pairs_rev", "def_site_pairs", "cond_site_pairs", "exit_pairs",
-        "line_map", "line_map_rev", "residue_defs_1", "residue_defs_2",
-    )
+    __slots__ = _fields = ("var_map", "line_map", "def_site_pairs", "exit_pairs")
 
     def __init__(self) -> None:
-        self.var_pairs: dict[str, str] = {}
-        self.var_pairs_rev: dict[str, str] = {}
-        # (var1, site1, var2, site2), one entry per paired definition
-        self.def_site_pairs: list[tuple[str, Site, str, Site]] = []
-        self.cond_site_pairs: list[tuple[Site, Site]] = []
-        self.exit_pairs: list[tuple[Site, Site]] = []
+        self.var_map: dict[str, str] = {}
         self.line_map: dict[Site, Site] = {}
-        self.line_map_rev: dict[Site, Site] = {}
-        self.residue_defs_1: list[tuple[str, Site]] = []
-        self.residue_defs_2: list[tuple[str, Site]] = []
+        # (var, site, image var, image site), one entry per paired definition
+        self.def_site_pairs: list[tuple[str, Site, str, Site]] = []
+        self.exit_pairs: list[tuple[Site, Site]] = []
 
     def map_line(self, site: Site) -> Site:
         return self.line_map.get(site, site)
 
-    def map_line_rev(self, site: Site) -> Site:
-        return self.line_map_rev.get(site, site)
+
+class SitePairing(Record):
+    """Partial bijection between the two programs' names and sites, as one
+    oriented half per side; the condition sites pair code1 first."""
+
+    __slots__ = _fields = ("code1", "code2", "cond_site_pairs")
+
+    def __init__(self) -> None:
+        self.code1, self.code2 = SidePairing(), SidePairing()
+        self.cond_site_pairs: list[tuple[Site, Site]] = []
 
 
 def _index(pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
@@ -95,55 +96,36 @@ def _index(pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
 
 def build_pairing(bundle: EquivBundle) -> SitePairing:
     pairing = SitePairing()
-    vars1 = bundle.code1.variables()
-    vars2 = bundle.code2.variables()
+    one, two = pairing.code1, pairing.code2
 
     for m in sorted(bundle.var_maps):
-        existing = pairing.var_pairs.get(m.var1)
-        if existing is not None and existing != m.var2:
-            raise ConflictingVarMapError(m.var1)
-        existing_rev = pairing.var_pairs_rev.get(m.var2)
-        if existing_rev is not None and existing_rev != m.var1:
-            raise ConflictingVarMapError(m.var2)
-        pairing.var_pairs[m.var1] = m.var2
-        pairing.var_pairs_rev[m.var2] = m.var1
-    for name in sorted(vars1 & vars2):
-        if name not in pairing.var_pairs and name not in pairing.var_pairs_rev:
-            pairing.var_pairs[name] = name
-            pairing.var_pairs_rev[name] = name
+        for half, var, image in ((one, m.var1, m.var2), (two, m.var2, m.var1)):
+            if half.var_map.setdefault(var, image) != image:
+                raise ConflictingVarMapError(var)
+    for name in sorted(bundle.code1.variables() & bundle.code2.variables()):
+        if name not in one.var_map and name not in two.var_map:
+            one.var_map[name] = two.var_map[name] = name
 
-    paired_sites_1: set[tuple[str, Site]] = set()
-    paired_sites_2: set[tuple[str, Site]] = set()
     def_sites_1, def_sites_2 = (
         _index((f.var, (f.file, f.line)) for f in side.defs)
         for side in (bundle.code1, bundle.code2)
     )
-    for var1 in sorted(pairing.var_pairs):
-        var2 = pairing.var_pairs[var1]
+    for var1 in sorted(one.var_map):
+        var2 = one.var_map[var1]
         sites1 = sorted(def_sites_1.get(var1, ()))
         sites2 = sorted(def_sites_2.get(var2, ()))
         for s1, s2 in zip(sites1, sites2):
-            pairing.def_site_pairs.append((var1, s1, var2, s2))
-            paired_sites_1.add((var1, s1))
-            paired_sites_2.add((var2, s2))
-    pairing.residue_defs_1, pairing.residue_defs_2 = (
-        sorted(
-            (var, site)
-            for var, sites in def_sites.items()
-            for site in sites
-            if (var, site) not in paired
-        )
-        for def_sites, paired in ((def_sites_1, paired_sites_1), (def_sites_2, paired_sites_2))
-    )
+            one.def_site_pairs.append((var1, s1, var2, s2))
+            two.def_site_pairs.append((var2, s2, var1, s1))
 
     cond_sites_1, cond_sites_2 = (
         _index((f.cond, (f.cond_file, f.cond_line)) for f in side.controldeps)
         for side in (bundle.code1, bundle.code2)
     )
     for cond1 in sorted(cond_sites_1):
-        if _is_entry_cond(cond1) or cond1 not in pairing.var_pairs:
+        if _is_entry_cond(cond1) or cond1 not in one.var_map:
             continue
-        cond2 = pairing.var_pairs[cond1]
+        cond2 = one.var_map[cond1]
         for s1, s2 in zip(
             sorted(cond_sites_1[cond1]), sorted(cond_sites_2.get(cond2, ()))
         ):
@@ -162,27 +144,28 @@ def build_pairing(bundle: EquivBundle) -> SitePairing:
         keys &= {(f.function, f.line) for f in bundle.code2.entries}
         entry_pairs = [(key, key) for key in sorted(keys)]
     if bundle.exit_maps:
-        pairing.exit_pairs = [(m[:2], m[2:]) for m in sorted(bundle.exit_maps)]
+        one.exit_pairs = [(m[:2], m[2:]) for m in sorted(bundle.exit_maps)]
     else:
         sites = {(f.file, f.line) for f in bundle.code1.exits}
         sites &= {(f.file, f.line) for f in bundle.code2.exits}
-        pairing.exit_pairs = [(site, site) for site in sorted(sites)]
+        one.exit_pairs = [(site, site) for site in sorted(sites)]
+    two.exit_pairs = [(s2, s1) for s1, s2 in one.exit_pairs]
 
-    def register(site1: Site, site2: Site) -> None:
-        pairing.line_map.setdefault(site1, site2)
-        pairing.line_map_rev.setdefault(site2, site1)
+    def pair(site1: Site, site2: Site) -> None:
+        one.line_map.setdefault(site1, site2)
+        two.line_map.setdefault(site2, site1)
 
-    for _, s1, _, s2 in pairing.def_site_pairs:
-        register(s1, s2)
+    for _, s1, _, s2 in one.def_site_pairs:
+        pair(s1, s2)
     for s1, s2 in pairing.cond_site_pairs:
-        register(s1, s2)
-    for s1, s2 in pairing.exit_pairs:
-        register(s1, s2)
+        pair(s1, s2)
+    for s1, s2 in one.exit_pairs:
+        pair(s1, s2)
     resolve1, resolve2 = entry_files(bundle.code1), entry_files(bundle.code2)
     for (label1, line1), (label2, line2) in entry_pairs:
         for file1 in resolve1(label1, line1):
             for file2 in resolve2(label2, line2):
-                register((file1, line1), (file2, line2))
+                pair((file1, line1), (file2, line2))
     return pairing
 
 
@@ -224,11 +207,11 @@ def _facts_of(tag: str, *texts: str) -> dict:
 
 
 def _sides(bundle: EquivBundle, pairing: SitePairing) -> tuple[tuple, tuple]:
-    """Each side as (its facts, the other side's facts, its variable pairing,
-    its site pairing, its tag), code1 first."""
+    """Each side as (its facts, the other side's facts, its half of the
+    pairing, its tag), code1 first."""
     return (
-        (bundle.code1, bundle.code2, pairing.var_pairs, pairing.map_line, CODE1),
-        (bundle.code2, bundle.code1, pairing.var_pairs_rev, pairing.map_line_rev, CODE2),
+        (bundle.code1, bundle.code2, pairing.code1, CODE1),
+        (bundle.code2, bundle.code1, pairing.code2, CODE2),
     )
 
 
@@ -272,10 +255,12 @@ _POINTWISE = tuple(
 
 def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     """Pointwise structural diff; empty means isomorphic modulo the pairing."""
+    # Each loop scans its facts unsorted and sorts only those that yield a
+    # record, so the records of a (side, field) come out in fact order.
     out: list[Mismatch] = []
-    residues = (pairing.residue_defs_1, pairing.residue_defs_2)
-    for (here, there, var_map, map_line, tag), residue in zip(_sides(bundle, pairing), residues):
-        for var, (file, line) in residue:
+    for here, there, half, tag in _sides(bundle, pairing):
+        paired = {(var, *site) for var, site, _, _ in half.def_site_pairs}
+        for var, file, line in sorted(f for f in here.defs if f not in paired):
             out.append(
                 Mismatch(
                     "unpaired_def", file, line, var,
@@ -284,13 +269,27 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                     **_facts_of(tag, fact_text("def", SiteFact(var, file, line))),
                 )
             )
+        var_map, map_line = half.var_map, half.map_line
         for field, predicate, suffix, variables, files, unpaired, missing in _POINTWISE:
             images = getattr(there, field)
-            for f in sorted(getattr(here, field)):
+            reported: dict[tuple, list | None] = {}  # fact -> its missing image
+            for f in getattr(here, field):
+                if any(f[i] not in var_map for i in variables):
+                    reported[f] = None
+                    continue
+                image = list(f)
+                for i in variables:
+                    image[i] = var_map[image[i]]
+                for i in files:
+                    image[i : i + 2] = map_line((image[i], image[i + 1]))
+                if tuple(image) not in images:
+                    reported[f] = image
+            for f in sorted(reported):
                 file, line = f[files[0]], f[files[0] + 1]
-                names = [f[i] for i in variables if f[i] not in var_map]
-                if names:
-                    rendered = fact_text(predicate, f)
+                rendered = fact_text(predicate, f)
+                image = reported[f]
+                if image is None:
+                    names = [f[i] for i in variables if f[i] not in var_map]
                     for var in dict.fromkeys(names):
                         out.append(
                             Mismatch(
@@ -300,24 +299,17 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                             )
                         )
                     continue
-                image = list(f)
-                for i in variables:
-                    image[i] = var_map[image[i]]
-                for i in files:
-                    image[i : i + 2] = map_line((image[i], image[i + 1]))
-                if tuple(image) not in images:
-                    rendered = fact_text(predicate, f)
-                    out.append(
-                        Mismatch(
-                            "missing_" + suffix, file, line,
-                            f[variables[0]] if variables else "-",
-                            missing.format(
-                                tag=tag, fact=rendered, image=fact_text(predicate, image),
-                                file=file, line=line,
-                            ),
-                            **_facts_of(tag, rendered),
-                        )
+                out.append(
+                    Mismatch(
+                        "missing_" + suffix, file, line,
+                        f[variables[0]] if variables else "-",
+                        missing.format(
+                            tag=tag, fact=rendered, image=fact_text(predicate, image),
+                            file=file, line=line,
+                        ),
+                        **_facts_of(tag, rendered),
                     )
+                )
 
     out.extend(_diff_expressions(bundle, pairing))
     out.extend(_diff_controldeps(bundle, pairing))
@@ -331,7 +323,7 @@ def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
     # to a single agreement check.
     targets: dict[Site, set[Site]] = {}
     subjects: dict[Site, set[str]] = {}
-    for var1, s1, _, s2 in pairing.def_site_pairs:
+    for var1, s1, _, s2 in pairing.code1.def_site_pairs:
         targets.setdefault(s1, set()).add(s2)
         subjects.setdefault(s1, set()).add(var1)
     for s1, s2 in pairing.cond_site_pairs:
@@ -345,7 +337,7 @@ def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
             bundle.code1.binary, bundle.code2.binary,
         )
     )
-    rename = pairing.var_pairs.get
+    rename = pairing.code1.var_map.get
     out = []
     for s1 in sorted(targets):
         s2_sites = targets[s1]
@@ -402,9 +394,9 @@ def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
         _index(((f.var, f.file, f.line), f) for f in side.controldeps)
         for side in (bundle.code1, bundle.code2)
     )
-    rename = pairing.var_pairs.get
+    rename = pairing.code1.var_map.get
     out = []
-    for var1, s1, var2, s2 in pairing.def_site_pairs:
+    for var1, s1, var2, s2 in pairing.code1.def_site_pairs:
         cd1 = sorted(by_def1.get((var1, *s1), ()))
         cd2 = sorted(by_def2.get((var2, *s2), ()))
         if not cd1 and not cd2:
@@ -428,9 +420,9 @@ def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatc
 
 def _diff_constants(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     out = []
-    for here, there, var_map, _, tag in _sides(bundle, pairing):
+    for here, there, half, tag in _sides(bundle, pairing):
         for name in sorted(here.constants):
-            paired = var_map.get(name)
+            paired = half.var_map.get(name)
             if paired in there.constants:
                 if tag == CODE1 and paired != name:  # one record per pair
                     out.append(
@@ -464,8 +456,8 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
     flows into the exit-line use) must correspond under the site pairing.
     """
     out: list[Mismatch] = []
-    exits = (_index(pairing.exit_pairs), _index((s2, s1) for s1, s2 in pairing.exit_pairs))
-    for (here, there, var_map, map_line, tag), paired_exits in zip(_sides(bundle, pairing), exits):
+    for here, there, half, tag in _sides(bundle, pairing):
+        var_map, paired_exits = half.var_map, _index(half.exit_pairs)
         watched = {f.var for f in there.watch_vars}
         partner = {}  # each watch variable with its paired watch variable
         for f in here.watch_vars:  # no two of these records share a sort key
@@ -488,7 +480,7 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
             var, exit_site = f.dst_var, (f.dst_file, f.dst_line)
             if f.src_var != var or var not in partner or exit_site not in paired_exits:
                 continue
-            image = (partner[var], *map_line((f.src_file, f.src_line)), partner[var])
+            image = (partner[var], *half.map_line((f.src_file, f.src_line)), partner[var])
             for other_exit in paired_exits[exit_site]:
                 if FlowFact(*image, *other_exit) in there.flows:
                     continue
@@ -684,27 +676,22 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     facts += [Atom("other", (CODE1, CODE2)), Atom("other", (CODE2, CODE1))]
     conds = {f.cond for side in (bundle.code1, bundle.code2) for f in side.controldeps}
     facts += [Atom("entry_cond", (c,)) for c in sorted(conds) if _is_entry_cond(c)]
-    flipped = [(var2, s2, var1, s1) for var1, s1, var2, s2 in pairing.def_site_pairs]
-    for (here, _, var_map, map_line, tag), def_site_pairs, exit_pairs in zip(
-        _sides(bundle, pairing),
-        (pairing.def_site_pairs, flipped),
-        (pairing.exit_pairs, [(s2, s1) for s1, s2 in pairing.exit_pairs]),
-    ):
+    for here, _, half, tag in _sides(bundle, pairing):
         facts.extend(fact_atoms(here, SIDE_FIELDS, tag))
-        facts += [Atom("pair_var", (tag, x, var_map[x])) for x in sorted(var_map)]
+        facts += [Atom("pair_var", (tag, x, half.var_map[x])) for x in sorted(half.var_map)]
         facts += [
             Atom("pair_def_site", (tag, x, *site, y, *image))
-            for x, site, y, image in def_site_pairs
+            for x, site, y, image in half.def_site_pairs
         ]
-        facts += [Atom("pair_exit", (tag, *site, *image)) for site, image in exit_pairs]
+        facts += [Atom("pair_exit", (tag, *site, *image)) for site, image in half.exit_pairs]
         facts += [
-            Atom("pair_line", (tag, *site, *map_line(site)))
+            Atom("pair_line", (tag, *site, *half.map_line(site)))
             for site in sorted(_fact_lines(here))
         ]
     facts += [Atom("pair_cond_site", s1 + s2) for s1, s2 in pairing.cond_site_pairs]
     # Each code1 site of a paired definition or condition is compared at
     # itself, and each code2 site at the code1 site that it pairs with.
-    sites = [(s1, s2) for _, s1, _, s2 in pairing.def_site_pairs] + pairing.cond_site_pairs
+    sites = [(s1, s2) for _, s1, _, s2 in pairing.code1.def_site_pairs] + pairing.cond_site_pairs
     facts += [Atom("compared_at", (CODE1, *s1, *s1)) for s1 in sorted(dict(sites))]
     facts += [Atom("compared_at", (CODE2, *s2, *s1)) for s1, s2 in sites]
     return program

@@ -61,14 +61,17 @@ def _with_watchvars(bundle, names, line=8):
 def test_fixture_pairs_completely(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
     pairing = build_pairing(bundle)
-    assert pairing.var_pairs == {v: v for v in ("0", "2", "a", "b", "c", "d")}
-    assert len(pairing.def_site_pairs) == 7
-    assert pairing.residue_defs_1 == [] and pairing.residue_defs_2 == []
+    names = {v: v for v in ("0", "2", "a", "b", "c", "d")}
+    assert pairing.code1.var_map == pairing.code2.var_map == names
+    assert len(pairing.code1.def_site_pairs) == len(pairing.code2.def_site_pairs) == 7
+    assert not any(m.kind == "unpaired_def" for m in diff_structure(bundle, pairing))
 
 
 def test_empty_bundle_pairs_to_nothing():
     pairing = build_pairing(EquivBundle(EquivSide(), EquivSide()))
-    assert not any(getattr(pairing, name) for name in pairing._fields)
+    assert not pairing.cond_site_pairs
+    for half in (pairing.code1, pairing.code2):
+        assert not any(getattr(half, name) for name in half._fields)
 
 
 def test_reordered_defs_pair_by_ordinal_across_lines(fixtures_dir):
@@ -76,10 +79,13 @@ def test_reordered_defs_pair_by_ordinal_across_lines(fixtures_dir):
     pairing = build_pairing(bundle)
     pairs = {
         (var1, site1[1], site2[1])
-        for var1, site1, _, site2 in pairing.def_site_pairs
+        for var1, site1, _, site2 in pairing.code1.def_site_pairs
     }
     assert ("cache->size", 32, 27) in pairs
     assert ("cache->arr", 27, 28) in pairs
+    assert pairing.code2.def_site_pairs == [
+        (var2, site2, var1, site1) for var1, site1, var2, site2 in pairing.code1.def_site_pairs
+    ]
 
 
 def test_var_map_pairs_before_identical_names():
@@ -87,7 +93,8 @@ def test_var_map_pairs_before_identical_names():
         'def("x", "f", 1).', 'def("y", "f", 1).', 'varMap("x", "f", 1, "y", "f", 1).'
     )
     pairing = build_pairing(bundle)
-    assert pairing.var_pairs == {"x": "y"}
+    assert pairing.code1.var_map == {"x": "y"}
+    assert pairing.code2.var_map == {"y": "x"}
 
 
 def test_conflicting_var_map_is_rejected():
@@ -366,7 +373,7 @@ def _crowded_site(rng):
     three of code2's facts with an operand or branch changed."""
     program = normalize(random_toy(rng))
     bundle = extract_equiv_facts(program, program)
-    var1, (f1, l1), var2, (f2, l2) = rng.choice(build_pairing(bundle).def_site_pairs)
+    var1, (f1, l1), var2, (f2, l2) = rng.choice(build_pairing(bundle).code1.def_site_pairs)
     names = [f"p{i}" for i in range(5)]
     twin = {name: "q" + name[1:] for name in names}
     twin.update({"Entry": "Entry:main", "Entry:main": "Entry"})
@@ -503,7 +510,8 @@ def test_rules_pair_line_covers_entry_only_sites(fixtures_dir):
 def test_two_file_self_pair_pairs_entries_by_function():
     bundle = two_file_self_pair()
     pairing = build_pairing(bundle)
-    assert pairing.line_map[("f1.c", 0)] == ("f1.c", 0)
+    assert pairing.code1.line_map[("f1.c", 0)] == ("f1.c", 0)
+    assert pairing.code2.line_map[("f1.c", 0)] == ("f1.c", 0)
     assert verify_equiv(bundle).outcome == EQUIVALENT
     db = evaluate(equiv_rules(bundle, pairing))
     assert db["mismatch"] == frozenset() and db["equivalent"] == {()}

@@ -221,7 +221,7 @@ def test_entry_map_label_names_a_function_or_a_file():
         bundle = load_equiv_bundle_text(
             _bundle_text(code1, _TWO_ENTRIES, f'entryMap("{label}", 1, "main", 4).')
         )
-        assert build_pairing(bundle).line_map[("lib.cpp", 1)] == ("main.cpp", 4)
+        assert build_pairing(bundle).code1.line_map[("lib.cpp", 1)] == ("main.cpp", 4)
 
 
 @pytest.mark.parametrize(
