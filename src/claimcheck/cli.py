@@ -183,6 +183,7 @@ def cmd_check(args) -> int:
 
 def cmd_extract(args) -> int:
     from .toy import extract_equiv_facts, extract_msan_facts, normalize, parse_toy
+    from .toy.interp import first_def_sites
 
     started = time.perf_counter()
     try:
@@ -195,12 +196,17 @@ def cmd_extract(args) -> int:
             if not args.toy2:
                 raise ClaimcheckError("equivalence extraction needs two toy programs")
             other = normalize(parse_toy(_read(Path(args.toy2))))
+            names1, names2 = first_def_sites(program), first_def_sites(other)
             var_map = {}
             for pair in filter(None, (args.var_map or "").split(",")):
                 left, _, right = pair.partition("=")
-                if not right:
-                    raise ClaimcheckError(f"bad --var-map entry {pair!r}")
-                var_map[left.strip()] = right.strip()
+                left, right = left.strip(), right.strip()
+                if left not in names1 or right not in names2:
+                    raise ClaimcheckError(
+                        f"bad --var-map entry {pair!r}: want x=y, where x is a variable "
+                        "of the first program and y one of the second"
+                    )
+                var_map[left] = right
             text = extract_equiv_facts(program, other, var_map, file=args.file_name).render()
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,7 +220,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_formalize(args) -> int:
-    from .loop import DEFAULT_MAX_ITERS, HttpSourceConfig, http_source, mock_source, run_loop
+    from .loop import DEFAULT_MAX_ITERS, http_source, mock_source, run_loop
 
     started = time.perf_counter()
     try:
@@ -225,7 +231,7 @@ def cmd_formalize(args) -> int:
             ground_truth = _read(Path(args.ground_truth))
             source = mock_source(ground_truth, args.withhold, args.seed)
         else:
-            source = http_source(HttpSourceConfig(url=args.url))
+            source = http_source(args.url)
         iters = DEFAULT_MAX_ITERS if args.iters is None else args.iters
         result, log = run_loop(source, args.task, snippets, max_iters=iters)
     except (OSError, ClaimcheckError, ValueError) as exc:

@@ -39,6 +39,8 @@ URL_ENV = "CLAIMCHECK_LLM_URL"
 TOKEN_ENV = "CLAIMCHECK_LLM_TOKEN"
 # Responses longer than this fail their iteration, like a transport error.
 MAX_RESPONSE_BYTES = 1 << 20
+# Seconds an HTTP request may wait on the endpoint before it fails.
+HTTP_TIMEOUT_S = 30.0
 
 class FactSource(Protocol):
     def __call__(self, task: str, snippets: str, prior_facts: str) -> str: ...
@@ -262,13 +264,6 @@ def mock_source(
     return source
 
 
-class HttpSourceConfig(Record):
-    __slots__ = _fields = ("url", "timeout_s")
-
-    def __init__(self, url: str | None = None, timeout_s: float = 30.0) -> None:
-        self.url, self.timeout_s = url, timeout_s
-
-
 def _split_marked(text: str, marker: str) -> str | None:
     pattern = re.compile(
         rf"^===\s*{marker}\s*===\s*$(.*?)(?=^===|\Z)", re.MULTILINE | re.DOTALL
@@ -277,7 +272,7 @@ def _split_marked(text: str, marker: str) -> str | None:
     return m.group(1).strip() if m else None
 
 
-def http_source(config: HttpSourceConfig | None = None) -> FactSource:
+def http_source(url: str | None = None) -> FactSource:
     """A source backed by a completion endpoint.
 
     Each call posts ``{"system": ..., "user": ...}`` as JSON and reads the
@@ -287,13 +282,14 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
     a missing URL, a transport error, an HTTP error status (its code is in
     the message), a response over ``MAX_RESPONSE_BYTES`` or one without a
     ``text`` field.  :func:`run_loop` records the message as the failed
-    iteration's ``source error``.
+    iteration's ``source error``.  Requests go to ``url``, or, when it is
+    None, to ``$CLAIMCHECK_LLM_URL`` as read at each request, and wait at
+    most ``HTTP_TIMEOUT_S`` seconds.
     """
-    config = config or HttpSourceConfig()
 
     def post(system: str, user: str) -> str:
-        url = config.url or os.environ.get(URL_ENV)
-        if not url:
+        endpoint = url or os.environ.get(URL_ENV)
+        if not endpoint:
             raise RuntimeError(f"no endpoint URL configured (set {URL_ENV} or pass url=)")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV)
@@ -302,8 +298,8 @@ def http_source(config: HttpSourceConfig | None = None) -> FactSource:
         body = json.dumps({"system": system, "user": user}).encode("utf-8")
         import urllib.request  # the HTTP stack loads only when a request is made
 
-        request = urllib.request.Request(url, data=body, headers=headers)
-        with urllib.request.urlopen(request, timeout=config.timeout_s) as response:
+        request = urllib.request.Request(endpoint, data=body, headers=headers)
+        with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
             payload = response.read(MAX_RESPONSE_BYTES + 1)
         if len(payload) > MAX_RESPONSE_BYTES:
             raise ValueError(f"response exceeds {MAX_RESPONSE_BYTES} bytes")

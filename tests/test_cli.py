@@ -260,6 +260,28 @@ def test_extract_equiv_needs_two_programs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", ["=y", "x= ", "nosuch=a", "a=nosuch", "a"])
+def test_extract_rejects_var_map_entries_naming_no_variable(capsys, tmp_path, entry):
+    out = tmp_path / "pair.bundle"
+    code = main([
+        "extract", f"{FIXTURES}/toy/guarded_call_a.toy", f"{FIXTURES}/toy/guarded_call_b.toy",
+        "--task", "equiv", "--var-map", f"a=a,{entry}", "-o", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --var-map entry {entry!r}")
+    assert not out.exists()
+
+
+def test_extract_var_map_entries_are_stripped(capsys):
+    code, out = run(
+        capsys, "extract",
+        f"{FIXTURES}/toy/guarded_call_a.toy", f"{FIXTURES}/toy/guarded_call_b.toy",
+        "--task", "equiv", "--var-map", " a = b ",
+    )
+    assert code == 0
+    assert 'varMap("a", "main.cpp", 1, "b", "main.cpp", 2).' in out
+
+
 def test_lint_equiv_accepts_positional_bundle(capsys):
     code, report = run_json(
         capsys, "lint", "--task", "equiv",

@@ -10,7 +10,6 @@ from claimcheck.loop import (
     EQUIV,
     MSAN,
     MAX_RESPONSE_BYTES,
-    HttpSourceConfig,
     http_source,
     mock_source,
     parse_response,
@@ -225,7 +224,7 @@ def stub_server(trace_facts_text):
 
 
 def test_http_source_round_trip(stub_server, trace_facts_text):
-    source = http_source(HttpSourceConfig(url=stub_server))
+    source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "explanation text")
     assert result.fact_count() == 11
     assert verify_msan(result.to_msan_facts()).outcome == VERIFIED
@@ -237,7 +236,7 @@ def test_http_source_round_trip(stub_server, trace_facts_text):
 def test_http_source_reads_url_and_token_from_the_environment(stub_server, monkeypatch):
     monkeypatch.setenv("CLAIMCHECK_LLM_URL", stub_server)
     monkeypatch.setenv("CLAIMCHECK_LLM_TOKEN", "secret-token")
-    result, _ = run_loop(http_source(HttpSourceConfig(url=None)), MSAN, "x", max_iters=1)
+    result, _ = run_loop(http_source(None), MSAN, "x", max_iters=1)
     assert result.fact_count() == 11
     assert _Stub.authorizations == ["Bearer secret-token"] * 2
 
@@ -252,20 +251,20 @@ def test_http_source_without_a_url_logs_a_source_error(monkeypatch):
 
 
 def test_http_source_renders_vocabulary_into_requests(stub_server):
-    source = http_source(HttpSourceConfig(url=stub_server))
+    source = http_source(stub_server)
     run_loop(source, MSAN, "snippet", max_iters=1)
     formalize_request = _Stub.requests[-1]
     assert 'flow("x", "src_file_x", line_x' in formalize_request["system"]
 
 
 def test_http_source_zero_length_snippet(stub_server):
-    source = http_source(HttpSourceConfig(url=stub_server))
+    source = http_source(stub_server)
     result, _ = run_loop(source, MSAN, "", max_iters=1)
     assert result.fact_count() == 11
 
 
 def test_http_source_maps_transport_errors_to_empty(monkeypatch):
-    source = http_source(HttpSourceConfig(url="http://127.0.0.1:1/unreachable", timeout_s=0.2))
+    source = http_source("http://127.0.0.1:1/unreachable")
     result, log = run_loop(source, MSAN, "x", max_iters=2)
     assert result.fact_count() == 0
     assert len(log.records) == 2
@@ -274,7 +273,7 @@ def test_http_source_maps_transport_errors_to_empty(monkeypatch):
 def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_text, capsys):
     # every fact is in the body; only its padded size makes the call fail
     _Stub.canned = trace_facts_text + " " * MAX_RESPONSE_BYTES
-    source = http_source(HttpSourceConfig(url=stub_server))
+    source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "x", max_iters=2)
     assert result.fact_count() == 0
     assert len(log.records) == 2
@@ -283,7 +282,7 @@ def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_
 
 def test_http_error_status_is_logged_as_a_source_error(stub_server):
     _Stub.status = 503
-    source = http_source(HttpSourceConfig(url=stub_server))
+    source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "x", max_iters=1)
     assert result.fact_count() == 0
     assert any("503" in reason for _, reason in log.records[0].failures)
