@@ -77,7 +77,8 @@ class SidePairing(Record):
 
 class SitePairing(Record):
     """Partial bijection between the two programs' names and sites, as one
-    oriented half per side; the condition sites pair code1 first."""
+    oriented half per side.  The condition site pairs are (code1 site, code2
+    site) only: the expression comparison is grouped by the code1 site."""
 
     __slots__ = _fields = ("code1", "code2", "cond_site_pairs")
 
@@ -272,7 +273,8 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
         var_map, map_line = half.var_map, half.map_line
         for field, predicate, suffix, variables, files, unpaired, missing in _POINTWISE:
             images = getattr(there, field)
-            reported: dict[tuple, list | None] = {}  # fact -> its missing image
+            # fact -> its image, or None when it names an unpaired variable
+            reported: dict[tuple, list | None] = {}
             for f in getattr(here, field):
                 if any(f[i] not in var_map for i in variables):
                     reported[f] = None
