@@ -201,6 +201,39 @@ def test_changed_reaching_def_is_reported(renamed_fn_bundle_text):
     assert "reaching_defs_differ" in kinds
 
 
+@pytest.mark.parametrize("tag", ["code1", "code2"])
+def test_resited_watched_flow_into_an_exit_differs(tag):
+    """Moving one side's flow of a watch variable into the exit to a line
+    that defines nothing reports the moved flow from that side and the
+    original, now without an image, from the other; the rules agree."""
+    program = normalize(random_toy(random.Random(7)))
+    bundle = extract_equiv_facts(program, program)
+    here = bundle.side(tag)
+    watched = {f.var for f in here.watch_vars}
+    exits = {(f.file, f.line) for f in here.exits}
+    flow = max(
+        f for f in here.flows
+        if f.src_var == f.dst_var and f.src_var in watched
+        and (f.dst_file, f.dst_line) in exits
+    )
+    moved = flow._replace(src_line=program.line_count + 5)
+    edited = here._replace(flows=here.flows - {flow} | {moved})
+    bundle = bundle._replace(**{tag: edited})
+    differ = {
+        (m.line, m.side1 + m.side2, bool(m.side1))  # bool: from code1
+        for m in check_watchvars(bundle, build_pairing(bundle))
+        if m.kind == "reaching_defs_differ"
+    }
+    assert differ == {
+        (moved.src_line, (fact_text("flow", moved),), tag == "code1"),
+        (flow.src_line, (fact_text("flow", flow),), tag == "code2"),
+    }
+    for candidate in (bundle, bundle.swapped()):
+        pairing = build_pairing(candidate)
+        direct = {m.project() for m in all_mismatches(candidate, pairing)}
+        assert evaluate(equiv_rules(candidate, pairing))["mismatch"] == direct
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -552,40 +585,6 @@ def test_witness_facts_with_quotes_and_backslashes_parse_back(fixtures_dir):
             assert print_atom(atoms[0]) == fact
             symbols.update(arg for arg in atoms[0].args if isinstance(arg, str))
     assert {'d"q\\', "=\\="} <= symbols
-
-
-@pytest.mark.parametrize("tag", ["code1", "code2"])
-def test_resited_watched_flow_into_an_exit_differs(tag):
-    """Moving one side's flow of a watch variable into the exit to a line
-    that defines nothing reports the moved flow from that side and the
-    original, now without an image, from the other; the rules agree."""
-    program = normalize(random_toy(random.Random(7)))
-    bundle = extract_equiv_facts(program, program)
-    here = bundle.side(tag)
-    watched = {f.var for f in here.watch_vars}
-    exits = {(f.file, f.line) for f in here.exits}
-    flow = max(
-        f for f in here.flows
-        if f.src_var == f.dst_var and f.src_var in watched
-        and (f.dst_file, f.dst_line) in exits
-    )
-    moved = flow._replace(src_line=program.line_count + 5)
-    edited = here._replace(flows=here.flows - {flow} | {moved})
-    other = "code2" if tag == "code1" else "code1"
-    bundle = bundle._replace(**{tag: edited})
-    differ = {
-        (m.line, m.side1 + m.side2, bool(m.side1))
-        for m in check_watchvars(bundle, build_pairing(bundle))
-        if m.kind == "reaching_defs_differ"
-    }
-    assert differ == {
-        (moved.src_line, (fact_text("flow", moved),), tag == "code1"),
-        (flow.src_line, (fact_text("flow", flow),), other == "code1"),
-    }
-    for candidate in (bundle, bundle.swapped()):
-        pairing = build_pairing(candidate)
-        direct = {m.project() for m in all_mismatches(candidate, pairing)}
-        assert evaluate(equiv_rules(candidate, pairing))["mismatch"] == direct
 
 
 # ---------------------------------------------------------------------------
