@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -35,7 +36,14 @@ from claimcheck.errors import (
     SortError,
     UnknownRelationError,
 )
-from claimcheck.facts import FlowFact, MsanFactSet, SiteFact, load_equiv_bundle_text
+from claimcheck.facts import (
+    ExitFact,
+    FlowFact,
+    MsanFactSet,
+    SiteFact,
+    load_equiv_bundle_text,
+    load_msan_facts,
+)
 from claimcheck.msan import msan_program
 from claimcheck.toy import extract_equiv_facts, normalize
 
@@ -426,8 +434,10 @@ def _small_rules_program(kind: str) -> Program:
 _INVALID_ARGS = {  # each for a relation of sorts (symbol, symbol, number)
     "arity": (("x", "a.cc"), ArityMismatchError),
     "sort": (("x", "a.cc", "1"), SortError),
+    "symbol": (("x", 7, 1), SortError),
     "variable": ((Var("x"), "a.cc", 1), RangeRestrictionError),
     "bool": (("x", "a.cc", True), RangeRestrictionError),
+    "float": (("x", "a.cc", 1.5), RangeRestrictionError),
 }
 
 
@@ -440,6 +450,38 @@ def test_prepared_rules_reject_invalid_facts_as_check_program_does(rules, relati
     prepared.facts.append(Atom(relation, args))
     outcome = _outcome(prepared)
     assert outcome == _outcome(_unprepared(prepared))
+    assert outcome[0] is error
+
+
+def _typed_rules_program(rules: str, args: tuple) -> Program:
+    """A rules program built from a hand-made container that holds ``args``
+    as one fact: a ``uses`` site, or a code1 ``exit`` whose side tag takes
+    the place of the first argument."""
+    if rules == "msan":
+        fact = SiteFact(*args) if len(args) == 3 else args
+        return msan_program(MsanFactSet(uses=frozenset({fact})))
+    toy = normalize(random_toy(random.Random(3)))
+    bundle = extract_equiv_facts(toy, toy, {})
+    code1 = bundle.code1._replace(exits=bundle.code1.exits | {ExitFact(*args[1:])})
+    return equiv_rules(bundle._replace(code1=code1), build_pairing(bundle))
+
+
+# an exit's file must stay a symbol, or its container does not sort
+_TYPED_EXIT_KINDS = [
+    kind for kind, (args, _) in sorted(_INVALID_ARGS.items())
+    if len(args) == 3 and type(args[0]) is str and type(args[1]) is str
+]
+
+
+@pytest.mark.parametrize(
+    ("rules", "kind"),
+    [("msan", kind) for kind in sorted(_INVALID_ARGS)]
+    + [("equiv", kind) for kind in _TYPED_EXIT_KINDS],
+)
+def test_prepared_rules_reject_invalid_typed_facts_as_check_program_does(rules, kind):
+    args, error = _INVALID_ARGS[kind]
+    outcome = _outcome(_typed_rules_program(rules, args))
+    assert outcome == _outcome(_unprepared(_typed_rules_program(rules, args)))
     assert outcome[0] is error
 
 
@@ -503,6 +545,88 @@ def test_prepared_rules_generate_their_plans_once(monkeypatch, tmp_path, fixture
         generated.clear()
     evaluate(msan_program(fs))
     assert checked == [] and generated == []
+
+
+# ---------------------------------------------------------------------------
+# Pinned provenance and derivations
+# ---------------------------------------------------------------------------
+
+_TC_RULES = {
+    "single": "path(x, y) :- edge(x, y).\npath(x, z) :- path(x, y), edge(y, z).\n",
+    # reads its own head outside the delta
+    "double": "path(x, y) :- edge(x, y).\npath(x, z) :- path(x, y), path(y, z).\n",
+}
+
+
+def _pinned_programs(fixtures: Path) -> dict[str, Program]:
+    rng = random.Random(19)
+    edges = "".join(f'edge("n{rng.randrange(12)}", "n{rng.randrange(12)}").\n' for _ in range(30))
+    programs = {f"tc-{name}": parse_program(rules + edges) for name, rules in _TC_RULES.items()}
+    programs["msan"] = msan_program(
+        load_msan_facts((fixtures / "msan" / "audio_buffer_trace.facts").read_text())
+    )
+    for path in sorted((fixtures / "equiv").glob("*.bundle")):
+        bundle = load_equiv_bundle_text(path.read_text(encoding="utf-8"))
+        programs[path.stem] = equiv_rules(bundle, build_pairing(bundle))
+    return programs
+
+
+def _fact(key) -> str:
+    name, values = key
+    return print_atom(Atom(name, tuple(values)))
+
+
+def _provenance_text(db) -> str:
+    """Every tuple in derivation order, with the rule and support it was
+    first derived from."""
+    return "".join(
+        _fact(key) + ("" if step is None else " <- " + print_rule(step[0]) + " | "
+                      + ", ".join(map(_fact, step[1]))) + "\n"
+        for key, step in db.provenance.items()
+    )
+
+
+def _derivation_text(root) -> str:
+    """Each distinct node of a derivation once, in pre-order, with its rule
+    and the numbers of its children."""
+    number: dict[int, int] = {}
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in number:
+            number[id(node)] = len(order)
+            order.append(node)
+            stack.extend(reversed(node.children))
+    return "".join(
+        f"{print_atom(node.fact)} <- "
+        f"{'input' if node.rule is None else print_rule(node.rule)} "
+        f"{[number[id(child)] for child in node.children]}\n"
+        for node in order
+    )
+
+
+_PINNED_SHA256 = {
+    "tc-single": "849e83d6eabcf3647e267d06c524083bb998127932575609fa310de052160cd6",
+    "tc-double": "91981cdda1f6dfee50ffcbdff752ee1f7a31d3ab89f9895303eb7bf869cf14ef",
+    "msan": "c3f22bc40e8c712a7ef4ffaf9ad350cd3b1a76c9520d3c15454e607178cf1b6c",
+    "field_assign_reorder": "aef57b517521c874e72e9f5355031d2a24a8d8d28c1140c72fb3a93b35f8bc08",
+    "guarded_call_onesided_watch": "5aa01ca0a497ad76370862ce0b9b18f11ea49cf3eddd84f90e31ecec14f7e1ea",
+    "guarded_call_renamed_fn": "187eeefcc257af04c299e66049d0f5caeb994fd09a7a8d7be2c32851422d9ba4",
+    "guarded_call_self_pair": "c0739a1e4d30165cd97e38e6c080c90e429636121fd4a3a8b7607e290c2f36ab",
+    "loop_cond_swap": "2113b467fa3523a37f7738eb714806c8160745e90f6b8a47338e3f671cc7469d",
+    "switch_vs_ifelse": "bb680365de18c5044d192861bec986285c5846cc0e77cd3802a5a575f2cdd654",
+}
+
+
+def test_provenance_and_explain_are_pinned(fixtures_dir):
+    digests = {}
+    for name, program in _pinned_programs(fixtures_dir).items():
+        db = evaluate(program)
+        text = _provenance_text(db) + "".join(
+            _derivation_text(explain(db, Atom(*key))) for key in db.provenance
+        )
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == _PINNED_SHA256
 
 
 _DETERMINISM_SCRIPT = """
