@@ -197,7 +197,7 @@ def cmd_extract(args) -> int:
                 raise ClaimcheckError("equivalence extraction needs two toy programs")
             other = normalize(parse_toy(_read(Path(args.toy2))))
             names1, names2 = first_def_sites(program), first_def_sites(other)
-            var_map = {}
+            var_map, images = {}, set()
             for pair in filter(None, (args.var_map or "").split(",")):
                 left, _, right = pair.partition("=")
                 left, right = left.strip(), right.strip()
@@ -206,7 +206,13 @@ def cmd_extract(args) -> int:
                         f"bad --var-map entry {pair!r}: want x=y, where x is a variable "
                         "of the first program and y one of the second"
                     )
+                if left in var_map or right in images:
+                    raise ClaimcheckError(
+                        f"bad --var-map entry {pair!r}: an earlier entry maps one of its "
+                        "variables; the map must be one-to-one"
+                    )
                 var_map[left] = right
+                images.add(right)
             text = extract_equiv_facts(program, other, var_map, file=args.file_name).render()
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

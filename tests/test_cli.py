@@ -272,6 +272,19 @@ def test_extract_rejects_var_map_entries_naming_no_variable(capsys, tmp_path, en
     assert not out.exists()
 
 
+@pytest.mark.parametrize("var_map", ["a=b,c=b", "a=b,a=c", "a=b, a = b "])
+def test_extract_rejects_a_var_map_that_is_not_one_to_one(capsys, tmp_path, var_map):
+    out = tmp_path / "pair.bundle"
+    code = main([
+        "extract", f"{FIXTURES}/toy/guarded_call_a.toy", f"{FIXTURES}/toy/guarded_call_b.toy",
+        "--task", "equiv", "--var-map", var_map, "-o", str(out),
+    ])
+    assert code == 2
+    repeated = var_map.split(",")[1]
+    assert capsys.readouterr().err.startswith(f"error: bad --var-map entry {repeated!r}")
+    assert not out.exists()
+
+
 def test_extract_var_map_entries_are_stripped(capsys):
     code, out = run(
         capsys, "extract",
