@@ -10,7 +10,8 @@ of a ground atom are therefore exactly its database tuple.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from itertools import groupby
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .engine import RuleSet
@@ -100,6 +101,7 @@ class Comparison(Record):
 
 
 Literal = Union[Atom, NegatedAtom, Comparison]
+Segments = Sequence[tuple[str, Sequence[tuple]]]
 
 
 class Rule(Record):
@@ -124,24 +126,42 @@ class Program(Record):
     ``declarations`` maps each relation name to its argument-sort list
     (values from ``SYMBOL``/``NUMBER``).  Validation completes
     ``declarations`` in place; nothing else in the package mutates a
-    program once it is built.
+    program once it is built.  A program built from ``segments`` (runs of
+    one relation's value tuples, in fact order) builds ``facts`` on its
+    first read; from then on that list is its facts.
     """
 
     _fields = ("declarations", "rules", "facts")
     # The prepared rule set the rules came from, if any; evaluation relies on
     # it only while the rules and declarations are still exactly its own.
     # Equality and repr leave it out.
-    __slots__ = (*_fields, "rule_set")
+    __slots__ = ("declarations", "rules", "rule_set", "_facts", "_segments")
 
     def __init__(
         self, declarations: dict[str, tuple[str, ...]] | None = None,
         rules: list[Rule] | None = None, facts: list[Atom] | None = None,
-        rule_set: Optional[RuleSet] = None,
+        rule_set: Optional[RuleSet] = None, segments: Segments = (),
     ) -> None:
         self.declarations = {} if declarations is None else declarations
         self.rules = [] if rules is None else rules
-        self.facts = [] if facts is None else facts
-        self.rule_set = rule_set
+        self.rule_set, self._facts, self._segments = rule_set, facts, segments
+
+    @property
+    def facts(self) -> list[Atom]:
+        if self._facts is None:
+            self._facts = [Atom(name, values) for name, rows in self._segments for values in rows]
+        return self._facts
+
+    @facts.setter
+    def facts(self, facts: list[Atom]) -> None:
+        self._facts = facts
+
+    def segments(self) -> Segments:
+        """The segments given, or else the facts grouped into runs of one relation."""
+        if self._facts is None:
+            return self._segments
+        return [(name, [fact.args for fact in run])
+                for name, run in groupby(self._facts, lambda fact: fact.predicate)]
 
 
 # ---------------------------------------------------------------------------

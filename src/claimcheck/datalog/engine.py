@@ -5,15 +5,22 @@ stratum the least fixpoint of the positive rules is reached semi-naively
 (only joins touching tuples new in the previous round are re-run), and
 negated atoms consult relations of strictly lower strata.
 
-Each rule is generated once per delta position into a join plan: a Python
-function of nested loops whose atoms are probed through hash indexes on
-their bound columns, with negated atoms as single index probes.  A rule set
-evaluated over many fact sets is validated and stratified once per process
-by :func:`prepare`; the resulting :class:`RuleSet` generates its plans on
-its first :func:`evaluate` and keeps them, so evaluating a program built
-from it checks only its facts and binds the plans to that call's relations
-and indexes, which live for the one call.  Any other program is planned
-per call, and the code of equal generated source is compiled once.
+Facts load a segment at a time (:meth:`Program.segments`: runs of one
+relation's value tuples), with one ``dict.fromkeys`` each.  Each rule is
+generated once per delta position into a join plan: a Python function of
+nested loops whose atoms are probed through hash indexes on their bound
+columns, with negated atoms as single index probes, and which inserts each
+new head tuple inline, into the relation, its indexes, the new delta and
+the provenance.  A plan that reads its own head relation outside the delta
+would see those insertions, so it buffers its derivations and inserts them
+after its loops.  A rule set evaluated over many fact sets is validated and
+stratified once per process by :func:`prepare`; the resulting
+:class:`RuleSet` generates its plans on its first :func:`evaluate` and
+keeps them, so evaluating a program built from it checks only the sorts of
+its facts, a column per segment, and binds the plans to that call's
+relations and indexes, which live for the one call.  Any other program, or
+one whose facts do not fit, goes through :func:`check_program` and is
+planned per call; the code of equal generated source is compiled once.
 
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and provenance (the first derivation found for each tuple)
@@ -25,6 +32,7 @@ from __future__ import annotations
 import operator
 import zlib
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
@@ -44,6 +52,7 @@ from .ast import (
     Program,
     Record,
     Rule,
+    Segments,
     SYMBOL,
     Term,
     Var,
@@ -340,9 +349,9 @@ class RuleSet:
         self.fact_types = fact_types
         self._join_plans: tuple[_StratumPlans, ...] | None = None
 
-    def program(self) -> Program:
-        """A new program of these rules and declarations, without facts."""
-        return Program(dict(self.declarations), list(self.rules), rule_set=self)
+    def program(self, segments: Segments = ()) -> Program:
+        """A new program of these rules and declarations, with these facts."""
+        return Program(dict(self.declarations), list(self.rules), rule_set=self, segments=segments)
 
     def admits(self, program: Program) -> bool:
         """Whether ``program`` still holds exactly these rules and declarations."""
@@ -389,14 +398,18 @@ def prepare(rules: Program) -> RuleSet:
     )
 
 
-def _fits(program: Program, rule_set: RuleSet) -> bool:
-    """Whether ``rule_set`` admits ``program`` and each of its facts is a
-    constant tuple of its relation's declared types, so that the program is
-    valid with the rule set's declarations and strata."""
+def _fits(program: Program, segments: Segments, rule_set: RuleSet) -> bool:
+    """Whether ``rule_set`` admits ``program`` and each column of each segment
+    holds its relation's declared type, so the rule set's strata hold."""
     if not rule_set.admits(program):
         return False
-    types_of = rule_set.fact_types.get
-    return all(types_of(fact.predicate) == tuple(map(type, fact.args)) for fact in program.facts)
+    for name, rows in segments:
+        types = rule_set.fact_types.get(name)
+        if types is None or not {*map(len, rows)} <= {len(types)} or not all(
+            {*map(type, column)} == {kind} for column, kind in zip(zip(*rows), types)
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +441,23 @@ class Database(Record, Mapping):
         return len(self.relations)
 
 
-def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
-    new_binding = None
+def _match(atom: Atom, values: tuple) -> dict | None:
+    """The binding of the atom's variables under which it is ``values``, if any."""
+    binding: dict = {}
     for term, value in zip(atom.args, values):
         if isinstance(term, Var):
-            current = (new_binding or binding).get(term.name, _UNKNOWN)
-            if current is _UNKNOWN:
-                if new_binding is None:
-                    new_binding = dict(binding)
-                new_binding[term.name] = value
-            elif current != value:
+            if binding.setdefault(term.name, value) != value:
                 return None
-        elif isinstance(term, Wildcard):
-            continue
-        elif term != value:
+        elif not isinstance(term, Wildcard) and term != value:
             return None
-    return binding if new_binding is None else new_binding
+    return binding
 
 
 def _tuple_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
     """``values -> tuple(values[p] for p in positions)``, always a tuple."""
-    if len(positions) >= 2:
-        return operator.itemgetter(*positions)
-    if positions:
-        (only,) = positions
-        return lambda values: (values[only],)
-    return lambda values: ()
+    if len(positions) == 1:
+        return lambda values, only=positions[0]: (values[only],)
+    return operator.itemgetter(*positions) if positions else lambda values: ()
 
 
 class _Relation:
@@ -467,14 +471,6 @@ class _Relation:
         self.tuples: dict[tuple, None] = {}
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
-    def add(self, values: tuple) -> bool:
-        if values in self.tuples:
-            return False
-        self.tuples[values] = None
-        for key_of, index in self.indexes.values():
-            index.setdefault(key_of(values), []).append(values)
-        return True
-
     def index(self, columns: tuple[int, ...]) -> dict[tuple, list[tuple]]:
         entry = self.indexes.get(columns)
         if entry is None:
@@ -486,8 +482,6 @@ class _Relation:
         return entry[1]
 
 
-Derived = list[tuple[tuple, tuple[tuple[str, tuple], ...]]]
-
 _PYTHON_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
 # for loops per generated function; CPython allows 20 statically nested blocks
 _LOOPS_PER_FUNCTION = 16
@@ -497,20 +491,22 @@ class _Plan(NamedTuple):
     """A rule compiled for one delta position, not yet bound to relations."""
 
     rule: Rule
+    head: str  # predicate of the rule's head
     delta: str | None  # predicate of the atom read from the delta, if any
-    make: Callable[..., Callable[[list], Derived]]  # generated; see _plan
-    constants: tuple  # constants and predicate names, passed to make first
+    make: Callable[..., Callable[[list, list], None]]  # generated; see _plan
+    constants: tuple  # constants, predicate names and the rule, passed to make first
     # then one relation read each: (predicate, None) for its tuples, or
     # (predicate, columns) for its index on those columns
     reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
 
-    def bind(self, relations: dict[str, _Relation]) -> Callable[[list], Derived]:
-        """The plan over these relations: a function from the delta to the
-        derived (head tuple, support) pairs in enumeration order."""
+    def bind(self, relations: dict[str, _Relation], provenance: dict) -> Callable[[list, list], None]:
+        """The plan over these relations: a function of the delta and the list
+        of new head tuples, which inserts each new head tuple it derives."""
+        head = relations[self.head]
         return self.make(*self.constants, *[
             relations[name].tuples if columns is None else relations[name].index(columns)
             for name, columns in self.reads
-        ])
+        ], head.tuples, head.indexes.values(), provenance)
 
 
 def _tuple_source(items: list[str]) -> str:
@@ -530,7 +526,8 @@ def _compiled(source: str) -> Callable:
 
 def _plan(rule: Rule, delta_position: int | None) -> _Plan:
     """Generate the join plan of one rule: nested ``for`` loops over index
-    lookups, one per positive atom, appending (head tuple, support) pairs.
+    lookups, one per positive atom, inserting each new head tuple (buffered
+    when the plan reads its head relation outside the delta).
 
     The delta atom (if any) is scanned first; then, greedily, the atom with
     the most bound arguments (ties to the earlier body position) is probed
@@ -587,7 +584,9 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
             for t in atom.args
         )
 
-    functions = [["def run(delta):", "    out = []", "    append = out.append"]]
+    head = rule.head.predicate
+    buffered = any(a.predicate == head for i, a in enumerate(atoms) if i != delta_position)
+    functions = [["def run(delta, new):", f"    out = {'[]' if buffered else 'new'}", "    add = out.append"]]
     depth = 1  # indentation inside the current function
     loops = 0
 
@@ -596,7 +595,7 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
 
     pending = [lit for lit in rule.body if not isinstance(lit, Atom)]
     for condition in ready_filters():
-        emit(f"if {condition}: return out")
+        emit(f"if {condition}: return")
     steps: dict[int, str] = {}  # atom position -> local holding its tuple
     remaining = list(range(len(atoms)))
     while remaining:
@@ -607,7 +606,7 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
         remaining.remove(position)
         atom = atoms[position]
         if loops == _LOOPS_PER_FUNCTION:
-            live = ", ".join(["append", *steps.values(), *names.values()])
+            live = ", ".join(["add", *steps.values(), *names.values()])
             emit(f"s{len(functions)}({live})")
             functions.append([f"def s{len(functions)}({live}):"])
             depth, loops = 1, 0
@@ -652,16 +651,28 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
     support = _tuple_source([
         f"({value(atoms[p].predicate)}, {steps[p]})" for p in range(len(atoms))
     ])
-    emit(f"append(({key(rule.head.args)}, {support}))")
-    functions[0].append("    return out")
+    if buffered:
+        emit(f"add(({key(rule.head.args)}, {support}))")
+        functions[0] += ["    add = new.append", "    for h, support in out:"]
+        body, depth, support = functions[0], 2, "support"
+    else:
+        emit(f"h = {key(rule.head.args)}")
+        body = functions[-1]
+    body.extend("    " * depth + line for line in [
+        "if h not in seen:",
+        "    seen[h] = None",
+        "    for key_of, index in indexes: index.setdefault(key_of(h), []).append(h)",
+        f"    add(h); provenance[({value(head)}, h)] = ({value(rule)}, {support})",
+    ])
     parameters = [f"c{i}" for i in range(len(constants))] + [f"r{i}" for i in range(len(reads))]
+    parameters += ["seen", "indexes", "provenance"]
     source = "\n".join(
         [f"def make({', '.join(parameters)}):"]
         + ["    " + line for lines in functions for line in lines]
         + ["    return run", ""]
     )
     delta = None if delta_position is None else atoms[delta_position].predicate
-    return _Plan(rule, delta, _compiled(source), tuple(constants), tuple(reads))
+    return _Plan(rule, head, delta, _compiled(source), tuple(constants), tuple(reads))
 
 
 # a stratum's predicates, the plans run once over the lower strata, and the
@@ -696,41 +707,31 @@ def evaluate(program: Program) -> Database:
     declarations, has only its facts checked; any other program goes through
     :func:`check_program`.
     """
+    segments = program.segments()
     rule_set = program.rule_set
-    if rule_set is not None and _fits(program, rule_set):
+    if rule_set is not None and _fits(program, segments, rule_set):
         plans = rule_set.plans
     else:
         plans = _plans(program.rules, check_program(program))
     relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
-    for fact in program.facts:  # ground, so its arguments are its tuple
-        if relations[fact.predicate].add(fact.args):
-            provenance[(fact.predicate, fact.args)] = None
-
-    def insert(rule: Rule, derived: Derived, delta: dict[str, list]) -> None:
-        name = rule.head.predicate
-        relation, new = relations[name], delta[name]
-        for values, support in derived:
-            if relation.add(values):
-                new.append(values)
-                provenance[(name, values)] = (rule, support)
+    for name, rows in segments:  # ground facts: their arguments are their tuples
+        relations[name].tuples.update(dict.fromkeys(rows))
+        provenance.update(dict.fromkeys(zip(repeat(name), rows)))
 
     for stratum, initial, recursive in plans:
         delta: dict[str, list] = {name: [] for name in stratum}
         for plan in initial:
-            insert(plan.rule, plan.bind(relations)([]), delta)
-        bound = [(plan.rule, plan.delta, plan.bind(relations)) for plan in recursive]
+            plan.bind(relations, provenance)([], delta[plan.head])
+        bound = [(plan.delta, plan.head, plan.bind(relations, provenance)) for plan in recursive]
         while any(delta.values()):
             new_delta: dict[str, list] = {name: [] for name in stratum}
-            for rule, predicate, run in bound:
+            for predicate, head, run in bound:
                 if delta[predicate]:
-                    insert(rule, run(delta[predicate]), new_delta)
+                    run(delta[predicate], new_delta[head])
             delta = new_delta
 
-    return Database(
-        relations={name: frozenset(rel.tuples) for name, rel in relations.items()},
-        provenance=provenance,
-    )
+    return Database({name: frozenset(rel.tuples) for name, rel in relations.items()}, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +753,9 @@ def query(db: Database, pattern: Atom) -> list[dict]:
         raise ArityMismatchError(pattern.predicate, arities.pop(), len(pattern.args))
     results = []
     for values in sorted(relation):
-        binding = _match(pattern, values, {})
+        binding = _match(pattern, values)
         if binding is not None:
-            results.append(dict(binding))
+            results.append(binding)
     return results
 
 
@@ -797,29 +798,26 @@ def explain(db: Database, fact: Atom) -> Derivation:
 
     Built bottom-up with an explicit stack, one node per distinct fact, so
     neither proof depth nor repeated sub-proofs are limited by recursion.
+    A derived fact's node is built when its step, stacked below its
+    children, comes off the stack.
     """
     root = (fact.predicate, fact.value_tuple())
     if fact.predicate not in db.relations or root[1] not in db.relations[fact.predicate]:
         raise NotDerivableError(print_atom(fact))
     built: dict[tuple[str, tuple], Derivation] = {}
-    stack = [root]
+    stack: list = [(root, None)]  # (fact key, its step once its children are pushed)
     while stack:
-        key = stack[-1]
-        if key in built:
-            stack.pop()
-            continue
-        step = db.provenance.get(key)
-        if step is not None:
-            pending = [child for child in step[1] if child not in built]
-            if pending:
-                # provenance only cites tuples derived earlier, so this ends
-                stack.extend(reversed(pending))
-                continue
-        atom = fact if key == root else Atom(*key)
+        key, step = stack.pop()
         if step is None:
-            built[key] = Derivation(atom, None)
-        else:
-            rule, support = step
-            built[key] = Derivation(atom, rule, tuple(built[child] for child in support))
-        stack.pop()
+            if key in built:
+                continue
+            step = db.provenance[key]
+            if step is not None:
+                # provenance only cites tuples derived earlier, so this ends
+                stack.append((key, step))
+                stack.extend([(child, None) for child in reversed(step[1]) if child not in built])
+                continue
+        rule, support = step or (None, ())
+        atom = fact if key == root else Atom(*key)
+        built[key] = Derivation(atom, rule, tuple(map(built.__getitem__, support)))
     return built[root]

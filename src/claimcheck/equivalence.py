@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
-from .datalog.ast import SYMBOL, Atom, Program, Record, print_declaration
+from .datalog.ast import SYMBOL, Program, Record, print_declaration
 from .errors import ConflictingVarMapError
 from .facts import (
     CODE1,
@@ -34,7 +34,6 @@ from .facts import (
     LintReport,
     SiteFact,
     entry_files,
-    fact_atoms,
     fact_text,
     lint_equiv,
 )
@@ -646,13 +645,12 @@ _DECLS = "".join(
 
 def _fact_lines(side: EquivSide) -> set[Site]:
     """Every (file, line) site that a fact of the side names."""
-    lines: set[Site] = set()
-    for name, _, fact_type in SIDE_FIELDS:
-        files = _columns(fact_type)[1]
-        for fact in getattr(side, name):
-            for i in files:
-                lines.add((fact[i], fact[i + 1]))
-    return lines
+    return {
+        (fact[i], fact[i + 1])
+        for name, _, fact_type in SIDE_FIELDS
+        for i in _columns(fact_type)[1]
+        for fact in getattr(side, name)
+    }
 
 
 @cache  # built on first use, not at import
@@ -673,27 +671,29 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     and stratified once per process; each call returns a new program sharing
     the prepared rules, so evaluating it checks only its facts.
     """
-    program = _rule_set().program()
-    facts = program.facts
-    facts += [Atom("other", (CODE1, CODE2)), Atom("other", (CODE2, CODE1))]
     conds = {f.cond for side in (bundle.code1, bundle.code2) for f in side.controldeps}
-    facts += [Atom("entry_cond", (c,)) for c in sorted(conds) if _is_entry_cond(c)]
+    segments = [
+        ("other", [(CODE1, CODE2), (CODE2, CODE1)]),
+        ("entry_cond", [(c,) for c in sorted(conds) if _is_entry_cond(c)]),
+    ]
     for here, _, half, tag in _sides(bundle, pairing):
-        facts.extend(fact_atoms(here, SIDE_FIELDS, tag))
-        facts += [Atom("pair_var", (tag, x, half.var_map[x])) for x in sorted(half.var_map)]
-        facts += [
-            Atom("pair_def_site", (tag, x, *site, y, *image))
-            for x, site, y, image in half.def_site_pairs
+        for name, predicate, fact_type in SIDE_FIELDS:
+            rows = sorted(getattr(here, name))
+            if fact_type is str:  # a 1-ary fact is its value
+                rows = [(fact,) for fact in rows]
+            segments.append((predicate, [(tag, *fact) for fact in rows]))
+        segments += [
+            ("pair_var", [(tag, x, half.var_map[x]) for x in sorted(half.var_map)]),
+            ("pair_def_site", [(tag, x, *s, y, *i) for x, s, y, i in half.def_site_pairs]),
+            ("pair_exit", [(tag, *site, *image) for site, image in half.exit_pairs]),
+            ("pair_line", [(tag, *s, *half.map_line(s)) for s in sorted(_fact_lines(here))]),
         ]
-        facts += [Atom("pair_exit", (tag, *site, *image)) for site, image in half.exit_pairs]
-        facts += [
-            Atom("pair_line", (tag, *site, *half.map_line(site)))
-            for site in sorted(_fact_lines(here))
-        ]
-    facts += [Atom("pair_cond_site", s1 + s2) for s1, s2 in pairing.cond_site_pairs]
     # Each code1 site of a paired definition or condition is compared at
     # itself, and each code2 site at the code1 site that it pairs with.
     sites = [(s1, s2) for _, s1, _, s2 in pairing.code1.def_site_pairs] + pairing.cond_site_pairs
-    facts += [Atom("compared_at", (CODE1, *s1, *s1)) for s1 in sorted(dict(sites))]
-    facts += [Atom("compared_at", (CODE2, *s2, *s1)) for s1, s2 in sites]
-    return program
+    segments += [
+        ("pair_cond_site", [s1 + s2 for s1, s2 in pairing.cond_site_pairs]),
+        ("compared_at", [(CODE1, *s1, *s1) for s1 in sorted(dict(sites))]
+         + [(CODE2, *s2, *s1) for s1, s2 in sites]),
+    ]
+    return _rule_set().program(segments)

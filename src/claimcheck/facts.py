@@ -38,7 +38,7 @@ and the checks on atoms (``*_from_atoms``), which report every error.
 
 import re
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .datalog.ast import NUMBER, SYMBOL, Atom, Record, print_fact
 from .errors import (
@@ -65,9 +65,7 @@ def _norm_path(path: str) -> str:
 def _sym(atom: Atom, index: int) -> str:
     term = atom.args[index]
     if type(term) is not str:
-        raise SortError(
-            f"{atom.predicate}: argument {index + 1} must be a quoted symbol"
-        )
+        raise SortError(f"{atom.predicate}: argument {index + 1} must be a quoted symbol")
     return term
 
 
@@ -83,14 +81,6 @@ def _num(atom: Atom, index: int) -> int:
 def fact_text(predicate: str, fact) -> str:
     """A typed fact as Datalog text, without the final dot."""
     return print_fact(predicate, (fact,) if isinstance(fact, str) else fact)
-
-
-def fact_atoms(container, fields: Iterable[tuple], *lead: str) -> Iterator[Atom]:
-    """A container's facts as atoms, in table order, each field sorted; the
-    constants ``lead`` come before each fact's own arguments."""
-    for name, predicate, _ in fields:
-        for fact in sorted(getattr(container, name)):
-            yield Atom(predicate, lead + ((fact,) if isinstance(fact, str) else tuple(fact)))
 
 
 def _render(container, fields: Iterable[tuple]) -> str:

@@ -15,7 +15,7 @@ from functools import cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .datalog.ast import Atom, Program, print_declaration
+from .datalog.ast import Program, print_declaration
 from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, lint_msan
 
 if TYPE_CHECKING:
@@ -37,12 +37,9 @@ class MsanVerdict(NamedTuple):
     lint: LintReport
 
     def to_json(self) -> dict:
-        chain = None
-        if self.witness is not None:
-            chain = [
-                {"var": var, "file": file, "line": line}
-                for var, file, line in self.witness
-            ]
+        chain = None if self.witness is None else [
+            {"var": var, "file": file, "line": line} for var, file, line in self.witness
+        ]
         return {"outcome": self.outcome, "chain": chain, "lint": self.lint.to_json()}
 
 
@@ -102,13 +99,10 @@ def verify_msan(fs: MsanFactSet) -> MsanVerdict:
 
 
 def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
-    chain: list[Site] = []
-    site: Optional[Site] = last
-    while site is not None:
-        chain.append(site)
-        site = parent[site]
-    chain.reverse()
-    return tuple(chain)
+    chain = [last]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    return tuple(reversed(chain))
 
 
 # Declarations of the vocabulary come from the fact types; only the
@@ -148,10 +142,8 @@ def msan_rules() -> Program:
     Evaluating these rules over a fact set derives ``satisfied()`` exactly
     when :func:`verify_msan` returns Verified, and over the facts of
     :func:`msan_program` its first derivation is the witness; the two code
-    paths are cross-checked in the test suite.  The rules are parsed,
-    validated and stratified once per process; each call returns a new
-    program sharing the prepared rules, so evaluating it checks only the
-    facts added to it.
+    paths are cross-checked in the test suite.  Each call returns a new
+    program sharing the rules, which are prepared once per process.
     """
     return _rule_set().program()
 
@@ -161,16 +153,14 @@ _SEARCH_ORDER = {"uninitialized": _site_key, "flow": itemgetter(1, 2, 0, 4, 5, 3
 
 
 def msan_program(fs: MsanFactSet) -> Program:
-    """Rules plus the fact set, ready for evaluation or export.
+    """Rules plus the fact set, one segment of the container's facts per
+    relation, ready for evaluation or export.
 
     The engine scans a relation in insertion order, so the ``uninitialized``
     and ``flow`` facts come in :func:`verify_msan`'s tie-break order; the
     others are sorted.
     """
-    program = msan_rules()
-    program.facts.extend(
-        Atom(predicate, tuple(fact))
+    return _rule_set().program([
+        (predicate, sorted(getattr(fs, name), key=_SEARCH_ORDER.get(name)))
         for name, predicate, _ in MSAN_FIELDS
-        for fact in sorted(getattr(fs, name), key=_SEARCH_ORDER.get(name))
-    )
-    return program
+    ])

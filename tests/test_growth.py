@@ -7,16 +7,19 @@
 - many uninitialized sources on one chain: the first n sites of a 2n-step
   flow chain are uninitialized, the others declared, and the last site is
   used.
+- one long chain: an n-step flow chain from one uninitialized site to one
+  use, checked on the rules path (build, evaluate, explain the witness).
 
 Going from n to 8n, each direct check must grow about linearly in time and
-each rules program linearly in input facts and derived tuples.
+each rules program linearly in input facts and derived tuples, and the
+witness derivation linearly in nodes.
 """
 
 import time
 
-from claimcheck.datalog import evaluate
+from claimcheck.datalog import Atom, evaluate, explain
 from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
-from claimcheck.facts import load_equiv_bundle
+from claimcheck.facts import FlowFact, MsanFactSet, SiteFact, load_equiv_bundle
 from claimcheck.msan import VERIFIED, msan_program, verify_msan
 
 from generators import many_sources_chain
@@ -28,6 +31,9 @@ DERIVED_PER_FUNCTION = 10
 SOURCES = 400
 # one reach tuple per site and satisfied(): 2n + 2 for n sources
 DERIVED_PER_SOURCE = 3
+STEPS = 400
+# a reach node and a flow leaf per step, plus the ends: 2n + 4 for n steps
+NODES_PER_STEP = 3
 
 
 def _functions(k):
@@ -96,3 +102,38 @@ def test_msan_rules_derived_tuples_grow_linearly_in_sources():
         assert db["satisfied"] == {()}
         derived = sum(map(len, db.relations.values())) - len(set(program.facts))
         assert derived <= DERIVED_PER_SOURCE * n
+
+
+def _single_source_chain(steps):
+    sites = [SiteFact(f"v{i}", "chain.c", i + 1) for i in range(steps + 1)]
+    return MsanFactSet(
+        uses=frozenset(sites[-1:]),
+        uninitialized=frozenset(sites[:1]),
+        flow=frozenset(FlowFact(*a, *b) for a, b in zip(sites, sites[1:])),
+    )
+
+
+def _nodes(derivation) -> int:
+    """Distinct nodes of a derivation, counted without recursion."""
+    seen, stack = set(), [derivation]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def test_msan_rules_witness_grows_linearly_in_chain_length():
+    times = []
+    for steps in (STEPS, 8 * STEPS):
+        facts = _single_source_chain(steps)
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            witness = explain(evaluate(msan_program(facts)), Atom("satisfied", ()))
+            best = min(best, time.perf_counter() - started)
+        times.append(best)
+        assert sum(leaf.predicate == "flow" for leaf in witness.leaves()) == steps
+        assert _nodes(witness) <= NODES_PER_STEP * steps
+    assert times[1] / times[0] < 24
