@@ -5,22 +5,21 @@ stratum the least fixpoint of the positive rules is reached semi-naively
 (only joins touching tuples new in the previous round are re-run), and
 negated atoms consult relations of strictly lower strata.
 
-Facts load a segment at a time (:meth:`Program.segments`: runs of one
-relation's value tuples), with one ``dict.fromkeys`` each.  Each rule is
+Facts load a segment at a time (runs of one relation's value tuples, see
+:meth:`Program.segments`), one ``dict.fromkeys`` each.  Each rule is
 generated once per delta position into a join plan: a Python function of
 nested loops whose atoms are probed through hash indexes on their bound
-columns, with negated atoms as single index probes, and which inserts each
-new head tuple inline, into the relation, its indexes, the new delta and
-the provenance.  A plan that reads its own head relation outside the delta
-would see those insertions, so it buffers its derivations and inserts them
-after its loops.  A rule set evaluated over many fact sets is validated and
-stratified once per process by :func:`prepare`; the resulting
-:class:`RuleSet` generates its plans on its first :func:`evaluate` and
-keeps them, so evaluating a program built from it checks only the sorts of
-its facts, a column per segment, and binds the plans to that call's
-relations and indexes, which live for the one call.  Any other program, or
-one whose facts do not fit, goes through :func:`check_program` and is
-planned per call; the code of equal generated source is compiled once.
+columns, with negated atoms as single index probes, that inserts each new
+head tuple inline (relation, indexes, new delta, provenance), or after its
+loops if it reads its own head relation outside the delta and so would see
+its insertions.  A rule set evaluated over many fact sets is validated and
+stratified once per process by :func:`prepare`; its :class:`RuleSet`
+generates its plans on its first :func:`evaluate` and keeps them, so
+evaluating a program built from it checks only its facts' sorts, a column
+per segment, and binds the plans to that call's relations and indexes.
+Any other program, or one whose facts do not fit, goes through
+:func:`check_program` and is planned per call; the code of equal generated
+source is compiled once.
 
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and provenance (the first derivation found for each tuple)
@@ -455,15 +454,17 @@ def _match(atom: Atom, values: tuple) -> dict | None:
 
 def _tuple_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
     """``values -> tuple(values[p] for p in positions)``, always a tuple."""
-    if len(positions) == 1:
-        return lambda values, only=positions[0]: (values[only],)
-    return operator.itemgetter(*positions) if positions else lambda values: ()
+    if len(positions) >= 2:
+        return operator.itemgetter(*positions)
+    if positions:
+        (only,) = positions
+        return lambda values: (values[only],)
+    return lambda values: ()
 
 
 class _Relation:
     """One relation during evaluation: tuples in insertion order, plus hash
-    indexes from a tuple of bound columns to the tuples carrying those values.
-    """
+    indexes from a tuple of bound columns to the tuples carrying those values."""
 
     __slots__ = ("tuples", "indexes")
 
@@ -499,7 +500,7 @@ class _Plan(NamedTuple):
     # (predicate, columns) for its index on those columns
     reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
 
-    def bind(self, relations: dict[str, _Relation], provenance: dict) -> Callable[[list, list], None]:
+    def bind(self, relations: dict[str, _Relation], provenance: dict) -> Callable:
         """The plan over these relations: a function of the delta and the list
         of new head tuples, which inserts each new head tuple it derives."""
         head = relations[self.head]
@@ -586,7 +587,8 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
 
     head = rule.head.predicate
     buffered = any(a.predicate == head for i, a in enumerate(atoms) if i != delta_position)
-    functions = [["def run(delta, new):", f"    out = {'[]' if buffered else 'new'}", "    add = out.append"]]
+    sink = "out = []; add = out.append" if buffered else "add = new.append"
+    functions = [["def run(delta, new):", "    " + sink]]
     depth = 1  # indentation inside the current function
     loops = 0
 
@@ -797,9 +799,9 @@ def explain(db: Database, fact: Atom) -> Derivation:
     """One derivation of a ground fact; raises NotDerivableError otherwise.
 
     Built bottom-up with an explicit stack, one node per distinct fact, so
-    neither proof depth nor repeated sub-proofs are limited by recursion.
-    A derived fact's node is built when its step, stacked below its
-    children, comes off the stack.
+    neither proof depth nor repeated sub-proofs are limited by recursion; a
+    derived fact's node is built when its step, stacked below its children,
+    comes off the stack.
     """
     root = (fact.predicate, fact.value_tuple())
     if fact.predicate not in db.relations or root[1] not in db.relations[fact.predicate]:
@@ -811,7 +813,7 @@ def explain(db: Database, fact: Atom) -> Derivation:
         if step is None:
             if key in built:
                 continue
-            step = db.provenance[key]
+            step = db.provenance.get(key)
             if step is not None:
                 # provenance only cites tuples derived earlier, so this ends
                 stack.append((key, step))

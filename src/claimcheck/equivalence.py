@@ -645,12 +645,13 @@ _DECLS = "".join(
 
 def _fact_lines(side: EquivSide) -> set[Site]:
     """Every (file, line) site that a fact of the side names."""
-    return {
-        (fact[i], fact[i + 1])
-        for name, _, fact_type in SIDE_FIELDS
-        for i in _columns(fact_type)[1]
-        for fact in getattr(side, name)
-    }
+    lines: set[Site] = set()
+    for name, _, fact_type in SIDE_FIELDS:
+        files = _columns(fact_type)[1]
+        for fact in getattr(side, name):
+            for i in files:
+                lines.add((fact[i], fact[i + 1]))
+    return lines
 
 
 @cache  # built on first use, not at import

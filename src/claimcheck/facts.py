@@ -65,7 +65,9 @@ def _norm_path(path: str) -> str:
 def _sym(atom: Atom, index: int) -> str:
     term = atom.args[index]
     if type(term) is not str:
-        raise SortError(f"{atom.predicate}: argument {index + 1} must be a quoted symbol")
+        raise SortError(
+            f"{atom.predicate}: argument {index + 1} must be a quoted symbol"
+        )
     return term
 
 

@@ -37,9 +37,12 @@ class MsanVerdict(NamedTuple):
     lint: LintReport
 
     def to_json(self) -> dict:
-        chain = None if self.witness is None else [
-            {"var": var, "file": file, "line": line} for var, file, line in self.witness
-        ]
+        chain = None
+        if self.witness is not None:
+            chain = [
+                {"var": var, "file": file, "line": line}
+                for var, file, line in self.witness
+            ]
         return {"outcome": self.outcome, "chain": chain, "lint": self.lint.to_json()}
 
 
@@ -99,10 +102,13 @@ def verify_msan(fs: MsanFactSet) -> MsanVerdict:
 
 
 def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
-    chain = [last]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    return tuple(reversed(chain))
+    chain: list[Site] = []
+    site: Optional[Site] = last
+    while site is not None:
+        chain.append(site)
+        site = parent[site]
+    chain.reverse()
+    return tuple(chain)
 
 
 # Declarations of the vocabulary come from the fact types; only the
