@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("toy2", nargs="?")
     p.add_argument("--task", choices=(MSAN, EQUIV), required=True)
     p.add_argument("--uninit", help="comma-separated variables claimed uninitialized")
-    p.add_argument("--var-map", help="comma-separated x=y variable pairs")
+    p.add_argument("--var-map", help="comma-separated x=y variable pairs, one-to-one")
     p.add_argument("--file-name", default="main.cpp", help="file name used in facts")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_extract)

@@ -685,9 +685,13 @@ def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
             segments.append((predicate, [(tag, *fact) for fact in rows]))
         segments += [
             ("pair_var", [(tag, x, half.var_map[x]) for x in sorted(half.var_map)]),
-            ("pair_def_site", [(tag, x, *s, y, *i) for x, s, y, i in half.def_site_pairs]),
+            ("pair_def_site", [
+                (tag, x, *site, y, *image) for x, site, y, image in half.def_site_pairs
+            ]),
             ("pair_exit", [(tag, *site, *image) for site, image in half.exit_pairs]),
-            ("pair_line", [(tag, *s, *half.map_line(s)) for s in sorted(_fact_lines(here))]),
+            ("pair_line", [
+                (tag, *site, *half.map_line(site)) for site in sorted(_fact_lines(here))
+            ]),
         ]
     # Each code1 site of a paired definition or condition is compared at
     # itself, and each code2 site at the code1 site that it pairs with.
