@@ -126,42 +126,39 @@ class Program(Record):
     ``declarations`` maps each relation name to its argument-sort list
     (values from ``SYMBOL``/``NUMBER``).  Validation completes
     ``declarations`` in place; nothing else in the package mutates a
-    program once it is built.  A program built from ``segments`` (runs of
-    one relation's value tuples, in fact order) builds ``facts`` on its
-    first read; from then on that list is its facts.
+    program once it is built.  The facts are held as ``segments``: runs of
+    one relation's value tuples, in fact order.  ``facts`` is a new list of
+    them as atoms on every read; assigning it regroups the atoms into runs.
     """
 
     _fields = ("declarations", "rules", "facts")
-    # The prepared rule set the rules came from, if any; evaluation relies on
-    # it only while the rules and declarations are still exactly its own.
+    # The rule set that validated the rules, if any; evaluation relies on it
+    # only while the rules and declarations are still exactly its own.
     # Equality and repr leave it out.
-    __slots__ = ("declarations", "rules", "rule_set", "_facts", "_segments")
+    __slots__ = ("declarations", "rules", "rule_set", "segments")
 
     def __init__(
         self, declarations: dict[str, tuple[str, ...]] | None = None,
         rules: list[Rule] | None = None, facts: list[Atom] | None = None,
-        rule_set: Optional[RuleSet] = None, segments: Segments = (),
+        rule_set: Optional[RuleSet] = None, segments: Segments | None = None,
     ) -> None:
         self.declarations = {} if declarations is None else declarations
         self.rules = [] if rules is None else rules
-        self.rule_set, self._facts, self._segments = rule_set, facts, segments
+        self.rule_set = rule_set
+        self.segments = [] if segments is None else segments
+        if facts is not None:
+            self.facts = facts
 
     @property
     def facts(self) -> list[Atom]:
-        if self._facts is None:
-            self._facts = [Atom(name, values) for name, rows in self._segments for values in rows]
-        return self._facts
+        return [Atom(name, values) for name, rows in self.segments for values in rows]
 
     @facts.setter
     def facts(self, facts: list[Atom]) -> None:
-        self._facts = facts
-
-    def segments(self) -> Segments:
-        """The segments given, or else the facts grouped into runs of one relation."""
-        if self._facts is None:
-            return self._segments
-        return [(name, [fact.args for fact in run])
-                for name, run in groupby(self._facts, lambda fact: fact.predicate)]
+        self.segments = [
+            (name, [fact.args for fact in run])
+            for name, run in groupby(facts, lambda fact: fact.predicate)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +208,15 @@ def print_declaration(name: str, sorts: tuple[str, ...]) -> str:
 
 
 def print_program(program: Program) -> str:
-    lines = []
+    lines, facts = [], program.facts
     for name, sorts in program.declarations.items():
         lines.append(print_declaration(name, sorts))
-    if program.declarations and (program.rules or program.facts):
+    if program.declarations and (program.rules or facts):
         lines.append("")
     for rule in program.rules:
         lines.append(print_rule(rule))
-    if program.rules and program.facts:
+    if program.rules and facts:
         lines.append("")
-    for fact in program.facts:
+    for fact in facts:
         lines.append(print_atom(fact) + ".")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -5,20 +5,19 @@ stratum the least fixpoint of the positive rules is reached semi-naively
 (only joins touching tuples new in the previous round are re-run), and
 negated atoms consult relations of strictly lower strata.
 
-Facts load a segment at a time (runs of one relation's value tuples, see
-:meth:`Program.segments`), one ``dict.fromkeys`` each.  Each rule is
-generated once per delta position into a join plan: a Python function of
-nested loops whose atoms are probed through hash indexes on their bound
-columns, with negated atoms as single index probes, that inserts each new
-head tuple inline (relation, indexes, new delta, provenance), or after its
-loops if it reads its own head relation outside the delta and so would see
-its insertions.  A rule set evaluated over many fact sets is validated and
-stratified once per process by :func:`prepare`; its :class:`RuleSet`
-generates its plans on its first :func:`evaluate` and keeps them, so
-evaluating a program built from it checks only its facts' sorts, a column
-per segment, and binds the plans to that call's relations and indexes.
-Any other program, or one whose facts do not fit, goes through
-:func:`check_program` and is planned per call; the code of equal generated
+Validation, by :func:`check_program` or (for a rule set without facts)
+:func:`prepare`, yields a :class:`RuleSet`: the rules, their completed
+declarations and their strata.  The rule set generates its join plans on
+its first :func:`evaluate` and keeps them; evaluating a program that still
+holds its rules and declarations checks only the program's facts, a segment
+(a run of one relation's value tuples) at a time, and any other program is
+validated again.  Facts load a segment at a time, one ``dict.fromkeys``
+each.  Each rule is generated once per delta position into a join plan: a
+Python function of nested loops whose atoms are probed through hash indexes
+on their bound columns, with negated atoms as single index probes, that
+inserts each new head tuple inline (relation, indexes, new delta,
+provenance), or after its loops if it reads its own head relation outside
+the delta and so would see its insertions.  The code of equal generated
 source is compiled once.
 
 Relations are kept in insertion order and no step iterates over a hashed
@@ -57,6 +56,7 @@ from .ast import (
     Var,
     Wildcard,
     print_atom,
+    print_fact,
     print_rule,
 )
 
@@ -83,24 +83,39 @@ def _sort_clash(
     )
 
 
+# the value types of a column that can raise nothing its first value does not
+_UNIFORM = ({str}, {int})
+
+
 def _check_facts(
-    facts: Sequence[Atom], slots: dict[str, list[str]], declared: Container[str]
+    segments: Segments, slots: Mapping[str, Sequence[str]], declared: Container[str]
 ) -> None:
     """Check facts against ``slots`` (relation -> argument sorts so far) and
     settle the slots they touch; a relation no slot names yet gets one from
     its first fact.  Raises for a wrong arity, a clashing sort, or an
     argument that is not a constant, in that order of precedence.
+
+    A segment whose facts share one arity and whose every column holds only
+    ``str`` or only ``int`` values is checked as its first fact alone.
     """
-    for fact in facts:
-        sorts = slots.get(fact.predicate)
+    facts: list[tuple[str, Sequence]] = []
+    for name, rows in segments:
+        if len({*map(len, rows)}) == 1 and all(
+            {*map(type, column)} in _UNIFORM for column in zip(*rows)
+        ):
+            facts.append((name, rows[0]))
+        else:
+            facts += zip(repeat(name), rows)
+    for name, args in facts:
+        sorts = slots.get(name)
         if sorts is None:
-            slots[fact.predicate] = [_UNKNOWN] * len(fact.args)
-        elif len(fact.args) != len(sorts):
-            raise ArityMismatchError(fact.predicate, len(sorts), len(fact.args))
+            slots[name] = [_UNKNOWN] * len(args)
+        elif len(args) != len(sorts):
+            raise ArityMismatchError(name, len(sorts), len(args))
     # A slot never changes once set, so one pass settles every slot facts touch.
-    for fact in facts:
-        sorts = slots[fact.predicate]
-        for i, term in enumerate(fact.args):
+    for name, args in facts:
+        sorts = slots[name]
+        for i, term in enumerate(args):
             if type(term) is str:
                 sort = SYMBOL
             elif type(term) is int:
@@ -111,17 +126,17 @@ def _check_facts(
                 sorts[i] = sort
             elif sorts[i] != sort:
                 raise _sort_clash(
-                    f"fact {print_atom(fact)}", fact.predicate, i, sorts[i], sort, declared
+                    f"fact {print_fact(name, args)}", name, i, sorts[i], sort, declared
                 )
-    for fact in facts:
-        for i, term in enumerate(fact.args, 1):
+    for name, args in facts:
+        for i, term in enumerate(args, 1):
             if isinstance(term, (Var, Wildcard)):
                 raise RangeRestrictionError(
-                    f"fact {fact.predicate} contains a variable or wildcard"
+                    f"fact {name} contains a variable or wildcard"
                 )
             if type(term) is not str and type(term) is not int:
                 raise RangeRestrictionError(
-                    f"fact {fact.predicate}: argument {i} is {term!r}, "
+                    f"fact {name}: argument {i} is {term!r}, "
                     "neither a symbol (str) nor a number (int)"
                 )
 
@@ -133,7 +148,7 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
         name: list(sorts) for name, sorts in program.declarations.items()
     }
     declared = set(program.declarations)
-    _check_facts(program.facts, slots, declared)
+    _check_facts(program.segments, slots, declared)
     atoms_of = [
         [rule.head] + [
             lit.atom if isinstance(lit, NegatedAtom) else lit
@@ -308,44 +323,43 @@ def stratify(program: Program) -> list[list[str]]:
     return list(reversed(sccs))
 
 
-def _complete(program: Program, slots: dict[str, list[str]]) -> list[list[str]]:
+def _complete(program: Program, slots: dict[str, list[str]]) -> RuleSet:
     """Declare every relation with its inferred sorts (an unsettled argument
-    is a symbol), check the rules, and return the strata."""
-    program.declarations = {
+    is a symbol), check the rules, and set and return the rule set."""
+    declarations = {
         name: tuple(SYMBOL if s == _UNKNOWN else s for s in sorts)
         for name, sorts in slots.items()
     }
+    program.declarations = dict(declarations)
     for rule in program.rules:
         _check_rule(rule, slots)
-    return stratify(program)
+    strata = tuple(map(tuple, stratify(program)))
+    program.rule_set = RuleSet(tuple(program.rules), MappingProxyType(declarations), strata)
+    return program.rule_set
 
 
-def check_program(program: Program) -> list[list[str]]:
+def check_program(program: Program) -> RuleSet:
     """Validate and complete a program in place (auto-declaring predicates);
-    returns its strata, as :func:`stratify` does."""
+    returns the :class:`RuleSet` that evaluates it, also set as its ``rule_set``."""
     return _complete(program, _infer_declarations(program))
 
 
-_TYPE_OF_SORT = {SYMBOL: str, NUMBER: int}
-
-
 class RuleSet:
-    """A facts-free program validated and stratified once, by :func:`prepare`.
+    """Rules, their declarations and their strata, as validated by
+    :func:`check_program` or :func:`prepare`.
 
     ``declarations`` cover every relation the rules name, with all argument
-    sorts settled, so a program built by :meth:`program` only has its facts
+    sorts settled, so a program the rule set admits only has its facts
     checked against them when it is evaluated.  Equality is identity.
     """
 
-    __slots__ = ("rules", "declarations", "strata", "fact_types", "_join_plans")
+    __slots__ = ("rules", "declarations", "strata", "_join_plans")
 
     def __init__(
         self, rules: tuple[Rule, ...], declarations: Mapping[str, tuple[str, ...]],
-        strata: tuple[tuple[str, ...], ...], fact_types: Mapping[str, tuple[type, ...]],
+        strata: tuple[tuple[str, ...], ...],
     ) -> None:
         self.rules, self.declarations, self.strata = rules, declarations, strata
-        # relation -> type of each argument of a valid fact: str or int
-        self.fact_types = fact_types
         self._join_plans: tuple[_StratumPlans, ...] | None = None
 
     def program(self, segments: Segments = ()) -> Program:
@@ -353,11 +367,13 @@ class RuleSet:
         return Program(dict(self.declarations), list(self.rules), rule_set=self, segments=segments)
 
     def admits(self, program: Program) -> bool:
-        """Whether ``program`` still holds exactly these rules and declarations."""
+        """Whether ``program`` still holds exactly these rules and declarations,
+        and its facts name only declared relations."""
         return (
             len(program.rules) == len(self.rules)
             and all(map(operator.is_, program.rules, self.rules))
             and program.declarations == self.declarations
+            and all(name in self.declarations for name, rows in program.segments if rows)
         )
 
     @property
@@ -385,30 +401,7 @@ def prepare(rules: Program) -> RuleSet:
                 f"argument {sorts.index(_UNKNOWN) + 1} of {name!r} has a sort "
                 "that only facts would settle; declare it"
             )
-    strata = _complete(program, slots)
-    return RuleSet(
-        rules=tuple(program.rules),
-        declarations=MappingProxyType(program.declarations),
-        strata=tuple(map(tuple, strata)),
-        fact_types=MappingProxyType({
-            name: tuple(_TYPE_OF_SORT[sort] for sort in sorts)
-            for name, sorts in program.declarations.items()
-        }),
-    )
-
-
-def _fits(program: Program, segments: Segments, rule_set: RuleSet) -> bool:
-    """Whether ``rule_set`` admits ``program`` and each column of each segment
-    holds its relation's declared type, so the rule set's strata hold."""
-    if not rule_set.admits(program):
-        return False
-    for name, rows in segments:
-        types = rule_set.fact_types.get(name)
-        if types is None or not {*map(len, rows)} <= {len(types)} or not all(
-            {*map(type, column)} == {kind} for column, kind in zip(zip(*rows), types)
-        ):
-            return False
-    return True
+    return _complete(program, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -704,24 +697,23 @@ def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Str
 def evaluate(program: Program) -> Database:
     """Minimal model of a valid program; total on stratifiable inputs.
 
-    A program built from a prepared :class:`RuleSet`, whose rules and
-    declarations are still the rule set's and whose facts fit those
-    declarations, has only its facts checked; any other program goes through
-    :func:`check_program`.
+    A program whose :class:`RuleSet` still admits it has only its facts
+    checked; any other program goes through :func:`check_program`.
     """
-    segments = program.segments()
     rule_set = program.rule_set
-    if rule_set is not None and _fits(program, segments, rule_set):
-        plans = rule_set.plans
+    if rule_set is not None and rule_set.admits(program):
+        # the declarations name every relation and settle every sort: only read
+        _check_facts(program.segments, rule_set.declarations, rule_set.declarations)
     else:
-        plans = _plans(program.rules, check_program(program))
+        rule_set = check_program(program)
     relations = {name: _Relation() for name in program.declarations}
     provenance: dict[tuple[str, tuple], Provenance] = {}
-    for name, rows in segments:  # ground facts: their arguments are their tuples
-        relations[name].tuples.update(dict.fromkeys(rows))
-        provenance.update(dict.fromkeys(zip(repeat(name), rows)))
+    for name, rows in program.segments:  # ground facts: their arguments are their tuples
+        if rows:  # an empty segment declares nothing
+            relations[name].tuples.update(dict.fromkeys(rows))
+            provenance.update(dict.fromkeys(zip(repeat(name), rows)))
 
-    for stratum, initial, recursive in plans:
+    for stratum, initial, recursive in rule_set.plans:
         delta: dict[str, list] = {name: [] for name in stratum}
         for plan in initial:
             plan.bind(relations, provenance)([], delta[plan.head])

@@ -2,52 +2,62 @@
 
 The on-disk layout is one rules file ``program.dl`` holding declarations and
 rules, plus one tab-separated ``<relation>.facts`` file per relation that has
-at least one fact (symbols unquoted, one tuple per line).  Re-importing a
-directory reproduces the program up to statement ordering.
+at least one fact (symbols unquoted, one tuple per line, so a nullary fact is
+an empty line).  Re-importing a directory reproduces the program up to
+statement ordering.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
 from pathlib import Path
 
-from ..errors import UnknownRelationError
-from .ast import (
-    Atom,
-    NUMBER,
-    Program,
-    print_declaration,
-    print_rule,
-)
+from ..errors import ArityMismatchError, ClaimcheckError, SortError, UnknownRelationError
+from .ast import NUMBER, Program, print_declaration, print_rule
 from .engine import check_program
 from .parser import parse_program
 
 RULES_FILE = "program.dl"
 FACTS_SUFFIX = ".facts"
+# what splits a row into fields, or a file into lines, when it is read back
+_SEPARATOR_RE = re.compile(r"[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def export_external(program: Program, directory: str | Path) -> Path:
-    """Write the program to ``directory``; returns the rules file path."""
+    """Write the program to ``directory``; returns the rules file path.
+
+    Raises :class:`ClaimcheckError`, and writes nothing, when a symbol holds
+    a tab or a line break, which no row could hold.
+    """
+    by_relation: dict[str, set[tuple]] = {}
+    for relation, rows in program.segments:
+        if rows:
+            by_relation.setdefault(relation, set()).update(rows)
+    texts = {}
+    for relation, tuples in sorted(by_relation.items()):
+        rows = sorted(tuples, key=repr)
+        if _SEPARATOR_RE.search("".join(map(str, chain.from_iterable(rows)))):
+            bad = next(v for v in chain.from_iterable(rows) if _SEPARATOR_RE.search(str(v)))
+            raise ClaimcheckError(
+                f"cannot export {relation}: symbol {bad!r} holds a tab or a line break"
+            )
+        texts[relation] = "\n".join("\t".join(map(str, values)) for values in rows) + "\n"
+
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     lines = [print_declaration(n, s) for n, s in sorted(program.declarations.items())]
     lines.extend(print_rule(rule) for rule in program.rules)
     rules_path = out / RULES_FILE
     rules_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-    by_relation: dict[str, list[tuple]] = {}
-    for fact in program.facts:
-        by_relation.setdefault(fact.predicate, []).append(fact.value_tuple())
-    for relation, tuples in sorted(by_relation.items()):
-        rows = sorted(set(tuples), key=repr)
-        text = "\n".join("\t".join(str(v) for v in values) for values in rows)
-        (out / f"{relation}{FACTS_SUFFIX}").write_text(
-            text + ("\n" if rows else ""), encoding="utf-8"
-        )
+    for relation, text in texts.items():
+        (out / f"{relation}{FACTS_SUFFIX}").write_text(text, encoding="utf-8")
     return rules_path
 
 
 def import_external(directory: str | Path) -> Program:
-    """Read back a directory produced by :func:`export_external`."""
+    """Read back a directory produced by :func:`export_external`: each line
+    of a facts file is one row."""
     src = Path(directory)
     program = parse_program((src / RULES_FILE).read_text(encoding="utf-8"), validate=False)
     for facts_path in sorted(src.glob(f"*{FACTS_SUFFIX}")):
@@ -55,19 +65,23 @@ def import_external(directory: str | Path) -> Program:
         if relation not in program.declarations:
             raise UnknownRelationError(relation)
         sorts = program.declarations[relation]
-        for line in facts_path.read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            fields = line.split("\t")
+        rows = []
+        text = facts_path.read_text(encoding="utf-8")
+        for number, line in enumerate(text.splitlines(), 1):
+            where = f"{facts_path.name}, line {number}"
+            fields = line.split("\t") if line or sorts else []
             if len(fields) != len(sorts):
-                raise UnknownRelationError(
-                    f"{facts_path.name}: row has {len(fields)} fields, "
-                    f"declaration has {len(sorts)}"
-                )
-            args = tuple(
-                int(field) if sort == NUMBER else field
-                for field, sort in zip(fields, sorts)
-            )
-            program.facts.append(Atom(relation, args))
+                raise ArityMismatchError(relation, len(sorts), len(fields), where)
+            for i, (field, sort) in enumerate(zip(fields, sorts)):
+                if sort == NUMBER:
+                    try:
+                        fields[i] = int(field)
+                    except ValueError:
+                        raise SortError(
+                            f"{where}: argument {i + 1} of {relation!r} is declared "
+                            f"number, found {field!r}"
+                        ) from None
+            rows.append(tuple(fields))
+        program.segments.append((relation, rows))
     check_program(program)
     return program

@@ -183,7 +183,11 @@ class _Parser:
             program.rules.append(Rule(head, tuple(body)))
         else:
             self.expect(".")
-            program.facts.append(head)
+            segments = program.segments
+            if segments and segments[-1][0] == head.predicate:
+                segments[-1][1].append(head.args)
+            else:
+                segments.append((head.predicate, [head.args]))
 
     def parse_literal(self) -> Literal:
         if self.peek()[1] == "!":
@@ -269,12 +273,13 @@ def parse_facts(source: str) -> list[Atom]:
         parser.raise_at("rule", "rules are not allowed in a fact file")
     if program.declarations:
         parser.raise_at("declaration", "declarations are not allowed in a fact file")
-    for fact in program.facts:
+    facts = program.facts
+    for fact in facts:
         if not fact.is_ground():
             parser.raise_at(
                 "variable", f"fact {fact.predicate} contains a variable or wildcard"
             )
-    return program.facts
+    return facts
 
 
 _FACT_LINE_RE = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")

@@ -16,9 +16,10 @@ class DatalogSyntaxError(ClaimcheckError):
 
 
 class ArityMismatchError(ClaimcheckError):
-    def __init__(self, predicate: str, expected: int, found: int):
+    def __init__(self, predicate: str, expected: int, found: int, where: str = ""):
         super().__init__(
-            f"predicate {predicate!r} declared with arity {expected}, used with {found}"
+            f"{where}{': ' if where else ''}predicate {predicate!r} declared "
+            f"with arity {expected}, used with {found}"
         )
         self.predicate = predicate
         self.expected = expected

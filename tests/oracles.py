@@ -7,6 +7,8 @@ tokenizer oracle matches one token (whitespace included) at a time and
 tracks line and column as it goes; the msan witness oracle enumerates
 every chain instead of searching.  The reference loaders read fact text
 through the full parser and the checks on atoms, never the typed fact scan.
+The reference fact check takes every fact on its own, never a segment at
+a time.
 """
 
 from __future__ import annotations
@@ -15,15 +17,24 @@ import itertools
 import re
 
 from claimcheck.datalog.ast import (
+    NUMBER,
+    SYMBOL,
     Atom,
     Comparison,
     NegatedAtom,
     Program,
     Var,
     Wildcard,
+    print_atom,
 )
 from claimcheck.datalog.parser import parse_facts
-from claimcheck.errors import ClaimcheckError, DatalogSyntaxError
+from claimcheck.errors import (
+    ArityMismatchError,
+    ClaimcheckError,
+    DatalogSyntaxError,
+    RangeRestrictionError,
+    SortError,
+)
 from claimcheck.facts import equiv_bundle_from_atoms, msan_facts_from_atoms
 
 _CMP = {
@@ -134,6 +145,51 @@ def naive_evaluate(program: Program) -> dict[str, frozenset]:
                         state[rule.head.predicate].add(head)
                         changed = True
     return {name: frozenset(values) for name, values in state.items()}
+
+
+def reference_fact_error(program: Program) -> tuple[type, str] | None:
+    """The class and message of the error the program's facts raise against
+    its declarations, checked one fact at a time, or None: wrong arities
+    first, then clashing sorts, then arguments that are not constants."""
+    slots = {name: list(sorts) for name, sorts in program.declarations.items()}
+    facts = program.facts
+    try:
+        for fact in facts:
+            sorts = slots.setdefault(fact.predicate, ["?"] * len(fact.args))
+            if len(fact.args) != len(sorts):
+                raise ArityMismatchError(fact.predicate, len(sorts), len(fact.args))
+        for fact in facts:
+            sorts = slots[fact.predicate]
+            for i, term in enumerate(fact.args):
+                sort = {str: SYMBOL, int: NUMBER}.get(type(term))
+                if sort is None:
+                    continue
+                if sorts[i] == "?":
+                    sorts[i] = sort
+                elif sorts[i] != sort:
+                    how = (
+                        f"is declared {sorts[i]}, found {sort}"
+                        if fact.predicate in program.declarations
+                        else f"is used both as {sorts[i]} and as {sort}"
+                    )
+                    raise SortError(
+                        f"fact {print_atom(fact)}: argument {i + 1} of "
+                        f"{fact.predicate!r} {how}"
+                    )
+        for fact in facts:
+            for i, term in enumerate(fact.args, 1):
+                if isinstance(term, (Var, Wildcard)):
+                    raise RangeRestrictionError(
+                        f"fact {fact.predicate} contains a variable or wildcard"
+                    )
+                if type(term) is not str and type(term) is not int:
+                    raise RangeRestrictionError(
+                        f"fact {fact.predicate}: argument {i} is {term!r}, "
+                        "neither a symbol (str) nor a number (int)"
+                    )
+    except ClaimcheckError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def brute_force_query(relation: frozenset, pattern: Atom) -> list[dict]:

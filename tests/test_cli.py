@@ -379,6 +379,18 @@ def test_export_msan_task(capsys, tmp_path):
     assert (out / "uninitialized.facts").exists()
 
 
+@pytest.mark.parametrize("symbol", ["a\tb", "a\nb"])
+def test_export_rejects_a_symbol_with_a_tab_or_a_line_break(capsys, tmp_path, symbol):
+    facts = tmp_path / "trace.facts"
+    facts.write_text(f'uses("{symbol}", "m.c", 3).\nuninitialized("p", "m.c", 1).\n')
+    out = tmp_path / "exported"
+    assert main(["export", str(facts), "--task", "msan", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot export uses: symbol {symbol!r} holds a tab or a line break\n"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from claimcheck.datalog import (
     parse_program,
     prepare,
     print_atom,
+    print_program,
     print_rule,
     query,
 )
@@ -54,7 +56,7 @@ from generators import (
     random_positive_program,
     random_toy,
 )
-from oracles import brute_force_query, naive_evaluate, replay_derivation
+from oracles import brute_force_query, naive_evaluate, reference_fact_error, replay_derivation
 
 
 def test_fixture_model(nonzero_output_program_text):
@@ -74,7 +76,7 @@ def test_facts_only_program_is_its_own_model():
 def test_fact_argument_must_be_str_or_int(value):
     # a bool is an int subclass, but not a number constant
     program = parse_program('p("a", 1).', validate=False)
-    program.facts.append(Atom("p", ("b", value)))
+    program.facts += [Atom("p", ("b", value))]
     with pytest.raises(RangeRestrictionError) as info:
         evaluate(program)
     assert str(info.value) == (
@@ -447,7 +449,7 @@ def test_prepared_rules_reject_invalid_facts_as_check_program_does(rules, relati
     args, error = _INVALID_ARGS[kind]
     prepared = _small_rules_program(rules)
     assert prepared.declarations[relation] == ("symbol", "symbol", "number")
-    prepared.facts.append(Atom(relation, args))
+    prepared.facts += [Atom(relation, args)]
     outcome = _outcome(prepared)
     assert outcome == _outcome(_unprepared(prepared))
     assert outcome[0] is error
@@ -489,7 +491,7 @@ def test_prepared_rules_declare_a_fact_only_relation_as_check_program_does():
     # check_program declares a relation that only facts name, so both paths
     # accept its facts; sorts clash within it as they do for any relation
     prepared = _small_rules_program("msan")
-    prepared.facts.append(Atom("note", ("p", 1)))
+    prepared.facts += [Atom("note", ("p", 1))]
     outcome = _outcome(prepared)
     assert outcome == _outcome(_unprepared(prepared))
     assert outcome[0]["note"] == {("p", 1)}
@@ -545,6 +547,113 @@ def test_prepared_rules_generate_their_plans_once(monkeypatch, tmp_path, fixture
         generated.clear()
     evaluate(msan_program(fs))
     assert checked == [] and generated == []
+
+
+def test_a_validated_program_is_checked_and_planned_once(monkeypatch):
+    program = parse_program(
+        'path(x, y) :- edge(x, y).\npath(x, z) :- path(x, y), edge(y, z).\n'
+        'edge("a", "b"). edge("b", "c").'
+    )
+    rule_set = program.rule_set
+    assert rule_set is not None and rule_set.admits(program)
+    generated, checked = [], []
+    plan, check_program = engine._plan, engine.check_program
+    monkeypatch.setattr(engine, "_plan", lambda *args: generated.append(args) or plan(*args))
+    monkeypatch.setattr(engine, "check_program", lambda p: checked.append(p) or check_program(p))
+    first = evaluate(program)
+    assert first["path"] == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert checked == [] and generated
+    generated.clear()
+    assert evaluate(program) == first
+    assert checked == [] and generated == [] and program.rule_set is rule_set
+
+    # check_program returns the rule set it sets; a new one plans afresh
+    assert check_program(program) is program.rule_set is not rule_set
+    assert evaluate(program) == first and generated
+
+
+def test_an_empty_segment_declares_nothing():
+    rule_set = prepare(parse_program(
+        ".decl edge(a: symbol, b: symbol)\npath(x, y) :- edge(x, y).", validate=False
+    ))
+    for program in (rule_set.program([("note", [])]), Program(segments=[("note", [])])):
+        db = evaluate(program)
+        assert "note" not in db and "note" not in program.declarations
+
+
+_SWEEP_RULES = (
+    ".decl e(a: symbol, n: number)\n.decl f(n: number)\n.decl g(a: symbol, b: symbol)\n"
+    "p(x) :- e(x, _).\nq(n) :- f(n), e(_, n).\nr(a, b) :- g(a, b), !p(a).\n"
+)
+
+
+def _sweep_facts(rng: random.Random) -> list[Atom]:
+    """Runs of facts of the declared e, f, g and the undeclared u, then bad
+    facts at random positions: single ones, or a whole run made bad alike."""
+    good = {
+        "e": lambda: (rng.choice("abc"), rng.randint(0, 3)),
+        "f": lambda: (rng.randint(0, 3),),
+        "g": lambda: (rng.choice("abc"), rng.choice("abc")),
+        "u": lambda: (rng.choice("abc"), rng.randint(0, 3)),
+    }
+    facts = []
+    for _ in range(rng.randint(1, 6)):
+        name = rng.choice(sorted(good))
+        facts += [Atom(name, good[name]()) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("arity", "sort", "bool", "float", "variable"))
+        start = rng.randrange(len(facts))
+        stop = start + 1
+        if rng.random() < 0.4:  # to the end of this run
+            while stop < len(facts) and facts[stop].predicate == facts[start].predicate:
+                stop += 1
+        column = rng.randrange(len(facts[start].args))
+        for i in range(start, stop):
+            args = list(facts[i].args)
+            if kind == "arity":
+                args = args[:-1] if column else args + [args[0]]
+            elif kind == "sort":
+                args[column] = len(args[column]) if type(args[column]) is str else str(args[column])
+            else:
+                args[column] = {"bool": True, "float": 1.5, "variable": Var("x")}[kind]
+            facts[i] = Atom(facts[i].predicate, tuple(args))
+        if rng.random() < 0.3:  # the first bad fact moves elsewhere
+            facts.insert(rng.randrange(len(facts)), facts.pop(start))
+    return facts
+
+
+def _evaluated(program: Program):
+    try:
+        return dict(evaluate(program).relations)
+    except ClaimcheckError as exc:
+        return type(exc), str(exc)
+
+
+def test_fact_checks_match_the_per_fact_reference():
+    rules = parse_program(_SWEEP_RULES, validate=False)
+    rule_set = prepare(rules)
+    rng = random.Random(20)
+    errors = set()
+    for _ in range(400):
+        facts = _sweep_facts(rng)
+        parsed = parse_program(_SWEEP_RULES + "".join(print_atom(f) + "." for f in facts), validate=False)
+        built = Program(dict(rules.declarations), list(rules.rules), facts)
+        prepared = rule_set.program([
+            (name, [fact.args for fact in run])
+            for name, run in itertools.groupby(facts, lambda fact: fact.predicate)
+        ])
+        models = []
+        for program in (parsed, built, prepared):
+            expected = reference_fact_error(program)
+            outcome = _evaluated(program)
+            if expected is None:
+                models.append(outcome)
+            else:
+                assert outcome == expected, print_program(program)
+                errors.add(expected[0])
+        if len(models) == 3:
+            assert models[0] == models[1] == models[2]
+    assert errors == {ArityMismatchError, SortError, RangeRestrictionError}
 
 
 # ---------------------------------------------------------------------------

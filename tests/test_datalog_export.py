@@ -13,6 +13,7 @@ from claimcheck.datalog import (
 )
 
 from claimcheck.equivalence import build_pairing, equiv_rules
+from claimcheck.errors import ArityMismatchError, ClaimcheckError, SortError
 from claimcheck.facts import load_equiv_bundle_text, load_msan_facts
 from claimcheck.msan import msan_program
 
@@ -109,3 +110,47 @@ def test_exported_rules_derive_what_the_program_derives(tmp_path, name):
     for relation in relations:
         assert imported[relation] == direct[relation]
     assert any(direct[relation] for relation in relations)  # not vacuous
+
+
+def test_nullary_facts_survive_the_round_trip(tmp_path):
+    program = parse_program('q("a"). ok(). r(x) :- q(x), ok().')
+    export_external(program, tmp_path)
+    assert (tmp_path / "ok.facts").read_text() == "\n"
+    back = import_external(tmp_path)
+    assert _fact_set(back) == _fact_set(program)
+    assert evaluate(back)["r"] == {("a",)} == evaluate(program)["r"]
+
+
+def _import_rows(tmp_path, rows: str):
+    (tmp_path / "program.dl").write_text(".decl e(a: symbol, n: number)\n")
+    (tmp_path / "e.facts").write_text(rows)
+    return import_external(tmp_path)
+
+
+def test_import_rejects_a_symbol_in_a_number_column(tmp_path):
+    with pytest.raises(SortError) as info:
+        _import_rows(tmp_path, "x\t1\nx\ty\n")
+    assert str(info.value) == (
+        "e.facts, line 2: argument 2 of 'e' is declared number, found 'y'"
+    )
+
+
+@pytest.mark.parametrize(("rows", "found"), [("x\t1\t2\n", 3), ("x\t1\nx\n", 1), ("\n", 1)])
+def test_import_rejects_a_row_of_the_wrong_arity(tmp_path, rows, found):
+    with pytest.raises(ArityMismatchError) as info:
+        _import_rows(tmp_path, rows)
+    line = rows.count("\n")
+    assert str(info.value) == (
+        f"e.facts, line {line}: predicate 'e' declared with arity 2, used with {found}"
+    )
+
+
+def test_export_rejects_a_symbol_that_no_row_can_hold(tmp_path):
+    for symbol in ("a\tb", "a\nb", "a\rb", "a b"):
+        program = parse_program(f'.decl s(a: symbol)\ns("ok"). s("{symbol}").')
+        with pytest.raises(ClaimcheckError) as info:
+            export_external(program, tmp_path / "out")
+        assert str(info.value) == (
+            f"cannot export s: symbol {symbol!r} holds a tab or a line break"
+        )
+        assert not (tmp_path / "out").exists()
