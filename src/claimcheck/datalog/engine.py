@@ -348,9 +348,10 @@ class RuleSet:
     """Rules, their declarations and their strata, as validated by
     :func:`check_program` or :func:`prepare`.
 
-    ``declarations`` cover every relation the rules name, with all argument
-    sorts settled, so a program the rule set admits only has its facts
-    checked against them when it is evaluated.  Equality is identity.
+    ``declarations``, a read-only snapshot, cover every relation the rules
+    name with all argument sorts settled, so a program the rule set admits
+    only has its facts checked against them when it is evaluated.  Equality
+    is identity.
     """
 
     __slots__ = ("rules", "declarations", "strata", "_join_plans")

@@ -20,7 +20,7 @@ from .parser import parse_program
 
 RULES_FILE = "program.dl"
 FACTS_SUFFIX = ".facts"
-# what splits a row into fields, or a file into lines, when it is read back
+# what splits a row into fields, or a file into lines (``str.splitlines``)
 _SEPARATOR_RE = re.compile(r"[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
@@ -37,12 +37,15 @@ def export_external(program: Program, directory: str | Path) -> Path:
     texts = {}
     for relation, tuples in sorted(by_relation.items()):
         rows = sorted(tuples, key=repr)
-        if _SEPARATOR_RE.search("".join(map(str, chain.from_iterable(rows)))):
+        text = "\n".join("\t".join(map(str, values)) for values in rows) + "\n"
+        # each row is one line, and a row of k > 0 values holds k - 1 tabs
+        tabs = sum(map(len, rows)) - len(rows) + rows.count(())
+        if text.count("\t") != tabs or len(text.splitlines()) != len(rows):
             bad = next(v for v in chain.from_iterable(rows) if _SEPARATOR_RE.search(str(v)))
             raise ClaimcheckError(
                 f"cannot export {relation}: symbol {bad!r} holds a tab or a line break"
             )
-        texts[relation] = "\n".join("\t".join(map(str, values)) for values in rows) + "\n"
+        texts[relation] = text
 
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)

@@ -146,7 +146,7 @@ def test_import_rejects_a_row_of_the_wrong_arity(tmp_path, rows, found):
 
 
 def test_export_rejects_a_symbol_that_no_row_can_hold(tmp_path):
-    for symbol in ("a\tb", "a\nb", "a\rb", "a b"):
+    for symbol in ("a\tb", "a\nb", "a\rb", "a\u2028b", "b\n"):
         program = parse_program(f'.decl s(a: symbol)\ns("ok"). s("{symbol}").')
         with pytest.raises(ClaimcheckError) as info:
             export_external(program, tmp_path / "out")
