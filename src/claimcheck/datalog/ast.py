@@ -125,8 +125,8 @@ class Program(Record):
 
     ``declarations`` maps each relation name to its argument-sort list
     (values from ``SYMBOL``/``NUMBER``).  Validation completes
-    ``declarations`` in place; nothing else in the package mutates a
-    program once it is built.  The facts are held as ``segments``: runs of
+    ``declarations`` and sets ``rule_set`` in place; nothing else in the
+    package mutates a program once it is built.  The facts are held as ``segments``: runs of
     one relation's value tuples, in fact order.  ``facts`` is a new list of
     them as atoms on every read; assigning it regroups the atoms into runs.
     """
