@@ -11,41 +11,16 @@ of a ground atom are therefore exactly its database tuple.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
+
+# The values, the record base and the fact writer live in ``values``, which
+# the fact loaders import without this module; they stay names of this one.
+from .values import NUMBER, SYMBOL, Record, print_declaration, print_fact, print_term
 
 if TYPE_CHECKING:
     from .engine import RuleSet
 
-SYMBOL = "symbol"
-NUMBER = "number"
-
 COMPARISON_OPS = ("<=", ">=", "!=", "<", ">", "=")
-
-
-class Record:
-    """Base of the package's ``__slots__`` records, whose value is the fields
-    named in ``_fields``.  Equality, ``hash`` and ``repr`` take the class
-    into account, so a record never equals a tuple or another class's record.
-    A record that holds a list or a dict is unhashable through it.  Fields
-    are not write-protected: a check would slow down every construction."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self._values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 class Var(Record):
@@ -166,25 +141,6 @@ class Program(Record):
 # ---------------------------------------------------------------------------
 
 
-def _escape_symbol(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def print_term(term: Term) -> str:
-    if type(term) is str:
-        return f'"{_escape_symbol(term)}"'
-    if type(term) is int:
-        return str(term)
-    if isinstance(term, Var):
-        return term.name
-    return "_"
-
-
-def print_fact(predicate: str, values: Iterable[Term]) -> str:
-    """``predicate(v1, ..., vn)``: the one writer of fact and atom text."""
-    return f"{predicate}({', '.join(map(print_term, values))})"
-
-
 def print_atom(atom: Atom) -> str:
     return print_fact(atom.predicate, atom.args)
 
@@ -200,11 +156,6 @@ def print_literal(lit: Literal) -> str:
 def print_rule(rule: Rule) -> str:
     body = ", ".join(print_literal(lit) for lit in rule.body)
     return f"{print_atom(rule.head)} :- {body}."
-
-
-def print_declaration(name: str, sorts: tuple[str, ...]) -> str:
-    args = ", ".join(f"a{i}: {sort}" for i, sort in enumerate(sorts))
-    return f".decl {name}({args})"
 
 
 def print_program(program: Program) -> str:

@@ -22,6 +22,8 @@ RULES_FILE = "program.dl"
 FACTS_SUFFIX = ".facts"
 # what splits a row into fields, or a file into lines (``str.splitlines``)
 _SEPARATOR_RE = re.compile(r"[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+# the parser's number token: no sign but "-", no blanks, no "_"
+_NUMBER_RE = re.compile(r"-?\d+")
 
 
 def export_external(program: Program, directory: str | Path) -> Path:
@@ -58,6 +60,16 @@ def export_external(program: Program, directory: str | Path) -> Path:
     return rules_path
 
 
+def _number(field: str, what: str) -> int:
+    """A number field, read as the parser reads a number token."""
+    if _NUMBER_RE.fullmatch(field):
+        try:
+            return int(field)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise SortError(f"{what} is declared number, found {field!r}")
+
+
 def import_external(directory: str | Path) -> Program:
     """Read back a directory produced by :func:`export_external`: each line
     of a facts file is one row."""
@@ -77,13 +89,7 @@ def import_external(directory: str | Path) -> Program:
                 raise ArityMismatchError(relation, len(sorts), len(fields), where)
             for i, (field, sort) in enumerate(zip(fields, sorts)):
                 if sort == NUMBER:
-                    try:
-                        fields[i] = int(field)
-                    except ValueError:
-                        raise SortError(
-                            f"{where}: argument {i + 1} of {relation!r} is declared "
-                            f"number, found {field!r}"
-                        ) from None
+                    fields[i] = _number(field, f"{where}: argument {i + 1} of {relation!r}")
             rows.append(tuple(fields))
         program.segments.append((relation, rows))
     check_program(program)

@@ -1,0 +1,69 @@
+"""Ground values, the record base class, and the writer of fact text.
+
+This is all that the fact loaders and the direct verifiers need of the
+Datalog layer, so they import it without the rule syntax tree of
+``datalog.ast``, which imports these names back.  A symbol is a ``str``
+and a number an ``int`` that is not a ``bool``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+SYMBOL = "symbol"
+NUMBER = "number"
+
+
+class Record:
+    """Base of the package's ``__slots__`` records, whose value is the fields
+    named in ``_fields``.  Equality, ``hash`` and ``repr`` take the class
+    into account, so a record never equals a tuple or another class's record.
+    A record that holds a list or a dict is unhashable through it.  Fields
+    are not write-protected: a check would slow down every construction."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
+# Pretty printing.  parse(print(p)) reproduces an equivalent program.
+# ---------------------------------------------------------------------------
+
+
+def _escape_symbol(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def print_term(term) -> str:
+    """A constant as Datalog text; a variable (``ast.Var``) prints as its
+    name and the wildcard as ``_``."""
+    if type(term) is str:
+        return f'"{_escape_symbol(term)}"'
+    if type(term) is int:
+        return str(term)
+    return getattr(term, "name", "_")
+
+
+def print_fact(predicate: str, values: Iterable) -> str:
+    """``predicate(v1, ..., vn)``: the one writer of fact and atom text."""
+    return f"{predicate}({', '.join(map(print_term, values))})"
+
+
+def print_declaration(name: str, sorts: tuple[str, ...]) -> str:
+    args = ", ".join(f"a{i}: {sort}" for i, sort in enumerate(sorts))
+    return f".decl {name}({args})"

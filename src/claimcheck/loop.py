@@ -20,18 +20,8 @@ from typing import Protocol
 
 from .datalog.ast import Atom, Record, print_atom
 from .datalog.parser import parse_fact_lines
-from .facts import (
-    CODE1,
-    CODE2,
-    CORRESPONDENCE,
-    CORRESPONDENCE_PREDICATES,
-    EQUIV,
-    MSAN,
-    EquivBundle,
-    MsanFactSet,
-    equiv_bundle_from_atoms,
-    msan_facts_from_atoms,
-)
+from . import facts
+from .facts import CODE1, CODE2, CORRESPONDENCE, EQUIV, MSAN
 from .prompts import render_template
 
 DEFAULT_MAX_ITERS = 5
@@ -113,11 +103,12 @@ class LoopResult(Record):
                 parts.append(print_atom(atom) + ".")
         return "\n".join(parts) + "\n"
 
-    def to_msan_facts(self) -> MsanFactSet:
-        return msan_facts_from_atoms(sorted(self.sections.get("facts", frozenset()), key=print_atom))
+    def to_msan_facts(self) -> facts.MsanFactSet:
+        atoms = self.sections.get("facts", frozenset())
+        return facts.msan_facts_from_atoms(sorted(atoms, key=print_atom))
 
-    def to_equiv_bundle(self) -> EquivBundle:
-        return equiv_bundle_from_atoms(
+    def to_equiv_bundle(self) -> facts.EquivBundle:
+        return facts.equiv_bundle_from_atoms(
             sorted(self.sections.get(CODE1, frozenset()), key=print_atom),
             sorted(self.sections.get(CODE2, frozenset()), key=print_atom),
             sorted(self.sections.get(CORRESPONDENCE, frozenset()), key=print_atom),
@@ -166,7 +157,7 @@ def parse_response(task: str, text: str) -> tuple[dict[str, set[Atom]], list[tup
         failures.extend((idx, reason) for _, reason in line_failures)
         for atom in atoms:
             bare, tagged = _strip_tags(atom)
-            if bare.predicate in CORRESPONDENCE_PREDICATES:
+            if bare.predicate in facts.CORRESPONDENCE_PREDICATES:
                 sections[CORRESPONDENCE].add(bare)
             elif tagged is not None:
                 sections[tagged].add(bare)

@@ -11,20 +11,30 @@ condition.
 
 from __future__ import annotations
 
-from functools import cache
+from importlib import import_module
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .datalog.ast import Program, print_declaration
-from .facts import MSAN_FIELDS, MSAN_SORTS, LintReport, MsanFactSet, lint_msan
-
-if TYPE_CHECKING:
-    from .datalog.engine import RuleSet
+from .facts import LintReport
+from .facts.msan import MsanFactSet, lint_msan
 
 VERIFIED = "Verified"
 DONT_KNOW = "DontKnow"
 
 Site = tuple[str, str, int]  # (variable, file, line)
+
+# The same condition as Datalog rules, loaded on first use (PEP 562).
+_LAZY = {"msan_rules": "msan_datalog", "msan_program": "msan_datalog"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 
 # verify_msan's tie-break order, (file, line, variable), of a site
@@ -109,64 +119,3 @@ def _chain(parent: dict[Site, Optional[Site]], last: Site) -> tuple[Site, ...]:
         site = parent[site]
     chain.reverse()
     return tuple(chain)
-
-
-# Declarations of the vocabulary come from the fact types; only the
-# rule-local relations are written out.  The engine keeps each tuple's
-# first derivation, which has minimal height, so over msan_program's fact
-# order the first satisfied() is verify_msan's witness.  ``reach`` stays
-# first in each satisfied() body: scanned in insertion order, it yields
-# the shallowest site first.
-_RULES_SOURCE = "".join(
-    print_declaration(predicate, sorts) + "\n" for predicate, sorts in MSAN_SORTS.items()
-) + """
-.decl reach(x: symbol, f: symbol, l: number)
-.decl hasMemoryErrorClaim()
-.decl satisfied()
-
-reach(x, f, l) :- uninitialized(x, f, l).
-reach(y, g, m) :- reach(x, f, l), flow(x, f, l, y, g, m).
-
-hasMemoryErrorClaim() :- memoryError(_, _, _, _).
-
-satisfied() :- reach(x, f, l), uses(x, f, l), !hasMemoryErrorClaim().
-satisfied() :- reach(x, f, l), uses(x, f, l), memoryError(_, _, f, l).
-"""
-
-
-@cache  # built on first use, not at import
-def _rule_set() -> RuleSet:
-    from .datalog.engine import prepare
-    from .datalog.parser import parse_program
-
-    return prepare(parse_program(_RULES_SOURCE, validate=False))
-
-
-def msan_rules() -> Program:
-    """The verification condition as a stratified rule set over the vocabulary.
-
-    Evaluating these rules over a fact set derives ``satisfied()`` exactly
-    when :func:`verify_msan` returns Verified, and over the facts of
-    :func:`msan_program` its first derivation is the witness; the two code
-    paths are cross-checked in the test suite.  Each call returns a new
-    program sharing the rules, which are prepared once per process.
-    """
-    return _rule_set().program()
-
-
-# the tie-break order of a flow: its source's, then its destination's
-_SEARCH_ORDER = {"uninitialized": _site_key, "flow": itemgetter(1, 2, 0, 4, 5, 3)}
-
-
-def msan_program(fs: MsanFactSet) -> Program:
-    """Rules plus the fact set, one segment of the container's facts per
-    relation, ready for evaluation or export.
-
-    The engine scans a relation in insertion order, so the ``uninitialized``
-    and ``flow`` facts come in :func:`verify_msan`'s tie-break order; the
-    others are sorted.
-    """
-    return _rule_set().program([
-        (predicate, sorted(getattr(fs, name), key=_SEARCH_ORDER.get(name)))
-        for name, predicate, _ in MSAN_FIELDS
-    ])

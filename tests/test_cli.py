@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,69 @@ def test_reports_are_stable_across_runs(capsys):
 
 
 # ---------------------------------------------------------------------------
+# help and usage: argparse's layout differs between Python versions, so the
+# tests look for names and messages, never for whole lines
+# ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "verify-msan": ("verify an uninitialized-value fact file", ["facts", "--pretty", "--json"]),
+    "verify-equiv": ("verify a two-program fact bundle",
+                     ["bundle", "--code1", "--code2", "--correspondence", "--pretty", "--json"]),
+    "lint": ("run the well-formedness checks only",
+             ["--task", "input", "--code1", "--code2", "--correspondence", "--pretty", "--json"]),
+    "extract": ("extract ground-truth facts from toy programs",
+                ["toy", "toy2", "--task", "--uninit", "--var-map", "--file-name", "-o",
+                 "--output"]),
+    "formalize": ("run the iterative fact-acquisition loop",
+                  ["snippets", "--task", "--source", "--iters", "--withhold", "--seed",
+                   "--ground-truth", "--url", "--verify", "-o", "--output", "--pretty",
+                   "--json"]),
+    "export": ("write solver-dialect rules and fact files", ["input", "--task", "-o", "--output"]),
+    "corpus": ("verify a manifest of fixtures", ["manifest", "--pretty", "--json"]),
+}
+
+
+def _exit_output(capsys, monkeypatch, *argv) -> tuple[int, str, str]:
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapped help lines
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_help_lists_every_command_with_its_help(capsys, monkeypatch):
+    code, out, _ = _exit_output(capsys, monkeypatch, "--help")
+    assert code == 0
+    words = " ".join(out.split())
+    for name, (help_text, _) in _COMMANDS.items():
+        assert f" {name} {help_text}" in words, name
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_help_names_each_option(capsys, monkeypatch, command):
+    code, out, _ = _exit_output(capsys, monkeypatch, command, "--help")
+    assert code == 0
+    assert f"usage: claimcheck {command}" in out
+    names = set(re.findall(r"[\w-]+", out))
+    assert [name for name in _COMMANDS[command][1] if name not in names] == []
+
+
+def test_unknown_command_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = _exit_output(capsys, monkeypatch, "bogus", "x")
+    assert code == 2 and out == ""
+    assert "usage: claimcheck" in err and "invalid choice: 'bogus'" in err
+
+
+def test_lint_without_task_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = _exit_output(
+        capsys, monkeypatch, "lint", f"{FIXTURES}/msan/audio_buffer_trace.facts"
+    )
+    assert code == 2 and out == ""
+    assert "usage: claimcheck lint" in err
+    assert "the following arguments are required: --task" in err
+
+
+# ---------------------------------------------------------------------------
 # imports: a launch loads only the modules its command runs
 # ---------------------------------------------------------------------------
 
@@ -170,37 +234,57 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 # dataclasses, with the inspect it imports, costs every launch about 10 ms.
 _NEVER = {"dataclasses", "inspect"}
 _NETWORK = {"urllib.request", "ssl", "concurrent.futures"}
-# The fact scan reads every fixture, so no verify command loads the parser.
+# The fact scan reads every fixture, so no verify command loads the parser,
+# the syntax tree of rules, or the checks on atoms behind the parser; and
+# none runs the rules that state each condition in Datalog.
 _NOT_FOR_VERIFY = _NEVER | _NETWORK | {
     "claimcheck.loop",
     "claimcheck.toy",
+    "claimcheck.datalog.ast",
     "claimcheck.datalog.engine",
     "claimcheck.datalog.export",
     "claimcheck.datalog.parser",
+    "claimcheck.facts.atoms",
+    "claimcheck.msan_datalog",
+    "claimcheck.equiv_datalog",
 }
+# verify-msan, verify-equiv and lint compile none of the other commands.
+_NOT_FOR_CHECKS = _NOT_FOR_VERIFY | {"claimcheck.commands"}
+_NOT_FOR_MSAN = {"claimcheck.equivalence", "claimcheck.facts.equiv"}
+_NOT_FOR_EQUIV = {"claimcheck.msan", "claimcheck.facts.msan"}
+_BUNDLE = f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"
 
 
 @pytest.mark.parametrize("argv, needed, forbidden", [
     (["verify-msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
-     "claimcheck.msan", _NOT_FOR_VERIFY | {"claimcheck.equivalence"}),
-    (["verify-equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"],
-     "claimcheck.equivalence", _NOT_FOR_VERIFY | {"claimcheck.msan"}),
-    (["lint", "--task", "equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"],
-     "claimcheck.facts", _NOT_FOR_VERIFY | {"claimcheck.msan", "claimcheck.equivalence"}),
+     "claimcheck.msan", _NOT_FOR_CHECKS | _NOT_FOR_MSAN),
+    (["verify-equiv", _BUNDLE], "claimcheck.equivalence", _NOT_FOR_CHECKS | _NOT_FOR_EQUIV),
+    (["verify-equiv", "--code1", "{tmp}/code1", "--code2", "{tmp}/code2",
+      "--correspondence", "{tmp}/correspondence"],
+     "claimcheck.equivalence", _NOT_FOR_CHECKS | _NOT_FOR_EQUIV),
+    (["lint", "--task", "equiv", _BUNDLE],
+     "claimcheck.facts.equiv", _NOT_FOR_CHECKS | _NOT_FOR_EQUIV | {"claimcheck.equivalence"}),
+    (["lint", "--task", "msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
+     "claimcheck.facts.msan", _NOT_FOR_CHECKS | _NOT_FOR_MSAN | {"claimcheck.msan"}),
     (["corpus", f"{FIXTURES}/corpus.json"], "claimcheck.equivalence", _NOT_FOR_VERIFY),
-    (["export", "--task", "equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle", "-o", "{tmp}"],
+    (["export", "--task", "equiv", _BUNDLE, "-o", "{tmp}/out"],
      "claimcheck.datalog.export",
      _NEVER | _NETWORK | {"claimcheck.loop", "claimcheck.toy", "claimcheck.msan"}),
     (["formalize", f"{FIXTURES}/msan/audio_buffer_trace.facts", "--task", "msan",
       "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
      "claimcheck.loop",
-     _NEVER | _NETWORK | {"claimcheck.toy", "importlib.resources", "logging"}),
-], ids=["verify-msan", "verify-equiv", "lint", "corpus", "export", "formalize"])
+     _NEVER | _NETWORK | _NOT_FOR_MSAN | {"claimcheck.toy", "importlib.resources", "logging"}),
+], ids=["verify-msan", "verify-equiv", "verify-equiv-sections", "lint-equiv", "lint-msan",
+        "corpus", "export", "formalize"])
 def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
+    text = Path(_BUNDLE).read_text(encoding="utf-8")
+    sections = dict(zip(("code1", "code2", "correspondence"), re.split(r"=== \w+ ===\n", text)[1:]))
+    for name, section in sections.items():
+        (tmp_path / name).write_text(section, encoding="utf-8")
     # -S: no .pth file of the host may load a module before the command does
     run = subprocess.run(
         [sys.executable, "-S", "-c", _NEW_MODULES_SCRIPT,
-         *(arg.format(tmp=tmp_path / "out") for arg in argv)],
+         *(arg.format(tmp=tmp_path) for arg in argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr

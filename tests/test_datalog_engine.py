@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import equivalence, msan
+from claimcheck import equiv_datalog, msan_datalog
 from claimcheck.cli import main
 from claimcheck.datalog import (
     Atom,
@@ -516,7 +516,7 @@ def test_prepare_rejects_sorts_left_to_facts():
 
 def test_prepared_rules_generate_their_plans_once(monkeypatch, tmp_path, fixtures_dir):
     # fresh rule sets, so that evaluations earlier in this process do not count
-    for module in (msan, equivalence):
+    for module in (msan_datalog, equiv_datalog):
         monkeypatch.setattr(module, "_rule_set", functools.cache(module._rule_set.__wrapped__))
     generated, checked = [], []
     plan, check_program = engine._plan, engine.check_program

@@ -135,6 +135,20 @@ def test_import_rejects_a_symbol_in_a_number_column(tmp_path):
     )
 
 
+@pytest.mark.parametrize("field", ["1_000", " 7", "7 ", "+7"])
+def test_import_reads_a_number_only_as_the_parser_does(tmp_path, field):
+    # int() accepts each of these, but the parser's number token -?\d+ does not
+    with pytest.raises(SortError) as info:
+        _import_rows(tmp_path, f"x\t1\nx\t{field}\n")
+    assert str(info.value) == (
+        f"e.facts, line 2: argument 2 of 'e' is declared number, found {field!r}"
+    )
+
+
+def test_import_reads_negative_and_plain_numbers(tmp_path):
+    assert _import_rows(tmp_path, "x\t-3\ny\t42\n").segments == [("e", [("x", -3), ("y", 42)])]
+
+
 @pytest.mark.parametrize(("rows", "found"), [("x\t1\t2\n", 3), ("x\t1\nx\n", 1), ("\n", 1)])
 def test_import_rejects_a_row_of_the_wrong_arity(tmp_path, rows, found):
     with pytest.raises(ArityMismatchError) as info:

@@ -9,20 +9,33 @@
   used.
 - one long chain: an n-step flow chain from one uninitialized site to one
   use, checked on the rules path (build, evaluate, explain the witness).
+- the parser fallback: the text of a chain of n steps, and of a toy self
+  pair of n definitions, each with one escaped symbol, loaded.
 
 Going from n to 8n, each direct check must grow about linearly in time and
 each rules program linearly in input facts and derived tuples, and the
 witness derivation linearly in nodes.
 """
 
+import random
 import time
+
+import pytest
 
 from claimcheck.datalog import Atom, evaluate, explain
 from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
-from claimcheck.facts import FlowFact, MsanFactSet, SiteFact, load_equiv_bundle
+from claimcheck.facts import (
+    FlowFact,
+    MsanFactSet,
+    SiteFact,
+    load_equiv_bundle,
+    load_equiv_bundle_text,
+    load_msan_facts,
+)
 from claimcheck.msan import VERIFIED, msan_program, verify_msan
+from claimcheck.toy import extract_equiv_facts, normalize
 
-from generators import many_sources_chain
+from generators import many_sources_chain, random_toy
 
 N = 100
 # per function: 49 input facts (13 per side, 23 of pairing), 8 derived tuples
@@ -136,4 +149,39 @@ def test_msan_rules_witness_grows_linearly_in_chain_length():
         times.append(best)
         assert sum(leaf.predicate == "flow" for leaf in witness.leaves()) == steps
         assert _nodes(witness) <= NODES_PER_STEP * steps
+    assert times[1] / times[0] < 24
+
+
+# One escaped symbol sends the whole text through the Datalog parser and
+# the checks on atoms: the fact scan reads no escapes.
+ESCAPED = SiteFact('esc"aped', "chain.c", 0)
+CHAIN_STEPS = 250
+TOY_DEFINITIONS = 40
+
+
+def _chain_text(steps):
+    return _single_source_chain(steps).render() + 'uses("esc\\"aped", "chain.c", 0).\n'
+
+
+def _toy_text(definitions):
+    rng = random.Random(definitions)
+    program = normalize(random_toy(rng, n_free=2, n_defs=definitions))
+    text = extract_equiv_facts(program, program).render()
+    return text.replace("=== code2 ===", 'use("esc\\"aped", "chain.c", 0).\n=== code2 ===')
+
+
+@pytest.mark.parametrize("load, text_of, n, uses", [
+    (load_msan_facts, _chain_text, CHAIN_STEPS, lambda facts: facts.uses),
+    (load_equiv_bundle_text, _toy_text, TOY_DEFINITIONS, lambda bundle: bundle.code1.uses),
+], ids=["msan-chain", "toy-bundle"])
+def test_parser_fallback_load_grows_about_linearly(load, text_of, n, uses):
+    times = []
+    for text in (text_of(n), text_of(8 * n)):
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            loaded = load(text)
+            best = min(best, time.perf_counter() - started)
+        assert ESCAPED in uses(loaded)
+        times.append(best)
     assert times[1] / times[0] < 24
