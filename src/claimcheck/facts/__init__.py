@@ -41,7 +41,7 @@ fact scan.  Each vocabulary is a section of its own, ``facts.msan`` and
 ``facts.equiv``, and the checks on atoms are ``facts.atoms``; each loads on
 first use of one of its names through this module (PEP 562), so a command
 compiles only its own vocabulary.  Every name imports from
-``claimcheck.facts`` as before.
+``claimcheck.facts``.
 """
 
 import re
@@ -63,12 +63,11 @@ _LAZY = {
     for section, names in (
         ("msan", "InitFact MemoryErrorFact MSAN_FIELDS MsanFactSet MSAN_SORTS "
                  "MSAN_PREDICATES _norm_path load_msan_facts lint_msan"),
-        ("equiv", "ControlDepFact CondExprFact UnaryFact "
-                  "BinaryFact EntryFact ExitFact VarMapFact EntryMapFact ExitMapFact "
-                  "SIDE_FIELDS CORRESPONDENCE_FIELDS EquivSide EquivBundle SIDE_SORTS "
-                  "CORRESPONDENCE_SORTS SIDE_PREDICATES CORRESPONDENCE_PREDICATES "
-                  "_ABBREVIATED entry_files load_equiv_bundle split_bundle_sections "
-                  "load_equiv_bundle_text lint_equiv"),
+        ("equiv", "ControlDepFact CondExprFact UnaryFact BinaryFact EntryFact ExitFact "
+                  "VarMapFact EntryMapFact ExitMapFact SIDE_FIELDS CORRESPONDENCE_FIELDS "
+                  "EquivSide EquivBundle SIDE_SORTS CORRESPONDENCE_SORTS SIDE_PREDICATES "
+                  "CORRESPONDENCE_PREDICATES _ABBREVIATED entry_files load_equiv_bundle "
+                  "split_bundle_sections load_equiv_bundle_text lint_equiv"),
         ("atoms", "msan_facts_from_atoms equiv_bundle_from_atoms"),
     )
     for name in names.split()

@@ -274,8 +274,8 @@ _BUNDLE = f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"
       "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
      "claimcheck.loop",
      _NEVER | _NETWORK | _NOT_FOR_MSAN | {"claimcheck.toy", "importlib.resources", "logging"}),
-], ids=["verify-msan", "verify-equiv", "verify-equiv-sections", "lint-equiv", "lint-msan",
-        "corpus", "export", "formalize"])
+], ids=["verify-msan", "verify-equiv", "verify-equiv-sections", "lint", "lint-msan", "corpus",
+        "export", "formalize"])
 def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
     text = Path(_BUNDLE).read_text(encoding="utf-8")
     sections = dict(zip(("code1", "code2", "correspondence"), re.split(r"=== \w+ ===\n", text)[1:]))
