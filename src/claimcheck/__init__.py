@@ -19,14 +19,33 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+def _lazy_names(namespace: dict, table: dict[str, str]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module whose
+    globals are ``namespace``: each name in ``table`` is read from the
+    module ``table[name]`` relative to that module's package, imported on
+    first use.  Every module of the package with such a table uses this."""
+    module, package = namespace["__name__"], namespace["__package__"]
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f".{table[name]}", package), name)
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
 # public name -> submodule that defines it
 _LAZY = {
     "http_source": "loop",
-    "lint_equiv": "facts",
-    "lint_msan": "facts",
-    "load_equiv_bundle": "facts",
-    "load_equiv_bundle_text": "facts",
-    "load_msan_facts": "facts",
+    "lint_equiv": "facts.equiv",
+    "lint_msan": "facts.msan",
+    "load_equiv_bundle": "facts.equiv",
+    "load_equiv_bundle_text": "facts.equiv",
+    "load_msan_facts": "facts.msan",
     "mock_source": "loop",
     "run_loop": "loop",
     "verify_equiv": "equivalence",
@@ -35,12 +54,4 @@ _LAZY = {
 
 __all__ = ["__version__", *_LAZY]
 
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 
-from . import __version__
+from . import __version__, _lazy_names
 from .check import cmd_check
 from .facts import EQUIV, MSAN
 
@@ -34,15 +33,11 @@ _LAZY = {
     "cmd_formalize": "commands",
 }
 
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)
+
 # The commands that ``check.cmd_check`` runs; each other one runs
 # ``commands.cmd_<name>``.
 _CHECKS = ("verify-msan", "verify-equiv", "lint")
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
 
 
 def _add_pretty(p) -> None:
@@ -149,7 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     if args.command in _CHECKS:
         return cmd_check(args)
-    return getattr(import_module(".commands", __package__), "cmd_" + args.command)(args)
+    from . import commands
+
+    return getattr(commands, "cmd_" + args.command)(args)
 
 
 if __name__ == "__main__":

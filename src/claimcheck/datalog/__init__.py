@@ -4,7 +4,7 @@ Each public name loads its submodule on first access (PEP 562), so a
 caller that only parses facts never imports the evaluator or the export.
 """
 
-from importlib import import_module
+from .. import _lazy_names
 
 # public name -> submodule that defines it
 _LAZY = {
@@ -40,12 +40,4 @@ _LAZY = {
 
 __all__ = list(_LAZY)
 
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)

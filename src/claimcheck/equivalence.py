@@ -18,9 +18,9 @@ only.  The same diff is also emitted as a stratified Datalog program
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Hashable, Iterable, NamedTuple
 
+from . import _lazy_names
 from .datalog.values import Record
 from .errors import ConflictingVarMapError
 from .facts import FlowFact, LintReport, SiteFact, fact_text
@@ -34,16 +34,7 @@ Site = tuple[str, int]
 
 # The same diff as Datalog rules, loaded on first use (PEP 562).
 _LAZY = {"equiv_rules": "equiv_datalog"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)
 
 
 def _is_entry_cond(cond: str) -> bool:

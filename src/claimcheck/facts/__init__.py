@@ -46,9 +46,9 @@ compiles only its own vocabulary.  Every name imports from
 
 import re
 from functools import cache
-from importlib import import_module
 from typing import Callable, Iterable, NamedTuple
 
+from .. import _lazy_names
 from ..datalog.values import NUMBER, SYMBOL, Record, print_fact
 
 DEFAULT_FILE = "main.cpp"
@@ -72,16 +72,7 @@ _LAZY = {
     )
     for name in names.split()
 }
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)
 
 
 def fact_text(predicate: str, fact) -> str:

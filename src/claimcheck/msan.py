@@ -11,10 +11,10 @@ condition.
 
 from __future__ import annotations
 
-from importlib import import_module
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
+from . import _lazy_names
 from .facts import LintReport
 from .facts.msan import MsanFactSet, lint_msan
 
@@ -25,16 +25,7 @@ Site = tuple[str, str, int]  # (variable, file, line)
 
 # The same condition as Datalog rules, loaded on first use (PEP 562).
 _LAZY = {"msan_rules": "msan_datalog", "msan_program": "msan_datalog"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_names(globals(), _LAZY)
 
 
 # verify_msan's tie-break order, (file, line, variable), of a site
