@@ -18,22 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, _lazy_names
+from . import __version__
 from .check import cmd_check
 from .facts import EQUIV, MSAN
-
-# names of this module that other modules define, loaded on first use (PEP 562)
-_LAZY = {
-    "OK": "check",
-    "NOT_PROVEN": "check",
-    "USAGE_ERROR": "check",
-    "cmd_corpus": "commands",
-    "cmd_export": "commands",
-    "cmd_extract": "commands",
-    "cmd_formalize": "commands",
-}
-
-__getattr__, __dir__ = _lazy_names(globals(), _LAZY)
 
 # The commands that ``check.cmd_check`` runs; each other one runs
 # ``commands.cmd_<name>``.

@@ -379,6 +379,41 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                         repr(f),
                     )
                 )
+    # Function, control-dependence and constant facts are compared only at
+    # def sites, so one that no def anchors is a claim nothing checks.
+    anchored = {(f.file, f.line) for f in side.defs} | {
+        (f.file, f.line) for f in side.cond_with_expr
+    }
+    operator_facts = (("unaryFun", side.unary), ("binaryFun", side.binary))
+    for predicate, facts in operator_facts:
+        for f in sorted(facts):
+            if (f.file, f.line) not in anchored:
+                report.errors.append(
+                    LintIssue(
+                        "operator-without-def",
+                        f"{tag}: {predicate} at {f.file}:{f.line} has no def "
+                        "and no condWithExpr at that site",
+                        repr(f),
+                    )
+                )
+    for f in sorted(side.controldeps):
+        if SiteFact(f.var, f.file, f.line) not in side.defs:
+            report.errors.append(
+                LintIssue(
+                    "controldep-without-def",
+                    f"{tag}: controldep of {f.var!r} at {f.file}:{f.line} has "
+                    "no def of that variable at that site",
+                    repr(f),
+                )
+            )
+    for name in sorted(side.constants - defined_vars):
+        report.errors.append(
+            LintIssue(
+                "constant-without-def",
+                f"{tag}: isConstantValue({name!r}) has no def of that name",
+                repr(name),
+            )
+        )
     for f in sorted(side.uses):
         if f.var in defined_vars or f.var in flows_into_var:
             continue

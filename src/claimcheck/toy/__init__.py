@@ -3,11 +3,9 @@
 from .extract import extract_equiv_facts, extract_msan_facts
 from .interp import (
     ExecState,
-    TaintState,
     interpret,
     mix,
     oracle_equiv,
-    taint_interpret,
     taint_reaches_output,
     VALUE_DOMAIN,
 )
@@ -15,7 +13,6 @@ from .lang import ToyProgram, normalize, parse_toy, render_toy
 
 __all__ = [
     "ExecState",
-    "TaintState",
     "ToyProgram",
     "VALUE_DOMAIN",
     "extract_equiv_facts",
@@ -26,6 +23,5 @@ __all__ = [
     "oracle_equiv",
     "parse_toy",
     "render_toy",
-    "taint_interpret",
     "taint_reaches_output",
 ]

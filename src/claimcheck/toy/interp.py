@@ -1,4 +1,9 @@
-"""Concrete execution, taint execution, and the brute-force equivalence oracle.
+"""Concrete execution with taint bits, and the brute-force oracles.
+
+One interpreter, :func:`interpret`, serves both oracles: it computes every
+variable's value, and with it a taint bit that says whether a value marked
+as garbage flows into it.  :func:`oracle_equiv` compares the values and
+:func:`taint_reaches_output` reads the taint of what is output.
 
 Every operator and call is uninterpreted: applying ``op`` to argument
 values yields ``mix(op, values)``, a fixed hash-based mixing function that
@@ -49,76 +54,11 @@ def mix(op: str, values: list[int]) -> int:
 @dataclass
 class ExecState:
     env: dict[str, int] = field(default_factory=dict)
+    taint: dict[str, bool] = field(default_factory=dict)
     outputs: list[int] = field(default_factory=list)
+    tainted_output: bool = False  # some output read a tainted value
     exit_line: int = 0
     exit_ordinal: int = -1  # index of the return taken; -1 = fell through
-
-
-def interpret(program: ToyProgram, inputs: dict[str, int]) -> ExecState:
-    for var in sorted(program.free_vars):
-        if var not in inputs:
-            raise MissingInputError(var)
-    state = ExecState()
-    env = state.env
-
-    def value(operand: Operand) -> int:
-        if isinstance(operand, int):
-            return operand
-        return env.get(operand, 0)
-
-    def eval_expr(expr: Expr) -> int:
-        if isinstance(expr, ELit):
-            return expr.value
-        if isinstance(expr, EVar):
-            return env.get(expr.name, 0)
-        return mix(expr.op, [eval_expr(a) for a in expr.args])
-
-    guards: list[bool] = []
-    return_ordinal = -1
-    for stmt in program.statements:
-        if isinstance(stmt, Return):
-            return_ordinal += 1
-        live = all(guards)
-        if isinstance(stmt, GuardOpen):
-            taken = live and (bool(value(stmt.var)) != stmt.negated)
-            guards.append(taken)
-            continue
-        if isinstance(stmt, GuardClose):
-            guards.pop()
-            continue
-        if not live:
-            continue
-        if isinstance(stmt, FreeDecl):
-            env[stmt.var] = inputs[stmt.var]
-        elif isinstance(stmt, ConstDef):
-            env[stmt.var] = stmt.value
-        elif isinstance(stmt, CopyDef):
-            env[stmt.var] = value(stmt.src)
-        elif isinstance(stmt, UnaryDef):
-            env[stmt.var] = mix(stmt.op, [value(stmt.operand)])
-        elif isinstance(stmt, BinaryDef):
-            env[stmt.var] = mix(stmt.op, [value(stmt.left), value(stmt.right)])
-        elif isinstance(stmt, ExprDef):
-            env[stmt.var] = eval_expr(stmt.expr)
-        elif isinstance(stmt, Output):
-            state.outputs.append(value(stmt.var))
-        elif isinstance(stmt, Return):
-            state.exit_line = stmt.line
-            state.exit_ordinal = return_ordinal
-            return state
-    state.exit_line = program.line_count + 1
-    return state
-
-
-@dataclass
-class TaintState:
-    env: dict[str, int] = field(default_factory=dict)
-    taint: dict[str, bool] = field(default_factory=dict)
-    outputs: list[tuple[int, bool]] = field(default_factory=list)
-
-    @property
-    def tainted_output(self) -> bool:
-        return any(tainted for _, tainted in self.outputs)
 
 
 def first_def_sites(program: ToyProgram) -> dict[str, int]:
@@ -132,77 +72,103 @@ def first_def_sites(program: ToyProgram) -> dict[str, int]:
     return sites
 
 
-def taint_interpret(
-    program: ToyProgram, inputs: dict[str, int], marked: frozenset[str] | set[str]
-) -> TaintState:
-    """Concrete execution with data-taint bits.
+def interpret(
+    program: ToyProgram,
+    inputs: dict[str, int],
+    marked: frozenset[str] | set[str] = frozenset(),
+) -> ExecState:
+    """Concrete execution, with a taint bit per value.
 
-    A marked variable's textually first declaration or definition seeds the
-    taint (the claim is that its value there is garbage, whatever the code
-    assigns); taint then propagates through copies and applications.
+    A free variable is tainted iff it is marked.  Any other definition is
+    tainted when it is a marked variable's textually first declaration or
+    definition (the claim is that its value there is garbage, whatever the
+    code assigns); taint then propagates through copies and applications,
+    and a constant is clean unless seeded.
     """
-    state = TaintState()
+    for var in sorted(program.free_vars):
+        if var not in inputs:
+            raise MissingInputError(var)
+    state = ExecState()
     env, taint = state.env, state.taint
-    first_site = first_def_sites(program)
+    first_site = first_def_sites(program) if marked else {}  # read only to seed
 
     def value(operand: Operand) -> tuple[int, bool]:
         if isinstance(operand, int):
             return operand, False
         return env.get(operand, 0), taint.get(operand, False)
 
-    def seeds(stmt) -> bool:
-        return stmt.var in marked and stmt.line == first_site.get(stmt.var)
+    def eval_expr(expr: Expr) -> tuple[int, bool]:
+        if isinstance(expr, ELit):
+            return expr.value, False
+        if isinstance(expr, EVar):
+            return value(expr.name)
+        args = [eval_expr(a) for a in expr.args]
+        return mix(expr.op, [v for v, _ in args]), any(t for _, t in args)
 
     guards: list[bool] = []
+    return_ordinal = -1
     for stmt in program.statements:
+        if isinstance(stmt, Return):
+            return_ordinal += 1
         live = all(guards)
         if isinstance(stmt, GuardOpen):
-            guards.append(live and (bool(value(stmt.var)[0]) != stmt.negated))
+            taken = live and (bool(value(stmt.var)[0]) != stmt.negated)
+            guards.append(taken)
             continue
         if isinstance(stmt, GuardClose):
             guards.pop()
             continue
         if not live:
             continue
+        if isinstance(stmt, Output):
+            v, t = value(stmt.var)
+            state.outputs.append(v)
+            state.tainted_output |= t
+            continue
+        if isinstance(stmt, Return):
+            state.exit_line = stmt.line
+            state.exit_ordinal = return_ordinal
+            return state
         if isinstance(stmt, FreeDecl):
-            env[stmt.var] = inputs[stmt.var]
-            taint[stmt.var] = stmt.var in marked
-        elif isinstance(stmt, ConstDef):
-            env[stmt.var] = stmt.value
-            taint[stmt.var] = seeds(stmt)
+            env[stmt.var], taint[stmt.var] = inputs[stmt.var], stmt.var in marked
+            continue
+        if isinstance(stmt, ConstDef):
+            v, t = stmt.value, False
         elif isinstance(stmt, CopyDef):
-            env[stmt.var], src_taint = value(stmt.src)
-            taint[stmt.var] = seeds(stmt) or src_taint
+            v, t = value(stmt.src)
         elif isinstance(stmt, UnaryDef):
             v, t = value(stmt.operand)
-            env[stmt.var] = mix(stmt.op, [v])
-            taint[stmt.var] = seeds(stmt) or t
+            v = mix(stmt.op, [v])
         elif isinstance(stmt, BinaryDef):
             (lv, lt), (rv, rt) = value(stmt.left), value(stmt.right)
-            env[stmt.var] = mix(stmt.op, [lv, rv])
-            taint[stmt.var] = seeds(stmt) or lt or rt
-        elif isinstance(stmt, Output):
-            state.outputs.append(value(stmt.var))
-        elif isinstance(stmt, Return):
-            return state
+            v, t = mix(stmt.op, [lv, rv]), lt or rt
+        else:
+            v, t = eval_expr(stmt.expr)
+        env[stmt.var] = v
+        taint[stmt.var] = t or (
+            stmt.var in marked and stmt.line == first_site.get(stmt.var)
+        )
+    state.exit_line = program.line_count + 1
     return state
 
 
 def _assignments(names: list[str]):
-    for values in itertools.product(VALUE_DOMAIN, repeat=len(names)):
-        yield dict(zip(names, values))
+    """Every input assignment to ``names``, within the enumeration limit."""
+    if len(names) > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} free variables")
+    return (
+        dict(zip(names, values))
+        for values in itertools.product(VALUE_DOMAIN, repeat=len(names))
+    )
 
 
 def taint_reaches_output(
     program: ToyProgram, marked: frozenset[str] | set[str]
 ) -> bool:
     """True when some input assignment drives a marked value into an output."""
-    names = sorted(program.free_vars)
-    if len(names) > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} free variables")
     return any(
-        taint_interpret(program, assignment, marked).tainted_output
-        for assignment in _assignments(names)
+        interpret(program, assignment, marked).tainted_output
+        for assignment in _assignments(sorted(program.free_vars))
     )
 
 
@@ -220,8 +186,6 @@ def oracle_equiv(
     """
     pairing = dict(var_pairing or {})
     free1 = sorted(program1.free_vars)
-    if len(free1) > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} free variables")
     image = {pairing.get(v, v) for v in free1}
     if image != set(program2.free_vars):
         raise ValueError("free variables of the two programs do not correspond")

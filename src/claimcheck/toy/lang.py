@@ -12,7 +12,9 @@ line arguments of extracted facts.  Statements:
 
 Expressions combine integer literals, variables, calls ``f(a)``/``f(a, b)``
 and the infix operators ``|| && == != < <= > >= + - *`` with the usual
-precedence.  The normalized form allows at most one operator per
+precedence.  An expression nests at most ``MAX_EXPR_DEPTH`` (64) levels of
+operators, calls and parentheses; a deeper one is a ``ToySyntaxError`` on
+its line.  The normalized form allows at most one operator per
 statement; :func:`normalize` rewrites nested expressions through fresh
 temporaries.  ``!`` is guard syntax only, not an expression operator.
 """
@@ -157,6 +159,27 @@ _TOKEN_RE = re.compile(
 
 _BINARY_LEVELS = [("||",), ("&&",), ("==", "!=", "<", "<=", ">", ">="), ("+", "-"), ("*",)]
 
+# Levels of operators, calls and parentheses one expression may nest.  The
+# parser, the normalizer and the interpreter each recurse once per level,
+# so the bound keeps all of them far from Python's recursion limit.
+MAX_EXPR_DEPTH = 64
+
+
+def _too_deep(line: int) -> ToySyntaxError:
+    return ToySyntaxError(line, f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+
+
+def _depth(expr: Expr) -> int:
+    """Levels of calls and operators above the deepest leaf, found without
+    recursion."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        e, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(e, ECall):
+            stack.extend((a, depth + 1) for a in e.args)
+    return deepest
+
 
 class _ExprParser:
     def __init__(self, text: str, line: int):
@@ -172,6 +195,12 @@ class _ExprParser:
             self.tokens.append(m.group("num") or m.group("ident") or m.group("op"))
             pos = m.end()
         self.pos = 0
+        self.nesting = 0  # open groups, calls and negations
+
+    def nest(self, step: int) -> None:
+        self.nesting += step
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise _too_deep(self.line)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -187,6 +216,8 @@ class _ExprParser:
         expr = self.parse_level(0)
         if self.peek() is not None:
             raise ToySyntaxError(self.line, f"trailing tokens near {self.peek()!r}")
+        if _depth(expr) > MAX_EXPR_DEPTH:
+            raise _too_deep(self.line)
         return expr
 
     def parse_level(self, level: int) -> Expr:
@@ -203,7 +234,10 @@ class _ExprParser:
         tok = self.peek()
         if tok == "-":
             self.next()
-            return ECall("-", (self.parse_unary(),))
+            self.nest(1)
+            operand = self.parse_unary()
+            self.nest(-1)
+            return ECall("-", (operand,))
         if tok == "!":
             raise ToySyntaxError(self.line, "'!' is only allowed in guards")
         return self.parse_primary()
@@ -211,15 +245,18 @@ class _ExprParser:
     def parse_primary(self) -> Expr:
         tok = self.next()
         if tok == "(":
+            self.nest(1)
             inner = self.parse_level(0)
             if self.next() != ")":
                 raise ToySyntaxError(self.line, "missing ')'")
+            self.nest(-1)
             return inner
         if tok.isdigit():
             return ELit(int(tok))
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", tok):
             if self.peek() == "(":
                 self.next()
+                self.nest(1)
                 args = []
                 if self.peek() != ")":
                     args.append(self.parse_level(0))
@@ -228,6 +265,7 @@ class _ExprParser:
                         args.append(self.parse_level(0))
                 if self.next() != ")":
                     raise ToySyntaxError(self.line, "missing ')' after call")
+                self.nest(-1)
                 if len(args) not in (1, 2):
                     raise ToySyntaxError(
                         self.line, f"{tok}() takes one or two arguments"

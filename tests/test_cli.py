@@ -379,6 +379,35 @@ def test_extract_var_map_entries_are_stripped(capsys):
     assert 'varMap("a", "main.cpp", 1, "b", "main.cpp", 2).' in out
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "a" + ")" * 400,
+    "-" * 3000 + "a",
+    " + ".join(["a"] * 3000),
+], ids=["parentheses", "negations", "sum"])
+def test_extract_rejects_an_expression_nested_too_deep(capsys, tmp_path, expr):
+    toy = tmp_path / "deep.toy"
+    toy.write_text(f"int a;\nint b = {expr};\noutput(b);\n")
+    code = main(["extract", str(toy), "--task", "msan", "--uninit", "a"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: expression nested deeper than 64 levels\n"
+    )
+
+
+def test_extract_accepts_an_expression_64_levels_deep(capsys, tmp_path):
+    expr = "a"
+    for _ in range(64):
+        expr = f"f({expr})"
+    toy, facts = tmp_path / "deep.toy", tmp_path / "deep.facts"
+    toy.write_text(f"int a;\nint b = {expr};\noutput(b);\n")
+    code, _ = run(
+        capsys, "extract", str(toy), "--task", "msan", "--uninit", "a", "-o", str(facts)
+    )
+    assert code == 0
+    code, report = run_json(capsys, "verify-msan", str(facts))
+    assert code == 0 and report["verdict"] == "Verified"
+
+
 def test_lint_equiv_accepts_positional_bundle(capsys):
     code, report = run_json(
         capsys, "lint", "--task", "equiv",

@@ -29,6 +29,7 @@ from claimcheck.facts import (
     ExitFact,
     ExitMapFact,
     FlowFact,
+    SIDE_FIELDS,
     SiteFact,
     UnaryFact,
     VarMapFact,
@@ -36,7 +37,7 @@ from claimcheck.facts import (
     load_equiv_bundle,
     load_equiv_bundle_text,
 )
-from claimcheck.toy import extract_equiv_facts, normalize
+from claimcheck.toy import extract_equiv_facts, normalize, oracle_equiv
 
 from generators import mutate_toy, random_toy, two_file_self_pair
 
@@ -295,6 +296,29 @@ def test_every_mismatch_names_concrete_facts():
             seen_kinds.add(mismatch.kind)
             assert mismatch.side1 or mismatch.side2, mismatch
     assert "expr_mismatch" in seen_kinds
+
+
+def test_claims_missing_a_predicate_verify_equivalent_only_when_the_sides_agree():
+    # Pairs the oracle tells apart, each with one side predicate deleted on
+    # both sides: what is left may verify Equivalent only if the two sides
+    # claim the same facts, for then nothing compared them at all.
+    rng = random.Random(777)
+    pairs = 0
+    for _ in range(300):
+        base = normalize(random_toy(rng))
+        mutation = mutate_toy(rng, base)
+        if mutation.var_map or oracle_equiv(base, mutation.program):
+            continue
+        pairs += 1
+        bundle = extract_equiv_facts(base, mutation.program)
+        for field, predicate, _ in SIDE_FIELDS:
+            stripped = bundle._replace(**{
+                side: getattr(bundle, side)._replace(**{field: frozenset()})
+                for side in ("code1", "code2")
+            })
+            if verify_equiv(stripped).outcome == EQUIVALENT:
+                assert stripped.code1 == stripped.code2, (predicate, mutation.kind)
+    assert pairs > 100
 
 
 def test_witness_is_deterministic(renamed_fn_bundle_text):
@@ -657,7 +681,7 @@ def _pinned_bundles(fixtures_dir):
 
 
 # The sha256 of the records, verdicts and rules facts of ``_pinned_bundles``.
-_PINNED_DIGEST = "757d7256aedda8f95b082bb5971127c77b9a8d5e6e22e515b4cc3d57b0e0de82"
+_PINNED_DIGEST = "c9272a5ca65468b8cc717909629a5e6d2e3ef73df41212823c200c3a7be09b14"
 
 
 def test_outputs_on_a_seeded_sweep_are_pinned(fixtures_dir):

@@ -11,6 +11,8 @@ from claimcheck.errors import (
 from claimcheck.facts import (
     CORRESPONDENCE_FIELDS,
     CORRESPONDENCE_SORTS,
+    CondExprFact,
+    ControlDepFact,
     MSAN_FIELDS,
     MSAN_SORTS,
     SIDE_FIELDS,
@@ -20,6 +22,7 @@ from claimcheck.facts import (
     InitFact,
     MsanFactSet,
     SiteFact,
+    UnaryFact,
     _norm_path,
     lint_equiv,
     lint_msan,
@@ -372,6 +375,33 @@ def test_lint_def_without_source(renamed_fn_bundle_text):
         ),
     )
     assert [e.code for e in lint_equiv(mutated).errors] == ["def-without-source"]
+
+
+def test_lint_facts_that_no_def_anchors(renamed_fn_bundle_text):
+    # function, control-dependence and constant facts are compared only at
+    # def sites, so without the def of d at line 6 nothing compares foo(a)
+    bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
+    mutated = bundle._replace(
+        code1=bundle.code1._replace(
+            defs=bundle.code1.defs - {SiteFact("d", "main.cpp", 6)},
+            constants=frozenset({"7"}),
+        ),
+    )
+    errors = [(e.code, e.fact) for e in lint_equiv(mutated).errors]
+    assert errors == [
+        ("operator-without-def", repr(UnaryFact("foo", "a", "main.cpp", 6))),
+        ("controldep-without-def",
+         repr(ControlDepFact("d", "main.cpp", 6, "c", "true", "main.cpp", 5))),
+        ("constant-without-def", repr("7")),
+    ]
+    # a function fact at a condition's site needs no def there
+    guarded = bundle._replace(
+        code1=bundle.code1._replace(
+            unary=bundle.code1.unary | {UnaryFact("g", "c", "main.cpp", 5)},
+            cond_with_expr=frozenset({CondExprFact("main.cpp", 5)}),
+        ),
+    )
+    assert lint_equiv(guarded).errors == []
 
 
 def _sourceless_defs(side, maps=""):

@@ -80,6 +80,27 @@ def test_bad_statement_reports_line():
     assert info.value.line == 2
 
 
+_SHAPES = {
+    "calls": lambda e: f"f({e})",
+    "parentheses": lambda e: f"({e})",
+    "negations": lambda e: f"-{e}",
+    "sum": lambda e: f"{e} + a",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_expressions_nest_at_most_64_levels(shape):
+    wrap, deepest = _SHAPES[shape], "a"
+    for _ in range(64):
+        deepest = wrap(deepest)
+    program = parse_toy(f"int a;\nint b = {deepest};\noutput(b);\n")
+    assert taint_reaches_output(normalize(program), {"a"})
+    with pytest.raises(ToySyntaxError) as info:
+        parse_toy(f"int a;\nint b = {wrap(deepest)};\n")
+    assert info.value.line == 2
+    assert "deeper than 64" in info.value.message
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -119,7 +140,7 @@ def test_normalize_preserves_semantics_on_random_nested_expressions():
         return f"({random_expr(depth - 1)} {op} {random_expr(depth - 1)})"
 
     for _ in range(100):
-        source = f"int a;\nint b;\nint x = {random_expr(3)};\n"
+        source = f"int a;\nint b;\nint x = {random_expr(3)};\noutput(x);\n"
         program = parse_toy(source)
         normalized = normalize(program)
         assert normalized.is_normalized()
@@ -130,6 +151,17 @@ def test_normalize_preserves_semantics_on_random_nested_expressions():
                 after = interpret(normalized, inputs)
                 assert before.env["x"] == after.env["x"]
                 assert before.outputs == after.outputs
+        assert taint_reaches_output(program, {"a"}) == taint_reaches_output(
+            normalized, {"a"}
+        )
+
+
+def test_taint_flows_through_nested_expressions():
+    program = parse_toy("int a;\nint b = f(g(a));\noutput(b);\n")
+    assert taint_reaches_output(program, {"a"})
+    assert not taint_reaches_output(program, set())
+    state = interpret(program, {"a": 0}, {"a"})
+    assert state.taint == {"a": True, "b": True} and state.tainted_output
 
 
 # ---------------------------------------------------------------------------
