@@ -15,6 +15,7 @@ Each submodule is imported on first access to one of its names (PEP 562),
 so a caller pays only for the modules it uses.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -36,6 +37,19 @@ def _lazy_names(namespace: dict, table: dict[str, str]):
         return sorted({*namespace, *table})
 
     return __getattr__, __dir__
+
+
+# SHA-256 from the interpreter's own module: ``hashlib`` loads OpenSSL, which
+# costs a launch about 3.7 MB of memory and 4 ms, so it is only the fallback
+# for an interpreter built without that module.  The version picks the one
+# module to try, as a failed import costs a search of the whole path.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 # public name -> submodule that defines it

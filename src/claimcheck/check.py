@@ -1,6 +1,8 @@
 """The checks behind ``verify-msan``, ``verify-equiv`` and ``lint``, and
 what the other commands share with them: reading and loading the input
-files, the verdict of a task's facts, and the JSON report.
+files, the verdict of a task's facts, and the JSON report.  The report's
+``inputs[].sha256`` is hashed by :data:`claimcheck.sha256`, the
+interpreter's own SHA-256, so no check loads ``hashlib`` and OpenSSL.
 
 Exit codes: 0 when the verdict is Verified/Equivalent, 1 for
 DontKnow/NotEquivalent/Inconclusive, 2 for unreadable, unparsable, or
@@ -9,12 +11,11 @@ otherwise unusable input.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
 
-from . import __version__, facts
+from . import __version__, facts, sha256
 from .errors import ClaimcheckError
 from .facts import MSAN
 
@@ -38,7 +39,7 @@ def read_text(path: Path) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _inputs(paths: list[Path]) -> list[dict]:

@@ -9,7 +9,8 @@ input.  Reports are JSON by default (``--pretty`` for humans).
 from __future__ import annotations
 
 # A launch compiles and runs only what its command needs.  This module
-# parses the arguments, adding them only to the subcommand that argv names.
+# parses the arguments, building only the subparser of the command that
+# argv names.
 # verify-msan, verify-equiv and lint run ``check.cmd_check``, which loads
 # one vocabulary section of ``facts`` and one verifier; the other four
 # commands are in ``commands``, imported only for them, and import the
@@ -107,28 +108,31 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; given ``command``, only that command's
-    subparser gets its arguments, as parsing reads no other one."""
+    """The parser of every command or, given one of them, of that command
+    alone; the usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="claimcheck",
         description="Check formalized code-reasoning claims against executable "
         "verification conditions.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p)
+    if command in _COMMANDS:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser takes no option with a value, so the first word
-    # that is not an option names the command.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    # A command named first is parsed by its own subparser alone.  Otherwise
+    # a top-level option comes first, and that may be --help, which lists
+    # every command, so every subparser is built.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.command in _CHECKS:
         return cmd_check(args)
     from . import commands

@@ -17,10 +17,10 @@ reads as 0.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 
+from .. import sha256
 from ..errors import MissingInputError
 from .lang import (
     BinaryDef,
@@ -47,7 +47,7 @@ ENUMERATION_LIMIT = 8  # free variables; 3**8 runs is the ceiling per pair
 def mix(op: str, values: list[int]) -> int:
     """Uninterpreted application of ``op``, reduced into the value domain."""
     payload = op + "|" + ",".join(str(v) for v in values)
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
+    digest = sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") % len(VALUE_DOMAIN)
 
 

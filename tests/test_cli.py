@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import __version__
+from claimcheck import __version__, cli
 from claimcheck.cli import main
 
 FIXTURES = "fixtures"
@@ -218,6 +218,36 @@ def test_lint_without_task_is_a_usage_error(capsys, monkeypatch):
     assert "the following arguments are required: --task" in err
 
 
+def _outcome(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``, without timings."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"timing_ms": [\d.]+', "", out), err
+
+
+_FACTS = f"{FIXTURES}/msan/audio_buffer_trace.facts"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["bogus"], ["--help", "verify-msan"],
+    ["verify-msan", "--help"], ["lint", _FACTS],
+    ["verify-equiv"], ["verify-msan"], ["verify-msan", "a", "b"],
+    ["-x", "verify-msan", _FACTS], ["--pretty", "verify-msan", _FACTS],
+    ["verify-msan", _FACTS, "--version"],
+    ["corpus", f"{FIXTURES}/corpus.json"],
+    ["verify-equiv", f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle", "--pretty"],
+], ids=repr)
+def test_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "200")
+    ours = _outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert ours == _outcome(capsys, argv)
+
+
 # ---------------------------------------------------------------------------
 # imports: a launch loads only the modules its command runs
 # ---------------------------------------------------------------------------
@@ -231,8 +261,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# hashlib loads OpenSSL, about 3.7 MB and 4 ms a launch; the package hashes
+# with the interpreter's own SHA-256.
+_OPENSSL = {"hashlib", "_hashlib"}
 # dataclasses, with the inspect it imports, costs every launch about 10 ms.
-_NEVER = {"dataclasses", "inspect"}
+_NEVER = {"dataclasses", "inspect"} | _OPENSSL
 _NETWORK = {"urllib.request", "ssl", "concurrent.futures"}
 # The fact scan reads every fixture, so no verify command loads the parser,
 # the syntax tree of rules, or the checks on atoms behind the parser; and
@@ -274,8 +307,12 @@ _BUNDLE = f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"
       "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
      "claimcheck.loop",
      _NEVER | _NETWORK | _NOT_FOR_MSAN | {"claimcheck.toy", "importlib.resources", "logging"}),
+    # the toy language is built of dataclasses
+    (["extract", f"{FIXTURES}/toy/copy_chain.toy", "--task", "msan", "--uninit", "a"],
+     "claimcheck.toy.interp",
+     _OPENSSL | _NETWORK | {"claimcheck.loop", "claimcheck.msan", "claimcheck.equivalence"}),
 ], ids=["verify-msan", "verify-equiv", "verify-equiv-sections", "lint", "lint-msan", "corpus",
-        "export", "formalize"])
+        "export", "formalize", "extract"])
 def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
     text = Path(_BUNDLE).read_text(encoding="utf-8")
     sections = dict(zip(("code1", "code2", "correspondence"), re.split(r"=== \w+ ===\n", text)[1:]))
