@@ -10,7 +10,7 @@ from __future__ import annotations
 
 # A launch compiles and runs only what its command needs.  This module
 # parses the arguments, building only the subparser of the command that
-# argv names.
+# argv names first.
 # verify-msan, verify-equiv and lint run ``check.cmd_check``, which loads
 # one vocabulary section of ``facts`` and one verifier; the other four
 # commands are in ``commands``, imported only for them, and import the
@@ -129,9 +129,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command named first is parsed by its own subparser alone.  Otherwise
-    # a top-level option comes first, and that may be --help, which lists
-    # every command, so every subparser is built.
+    # A command named first is parsed by its own subparser alone.  Any other
+    # argv builds every subparser: it may start with --help, which lists
+    # every command.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.command in _CHECKS:
         return cmd_check(args)
