@@ -19,20 +19,16 @@ ground_truth = BUNDLE.read_text()
 total = 78
 
 print("single call (no iteration):")
-result, log = run_loop(mock_source(ground_truth, 0.4, seed=7), EQUIV, "", max_iters=1)
-print(f"  recovered {result.fact_count()}/{total} facts")
+bundle, log = run_loop(mock_source(ground_truth, 0.4, seed=7), EQUIV, "", max_iters=1)
+print(f"  recovered {len(bundle)}/{total} facts")
 
 print("\nup to five calls, union of everything seen:")
-result, log = run_loop(mock_source(ground_truth, 0.4, seed=7), EQUIV, "", max_iters=5)
+bundle, log = run_loop(mock_source(ground_truth, 0.4, seed=7), EQUIV, "", max_iters=5)
 for record in log.records:
     print(f"  iteration {record.index}: parsed {record.parsed_facts}, "
           f"new {record.new_facts}")
-print(f"  recovered {result.fact_count()}/{total} facts")
+print(f"  recovered {len(bundle)}/{total} facts")
 
-try:
-    verdict = verify_equiv(result.to_equiv_bundle()).outcome
-except Exception as exc:  # a still-incomplete bundle may not even load
-    verdict = f"unusable ({exc})"
-print(f"\nverdict on the consolidated bundle: {verdict}")
+print(f"\nverdict on the consolidated bundle: {verify_equiv(bundle).outcome}")
 print("(with all 78 facts present the verdict is NotEquivalent: the two")
 print(" programs call differently named functions on line 6)")

@@ -25,7 +25,7 @@ from .check import (
     read_text,
     verdict_of,
 )
-from .errors import ClaimcheckError
+from .errors import ClaimcheckError, ConflictingVarMapError
 from .facts import EQUIV, MSAN
 
 
@@ -87,21 +87,19 @@ def cmd_formalize(args) -> int:
         else:
             source = http_source(args.url)
         iters = DEFAULT_MAX_ITERS if args.iters is None else args.iters
-        result, log = run_loop(source, args.task, snippets, max_iters=iters)
+        facts, log = run_loop(source, args.task, snippets, max_iters=iters)
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    text = result.render()
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(facts.render(), encoding="utf-8")
 
     verdict = witness = lint = None
     status = OK
     if args.verify:
         try:
-            facts = result.to_msan_facts() if args.task == MSAN else result.to_equiv_bundle()
             verdict, witness, lint = verdict_of(args.task, facts)
-        except ClaimcheckError as exc:
+        except ConflictingVarMapError as exc:
             emit(
                 make_report(args.task, None, None, None, [Path(args.snippets)], started,
                             iterations=log.to_json(), error=str(exc)),
@@ -113,7 +111,7 @@ def cmd_formalize(args) -> int:
         args.task, verdict, witness, lint, [Path(args.snippets)], started,
         iterations=log.to_json(),
     )
-    report["consolidated_facts"] = result.fact_count()
+    report["consolidated_facts"] = len(facts)
     emit(report, args.pretty)
     return status
 

@@ -63,10 +63,6 @@ class UnknownPredicateError(ClaimcheckError):
         self.names = names
 
 
-class DanglingMapReferenceError(ClaimcheckError):
-    """An entryMap/exitMap fact cites a line with no matching entry/exit fact."""
-
-
 class ConflictingVarMapError(ClaimcheckError):
     def __init__(self, variable: str):
         super().__init__(f"varMap pairs variable {variable!r} inconsistently")

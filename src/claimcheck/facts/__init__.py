@@ -26,7 +26,8 @@ published fact sets use: an omitted file name becomes ``main.cpp`` (an
 omitted ``entryMap`` label becomes ``main``).  Only trace paths have runs
 of ``/`` collapsed.  ``outputVar`` is accepted as a synonym for
 ``watchVar``.  Any predicate outside the vocabulary is rejected, never
-coerced.
+coerced.  Loading checks nothing else: whether the facts suffice for a
+verdict, a bundle's maps naming facts of its sides included, is for lint.
 
 Loaders read fact text straight into the fact tuples: one regex match per
 fact, one group per constant, and one generated converter per (predicate,
@@ -174,15 +175,16 @@ class LintReport(Record):
 
 
 class _Facts(Record):
-    """A container of fact sets, one per field; a field not given by keyword
-    is empty.  ``len()`` counts the facts, and ``_replace`` derives a
-    container with some fields changed."""
+    """A container of fact sets, one per field, each frozen from the
+    iterable given by keyword; a field not given is empty.  ``len()``
+    counts the facts, ``_replace`` derives a container with some fields
+    changed, and ``union`` one with the facts of others added."""
 
     __slots__ = ()
 
-    def __init__(self, **facts: frozenset) -> None:
+    def __init__(self, **facts: Iterable) -> None:
         for name in self._fields:
-            setattr(self, name, facts.pop(name, frozenset()))
+            setattr(self, name, frozenset(facts.pop(name, ())))
         if facts:
             raise TypeError(f"{self.__class__.__name__} has no field {min(facts)!r}")
 
@@ -192,14 +194,18 @@ class _Facts(Record):
     def _replace(self, **changes):
         return self.__class__(**dict(zip(self._fields, self._values()), **changes))
 
+    def union(self, *others):
+        """Each field the union of that field here and in ``others``; a field
+        that is itself a container (a bundle's sides) unions the same way."""
+        return self.__class__(**{
+            name: getattr(self, name).union(*(getattr(other, name) for other in others))
+            for name in self._fields
+        })
+
 
 # ---------------------------------------------------------------------------
 # The typed fact scan, which the loaders of both sections run
 # ---------------------------------------------------------------------------
-
-
-def _frozen(found: dict[str, set], fields) -> dict[str, frozenset]:
-    return {name: frozenset(found.get(name, ())) for name, _, _ in fields}
 
 
 def _omitted(relation: _Relation, arity: int) -> tuple[int, ...] | None:

@@ -1,8 +1,8 @@
 """The checks on atoms behind the fact scan.  Text that the scan does not
 read in full goes to the Datalog parser, and its atoms come here, where
 every arity, sort and vocabulary error is reported.  ``claimcheck.facts``
-loads this module on first use of one of its names, and the loaders only
-when the scan gives up."""
+loads this module on first use of one of its names, and the loaders and
+the formalize loop only when the scan gives up."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..datalog.values import NUMBER
 from ..errors import ArityMismatchError, SortError, UnknownPredicateError
-from . import _frozen, _omitted, _Relation
+from . import _omitted, _Relation
 
 if TYPE_CHECKING:
     from ..datalog.ast import Atom
@@ -67,9 +67,9 @@ def _load_atoms(
 
 
 def msan_facts_from_atoms(atoms: Iterable[Atom]) -> MsanFactSet:
-    from .msan import _MSAN_RELATIONS, MSAN_FIELDS, MsanFactSet
+    from .msan import _MSAN_RELATIONS, MsanFactSet
 
-    return MsanFactSet(**_frozen(_load_atoms(atoms, _MSAN_RELATIONS, str), MSAN_FIELDS))
+    return MsanFactSet(**_load_atoms(atoms, _MSAN_RELATIONS, str))
 
 
 def equiv_bundle_from_atoms(

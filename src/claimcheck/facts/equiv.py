@@ -1,11 +1,12 @@
 """The equivalence vocabulary: the side and correspondence fact types, the
-bundle, its loaders, the map-reference checks and the equivalence lint.
-``claimcheck.facts`` loads this section on first use of one of its names."""
+bundle, its loaders and the equivalence lint, which also checks that each
+map names facts of its sides.  ``claimcheck.facts`` loads this section on
+first use of one of its names."""
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from ..errors import ClaimcheckError, DanglingMapReferenceError
+from ..errors import ClaimcheckError
 from . import (
     CODE1,
     CODE2,
@@ -16,7 +17,6 @@ from . import (
     LintReport,
     SiteFact,
     _Facts,
-    _frozen,
     _relations,
     _render,
     _scan,
@@ -154,11 +154,12 @@ class EquivBundle(_Facts):
     __slots__ = _fields = ("code1", "code2", "var_maps", "entry_maps", "exit_maps")
 
     def __init__(
-        self, code1: EquivSide, code2: EquivSide, var_maps: frozenset = frozenset(),
-        entry_maps: frozenset = frozenset(), exit_maps: frozenset = frozenset(),
+        self, code1: EquivSide, code2: EquivSide, var_maps: Iterable = (),
+        entry_maps: Iterable = (), exit_maps: Iterable = (),
     ) -> None:
         self.code1, self.code2 = code1, code2
-        self.var_maps, self.entry_maps, self.exit_maps = var_maps, entry_maps, exit_maps
+        self.var_maps, self.entry_maps = frozenset(var_maps), frozenset(entry_maps)
+        self.exit_maps = frozenset(exit_maps)
 
     def side(self, tag: str) -> EquivSide:
         return self.code1 if tag == CODE1 else self.code2
@@ -218,14 +219,8 @@ _SCAN_ARITY = max(map(len, (*SIDE_SORTS.values(), *CORRESPONDENCE_SORTS.values()
 
 
 def _bundle(code1: dict[str, set], code2: dict[str, set], correspondence: dict[str, set]):
-    """The bundle of three loaded sections, its map references checked."""
-    bundle = EquivBundle(
-        EquivSide(**_frozen(code1, SIDE_FIELDS)),
-        EquivSide(**_frozen(code2, SIDE_FIELDS)),
-        **_frozen(correspondence, CORRESPONDENCE_FIELDS),
-    )
-    _check_map_references(bundle)
-    return bundle
+    """The bundle of three loaded sections."""
+    return EquivBundle(EquivSide(**code1), EquivSide(**code2), **correspondence)
 
 
 def entry_files(side: EquivSide) -> Callable[[str, int], list[str]]:
@@ -255,26 +250,6 @@ _MAPS = (
     ("exit", "exit_maps", "exits", _exit_files),
     ("entry", "entry_maps", "entries", entry_files),
 )
-
-
-def _check_map_references(bundle: EquivBundle) -> None:
-    """Each half of each map names a fact of its side."""
-    for kind, maps, cited, resolver in _MAPS:
-        if not getattr(bundle, maps):
-            continue
-        sides = [
-            (tag, sorted({f.line for f in getattr(side, cited)}), resolver(side))
-            for tag, side in ((CODE1, bundle.code1), (CODE2, bundle.code2))
-        ]
-        for m in sorted(getattr(bundle, maps)):
-            for (tag, lines, resolve), (name, line) in zip(sides, (m[:2], m[2:])):
-                if not resolve(name, line):
-                    raise DanglingMapReferenceError(
-                        f"{kind}Map cites line {line} on {tag} but {cited} are at {lines}"
-                        if line not in lines
-                        else f"{kind}Map cites {name!r} at line {line} on {tag} but no "
-                        f"{kind} fact at that line names it"
-                    )
 
 
 def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundle:
@@ -336,7 +311,7 @@ def load_equiv_bundle_text(text: str) -> EquivBundle:
 def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     side = bundle.side(tag)
     # Besides line 0, a def needs no source at an entry fact's site, which
-    # each entryMap half names (see _check_map_references).  On a side
+    # each entryMap half names (else lint_equiv reports it).  On a side
     # without entry facts an entryMap label names no file, so there any
     # line an entryMap names counts.
     entry_sites = {(f.file, f.line) for f in side.entries}
@@ -469,19 +444,39 @@ def lint_equiv(bundle: EquivBundle) -> LintReport:
                 "",
             )
         )
-    for kind, maps, cited, _ in _MAPS:
-        if getattr(bundle, maps):
-            continue
-        lines1, lines2 = (
-            sorted(f.line for f in getattr(side, cited)) for side in (bundle.code1, bundle.code2)
-        )
-        if lines1 != lines2:
-            report.errors.append(
-                LintIssue(
-                    f"{kind}map-missing",
-                    f"{kind} lines differ ({lines1} vs {lines2}) and no {kind}Map "
-                    "is supplied",
-                    "",
-                )
+    # Without maps, the two sides' entries (exits) pair only line by line;
+    # with maps, each half of each map must name a fact of its side.
+    for kind, maps, cited, resolver in _MAPS:
+        if not getattr(bundle, maps):
+            lines1, lines2 = (
+                sorted(f.line for f in getattr(side, cited))
+                for side in (bundle.code1, bundle.code2)
             )
+            if lines1 != lines2:
+                report.errors.append(
+                    LintIssue(
+                        f"{kind}map-missing",
+                        f"{kind} lines differ ({lines1} vs {lines2}) and no {kind}Map "
+                        "is supplied",
+                        "",
+                    )
+                )
+            continue
+        sides = [
+            (tag, sorted({f.line for f in getattr(side, cited)}), resolver(side))
+            for tag, side in ((CODE1, bundle.code1), (CODE2, bundle.code2))
+        ]
+        for m in sorted(getattr(bundle, maps)):
+            for (tag, lines, resolve), (name, line) in zip(sides, (m[:2], m[2:])):
+                if not resolve(name, line):
+                    report.errors.append(
+                        LintIssue(
+                            f"{kind}map-dangling",
+                            f"{kind}Map cites line {line} on {tag} but {cited} are at {lines}"
+                            if line not in lines
+                            else f"{kind}Map cites {name!r} at line {line} on {tag} but no "
+                            f"{kind} fact at that line names it",
+                            repr(m),
+                        )
+                    )
     return report

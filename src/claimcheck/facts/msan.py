@@ -5,7 +5,7 @@ use of one of its names."""
 import re
 from typing import NamedTuple
 
-from . import FlowFact, LintIssue, LintReport, SiteFact, _Facts, _frozen, _relations, _render, _scan
+from . import FlowFact, LintIssue, LintReport, SiteFact, _Facts, _relations, _render, _scan
 
 
 class InitFact(NamedTuple):
@@ -39,11 +39,6 @@ class MsanFactSet(_Facts):
         "allocated", "declared", "flow", "memory_error",
     )
 
-    def union(self, other: "MsanFactSet") -> "MsanFactSet":
-        return MsanFactSet(
-            **{name: getattr(self, name) | getattr(other, name) for name in self._fields}
-        )
-
     def render(self) -> str:
         return _render(self, MSAN_FIELDS)
 
@@ -72,7 +67,7 @@ def load_msan_facts(source: str) -> MsanFactSet:
         from .atoms import msan_facts_from_atoms
 
         return msan_facts_from_atoms(parse_facts(source))
-    return MsanFactSet(**_frozen(found, MSAN_FIELDS))
+    return MsanFactSet(**found)
 
 
 def lint_msan(fs: MsanFactSet) -> LintReport:

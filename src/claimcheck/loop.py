@@ -1,8 +1,12 @@
 """Iterative fact acquisition from a pluggable source.
 
-A fact source is asked repeatedly for predicate instances; responses are
-parsed leniently (prose is ignored, malformed fact lines are logged) and
-consolidated by set union, never replacement.  The loop stops at an
+A fact source is asked repeatedly for predicate instances.  Each response
+is read leniently into the task's fact container, ``MsanFactSet`` or
+``EquivBundle``: prose is ignored, and a malformed fact line or a fact
+outside the vocabulary is logged as a failure of its line.  Containers are
+consolidated by union, never replacement, and the consolidated container
+is what the source sees as prior facts and what the loop returns; whether
+its facts suffice for a verdict is for lint to say.  The loop stops at an
 iteration cap or once a re-ask contributes no new facts; the first
 iteration alone never counts as convergence evidence, since there is
 nothing to compare it against.
@@ -16,13 +20,16 @@ import random
 import re
 import sys
 import time
-from typing import Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
-from .datalog.ast import Atom, Record, print_atom
-from .datalog.parser import parse_fact_lines
 from . import facts
-from .facts import CODE1, CODE2, CORRESPONDENCE, EQUIV, MSAN
+from .datalog.values import Record
+from .errors import ClaimcheckError
+from .facts import CODE1, CODE2, CORRESPONDENCE, EQUIV, MSAN, _scan
 from .prompts import render_template
+
+if TYPE_CHECKING:
+    from .datalog.ast import Atom
 
 DEFAULT_MAX_ITERS = 5
 URL_ENV = "CLAIMCHECK_LLM_URL"
@@ -76,45 +83,6 @@ class IterationLog(Record):
         return [r.to_json() for r in self.records]
 
 
-class LoopResult(Record):
-    __slots__ = _fields = ("task", "sections")
-
-    def __init__(self, task: str, sections: dict[str, frozenset[Atom]]) -> None:
-        self.task, self.sections = task, sections
-
-    def fact_count(self) -> int:
-        return sum(len(atoms) for atoms in self.sections.values())
-
-    def all_atoms(self) -> set[tuple[str, Atom]]:
-        return {
-            (section, atom)
-            for section, atoms in self.sections.items()
-            for atom in atoms
-        }
-
-    def render(self) -> str:
-        if self.task == MSAN:
-            atoms = sorted(self.sections.get("facts", frozenset()), key=print_atom)
-            return "".join(print_atom(a) + ".\n" for a in atoms)
-        parts = []
-        for section in (CODE1, CODE2, CORRESPONDENCE):
-            parts.append(f"=== {section} ===")
-            for atom in sorted(self.sections.get(section, frozenset()), key=print_atom):
-                parts.append(print_atom(atom) + ".")
-        return "\n".join(parts) + "\n"
-
-    def to_msan_facts(self) -> facts.MsanFactSet:
-        atoms = self.sections.get("facts", frozenset())
-        return facts.msan_facts_from_atoms(sorted(atoms, key=print_atom))
-
-    def to_equiv_bundle(self) -> facts.EquivBundle:
-        return facts.equiv_bundle_from_atoms(
-            sorted(self.sections.get(CODE1, frozenset()), key=print_atom),
-            sorted(self.sections.get(CODE2, frozenset()), key=print_atom),
-            sorted(self.sections.get(CORRESPONDENCE, frozenset()), key=print_atom),
-        )
-
-
 _SECTION_MARKERS = {
     "=== code1 ===": CODE1,
     "=== code2 ===": CODE2,
@@ -129,6 +97,8 @@ _TAGS = {"Code1": CODE1, "Code2": CODE2}
 
 def _strip_tags(atom: Atom) -> tuple[Atom, str | None]:
     """Remove inline Code1/Code2 tag arguments; returns (atom, tagged section)."""
+    from .datalog.ast import Atom
+
     section = None
     args = []
     for term in atom.args:
@@ -139,33 +109,78 @@ def _strip_tags(atom: Atom) -> tuple[Atom, str | None]:
     return Atom(atom.predicate, tuple(args)), section
 
 
-def parse_response(task: str, text: str) -> tuple[dict[str, set[Atom]], list[tuple[int, str]]]:
-    """Lenient parse of a source response into per-section fact sets."""
-    if task == MSAN:
-        atoms, failures = parse_fact_lines(text)
-        return {"facts": set(atoms)}, failures
+def _add(found: dict[str, set], facts: dict[str, set]) -> None:
+    """Add ``facts`` to ``found``, both field to set."""
+    for field, new in facts.items():
+        found.setdefault(field, set()).update(new)
 
-    sections: dict[str, set[Atom]] = {CODE1: set(), CODE2: set(), CORRESPONDENCE: set()}
+
+def _vocabulary(task: str) -> tuple[dict, int, Callable]:
+    """The sections of a ``task`` response, each with its predicates'
+    relations; the largest arity of the vocabulary, for the fact scan; and
+    the function from the facts found per section (field to set) to the
+    task's container.  A trace response is one section."""
+    if task == MSAN:
+        from .facts.msan import _MSAN_RELATIONS, _SCAN_ARITY, MsanFactSet
+
+        return {MSAN: _MSAN_RELATIONS}, _SCAN_ARITY, lambda found: MsanFactSet(**found[MSAN])
+    from .facts.equiv import _CORRESPONDENCE_RELATIONS, _SCAN_ARITY, _SIDE_RELATIONS, _bundle
+
+    sections = {
+        CODE1: _SIDE_RELATIONS,
+        CODE2: _SIDE_RELATIONS,
+        CORRESPONDENCE: _CORRESPONDENCE_RELATIONS,
+    }
+    return sections, _SCAN_ARITY, lambda found: _bundle(*map(found.get, sections))
+
+
+def parse_response(
+    task: str, text: str
+) -> tuple[facts.MsanFactSet | facts.EquivBundle, list[tuple[int, str]]]:
+    """Lenient parse of a source response into the task's container.
+
+    Prose lines are ignored.  A fact line that does not parse, a fact
+    outside the vocabulary (an unknown predicate, a wrong arity or sort)
+    and an equivalence side fact with no Code1/Code2 attribution are each a
+    ``(line, reason)`` failure."""
+    sections, longest, container = _vocabulary(task)
+    found: dict[str, dict[str, set]] = {section: {} for section in sections}
     failures: list[tuple[int, str]] = []
-    current: str | None = None
+    current = MSAN if task == MSAN else None
     for idx, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip().lower()
-        if stripped in _SECTION_MARKERS:
-            current = _SECTION_MARKERS[stripped]
+        marker = _SECTION_MARKERS.get(raw.strip().lower())
+        if marker in sections:
+            current = marker
             continue
+        # A line that the fact scan reads in full needs no parser.  A Code1 or
+        # Code2 tag is stripped, and a fact outside every section attributed,
+        # on the parser path only.
+        scanned = None if '"Code' in raw else _scan(raw, sections.get(current, {}), longest)
+        if scanned:
+            _add(found[current], scanned)
+        if scanned is not None:
+            continue
+        from .datalog.parser import parse_fact_lines
+        from .facts.atoms import _load_atoms
+
         atoms, line_failures = parse_fact_lines(raw)
         failures.extend((idx, reason) for _, reason in line_failures)
         for atom in atoms:
-            bare, tagged = _strip_tags(atom)
-            if bare.predicate in facts.CORRESPONDENCE_PREDICATES:
-                sections[CORRESPONDENCE].add(bare)
-            elif tagged is not None:
-                sections[tagged].add(bare)
-            elif current is not None:
-                sections[current].add(bare)
-            else:
-                failures.append((idx, f"{bare.predicate}: no Code1/Code2 attribution"))
-    return sections, failures
+            section = current
+            if task == EQUIV:
+                atom, tagged = _strip_tags(atom)
+                if atom.predicate in sections[CORRESPONDENCE]:
+                    section = CORRESPONDENCE
+                elif tagged is not None:
+                    section = tagged
+            if section is None:
+                failures.append((idx, f"{atom.predicate}: no Code1/Code2 attribution"))
+                continue
+            try:
+                _add(found[section], _load_atoms([atom], sections[section], str))
+            except ClaimcheckError as exc:
+                failures.append((idx, str(exc)))
+    return container(found), failures
 
 
 def run_loop(
@@ -173,8 +188,9 @@ def run_loop(
     task: str,
     snippets: str,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[LoopResult, IterationLog]:
-    """Union facts across source calls until a re-ask adds nothing.
+) -> tuple[facts.MsanFactSet | facts.EquivBundle, IterationLog]:
+    """Union facts across source calls until a re-ask adds nothing; returns
+    the task's container of every fact seen, and the log.
 
     Source failures surface as an empty delta plus a log entry; they never
     abort the loop.
@@ -183,43 +199,34 @@ def run_loop(
         raise ValueError(f"unknown task {task!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    consolidated: dict[str, set[Atom]] = {}
+    consolidated, _ = parse_response(task, "")
     log = IterationLog()
     for index in range(1, max_iters + 1):
         start = time.perf_counter()
-        result = LoopResult(
-            task, {k: frozenset(v) for k, v in consolidated.items()}
-        )
+        failures = []
         try:
-            text = source(task, snippets, result.render())
+            text = source(task, snippets, consolidated.render())
         except Exception as exc:  # a broken source must not kill the loop
             print(f"fact source failed on iteration {index}: {exc}", file=sys.stderr)
             text = ""
-            sections, failures = {}, [(0, f"source error: {exc}")]
-        else:
-            sections, failures = parse_response(task, text)
-        new_facts = 0
-        parsed = 0
-        for section, atoms in sections.items():
-            parsed += len(atoms)
-            known = consolidated.setdefault(section, set())
-            fresh = atoms - known
-            new_facts += len(fresh)
-            known |= fresh
+            failures.append((0, f"source error: {exc}"))
+        response, parse_failures = parse_response(task, text)
+        merged = consolidated.union(response)
+        new_facts = len(merged) - len(consolidated)
+        consolidated = merged
         log.records.append(
             IterationRecord(
                 index=index,
                 raw_text=text,
-                parsed_facts=parsed,
+                parsed_facts=len(response),
                 new_facts=new_facts,
-                failures=list(failures),
+                failures=failures + parse_failures,
                 wall_ms=(time.perf_counter() - start) * 1000.0,
             )
         )
         if index >= 2 and new_facts == 0:
             break
-    result = LoopResult(task, {k: frozenset(v) for k, v in consolidated.items()})
-    return result, log
+    return consolidated, log
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,13 @@ def test_criterion_10_iteration_ablation(renamed_fn_bundle_text):
                 max_iters=iters,
             )
             try:
-                outcome = verify_equiv(result.to_equiv_bundle()).outcome
+                outcome = verify_equiv(result).outcome
             except ClaimcheckError:
                 outcome = INCONCLUSIVE
             if outcome == INCONCLUSIVE:
                 inconclusive[iters] += 1
             if iters == 5:
-                recovered += result.fact_count()
+                recovered += len(result)
     assert inconclusive[5] < inconclusive[1]
     assert recovered / (trials * total_facts) >= 0.98
 

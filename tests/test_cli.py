@@ -496,6 +496,28 @@ def test_formalize_single_iteration_recovers_less(capsys, tmp_path):
     assert consolidated(1) < consolidated(5)
 
 
+@pytest.mark.parametrize("task, ground_truth, load", [
+    ("msan", "msan/audio_buffer_trace.facts", "load_msan_facts"),
+    ("equiv", "equiv/guarded_call_renamed_fn.bundle", "load_equiv_bundle_text"),
+])
+def test_formalize_writes_the_rendered_container(capsys, tmp_path, task, ground_truth, load):
+    from claimcheck import facts
+
+    snippets = tmp_path / "snips"
+    snippets.write_text("x")
+    out = tmp_path / "out.facts"
+    code, report = run_json(
+        capsys, "formalize", str(snippets), "--task", task, "--source", "mock",
+        "--ground-truth", f"{FIXTURES}/{ground_truth}", "--withhold", "0.4", "--seed", "7",
+        "-o", str(out),
+    )
+    assert code == 0
+    written = out.read_bytes()
+    loaded = getattr(facts, load)(written.decode("utf-8"))
+    assert written == loaded.render().encode("utf-8")
+    assert len(loaded) == report["consolidated_facts"] > 0
+
+
 def test_formalize_mock_needs_ground_truth(capsys, tmp_path):
     snippets = tmp_path / "s"
     snippets.write_text("x")
@@ -693,21 +715,24 @@ def test_empty_section_option_is_read_as_a_path(capsys, empty):
     )
 
 
-def test_exit_map_naming_no_exit_fact_is_usage_error(capsys, tmp_path):
+def test_exit_map_naming_no_exit_fact_is_inconclusive(capsys, tmp_path):
     bundle = tmp_path / "ghost.bundle"
     bundle.write_text(
         Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle").read_text()
         + 'exitMap("nowhere.cpp", 8, "nowhere.cpp", 8).\n'
     )
-    assert _error_report(capsys, "verify-equiv", str(bundle)) == (
-        2,
-        _failed(
-            "equiv",
-            "exitMap cites 'nowhere.cpp' at line 8 on code1 but no exit fact at that "
-            "line names it",
-            [bundle],
-        ),
-    )
+    messages = [
+        f"exitMap cites 'nowhere.cpp' at line 8 on {side} but no exit fact at that "
+        "line names it"
+        for side in ("code1", "code2")
+    ]
+    fact = "ExitMapFact(file1='nowhere.cpp', line1=8, file2='nowhere.cpp', line2=8)"
+    code, report = run_json(capsys, "verify-equiv", str(bundle))
+    assert (code, report["verdict"]) == (1, "Inconclusive")
+    assert report["lint"]["errors"] == [
+        {"code": "exitmap-dangling", "message": message, "fact": fact} for message in messages
+    ]
+    assert report["witness"] == {"missing_obligations": messages}
 
 
 _EXCLUSIVE = "a bundle file and --code1/--code2/--correspondence are exclusive"
@@ -768,7 +793,7 @@ def test_corpus_entry_with_a_missing_file_reports_the_error(capsys, tmp_path):
     }
 
 
-def test_formalize_verify_outside_the_vocabulary_is_usage_error(capsys, tmp_path):
+def test_formalize_verify_outside_the_vocabulary_is_a_line_failure(capsys, tmp_path):
     facts = tmp_path / "gt.facts"
     facts.write_text('uses("x", "a.cc", 1).\nbogus("x").\n')
     code, report = _error_report(
@@ -777,13 +802,20 @@ def test_formalize_verify_outside_the_vocabulary_is_usage_error(capsys, tmp_path
     )
     for record in report["iterations"]:
         del record["wall_ms"]
+    failures = [{"line": 2, "reason": "predicate(s) outside the task vocabulary: bogus"}]
     assert (code, report) == (
-        2,
-        _failed(
-            "msan", "predicate(s) outside the task vocabulary: bogus", [facts],
-            iterations=[
-                {"index": 1, "parsed_facts": 2, "new_facts": 2, "failures": []},
-                {"index": 2, "parsed_facts": 2, "new_facts": 0, "failures": []},
+        1,
+        {
+            "task": "msan",
+            "verdict": "DontKnow",
+            "witness": None,
+            "lint": {"errors": [], "warnings": []},
+            "iterations": [
+                {"index": 1, "parsed_facts": 1, "new_facts": 1, "failures": failures},
+                {"index": 2, "parsed_facts": 1, "new_facts": 0, "failures": failures},
             ],
-        ),
+            "version": __version__,
+            "inputs": [{"path": str(facts), "sha256": _sha256(facts)}],
+            "consolidated_facts": 1,
+        },
     )

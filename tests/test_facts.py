@@ -1,10 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from claimcheck.datalog import parse_facts
 from claimcheck.errors import (
     ArityMismatchError,
     ClaimcheckError,
-    DanglingMapReferenceError,
     SortError,
     UnknownPredicateError,
 )
@@ -19,7 +20,9 @@ from claimcheck.facts import (
     SIDE_SORTS,
     EquivBundle,
     EquivSide,
+    ExitMapFact,
     InitFact,
+    LintIssue,
     MsanFactSet,
     SiteFact,
     UnaryFact,
@@ -150,9 +153,48 @@ def test_single_fact_sides_load_without_maps():
 
 
 def test_dangling_exit_map_is_rejected(renamed_fn_bundle_text):
+    # a map that names no fact is an insufficient claim: lint reports each
+    # half that dangles, which makes the verdict Inconclusive
     mutated = renamed_fn_bundle_text.replace("exitMap(8, 8).", "exitMap(9, 9).")
-    with pytest.raises(DanglingMapReferenceError):
-        load_equiv_bundle_text(mutated)
+    dangling = repr(ExitMapFact("main.cpp", 9, "main.cpp", 9))
+    assert lint_equiv(load_equiv_bundle_text(mutated)).errors == [
+        LintIssue("exitmap-dangling", "exitMap cites line 9 on code1 but exits are at [8]",
+                  dangling),
+        LintIssue("exitmap-dangling", "exitMap cites line 9 on code2 but exits are at [8]",
+                  dangling),
+    ]
+
+
+def _halves(text):
+    """Two texts that each keep every line but the fact lines, which they
+    share out alternately."""
+    halves = ([], [])
+    facts = 0
+    for line in text.splitlines(keepends=True):
+        if line.lstrip()[:1].isalpha():
+            halves[facts % 2].append(line)
+            facts += 1
+        else:
+            halves[0].append(line)
+            halves[1].append(line)
+    return "".join(halves[0]), "".join(halves[1])
+
+
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(_FIXTURES.glob("equiv/*.bundle")), *sorted(_FIXTURES.glob("msan/*.facts"))],
+    ids=lambda path: path.name,
+)
+def test_union_of_the_halves_of_a_fixture_is_the_fixture(path):
+    load = load_msan_facts if path.suffix == ".facts" else load_equiv_bundle_text
+    text = path.read_text(encoding="utf-8")
+    whole = load(text)
+    first, second = map(load, _halves(text))
+    assert 0 < len(first) < len(whole) and 0 < len(second) < len(whole)
+    assert first.union(second) == second.union(first) == whole
+    assert whole.union() == whole.union(first, second) == whole
 
 
 # Every line break of str.splitlines() but "\n"; a bundle line ends at "\n" only.

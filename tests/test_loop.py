@@ -28,21 +28,21 @@ def test_full_source_stops_after_second_iteration(renamed_fn_bundle_text):
     result, log = run_loop(mock_source(renamed_fn_bundle_text), EQUIV, "")
     assert len(log.records) == 2
     assert log.new_fact_counts() == [78, 0]
-    assert result.fact_count() == 78
-    assert verify_equiv(result.to_equiv_bundle()).outcome == NOT_EQUIVALENT
+    assert len(result) == 78
+    assert verify_equiv(result).outcome == NOT_EQUIVALENT
 
 
 def test_empty_source_stops_after_second_iteration():
     result, log = run_loop(lambda *args: "", MSAN, "")
     assert len(log.records) == 2
     assert log.new_fact_counts() == [0, 0]
-    assert result.fact_count() == 0
+    assert len(result) == 0
 
 
 def test_single_iteration_cap():
     result, log = run_loop(mock_source("uses(\"x\", \"f\", 1).\n"), MSAN, "", max_iters=1)
     assert len(log.records) == 1
-    assert result.fact_count() == 1
+    assert len(result) == 1
 
 
 def test_union_is_monotone_and_source_failures_are_survivable(trace_facts_text):
@@ -71,7 +71,7 @@ def test_mock_is_deterministic_under_seed(renamed_fn_bundle_text):
     run1 = run_loop(mock_source(renamed_fn_bundle_text, 0.4, seed=7), EQUIV, "")
     run2 = run_loop(mock_source(renamed_fn_bundle_text, 0.4, seed=7), EQUIV, "")
     assert run1[1].replay_key() == run2[1].replay_key()
-    assert run1[0].all_atoms() == run2[0].all_atoms()
+    assert run1[0] == run2[0]
     run3 = run_loop(mock_source(renamed_fn_bundle_text, 0.4, seed=8), EQUIV, "")
     assert run3[1].replay_key() != run1[1].replay_key()
 
@@ -80,7 +80,7 @@ def test_mock_fraction_zero_returns_everything(trace_facts_text):
     source = mock_source(trace_facts_text, withhold_fraction=0.0, seed=1)
     assert source(MSAN, "", "") == source(MSAN, "", "")
     result, _ = run_loop(source, MSAN, "")
-    assert result.fact_count() == 11
+    assert len(result) == 11
 
 
 def test_mock_rejects_bad_fraction(trace_facts_text):
@@ -97,7 +97,7 @@ def test_heavy_withholding_often_leaves_bundles_insufficient(renamed_fn_bundle_t
             mock_source(renamed_fn_bundle_text, 0.99, seed=trial), EQUIV, ""
         )
         try:
-            verdict = verify_equiv(result.to_equiv_bundle())
+            verdict = verify_equiv(result)
             inconclusive += verdict.outcome == "Inconclusive"
         except ClaimcheckError:
             inconclusive += 1
@@ -116,11 +116,11 @@ def test_tagged_response_form_is_accepted():
         'def("x", "s.cpp", 1, "Code2").\n'
         'varMap("x", "s.cpp", 1, "Code1", "x", "s.cpp", 1, "Code2").\n'
     )
-    sections, failures = parse_response(EQUIV, text)
+    bundle, failures = parse_response(EQUIV, text)
     assert failures == []
-    assert len(sections["code1"]) == 1
-    assert len(sections["code2"]) == 1
-    assert len(sections["correspondence"]) == 1
+    assert len(bundle.code1) == 1
+    assert len(bundle.code2) == 1
+    assert len(bundle.var_maps) == 1
 
 
 def test_listing_style_section_markers_are_accepted():
@@ -132,14 +132,14 @@ def test_listing_style_section_markers_are_accepted():
         "<Common Predicates>\n"
         "exitMap(3, 3).\n"
     )
-    sections, failures = parse_response(EQUIV, text)
+    bundle, failures = parse_response(EQUIV, text)
     assert failures == []
-    assert {len(sections[k]) for k in ("code1", "code2", "correspondence")} == {1}
+    assert {len(bundle.code1), len(bundle.code2), len(bundle.exit_maps)} == {1}
 
 
 def test_untagged_side_fact_is_logged_not_crashed():
-    sections, failures = parse_response(EQUIV, 'def("x", "s.cpp", 1).\n')
-    assert sections["code1"] == set()
+    bundle, failures = parse_response(EQUIV, 'def("x", "s.cpp", 1).\n')
+    assert len(bundle) == 0
     assert len(failures) == 1 and "attribution" in failures[0][1]
 
 
@@ -226,8 +226,8 @@ def stub_server(trace_facts_text):
 def test_http_source_round_trip(stub_server, trace_facts_text):
     source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "explanation text")
-    assert result.fact_count() == 11
-    assert verify_msan(result.to_msan_facts()).outcome == VERIFIED
+    assert len(result) == 11
+    assert verify_msan(result).outcome == VERIFIED
     # two requests per iteration for the trace task: extract, then formalize
     assert len(_Stub.requests) == 2 * len(log.records)
     assert all(set(r) == {"system", "user"} for r in _Stub.requests)
@@ -237,7 +237,7 @@ def test_http_source_reads_url_and_token_from_the_environment(stub_server, monke
     monkeypatch.setenv("CLAIMCHECK_LLM_URL", stub_server)
     monkeypatch.setenv("CLAIMCHECK_LLM_TOKEN", "secret-token")
     result, _ = run_loop(http_source(None), MSAN, "x", max_iters=1)
-    assert result.fact_count() == 11
+    assert len(result) == 11
     assert _Stub.authorizations == ["Bearer secret-token"] * 2
 
 
@@ -260,13 +260,13 @@ def test_http_source_renders_vocabulary_into_requests(stub_server):
 def test_http_source_zero_length_snippet(stub_server):
     source = http_source(stub_server)
     result, _ = run_loop(source, MSAN, "", max_iters=1)
-    assert result.fact_count() == 11
+    assert len(result) == 11
 
 
 def test_http_source_maps_transport_errors_to_empty(monkeypatch):
     source = http_source("http://127.0.0.1:1/unreachable")
     result, log = run_loop(source, MSAN, "x", max_iters=2)
-    assert result.fact_count() == 0
+    assert len(result) == 0
     assert len(log.records) == 2
 
 
@@ -275,7 +275,7 @@ def test_http_source_drops_responses_over_the_size_cap(stub_server, trace_facts_
     _Stub.canned = trace_facts_text + " " * MAX_RESPONSE_BYTES
     source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "x", max_iters=2)
-    assert result.fact_count() == 0
+    assert len(result) == 0
     assert len(log.records) == 2
     assert "exceeds" in capsys.readouterr().err
 
@@ -284,7 +284,7 @@ def test_http_error_status_is_logged_as_a_source_error(stub_server):
     _Stub.status = 503
     source = http_source(stub_server)
     result, log = run_loop(source, MSAN, "x", max_iters=1)
-    assert result.fact_count() == 0
+    assert len(result) == 0
     assert any("503" in reason for _, reason in log.records[0].failures)
 
 

@@ -6,13 +6,21 @@ Each record is pinned from code1 and from code2 (the second through
 
 import pytest
 
-from claimcheck.equivalence import Mismatch, build_pairing, check_watchvars, diff_structure
-from claimcheck.errors import DanglingMapReferenceError
+from claimcheck.equivalence import (
+    INCONCLUSIVE,
+    Mismatch,
+    build_pairing,
+    check_watchvars,
+    diff_structure,
+    verify_equiv,
+)
 from claimcheck.facts import (
     CondExprFact,
+    EntryMapFact,
     EquivBundle,
     EquivSide,
     ExitFact,
+    ExitMapFact,
     FlowFact,
     LintIssue,
     SiteFact,
@@ -174,45 +182,98 @@ _ONE_ENTRY = 'exit(9).\nentry("main", 1).'
 _TWO_ENTRIES = 'exit(8).\nentry("main", 1).\nentry("main", 4).'
 
 
+def _exit_map(line1, line2, file1="main.cpp"):
+    return repr(ExitMapFact(file1, line1, "main.cpp", line2))
+
+
+def _entry_map(line1, line2, label2="main"):
+    return repr(EntryMapFact("main", line1, label2, line2))
+
+
+_EXIT_LINES_DIFFER = LintIssue(
+    "exitmap-missing", "exit lines differ ([9] vs [8]) and no exitMap is supplied", ""
+)
+_ENTRY_LINES_DIFFER = LintIssue(
+    "entrymap-missing", "entry lines differ ([1] vs [1, 4]) and no entryMap is supplied", ""
+)
+
+
+def _assert_lint_errors(text, errors):
+    """A bundle whose maps dangle loads; its lint reports, in order, exactly
+    ``errors``, and its verdict is Inconclusive."""
+    bundle = load_equiv_bundle_text(text)
+    assert lint_equiv(bundle).errors == errors
+    assert verify_equiv(bundle).outcome == INCONCLUSIVE
+
+
 @pytest.mark.parametrize(
-    "code1, code2, correspondence, message",
+    "code1, code2, correspondence, errors",
     [
-        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(7, 8).",
-         "exitMap cites line 7 on code1 but exits are at [9]"),
-        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(9, 7).",
-         "exitMap cites line 7 on code2 but exits are at [8]"),
-        # two maps dangle, each on one side: the first in sorted order is reported
-        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(9, 6).\nexitMap(7, 8).",
-         "exitMap cites line 7 on code1 but exits are at [9]"),
-        # both sides dangle: code1 is reported, and exitMap before entryMap
-        (_ONE_ENTRY, _TWO_ENTRIES, 'exitMap(7, 7).\nentryMap("main", 3, "main", 3).',
-         "exitMap cites line 7 on code1 but exits are at [9]"),
-        (_ONE_ENTRY, _TWO_ENTRIES, 'entryMap("main", 2, "main", 1).',
-         "entryMap cites line 2 on code1 but entries are at [1]"),
-        (_ONE_ENTRY, _TWO_ENTRIES, 'entryMap("main", 1, "main", 2).',
-         "entryMap cites line 2 on code2 but entries are at [1, 4]"),
+        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(7, 8).", [
+            LintIssue("exitmap-dangling", "exitMap cites line 7 on code1 but exits are at [9]",
+                      _exit_map(7, 8)),
+            _ENTRY_LINES_DIFFER,
+        ]),
+        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(9, 7).", [
+            LintIssue("exitmap-dangling", "exitMap cites line 7 on code2 but exits are at [8]",
+                      _exit_map(9, 7)),
+            _ENTRY_LINES_DIFFER,
+        ]),
+        # two maps dangle, each on one side: both are reported, in sorted order
+        (_ONE_ENTRY, _TWO_ENTRIES, "exitMap(9, 6).\nexitMap(7, 8).", [
+            LintIssue("exitmap-dangling", "exitMap cites line 7 on code1 but exits are at [9]",
+                      _exit_map(7, 8)),
+            LintIssue("exitmap-dangling", "exitMap cites line 6 on code2 but exits are at [8]",
+                      _exit_map(9, 6)),
+            _ENTRY_LINES_DIFFER,
+        ]),
+        # both sides dangle: code1 before code2, and exitMap before entryMap
+        (_ONE_ENTRY, _TWO_ENTRIES, 'exitMap(7, 7).\nentryMap("main", 3, "main", 3).', [
+            LintIssue("exitmap-dangling", "exitMap cites line 7 on code1 but exits are at [9]",
+                      _exit_map(7, 7)),
+            LintIssue("exitmap-dangling", "exitMap cites line 7 on code2 but exits are at [8]",
+                      _exit_map(7, 7)),
+            LintIssue("entrymap-dangling",
+                      "entryMap cites line 3 on code1 but entries are at [1]", _entry_map(3, 3)),
+            LintIssue("entrymap-dangling",
+                      "entryMap cites line 3 on code2 but entries are at [1, 4]",
+                      _entry_map(3, 3)),
+        ]),
+        (_ONE_ENTRY, _TWO_ENTRIES, 'entryMap("main", 2, "main", 1).', [
+            _EXIT_LINES_DIFFER,
+            LintIssue("entrymap-dangling",
+                      "entryMap cites line 2 on code1 but entries are at [1]", _entry_map(2, 1)),
+        ]),
+        (_ONE_ENTRY, _TWO_ENTRIES, 'entryMap("main", 1, "main", 2).', [
+            _EXIT_LINES_DIFFER,
+            LintIssue("entrymap-dangling",
+                      "entryMap cites line 2 on code2 but entries are at [1, 4]",
+                      _entry_map(1, 2)),
+        ]),
     ],
 )
-def test_dangling_map_reference_messages(code1, code2, correspondence, message):
-    with pytest.raises(DanglingMapReferenceError) as raised:
-        load_equiv_bundle_text(_bundle_text(code1, code2, correspondence))
-    assert str(raised.value) == message
+def test_dangling_map_reference_messages(code1, code2, correspondence, errors):
+    _assert_lint_errors(_bundle_text(code1, code2, correspondence), errors)
 
 
 @pytest.mark.parametrize(
-    "correspondence, message",
+    "correspondence, errors",
     [
-        ('exitMap("lib.cpp", 9, "main.cpp", 8).',
-         "exitMap cites 'lib.cpp' at line 9 on code1 but no exit fact at that line names it"),
-        ('entryMap("main", 1, "helper", 4).',
-         "entryMap cites 'helper' at line 4 on code2 but no entry fact at that line names it"),
+        ('exitMap("lib.cpp", 9, "main.cpp", 8).', [
+            LintIssue("exitmap-dangling", "exitMap cites 'lib.cpp' at line 9 on code1 but no "
+                      "exit fact at that line names it", _exit_map(9, 8, file1="lib.cpp")),
+            _ENTRY_LINES_DIFFER,
+        ]),
+        ('entryMap("main", 1, "helper", 4).', [
+            _EXIT_LINES_DIFFER,
+            LintIssue("entrymap-dangling", "entryMap cites 'helper' at line 4 on code2 but no "
+                      "entry fact at that line names it", _entry_map(1, 4, label2="helper")),
+        ]),
     ],
     ids=["exit", "entry"],
 )
-def test_map_naming_no_fact_at_a_cited_line_dangles(correspondence, message):
-    with pytest.raises(DanglingMapReferenceError) as raised:
-        load_equiv_bundle_text(_bundle_text(_ONE_ENTRY, _TWO_ENTRIES, correspondence))
-    assert str(raised.value) == message
+def test_map_naming_no_fact_at_a_cited_line_dangles(correspondence, errors):
+    _assert_lint_errors(_bundle_text(_ONE_ENTRY, _TWO_ENTRIES, correspondence), errors)
 
 
 def test_entry_map_label_names_a_function_or_a_file():
