@@ -15,10 +15,16 @@ validated again.  Facts load a segment at a time, one ``dict.fromkeys``
 each.  Each rule is generated once per delta position into a join plan: a
 Python function of nested loops whose atoms are probed through hash indexes
 on their bound columns, with negated atoms as single index probes, that
-inserts each new head tuple inline (relation, indexes, new delta,
-provenance), or after its loops if it reads its own head relation outside
-the delta and so would see its insertions.  The code of equal generated
-source is compiled once.
+inserts each new head tuple inline (relation, indexes, new delta), or after
+its loops if it reads its own head relation outside the delta and so would
+see its insertions.  The code of equal generated source is compiled once.
+
+A tuple's derivation lives in its own slot of its relation's dict: the step
+``(rule, t0, t1, ...)`` that first derived it, one body tuple per positive
+atom, or ``None`` for an input fact.  Evaluation records only how many
+tuples each relation gained at each load and plan run;
+:attr:`Database.provenance` is built from the slots and that record on its
+first read, and :func:`explain` reads the slots alone.
 
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and provenance (the first derivation found for each tuple)
@@ -30,7 +36,7 @@ from __future__ import annotations
 import operator
 import zlib
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
@@ -410,19 +416,70 @@ def prepare(rules: Program) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 Provenance = Optional[tuple[Rule, tuple[tuple[str, tuple], ...]]]
+# what a tuple's slot holds: None for an input fact, else the rule and one
+# body tuple per positive atom, in body order
+Step = Optional[tuple]
 
 
 class Database(Record, Mapping):
-    """Relation name -> frozen set of ground tuples, plus one derivation each."""
+    """Relation name -> frozen set of ground tuples, plus one derivation each.
 
-    __slots__ = _fields = ("relations", "provenance")
+    :func:`evaluate` keeps the step that first derived a tuple in the
+    tuple's own slot of its relation: ``None`` for an input fact, else
+    ``(rule, t0, t1, ...)``, one body tuple per positive atom.  It also
+    records how many tuples each relation gained at each load of input
+    facts and each plan run, in order.  ``provenance`` maps each
+    ``(relation, tuple)``, in derivation order, to ``None`` or
+    ``(rule, ((predicate, tuple), ...))``; it is built from the slots and
+    that record on its first read, and then kept.  :func:`explain` reads
+    the slots and never builds it.
+    """
+
+    __slots__ = ("relations", "_steps", "_gains", "_provenance")
+    _fields = ("relations", "provenance")
 
     def __init__(
         self, relations: dict[str, frozenset],
         provenance: dict[tuple[str, tuple], Provenance] | None = None,
     ) -> None:
         self.relations = relations
-        self.provenance = {} if provenance is None else provenance
+        self._provenance = {} if provenance is None else provenance
+        self._steps: dict[str, dict[tuple, Step]] = {name: {} for name in relations}
+        self._gains: Sequence[tuple[str, int]] = ()
+        for (name, values), step in self._provenance.items():
+            self._steps.setdefault(name, {})[values] = (
+                None if step is None else (step[0], *[t for _, t in step[1]])
+            )
+
+    @classmethod
+    def _of_slots(
+        cls, steps: dict[str, dict[tuple, Step]], gains: Sequence[tuple[str, int]]
+    ) -> Database:
+        """The model whose slots are ``steps``; ``gains`` lists how many new
+        tuples each relation took, in derivation order."""
+        db = cls.__new__(cls)
+        db.relations = {name: frozenset(slots) for name, slots in steps.items()}
+        db._steps, db._gains, db._provenance = steps, gains, None
+        return db
+
+    @property
+    def provenance(self) -> dict[tuple[str, tuple], Provenance]:
+        if self._provenance is None:
+            rows = {name: iter(slots.items()) for name, slots in self._steps.items()}
+            body: dict[int, tuple[str, ...]] = {}
+            view: dict[tuple[str, tuple], Provenance] = {}
+            rule = None
+            for name, count in self._gains:
+                for values, step in islice(rows[name], count):
+                    if step is None:
+                        view[name, values] = None
+                        continue
+                    if step[0] is not rule:  # one plan run's tuples share a rule
+                        rule = step[0]
+                        predicates = _body_predicates(rule, body)
+                    view[name, values] = (rule, tuple(zip(predicates, step[1:])))
+            self._provenance = view
+        return self._provenance
 
     def __getitem__(self, name: str) -> frozenset:
         return self.relations[name]
@@ -432,6 +489,15 @@ class Database(Record, Mapping):
 
     def __len__(self) -> int:
         return len(self.relations)
+
+
+def _body_predicates(rule: Rule, known: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
+    """The predicates of the rule's positive atoms, kept in ``known`` by the
+    rule's ``id``: a rule's hash recurses through its whole syntax tree."""
+    predicates = known.get(id(rule))
+    if predicates is None:
+        predicates = known[id(rule)] = tuple(atom.predicate for atom in rule.positive_atoms())
+    return predicates
 
 
 def _match(atom: Atom, values: tuple) -> dict | None:
@@ -457,13 +523,14 @@ def _tuple_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
 
 
 class _Relation:
-    """One relation during evaluation: tuples in insertion order, plus hash
-    indexes from a tuple of bound columns to the tuples carrying those values."""
+    """One relation during evaluation: tuples in insertion order, each with
+    its slot (the step that first derived it), plus hash indexes from a tuple
+    of bound columns to the tuples carrying those values."""
 
     __slots__ = ("tuples", "indexes")
 
     def __init__(self) -> None:
-        self.tuples: dict[tuple, None] = {}
+        self.tuples: dict[tuple, Step] = {}
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
     def index(self, columns: tuple[int, ...]) -> dict[tuple, list[tuple]]:
@@ -494,14 +561,14 @@ class _Plan(NamedTuple):
     # (predicate, columns) for its index on those columns
     reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
 
-    def bind(self, relations: dict[str, _Relation], provenance: dict) -> Callable:
+    def bind(self, relations: dict[str, _Relation]) -> Callable:
         """The plan over these relations: a function of the delta and the list
         of new head tuples, which inserts each new head tuple it derives."""
         head = relations[self.head]
         return self.make(*self.constants, *[
             relations[name].tuples if columns is None else relations[name].index(columns)
             for name, columns in self.reads
-        ], head.tuples, head.indexes.values(), provenance)
+        ], head.tuples, head.indexes.values())
 
 
 def _tuple_source(items: list[str]) -> str:
@@ -644,24 +711,23 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
             emit(f"{_tuple_source(targets)} = {row}")
         for condition in ready_filters():
             emit(f"if {condition}: continue")
-    support = _tuple_source([
-        f"({value(atoms[p].predicate)}, {steps[p]})" for p in range(len(atoms))
-    ])
+    # the step kept in the new tuple's slot: the rule, then each atom's tuple
+    step = _tuple_source([value(rule)] + [steps[p] for p in range(len(atoms))])
     if buffered:
-        emit(f"add(({key(rule.head.args)}, {support}))")
-        functions[0] += ["    add = new.append", "    for h, support in out:"]
-        body, depth, support = functions[0], 2, "support"
+        emit(f"add(({key(rule.head.args)}, {step}))")
+        functions[0] += ["    add = new.append", "    for h, step in out:"]
+        body, depth, step = functions[0], 2, "step"
     else:
         emit(f"h = {key(rule.head.args)}")
         body = functions[-1]
     body.extend("    " * depth + line for line in [
         "if h not in seen:",
-        "    seen[h] = None",
+        f"    seen[h] = {step}",
         "    for key_of, index in indexes: index.setdefault(key_of(h), []).append(h)",
-        f"    add(h); provenance[({value(head)}, h)] = ({value(rule)}, {support})",
+        "    add(h)",
     ])
     parameters = [f"c{i}" for i in range(len(constants))] + [f"r{i}" for i in range(len(reads))]
-    parameters += ["seen", "indexes", "provenance"]
+    parameters += ["seen", "indexes"]
     source = "\n".join(
         [f"def make({', '.join(parameters)}):"]
         + ["    " + line for lines in functions for line in lines]
@@ -708,25 +774,33 @@ def evaluate(program: Program) -> Database:
     else:
         rule_set = check_program(program)
     relations = {name: _Relation() for name in program.declarations}
-    provenance: dict[tuple[str, tuple], Provenance] = {}
+    gains: list[tuple[str, int]] = []  # (relation, new tuples) per load and plan run
     for name, rows in program.segments:  # ground facts: their arguments are their tuples
         if rows:  # an empty segment declares nothing
-            relations[name].tuples.update(dict.fromkeys(rows))
-            provenance.update(dict.fromkeys(zip(repeat(name), rows)))
+            slots = relations[name].tuples
+            count = len(slots)
+            slots.update(dict.fromkeys(rows))
+            gains.append((name, len(slots) - count))
 
     for stratum, initial, recursive in rule_set.plans:
         delta: dict[str, list] = {name: [] for name in stratum}
         for plan in initial:
-            plan.bind(relations, provenance)([], delta[plan.head])
-        bound = [(plan.delta, plan.head, plan.bind(relations, provenance)) for plan in recursive]
+            new = delta[plan.head]
+            count = len(new)
+            plan.bind(relations)([], new)
+            gains.append((plan.head, len(new) - count))
+        bound = [(plan.delta, plan.head, plan.bind(relations)) for plan in recursive]
         while any(delta.values()):
             new_delta: dict[str, list] = {name: [] for name in stratum}
             for predicate, head, run in bound:
                 if delta[predicate]:
-                    run(delta[predicate], new_delta[head])
+                    new = new_delta[head]
+                    count = len(new)
+                    run(delta[predicate], new)
+                    gains.append((head, len(new) - count))
             delta = new_delta
 
-    return Database({name: frozenset(rel.tuples) for name, rel in relations.items()}, provenance)
+    return Database._of_slots({name: rel.tuples for name, rel in relations.items()}, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -792,27 +866,41 @@ def explain(db: Database, fact: Atom) -> Derivation:
     """One derivation of a ground fact; raises NotDerivableError otherwise.
 
     Built bottom-up with an explicit stack, one node per distinct fact, so
-    neither proof depth nor repeated sub-proofs are limited by recursion; a
-    derived fact's node is built when its step, stacked below its children,
-    comes off the stack.
+    neither proof depth nor repeated sub-proofs are limited by recursion.
+    Each fact's slot is probed once: an input fact's node is built as soon
+    as its slot is read, and a derived fact's node when its step, stacked
+    below its children, comes off the stack.  Reads the slots only, never
+    :attr:`Database.provenance`.
     """
-    root = (fact.predicate, fact.value_tuple())
-    if fact.predicate not in db.relations or root[1] not in db.relations[fact.predicate]:
+    name, values = fact.predicate, fact.value_tuple()
+    if name not in db.relations or values not in db.relations[name]:
         raise NotDerivableError(print_atom(fact))
+    steps = db._steps
+    step = steps[name].get(values)
+    if step is None:
+        return Derivation(fact, None)
+    root = (name, values)
+    body: dict[int, tuple[str, ...]] = {}
     built: dict[tuple[str, tuple], Derivation] = {}
-    stack: list = [(root, None)]  # (fact key, its step once its children are pushed)
+    # (fact key, its step, None), or (..., its child keys) once those are pushed
+    stack: list = [(root, step, None)]
     while stack:
-        key, step = stack.pop()
-        if step is None:
+        key, step, children = stack.pop()
+        if children is None:
             if key in built:
                 continue
-            step = db.provenance.get(key)
-            if step is not None:
-                # provenance only cites tuples derived earlier, so this ends
-                stack.append((key, step))
-                stack.extend([(child, None) for child in reversed(step[1]) if child not in built])
-                continue
-        rule, support = step or (None, ())
-        atom = fact if key == root else Atom(*key)
-        built[key] = Derivation(atom, rule, tuple(map(built.__getitem__, support)))
+            # a step only cites tuples derived earlier, so this ends
+            children = tuple(zip(_body_predicates(step[0], body), step[1:]))
+            stack.append((key, step, children))
+            for child in reversed(children):
+                if child not in built:
+                    below = steps[child[0]].get(child[1])
+                    if below is None:
+                        built[child] = Derivation(Atom(*child), None)
+                    else:
+                        stack.append((child, below, None))
+            continue
+        # the root's key is the only one that is ``root`` itself
+        atom = fact if key is root else Atom(*key)
+        built[key] = Derivation(atom, step[0], tuple(map(built.__getitem__, children)))
     return built[root]

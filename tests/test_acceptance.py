@@ -20,7 +20,6 @@ from claimcheck.datalog import (
     print_rule,
 )
 from claimcheck.equivalence import EQUIVALENT, INCONCLUSIVE, verify_equiv
-from claimcheck.errors import ClaimcheckError
 from claimcheck.facts import (
     load_equiv_bundle_text,
     load_msan_facts,
@@ -207,11 +206,7 @@ def test_criterion_10_iteration_ablation(renamed_fn_bundle_text):
                 "",
                 max_iters=iters,
             )
-            try:
-                outcome = verify_equiv(result).outcome
-            except ClaimcheckError:
-                outcome = INCONCLUSIVE
-            if outcome == INCONCLUSIVE:
+            if verify_equiv(result).outcome == INCONCLUSIVE:
                 inconclusive[iters] += 1
             if iters == 5:
                 recovered += len(result)

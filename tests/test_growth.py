@@ -11,6 +11,8 @@
   use, checked on the rules path (build, evaluate, explain the witness).
 - the parser fallback: the text of a chain of n steps, and of a toy self
   pair of n definitions, each with one escaped symbol, loaded.
+- transitive closure over a path graph, evaluated and its provenance view
+  read once, as its derived tuples grow about 8x.
 
 Going from n to 8n, each direct check must grow about linearly in time and
 each rules program linearly in input facts and derived tuples, and the
@@ -22,7 +24,7 @@ import time
 
 import pytest
 
-from claimcheck.datalog import Atom, evaluate, explain
+from claimcheck.datalog import Atom, evaluate, explain, parse_program
 from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
 from claimcheck.facts import (
     FlowFact,
@@ -183,5 +185,32 @@ def test_parser_fallback_load_grows_about_linearly(load, text_of, n, uses):
             loaded = load(text)
             best = min(best, time.perf_counter() - started)
         assert ESCAPED in uses(loaded)
+        times.append(best)
+    assert times[1] / times[0] < 24
+
+
+# a path graph of n edges has n(n + 1)/2 paths: 7,260, then 57,970 (8.0x)
+PATH_EDGES = (120, 340)
+
+
+def _path_graph(edges):
+    return parse_program(
+        "path(x, y) :- edge(x, y).\npath(x, z) :- path(x, y), edge(y, z).\n"
+        + "".join(f'edge("n{i}", "n{i + 1}").\n' for i in range(edges))
+    )
+
+
+def test_tc_evaluate_and_provenance_grow_about_linearly_in_derived_tuples():
+    times = []
+    for edges in PATH_EDGES:
+        program = _path_graph(edges)
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            db = evaluate(program)
+            provenance = db.provenance
+            best = min(best, time.perf_counter() - started)
+        assert len(db["path"]) == edges * (edges + 1) // 2
+        assert len(provenance) == edges + len(db["path"])
         times.append(best)
     assert times[1] / times[0] < 24
