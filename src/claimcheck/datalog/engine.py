@@ -431,36 +431,21 @@ class Database(Record, Mapping):
     facts and each plan run, in order.  ``provenance`` maps each
     ``(relation, tuple)``, in derivation order, to ``None`` or
     ``(rule, ((predicate, tuple), ...))``; it is built from the slots and
-    that record on its first read, and then kept.  :func:`explain` reads
-    the slots and never builds it.
+    that record on its first read, and then kept.  It cannot be assigned,
+    and :func:`explain` reads the slots, never builds it and does not see
+    edits made to it.
     """
 
     __slots__ = ("relations", "_steps", "_gains", "_provenance")
     _fields = ("relations", "provenance")
 
     def __init__(
-        self, relations: dict[str, frozenset],
-        provenance: dict[tuple[str, tuple], Provenance] | None = None,
+        self, steps: dict[str, dict[tuple, Step]], gains: Sequence[tuple[str, int]]
     ) -> None:
-        self.relations = relations
-        self._provenance = {} if provenance is None else provenance
-        self._steps: dict[str, dict[tuple, Step]] = {name: {} for name in relations}
-        self._gains: Sequence[tuple[str, int]] = ()
-        for (name, values), step in self._provenance.items():
-            self._steps.setdefault(name, {})[values] = (
-                None if step is None else (step[0], *[t for _, t in step[1]])
-            )
-
-    @classmethod
-    def _of_slots(
-        cls, steps: dict[str, dict[tuple, Step]], gains: Sequence[tuple[str, int]]
-    ) -> Database:
         """The model whose slots are ``steps``; ``gains`` lists how many new
         tuples each relation took, in derivation order."""
-        db = cls.__new__(cls)
-        db.relations = {name: frozenset(slots) for name, slots in steps.items()}
-        db._steps, db._gains, db._provenance = steps, gains, None
-        return db
+        self.relations = {name: frozenset(slots) for name, slots in steps.items()}
+        self._steps, self._gains, self._provenance = steps, gains, None
 
     @property
     def provenance(self) -> dict[tuple[str, tuple], Provenance]:
@@ -800,7 +785,7 @@ def evaluate(program: Program) -> Database:
                     gains.append((head, len(new) - count))
             delta = new_delta
 
-    return Database._of_slots({name: rel.tuples for name, rel in relations.items()}, gains)
+    return Database({name: rel.tuples for name, rel in relations.items()}, gains)
 
 
 # ---------------------------------------------------------------------------
