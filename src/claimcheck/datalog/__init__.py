@@ -33,7 +33,6 @@ _LAZY = {
     "stratify": "engine",
     "export_external": "export",
     "import_external": "export",
-    "parse_fact_lines": "parser",
     "parse_facts": "parser",
     "parse_program": "parser",
 }

@@ -20,13 +20,14 @@ A fact file goes through the same parser (:func:`parse_facts`), which then
 rejects rules, declarations and non-ground facts.  The fact loaders in
 ``claimcheck.facts`` first read fact text with their own typed scan, one
 regex match per fact, and send here only the text that scan cannot read in
-full, so each error message, line and column is this parser's.
+full, text in error or with a comment inside a fact, so each error
+message, line and column is this parser's.  Both unescape symbols with
+``values._unescape``.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 from typing import NoReturn
 
 from ..errors import DatalogSyntaxError
@@ -42,6 +43,7 @@ from .ast import (
     Var,
     WILDCARD,
 )
+from .values import _unescape
 
 # Whitespace and comments.  Unambiguous: a whitespace run must be maximal
 # and a comment must reach the end of its line, so a failed match backtracks
@@ -87,16 +89,6 @@ def _tokenize(source: str) -> list[_Token]:
         )
     append(("eof", "", end))
     return tokens
-
-
-_ESCAPE_RE = re.compile(r"\\(.)", re.S)
-# The replacement is a C callable: a template such as r"\1" costs a
-# Python-level call on every sub, more than scanning a typical symbol.
-_ESCAPED_CHAR = itemgetter(1)
-
-
-def _unescape(quoted: str) -> str:
-    return _ESCAPE_RE.sub(_ESCAPED_CHAR, quoted[1:-1])
 
 
 class _Parser:
@@ -281,28 +273,3 @@ def parse_facts(source: str) -> list[Atom]:
             )
     return facts
 
-
-_FACT_LINE_RE = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")
-
-
-def parse_fact_lines(text: str) -> tuple[list[Atom], list[tuple[int, str]]]:
-    """Lenient line-by-line fact parse for machine-generated responses.
-
-    Lines that look like facts but do not parse are collected as
-    ``(line_number, reason)`` failures; prose lines are ignored.
-    """
-    facts: list[Atom] = []
-    failures: list[tuple[int, str]] = []
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        if not _FACT_LINE_RE.match(line):
-            continue
-        try:
-            parsed = parse_facts(line if line.endswith(".") else line + ".")
-        except DatalogSyntaxError as exc:
-            failures.append((idx, exc.message))
-            continue
-        facts.extend(parsed)
-    return facts, failures

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 from . import facts
 from .datalog.values import Record
-from .errors import ClaimcheckError
+from .errors import ClaimcheckError, DatalogSyntaxError
 from .facts import CODE1, CODE2, CORRESPONDENCE, EQUIV, MSAN, _scan
 from .prompts import render_template
 
@@ -83,10 +83,10 @@ class IterationLog(Record):
         return [r.to_json() for r in self.records]
 
 
-_SECTION_MARKERS = {
-    "=== code1 ===": CODE1,
-    "=== code2 ===": CODE2,
-    "=== correspondence ===": CORRESPONDENCE,
+# A line that may hold a fact; any other line of a response is prose.
+_FACT_LINE = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")
+# Section markers of the listing style, besides those of a bundle.
+_LISTING_MARKERS = {
     "<code1 predicates>": CODE1,
     "<code2 predicates>": CODE2,
     "<common predicates>": CORRESPONDENCE,
@@ -115,23 +115,30 @@ def _add(found: dict[str, set], facts: dict[str, set]) -> None:
         found.setdefault(field, set()).update(new)
 
 
-def _vocabulary(task: str) -> tuple[dict, int, Callable]:
+def _vocabulary(task: str) -> tuple[dict, int, Callable, Callable]:
     """The sections of a ``task`` response, each with its predicates'
-    relations; the largest arity of the vocabulary, for the fact scan; and
-    the function from the facts found per section (field to set) to the
-    task's container.  A trace response is one section."""
+    relations; the largest arity of the vocabulary, for the fact scan; the
+    function from the facts found per section (field to set) to the task's
+    container; and the one from a line to the section it marks, or None.
+    A trace response is one section, without markers."""
     if task == MSAN:
         from .facts.msan import _MSAN_RELATIONS, _SCAN_ARITY, MsanFactSet
 
-        return {MSAN: _MSAN_RELATIONS}, _SCAN_ARITY, lambda found: MsanFactSet(**found[MSAN])
+        container = lambda found: MsanFactSet(**found[MSAN])
+        return {MSAN: _MSAN_RELATIONS}, _SCAN_ARITY, container, lambda line: None
     from .facts.equiv import _CORRESPONDENCE_RELATIONS, _SCAN_ARITY, _SIDE_RELATIONS, _bundle
+    from .facts.equiv import _MARKER_RE
+
+    def marker(line: str) -> str | None:
+        m = _MARKER_RE.fullmatch("\n" + line)
+        return m[1].casefold() if m else _LISTING_MARKERS.get(line.strip().lower())
 
     sections = {
         CODE1: _SIDE_RELATIONS,
         CODE2: _SIDE_RELATIONS,
         CORRESPONDENCE: _CORRESPONDENCE_RELATIONS,
     }
-    return sections, _SCAN_ARITY, lambda found: _bundle(*map(found.get, sections))
+    return sections, _SCAN_ARITY, lambda found: _bundle(*map(found.get, sections)), marker
 
 
 def parse_response(
@@ -139,32 +146,37 @@ def parse_response(
 ) -> tuple[facts.MsanFactSet | facts.EquivBundle, list[tuple[int, str]]]:
     """Lenient parse of a source response into the task's container.
 
-    Prose lines are ignored.  A fact line that does not parse, a fact
+    A fact line starts with a predicate and ``(``, and its final dot may be
+    missing; every other line is prose, which is ignored, or a section
+    marker: a bundle's, as ``split_bundle_sections`` reads it, or
+    ``<code1 predicates>`` style.  A fact line that does not parse, a fact
     outside the vocabulary (an unknown predicate, a wrong arity or sort)
     and an equivalence side fact with no Code1/Code2 attribution are each a
     ``(line, reason)`` failure."""
-    sections, longest, container = _vocabulary(task)
+    sections, longest, container, marker = _vocabulary(task)
     found: dict[str, dict[str, set]] = {section: {} for section in sections}
     failures: list[tuple[int, str]] = []
     current = MSAN if task == MSAN else None
     for idx, raw in enumerate(text.splitlines(), start=1):
-        marker = _SECTION_MARKERS.get(raw.strip().lower())
-        if marker in sections:
-            current = marker
+        if not _FACT_LINE.match(raw):  # prose, or a section marker
+            current = marker(raw) or current
             continue
         # A line that the fact scan reads in full needs no parser.  A Code1 or
         # Code2 tag is stripped, and a fact outside every section attributed,
         # on the parser path only.
         scanned = None if '"Code' in raw else _scan(raw, sections.get(current, {}), longest)
-        if scanned:
-            _add(found[current], scanned)
         if scanned is not None:
+            _add(found[current], scanned)
             continue
-        from .datalog.parser import parse_fact_lines
+        from .datalog.parser import parse_facts
         from .facts.atoms import _load_atoms
 
-        atoms, line_failures = parse_fact_lines(raw)
-        failures.extend((idx, reason) for _, reason in line_failures)
+        line = raw.strip()
+        try:
+            atoms = parse_facts(line if line.endswith(".") else line + ".")
+        except DatalogSyntaxError as exc:
+            failures.append((idx, exc.message))
+            continue
         for atom in atoms:
             section = current
             if task == EQUIV:
@@ -246,7 +258,6 @@ def mock_source(
     if not 0.0 <= withhold_fraction < 1.0:
         raise ValueError("withhold fraction must be in [0, 1)")
     lines = ground_truth.splitlines()
-    fact_line = re.compile(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*\(")
     calls = {"n": 0}
 
     def source(task, snippets, prior_facts):
@@ -254,7 +265,7 @@ def mock_source(
         rng = random.Random(seed * 1_000_003 + calls["n"])
         kept = []
         for line in lines:
-            if fact_line.match(line) and rng.random() < withhold_fraction:
+            if _FACT_LINE.match(line) and rng.random() < withhold_fraction:
                 continue
             kept.append(line)
         return "\n".join(kept) + "\n"

@@ -9,7 +9,6 @@ from claimcheck.datalog import (
     Atom,
     Program,
     parse_facts,
-    parse_fact_lines,
     parse_program,
     print_atom,
     print_program,
@@ -119,13 +118,6 @@ def test_facts_only_parser_rejects_rules():
         parse_facts("p(x) :- q(x).")
     with pytest.raises(DatalogSyntaxError):
         parse_facts("p(x).")  # not ground
-
-
-def test_lenient_line_parse_skips_prose():
-    text = "Here are the facts:\nuses(\"x\", \"f\", 1).\nbroken(\"x\", .\nnot a fact\n"
-    atoms, failures = parse_fact_lines(text)
-    assert [a.predicate for a in atoms] == ["uses"]
-    assert len(failures) == 1 and failures[0][0] == 3
 
 
 _term = st.one_of(

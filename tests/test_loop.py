@@ -5,7 +5,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from claimcheck.equivalence import NOT_EQUIVALENT, verify_equiv
-from claimcheck.facts import CORRESPONDENCE_PREDICATES, MSAN_PREDICATES, SIDE_PREDICATES
+from claimcheck.facts import (
+    CORRESPONDENCE_PREDICATES,
+    MSAN_PREDICATES,
+    SIDE_PREDICATES,
+    MsanFactSet,
+    SiteFact,
+    load_equiv_bundle_text,
+)
 from claimcheck.loop import (
     EQUIV,
     MSAN,
@@ -129,6 +136,26 @@ def test_listing_style_section_markers_are_accepted():
     bundle, failures = parse_response(EQUIV, text)
     assert failures == []
     assert {len(bundle.code1), len(bundle.code2), len(bundle.exit_maps)} == {1}
+
+
+def test_response_parse_skips_prose():
+    text = "Here are the facts:\nuses(\"x\", \"f\", 1).\nbroken(\"x\", .\nnot a fact\n"
+    facts, failures = parse_response(MSAN, text)
+    assert facts == MsanFactSet(uses=[SiteFact("x", "f", 1)])
+    assert len(failures) == 1 and failures[0][0] == 3
+
+
+def test_response_reads_every_bundle_marker_as_a_bundle_does():
+    text = (
+        "=== code1 ===\n"
+        'use("x", "main.cpp", 1).\n'
+        "===code2===\n"
+        'use("y", "main.cpp", 2).\n'
+    )
+    bundle, failures = parse_response(EQUIV, text)
+    assert failures == []
+    assert bundle == load_equiv_bundle_text(text)
+    assert bundle.code2.uses == {SiteFact("y", "main.cpp", 2)}
 
 
 def test_untagged_side_fact_is_logged_not_crashed():
