@@ -20,14 +20,13 @@ A fact file goes through the same parser (:func:`parse_facts`), which then
 rejects rules, declarations and non-ground facts.  The fact loaders in
 ``claimcheck.facts`` first read fact text with their own typed scan, one
 regex match per fact, and send here only the text that scan cannot read in
-full, text in error or with a comment inside a fact, so each error
-message, line and column is this parser's.  Both unescape symbols with
-``values._unescape``.
+full, so each error message, line and column is this parser's.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import NoReturn
 
 from ..errors import DatalogSyntaxError
@@ -43,7 +42,6 @@ from .ast import (
     Var,
     WILDCARD,
 )
-from .values import _unescape
 
 # Whitespace and comments.  Unambiguous: a whitespace run must be maximal
 # and a comment must reach the end of its line, so a failed match backtracks
@@ -89,6 +87,16 @@ def _tokenize(source: str) -> list[_Token]:
         )
     append(("eof", "", end))
     return tokens
+
+
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
+# The replacement is a C callable: a template such as r"\1" costs a
+# Python-level call on every sub, more than scanning a typical symbol.
+_ESCAPED_CHAR = itemgetter(1)
+
+
+def _unescape(quoted: str) -> str:
+    return _ESCAPE_RE.sub(_ESCAPED_CHAR, quoted[1:-1])
 
 
 class _Parser:

@@ -8,8 +8,6 @@ and a number an ``int`` that is not a ``bool``.
 
 from __future__ import annotations
 
-import re
-from operator import itemgetter
 from typing import Iterable
 
 SYMBOL = "symbol"
@@ -49,17 +47,6 @@ class Record:
 
 def _escape_symbol(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-_ESCAPE_RE = re.compile(r"\\(.)", re.S)
-# The replacement is a C callable: a template such as r"\1" costs a
-# Python-level call on every sub, more than scanning a typical symbol.
-_ESCAPED_CHAR = itemgetter(1)
-
-
-def _unescape(quoted: str) -> str:
-    """The symbol of a quoted constant, which ``_escape_symbol`` wrote."""
-    return _ESCAPE_RE.sub(_ESCAPED_CHAR, quoted[1:-1])
 
 
 def print_term(term) -> str:

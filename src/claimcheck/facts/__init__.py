@@ -31,13 +31,10 @@ verdict, a bundle's maps naming facts of its sides included, is for lint.
 
 Loaders read fact text straight into the fact tuples: one regex match per
 fact, one group per constant, and one generated converter per (predicate,
-arity) pair that the text uses; a symbol is unescaped only when it holds a
-backslash.  So valid fact text, escaped symbols included, never loads the
-Datalog parser.  Only two kinds of text leave the scan: text in error (a
-syntax error, a negative number, an unknown predicate, a wrong arity or
-sort, a rule, a declaration, a variable) and text with a comment inside a
-fact.  Such text goes whole to the Datalog parser and the checks on atoms
-(``*_from_atoms``), which report every error.
+arity) pair that the text uses.  Text that this scan does not read in full
+(an escape, a negative number, a comment inside a fact, an unknown
+predicate, a wrong arity or sort, a rule) goes whole to the Datalog parser
+and the checks on atoms (``*_from_atoms``), which report every error.
 
 This module holds what the two vocabularies share: the fact types of both
 (``SiteFact``, ``FlowFact``), the lint report, the container base and the
@@ -53,7 +50,7 @@ from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 from .. import _lazy_names
-from ..datalog.values import NUMBER, SYMBOL, Record, _unescape, print_fact
+from ..datalog.values import NUMBER, SYMBOL, Record, print_fact
 
 DEFAULT_FILE = "main.cpp"
 # task names: the trace vocabulary and the equivalence vocabulary
@@ -224,12 +221,11 @@ def _fact_scan(longest: int) -> re.Pattern:
     ``longest`` constants, after leading whitespace.  Group 1 is the
     predicate; each constant has its own group, nested so that
     ``lastindex`` is one more than the fact's arity.  A constant is a
-    quoted string without escapes, a number without sign, a bare
-    ``true``/``false`` or, tried last so that it costs plain text nothing,
-    a quoted string with escapes (the parser's string token, unrolled);
-    and it must be followed by ``,`` or ``)``.  A ``.decl`` after a fact's
-    dot stops the scan, as ``decl`` is no predicate of any vocabulary."""
-    constant = r'("[^"\\]*"|\d+|true|false|"[^"\\]*(?:\\.[^"\\]*)+")'
+    quoted string without escapes, a number without sign, or a bare
+    ``true``/``false``, and must be followed by ``,`` or ``)``.  A ``.decl``
+    after a fact's dot stops the scan, as ``decl`` is no predicate of any
+    vocabulary."""
+    constant = r'("[^"\\]*"|\d+|true|false)'
     rest = ""
     for _ in range(longest - 1):
         rest = rf"(?:\s*,\s*{constant}{rest})?"
@@ -238,12 +234,9 @@ def _fact_scan(longest: int) -> re.Pattern:
     )
 
 
-def _symbol(text: str) -> str:
-    """A symbol constant that is not plain quoted text: quoted with an
-    escape, or written without quotes.  The scan's other bare constants are
+def _bare(text: str) -> str:
+    """A symbol written without quotes; the scan's other bare constants are
     numbers, which no symbol column takes."""
-    if text[0] == '"':
-        return _unescape(text)
     if text in ("true", "false"):
         return text
     raise ValueError(f"{text} is not a symbol")
@@ -272,16 +265,13 @@ def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] 
             values.append("default")
             continue
         a = f"a{next(given)}"
-        value = (
-            f"int({a})" if sort == NUMBER
-            else f"({a}[1:-1] if {a}[0] == '\"' and '\\\\' not in {a} else symbol({a}))"
-        )
+        value = f"int({a})" if sort == NUMBER else f"({a}[1:-1] if {a}[0] == '\"' else bare({a}))"
         values.append(f"n{column}({value})" if column in normalize else value)
     names = ", ".join(f"a{i}" for i in range(arity))
     groups = ", ".join(str(i + 2) for i in range(arity))
     unpack = "a0 = m[2]" if arity == 1 else f"{names} = m.group({groups})"
     result = values[0] if relation.fact_type is str else f"new(fact, ({', '.join(values)},))"
-    params = ", ".join(["new", "symbol", "fact", "default", *(f"n{c}" for c in normalize)])
+    params = ", ".join(["new", "bare", "fact", "default", *(f"n{c}" for c in normalize)])
     make = _compiled(
         f"def make({params}):\n"
         f"    def convert(m):\n"
@@ -289,7 +279,7 @@ def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] 
         f"        return {result}\n"
         f"    return convert\n"
     )
-    return make(tuple.__new__, _symbol, relation.fact_type, relation.default, *normalize.values())
+    return make(tuple.__new__, _bare, relation.fact_type, relation.default, *normalize.values())
 
 
 def _scan(source: str, relations: dict[str, _Relation], longest: int) -> dict[str, set] | None:

@@ -161,19 +161,21 @@ def parse_response(
         if not _FACT_LINE.match(raw):  # prose, or a section marker
             current = marker(raw) or current
             continue
+        line = raw.strip()
+        if not line.endswith("."):
+            line += "."
         # A line that the fact scan reads in full needs no parser.  A Code1 or
         # Code2 tag is stripped, and a fact outside every section attributed,
         # on the parser path only.
-        scanned = None if '"Code' in raw else _scan(raw, sections.get(current, {}), longest)
+        scanned = None if '"Code' in line else _scan(line, sections.get(current, {}), longest)
         if scanned is not None:
             _add(found[current], scanned)
             continue
         from .datalog.parser import parse_facts
         from .facts.atoms import _load_atoms
 
-        line = raw.strip()
         try:
-            atoms = parse_facts(line if line.endswith(".") else line + ".")
+            atoms = parse_facts(line)
         except DatalogSyntaxError as exc:
             failures.append((idx, exc.message))
             continue

@@ -288,14 +288,9 @@ _NOT_FOR_EQUIV = {"claimcheck.msan", "claimcheck.facts.msan"}
 _BUNDLE = f"{FIXTURES}/equiv/guarded_call_renamed_fn.bundle"
 
 
-# The scan reads escaped symbols too: this trace verifies without the parser.
-_ESCAPED_TRACE = 'uninitialized("we\\"ird", "C:\\\\a.c", 1).\nuses("we\\"ird", "C:\\\\a.c", 1).\n'
-
-
 @pytest.mark.parametrize("argv, needed, forbidden", [
     (["verify-msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
      "claimcheck.msan", _NOT_FOR_CHECKS | _NOT_FOR_MSAN),
-    (["verify-msan", "{tmp}/escaped.facts"], "claimcheck.msan", _NOT_FOR_CHECKS | _NOT_FOR_MSAN),
     (["verify-equiv", _BUNDLE], "claimcheck.equivalence", _NOT_FOR_CHECKS | _NOT_FOR_EQUIV),
     (["verify-equiv", "--code1", "{tmp}/code1", "--code2", "{tmp}/code2",
       "--correspondence", "{tmp}/correspondence"],
@@ -316,14 +311,13 @@ _ESCAPED_TRACE = 'uninitialized("we\\"ird", "C:\\\\a.c", 1).\nuses("we\\"ird", "
     (["extract", f"{FIXTURES}/toy/copy_chain.toy", "--task", "msan", "--uninit", "a"],
      "claimcheck.toy.interp",
      _OPENSSL | _NETWORK | {"claimcheck.loop", "claimcheck.msan", "claimcheck.equivalence"}),
-], ids=["verify-msan", "verify-msan-escaped", "verify-equiv", "verify-equiv-sections", "lint",
-        "lint-msan", "corpus", "export", "formalize", "extract"])
+], ids=["verify-msan", "verify-equiv", "verify-equiv-sections", "lint", "lint-msan", "corpus",
+        "export", "formalize", "extract"])
 def test_verify_commands_load_only_their_own_modules(argv, needed, forbidden, tmp_path):
     text = Path(_BUNDLE).read_text(encoding="utf-8")
     sections = dict(zip(("code1", "code2", "correspondence"), re.split(r"=== \w+ ===\n", text)[1:]))
     for name, section in sections.items():
         (tmp_path / name).write_text(section, encoding="utf-8")
-    (tmp_path / "escaped.facts").write_text(_ESCAPED_TRACE, encoding="utf-8")
     # -S: no .pth file of the host may load a module before the command does
     run = subprocess.run(
         [sys.executable, "-S", "-c", _NEW_MODULES_SCRIPT,

@@ -12,17 +12,6 @@ from claimcheck.facts import (
     CORRESPONDENCE_SORTS,
     MSAN_SORTS,
     SIDE_SORTS,
-    BinaryFact,
-    EntryFact,
-    EntryMapFact,
-    EquivBundle,
-    EquivSide,
-    FlowFact,
-    InitFact,
-    MemoryErrorFact,
-    MsanFactSet,
-    SiteFact,
-    VarMapFact,
     load_equiv_bundle,
     load_equiv_bundle_text,
     load_msan_facts,
@@ -137,25 +126,3 @@ def test_corpus_and_extracted_facts_load_without_the_parser(monkeypatch, fixture
         assert load_equiv_bundle_text(bundle.render()) == bundle
     facts = extract_msan_facts(toy("copy_chain.toy"), {"a"})
     assert len(facts) and load_msan_facts(facts.render()) == facts
-
-    # symbols with quotes, backslashes and "//" round-trip on the scan alone
-    # ("//" is kept out of trace file columns, where it collapses)
-    odd = ['we"ird', "C:\\src\\a.c", "a//b", '\\"', "\\\\//\"\""]
-    site = SiteFact(odd[0], odd[1], 1)
-    trace = MsanFactSet(
-        uses=[site, SiteFact(odd[2], odd[3], 2)],
-        uninitialized=[site],
-        has_initializer=[InitFact(odd[4], odd[2])],
-        flow=[FlowFact(*site, odd[4], odd[3], 3)],
-        memory_error=[MemoryErrorFact(odd[2], odd[3], odd[1], 4)],
-    )
-    assert load_msan_facts(trace.render()) == trace
-    side = EquivSide(
-        defs=[SiteFact(name, name, i) for i, name in enumerate(odd)],
-        entries=[EntryFact(odd[2], odd[1], 0)],
-        constants=odd,
-        binary=[BinaryFact(odd[3], odd[4], odd[0], odd[2], 5)],
-    )
-    bundle = EquivBundle(side, side, var_maps=[VarMapFact(*site, *site)],
-                         entry_maps=[EntryMapFact(odd[2], 0, odd[2], 0)])
-    assert load_equiv_bundle_text(bundle.render()) == bundle

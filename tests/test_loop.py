@@ -145,6 +145,20 @@ def test_response_parse_skips_prose():
     assert len(failures) == 1 and failures[0][0] == 3
 
 
+def test_fact_line_without_its_dot_is_read_on_the_scan(monkeypatch):
+    from claimcheck.datalog import parser
+
+    dotted = 'uses("x", "f", 1).\nflow("x", "f", 1, "y", "f", 2).\n'
+    expected, failures = parse_response(MSAN, dotted)
+    assert failures == [] and len(expected) == 2
+
+    def no_parser(source):
+        raise AssertionError(f"the fact scan sent this line to the parser: {source!r}")
+
+    monkeypatch.setattr(parser, "parse_facts", no_parser)
+    assert parse_response(MSAN, dotted.replace(").", ")")) == (expected, [])
+
+
 def test_response_reads_every_bundle_marker_as_a_bundle_does():
     text = (
         "=== code1 ===\n"
