@@ -21,14 +21,13 @@ see its insertions.  The code of equal generated source is compiled once.
 
 A tuple's derivation lives in its own slot of its relation's dict: the step
 ``(rule, t0, t1, ...)`` that first derived it, one body tuple per positive
-atom, or ``None`` for an input fact.  Evaluation records only how many
-tuples each relation gained at each load and plan run;
-:attr:`Database.provenance` is built from the slots and that record on its
-first read, and :func:`explain` reads the slots alone.
+atom, or ``None`` for an input fact.  That slot is the only record of it:
+:func:`explain` is the one reader, and builds a proof from the slots only
+when a fact is asked about.
 
 Relations are kept in insertion order and no step iterates over a hashed
-set, so verdicts and provenance (the first derivation found for each tuple)
-do not depend on ``PYTHONHASHSEED``.
+set, so verdicts and the derivation kept for each tuple (the first one
+found) do not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import operator
 import zlib
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
@@ -415,7 +414,6 @@ def prepare(rules: Program) -> RuleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-Provenance = Optional[tuple[Rule, tuple[tuple[str, tuple], ...]]]
 # what a tuple's slot holds: None for an input fact, else the rule and one
 # body tuple per positive atom, in body order
 Step = Optional[tuple]
@@ -426,45 +424,17 @@ class Database(Record, Mapping):
 
     :func:`evaluate` keeps the step that first derived a tuple in the
     tuple's own slot of its relation: ``None`` for an input fact, else
-    ``(rule, t0, t1, ...)``, one body tuple per positive atom.  It also
-    records how many tuples each relation gained at each load of input
-    facts and each plan run, in order.  ``provenance`` maps each
-    ``(relation, tuple)``, in derivation order, to ``None`` or
-    ``(rule, ((predicate, tuple), ...))``; it is built from the slots and
-    that record on its first read, and then kept.  It cannot be assigned,
-    and :func:`explain` reads the slots, never builds it and does not see
-    edits made to it.
+    ``(rule, t0, t1, ...)``, one body tuple per positive atom.  Only
+    :func:`explain` reads the slots; equality compares the relations alone.
     """
 
-    __slots__ = ("relations", "_steps", "_gains", "_provenance")
-    _fields = ("relations", "provenance")
+    __slots__ = ("relations", "_steps")
+    _fields = ("relations",)
 
-    def __init__(
-        self, steps: dict[str, dict[tuple, Step]], gains: Sequence[tuple[str, int]]
-    ) -> None:
-        """The model whose slots are ``steps``; ``gains`` lists how many new
-        tuples each relation took, in derivation order."""
+    def __init__(self, steps: dict[str, dict[tuple, Step]]) -> None:
+        """The model whose slots are ``steps``."""
         self.relations = {name: frozenset(slots) for name, slots in steps.items()}
-        self._steps, self._gains, self._provenance = steps, gains, None
-
-    @property
-    def provenance(self) -> dict[tuple[str, tuple], Provenance]:
-        if self._provenance is None:
-            rows = {name: iter(slots.items()) for name, slots in self._steps.items()}
-            body: dict[int, tuple[str, ...]] = {}
-            view: dict[tuple[str, tuple], Provenance] = {}
-            rule = None
-            for name, count in self._gains:
-                for values, step in islice(rows[name], count):
-                    if step is None:
-                        view[name, values] = None
-                        continue
-                    if step[0] is not rule:  # one plan run's tuples share a rule
-                        rule = step[0]
-                        predicates = _body_predicates(rule, body)
-                    view[name, values] = (rule, tuple(zip(predicates, step[1:])))
-            self._provenance = view
-        return self._provenance
+        self._steps = steps
 
     def __getitem__(self, name: str) -> frozenset:
         return self.relations[name]
@@ -759,33 +729,23 @@ def evaluate(program: Program) -> Database:
     else:
         rule_set = check_program(program)
     relations = {name: _Relation() for name in program.declarations}
-    gains: list[tuple[str, int]] = []  # (relation, new tuples) per load and plan run
     for name, rows in program.segments:  # ground facts: their arguments are their tuples
         if rows:  # an empty segment declares nothing
-            slots = relations[name].tuples
-            count = len(slots)
-            slots.update(dict.fromkeys(rows))
-            gains.append((name, len(slots) - count))
+            relations[name].tuples.update(dict.fromkeys(rows))
 
     for stratum, initial, recursive in rule_set.plans:
         delta: dict[str, list] = {name: [] for name in stratum}
         for plan in initial:
-            new = delta[plan.head]
-            count = len(new)
-            plan.bind(relations)([], new)
-            gains.append((plan.head, len(new) - count))
+            plan.bind(relations)([], delta[plan.head])
         bound = [(plan.delta, plan.head, plan.bind(relations)) for plan in recursive]
         while any(delta.values()):
             new_delta: dict[str, list] = {name: [] for name in stratum}
             for predicate, head, run in bound:
                 if delta[predicate]:
-                    new = new_delta[head]
-                    count = len(new)
-                    run(delta[predicate], new)
-                    gains.append((head, len(new) - count))
+                    run(delta[predicate], new_delta[head])
             delta = new_delta
 
-    return Database({name: rel.tuples for name, rel in relations.items()}, gains)
+    return Database({name: rel.tuples for name, rel in relations.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +814,8 @@ def explain(db: Database, fact: Atom) -> Derivation:
     neither proof depth nor repeated sub-proofs are limited by recursion.
     Each fact's slot is probed once: an input fact's node is built as soon
     as its slot is read, and a derived fact's node when its step, stacked
-    below its children, comes off the stack.  Reads the slots only, never
-    :attr:`Database.provenance`.
+    below its children, comes off the stack.  The slots are the only record
+    of a derivation, so this is where a proof is built, on request.
     """
     name, values = fact.predicate, fact.value_tuple()
     if name not in db.relations or values not in db.relations[name]:

@@ -226,6 +226,12 @@ def extract_msan_facts(
     The marked variables are claimed uninitialized at their first
     declaration or definition site; an output reachable by the claimed
     flows from a marked site additionally carries a memoryError fact.
+
+    The walk is path-insensitive.  A definition replaces a variable's
+    reaching definitions and taint within its guard block; at the block's
+    close they are joined with those from before the block, the path that
+    skips it.  Guards are not evaluated, so two guards on one variable still
+    count the paths through one block and not the other.
     """
     _require_normalized(program)
     first_site = first_def_sites(program)
@@ -240,7 +246,8 @@ def extract_msan_facts(
     errors: set[MemoryErrorFact] = set()
     reaching: dict[str, set[int]] = {}
     tainted: dict[str, bool] = {}
-    depth = 0
+    # per open guard, the reaching sets and taint bits at its opening
+    saved: list[tuple[dict[str, set[int]], dict[str, bool]]] = []
 
     def seed(var: str, line: int) -> bool:
         return var in uninit_vars and line == first_site[var]
@@ -250,12 +257,8 @@ def extract_msan_facts(
         if seed(var, line):
             uninitialized.add(SiteFact(var, file, line))
             taint = True
-        if depth:
-            reaching.setdefault(var, set()).add(line)
-            tainted[var] = tainted.get(var, False) or taint
-        else:
-            reaching[var] = {line}
-            tainted[var] = taint
+        reaching[var] = {line}
+        tainted[var] = taint
 
     def operand_edges(operand: Operand, var: str, line: int) -> bool:
         if isinstance(operand, int):
@@ -266,10 +269,13 @@ def extract_msan_facts(
 
     for stmt in program.statements:
         if isinstance(stmt, GuardOpen):
-            depth += 1
+            saved.append((dict(reaching), dict(tainted)))
             continue
         if isinstance(stmt, GuardClose):
-            depth -= 1
+            before, was_tainted = saved.pop()
+            for var, lines in before.items():
+                reaching[var] = reaching[var] | lines
+                tainted[var] = tainted[var] or was_tainted[var]
             continue
         if isinstance(stmt, FreeDecl):
             update(stmt.var, stmt.line, False)
@@ -294,7 +300,7 @@ def extract_msan_facts(
                     MemoryErrorFact(stmt.var, UNINIT_ERROR_KIND, file, stmt.line)
                 )
         elif isinstance(stmt, Return):
-            if depth == 0:
+            if not saved:
                 break
     return MsanFactSet(
         uses=frozenset(uses),

@@ -223,10 +223,11 @@ def random_toy(
 ) -> ToyProgram:
     """A normalized, loop-free, return-free program.
 
-    With ``guards_on_free_only`` every guard tests a dedicated free
-    variable that is never assigned, so every static path is realizable by
-    some input assignment (which makes static reachability and dynamic
-    enumeration agree).
+    With ``guards_on_free_only`` every guard tests a free variable that is
+    never assigned.  Guards are drawn from a pool of two such variables, so
+    two guards may test the same one and a static path through one and not
+    the other is not realizable: static reachability can still claim a
+    path that no input assignment takes.
     """
     n_free = rng.randint(1, 3) if n_free is None else n_free
     n_defs = rng.randint(3, 9) if n_defs is None else n_defs

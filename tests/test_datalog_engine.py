@@ -363,7 +363,7 @@ def test_rule_text_never_reaches_generated_source():
     db = evaluate(hostile)
     assert dict(db.relations) == naive_evaluate(hostile)
     assert _replays_everywhere(hostile, db)
-    # plans do not depend on names: the same derivations in the same order
+    # plans do not depend on names: each tuple has the same derivation
     symbol_of = {v: k for k, v in _HOSTILE_SYMBOLS.items()}
     predicate_of = {v: k for k, v in _HOSTILE_PREDICATES.items()}
 
@@ -371,16 +371,19 @@ def test_rule_text_never_reaches_generated_source():
         name, values = key
         return predicate_of[name], tuple(symbol_of.get(v, v) for v in values)
 
-    plain_db = evaluate(plain)
-    rule_number = {rule: i for i, rule in enumerate(hostile.rules)}
-    assert [
-        (back(key), None if step is None else (rule_number[step[0]], tuple(map(back, step[1]))))
-        for key, step in db.provenance.items()
-    ] == [
-        (key, None if step is None else (plain.rules.index(step[0]), step[1]))
-        for key, step in plain_db.provenance.items()
-    ]
-    assert len(db.provenance) > len(hostile.facts)
+    def texts(program, db, fact):
+        return {
+            key: _derivation_text(
+                explain(db, Atom(*key)), fact, lambda rule: str(program.rules.index(rule))
+            )
+            for key in _tuples(db)
+        }
+
+    hostile_texts = texts(hostile, db, lambda atom: _fact(back((atom.predicate, atom.args))))
+    assert {back(key): text for key, text in hostile_texts.items()} == texts(
+        plain, evaluate(plain), print_atom
+    )
+    assert len(hostile_texts) > len(hostile.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +396,17 @@ def _unprepared(program: Program) -> Program:
 
 
 def _outcome(program: Program):
-    """What evaluating a program gives: the error, or the model, the
-    derivation order and the input leaves of every tuple's derivation."""
+    """What evaluating a program gives: the error, or the model, and the
+    derivation and the input leaves of every tuple."""
     try:
         db = evaluate(program)
     except ClaimcheckError as exc:
         return type(exc), str(exc)
-    leaves = {
-        (name, values): explain(db, Atom(name, values)).leaves()
-        for name, relation in db.relations.items()
-        for values in relation
-    }
-    return dict(db.relations), list(db.provenance.items()), leaves
+    explained = {}
+    for key in _tuples(db):
+        root = explain(db, Atom(*key))
+        explained[key] = _derivation_text(root), root.leaves()
+    return dict(db.relations), explained
 
 
 def _rules_programs() -> list[Program]:
@@ -657,7 +659,7 @@ def test_fact_checks_match_the_per_fact_reference():
 
 
 # ---------------------------------------------------------------------------
-# Pinned provenance and derivations
+# Pinned derivations
 # ---------------------------------------------------------------------------
 
 _TC_RULES = {
@@ -685,19 +687,14 @@ def _fact(key) -> str:
     return print_atom(Atom(name, tuple(values)))
 
 
-def _provenance_text(db) -> str:
-    """Every tuple in derivation order, with the rule and support it was
-    first derived from."""
-    return "".join(
-        _fact(key) + ("" if step is None else " <- " + print_rule(step[0]) + " | "
-                      + ", ".join(map(_fact, step[1]))) + "\n"
-        for key, step in db.provenance.items()
-    )
+def _tuples(db) -> list[tuple[str, tuple]]:
+    """Every ``(relation, tuple)`` of the model, in sorted order."""
+    return [(name, values) for name in sorted(db.relations) for values in sorted(db[name])]
 
 
-def _derivation_text(root) -> str:
+def _derivation_text(root, fact=print_atom, rule=print_rule) -> str:
     """Each distinct node of a derivation once, in pre-order, with its rule
-    and the numbers of its children."""
+    and the numbers of its children; ``fact`` and ``rule`` print them."""
     number: dict[int, int] = {}
     order, stack = [], [root]
     while stack:
@@ -707,23 +704,23 @@ def _derivation_text(root) -> str:
             order.append(node)
             stack.extend(reversed(node.children))
     return "".join(
-        f"{print_atom(node.fact)} <- "
-        f"{'input' if node.rule is None else print_rule(node.rule)} "
+        f"{fact(node.fact)} <- "
+        f"{'input' if node.rule is None else rule(node.rule)} "
         f"{[number[id(child)] for child in node.children]}\n"
         for node in order
     )
 
 
 _PINNED_SHA256 = {
-    "tc-single": "849e83d6eabcf3647e267d06c524083bb998127932575609fa310de052160cd6",
-    "tc-double": "91981cdda1f6dfee50ffcbdff752ee1f7a31d3ab89f9895303eb7bf869cf14ef",
-    "msan": "c3f22bc40e8c712a7ef4ffaf9ad350cd3b1a76c9520d3c15454e607178cf1b6c",
-    "field_assign_reorder": "aef57b517521c874e72e9f5355031d2a24a8d8d28c1140c72fb3a93b35f8bc08",
-    "guarded_call_onesided_watch": "5aa01ca0a497ad76370862ce0b9b18f11ea49cf3eddd84f90e31ecec14f7e1ea",
-    "guarded_call_renamed_fn": "187eeefcc257af04c299e66049d0f5caeb994fd09a7a8d7be2c32851422d9ba4",
-    "guarded_call_self_pair": "c0739a1e4d30165cd97e38e6c080c90e429636121fd4a3a8b7607e290c2f36ab",
-    "loop_cond_swap": "2113b467fa3523a37f7738eb714806c8160745e90f6b8a47338e3f671cc7469d",
-    "switch_vs_ifelse": "bb680365de18c5044d192861bec986285c5846cc0e77cd3802a5a575f2cdd654",
+    "tc-single": "0f8500af47b0ef214acf86364f93caa2bd5471cdf31cb6a204a3776520ecdfcc",
+    "tc-double": "478fd0634c7b9480e706177ca23a53c3d2ae84fb0a0ba2a2022947edea52694e",
+    "msan": "0c1418c8db53af2dfca64dcfe6a3235c92deff36f98a12e96ec1e93dbe331e70",
+    "field_assign_reorder": "0c6518fdbe0dde572036257a32ad602f43d4e835cd2265ea4bc39830693eb27c",
+    "guarded_call_onesided_watch": "ff13d454a42e60bd29c2b987a3e226ff43e69870bb6f4841740052da57e47478",
+    "guarded_call_renamed_fn": "f1689228a9a7e582b27c7ec9ac7094570ba7049f6d6d167f3a875780ae6ff9fd",
+    "guarded_call_self_pair": "f05928d07ca8529369dc906fe7ea8603fbb19f04f35a41a87ab0310afd061abe",
+    "loop_cond_swap": "f74084844882cd32ceebb4471d391eaed31d67fb91a7bd3da99f3f086d7631a7",
+    "switch_vs_ifelse": "a61cedaf87152e4e7d3a2a870a3bf0ff94474ef219dbdea38a02b7bf449dcb95",
 }
 
 
@@ -731,38 +728,9 @@ def test_provenance_and_explain_are_pinned(fixtures_dir):
     digests = {}
     for name, program in _pinned_programs(fixtures_dir).items():
         db = evaluate(program)
-        text = _provenance_text(db) + "".join(
-            _derivation_text(explain(db, Atom(*key))) for key in db.provenance
-        )
+        text = "".join(_derivation_text(explain(db, Atom(*key))) for key in _tuples(db))
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == _PINNED_SHA256
-
-
-def test_explain_reads_the_slots_as_the_provenance_view_does(fixtures_dir, monkeypatch):
-    """``explain`` on a fresh model, whose provenance view is never built,
-    gives the derivations it gives once the view is read, and the view reads
-    the same whether it is built before or after those explains."""
-    programs = _pinned_programs(fixtures_dir)
-    programs.update(
-        (f"random-{seed}", random_positive_program(random.Random(seed))) for seed in range(20)
-    )
-    bodiless = set()
-    for name, program in programs.items():
-        viewed = evaluate(program)
-        view = list(viewed.provenance.items())
-        expected = [_derivation_text(explain(viewed, Atom(*key))) for key, _ in view]
-        fresh = evaluate(program)
-        with monkeypatch.context() as patch:
-            patch.setattr(engine.Database, "provenance", property(
-                lambda db: pytest.fail("explain built the provenance view")
-            ))
-            assert [_derivation_text(explain(fresh, Atom(*key))) for key, _ in view] == expected
-        assert list(fresh.provenance.items()) == view
-        if any(step is not None and not step[1] for _, step in view):
-            bodiless.add(name)
-    # a rule with no positive atom, `equivalent() :- !has_mismatch().`, is covered;
-    # `tc-double` reads its own head outside the delta, so its plans buffer
-    assert "guarded_call_self_pair" in bodiless and "tc-double" in programs
 
 
 _DETERMINISM_SCRIPT = """
@@ -780,7 +748,6 @@ programs = [
 ] + [random_positive_program(random.Random(seed)) for seed in range(6)]
 for program in programs:
     db = evaluate(program)
-    print("derivation order:", list(db.provenance))
     for name in sorted(db.relations):
         for values in sorted(db[name]):
             stack = [(explain(db, Atom(name, values)), 0)]

@@ -11,8 +11,8 @@
   use, checked on the rules path (build, evaluate, explain the witness).
 - the parser fallback: the text of a chain of n steps, and of a toy self
   pair of n definitions, each with one escaped symbol, loaded.
-- transitive closure over a path graph, evaluated and its provenance view
-  read once, as its derived tuples grow about 8x.
+- transitive closure over a path graph, evaluated with the step that first
+  derived each tuple kept in its slot, as its derived tuples grow about 8x.
 
 Going from n to 8n, each direct check must grow about linearly in time and
 each rules program linearly in input facts and derived tuples, and the
@@ -208,9 +208,8 @@ def test_tc_evaluate_and_provenance_grow_about_linearly_in_derived_tuples():
         for _ in range(5):
             started = time.perf_counter()
             db = evaluate(program)
-            provenance = db.provenance
             best = min(best, time.perf_counter() - started)
+        assert len(db["edge"]) == edges
         assert len(db["path"]) == edges * (edges + 1) // 2
-        assert len(provenance) == edges + len(db["path"])
         times.append(best)
     assert times[1] / times[0] < 24
