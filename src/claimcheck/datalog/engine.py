@@ -20,10 +20,11 @@ its loops if it reads its own head relation outside the delta and so would
 see its insertions.  The code of equal generated source is compiled once.
 
 A tuple's derivation lives in its own slot of its relation's dict: the step
-``(rule, t0, t1, ...)`` that first derived it, one body tuple per positive
-atom, or ``None`` for an input fact.  That slot is the only record of it:
-:func:`explain` is the one reader, and builds a proof from the slots only
-when a fact is asked about.
+``(i, t0, t1, ...)`` that first derived it, its rule's ordinal ``i`` in
+:attr:`RuleSet.rules` and one body tuple per positive atom, or ``None`` for
+an input fact.  A step holds only values, so the garbage collector stops
+tracking it.  That slot is the only record of it: :func:`explain` is the
+one reader, and builds a proof from the slots only when asked.
 
 Relations are kept in insertion order and no step iterates over a hashed
 set, so verdicts and the derivation kept for each tuple (the first one
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import zlib
-from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
@@ -64,6 +64,7 @@ from .ast import (
     print_fact,
     print_rule,
 )
+from .values import compiled_make
 
 _UNKNOWN = "?"
 
@@ -355,17 +356,19 @@ class RuleSet:
 
     ``declarations``, a read-only snapshot, cover every relation the rules
     name with all argument sorts settled, so a program the rule set admits
-    only has its facts checked against them when it is evaluated.  Equality
-    is identity.
+    only has its facts checked against them when it is evaluated.
+    ``body_predicates[i]`` holds the predicates of ``rules[i]``'s positive
+    atoms, the relations of the tuples a step of that rule cites.  Equality is identity.
     """
 
-    __slots__ = ("rules", "declarations", "strata", "_join_plans")
+    __slots__ = ("rules", "declarations", "strata", "body_predicates", "_join_plans")
 
     def __init__(
         self, rules: tuple[Rule, ...], declarations: Mapping[str, tuple[str, ...]],
         strata: tuple[tuple[str, ...], ...],
     ) -> None:
         self.rules, self.declarations, self.strata = rules, declarations, strata
+        self.body_predicates = tuple(tuple(a.predicate for a in r.positive_atoms()) for r in rules)
         self._join_plans: tuple[_StratumPlans, ...] | None = None
 
     def program(self, segments: Segments = ()) -> Program:
@@ -414,8 +417,8 @@ def prepare(rules: Program) -> RuleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# what a tuple's slot holds: None for an input fact, else the rule and one
-# body tuple per positive atom, in body order
+# what a tuple's slot holds: None for an input fact, else the rule's ordinal
+# in its rule set and one body tuple per positive atom, in body order
 Step = Optional[tuple]
 
 
@@ -424,17 +427,18 @@ class Database(Record, Mapping):
 
     :func:`evaluate` keeps the step that first derived a tuple in the
     tuple's own slot of its relation: ``None`` for an input fact, else
-    ``(rule, t0, t1, ...)``, one body tuple per positive atom.  Only
-    :func:`explain` reads the slots; equality compares the relations alone.
+    ``(i, t0, t1, ...)``, the ordinal of the rule in the :class:`RuleSet`
+    evaluated and one body tuple per positive atom.  Only :func:`explain`
+    reads the slots and the rule set; equality compares the relations alone.
     """
 
-    __slots__ = ("relations", "_steps")
+    __slots__ = ("relations", "_steps", "_rule_set")
     _fields = ("relations",)
 
-    def __init__(self, steps: dict[str, dict[tuple, Step]]) -> None:
-        """The model whose slots are ``steps``."""
+    def __init__(self, steps: dict[str, dict[tuple, Step]], rule_set: RuleSet) -> None:
+        """The model whose slots are ``steps``, derived by ``rule_set``."""
         self.relations = {name: frozenset(slots) for name, slots in steps.items()}
-        self._steps = steps
+        self._steps, self._rule_set = steps, rule_set
 
     def __getitem__(self, name: str) -> frozenset:
         return self.relations[name]
@@ -444,15 +448,6 @@ class Database(Record, Mapping):
 
     def __len__(self) -> int:
         return len(self.relations)
-
-
-def _body_predicates(rule: Rule, known: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
-    """The predicates of the rule's positive atoms, kept in ``known`` by the
-    rule's ``id``: a rule's hash recurses through its whole syntax tree."""
-    predicates = known.get(id(rule))
-    if predicates is None:
-        predicates = known[id(rule)] = tuple(atom.predicate for atom in rule.positive_atoms())
-    return predicates
 
 
 def _match(atom: Atom, values: tuple) -> dict | None:
@@ -507,11 +502,10 @@ _LOOPS_PER_FUNCTION = 16
 class _Plan(NamedTuple):
     """A rule compiled for one delta position, not yet bound to relations."""
 
-    rule: Rule
     head: str  # predicate of the rule's head
     delta: str | None  # predicate of the atom read from the delta, if any
     make: Callable[..., Callable[[list, list], None]]  # generated; see _plan
-    constants: tuple  # constants, predicate names and the rule, passed to make first
+    constants: tuple  # constants and the rule's ordinal, passed to make first
     # then one relation read each: (predicate, None) for its tuples, or
     # (predicate, columns) for its index on those columns
     reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
@@ -530,18 +524,7 @@ def _tuple_source(items: list[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-@lru_cache(maxsize=256)
-def _compiled(source: str) -> Callable:
-    """The ``make`` function that generated source defines.  Source text
-    holds no constant or name from a rule, so equal text is equal code.
-    The file name differs with the text, so profilers keep plans apart."""
-    namespace: dict = {}
-    filename = f"<join plan {zlib.crc32(source.encode()):08x}>"
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]
-
-
-def _plan(rule: Rule, delta_position: int | None) -> _Plan:
+def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
     """Generate the join plan of one rule: nested ``for`` loops over index
     lookups, one per positive atom, inserting each new head tuple (buffered
     when the plan reads its head relation outside the delta).
@@ -551,9 +534,10 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
     through an index keyed by its bound columns.  Negated atoms (single index
     probes) and comparisons run as soon as their variables are bound.
     Variables become locals ``v0, v1, ...``, the tuple of each step ``t<n>``;
-    constants, predicate names and relation reads are arguments of ``make``,
-    so no text of the rule reaches the source.  Loops past
-    ``_LOOPS_PER_FUNCTION`` continue in a further generated function.
+    constants, the rule's ``ordinal`` and relation reads are arguments of
+    ``make``, so no text of the rule reaches the source and rules of one
+    shape share code.  Loops past ``_LOOPS_PER_FUNCTION`` continue in a
+    further generated function.
     """
     atoms = rule.positive_atoms()
     names: dict[str, str] = {}  # rule variable -> local name
@@ -666,8 +650,8 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
             emit(f"{_tuple_source(targets)} = {row}")
         for condition in ready_filters():
             emit(f"if {condition}: continue")
-    # the step kept in the new tuple's slot: the rule, then each atom's tuple
-    step = _tuple_source([value(rule)] + [steps[p] for p in range(len(atoms))])
+    # the step kept in the new tuple's slot: the rule's ordinal, then each atom's tuple
+    step = _tuple_source([value(ordinal)] + [steps[p] for p in range(len(atoms))])
     if buffered:
         emit(f"add(({key(rule.head.args)}, {step}))")
         functions[0] += ["    add = new.append", "    for h, step in out:"]
@@ -689,7 +673,9 @@ def _plan(rule: Rule, delta_position: int | None) -> _Plan:
         + ["    return run", ""]
     )
     delta = None if delta_position is None else atoms[delta_position].predicate
-    return _Plan(rule, head, delta, _compiled(source), tuple(constants), tuple(reads))
+    # the file name differs with the text, so profilers keep plans apart
+    make = compiled_make(source, f"<join plan {zlib.crc32(source.encode()):08x}>")
+    return _Plan(head, delta, make, tuple(constants), tuple(reads))
 
 
 # a stratum's predicates, the plans run once over the lower strata, and the
@@ -701,14 +687,14 @@ def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Str
     """The plans of each stratum that has rules, in evaluation order."""
     out = []
     for stratum in strata:
-        members = [r for r in rules if r.head.predicate in stratum]
+        members = [(k, r) for k, r in enumerate(rules) if r.head.predicate in stratum]
         if members:
             out.append((
                 stratum,
-                tuple(_plan(rule, None) for rule in members),
+                tuple(_plan(rule, k, None) for k, rule in members),
                 tuple(
-                    _plan(rule, i)
-                    for rule in members
+                    _plan(rule, k, i)
+                    for k, rule in members
                     for i, atom in enumerate(rule.positive_atoms())
                     if atom.predicate in stratum
                 ),
@@ -745,7 +731,7 @@ def evaluate(program: Program) -> Database:
                     run(delta[predicate], new_delta[head])
             delta = new_delta
 
-    return Database({name: rel.tuples for name, rel in relations.items()})
+    return Database({name: rel.tuples for name, rel in relations.items()}, rule_set)
 
 
 # ---------------------------------------------------------------------------
@@ -815,17 +801,17 @@ def explain(db: Database, fact: Atom) -> Derivation:
     Each fact's slot is probed once: an input fact's node is built as soon
     as its slot is read, and a derived fact's node when its step, stacked
     below its children, comes off the stack.  The slots are the only record
-    of a derivation, so this is where a proof is built, on request.
+    of a derivation, so this is where a proof is built, on request; a step's
+    rule and the relations of its body tuples are read from the rule set.
     """
     name, values = fact.predicate, fact.value_tuple()
     if name not in db.relations or values not in db.relations[name]:
         raise NotDerivableError(print_atom(fact))
-    steps = db._steps
+    steps, rules, body = db._steps, db._rule_set.rules, db._rule_set.body_predicates
     step = steps[name].get(values)
     if step is None:
         return Derivation(fact, None)
     root = (name, values)
-    body: dict[int, tuple[str, ...]] = {}
     built: dict[tuple[str, tuple], Derivation] = {}
     # (fact key, its step, None), or (..., its child keys) once those are pushed
     stack: list = [(root, step, None)]
@@ -835,7 +821,7 @@ def explain(db: Database, fact: Atom) -> Derivation:
             if key in built:
                 continue
             # a step only cites tuples derived earlier, so this ends
-            children = tuple(zip(_body_predicates(step[0], body), step[1:]))
+            children = tuple(zip(body[step[0]], step[1:]))
             stack.append((key, step, children))
             for child in reversed(children):
                 if child not in built:
@@ -847,5 +833,5 @@ def explain(db: Database, fact: Atom) -> Derivation:
             continue
         # the root's key is the only one that is ``root`` itself
         atom = fact if key is root else Atom(*key)
-        built[key] = Derivation(atom, step[0], tuple(map(built.__getitem__, children)))
+        built[key] = Derivation(atom, rules[step[0]], tuple(map(built.__getitem__, children)))
     return built[root]

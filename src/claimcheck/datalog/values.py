@@ -1,4 +1,4 @@
-"""Ground values, the record base class, and the writer of fact text.
+"""Ground values, the record base class, fact text and generated code.
 
 This is all that the fact loaders and the direct verifiers need of the
 Datalog layer, so they import it without the rule syntax tree of
@@ -8,10 +8,20 @@ and a number an ``int`` that is not a ``bool``.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 SYMBOL = "symbol"
 NUMBER = "number"
+
+
+@lru_cache(maxsize=256)
+def compiled_make(source: str, filename: str) -> Callable:
+    """The ``make`` function that generated ``source`` defines, compiled once
+    as ``filename``: generated source holds no constant of its input."""
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
 
 
 class Record:

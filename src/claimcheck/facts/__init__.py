@@ -50,7 +50,7 @@ from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 from .. import _lazy_names
-from ..datalog.values import NUMBER, SYMBOL, Record, print_fact
+from ..datalog.values import NUMBER, SYMBOL, Record, compiled_make, print_fact
 
 DEFAULT_FILE = "main.cpp"
 # task names: the trace vocabulary and the equivalence vocabulary
@@ -242,13 +242,6 @@ def _bare(text: str) -> str:
     raise ValueError(f"{text} is not a symbol")
 
 
-@cache  # relations of one shape share their code
-def _compiled(source: str) -> Callable:
-    namespace: dict = {}
-    exec(compile(source, "<fact converter>", "exec"), namespace)
-    return namespace["make"]
-
-
 @cache  # built for the (predicate, arity) pairs that texts use
 def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] | None:
     """The function from a fact-scan match of ``arity`` constants to the
@@ -272,12 +265,12 @@ def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] 
     unpack = "a0 = m[2]" if arity == 1 else f"{names} = m.group({groups})"
     result = values[0] if relation.fact_type is str else f"new(fact, ({', '.join(values)},))"
     params = ", ".join(["new", "bare", "fact", "default", *(f"n{c}" for c in normalize)])
-    make = _compiled(
+    make = compiled_make(  # relations of one shape share their code
         f"def make({params}):\n"
         f"    def convert(m):\n"
         f"        {unpack}\n"
         f"        return {result}\n"
-        f"    return convert\n"
+        f"    return convert\n", "<fact converter>"
     )
     return make(tuple.__new__, _bare, relation.fact_type, relation.default, *normalize.values())
 

@@ -230,8 +230,10 @@ def extract_msan_facts(
     The walk is path-insensitive.  A definition replaces a variable's
     reaching definitions and taint within its guard block; at the block's
     close they are joined with those from before the block, the path that
-    skips it.  Guards are not evaluated, so two guards on one variable still
-    count the paths through one block and not the other.
+    skips it.  A ``return`` ends its path: nothing up to its block's close
+    emits a fact, and the close restores the state from before the block.
+    Guards are not evaluated, so two guards on one variable still count the
+    paths through one block and not the other.
     """
     _require_normalized(program)
     first_site = first_def_sites(program)
@@ -248,6 +250,7 @@ def extract_msan_facts(
     tainted: dict[str, bool] = {}
     # per open guard, the reaching sets and taint bits at its opening
     saved: list[tuple[dict[str, set[int]], dict[str, bool]]] = []
+    dead = 0  # after a return: the blocks open since, the returning one included
 
     def seed(var: str, line: int) -> bool:
         return var in uninit_vars and line == first_site[var]
@@ -268,6 +271,14 @@ def extract_msan_facts(
         return tainted.get(operand, False)
 
     for stmt in program.statements:
+        if dead:
+            if isinstance(stmt, GuardOpen):
+                dead += 1
+            elif isinstance(stmt, GuardClose):
+                dead -= 1
+                if not dead:  # only the path that skipped the block goes on
+                    reaching, tainted = saved.pop()
+            continue
         if isinstance(stmt, GuardOpen):
             saved.append((dict(reaching), dict(tainted)))
             continue
@@ -300,8 +311,7 @@ def extract_msan_facts(
                     MemoryErrorFact(stmt.var, UNINIT_ERROR_KIND, file, stmt.line)
                 )
         elif isinstance(stmt, Return):
-            if not saved:
-                break
+            dead = 1
     return MsanFactSet(
         uses=frozenset(uses),
         uninitialized=frozenset(uninitialized),

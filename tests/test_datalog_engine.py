@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import os
@@ -242,6 +243,24 @@ def test_transitive_closure_of_200_edge_chain_is_fast():
     elapsed = time.perf_counter() - start
     assert len(db["path"]) == n * (n + 1) // 2 == 20_100
     assert elapsed < 2.0, f"TC over a {n}-edge chain took {elapsed:.2f} s"
+
+
+def test_steps_are_not_tracked_by_the_garbage_collector():
+    # a step cites its rule by ordinal and holds only values, so once the
+    # collector has seen it, it is never scanned again as the model grows
+    n = 30
+    edges = " ".join(f'edge("n{i}", "n{i + 1}").' for i in range(n))
+    program = parse_program(
+        "path(x, y) :- edge(x, y).\n"
+        "path(x, z) :- path(x, y), edge(y, z).\n" + edges
+    )
+    db = evaluate(program)
+    gc.collect()
+    gc.collect()
+    steps = [step for slots in db._steps.values() for step in slots.values() if step]
+    assert len(steps) == len(db["path"]) == n * (n + 1) // 2
+    assert [step for step in steps if gc.is_tracked(step)] == []
+    assert explain(db, Atom("path", ("n0", f"n{n}"))).rule is program.rules[1]
 
 
 def test_explain_1100_step_flow_chain():

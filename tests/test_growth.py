@@ -11,8 +11,9 @@
   use, checked on the rules path (build, evaluate, explain the witness).
 - the parser fallback: the text of a chain of n steps, and of a toy self
   pair of n definitions, each with one escaped symbol, loaded.
-- transitive closure over a path graph, evaluated with the step that first
-  derived each tuple kept in its slot, as its derived tuples grow about 8x.
+- transitive closure over a path graph, ``evaluate`` alone, as its derived
+  tuples grow about 8x; each tuple's slot keeps the step that first derived
+  it, which cites its rule by ordinal.
 
 Going from n to 8n, each direct check must grow about linearly in time and
 each rules program linearly in input facts and derived tuples, and the
@@ -200,7 +201,7 @@ def _path_graph(edges):
     )
 
 
-def test_tc_evaluate_and_provenance_grow_about_linearly_in_derived_tuples():
+def test_tc_evaluate_grows_about_linearly_in_derived_tuples():
     times = []
     for edges in PATH_EDGES:
         program = _path_graph(edges)

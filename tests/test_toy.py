@@ -34,6 +34,7 @@ COPY_CHAIN = "fixtures/toy/copy_chain.toy"
 GUARDED_A = "fixtures/toy/guarded_call_a.toy"
 GUARDED_B = "fixtures/toy/guarded_call_b.toy"
 GUARD_REDEFINITION = "fixtures/toy/guard_redefinition.toy"
+GUARDED_RETURN = "fixtures/toy/guarded_return.toy"
 
 
 def _read(path):
@@ -324,6 +325,32 @@ def test_redefinition_in_a_guard_kills_the_tainted_definition():
     assert facts.memory_error == frozenset()
     assert lint_msan(facts).errors == []
     assert verify_msan(facts).outcome == DONT_KNOW
+
+
+_DECLS = "int in0;\nint g0;\nint g1;\nint x0 = 1;\n"
+
+
+@pytest.mark.parametrize("source, reaches", [
+    (GUARDED_RETURN, False),
+    (_DECLS + "if (g0) {\n  return;\n  x0 = in0 + in0;\n  output(x0);\n}\noutput(x0);\n", False),
+    (_DECLS + "if (g0) {\n  x0 = in0 + in0;\n  return;\n  if (g1) {\n    x0 = 2;\n  }\n"
+     "  output(x0);\n}\noutput(x0);\n", False),
+    (_DECLS + "if (g0) {\n  if (g1) {\n    x0 = in0 + in0;\n    return;\n  }\n"
+     "  output(x0);\n}\noutput(x0);\n", False),
+    # g0 and not g1 carries the marked value past both guards
+    (_DECLS + "if (g0) {\n  x0 = in0 + in0;\n  if (g1) {\n    return;\n  }\n}\noutput(x0);\n", True),
+    (_DECLS + "x0 = in0 + in0;\nreturn;\nif (g0) {\n  output(x0);\n}\noutput(x0);\n", False),
+], ids=["def-then-return", "return-first", "nested-guard-after-return",
+        "return-in-nested-guard", "nested-return-leaves-outer-path", "top-level-return"])
+def test_a_return_ends_the_path_through_it(source, reaches):
+    # the statements after a return are dead, and only the path that skips
+    # the returning guard goes on past it
+    program = parse_toy(_read(source) if source == GUARDED_RETURN else source)
+    facts = extract_msan_facts(program, {"in0"})
+    assert taint_reaches_output(program, {"in0"}) == reaches
+    assert lint_msan(facts).errors == []
+    assert bool(facts.memory_error) == reaches
+    assert (verify_msan(facts).outcome == VERIFIED) == reaches
 
 
 @pytest.mark.parametrize("seed", range(40))
