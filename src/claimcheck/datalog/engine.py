@@ -7,17 +7,19 @@ negated atoms consult relations of strictly lower strata.
 
 Validation, by :func:`check_program` or (for a rule set without facts)
 :func:`prepare`, yields a :class:`RuleSet`: the rules, their completed
-declarations and their strata.  The rule set generates its join plans on
-its first :func:`evaluate` and keeps them; evaluating a program that still
-holds its rules and declarations checks only the program's facts, a segment
-(a run of one relation's value tuples) at a time, and any other program is
+declarations and their strata.  The rule set generates its plans on its
+first :func:`evaluate` and keeps them; evaluating a program that still holds
+its rules and declarations checks only the program's facts, a segment (a run
+of one relation's value tuples) at a time, and any other program is
 validated again.  Facts load a segment at a time, one ``dict.fromkeys``
-each.  Each rule is generated once per delta position into a join plan: a
-Python function of nested loops whose atoms are probed through hash indexes
-on their bound columns, with negated atoms as single index probes, that
-inserts each new head tuple inline (relation, indexes, new delta), or after
-its loops if it reads its own head relation outside the delta and so would
-see its insertions.  The code of equal generated source is compiled once.
+each.  Each stratum is generated into one Python function that runs its
+initial plans and then its semi-naive rounds, with each round's deltas held
+as locals.  A rule's join plan, once per delta position, is nested loops
+whose atoms are probed through hash indexes on their bound columns, with
+negated atoms as single index probes, and inserts each new head tuple inline
+(relation, indexes, new delta), or after its loops if it reads its own head
+relation outside the delta and so would see its insertions.  The code of
+equal generated source is compiled once.
 
 A tuple's derivation lives in its own slot of its relation's dict: the step
 ``(i, t0, t1, ...)`` that first derived it, its rule's ordinal ``i`` in
@@ -369,7 +371,7 @@ class RuleSet:
     ) -> None:
         self.rules, self.declarations, self.strata = rules, declarations, strata
         self.body_predicates = tuple(tuple(a.predicate for a in r.positive_atoms()) for r in rules)
-        self._join_plans: tuple[_StratumPlans, ...] | None = None
+        self._join_plans: tuple[_Stratum, ...] | None = None
 
     def program(self, segments: Segments = ()) -> Program:
         """A new program of these rules and declarations, with these facts."""
@@ -386,9 +388,9 @@ class RuleSet:
         )
 
     @property
-    def plans(self) -> tuple[_StratumPlans, ...]:
-        """Join plans of the rules, generated on first use: ``export``
-        needs the rules, not the plans."""
+    def plans(self) -> tuple[_Stratum, ...]:
+        """The generated function of each stratum, made on first use:
+        ``export`` needs the rules, not the plans."""
         if self._join_plans is None:
             self._join_plans = _plans(self.rules, self.strata)
         return self._join_plans
@@ -495,54 +497,60 @@ class _Relation:
 
 
 _PYTHON_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
-# for loops per generated function; CPython allows 20 statically nested blocks
+# for loops per generated function: with the ``while`` of the rounds around
+# them, within CPython's limit of 20 statically nested blocks
 _LOOPS_PER_FUNCTION = 16
 
 
-class _Plan(NamedTuple):
-    """A rule compiled for one delta position, not yet bound to relations."""
+class _Stratum(NamedTuple):
+    """A stratum's generated evaluation, not yet bound to relations."""
 
-    head: str  # predicate of the rule's head
-    delta: str | None  # predicate of the atom read from the delta, if any
-    make: Callable[..., Callable[[list, list], None]]  # generated; see _plan
-    constants: tuple  # constants and the rule's ordinal, passed to make first
+    predicates: Sequence[str]  # seen<j> and ix<j> are the tuples and indexes of the j-th
+    make: Callable[..., Callable[[], None]]  # generated; see _plans
+    constants: tuple  # constants and rule ordinals, passed to make first
     # then one relation read each: (predicate, None) for its tuples, or
     # (predicate, columns) for its index on those columns
     reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
 
-    def bind(self, relations: dict[str, _Relation]) -> Callable:
-        """The plan over these relations: a function of the delta and the list
-        of new head tuples, which inserts each new head tuple it derives."""
-        head = relations[self.head]
-        return self.make(*self.constants, *[
+    def run(self, relations: dict[str, _Relation]) -> None:
+        """Evaluate the stratum over these relations, inserting what it derives."""
+        self.make(*self.constants, *[
             relations[name].tuples if columns is None else relations[name].index(columns)
             for name, columns in self.reads
-        ], head.tuples, head.indexes.values())
+        ], *[
+            part for name in self.predicates
+            for part in (relations[name].tuples, relations[name].indexes.values())
+        ])()
 
 
 def _tuple_source(items: list[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
-    """Generate the join plan of one rule: nested ``for`` loops over index
-    lookups, one per positive atom, inserting each new head tuple (buffered
-    when the plan reads its head relation outside the delta).
+def _plan(
+    rule: Rule, ordinal: int, delta_position: int | None, stratum: Sequence[str],
+    constants: list, reads: list, helpers: list[list[str]],
+) -> list[str]:
+    """Generate the join plan of one rule, as lines of its stratum's ``run``:
+    nested ``for`` loops over index lookups, one per positive atom, inserting
+    each new head tuple (buffered when the plan reads its head relation
+    outside the delta).  An initial plan (``delta_position`` None) adds new
+    tuples to its head's delta ``d<j>``, a recursive one to the next round's
+    ``n<j>``, reading the atom at ``delta_position`` from ``d<j>``.
 
     The delta atom (if any) is scanned first; then, greedily, the atom with
     the most bound arguments (ties to the earlier body position) is probed
     through an index keyed by its bound columns.  Negated atoms (single index
     probes) and comparisons run as soon as their variables are bound.
     Variables become locals ``v0, v1, ...``, the tuple of each step ``t<n>``;
-    constants, the rule's ``ordinal`` and relation reads are arguments of
-    ``make``, so no text of the rule reaches the source and rules of one
-    shape share code.  Loops past ``_LOOPS_PER_FUNCTION`` continue in a
-    further generated function.
+    constants, the rule's ``ordinal`` and relation reads are appended to
+    ``constants`` and ``reads``, the stratum's arguments of ``make``, so no
+    text of the rule reaches the source and strata of one shape share code.
+    Loops past ``_LOOPS_PER_FUNCTION`` continue in a function ``s<k>``
+    appended to ``helpers``.
     """
     atoms = rule.positive_atoms()
     names: dict[str, str] = {}  # rule variable -> local name
-    constants: list = []
-    reads: list[tuple[str, Optional[tuple[int, ...]]]] = []
 
     def value(term: Term) -> str:
         if isinstance(term, Var):
@@ -587,17 +595,19 @@ def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
 
     head = rule.head.predicate
     buffered = any(a.predicate == head for i, a in enumerate(atoms) if i != delta_position)
-    sink = "out = []; add = out.append" if buffered else "add = new.append"
-    functions = [["def run(delta, new):", "    " + sink]]
-    depth = 1  # indentation inside the current function
-    loops = 0
+    j = stratum.index(head)
+    sink = f"add = {'d' if delta_position is None else 'n'}{j}.append"
+    body = ["out = []; add = out.append" if buffered else sink]
+    lines, depth, loops = body, 0, 0  # the function being written, its indentation
 
     def emit(line: str) -> None:
-        functions[-1].append("    " * depth + line)
+        lines.append("    " * depth + line)
 
     pending = [lit for lit in rule.body if not isinstance(lit, Atom)]
-    for condition in ready_filters():
-        emit(f"if {condition}: return")
+    conditions = ready_filters()
+    if conditions:
+        emit(f"if not ({' or '.join(conditions)}):")
+        depth += 1
     steps: dict[int, str] = {}  # atom position -> local holding its tuple
     remaining = list(range(len(atoms)))
     while remaining:
@@ -609,8 +619,9 @@ def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
         atom = atoms[position]
         if loops == _LOOPS_PER_FUNCTION:
             live = ", ".join(["add", *steps.values(), *names.values()])
-            emit(f"s{len(functions)}({live})")
-            functions.append([f"def s{len(functions)}({live}):"])
+            emit(f"s{len(helpers)}({live})")
+            lines = [f"def s{len(helpers)}({live}):"]
+            helpers.append(lines)
             depth, loops = 1, 0
         row = f"t{len(steps)}"
         steps[position] = row
@@ -630,7 +641,7 @@ def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
             columns.append(column)
             bound.append(term)
         if position == delta_position:
-            candidates = "delta"
+            candidates = f"d{stratum.index(atom.predicate)}"
         elif columns:
             candidates = f"{read(atom.predicate, tuple(columns))}.get({key(bound)}, ())"
         else:
@@ -654,51 +665,58 @@ def _plan(rule: Rule, ordinal: int, delta_position: int | None) -> _Plan:
     step = _tuple_source([value(ordinal)] + [steps[p] for p in range(len(atoms))])
     if buffered:
         emit(f"add(({key(rule.head.args)}, {step}))")
-        functions[0] += ["    add = new.append", "    for h, step in out:"]
-        body, depth, step = functions[0], 2, "step"
+        body += [sink, "for h, step in out:"]
+        lines, depth, step = body, 1, "step"
     else:
         emit(f"h = {key(rule.head.args)}")
-        body = functions[-1]
-    body.extend("    " * depth + line for line in [
-        "if h not in seen:",
-        f"    seen[h] = {step}",
-        "    for key_of, index in indexes: index.setdefault(key_of(h), []).append(h)",
+    lines.extend("    " * depth + line for line in [
+        f"if h not in seen{j}:",
+        f"    seen{j}[h] = {step}",
+        f"    for key_of, index in ix{j}: index.setdefault(key_of(h), []).append(h)",
         "    add(h)",
     ])
-    parameters = [f"c{i}" for i in range(len(constants))] + [f"r{i}" for i in range(len(reads))]
-    parameters += ["seen", "indexes"]
-    source = "\n".join(
-        [f"def make({', '.join(parameters)}):"]
-        + ["    " + line for lines in functions for line in lines]
-        + ["    return run", ""]
-    )
-    delta = None if delta_position is None else atoms[delta_position].predicate
-    # the file name differs with the text, so profilers keep plans apart
-    make = compiled_make(source, f"<join plan {zlib.crc32(source.encode()):08x}>")
-    return _Plan(head, delta, make, tuple(constants), tuple(reads))
+    return body
 
 
-# a stratum's predicates, the plans run once over the lower strata, and the
-# plans re-run on each round's delta
-_StratumPlans = tuple[Sequence[str], tuple[_Plan, ...], tuple[_Plan, ...]]
-
-
-def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_StratumPlans, ...]:
-    """The plans of each stratum that has rules, in evaluation order."""
+def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Stratum, ...]:
+    """One generated function per stratum that has rules, in evaluation
+    order.  It runs the initial plans, each rule's plan over the lower strata,
+    and then, while a delta ``d<j>`` is not empty, a round: the plans of each
+    rule per body atom of the stratum, each reading the last round's delta."""
     out = []
     for stratum in strata:
         members = [(k, r) for k, r in enumerate(rules) if r.head.predicate in stratum]
-        if members:
-            out.append((
-                stratum,
-                tuple(_plan(rule, k, None) for k, rule in members),
-                tuple(
-                    _plan(rule, k, i)
-                    for k, rule in members
-                    for i, atom in enumerate(rule.positive_atoms())
-                    if atom.predicate in stratum
-                ),
-            ))
+        if not members:
+            continue
+        constants: list = []
+        reads: list = []
+        helpers: list[list[str]] = []
+        shared = (stratum, constants, reads, helpers)
+        deltas, news = ([f"{d}{j}" for j in range(len(stratum))] for d in "dn")
+        run = ["def run():", "    " + "; ".join(f"{d} = []" for d in deltas)]
+        run += ["    " + line for k, rule in members for line in _plan(rule, k, None, *shared)]
+        rounds = [
+            line
+            for k, rule in members
+            for i, atom in enumerate(rule.positive_atoms())
+            if atom.predicate in stratum
+            for line in _plan(rule, k, i, *shared)
+        ]
+        if rounds:
+            run.append(f"    while {' or '.join(deltas)}:")
+            run += ["        " + line for line in ["; ".join(f"{n} = []" for n in news), *rounds]]
+            run.append(f"        {', '.join(deltas)} = {', '.join(news)}")
+        parameters = [f"c{i}" for i in range(len(constants))]
+        parameters += [f"r{i}" for i in range(len(reads))]
+        parameters += [f"{kind}{j}" for j in range(len(stratum)) for kind in ("seen", "ix")]
+        source = "\n".join(
+            [f"def make({', '.join(parameters)}):"]
+            + ["    " + line for lines in (*helpers, run) for line in lines]
+            + ["    return run", ""]
+        )
+        # the file name differs with the text, so profilers keep strata apart
+        make = compiled_make(source, f"<stratum {zlib.crc32(source.encode()):08x}>")
+        out.append(_Stratum(stratum, make, tuple(constants), tuple(reads)))
     return tuple(out)
 
 
@@ -718,19 +736,8 @@ def evaluate(program: Program) -> Database:
     for name, rows in program.segments:  # ground facts: their arguments are their tuples
         if rows:  # an empty segment declares nothing
             relations[name].tuples.update(dict.fromkeys(rows))
-
-    for stratum, initial, recursive in rule_set.plans:
-        delta: dict[str, list] = {name: [] for name in stratum}
-        for plan in initial:
-            plan.bind(relations)([], delta[plan.head])
-        bound = [(plan.delta, plan.head, plan.bind(relations)) for plan in recursive]
-        while any(delta.values()):
-            new_delta: dict[str, list] = {name: [] for name in stratum}
-            for predicate, head, run in bound:
-                if delta[predicate]:
-                    run(delta[predicate], new_delta[head])
-            delta = new_delta
-
+    for stratum in rule_set.plans:
+        stratum.run(relations)
     return Database({name: rel.tuples for name, rel in relations.items()}, rule_set)
 
 
@@ -796,42 +803,35 @@ class Derivation:
 def explain(db: Database, fact: Atom) -> Derivation:
     """One derivation of a ground fact; raises NotDerivableError otherwise.
 
-    Built bottom-up with an explicit stack, one node per distinct fact, so
-    neither proof depth nor repeated sub-proofs are limited by recursion.
-    Each fact's slot is probed once: an input fact's node is built as soon
-    as its slot is read, and a derived fact's node when its step, stacked
-    below its children, comes off the stack.  The slots are the only record
-    of a derivation, so this is where a proof is built, on request; a step's
-    rule and the relations of its body tuples are read from the rule set.
+    Built top-down in one pass with an explicit stack, one node per distinct
+    fact, so neither proof depth nor repeated sub-proofs are limited by
+    recursion.  A fact's node is made, and its slot read, the first time the
+    fact is seen; a derived fact's step is then stacked once, and gives the
+    node its rule and children when it comes off the stack.  The slots are
+    the only record of a derivation, so this is where a proof is built, on
+    request; a step's rule and the relations of its body tuples are read
+    from the rule set.
     """
     name, values = fact.predicate, fact.value_tuple()
     if name not in db.relations or values not in db.relations[name]:
         raise NotDerivableError(print_atom(fact))
     steps, rules, body = db._steps, db._rule_set.rules, db._rule_set.body_predicates
-    step = steps[name].get(values)
+    root = Derivation(fact, None)
+    step = steps[name][values]
     if step is None:
-        return Derivation(fact, None)
-    root = (name, values)
-    built: dict[tuple[str, tuple], Derivation] = {}
-    # (fact key, its step, None), or (..., its child keys) once those are pushed
-    stack: list = [(root, step, None)]
+        return root
+    built = {(name, values): root}
+    stack = [(root, step)]
     while stack:
-        key, step, children = stack.pop()
-        if children is None:
-            if key in built:
-                continue
-            # a step only cites tuples derived earlier, so this ends
-            children = tuple(zip(body[step[0]], step[1:]))
-            stack.append((key, step, children))
-            for child in reversed(children):
-                if child not in built:
-                    below = steps[child[0]].get(child[1])
-                    if below is None:
-                        built[child] = Derivation(Atom(*child), None)
-                    else:
-                        stack.append((child, below, None))
-            continue
-        # the root's key is the only one that is ``root`` itself
-        atom = fact if key is root else Atom(*key)
-        built[key] = Derivation(atom, rules[step[0]], tuple(map(built.__getitem__, children)))
-    return built[root]
+        node, step = stack.pop()
+        children = []
+        for key in zip(body[step[0]], step[1:]):
+            child = built.get(key)
+            if child is None:
+                child = built[key] = Derivation(Atom(*key), None)
+                below = steps[key[0]][key[1]]
+                if below is not None:  # stacked once: the fact is in ``built`` now
+                    stack.append((child, below))
+            children.append(child)
+        node.rule, node.children = rules[step[0]], tuple(children)
+    return root

@@ -327,13 +327,14 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     defined_vars = {f.var for f in side.defs}
     flows_into_var = {f.dst_var for f in side.flows}
 
-    for f in sorted(side.defs):
-        if f.line == 0 or f.line in map_lines or (f.file, f.line) in entry_sites:
-            continue
-        if (f.var, f.file, f.line) in inbound:
-            continue
-        if SiteFact(f.var, f.file, f.line) in side.def_with_expr:
-            continue
+    # Each loop scans its facts unsorted and sorts only those it reports.
+    sourceless = (
+        f for f in side.defs
+        if not (f.line == 0 or f.line in map_lines or (f.file, f.line) in entry_sites)
+        and (f.var, f.file, f.line) not in inbound
+        and SiteFact(f.var, f.file, f.line) not in side.def_with_expr
+    )
+    for f in sorted(sourceless):
         report.errors.append(
             LintIssue(
                 "def-without-source",
@@ -344,16 +345,15 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
         )
     expr_facts = (("defWithExpr", side.def_with_expr), ("condWithExpr", side.cond_with_expr))
     for predicate, facts in expr_facts:
-        for f in sorted(facts):
-            if (f.file, f.line) not in expr_sites:
-                report.errors.append(
-                    LintIssue(
-                        "expr-without-operator",
-                        f"{tag}: {predicate} at {f.file}:{f.line} has no "
-                        "unaryFun/binaryFun at that site",
-                        repr(f),
-                    )
+        for f in sorted(f for f in facts if (f.file, f.line) not in expr_sites):
+            report.errors.append(
+                LintIssue(
+                    "expr-without-operator",
+                    f"{tag}: {predicate} at {f.file}:{f.line} has no "
+                    "unaryFun/binaryFun at that site",
+                    repr(f),
                 )
+            )
     # Function, control-dependence and constant facts are compared only at
     # def sites, so one that no def anchors is a claim nothing checks.
     anchored = {(f.file, f.line) for f in side.defs} | {
@@ -361,26 +361,25 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     }
     operator_facts = (("unaryFun", side.unary), ("binaryFun", side.binary))
     for predicate, facts in operator_facts:
-        for f in sorted(facts):
-            if (f.file, f.line) not in anchored:
-                report.errors.append(
-                    LintIssue(
-                        "operator-without-def",
-                        f"{tag}: {predicate} at {f.file}:{f.line} has no def "
-                        "and no condWithExpr at that site",
-                        repr(f),
-                    )
-                )
-    for f in sorted(side.controldeps):
-        if SiteFact(f.var, f.file, f.line) not in side.defs:
+        for f in sorted(f for f in facts if (f.file, f.line) not in anchored):
             report.errors.append(
                 LintIssue(
-                    "controldep-without-def",
-                    f"{tag}: controldep of {f.var!r} at {f.file}:{f.line} has "
-                    "no def of that variable at that site",
+                    "operator-without-def",
+                    f"{tag}: {predicate} at {f.file}:{f.line} has no def "
+                    "and no condWithExpr at that site",
                     repr(f),
                 )
             )
+    without_def = (f for f in side.controldeps if SiteFact(f.var, f.file, f.line) not in side.defs)
+    for f in sorted(without_def):
+        report.errors.append(
+            LintIssue(
+                "controldep-without-def",
+                f"{tag}: controldep of {f.var!r} at {f.file}:{f.line} has "
+                "no def of that variable at that site",
+                repr(f),
+            )
+        )
     for name in sorted(side.constants - defined_vars):
         report.errors.append(
             LintIssue(
@@ -389,11 +388,12 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                 repr(name),
             )
         )
-    for f in sorted(side.uses):
-        if f.var in defined_vars or f.var in flows_into_var:
-            continue
-        if f.var in side.constants:
-            continue
+    undefined = (
+        f for f in side.uses
+        if f.var not in defined_vars and f.var not in flows_into_var
+        and f.var not in side.constants
+    )
+    for f in sorted(undefined):
         report.errors.append(
             LintIssue(
                 "use-without-def",
@@ -406,16 +406,15 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     exit_used = {
         f.var for f in side.uses if (f.file, f.line) in exit_sites and f in inbound
     }
-    for f in sorted(side.watch_vars):
-        if f.var not in exit_used:
-            report.errors.append(
-                LintIssue(
-                    "watchvar-without-exit-use",
-                    f"{tag}: watchVar {f.var!r} has no use with an inbound "
-                    "flow at an exit line",
-                    repr(f),
-                )
+    for f in sorted(f for f in side.watch_vars if f.var not in exit_used):
+        report.errors.append(
+            LintIssue(
+                "watchvar-without-exit-use",
+                f"{tag}: watchVar {f.var!r} has no use with an inbound "
+                "flow at an exit line",
+                repr(f),
             )
+        )
     if not side.entries and not bundle.entry_maps:
         report.errors.append(
             LintIssue(

@@ -83,37 +83,36 @@ def lint_msan(fs: MsanFactSet) -> LintReport:
         for group in (fs.uses, fs.declared, fs.allocated, fs.uninitialized)
         for f in group
     }
-    for f in sorted(fs.flow):
-        if (f.dst_var, f.dst_file, f.dst_line) not in supported:
-            report.errors.append(
-                LintIssue(
-                    "flow-endpoint-unsupported",
-                    f"flow reaches {f.dst_var!r} at {f.dst_file}:{f.dst_line} "
-                    "but no uses/declared/allocated/uninitialized fact covers "
-                    "that site",
-                    repr(f),
-                )
+    # each loop scans its facts unsorted and sorts only those it reports
+    for f in sorted(f for f in fs.flow if (f.dst_var, f.dst_file, f.dst_line) not in supported):
+        report.errors.append(
+            LintIssue(
+                "flow-endpoint-unsupported",
+                f"flow reaches {f.dst_var!r} at {f.dst_file}:{f.dst_line} "
+                "but no uses/declared/allocated/uninitialized fact covers "
+                "that site",
+                repr(f),
             )
+        )
     use_sites = {(f.file, f.line) for f in fs.uses}
-    for f in sorted(fs.memory_error):
-        if (f.file, f.line) not in use_sites:
-            report.errors.append(
-                LintIssue(
-                    "memory-error-without-use",
-                    f"memoryError at {f.file}:{f.line} has no uses fact at "
-                    "that site",
-                    repr(f),
-                )
+    for f in sorted(f for f in fs.memory_error if (f.file, f.line) not in use_sites):
+        report.errors.append(
+            LintIssue(
+                "memory-error-without-use",
+                f"memoryError at {f.file}:{f.line} has no uses fact at "
+                "that site",
+                repr(f),
             )
+        )
     uninit_vars = {f.var for f in fs.uninitialized}
-    for f in sorted(fs.has_initializer | fs.has_member_initializer):
-        if f.var in uninit_vars:
-            report.warnings.append(
-                LintIssue(
-                    "initializer-conflicts-uninitialized",
-                    f"{f.var!r} has an initializer claim but is also claimed "
-                    "uninitialized",
-                    repr(f),
-                )
+    initializers = fs.has_initializer | fs.has_member_initializer
+    for f in sorted(f for f in initializers if f.var in uninit_vars):
+        report.warnings.append(
+            LintIssue(
+                "initializer-conflicts-uninitialized",
+                f"{f.var!r} has an initializer claim but is also claimed "
+                "uninitialized",
+                repr(f),
             )
+        )
     return report

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,9 @@ from claimcheck.facts import (
     load_msan_facts,
     split_bundle_sections,
 )
+from claimcheck.toy import extract_equiv_facts, extract_msan_facts, normalize
+
+from generators import mutate_toy, random_toy
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +494,47 @@ def test_lint_empty_bundle_misses_entry_and_exit_on_both_sides():
     bundle = EquivBundle(EquivSide(), EquivSide())
     codes = sorted(e.code for e in lint_equiv(bundle).errors)
     assert codes == ["entry-missing", "entry-missing", "exit-missing", "exit-missing"]
+
+
+def _withheld(rng, text, share):
+    """``text`` without about ``share`` of its fact lines; markers stay."""
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if line.startswith("===") or rng.random() >= share
+    )
+
+
+def _lint_outputs(fixtures_dir):
+    """The lint JSON of seeded trace sets and bundles, each with 10-30 % of
+    its lines withheld, so that every kind of issue shows up."""
+    rng = random.Random(29)
+    out = []
+    traces = [(fixtures_dir / "msan" / "audio_buffer_trace.facts").read_text()] * 4
+    for _ in range(30):
+        program = normalize(random_toy(rng, n_defs=rng.randint(6, 30)))
+        marked = set(rng.sample(sorted(program.free_vars), k=1))
+        extra = "".join(
+            f'{rng.choice(["hasInitializer", "hasMemberInitializer"])}("{var}", "ctx").\n'
+            for var in rng.sample(sorted(program.free_vars), k=len(program.free_vars))
+        )
+        traces.append(extract_msan_facts(program, marked).render() + extra)
+    for text in traces:
+        out.append(lint_msan(load_msan_facts(_withheld(rng, text, rng.uniform(0.1, 0.3)))))
+    bundles = [path.read_text() for path in sorted((fixtures_dir / "equiv").glob("*.bundle"))]
+    for _ in range(30):
+        toy = normalize(random_toy(rng, n_defs=rng.randint(6, 30)))
+        mutation = mutate_toy(rng, toy)
+        bundles.append(extract_equiv_facts(toy, mutation.program, mutation.var_map).render())
+    for text in bundles:
+        out.append(lint_equiv(load_equiv_bundle_text(_withheld(rng, text, rng.uniform(0.1, 0.3)))))
+    return [report.to_json() for report in out]
+
+
+def test_lint_reports_of_withheld_lines_are_pinned(fixtures_dir):
+    reports = _lint_outputs(fixtures_dir)
+    codes = {issue["code"] for report in reports for issue in report["errors"] + report["warnings"]}
+    assert len(codes) >= 10
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6af8801776770368126985570138d32c38f1b8e457c842bc4dbb3dc333dd0d58"
+    )

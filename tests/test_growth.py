@@ -8,7 +8,8 @@
   flow chain are uninitialized, the others declared, and the last site is
   used.
 - one long chain: an n-step flow chain from one uninitialized site to one
-  use, checked on the rules path (build, evaluate, explain the witness).
+  use, checked on the rules path (build, evaluate, explain the witness),
+  from its fact set and, at a larger n, from its text.
 - the parser fallback: the text of a chain of n steps, and of a toy self
   pair of n definitions, each with one escaped symbol, loaded.
 - transitive closure over a path graph, ``evaluate`` alone, as its derived
@@ -17,9 +18,12 @@
 
 Going from n to 8n, each direct check must grow about linearly in time and
 each rules program linearly in input facts and derived tuples, and the
-witness derivation linearly in nodes.
+witness derivation linearly in nodes.  A time is the best of at least 5 runs
+over at least ``MIN_TOTAL_S``, each after a collection, so that on a busy
+host a fast call is not measured by one slow moment.
 """
 
+import gc
 import random
 import time
 
@@ -50,6 +54,8 @@ DERIVED_PER_SOURCE = 3
 STEPS = 400
 # a reach node and a flow leaf per step, plus the ends: 2n + 4 for n steps
 NODES_PER_STEP = 3
+TEXT_STEPS = 800
+MIN_TOTAL_S = 0.3
 
 
 def _functions(k):
@@ -76,15 +82,24 @@ def _functions(k):
     return load_equiv_bundle(text, text, "")
 
 
+def _best_time(call):
+    """The best time of ``call`` over at least 5 runs and ``MIN_TOTAL_S``,
+    and what its last run returned.  Each run starts from a collected heap,
+    so that no run pays for the garbage of the one before."""
+    best, runs, until = float("inf"), 0, time.perf_counter() + MIN_TOTAL_S
+    while runs < 5 or time.perf_counter() < until:
+        gc.collect()
+        started = time.perf_counter()
+        result = call()
+        best, runs = min(best, time.perf_counter() - started), runs + 1
+    return best, result
+
+
 def _time_ratio(check, outcome, small, large):
-    """Best-of-5 time of ``check`` on ``large`` over that on ``small``."""
+    """Best time of ``check`` on ``large`` over that on ``small``."""
     times = []
     for facts in (small, large):
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            verdict = check(facts)
-            best = min(best, time.perf_counter() - started)
+        best, verdict = _best_time(lambda: check(facts))
         assert verdict.outcome == outcome and not verdict.lint.errors
         times.append(best)
     return times[1] / times[0]
@@ -140,18 +155,20 @@ def _nodes(derivation) -> int:
     return len(seen)
 
 
-def test_msan_rules_witness_grows_linearly_in_chain_length():
+@pytest.mark.parametrize("steps, prepare, load", [
+    (STEPS, lambda facts: facts, lambda facts: facts),
+    (TEXT_STEPS, MsanFactSet.render, load_msan_facts),
+], ids=["facts", "text"])
+def test_msan_rules_witness_grows_linearly_in_chain_length(steps, prepare, load):
     times = []
-    for steps in (STEPS, 8 * STEPS):
-        facts = _single_source_chain(steps)
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            witness = explain(evaluate(msan_program(facts)), Atom("satisfied", ()))
-            best = min(best, time.perf_counter() - started)
+    for n in (steps, 8 * steps):
+        source = prepare(_single_source_chain(n))
+        best, witness = _best_time(
+            lambda: explain(evaluate(msan_program(load(source))), Atom("satisfied", ()))
+        )
         times.append(best)
-        assert sum(leaf.predicate == "flow" for leaf in witness.leaves()) == steps
-        assert _nodes(witness) <= NODES_PER_STEP * steps
+        assert sum(leaf.predicate == "flow" for leaf in witness.leaves()) == n
+        assert _nodes(witness) <= NODES_PER_STEP * n
     assert times[1] / times[0] < 24
 
 
@@ -180,11 +197,7 @@ def _toy_text(definitions):
 def test_parser_fallback_load_grows_about_linearly(load, text_of, n, uses):
     times = []
     for text in (text_of(n), text_of(8 * n)):
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            loaded = load(text)
-            best = min(best, time.perf_counter() - started)
+        best, loaded = _best_time(lambda: load(text))
         assert ESCAPED in uses(loaded)
         times.append(best)
     assert times[1] / times[0] < 24
@@ -205,11 +218,7 @@ def test_tc_evaluate_grows_about_linearly_in_derived_tuples():
     times = []
     for edges in PATH_EDGES:
         program = _path_graph(edges)
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            db = evaluate(program)
-            best = min(best, time.perf_counter() - started)
+        best, db = _best_time(lambda: evaluate(program))
         assert len(db["edge"]) == edges
         assert len(db["path"]) == edges * (edges + 1) // 2
         times.append(best)
