@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,10 +25,11 @@ from claimcheck.toy import (
     parse_toy,
     render_toy,
     taint_reaches_output,
+    VALUE_DOMAIN,
 )
 from claimcheck.toy.lang import ExprDef, GuardOpen
 
-from generators import random_toy
+from generators import mutate_toy, random_toy
 
 
 COPY_CHAIN = "fixtures/toy/copy_chain.toy"
@@ -402,3 +404,73 @@ def test_oracle_respects_var_pairing():
     assert oracle_equiv(left, right, {"x": "y"}) is True
     with pytest.raises(ValueError):
         oracle_equiv(left, parse_toy("int q;\nint y = inc(q);\n"))
+
+
+# ---------------------------------------------------------------------------
+# The toy layer's output, pinned
+# ---------------------------------------------------------------------------
+
+# Nested right-hand sides, so that normalize adds temporaries (one of them
+# around a name that is already taken), literal and variable copies, unary
+# minus, calls on literals, a negated guard and a return inside it.
+_NESTED_SOURCES = (
+    "int a;\nint b;\nint c = f(a + 1, g(b) * 2);\noutput(c);\n",
+    "int a;\nint x = 5;\nx = a;\nint y = -(a + x) * -3;\nif (!y) {\n"
+    "  x = h(h(x, 0), a < 1 || y);\n  return;\n}\noutput(x);\n",
+    "int a;\nint b_tmp1 = 1;\nint b = (a + b_tmp1) * (a - 2) + k(7);\noutput(b);\n",
+    "int p;\np = p;\nint q = 0;\nq = (((p)));\nint r = p == q && q != 1;\n"
+    "if (r) {\n  q = inc(2);\n  p = blend(3, q);\n}\noutput(r);\n",
+)
+
+
+def _pinned_toy_programs(fixtures_dir):
+    """(program, its equivalence partner, var_map, label) for the shipped
+    toy fixtures, the nested sources, and 100 seeded random programs each
+    paired with one mutation of it."""
+    for path in sorted((fixtures_dir / "toy").glob("*.toy")):
+        program = parse_toy(path.read_text())
+        yield program, program, {}, path.name
+    for source in _NESTED_SOURCES:
+        program = parse_toy(source)
+        yield program, program, {}, "nested"
+    rng = random.Random(3030)
+    for i in range(100):
+        program = random_toy(rng, guards_on_free_only=i % 2 == 1)
+        mutation = mutate_toy(rng, program)
+        yield program, mutation.program, mutation.var_map, mutation.kind
+        yield mutation.program, mutation.program, {}, mutation.kind
+
+
+def _exec_text(state):
+    return repr((
+        sorted(state.env.items()), sorted(state.taint.items()), state.outputs,
+        state.tainted_output, state.exit_line, state.exit_ordinal,
+    ))
+
+
+# The sha256 of what ``test_toy_layer_output_is_pinned`` hashes.
+_TOY_PINNED_DIGEST = "ae18568169abc110f738d5d8e1b52e07ee2adcc9ba1b2cb8b254e77b06855fb3"
+
+
+def test_toy_layer_output_is_pinned(fixtures_dir):
+    """Rendered normal forms, both extractors' facts, and interpreter states
+    with taint on a few assignments, over ``_pinned_toy_programs``."""
+    picks = random.Random(3031)
+    digest = hashlib.sha256()
+
+    def add(text):
+        digest.update(text.encode() + b"\n\x00\n")
+
+    for program, partner, var_map, label in _pinned_toy_programs(fixtures_dir):
+        normal, normal_partner = normalize(program), normalize(partner)
+        add(label)
+        add(render_toy(normal))
+        add(extract_equiv_facts(normal, normal_partner, var_map).render())
+        marked = {picks.choice(sorted(normal.defined_vars()))}
+        add(extract_msan_facts(normal, marked).render())
+        free = sorted(program.free_vars)
+        for _ in range(3):
+            inputs = {v: picks.choice(VALUE_DOMAIN) for v in free}
+            add(_exec_text(interpret(program, inputs, marked)))
+            add(_exec_text(interpret(normal, inputs, marked)))
+    assert digest.hexdigest() == _TOY_PINNED_DIGEST
