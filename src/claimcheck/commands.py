@@ -35,6 +35,13 @@ def cmd_extract(args) -> int:
 
     started = time.perf_counter()
     try:
+        if args.task == MSAN:
+            if args.toy2 is not None:
+                raise ClaimcheckError("a second toy program is for --task equiv only")
+            if args.var_map is not None:
+                raise ClaimcheckError("--var-map is for --task equiv only")
+        elif args.uninit is not None:
+            raise ClaimcheckError("--uninit is for --task msan only")
         program = normalize(parse_toy(read_text(Path(args.toy))))
         if args.task == MSAN:
             marked = set(filter(None, (args.uninit or "").split(",")))
@@ -62,11 +69,12 @@ def cmd_extract(args) -> int:
                 var_map[left] = right
                 images.add(right)
             text = extract_equiv_facts(program, other, var_map, file=args.file_name).render()
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output} ({(time.perf_counter() - started) * 1000.0:.1f} ms)")
     else:
         print(text, end="")
@@ -88,11 +96,11 @@ def cmd_formalize(args) -> int:
             source = http_source(args.url)
         iters = DEFAULT_MAX_ITERS if args.iters is None else args.iters
         facts, log = run_loop(source, args.task, snippets, max_iters=iters)
+        if args.output:
+            Path(args.output).write_text(facts.render(), encoding="utf-8")
     except (OSError, ClaimcheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.output:
-        Path(args.output).write_text(facts.render(), encoding="utf-8")
 
     verdict = witness = lint = None
     status = OK

@@ -28,9 +28,7 @@ from ..facts import (
 )
 from .interp import first_def_sites
 from .lang import (
-    BinaryDef,
-    ConstDef,
-    CopyDef,
+    Def,
     FreeDecl,
     GuardClose,
     GuardOpen,
@@ -38,7 +36,6 @@ from .lang import (
     Output,
     Return,
     ToyProgram,
-    UnaryDef,
 )
 
 ENTRY_LINE = 0
@@ -131,27 +128,20 @@ class _SideExtractor:
             if isinstance(stmt, FreeDecl):
                 self.defs.add(SiteFact(stmt.var, self.file, ENTRY_LINE))
                 self.reaching[stmt.var] = {ENTRY_LINE}
-            elif isinstance(stmt, ConstDef):
-                lit = self.use_operand(stmt.value, stmt.line)
-                self.flow(lit, stmt.line, stmt.var, stmt.line)
+            elif isinstance(stmt, Def):
+                names = [self.use_operand(o, stmt.line) for o in stmt.operands]
+                if stmt.op is None:  # a copy: the value flows into the def
+                    self.flow(names[0], stmt.line, stmt.var, stmt.line)
+                else:
+                    self.def_with_expr.add(SiteFact(stmt.var, self.file, stmt.line))
+                    if len(names) == 1:
+                        self.unary.add(UnaryFact(stmt.op, names[0], self.file, stmt.line))
+                    else:
+                        left, right = names
+                        self.binary.add(
+                            BinaryFact(stmt.op, left, right, self.file, stmt.line)
+                        )
                 self.define(stmt.var, stmt.line)
-            elif isinstance(stmt, CopyDef):
-                self.use_var(stmt.src, stmt.line)
-                self.flow(stmt.src, stmt.line, stmt.var, stmt.line)
-                self.define(stmt.var, stmt.line)
-            elif isinstance(stmt, UnaryDef):
-                name = self.use_operand(stmt.operand, stmt.line)
-                self.define(stmt.var, stmt.line)
-                self.def_with_expr.add(SiteFact(stmt.var, self.file, stmt.line))
-                self.unary.add(UnaryFact(stmt.op, name, self.file, stmt.line))
-            elif isinstance(stmt, BinaryDef):
-                left = self.use_operand(stmt.left, stmt.line)
-                right = self.use_operand(stmt.right, stmt.line)
-                self.define(stmt.var, stmt.line)
-                self.def_with_expr.add(SiteFact(stmt.var, self.file, stmt.line))
-                self.binary.add(
-                    BinaryFact(stmt.op, left, right, self.file, stmt.line)
-                )
             elif isinstance(stmt, GuardOpen):
                 self.use_var(stmt.var, stmt.line)
                 branch = "false" if stmt.negated else "true"
@@ -290,17 +280,10 @@ def extract_msan_facts(
             continue
         if isinstance(stmt, FreeDecl):
             update(stmt.var, stmt.line, False)
-        elif isinstance(stmt, ConstDef):
-            update(stmt.var, stmt.line, False)
-        elif isinstance(stmt, CopyDef):
-            taint = operand_edges(stmt.src, stmt.var, stmt.line)
-            update(stmt.var, stmt.line, taint)
-        elif isinstance(stmt, UnaryDef):
-            taint = operand_edges(stmt.operand, stmt.var, stmt.line)
-            update(stmt.var, stmt.line, taint)
-        elif isinstance(stmt, BinaryDef):
-            taint = operand_edges(stmt.left, stmt.var, stmt.line)
-            taint |= operand_edges(stmt.right, stmt.var, stmt.line)
+        elif isinstance(stmt, Def):
+            taint = False
+            for operand in stmt.operands:
+                taint |= operand_edges(operand, stmt.var, stmt.line)
             update(stmt.var, stmt.line, taint)
         elif isinstance(stmt, Output):
             uses.add(SiteFact(stmt.var, file, stmt.line))

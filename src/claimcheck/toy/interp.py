@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 from .. import sha256
 from ..errors import MissingInputError
 from .lang import (
-    BinaryDef,
-    ConstDef,
-    CopyDef,
-    ELit,
-    EVar,
+    Def,
+    ECall,
     Expr,
     ExprDef,
     FreeDecl,
@@ -37,7 +34,6 @@ from .lang import (
     Output,
     Return,
     ToyProgram,
-    UnaryDef,
 )
 
 VALUE_DOMAIN = (0, 1, 2)
@@ -65,9 +61,7 @@ def first_def_sites(program: ToyProgram) -> dict[str, int]:
     """Line of the textually first declaration or definition per variable."""
     sites: dict[str, int] = {}
     for stmt in program.statements:
-        if isinstance(
-            stmt, (FreeDecl, ConstDef, CopyDef, UnaryDef, BinaryDef, ExprDef)
-        ):
+        if isinstance(stmt, (FreeDecl, Def, ExprDef)):
             sites.setdefault(stmt.var, stmt.line)
     return sites
 
@@ -97,13 +91,13 @@ def interpret(
             return operand, False
         return env.get(operand, 0), taint.get(operand, False)
 
+    def apply(op: str, args: list[tuple[int, bool]]) -> tuple[int, bool]:
+        return mix(op, [v for v, _ in args]), any(t for _, t in args)
+
     def eval_expr(expr: Expr) -> tuple[int, bool]:
-        if isinstance(expr, ELit):
-            return expr.value, False
-        if isinstance(expr, EVar):
-            return value(expr.name)
-        args = [eval_expr(a) for a in expr.args]
-        return mix(expr.op, [v for v, _ in args]), any(t for _, t in args)
+        if isinstance(expr, ECall):
+            return apply(expr.op, [eval_expr(a) for a in expr.args])
+        return value(expr)
 
     guards: list[bool] = []
     return_ordinal = -1
@@ -132,18 +126,12 @@ def interpret(
         if isinstance(stmt, FreeDecl):
             env[stmt.var], taint[stmt.var] = inputs[stmt.var], stmt.var in marked
             continue
-        if isinstance(stmt, ConstDef):
-            v, t = stmt.value, False
-        elif isinstance(stmt, CopyDef):
-            v, t = value(stmt.src)
-        elif isinstance(stmt, UnaryDef):
-            v, t = value(stmt.operand)
-            v = mix(stmt.op, [v])
-        elif isinstance(stmt, BinaryDef):
-            (lv, lt), (rv, rt) = value(stmt.left), value(stmt.right)
-            v, t = mix(stmt.op, [lv, rv]), lt or rt
-        else:
+        if isinstance(stmt, ExprDef):
             v, t = eval_expr(stmt.expr)
+        elif stmt.op is None:
+            v, t = value(stmt.operands[0])
+        else:
+            v, t = apply(stmt.op, [value(o) for o in stmt.operands])
         env[stmt.var] = v
         taint[stmt.var] = t or (
             stmt.var in marked and stmt.line == first_site.get(stmt.var)

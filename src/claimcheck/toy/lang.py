@@ -14,9 +14,14 @@ Expressions combine integer literals, variables, calls ``f(a)``/``f(a, b)``
 and the infix operators ``|| && == != < <= > >= + - *`` with the usual
 precedence.  An expression nests at most ``MAX_EXPR_DEPTH`` (64) levels of
 operators, calls and parentheses; a deeper one is a ``ToySyntaxError`` on
-its line.  The normalized form allows at most one operator per
-statement; :func:`normalize` rewrites nested expressions through fresh
-temporaries.  ``!`` is guard syntax only, not an expression operator.
+its line.  ``!`` is guard syntax only, not an expression operator.
+
+An expression is an :class:`ECall` or a leaf, and a leaf is its
+``Operand``: an ``int`` literal or a ``str`` variable.  In the normalized
+form every definition is one :class:`Def`: with ``op`` None it copies its
+one operand, otherwise it applies ``op`` to one or two operands.  A
+definition whose right-hand side nests a call is an :class:`ExprDef`
+until :func:`normalize` rewrites it through fresh temporaries.
 """
 
 from __future__ import annotations
@@ -31,22 +36,12 @@ Operand = Union[str, int]
 
 
 @dataclass(frozen=True)
-class ELit:
-    value: int
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-
-
-@dataclass(frozen=True)
 class ECall:
     op: str
     args: tuple["Expr", ...]
 
 
-Expr = Union[ELit, EVar, ECall]
+Expr = Union[Operand, ECall]
 
 
 @dataclass(frozen=True)
@@ -56,34 +51,13 @@ class FreeDecl:
 
 
 @dataclass(frozen=True)
-class ConstDef:
+class Def:
+    """``var = op(operands)``; with ``op`` None, ``var`` copies its one operand."""
+
     line: int
     var: str
-    value: int
-
-
-@dataclass(frozen=True)
-class CopyDef:
-    line: int
-    var: str
-    src: str
-
-
-@dataclass(frozen=True)
-class UnaryDef:
-    line: int
-    var: str
-    op: str
-    operand: Operand
-
-
-@dataclass(frozen=True)
-class BinaryDef:
-    line: int
-    var: str
-    op: str
-    left: Operand
-    right: Operand
+    op: str | None
+    operands: tuple[Operand, ...]
 
 
 @dataclass(frozen=True)
@@ -118,10 +92,7 @@ class Return:
     line: int
 
 
-Statement = Union[
-    FreeDecl, ConstDef, CopyDef, UnaryDef, BinaryDef, ExprDef,
-    GuardOpen, GuardClose, Output, Return,
-]
+Statement = Union[FreeDecl, Def, ExprDef, GuardOpen, GuardClose, Output, Return]
 
 
 @dataclass(frozen=True)
@@ -136,7 +107,7 @@ class ToyProgram:
     def defined_vars(self) -> frozenset[str]:
         names = set(self.free_vars)
         for s in self.statements:
-            if isinstance(s, (ConstDef, CopyDef, UnaryDef, BinaryDef, ExprDef)):
+            if isinstance(s, (Def, ExprDef)):
                 names.add(s.var)
         return frozenset(names)
 
@@ -252,7 +223,7 @@ class _ExprParser:
             self.nest(-1)
             return inner
         if tok.isdigit():
-            return ELit(int(tok))
+            return int(tok)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", tok):
             if self.peek() == "(":
                 self.next()
@@ -271,7 +242,7 @@ class _ExprParser:
                         self.line, f"{tok}() takes one or two arguments"
                     )
                 return ECall(tok, tuple(args))
-            return EVar(tok)
+            return tok
         raise ToySyntaxError(self.line, f"unexpected token {tok!r}")
 
 
@@ -290,24 +261,11 @@ _RESERVED = {"int", "bool", "if", "output", "return", "true", "false"}
 
 
 def _classify_def(line: int, var: str, expr: Expr) -> Statement:
-    def operand(e: Expr) -> Operand | None:
-        if isinstance(e, ELit):
-            return e.value
-        if isinstance(e, EVar):
-            return e.name
-        return None
-
-    if isinstance(expr, ELit):
-        return ConstDef(line, var, expr.value)
-    if isinstance(expr, EVar):
-        return CopyDef(line, var, expr.name)
-    assert isinstance(expr, ECall)
-    operands = [operand(a) for a in expr.args]
-    if all(o is not None for o in operands):
-        if len(operands) == 1:
-            return UnaryDef(line, var, expr.op, operands[0])
-        return BinaryDef(line, var, expr.op, operands[0], operands[1])
-    return ExprDef(line, var, expr)
+    if not isinstance(expr, ECall):
+        return Def(line, var, None, (expr,))
+    if any(isinstance(a, ECall) for a in expr.args):
+        return ExprDef(line, var, expr)
+    return Def(line, var, expr.op, expr.args)
 
 
 def parse_toy(source: str) -> ToyProgram:
@@ -322,15 +280,10 @@ def parse_toy(source: str) -> ToyProgram:
             if isinstance(name, str) and name not in defined:
                 raise UseBeforeDefError(line, name)
 
-    def expr_vars(expr: Expr) -> list[str]:
-        if isinstance(expr, EVar):
-            return [expr.name]
+    def leaves(expr: Expr) -> list[Operand]:
         if isinstance(expr, ECall):
-            out = []
-            for a in expr.args:
-                out.extend(expr_vars(a))
-            return out
-        return []
+            return [leaf for a in expr.args for leaf in leaves(a)]
+        return [expr]
 
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("//", 1)[0].strip()
@@ -371,7 +324,7 @@ def parse_toy(source: str) -> ToyProgram:
             if var in _RESERVED:
                 raise ToySyntaxError(lineno, f"{var!r} is a reserved word")
             expr = _ExprParser(m.group(2), lineno).parse()
-            check_used(lineno, *expr_vars(expr))
+            check_used(lineno, *leaves(expr))
             defined.add(var)
             statements.append(_classify_def(lineno, var, expr))
             continue
@@ -419,28 +372,16 @@ def normalize(program: ToyProgram) -> ToyProgram:
         line += 1
         out.append(make(line))
 
-    def flatten(target: str, expr: Expr) -> None:
+    def flatten(target: str, expr: ECall) -> None:
         """Emit normalized statements computing expr into target."""
-        if isinstance(expr, ELit):
-            emit(lambda l: ConstDef(l, target, expr.value))
-            return
-        if isinstance(expr, EVar):
-            emit(lambda l: CopyDef(l, target, expr.name))
-            return
         operands: list[Operand] = []
         for arg in expr.args:
-            if isinstance(arg, ELit):
-                operands.append(arg.value)
-            elif isinstance(arg, EVar):
-                operands.append(arg.name)
-            else:
+            if isinstance(arg, ECall):
                 temp = fresh(target, counters)
                 flatten(temp, arg)
-                operands.append(temp)
-        if len(operands) == 1:
-            emit(lambda l: UnaryDef(l, target, expr.op, operands[0]))
-        else:
-            emit(lambda l: BinaryDef(l, target, expr.op, operands[0], operands[1]))
+                arg = temp
+            operands.append(arg)
+        emit(lambda l: Def(l, target, expr.op, tuple(operands)))
 
     for stmt in program.statements:
         if isinstance(stmt, ExprDef):
@@ -448,6 +389,17 @@ def normalize(program: ToyProgram) -> ToyProgram:
         else:
             emit(lambda l: replace(stmt, line=l))
     return ToyProgram(tuple(out), program.free_vars, line)
+
+
+def _render_def(stmt: Def) -> str:
+    op, operands = stmt.op, stmt.operands
+    if op is None:
+        (src,) = operands
+        return f"int {stmt.var} = {src};" if isinstance(src, int) else f"{stmt.var} = {src};"
+    if len(operands) == 1 or op[:1].isalpha() or op[:1] == "_":
+        return f"{stmt.var} = {op}({', '.join(map(str, operands))});"
+    left, right = operands
+    return f"{stmt.var} = {left} {op} {right};"
 
 
 def render_toy(program: ToyProgram) -> str:
@@ -460,18 +412,8 @@ def render_toy(program: ToyProgram) -> str:
         indent = "  " * depth
         if isinstance(stmt, FreeDecl):
             lines.append(f"{indent}int {stmt.var};")
-        elif isinstance(stmt, ConstDef):
-            lines.append(f"{indent}int {stmt.var} = {stmt.value};")
-        elif isinstance(stmt, CopyDef):
-            lines.append(f"{indent}{stmt.var} = {stmt.src};")
-        elif isinstance(stmt, UnaryDef):
-            lines.append(f"{indent}{stmt.var} = {stmt.op}({stmt.operand});")
-        elif isinstance(stmt, BinaryDef):
-            op = stmt.op
-            if op and (op[0].isalpha() or op[0] == "_"):
-                lines.append(f"{indent}{stmt.var} = {op}({stmt.left}, {stmt.right});")
-            else:
-                lines.append(f"{indent}{stmt.var} = {stmt.left} {op} {stmt.right};")
+        elif isinstance(stmt, Def):
+            lines.append(indent + _render_def(stmt))
         elif isinstance(stmt, GuardOpen):
             bang = "!" if stmt.negated else ""
             lines.append(f"{indent}if ({bang}{stmt.var}) {{")

@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from claimcheck.datalog.ast import Atom, Comparison, Program, Rule, Var
 from claimcheck.facts import MsanFactSet, SiteFact, FlowFact, MemoryErrorFact, load_equiv_bundle
 from claimcheck.toy.lang import (
-    BinaryDef,
-    ConstDef,
-    CopyDef,
+    Def,
     FreeDecl,
     GuardClose,
     GuardOpen,
     Output,
     Statement,
     ToyProgram,
-    UnaryDef,
 )
 
 # ---------------------------------------------------------------------------
@@ -202,16 +199,8 @@ _OPS_UNARY = ["inc", "hash3", "neg3"]
 _OPS_BINARY = ["+", "*", "blend", "min3"]
 
 
-def _renumber(statements: list[Statement]) -> list[Statement]:
-    out = []
-    for line, stmt in enumerate(statements, start=1):
-        kwargs = {k: v for k, v in vars(stmt).items() if k != "line"}
-        out.append(type(stmt)(line=line, **kwargs))
-    return out
-
-
 def rebuild(statements: list[Statement], free_vars) -> ToyProgram:
-    renumbered = _renumber(statements)
+    renumbered = [replace(s, line=line) for line, s in enumerate(statements, start=1)]
     return ToyProgram(tuple(renumbered), frozenset(free_vars), len(renumbered))
 
 
@@ -260,20 +249,14 @@ def random_toy(
             counter += 1
         kind = rng.random()
         if kind < 0.25:
-            statements.append(ConstDef(0, var, rng.choice((0, 1, 2))))
+            op, operands = None, (rng.choice((0, 1, 2)),)
         elif kind < 0.45:
-            statements.append(CopyDef(0, var, rng.choice(defined)))
-        elif kind < 0.7:
-            statements.append(
-                UnaryDef(0, var, rng.choice(_OPS_UNARY), rng.choice(defined))
-            )
+            op, operands = None, (rng.choice(defined),)
         else:
-            statements.append(
-                BinaryDef(
-                    0, var, rng.choice(_OPS_BINARY),
-                    rng.choice(defined), rng.choice(defined),
-                )
-            )
+            arity = 1 if kind < 0.7 else 2
+            op = rng.choice(_OPS_UNARY if arity == 1 else _OPS_BINARY)
+            operands = tuple(rng.choice(defined) for _ in range(arity))
+        statements.append(Def(0, var, op, operands))
         if var not in defined:
             defined.append(var)
         if rng.random() < 0.25:
@@ -310,16 +293,23 @@ def mutate_toy(rng: random.Random, program: ToyProgram) -> MutationResult:
                 if open_index is not None and has_def:
                     out.append(open_index)
                 open_index = None
-            elif open_index is not None and isinstance(
-                s, (ConstDef, CopyDef, UnaryDef, BinaryDef)
-            ):
+            elif open_index is not None and isinstance(s, Def):
                 has_def = True
         return out
 
+    def applications() -> list[int]:
+        return [i for i, s in enumerate(statements) if isinstance(s, Def) and s.op is not None]
+
+    def swappable() -> list[int]:
+        return [
+            i for i, s in enumerate(statements)
+            if isinstance(s, Def) and len(s.operands) == 2 and s.operands[0] != s.operands[1]
+        ]
+
     kinds = ["rename"]
-    if any(isinstance(s, (UnaryDef, BinaryDef)) for s in statements):
+    if applications():
         kinds.append("operator_swap")
-    if any(isinstance(s, BinaryDef) and s.left != s.right for s in statements):
+    if swappable():
         kinds.append("operand_swap")
     if flippable_guards():
         kinds.append("guard_flip")
@@ -336,52 +326,25 @@ def mutate_toy(rng: random.Random, program: ToyProgram) -> MutationResult:
 
         renamed: list[Statement] = []
         for s in statements:
-            if isinstance(s, FreeDecl):
-                renamed.append(FreeDecl(s.line, rn(s.var)))
-            elif isinstance(s, ConstDef):
-                renamed.append(ConstDef(s.line, rn(s.var), s.value))
-            elif isinstance(s, CopyDef):
-                renamed.append(CopyDef(s.line, rn(s.var), rn(s.src)))
-            elif isinstance(s, UnaryDef):
-                renamed.append(UnaryDef(s.line, rn(s.var), s.op, rn(s.operand)))
-            elif isinstance(s, BinaryDef):
-                renamed.append(
-                    BinaryDef(s.line, rn(s.var), s.op, rn(s.left), rn(s.right))
-                )
-            elif isinstance(s, GuardOpen):
-                renamed.append(GuardOpen(s.line, rn(s.var), s.negated))
-            elif isinstance(s, Output):
-                renamed.append(Output(s.line, rn(s.var)))
-            else:
-                renamed.append(s)
+            if isinstance(s, Def):
+                s = replace(s, operands=tuple(rn(o) for o in s.operands))
+            if isinstance(s, (FreeDecl, Def, GuardOpen, Output)):
+                s = replace(s, var=rn(s.var))
+            renamed.append(s)
         free = [mapping.get(v, v) for v in program.free_vars]
         return MutationResult(
             rebuild(renamed, free), dict(mapping), "rename", True
         )
 
     if kind == "operator_swap":
-        idx = rng.choice(
-            [i for i, s in enumerate(statements) if isinstance(s, (UnaryDef, BinaryDef))]
-        )
-        s = statements[idx]
-        if isinstance(s, UnaryDef):
-            statements[idx] = UnaryDef(s.line, s.var, s.op + "_alt", s.operand)
-        else:
-            statements[idx] = BinaryDef(s.line, s.var, s.op + "_alt", s.left, s.right)
+        idx = rng.choice(applications())
+        statements[idx] = replace(statements[idx], op=statements[idx].op + "_alt")
     elif kind == "operand_swap":
-        idx = rng.choice(
-            [
-                i
-                for i, s in enumerate(statements)
-                if isinstance(s, BinaryDef) and s.left != s.right
-            ]
-        )
-        s = statements[idx]
-        statements[idx] = BinaryDef(s.line, s.var, s.op, s.right, s.left)
+        idx = rng.choice(swappable())
+        statements[idx] = replace(statements[idx], operands=statements[idx].operands[::-1])
     elif kind == "guard_flip":
         idx = rng.choice(flippable_guards())
-        s = statements[idx]
-        statements[idx] = GuardOpen(s.line, s.var, not s.negated)
+        statements[idx] = replace(statements[idx], negated=not statements[idx].negated)
     else:  # statement_insert
         top_level = [0]
         depth = 0
@@ -393,7 +356,7 @@ def mutate_toy(rng: random.Random, program: ToyProgram) -> MutationResult:
             elif depth == 0:
                 top_level.append(i + 1)
         position = rng.choice(top_level)
-        statements.insert(position, ConstDef(0, "inserted_v", rng.choice((0, 1, 2))))
+        statements.insert(position, Def(0, "inserted_v", None, (rng.choice((0, 1, 2)),)))
 
     return MutationResult(
         rebuild(statements, program.free_vars), {}, kind, False

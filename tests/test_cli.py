@@ -416,6 +416,37 @@ def test_extract_var_map_entries_are_stripped(capsys):
     assert 'varMap("a", "main.cpp", 1, "b", "main.cpp", 2).' in out
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["copy_chain.toy", "copy_chain.toy", "--task", "msan", "--uninit", "a"],
+     "a second toy program"),
+    (["copy_chain.toy", "--task", "msan", "--uninit", "a", "--var-map", "a=a"], "--var-map"),
+    (["guarded_call_a.toy", "guarded_call_b.toy", "--task", "equiv", "--uninit", "zz"],
+     "--uninit"),
+], ids=["toy2-msan", "var-map-msan", "uninit-equiv"])
+def test_extract_rejects_an_option_its_task_does_not_use(capsys, argv, option):
+    argv = [f"{FIXTURES}/toy/{a}" if a.endswith(".toy") else a for a in argv]
+    assert main(["extract", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} is for --task ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", f"{FIXTURES}/toy/copy_chain.toy", "--task", "msan", "--uninit", "a"],
+    ["formalize", f"{FIXTURES}/msan/audio_buffer_trace.facts", "--task", "msan",
+     "--source", "mock", "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts"],
+], ids=["extract", "formalize"])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "missing" / "out.facts"
+    run = subprocess.run(
+        [sys.executable, "-m", "claimcheck.cli", *argv, "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and str(out) in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "a" + ")" * 400,
     "-" * 3000 + "a",
