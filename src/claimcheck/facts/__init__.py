@@ -29,12 +29,18 @@ of ``/`` collapsed.  ``outputVar`` is accepted as a synonym for
 coerced.  Loading checks nothing else: whether the facts suffice for a
 verdict, a bundle's maps naming facts of its sides included, is for lint.
 
-Loaders read fact text straight into the fact tuples: one regex match per
-fact, one group per constant, and one generated converter per (predicate,
-arity) pair that the text uses.  Text that this scan does not read in full
-(an escape, a negative number, a comment inside a fact, an unknown
-predicate, a wrong arity or sort, a rule) goes whole to the Datalog parser
-and the checks on atoms (``*_from_atoms``), which report every error.
+Loaders read fact text straight into the fact tuples, in two regex matches
+per fact: a head pattern reads the predicate and its ``(``, then the
+argument pattern of a form of that predicate reads the rest of the fact,
+in the tight layout that ``print_fact`` writes or else in a lenient one.
+An argument pattern has one group per constant and itself checks each sort
+and unquotes each symbol; the forms of one sort signature share it.  A
+generated converter, one per shape of form, fills the omitted slots,
+applies ``int()`` and normalizes.  Only the forms that a text tries are
+compiled.  Text that this scan does not read in full (an escape, a negative
+number, a comment inside a fact, an unknown predicate, a wrong arity or
+sort, a rule) goes whole to the Datalog parser and the checks on atoms
+(``*_from_atoms``), which report every error.
 
 This module holds what the two vocabularies share: the fact types of both
 (``SiteFact``, ``FlowFact``), the lint report, the container base and the
@@ -47,10 +53,10 @@ compiles only its own vocabulary.  Every name imports from
 
 import re
 from functools import cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .. import _lazy_names
-from ..datalog.values import NUMBER, SYMBOL, Record, compiled_make, print_fact
+from ..datalog.values import NUMBER, SYMBOL, Record, print_fact
 
 DEFAULT_FILE = "main.cpp"
 # task names: the trace vocabulary and the equivalence vocabulary
@@ -216,90 +222,129 @@ def _omitted(relation: _Relation, arity: int) -> tuple[int, ...] | None:
 
 
 @cache  # compiled on first load, not at import
-def _fact_scan(longest: int) -> re.Pattern:
-    """One match per ``//`` line comment or ground fact of at most
-    ``longest`` constants, after leading whitespace.  Group 1 is the
-    predicate; each constant has its own group, nested so that
-    ``lastindex`` is one more than the fact's arity.  A constant is a
-    quoted string without escapes, a number without sign, or a bare
-    ``true``/``false``, and must be followed by ``,`` or ``)``.  A ``.decl``
-    after a fact's dot stops the scan, as ``decl`` is no predicate of any
-    vocabulary."""
-    constant = r'("[^"\\]*"|\d+|true|false)'
-    rest = ""
-    for _ in range(longest - 1):
-        rest = rf"(?:\s*,\s*{constant}{rest})?"
-    return re.compile(
-        rf"\s*(?://[^\n]*|([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?:{constant}{rest})?\s*\)\s*\.)"
-    )
+def _head() -> re.Pattern:
+    """After leading whitespace, a ``//`` line comment or the head of a fact:
+    a word (group 1), then ``(``.  A word that names no predicate of the
+    vocabulary, ``decl`` of a ``.decl`` after a fact's dot included, sends
+    the text to the parser."""
+    return re.compile(r"\s*(?://.*|(\w+)\s*\(\s*)")
 
 
-def _bare(text: str) -> str:
-    """A symbol written without quotes; the scan's other bare constants are
-    numbers, which no symbol column takes."""
-    if text in ("true", "false"):
-        return text
-    raise ValueError(f"{text} is not a symbol")
+@cache  # one per sort signature and layout, compiled when a text first tries it
+def _arguments(sorts: tuple[str, ...], lenient: bool) -> re.Pattern:
+    """The arguments of a fact of ``sorts``, after its ``(``, up to and
+    including its final dot.  A number is a group of digits without sign, a
+    symbol a group of the text of a quoted string without escapes.  The
+    tight layout is the one ``print_fact`` writes, with whitespace only
+    after a comma.  The lenient one also admits whitespace before a comma
+    and around the ``)``, and a bare ``true`` or ``false`` as a symbol, in a
+    group of its own: few texts need it, and it doubles the compile time."""
+    if lenient:
+        symbol, comma, end = r'(?:"([^"\\]*)"|(true|false))', r"\s*,\s*", r"\s*\)\s*\."
+    else:
+        symbol, comma, end = r'"([^"\\]*)"', r",\s*", r"\)\."
+    return re.compile(comma.join(map({NUMBER: r"(\d+)", SYMBOL: symbol}.get, sorts)) + end)
 
 
-@cache  # built for the (predicate, arity) pairs that texts use
-def _converter(relation: _Relation, arity: int) -> Callable[[re.Match], object] | None:
-    """The function from a fact-scan match of ``arity`` constants to the
-    typed fact, or None where the relation has no form of that arity.  It
-    raises ValueError where a constant is not of its column's sort."""
-    omitted = _omitted(relation, arity)
-    if omitted is None:
-        return None
-    normalize = dict(relation.normalize)
-    given = iter(range(arity))
-    values = []
+def _shape(relation: _Relation, omitted: tuple[int, ...], lenient: bool) -> tuple[tuple, str]:
+    """A form's sort signature, and the source of its converter, which is
+    the form's shape: ``convert``, the function from a match of the form's
+    arguments to the typed fact.  It reads ``new`` (``tuple.__new__``),
+    ``fact`` (the fact type), ``default`` and ``n<column>`` (a normalize
+    function) as globals.  The pattern has checked each sort and unquoted
+    each symbol; ``convert`` fills the omitted slots, applies ``int()``
+    (which raises ValueError on a number too long for it) and normalizes."""
+    normalized = dict(relation.normalize)
+    sorts, groups, values = [], [], []
     for column, sort in enumerate(relation.sorts):
         if column in omitted:
             values.append("default")
             continue
-        a = f"a{next(given)}"
-        value = f"int({a})" if sort == NUMBER else f"({a}[1:-1] if {a}[0] == '\"' else bare({a}))"
-        values.append(f"n{column}({value})" if column in normalize else value)
-    names = ", ".join(f"a{i}" for i in range(arity))
-    groups = ", ".join(str(i + 2) for i in range(arity))
-    unpack = "a0 = m[2]" if arity == 1 else f"{names} = m.group({groups})"
+        sorts.append(sort)
+        value = f"a{column}"
+        groups.append(value)
+        if sort == NUMBER:
+            value = f"int({value})"
+        elif lenient:
+            groups.append(f"b{column}")
+            value = f"{value} if b{column} is None else b{column}"
+        values.append(f"n{column}({value})" if column in normalized else value)
     result = values[0] if relation.fact_type is str else f"new(fact, ({', '.join(values)},))"
-    params = ", ".join(["new", "bare", "fact", "default", *(f"n{c}" for c in normalize)])
-    make = compiled_make(  # relations of one shape share their code
-        f"def make({params}):\n"
-        f"    def convert(m):\n"
-        f"        {unpack}\n"
-        f"        return {result}\n"
-        f"    return convert\n", "<fact converter>"
-    )
-    return make(tuple.__new__, _bare, relation.fact_type, relation.default, *normalize.values())
+    source = f"def convert(m):\n    {', '.join(groups)}, = m.groups()\n    return {result}\n"
+    return tuple(sorts), source
 
 
-def _scan(source: str, relations: dict[str, _Relation], longest: int) -> dict[str, set] | None:
-    """The typed facts of ``source`` by container field, one match of the
-    fact scan per fact; None where the scan does not read all of ``source``
-    or a constant does not fit its column, which only the parser and the
-    checks on atoms can report.  ``longest`` is the largest arity of the
-    vocabulary, so that one compiled scan serves all of its sections."""
+# The compiled converter source: one per shape, which the forms of that
+# shape share.
+_converter_code = cache(compile)
+
+
+@cache  # built for the forms that texts try
+def _form(relation: _Relation, arity: int, lenient: bool) -> tuple[Callable, Callable]:
+    """The match of the arguments of a relation's form of ``arity``
+    arguments, and the converter from that match to the typed fact."""
+    sorts, source = _shape(relation, _omitted(relation, arity), lenient)
+    namespace = {"new": tuple.__new__, "fact": relation.fact_type, "default": relation.default}
+    for column, function in relation.normalize:
+        namespace[f"n{column}"] = function
+    exec(_converter_code(source, "<fact converter>", "exec"), namespace)
+    return _arguments(sorts, lenient).match, namespace["convert"]
+
+
+def _forms(relation: _Relation, source: str, pos: int) -> Iterator[tuple[Callable, Callable]]:
+    """The match and converter of each form of a relation, built as the
+    scan tries them at ``pos``.  First comes the form that the text up to
+    the next ``)`` looks like: its number of commas outside quotes, and
+    whether it needs the lenient layout.  That guess is wrong where a symbol
+    holds a ``)``, so every form follows: the tight ones, canonical arity
+    first, then the lenient ones.  Where the guess is right, no form is
+    compiled in vain."""
+    end = source.find(")", pos)
+    outside = '""'.join(source[pos:end].split('"')[::2])  # each quoted string emptied
+    lenient = (not source.startswith(".", end + 1) or " ," in outside
+               or outside != outside.rstrip() or any(map(str.isalpha, outside)))
+    n = len(relation.sorts)
+    short = n - len(relation.omitted)
+    forms = (outside.count(",") + 1, lenient), (n, False), (short, False), (n, True), (short, True)
+    for arity, layout in dict.fromkeys(forms):
+        if _omitted(relation, arity) is not None:
+            yield _form(relation, arity, layout)
+
+
+def _scan(source: str, relations: dict[str, _Relation]) -> dict[str, set] | None:
+    """The typed facts of ``source`` by container field.  Per fact the scan
+    matches the head, then the arguments of a form of its predicate: the
+    form of the predicate's last fact, else those of ``_forms``.  None where
+    the scan does not read all of ``source`` or no form reads a fact's
+    arguments (an unknown predicate, a wrong arity or sort, an escape),
+    which only the parser and the checks on atoms can report."""
     found: dict[str, set] = {}
-    steps: dict[tuple, tuple] = {}  # (predicate, last group) -> (convert, add)
-    m = None
+    steps: dict[str, tuple] = {}  # predicate -> (match, convert, add) of its last form
+    head = _head().match
+    pos = 0
     try:
-        for m in iter(_fact_scan(longest).scanner(source).match, None):
-            key = m[1], m.lastindex
-            step = steps.get(key)
-            if step is None:
-                if m[1] is None:  # a comment
-                    continue
-                relation = relations.get(m[1])
-                convert = relation and _converter(relation, m.lastindex - 1)
-                if convert is None:
+        while (m := head(source, pos)) is not None:
+            pos, predicate = m.end(), m[1]
+            if predicate is None:  # a comment
+                continue
+            step = steps.get(predicate)
+            args = None if step is None else step[0](source, pos)
+            if args is None:
+                relation = relations.get(predicate)
+                if relation is None:
                     return None
-                step = steps[key] = convert, found.setdefault(relation.field, set()).add
-            convert, add = step
-            add(convert(m))
-    except ValueError:  # a constant of the wrong sort, or a number too long for int()
+                for match, convert in _forms(relation, source, pos):
+                    args = match(source, pos)
+                    if args is not None:
+                        break
+                else:
+                    return None
+                add = found.setdefault(relation.field, set()).add
+                step = steps[predicate] = match, convert, add
+            step[2](step[1](args))
+            pos = args.end()
+    except ValueError:  # a number too long for int()
         return None
-    if source[0 if m is None else m.end():].strip():
+    if source[pos:].strip():
         return None
     return found

@@ -214,8 +214,6 @@ SIDE_PREDICATES = tuple(SIDE_SORTS)
 CORRESPONDENCE_PREDICATES = tuple(CORRESPONDENCE_SORTS)
 # outputVar loads as a synonym of watchVar.
 _SIDE_RELATIONS["outputVar"] = _SIDE_RELATIONS["watchVar"]
-# One fact scan reads all three sections.
-_SCAN_ARITY = max(map(len, (*SIDE_SORTS.values(), *CORRESPONDENCE_SORTS.values())))
 
 
 def _bundle(code1: dict[str, set], code2: dict[str, set], correspondence: dict[str, set]):
@@ -254,9 +252,9 @@ _MAPS = (
 
 def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundle:
     found = [
-        _scan(code1, _SIDE_RELATIONS, _SCAN_ARITY),
-        _scan(code2, _SIDE_RELATIONS, _SCAN_ARITY),
-        _scan(correspondence, _CORRESPONDENCE_RELATIONS, _SCAN_ARITY),
+        _scan(code1, _SIDE_RELATIONS),
+        _scan(code2, _SIDE_RELATIONS),
+        _scan(correspondence, _CORRESPONDENCE_RELATIONS),
     ]
     if None in found:
         from ..datalog.parser import parse_facts

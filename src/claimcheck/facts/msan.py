@@ -57,11 +57,10 @@ _MSAN_RELATIONS = _relations(
 )
 MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
 MSAN_PREDICATES = tuple(MSAN_SORTS)
-_SCAN_ARITY = max(map(len, MSAN_SORTS.values()))
 
 
 def load_msan_facts(source: str) -> MsanFactSet:
-    found = _scan(source, _MSAN_RELATIONS, _SCAN_ARITY)
+    found = _scan(source, _MSAN_RELATIONS)
     if found is None:
         from ..datalog.parser import parse_facts
         from .atoms import msan_facts_from_atoms

@@ -115,18 +115,17 @@ def _add(found: dict[str, set], facts: dict[str, set]) -> None:
         found.setdefault(field, set()).update(new)
 
 
-def _vocabulary(task: str) -> tuple[dict, int, Callable, Callable]:
+def _vocabulary(task: str) -> tuple[dict, Callable, Callable]:
     """The sections of a ``task`` response, each with its predicates'
-    relations; the largest arity of the vocabulary, for the fact scan; the
-    function from the facts found per section (field to set) to the task's
-    container; and the one from a line to the section it marks, or None.
-    A trace response is one section, without markers."""
+    relations; the function from the facts found per section (field to set)
+    to the task's container; and the one from a line to the section it
+    marks, or None.  A trace response is one section, without markers."""
     if task == MSAN:
-        from .facts.msan import _MSAN_RELATIONS, _SCAN_ARITY, MsanFactSet
+        from .facts.msan import _MSAN_RELATIONS, MsanFactSet
 
         container = lambda found: MsanFactSet(**found[MSAN])
-        return {MSAN: _MSAN_RELATIONS}, _SCAN_ARITY, container, lambda line: None
-    from .facts.equiv import _CORRESPONDENCE_RELATIONS, _SCAN_ARITY, _SIDE_RELATIONS, _bundle
+        return {MSAN: _MSAN_RELATIONS}, container, lambda line: None
+    from .facts.equiv import _CORRESPONDENCE_RELATIONS, _SIDE_RELATIONS, _bundle
     from .facts.equiv import _MARKER_RE
 
     def marker(line: str) -> str | None:
@@ -138,7 +137,7 @@ def _vocabulary(task: str) -> tuple[dict, int, Callable, Callable]:
         CODE2: _SIDE_RELATIONS,
         CORRESPONDENCE: _CORRESPONDENCE_RELATIONS,
     }
-    return sections, _SCAN_ARITY, lambda found: _bundle(*map(found.get, sections)), marker
+    return sections, lambda found: _bundle(*map(found.get, sections)), marker
 
 
 def parse_response(
@@ -153,7 +152,7 @@ def parse_response(
     outside the vocabulary (an unknown predicate, a wrong arity or sort)
     and an equivalence side fact with no Code1/Code2 attribution are each a
     ``(line, reason)`` failure."""
-    sections, longest, container, marker = _vocabulary(task)
+    sections, container, marker = _vocabulary(task)
     found: dict[str, dict[str, set]] = {section: {} for section in sections}
     failures: list[tuple[int, str]] = []
     current = MSAN if task == MSAN else None
@@ -167,7 +166,7 @@ def parse_response(
         # A line that the fact scan reads in full needs no parser.  A Code1 or
         # Code2 tag is stripped, and a fact outside every section attributed,
         # on the parser path only.
-        scanned = None if '"Code' in line else _scan(line, sections.get(current, {}), longest)
+        scanned = None if '"Code' in line else _scan(line, sections.get(current, {}))
         if scanned is not None:
             _add(found[current], scanned)
             continue

@@ -36,15 +36,11 @@ from .lang import (
     Output,
     Return,
     ToyProgram,
+    _require_normalized,
 )
 
 ENTRY_LINE = 0
 UNINIT_ERROR_KIND = "use-of-uninitialized-value"
-
-
-def _require_normalized(program: ToyProgram) -> None:
-    if not program.is_normalized():
-        raise ValueError("program must be normalized first (see normalize())")
 
 
 def _exit_lines(program: ToyProgram) -> list[int]:

@@ -119,6 +119,11 @@ class ToyProgram:
         return frozenset(names)
 
 
+def _require_normalized(program: ToyProgram) -> None:
+    if not program.is_normalized():
+        raise ValueError("program must be normalized first (see normalize())")
+
+
 # ---------------------------------------------------------------------------
 # Expression parsing (plain precedence-climbing)
 # ---------------------------------------------------------------------------
@@ -403,7 +408,9 @@ def _render_def(stmt: Def) -> str:
 
 
 def render_toy(program: ToyProgram) -> str:
-    """Back to source; statement lines must be 1..n dense (normalized form)."""
+    """Back to source; statement lines must be 1..n dense (normalized form).
+    A program that is not normalized raises ValueError."""
+    _require_normalized(program)
     lines = []
     depth = 0
     for stmt in program.statements:

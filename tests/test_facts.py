@@ -405,6 +405,48 @@ def test_sort_errors_in_abbreviated_forms_name_the_argument_as_written(text, mes
         load_equiv_bundle(text + ".", "", "")
 
 
+def test_fact_scan_compiles_one_pattern_per_signature_and_one_converter_per_shape(
+    fixtures_dir,
+):
+    """What a launch compiles: loading the corpus fixtures twice compiles,
+    in the first pass only, one argument pattern per sort signature and one
+    converter per shape among the forms that the fixtures use."""
+    from claimcheck import facts
+    from claimcheck.facts.equiv import _CORRESPONDENCE_RELATIONS, _SIDE_RELATIONS
+    from claimcheck.facts.msan import _MSAN_RELATIONS
+
+    manifest = json.loads((fixtures_dir / "corpus.json").read_text())
+    texts = [(entry["task"], (fixtures_dir / entry["path"]).read_text())
+             for entry in manifest["fixtures"]]
+    assert len(texts) == 7
+    caches = (facts._form, facts._arguments, facts._converter_code)
+    for cache in caches:
+        cache.cache_clear()
+    sizes = []
+    for _ in range(2):
+        for task, text in texts:
+            (load_msan_facts if task == "msan" else load_equiv_bundle_text)(text)
+        sizes.append([cache.cache_info().currsize for cache in caches])
+    assert sizes[0] == sizes[1]
+    # the forms used, as the parser reads them
+    signatures, shapes = set(), set()
+    for task, text in texts:
+        if task == "msan":
+            sections = [(_MSAN_RELATIONS, text)]
+        else:
+            sections = [
+                (_CORRESPONDENCE_RELATIONS if name == "correspondence" else _SIDE_RELATIONS, body)
+                for name, body in split_bundle_sections(text).items()
+            ]
+        for relations, body in sections:
+            for atom in parse_facts(body):
+                relation = relations[atom.predicate]
+                signatures.add(tuple(type(arg) for arg in atom.args))
+                shapes.add(facts._shape(relation, facts._omitted(relation, len(atom.args)), False))
+    _, patterns, converters = sizes[1]
+    assert patterns <= len(signatures) and converters <= len(shapes)
+
+
 def test_bundle_round_trip(renamed_fn_bundle_text):
     bundle = load_equiv_bundle_text(renamed_fn_bundle_text)
     assert load_equiv_bundle_text(bundle.render()) == bundle

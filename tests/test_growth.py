@@ -10,8 +10,9 @@
 - one long chain: an n-step flow chain from one uninitialized site to one
   use, checked on the rules path (build, evaluate, explain the witness),
   from its fact set and, at a larger n, from its text.
-- the parser fallback: the text of a chain of n steps, and of a toy self
-  pair of n definitions, each with one escaped symbol, loaded.
+- the typed scan and the parser fallback: the text of a chain of n steps,
+  and of a toy self pair of n definitions, loaded as it is and with one
+  escaped symbol added.
 - transitive closure over a path graph, ``evaluate`` alone, as its derived
   tuples grow about 8x; each tuple's slot keeps the step that first derived
   it, which cites its rule by ordinal.
@@ -29,7 +30,7 @@ import time
 
 import pytest
 
-from claimcheck.datalog import Atom, evaluate, explain, parse_program
+from claimcheck.datalog import Atom, evaluate, explain, parse_program, parser
 from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
 from claimcheck.facts import (
     FlowFact,
@@ -180,27 +181,55 @@ TOY_DEFINITIONS = 40
 
 
 def _chain_text(steps):
-    return _single_source_chain(steps).render() + 'uses("esc\\"aped", "chain.c", 0).\n'
+    return _single_source_chain(steps).render()
 
 
 def _toy_text(definitions):
     rng = random.Random(definitions)
     program = normalize(random_toy(rng, n_free=2, n_defs=definitions))
-    text = extract_equiv_facts(program, program).render()
-    return text.replace("=== code2 ===", 'use("esc\\"aped", "chain.c", 0).\n=== code2 ===')
+    return extract_equiv_facts(program, program).render()
 
 
-@pytest.mark.parametrize("load, text_of, n, uses", [
-    (load_msan_facts, _chain_text, CHAIN_STEPS, lambda facts: facts.uses),
-    (load_equiv_bundle_text, _toy_text, TOY_DEFINITIONS, lambda bundle: bundle.code1.uses),
-], ids=["msan-chain", "toy-bundle"])
-def test_parser_fallback_load_grows_about_linearly(load, text_of, n, uses):
+def _escaped_chain_text(steps):
+    return _chain_text(steps) + 'uses("esc\\"aped", "chain.c", 0).\n'
+
+
+def _escaped_toy_text(definitions):
+    return _toy_text(definitions).replace(
+        "=== code2 ===", 'use("esc\\"aped", "chain.c", 0).\n=== code2 ==='
+    )
+
+
+def _load_grows_about_linearly(load, text_of, n, check):
     times = []
     for text in (text_of(n), text_of(8 * n)):
         best, loaded = _best_time(lambda: load(text))
-        assert ESCAPED in uses(loaded)
+        check(loaded)
         times.append(best)
     assert times[1] / times[0] < 24
+
+
+@pytest.mark.parametrize("load, text_of, n, uses", [
+    (load_msan_facts, _escaped_chain_text, CHAIN_STEPS, lambda facts: facts.uses),
+    (load_equiv_bundle_text, _escaped_toy_text, TOY_DEFINITIONS, lambda bundle: bundle.code1.uses),
+], ids=["msan-chain", "toy-bundle"])
+def test_parser_fallback_load_grows_about_linearly(load, text_of, n, uses):
+    _load_grows_about_linearly(load, text_of, n, lambda loaded: ESCAPED in uses(loaded))
+
+
+def _no_parser(source):
+    raise AssertionError("the typed scan sent this text to the parser")
+
+
+@pytest.mark.parametrize("load, text_of, n", [
+    (load_msan_facts, _chain_text, CHAIN_STEPS),
+    (load_equiv_bundle_text, _toy_text, TOY_DEFINITIONS),
+], ids=["msan-chain", "toy-bundle"])
+def test_typed_scan_load_grows_about_linearly(monkeypatch, load, text_of, n):
+    # the argument patterns read these texts alone, without backtracking
+    # blow-ups: no parser fallback hides a slow scan
+    monkeypatch.setattr(parser, "parse_facts", _no_parser)
+    _load_grows_about_linearly(load, text_of, n, lambda loaded: len(loaded) > n)
 
 
 # a path graph of n edges has n(n + 1)/2 paths: 7,260, then 57,970 (8.0x)

@@ -289,6 +289,15 @@ def test_extraction_requires_normalized_input():
         extract_equiv_facts(program, program)
 
 
+def test_rendering_requires_normalized_input():
+    # render_toy writes normalized statements only, and an ExprDef is not one
+    program = parse_toy("int a;\nint b = f(a + 1);\n")
+    assert any(isinstance(s, ExprDef) for s in program.statements)
+    with pytest.raises(ValueError, match=r"normalized first \(see normalize\(\)\)"):
+        render_toy(program)
+    assert render_toy(normalize(program)) == "int a;\nb_tmp1 = a + 1;\nb = f(b_tmp1);\n"
+
+
 # ---------------------------------------------------------------------------
 # Trace extraction
 # ---------------------------------------------------------------------------
