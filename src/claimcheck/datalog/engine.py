@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import operator
 import zlib
-from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
@@ -67,6 +66,7 @@ from .ast import (
     print_fact,
     print_rule,
 )
+from .values import compiled_make
 
 _UNKNOWN = "?"
 
@@ -678,15 +678,6 @@ def _plan(
     return body
 
 
-@lru_cache(maxsize=256)
-def _compiled_make(source: str, filename: str) -> Callable:
-    """The ``make`` function that generated ``source`` defines, compiled once
-    as ``filename``: generated source holds no constant of its input."""
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]
-
-
 def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Stratum, ...]:
     """One generated function per stratum that has rules, in evaluation
     order.  It runs the initial plans, each rule's plan over the lower strata,
@@ -724,7 +715,7 @@ def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Str
             + ["    return run", ""]
         )
         # the file name differs with the text, so profilers keep strata apart
-        make = _compiled_make(source, f"<stratum {zlib.crc32(source.encode()):08x}>")
+        make = compiled_make(source, f"<stratum {zlib.crc32(source.encode()):08x}>")
         out.append(_Stratum(stratum, make, tuple(constants), tuple(reads)))
     return tuple(out)
 

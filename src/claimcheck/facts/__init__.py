@@ -31,15 +31,16 @@ verdict, a bundle's maps naming facts of its sides included, is for lint.
 
 Loaders read fact text straight into the fact tuples, in two regex matches
 per fact: a head pattern reads the predicate and its ``(``, then the
-argument pattern of a form of that predicate reads the rest of the fact,
-in the tight layout that ``print_fact`` writes or else in a lenient one.
+argument pattern of a form of that predicate reads the rest of the fact.
 An argument pattern has one group per constant and itself checks each sort
-and unquotes each symbol; the forms of one sort signature share it.  A
+and unquotes each symbol; the forms whose constants are written alike (a
+number, a quoted symbol or a bare ``true``/``false``) share it.  A
 generated converter, one per shape of form, fills the omitted slots,
 applies ``int()`` and normalizes.  Only the forms that a text tries are
-compiled.  Text that this scan does not read in full (an escape, a negative
-number, a comment inside a fact, an unknown predicate, a wrong arity or
-sort, a rule) goes whole to the Datalog parser and the checks on atoms
+compiled.  Text that this scan does not read in full (an escape,
+whitespace before a comma or around the ``)``, a negative number, a
+comment inside a fact, an unknown predicate, a wrong arity or sort, a rule)
+goes whole to the Datalog parser and the checks on atoms
 (``*_from_atoms``), which report every error.
 
 This module holds what the two vocabularies share: the fact types of both
@@ -53,10 +54,11 @@ compiles only its own vocabulary.  Every name imports from
 
 import re
 from functools import cache
+from types import FunctionType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .. import _lazy_names
-from ..datalog.values import NUMBER, SYMBOL, Record, print_fact
+from ..datalog.values import NUMBER, SYMBOL, Record, compiled_make, print_fact
 
 DEFAULT_FILE = "main.cpp"
 # task names: the trace vocabulary and the equivalence vocabulary
@@ -230,30 +232,30 @@ def _head() -> re.Pattern:
     return re.compile(r"\s*(?://.*|(\w+)\s*\(\s*)")
 
 
-@cache  # one per sort signature and layout, compiled when a text first tries it
-def _arguments(sorts: tuple[str, ...], lenient: bool) -> re.Pattern:
-    """The arguments of a fact of ``sorts``, after its ``(``, up to and
-    including its final dot.  A number is a group of digits without sign, a
-    symbol a group of the text of a quoted string without escapes.  The
-    tight layout is the one ``print_fact`` writes, with whitespace only
-    after a comma.  The lenient one also admits whitespace before a comma
-    and around the ``)``, and a bare ``true`` or ``false`` as a symbol, in a
-    group of its own: few texts need it, and it doubles the compile time."""
-    if lenient:
-        symbol, comma, end = r'(?:"([^"\\]*)"|(true|false))', r"\s*,\s*", r"\s*\)\s*\."
-    else:
-        symbol, comma, end = r'"([^"\\]*)"', r",\s*", r"\)\."
-    return re.compile(comma.join(map({NUMBER: r"(\d+)", SYMBOL: symbol}.get, sorts)) + end)
+# a symbol written as a bare ``true`` or ``false``, not quoted
+_BARE = "bare"
 
 
-def _shape(relation: _Relation, omitted: tuple[int, ...], lenient: bool) -> tuple[tuple, str]:
+@cache  # one per signature as written, compiled when a text first tries it
+def _arguments(written: tuple[str, ...]) -> re.Pattern:
+    """The arguments of a fact whose constants are written as ``written``,
+    after its ``(``, up to and including its final dot, in the layout that
+    ``print_fact`` writes.  A number is a group of digits without sign, a
+    symbol a group of the text of a quoted string without escapes, a bare
+    symbol a group of ``true`` or ``false``."""
+    argument = {NUMBER: r"(\d+)", SYMBOL: r'"([^"\\]*)"', _BARE: "(true|false)"}.get
+    return re.compile(r",\s*".join(map(argument, written)) + r"\)\.")
+
+
+def _shape(relation: _Relation, omitted: tuple[int, ...]) -> tuple[tuple, str]:
     """A form's sort signature, and the source of its converter, which is
-    the form's shape: ``convert``, the function from a match of the form's
-    arguments to the typed fact.  It reads ``new`` (``tuple.__new__``),
-    ``fact`` (the fact type), ``default`` and ``n<column>`` (a normalize
-    function) as globals.  The pattern has checked each sort and unquoted
-    each symbol; ``convert`` fills the omitted slots, applies ``int()``
-    (which raises ValueError on a number too long for it) and normalizes."""
+    the form's shape: ``make``, whose code each form of the shape runs as
+    the function from a match of its arguments to the typed fact, with
+    ``new`` (``tuple.__new__``), ``fact`` (the fact type), ``default`` and
+    ``n<column>`` (a normalize function) as globals.  The pattern has
+    checked each sort and unquoted each symbol; ``make`` fills the omitted
+    slots, applies ``int()`` (which raises ValueError on a number too long
+    for it) and normalizes."""
     normalized = dict(relation.normalize)
     sorts, groups, values = [], [], []
     for column, sort in enumerate(relation.sorts):
@@ -265,50 +267,40 @@ def _shape(relation: _Relation, omitted: tuple[int, ...], lenient: bool) -> tupl
         groups.append(value)
         if sort == NUMBER:
             value = f"int({value})"
-        elif lenient:
-            groups.append(f"b{column}")
-            value = f"{value} if b{column} is None else b{column}"
         values.append(f"n{column}({value})" if column in normalized else value)
     result = values[0] if relation.fact_type is str else f"new(fact, ({', '.join(values)},))"
-    source = f"def convert(m):\n    {', '.join(groups)}, = m.groups()\n    return {result}\n"
+    source = f"def make(m):\n    {', '.join(groups)}, = m.groups()\n    return {result}\n"
     return tuple(sorts), source
 
 
-# The compiled converter source: one per shape, which the forms of that
-# shape share.
-_converter_code = cache(compile)
-
-
 @cache  # built for the forms that texts try
-def _form(relation: _Relation, arity: int, lenient: bool) -> tuple[Callable, Callable]:
+def _form(relation: _Relation, arity: int, bare: tuple[int, ...]) -> tuple[Callable, Callable]:
     """The match of the arguments of a relation's form of ``arity``
-    arguments, and the converter from that match to the typed fact."""
-    sorts, source = _shape(relation, _omitted(relation, arity), lenient)
+    arguments, those at the positions ``bare`` written as bare symbols, and
+    the converter from that match to the typed fact: the code of its
+    shape, compiled once, run with the form's globals."""
+    sorts, source = _shape(relation, _omitted(relation, arity))
+    written = tuple(_BARE if i in bare and s == SYMBOL else s for i, s in enumerate(sorts))
     namespace = {"new": tuple.__new__, "fact": relation.fact_type, "default": relation.default}
-    for column, function in relation.normalize:
-        namespace[f"n{column}"] = function
-    exec(_converter_code(source, "<fact converter>", "exec"), namespace)
-    return _arguments(sorts, lenient).match, namespace["convert"]
+    namespace.update((f"n{column}", function) for column, function in relation.normalize)
+    convert = FunctionType(compiled_make(source, "<fact converter>").__code__, namespace)
+    return _arguments(written).match, convert
 
 
 def _forms(relation: _Relation, source: str, pos: int) -> Iterator[tuple[Callable, Callable]]:
     """The match and converter of each form of a relation, built as the
-    scan tries them at ``pos``.  First comes the form that the text up to
-    the next ``)`` looks like: its number of commas outside quotes, and
-    whether it needs the lenient layout.  That guess is wrong where a symbol
-    holds a ``)``, so every form follows: the tight ones, canonical arity
-    first, then the lenient ones.  Where the guess is right, no form is
-    compiled in vain."""
-    end = source.find(")", pos)
-    outside = '""'.join(source[pos:end].split('"')[::2])  # each quoted string emptied
-    lenient = (not source.startswith(".", end + 1) or " ," in outside
-               or outside != outside.rstrip() or any(map(str.isalpha, outside)))
+    scan tries them at ``pos``.  First the form as the text up to the next
+    ``)`` writes it: one argument more than its commas, and a bare symbol
+    where it writes a bare ``true`` or ``false``, so that no pattern is
+    compiled in vain.  Then, as a symbol may hold a ``,`` or ``)``, the
+    canonical form and the abbreviated one, each symbol quoted."""
+    arguments = source[pos:source.find(")", pos)].split(",")
+    bare = tuple(i for i, argument in enumerate(arguments) if argument.strip() in ("true", "false"))
     n = len(relation.sorts)
-    short = n - len(relation.omitted)
-    forms = (outside.count(",") + 1, lenient), (n, False), (short, False), (n, True), (short, True)
-    for arity, layout in dict.fromkeys(forms):
-        if _omitted(relation, arity) is not None:
-            yield _form(relation, arity, layout)
+    forms = (len(arguments), bare), (n, ()), (n - len(relation.omitted), ())
+    for form in dict.fromkeys(forms):
+        if _omitted(relation, form[0]) is not None:
+            yield _form(relation, *form)
 
 
 def _scan(source: str, relations: dict[str, _Relation]) -> dict[str, set] | None:

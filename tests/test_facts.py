@@ -408,10 +408,12 @@ def test_sort_errors_in_abbreviated_forms_name_the_argument_as_written(text, mes
 def test_fact_scan_compiles_one_pattern_per_signature_and_one_converter_per_shape(
     fixtures_dir,
 ):
-    """What a launch compiles: loading the corpus fixtures twice compiles,
-    in the first pass only, one argument pattern per sort signature and one
-    converter per shape among the forms that the fixtures use."""
+    """What a launch compiles: loading the corpus fixtures twice compiles
+    in the first pass only, and no more argument patterns than there are
+    sort signatures, nor converters than shapes, among the forms that the
+    fixtures use."""
     from claimcheck import facts
+    from claimcheck.datalog import values
     from claimcheck.facts.equiv import _CORRESPONDENCE_RELATIONS, _SIDE_RELATIONS
     from claimcheck.facts.msan import _MSAN_RELATIONS
 
@@ -419,7 +421,7 @@ def test_fact_scan_compiles_one_pattern_per_signature_and_one_converter_per_shap
     texts = [(entry["task"], (fixtures_dir / entry["path"]).read_text())
              for entry in manifest["fixtures"]]
     assert len(texts) == 7
-    caches = (facts._form, facts._arguments, facts._converter_code)
+    caches = (facts._form, facts._arguments, values.compiled_make)
     for cache in caches:
         cache.cache_clear()
     sizes = []
@@ -442,7 +444,7 @@ def test_fact_scan_compiles_one_pattern_per_signature_and_one_converter_per_shap
             for atom in parse_facts(body):
                 relation = relations[atom.predicate]
                 signatures.add(tuple(type(arg) for arg in atom.args))
-                shapes.add(facts._shape(relation, facts._omitted(relation, len(atom.args)), False))
+                shapes.add(facts._shape(relation, facts._omitted(relation, len(atom.args))))
     _, patterns, converters = sizes[1]
     assert patterns <= len(signatures) and converters <= len(shapes)
 

@@ -204,7 +204,7 @@ def _load_grows_about_linearly(load, text_of, n, check):
     times = []
     for text in (text_of(n), text_of(8 * n)):
         best, loaded = _best_time(lambda: load(text))
-        check(loaded)
+        assert check(loaded)
         times.append(best)
     assert times[1] / times[0] < 24
 
