@@ -3,7 +3,8 @@
 Exit codes: 0 when the verdict is Verified/Equivalent (or every corpus row
 matches its expectation), 1 for DontKnow/NotEquivalent/Inconclusive (or a
 corpus mismatch), 2 for unreadable, unparsable, or otherwise unusable
-input.  Reports are JSON by default (``--pretty`` for humans).
+input, or for a report that cannot be written (a closed pipe).  Reports
+are JSON by default (``--pretty`` for humans).
 """
 
 from __future__ import annotations
@@ -133,11 +134,23 @@ def main(argv: list[str] | None = None) -> int:
     # argv builds every subparser: it may start with --help, which lists
     # every command.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    if args.command in _CHECKS:
-        return cmd_check(args)
-    from . import commands
+    try:
+        if args.command in _CHECKS:
+            status = cmd_check(args)
+        else:
+            from . import commands
 
-    return getattr(commands, "cmd_" + args.command)(args)
+            status = getattr(commands, "cmd_" + args.command)(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, so the report cannot be written.  What is
+        # left in the buffer goes to the null device, so the flush at exit
+        # raises nothing.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return status
 
 
 if __name__ == "__main__":

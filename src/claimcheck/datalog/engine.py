@@ -12,14 +12,15 @@ first :func:`evaluate` and keeps them; evaluating a program that still holds
 its rules and declarations checks only the program's facts, a segment (a run
 of one relation's value tuples) at a time, and any other program is
 validated again.  Facts load a segment at a time, one ``dict.fromkeys``
-each.  Each stratum is generated into one Python function that runs its
-initial plans and then its semi-naive rounds, with each round's deltas held
-as locals.  A rule's join plan, once per delta position, is nested loops
-whose atoms are probed through hash indexes on their bound columns, with
-negated atoms as single index probes, and inserts each new head tuple inline
-(relation, indexes, new delta), or after its loops if it reads its own head
-relation outside the delta and so would see its insertions.  The code of
-equal generated source is compiled once.
+each.  Each stratum is generated into one Python function of the relations
+that reads what it probes, holds its rules' constants and ordinals as
+literals, and runs its initial plans and then its semi-naive rounds, with
+each round's deltas held as locals.  A rule's join plan, once per delta
+position, is nested loops whose atoms are probed through hash indexes on
+their bound columns, with negated atoms as single index probes, and inserts
+each new head tuple inline (relation, indexes, new delta), or after its
+loops if it reads its own head relation outside the delta and so would see
+its insertions.  The code of equal generated source is compiled once.
 
 A tuple's derivation lives in its own slot of its relation's dict: the step
 ``(i, t0, t1, ...)`` that first derived it, its rule's ordinal ``i`` in
@@ -39,7 +40,7 @@ import operator
 import zlib
 from itertools import repeat
 from types import MappingProxyType
-from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional, Sequence
 
 from ..errors import (
     ArityMismatchError,
@@ -215,6 +216,14 @@ def _infer_declarations(program: Program) -> dict[str, list[str]]:
 
 
 def _check_rule(rule: Rule, slots: dict[str, list[str]]) -> None:
+    atoms = [rule.head, *rule.positive_atoms(), *[neg.atom for neg in rule.negated_atoms()]]
+    sides = [side for cmp in rule.comparisons() for side in (cmp.left, cmp.right)]
+    for term in [term for atom in atoms for term in atom.args] + sides:
+        if type(term) not in (str, int, Var, Wildcard):  # plans write constants as literals
+            raise RangeRestrictionError(
+                f"rule for {rule.head.predicate!r}: constant {term!r} is "
+                "neither a symbol (str) nor a number (int)"
+            )
     positive_vars: set[str] = set()
     for atom in rule.positive_atoms():
         for term in atom.args:
@@ -237,22 +246,20 @@ def _check_rule(rule: Rule, slots: dict[str, list[str]]) -> None:
                     f"rule for {rule.head.predicate!r}: negated variable "
                     f"{term.name!r} does not occur in a positive body literal"
                 )
-    for cmp in rule.comparisons():
-        for side in (cmp.left, cmp.right):
-            if isinstance(side, Wildcard):
-                raise RangeRestrictionError(
-                    f"rule for {rule.head.predicate!r}: wildcard in comparison"
-                )
-            if type(side) is str:
-                raise SortError(
-                    f"rule for {rule.head.predicate!r}: comparison over symbol "
-                    f"{side!r}"
-                )
-            if isinstance(side, Var) and side.name not in positive_vars:
-                raise RangeRestrictionError(
-                    f"rule for {rule.head.predicate!r}: comparison variable "
-                    f"{side.name!r} does not occur in a positive body literal"
-                )
+    for side in sides:
+        if isinstance(side, Wildcard):
+            raise RangeRestrictionError(
+                f"rule for {rule.head.predicate!r}: wildcard in comparison"
+            )
+        if type(side) is str:
+            raise SortError(
+                f"rule for {rule.head.predicate!r}: comparison over symbol {side!r}"
+            )
+        if isinstance(side, Var) and side.name not in positive_vars:
+            raise RangeRestrictionError(
+                f"rule for {rule.head.predicate!r}: comparison variable "
+                f"{side.name!r} does not occur in a positive body literal"
+            )
 
 
 def _strongly_connected_components(graph: dict[str, set[str]]) -> list[list[str]]:
@@ -371,7 +378,7 @@ class RuleSet:
     ) -> None:
         self.rules, self.declarations, self.strata = rules, declarations, strata
         self.body_predicates = tuple(tuple(a.predicate for a in r.positive_atoms()) for r in rules)
-        self._join_plans: tuple[_Stratum, ...] | None = None
+        self._join_plans: tuple[Callable[[dict], None], ...] | None = None
 
     def program(self, segments: Segments = ()) -> Program:
         """A new program of these rules and declarations, with these facts."""
@@ -388,9 +395,10 @@ class RuleSet:
         )
 
     @property
-    def plans(self) -> tuple[_Stratum, ...]:
-        """The generated function of each stratum, made on first use:
-        ``export`` needs the rules, not the plans."""
+    def plans(self) -> tuple[Callable[[dict], None], ...]:
+        """The generated function of each stratum that has rules, in
+        evaluation order, made on first use: ``export`` needs the rules, not
+        the plans.  Each takes the relations and inserts what it derives."""
         if self._join_plans is None:
             self._join_plans = _plans(self.rules, self.strata)
         return self._join_plans
@@ -502,36 +510,21 @@ _PYTHON_OP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
 _LOOPS_PER_FUNCTION = 16
 
 
-class _Stratum(NamedTuple):
-    """A stratum's generated evaluation, not yet bound to relations."""
-
-    predicates: Sequence[str]  # seen<j> and ix<j> are the tuples and indexes of the j-th
-    make: Callable[..., Callable[[], None]]  # generated; see _plans
-    constants: tuple  # constants and rule ordinals, passed to make first
-    # then one relation read each: (predicate, None) for its tuples, or
-    # (predicate, columns) for its index on those columns
-    reads: tuple[tuple[str, Optional[tuple[int, ...]]], ...]
-
-    def run(self, relations: dict[str, _Relation]) -> None:
-        """Evaluate the stratum over these relations, inserting what it derives."""
-        self.make(*self.constants, *[
-            relations[name].tuples if columns is None else relations[name].index(columns)
-            for name, columns in self.reads
-        ], *[
-            part for name in self.predicates
-            for part in (relations[name].tuples, relations[name].indexes.values())
-        ])()
-
-
 def _tuple_source(items: list[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
+def _literal(constant: str | int) -> str:
+    """A rule constant as Python source: a symbol's ``repr``, or a number in
+    hex, to which no int-to-str digit limit applies (``repr(10**5000)`` raises)."""
+    return repr(constant) if type(constant) is str else hex(constant)
+
+
 def _plan(
     rule: Rule, ordinal: int, delta_position: int | None, stratum: Sequence[str],
-    constants: list, reads: list, helpers: list[list[str]],
+    reads: dict[tuple[str, Optional[tuple[int, ...]]], str], helpers: list[list[str]],
 ) -> list[str]:
-    """Generate the join plan of one rule, as lines of its stratum's ``run``:
+    """Generate the join plan of one rule, as lines of its stratum's function:
     nested ``for`` loops over index lookups, one per positive atom, inserting
     each new head tuple (buffered when the plan reads its head relation
     outside the delta).  An initial plan (``delta_position`` None) adds new
@@ -542,28 +535,24 @@ def _plan(
     the most bound arguments (ties to the earlier body position) is probed
     through an index keyed by its bound columns.  Negated atoms (single index
     probes) and comparisons run as soon as their variables are bound.
-    Variables become locals ``v0, v1, ...``, the tuple of each step ``t<n>``;
-    constants, the rule's ``ordinal`` and relation reads are appended to
-    ``constants`` and ``reads``, the stratum's arguments of ``make``, so no
-    text of the rule reaches the source and strata of one shape share code.
-    Loops past ``_LOOPS_PER_FUNCTION`` continue in a function ``s<k>``
-    appended to ``helpers``.
+    Variables become locals ``v0, v1, ...``, the tuple of each step ``t<n>``,
+    and constants and the rule's ``ordinal`` literals.  A relation's tuples
+    (``columns`` None) or its index on ``columns`` is the local
+    ``reads[predicate, columns]``, named ``r<i>`` on first use.  Loops past
+    ``_LOOPS_PER_FUNCTION`` continue in a function ``s<k>`` appended to
+    ``helpers``.
     """
     atoms = rule.positive_atoms()
     names: dict[str, str] = {}  # rule variable -> local name
 
     def value(term: Term) -> str:
-        if isinstance(term, Var):
-            return names[term.name]
-        constants.append(term)
-        return f"c{len(constants) - 1}"
+        return names[term.name] if isinstance(term, Var) else _literal(term)
 
     def key(terms) -> str:
         return _tuple_source([value(term) for term in terms])
 
     def read(predicate: str, columns: Optional[tuple[int, ...]]) -> str:
-        reads.append((predicate, columns))
-        return f"r{len(reads) - 1}"
+        return reads.setdefault((predicate, columns), f"r{len(reads)}")
 
     def fails(lit: Comparison | NegatedAtom) -> str:
         """A condition that holds when ``lit`` does not."""
@@ -662,7 +651,7 @@ def _plan(
         for condition in ready_filters():
             emit(f"if {condition}: continue")
     # the step kept in the new tuple's slot: the rule's ordinal, then each atom's tuple
-    step = _tuple_source([value(ordinal)] + [steps[p] for p in range(len(atoms))])
+    step = _tuple_source([str(ordinal)] + [steps[p] for p in range(len(atoms))])
     if buffered:
         emit(f"add(({key(rule.head.args)}, {step}))")
         body += [sink, "for h, step in out:"]
@@ -678,23 +667,26 @@ def _plan(
     return body
 
 
-def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Stratum, ...]:
-    """One generated function per stratum that has rules, in evaluation
-    order.  It runs the initial plans, each rule's plan over the lower strata,
-    and then, while a delta ``d<j>`` is not empty, a round: the plans of each
-    rule per body atom of the stratum, each reading the last round's delta."""
+def _plans(
+    rules: Sequence[Rule], strata: Sequence[Sequence[str]]
+) -> tuple[Callable[[dict], None], ...]:
+    """One generated function ``make(relations)`` per stratum that has rules,
+    in evaluation order.  It reads what it probes from ``relations`` (the
+    tuples ``seen<j>`` and indexes ``ix<j>`` of the stratum's j-th predicate),
+    runs the initial plans, each rule's plan over the lower strata, and then,
+    while a delta ``d<j>`` is not empty, a round: the plans of each rule per
+    body atom of the stratum, each reading the last round's delta."""
     out = []
     for stratum in strata:
         members = [(k, r) for k, r in enumerate(rules) if r.head.predicate in stratum]
         if not members:
             continue
-        constants: list = []
-        reads: list = []
+        reads = {(name, None): f"seen{j}" for j, name in enumerate(stratum)}
         helpers: list[list[str]] = []
-        shared = (stratum, constants, reads, helpers)
+        shared = (stratum, reads, helpers)
         deltas, news = ([f"{d}{j}" for j in range(len(stratum))] for d in "dn")
-        run = ["def run():", "    " + "; ".join(f"{d} = []" for d in deltas)]
-        run += ["    " + line for k, rule in members for line in _plan(rule, k, None, *shared)]
+        run = ["; ".join(f"{d} = []" for d in deltas)]
+        run += [line for k, rule in members for line in _plan(rule, k, None, *shared)]
         rounds = [
             line
             for k, rule in members
@@ -703,20 +695,21 @@ def _plans(rules: Sequence[Rule], strata: Sequence[Sequence[str]]) -> tuple[_Str
             for line in _plan(rule, k, i, *shared)
         ]
         if rounds:
-            run.append(f"    while {' or '.join(deltas)}:")
-            run += ["        " + line for line in ["; ".join(f"{n} = []" for n in news), *rounds]]
-            run.append(f"        {', '.join(deltas)} = {', '.join(news)}")
-        parameters = [f"c{i}" for i in range(len(constants))]
-        parameters += [f"r{i}" for i in range(len(reads))]
-        parameters += [f"{kind}{j}" for j in range(len(stratum)) for kind in ("seen", "ix")]
+            run.append(f"while {' or '.join(deltas)}:")
+            run += ["    " + line for line in ["; ".join(f"{n} = []" for n in news), *rounds]]
+            run.append(f"    {', '.join(deltas)} = {', '.join(news)}")
+        preamble = [f"ix{j} = relations[{p!r}].indexes.values()" for j, p in enumerate(stratum)]
+        preamble += [
+            f"{local} = relations[{p!r}]." + ("tuples" if columns is None else f"index({columns})")
+            for (p, columns), local in reads.items()
+        ]
         source = "\n".join(
-            [f"def make({', '.join(parameters)}):"]
-            + ["    " + line for lines in (*helpers, run) for line in lines]
-            + ["    return run", ""]
+            ["def make(relations):"]
+            + ["    " + line for lines in (preamble, *helpers, run) for line in lines]
+            + [""]
         )
         # the file name differs with the text, so profilers keep strata apart
-        make = compiled_make(source, f"<stratum {zlib.crc32(source.encode()):08x}>")
-        out.append(_Stratum(stratum, make, tuple(constants), tuple(reads)))
+        out.append(compiled_make(source, f"<stratum {zlib.crc32(source.encode()):08x}>"))
     return tuple(out)
 
 
@@ -736,8 +729,8 @@ def evaluate(program: Program) -> Database:
     for name, rows in program.segments:  # ground facts: their arguments are their tuples
         if rows:  # an empty segment declares nothing
             relations[name].tuples.update(dict.fromkeys(rows))
-    for stratum in rule_set.plans:
-        stratum.run(relations)
+    for run in rule_set.plans:
+        run(relations)
     return Database({name: rel.tuples for name, rel in relations.items()}, rule_set)
 
 

@@ -167,7 +167,9 @@ class _Parser:
         if self.peek()[1] == ".":
             self.pos += 1
         if name in program.declarations and program.declarations[name] != tuple(sorts):
-            raise self.error(f"conflicting redeclaration of {name!r}")
+            raise DatalogSyntaxError(  # at the redeclaration's .decl
+                *_position(self.source, self.start), f"conflicting redeclaration of {name!r}"
+            )
         program.declarations[name] = tuple(sorts)
 
     def parse_clause(self, program: Program) -> None:

@@ -18,7 +18,7 @@ NUMBER = "number"
 @lru_cache(maxsize=256)
 def compiled_make(source: str, filename: str) -> Callable:
     """The ``make`` function that generated ``source`` defines, compiled once
-    as ``filename``: generated source holds no constant of its input."""
+    as ``filename`` for every caller that generates the same source."""
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]

@@ -447,6 +447,26 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, argv):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-msan", f"{FIXTURES}/msan/audio_buffer_trace.facts"],  # Verified
+    ["verify-equiv", f"{FIXTURES}/equiv/loop_cond_swap.bundle"],
+    ["corpus", f"{FIXTURES}/corpus.json"],
+    ["extract", f"{FIXTURES}/toy/copy_chain.toy", "--task", "msan", "--uninit", "a"],
+], ids=["verify-msan", "verify-equiv", "corpus", "extract"])
+def test_a_closed_stdout_is_a_usage_error(argv):
+    # the reader is gone before the launch writes: the report cannot be written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "claimcheck.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (2, b"")
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "a" + ")" * 400,
     "-" * 3000 + "a",

@@ -20,6 +20,7 @@ from claimcheck.datalog import (
     Program,
     Rule,
     Var,
+    WILDCARD,
     engine,
     evaluate,
     explain,
@@ -367,7 +368,7 @@ def _renamed(program: Program, predicates: dict, variables: dict, symbols: dict)
     )
 
 
-def test_rule_text_never_reaches_generated_source():
+def test_hostile_rule_text_is_inert_in_generated_source():
     plain = parse_program("""
         path(x, y) :- edge(x, y).
         path(x, z) :- path(x, y), edge(y, z).
@@ -403,6 +404,109 @@ def test_rule_text_never_reaches_generated_source():
         plain, evaluate(plain), print_atom
     )
     assert len(hostile_texts) > len(hostile.facts)
+
+
+def test_a_stratum_function_reads_all_it_needs_from_the_relations():
+    program = parse_program("""
+        path(x, y) :- edge(x, y, "K1", 7).
+        path(x, z) :- path(x, y), edge(y, z, _, w), w > -3, !cut(z, "K2").
+        edge("a", "b", "K1", 7). edge("b", "c", "K2", 1). cut("c", "K2").
+    """)
+    plans = engine.check_program(program).plans
+    assert plans
+    for plan in plans:
+        # one parameter, no closure and no global but the builtins: every
+        # constant and rule ordinal is a literal of its own code
+        code = plan.__code__
+        assert code.co_varnames[:code.co_argcount] == ("relations",)
+        assert plan.__closure__ is None and set(plan.__globals__) <= {"__builtins__", "make"}
+    db = evaluate(program)
+    assert db["path"] == {("a", "b")}
+    assert dict(db.relations) == naive_evaluate(program)
+
+
+def test_a_negation_over_wildcards_alone_reads_an_index_on_no_columns():
+    for facts in ('f("a"). f("b").', 'f("a"). f("b"). e("x", 1).'):
+        program = parse_program(f"q(x) :- f(x), !e(_, _).\n.decl e(a: symbol, b: number)\n{facts}")
+        db = evaluate(program)
+        assert dict(db.relations) == naive_evaluate(program)
+        assert db["q"] == (frozenset() if "e(" in facts else {("a",), ("b",)})
+
+
+def test_a_number_constant_beyond_the_digit_limit_evaluates():
+    big = 10**5000  # repr(big) raises where ints convert to text under a digit limit
+    x = Var("x")
+    rules = [
+        Rule(Atom("hit", (x,)), (Atom("p", (x,)), Comparison("=", x, big))),
+        Rule(Atom("above", (x,)), (Atom("p", (x,)), Comparison(">", x, -big))),
+        Rule(Atom("paired", (x,)), (Atom("p", (x,)), Atom("pair", (x, big)))),
+        Rule(Atom("top", (big,)), (Atom("p", (x,)), NegatedAtom(Atom("pair", (x, big + 1))))),
+    ]
+    facts = [Atom("p", (big,)), Atom("p", (1,)), Atom("pair", (1, big))]
+    program = Program({}, rules, facts)
+    db = evaluate(program)
+    assert db["hit"] == {(big,)} and db["paired"] == {(1,)} and db["top"] == {(big,)}
+    # the oracle orders tuples by their repr
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert dict(db.relations) == naive_evaluate(program)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+_X = Var("x")
+# a rule whose constant ``c`` stands in each place a constant can take
+_RULE_WITH_CONSTANT = {
+    "head": lambda c: Rule(Atom("p", (c,)), (Atom("e", (_X, _X)),)),
+    "atom": lambda c: Rule(Atom("p", (_X,)), (Atom("e", (_X, c)),)),
+    "negation": lambda c: Rule(
+        Atom("p", (_X,)), (Atom("e", (_X, _X)), NegatedAtom(Atom("e", (_X, c))))
+    ),
+    "comparison": lambda c: Rule(Atom("p", (_X,)), (Atom("e", (_X, _X)), Comparison("<", _X, c))),
+}
+
+
+@pytest.mark.parametrize("constant", [True, 1.5, None, b"1"], ids=repr)
+@pytest.mark.parametrize("place", sorted(_RULE_WITH_CONSTANT))
+def test_a_rule_constant_must_be_str_or_int(place, constant):
+    # a bool is an int subclass, but not a number constant: True would match 1
+    rule = _RULE_WITH_CONSTANT[place](constant)
+    for validate in (engine.check_program, prepare):
+        program = Program({"e": ("number", "number"), "p": ("number",)}, [rule])
+        with pytest.raises(RangeRestrictionError) as info:
+            validate(program)
+        assert str(info.value) == (
+            f"rule for 'p': constant {constant!r} is neither a symbol (str) nor a number (int)"
+        )
+
+
+@pytest.mark.parametrize(("rules", "error", "message"), [
+    (lambda: [Rule(Atom("p", (WILDCARD,)), (Atom("q", (_X,)),))],
+     RangeRestrictionError, "rule for 'p': wildcard in rule head"),
+    (lambda: [Rule(Atom("p", (_X,)), (Atom("q", (_X,)), Comparison("<", WILDCARD, 1)))],
+     RangeRestrictionError, "rule for 'p': wildcard in comparison"),
+    ('p(x) :- q(x), x < "a".', SortError, "rule for 'p': comparison over symbol 'a'"),
+    ("p(x) :- q(x), y < 1.", RangeRestrictionError,
+     "rule for 'p': comparison variable 'y' does not occur in a positive body literal"),
+    ("p(x) :- q(x).\np(x) :- q(x, x).", ArityMismatchError,
+     "predicate 'q' declared with arity 1, used with 2"),
+    ('a(x) :- p(x), x > 1.\nb(y) :- p(y), q(y).\nq("s").', SortError,
+     "rule for 'b': variable 'y' is used both as number and as symbol"),
+    ('h(x, y) :- p(x), p(y), x > 1, q(y).\nq("s").', SortError,
+     "rule for 'h': argument 1 of 'p' is used both as number and as symbol"),
+], ids=["head-wildcard", "comparison-wildcard", "comparison-symbol", "comparison-unbound",
+        "arity-across-rules", "variable-sort-across-rules", "argument-sort-in-a-rule"])
+def test_check_program_rejects_a_malformed_rule(rules, error, message):
+    if isinstance(rules, str):
+        program = parse_program(rules, validate=False)
+    else:
+        program = Program(rules=rules())
+    with pytest.raises(error) as info:
+        engine.check_program(program)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_auto_declaration_infers_number_sort():
     assert reparsed.facts == program.facts
 
 
+def test_a_conflicting_redeclaration_is_reported_at_its_decl():
+    source = ".decl q(a: symbol)\n  .decl q(a: number)\n\n\np(x) :- q(x)."
+    assert _result_or_error(parse_program, source) == (
+        "error", 2, 3, "conflicting redeclaration of 'q'"
+    )
+    # a declaration may end with a dot, and repeating it unchanged is no conflict
+    program = parse_program(".decl q(a: symbol).\n.decl q(b: symbol)\np(x) :- q(x).")
+    assert program.declarations == {"q": ("symbol",), "p": ("symbol",)}
+
+
 def test_symbols_escape_round_trip():
     source = 'p("quo\\"te", "back\\\\slash").'
     program = parse_program(source)

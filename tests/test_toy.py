@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from claimcheck.cli import main
 from claimcheck.errors import MissingInputError, ToySyntaxError, UseBeforeDefError
 from claimcheck.facts import (
     ControlDepFact,
@@ -82,6 +83,40 @@ def test_bad_statement_reports_line():
     with pytest.raises(ToySyntaxError) as info:
         parse_toy("int a = 0;\nwat!\n")
     assert info.value.line == 2
+
+
+# Each program is malformed on one line only, the line its error names.
+_MALFORMED = {
+    "bad-character": ("int a;\nint b = a$1;\noutput(b);\n", 2, "bad expression near '$1'"),
+    "unexpected-end": ("int a;\nint b = a +;\noutput(b);\n", 2, "unexpected end of expression"),
+    "trailing-tokens": ("int a;\nint b = a a;\noutput(b);\n", 2, "trailing tokens near 'a'"),
+    "bang-outside-a-guard": ("int a;\nint b = !a;\n", 2, "'!' is only allowed in guards"),
+    "missing-parenthesis": ("int a;\nint b = (a 1;\n", 2, "missing ')'"),
+    "missing-call-parenthesis": ("int a;\nint b = f(a 1;\n", 2, "missing ')' after call"),
+    "call-arguments": ("int a;\n\nint b = f(a, a, a);\n", 3, "f() takes one or two arguments"),
+    "unexpected-token": ("int a;\nint b = * a;\n", 2, "unexpected token '*'"),
+    "unmatched-brace": ("int a;\noutput(a);\n}\n", 3, "unmatched '}'"),
+    "reserved-free-variable": ("int a;\nint if;\n", 2, "'if' is a reserved word"),
+    "reserved-definition": ("int a;\noutput = a;\n", 2, "'output' is a reserved word"),
+    "unclosed-brace": ("int a;\nif (a) {\noutput(a);\n", 3, "unclosed '{'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_a_malformed_program_raises_on_its_line(case):
+    source, line, message = _MALFORMED[case]
+    with pytest.raises(ToySyntaxError) as info:
+        parse_toy(source)
+    assert (info.value.line, info.value.message) == (line, message)
+
+
+def test_extract_on_a_malformed_program_is_a_usage_error(capsys, tmp_path):
+    source, line, message = _MALFORMED["missing-call-parenthesis"]
+    toy = tmp_path / "bad.toy"
+    toy.write_text(source, encoding="utf-8")
+    assert main(["extract", str(toy), "--task", "msan", "--uninit", "a"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {line}: {message}\n")
 
 
 _SHAPES = {
