@@ -14,13 +14,13 @@ of one relation's value tuples) at a time, and any other program is
 validated again.  Facts load a segment at a time, one ``dict.fromkeys``
 each.  Each stratum is generated into one Python function of the relations
 that reads what it probes, holds its rules' constants and ordinals as
-literals, and runs its initial plans and then its semi-naive rounds, with
-each round's deltas held as locals.  A rule's join plan, once per delta
-position, is nested loops whose atoms are probed through hash indexes on
-their bound columns, with negated atoms as single index probes, and inserts
-each new head tuple inline (relation, indexes, new delta), or after its
-loops if it reads its own head relation outside the delta and so would see
-its insertions.  The code of equal generated source is compiled once.
+literals, runs its exit rules (no positive atom in the stratum) once, then
+semi-naive rounds from all its tuples, deltas held as locals.  A join plan,
+one per exit rule or per delta position, is nested loops whose atoms are
+probed through hash indexes on their bound columns, with negated atoms as
+single index probes, and inserts each new head tuple inline, or after its
+loops if it reads its own head relation outside the delta and would see its
+insertions.  The code of equal generated source is compiled once.
 
 A tuple's derivation lives in its own slot of its relation's dict: the step
 ``(i, t0, t1, ...)`` that first derived it, its rule's ordinal ``i`` in
@@ -527,9 +527,9 @@ def _plan(
     """Generate the join plan of one rule, as lines of its stratum's function:
     nested ``for`` loops over index lookups, one per positive atom, inserting
     each new head tuple (buffered when the plan reads its head relation
-    outside the delta).  An initial plan (``delta_position`` None) adds new
-    tuples to its head's delta ``d<j>``, a recursive one to the next round's
-    ``n<j>``, reading the atom at ``delta_position`` from ``d<j>``.
+    outside the delta).  An exit plan (``delta_position`` None) feeds no
+    delta; a round plan reads the atom at ``delta_position`` from ``d<j>``
+    and adds new tuples to the next round's ``n<j>`` too.
 
     The delta atom (if any) is scanned first; then, greedily, the atom with
     the most bound arguments (ties to the earlier body position) is probed
@@ -585,8 +585,9 @@ def _plan(
     head = rule.head.predicate
     buffered = any(a.predicate == head for i, a in enumerate(atoms) if i != delta_position)
     j = stratum.index(head)
-    sink = f"add = {'d' if delta_position is None else 'n'}{j}.append"
-    body = ["out = []; add = out.append" if buffered else sink]
+    feeds = delta_position is not None  # an exit plan feeds no delta
+    sink = [f"add = n{j}.append"] * feeds
+    body = ["out = []; add = out.append"] if buffered else sink
     lines, depth, loops = body, 0, 0  # the function being written, its indentation
 
     def emit(line: str) -> None:
@@ -607,7 +608,7 @@ def _plan(
         remaining.remove(position)
         atom = atoms[position]
         if loops == _LOOPS_PER_FUNCTION:
-            live = ", ".join(["add", *steps.values(), *names.values()])
+            live = ", ".join(["add"] * feeds + [*steps.values(), *names.values()])
             emit(f"s{len(helpers)}({live})")
             lines = [f"def s{len(helpers)}({live}):"]
             helpers.append(lines)
@@ -654,7 +655,7 @@ def _plan(
     step = _tuple_source([str(ordinal)] + [steps[p] for p in range(len(atoms))])
     if buffered:
         emit(f"add(({key(rule.head.args)}, {step}))")
-        body += [sink, "for h, step in out:"]
+        body += [*sink, "for h, step in out:"]
         lines, depth, step = body, 1, "step"
     else:
         emit(f"h = {key(rule.head.args)}")
@@ -662,7 +663,7 @@ def _plan(
         f"if h not in seen{j}:",
         f"    seen{j}[h] = {step}",
         f"    for key_of, index in ix{j}: index.setdefault(key_of(h), []).append(h)",
-        "    add(h)",
+        *["    add(h)"] * feeds,
     ])
     return body
 
@@ -673,9 +674,9 @@ def _plans(
     """One generated function ``make(relations)`` per stratum that has rules,
     in evaluation order.  It reads what it probes from ``relations`` (the
     tuples ``seen<j>`` and indexes ``ix<j>`` of the stratum's j-th predicate),
-    runs the initial plans, each rule's plan over the lower strata, and then,
-    while a delta ``d<j>`` is not empty, a round: the plans of each rule per
-    body atom of the stratum, each reading the last round's delta."""
+    runs each exit rule's plan once and then, while a delta ``d<j>`` (at first
+    all of ``seen<j>``) is not empty, a round: the plans of each other rule
+    per body atom of the stratum, each reading the last round's delta."""
     out = []
     for stratum in strata:
         members = [(k, r) for k, r in enumerate(rules) if r.head.predicate in stratum]
@@ -685,8 +686,11 @@ def _plans(
         helpers: list[list[str]] = []
         shared = (stratum, reads, helpers)
         deltas, news = ([f"{d}{j}" for j in range(len(stratum))] for d in "dn")
-        run = ["; ".join(f"{d} = []" for d in deltas)]
-        run += [line for k, rule in members for line in _plan(rule, k, None, *shared)]
+        run = [  # the exit rules' plans
+            line for k, rule in members
+            if all(atom.predicate not in stratum for atom in rule.positive_atoms())
+            for line in _plan(rule, k, None, *shared)
+        ]
         rounds = [
             line
             for k, rule in members
@@ -695,6 +699,7 @@ def _plans(
             for line in _plan(rule, k, i, *shared)
         ]
         if rounds:
+            run.append("; ".join(f"{d} = list(seen{j})" for j, d in enumerate(deltas)))
             run.append(f"while {' or '.join(deltas)}:")
             run += ["    " + line for line in ["; ".join(f"{n} = []" for n in news), *rounds]]
             run.append(f"    {', '.join(deltas)} = {', '.join(news)}")

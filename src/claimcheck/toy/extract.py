@@ -114,8 +114,6 @@ class _SideExtractor:
     def exit_at(self, line: int) -> None:
         self.exits.add(ExitFact(self.file, line))
         for var in sorted(self.reaching):
-            if var in self.constants:
-                continue
             self.use_var(var, line)
             self.watch.add(SiteFact(var, self.file, line))
 

@@ -165,8 +165,9 @@ class _ExprParser:
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
-                if text[pos:].strip():
-                    raise ToySyntaxError(line, f"bad expression near {text[pos:]!r}")
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise ToySyntaxError(line, f"bad expression near {rest!r}")
                 break
             self.tokens.append(m.group("num") or m.group("ident") or m.group("op"))
             pos = m.end()

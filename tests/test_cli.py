@@ -699,6 +699,21 @@ def test_corpus_entry_without_path_is_usage_error(capsys, tmp_path):
     assert 'entry 1: "path"' in err
 
 
+_GOOD_ENTRY = {"name": "ok", "task": "msan", "path": "trace.facts", "expected": "Verified"}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("trace.facts", "entry 2 is not an object"),
+    (dict(_GOOD_ENTRY, name=7), 'entry 2: "name" must be a string'),
+    (dict(_GOOD_ENTRY, task="sanitize"), "entry 2: unknown task 'sanitize'"),
+    (dict(_GOOD_ENTRY, expected="Equivalent"),
+     'entry 2: "expected" must be one of Verified, DontKnow'),
+], ids=["not-an-object", "name-not-a-string", "unknown-task", "expected-of-another-task"])
+def test_corpus_unusable_entry_is_usage_error(capsys, tmp_path, bad, message):
+    err = _corpus_usage_error(capsys, tmp_path, {"fixtures": [_GOOD_ENTRY, bad]})
+    assert err == f"error: cannot read manifest: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # error reports
 # ---------------------------------------------------------------------------

@@ -335,6 +335,25 @@ def test_rule_deeper_than_python_loop_nesting(atoms):
     assert _replays_everywhere(program, db)
 
 
+def test_exit_rule_deeper_than_python_loop_nesting():
+    # the deep rule names no predicate of its stratum, so it runs once, before
+    # the rounds of the recursive rule, and its plan continues in helpers
+    n = 40
+    body = [f"e{i}(x{i}, x{i + 1})" for i in range(n)]
+    rules = (
+        f"r(x0, x{n}) :- {', '.join(body)}, !blocked(x{n - 1}), x3 < x{n - 3}.\n"
+        "r(x, z) :- r(x, y), link(y, z).\n"
+    )
+    facts = [f"e{i}({i}, {i + 1})." for i in range(n)]
+    facts += [f"e{n - 5}({n - 5}, 900).", f"e{n - 4}(900, {n - 3}).", "blocked(901).",
+              f"e{n - 2}({n - 2}, 901).", f"e{n - 1}(901, {n}).", f"link({n}, {n + 1})."]
+    program = parse_program(rules + " ".join(facts))
+    db = evaluate(program)
+    assert db["r"] == {(0, n), (0, n + 1)}
+    assert dict(db.relations) == naive_evaluate(program)
+    assert _replays_everywhere(program, db)
+
+
 # Names that are Python keywords, builtins or the generated locals, and
 # symbols that would end a string literal or a line of source.
 _HOSTILE_PREDICATES = {"path": "class", "edge": "lambda", "out": "__import__",
@@ -667,7 +686,7 @@ def test_prepared_rules_generate_their_plans_once(monkeypatch, tmp_path, fixture
         edited = msan_program(fs)
         edited.rules += parse_program("used(x) :- uses(x, _, _).", validate=False).rules
         assert evaluate(edited)["used"] == {("p",)}
-        assert checked == [edited] and len(generated) == 7  # 6 rules, one recursive
+        assert checked == [edited] and len(generated) == 6  # 6 rules, one plan each
         checked.clear()
         generated.clear()
     evaluate(msan_program(fs))
@@ -836,7 +855,7 @@ def _derivation_text(root, fact=print_atom, rule=print_rule) -> str:
 
 _PINNED_SHA256 = {
     "tc-single": "0f8500af47b0ef214acf86364f93caa2bd5471cdf31cb6a204a3776520ecdfcc",
-    "tc-double": "478fd0634c7b9480e706177ca23a53c3d2ae84fb0a0ba2a2022947edea52694e",
+    "tc-double": "d58b8e27181da5690c5933fd80842159d813acf2eebded4ab9215e129ed685ee",
     "msan": "0c1418c8db53af2dfca64dcfe6a3235c92deff36f98a12e96ec1e93dbe331e70",
     "field_assign_reorder": "0c6518fdbe0dde572036257a32ad602f43d4e835cd2265ea4bc39830693eb27c",
     "guarded_call_onesided_watch": "ff13d454a42e60bd29c2b987a3e226ff43e69870bb6f4841740052da57e47478",
@@ -854,6 +873,15 @@ def test_provenance_and_explain_are_pinned(fixtures_dir):
         text = "".join(_derivation_text(explain(db, Atom(*key))) for key in _tuples(db))
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == _PINNED_SHA256
+
+
+@pytest.mark.parametrize("name", ["tc-single", "tc-double", "msan"])
+def test_pinned_derivations_replay(fixtures_dir, name):
+    # the equivalence fixtures take the naive oracle seconds to tens of seconds each
+    program = _pinned_programs(fixtures_dir)[name]
+    db = evaluate(program)
+    assert dict(db.relations) == naive_evaluate(program)
+    assert _replays_everywhere(program, db)
 
 
 def test_round_order_in_a_stratum_of_two_predicates():

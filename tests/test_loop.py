@@ -292,6 +292,21 @@ def test_http_source_renders_vocabulary_into_requests(stub_server):
     assert 'flow("x", "src_file_x", line_x' in formalize_request["system"]
 
 
+def test_http_source_equivalence_makes_one_request_per_iteration(
+    stub_server, renamed_fn_bundle_text
+):
+    _Stub.canned = renamed_fn_bundle_text
+    snippets = "=== code1 ===\nint y = foo(x);\n=== code2 ===\nint y = bar(x);\n"
+    result, log = run_loop(http_source(stub_server), EQUIV, snippets)
+    assert len(result) == 78
+    assert verify_equiv(result).outcome == NOT_EQUIVALENT
+    assert len(_Stub.requests) == len(log.records) == 2
+    for request in _Stub.requests:  # each half of the snippets in its own block
+        assert request["user"] == snippets
+        assert "<Code1>\nint y = foo(x);\n</Code1>" in request["system"]
+        assert "<Code2>\nint y = bar(x);\n</Code2>" in request["system"]
+
+
 def test_http_source_zero_length_snippet(stub_server):
     source = http_source(stub_server)
     result, _ = run_loop(source, MSAN, "", max_iters=1)

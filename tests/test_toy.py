@@ -88,6 +88,7 @@ def test_bad_statement_reports_line():
 # Each program is malformed on one line only, the line its error names.
 _MALFORMED = {
     "bad-character": ("int a;\nint b = a$1;\noutput(b);\n", 2, "bad expression near '$1'"),
+    "bad-character-after-a-blank": ("int a;\nint b = a $ 1;\n", 2, "bad expression near '$ 1'"),
     "unexpected-end": ("int a;\nint b = a +;\noutput(b);\n", 2, "unexpected end of expression"),
     "trailing-tokens": ("int a;\nint b = a a;\noutput(b);\n", 2, "trailing tokens near 'a'"),
     "bang-outside-a-guard": ("int a;\nint b = !a;\n", 2, "'!' is only allowed in guards"),
@@ -440,6 +441,15 @@ def test_oracle_rejects_commuted_operands():
     left = parse_toy("int a;\nint b;\nint x = a + b;\n")
     right = parse_toy("int a;\nint b;\nint x = b + a;\n")
     assert oracle_equiv(left, right) is False
+
+
+def test_oracle_rejects_runs_that_leave_through_different_exits():
+    # each input leaves one program through its return and the other through its end
+    left = parse_toy("int a;\nif (a) {\n  return;\n}\noutput(a);\n")
+    right = parse_toy("int a;\nif (!a) {\n  return;\n}\noutput(a);\n")
+    assert oracle_equiv(left, right) is False
+    assert oracle_equiv(left, left) is True
+    assert oracle_equiv(right, right) is True
 
 
 def test_oracle_respects_var_pairing():
