@@ -17,16 +17,15 @@ from pathlib import Path
 
 from . import __version__, facts, sha256
 from .errors import ClaimcheckError
-from .facts import MSAN
+from .facts import EQUIV, MSAN
 
 OK, NOT_PROVEN, USAGE_ERROR = 0, 1, 2
 
+# Each task's verdicts, in the order that messages list them, with their
+# exit codes.
 EXIT_BY_VERDICT = {
-    "Verified": OK,
-    "Equivalent": OK,
-    "DontKnow": NOT_PROVEN,
-    "NotEquivalent": NOT_PROVEN,
-    "Inconclusive": NOT_PROVEN,
+    MSAN: {"Verified": OK, "DontKnow": NOT_PROVEN},
+    EQUIV: {"Equivalent": OK, "NotEquivalent": NOT_PROVEN, "Inconclusive": NOT_PROVEN},
 }
 
 
@@ -96,22 +95,12 @@ def emit(report: dict, pretty: bool) -> None:
 
 def verdict_of(task: str, loaded) -> tuple[str, dict | None, dict]:
     """The outcome of verifying the task's loaded facts, its witness JSON and
-    its lint JSON."""
+    its lint JSON: the values of the verdict's ``to_json()``."""
     if task == MSAN:
-        from .msan import verify_msan
-
-        verdict = verify_msan(loaded)
-        chain = verdict.to_json()["chain"]
-        witness = None if chain is None else {"chain": chain}
+        from .msan import verify_msan as verify
     else:
-        from .equivalence import INCONCLUSIVE, verify_equiv
-
-        verdict = verify_equiv(loaded)
-        if verdict.outcome == INCONCLUSIVE:
-            witness = {"missing_obligations": list(verdict.obligations)}
-        else:
-            witness = None if verdict.witness is None else verdict.witness.to_json()
-    return verdict.outcome, witness, verdict.lint.to_json()
+        from .equivalence import verify_equiv as verify
+    return tuple(verify(loaded).to_json().values())
 
 
 def load_text(task: str, text: str):
@@ -163,7 +152,7 @@ def cmd_check(args) -> int:
             status = OK if report.ok else NOT_PROVEN
         else:
             verdict, witness, lint = verdict_of(args.task, loaded)
-            status = EXIT_BY_VERDICT[verdict]
+            status = EXIT_BY_VERDICT[args.task][verdict]
     except (OSError, ClaimcheckError) as exc:
         emit(make_report(args.task, None, None, None, paths, started, error=str(exc)), args.pretty)
         return USAGE_ERROR

@@ -26,7 +26,7 @@ from .check import (
     verdict_of,
 )
 from .errors import ClaimcheckError, ConflictingVarMapError
-from .facts import EQUIV, MSAN
+from .facts import MSAN
 
 
 def cmd_extract(args) -> int:
@@ -114,7 +114,7 @@ def cmd_formalize(args) -> int:
                 args.pretty,
             )
             return USAGE_ERROR
-        status = EXIT_BY_VERDICT[verdict]
+        status = EXIT_BY_VERDICT[args.task][verdict]
     report = make_report(
         args.task, verdict, witness, lint, [Path(args.snippets)], started,
         iterations=log.to_json(),
@@ -149,12 +149,6 @@ def cmd_export(args) -> int:
     return OK
 
 
-_CORPUS_VERDICTS = {
-    MSAN: ("Verified", "DontKnow"),
-    EQUIV: ("Equivalent", "NotEquivalent", "Inconclusive"),
-}
-
-
 def _manifest_entries(manifest) -> list[dict]:
     """The manifest's entries, or ValueError naming the first unusable one."""
     if not isinstance(manifest, dict) or not isinstance(manifest.get("fixtures"), list):
@@ -169,7 +163,7 @@ def _manifest_entries(manifest) -> list[dict]:
         for key in ("task", "path", "expected"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f'{where}: "{key}" must be a string')
-        verdicts = _CORPUS_VERDICTS.get(entry["task"])
+        verdicts = EXIT_BY_VERDICT.get(entry["task"])
         if verdicts is None:
             raise ValueError(f'{where}: unknown task {entry["task"]!r}')
         if entry["expected"] not in verdicts:

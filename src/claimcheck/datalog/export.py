@@ -17,6 +17,7 @@ from ..errors import ArityMismatchError, ClaimcheckError, SortError, UnknownRela
 from .ast import NUMBER, Program, print_declaration, print_rule
 from .engine import check_program
 from .parser import parse_program
+from .values import number_text
 
 RULES_FILE = "program.dl"
 FACTS_SUFFIX = ".facts"
@@ -24,6 +25,17 @@ FACTS_SUFFIX = ".facts"
 _SEPARATOR_RE = re.compile(r"[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 # the parser's number token: no sign but "-", no blanks, no "_"
 _NUMBER_RE = re.compile(r"-?\d+")
+
+
+def _field(value) -> str:
+    """A value as a field of a row: a symbol as it is, a number's digits."""
+    return value if type(value) is str else number_text(value)
+
+
+def _row_order(row: tuple) -> str:
+    """``repr(row)``, written with no int-to-str digit limit."""
+    text = ", ".join(repr(v) if type(v) is str else number_text(v) for v in row)
+    return f"({text},)" if len(row) == 1 else f"({text})"
 
 
 def export_external(program: Program, directory: str | Path) -> Path:
@@ -38,12 +50,12 @@ def export_external(program: Program, directory: str | Path) -> Path:
             by_relation.setdefault(relation, set()).update(rows)
     texts = {}
     for relation, tuples in sorted(by_relation.items()):
-        rows = sorted(tuples, key=repr)
-        text = "\n".join("\t".join(map(str, values)) for values in rows) + "\n"
+        rows = sorted(tuples, key=_row_order)
+        text = "\n".join("\t".join(map(_field, values)) for values in rows) + "\n"
         # each row is one line, and a row of k > 0 values holds k - 1 tabs
         tabs = sum(map(len, rows)) - len(rows) + rows.count(())
         if text.count("\t") != tabs or len(text.splitlines()) != len(rows):
-            bad = next(v for v in chain.from_iterable(rows) if _SEPARATOR_RE.search(str(v)))
+            bad = next(v for v in chain.from_iterable(rows) if _SEPARATOR_RE.search(_field(v)))
             raise ClaimcheckError(
                 f"cannot export {relation}: symbol {bad!r} holds a tab or a line break"
             )

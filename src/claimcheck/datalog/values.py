@@ -59,13 +59,33 @@ def _escape_symbol(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+# Fewer digits than the least int-to-str limit an interpreter accepts (640).
+_CHUNK_DIGITS = 600
+
+
+def number_text(number: int) -> str:
+    """A number's decimal text: the one writer of a number.  Past the
+    int-to-str digit limit (``sys.set_int_max_str_digits``), where ``str``
+    raises ValueError, it writes ``_CHUNK_DIGITS`` digits at a time."""
+    try:
+        return str(number)
+    except ValueError:
+        pass
+    rest, chunks = abs(number), []
+    while rest:
+        rest, chunk = divmod(rest, 10**_CHUNK_DIGITS)
+        chunks.append(f"{chunk:0{_CHUNK_DIGITS}d}")
+    digits = "".join(reversed(chunks)).lstrip("0")
+    return "-" + digits if number < 0 else digits
+
+
 def print_term(term) -> str:
     """A constant as Datalog text; a variable (``ast.Var``) prints as its
     name and the wildcard as ``_``."""
     if type(term) is str:
         return f'"{_escape_symbol(term)}"'
     if type(term) is int:
-        return str(term)
+        return number_text(term)
     return getattr(term, "name", "_")
 
 

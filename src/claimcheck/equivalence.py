@@ -172,9 +172,6 @@ class Mismatch(NamedTuple):
     side1: tuple[str, ...] = ()
     side2: tuple[str, ...] = ()
 
-    def project(self) -> tuple[str, str, int, str]:
-        return (self.kind, self.file, self.line, self.subject)
-
     def sort_key(self) -> tuple:
         return (self.file, self.line, self.kind, self.subject, self.detail)
 
@@ -499,13 +496,15 @@ class EquivVerdict(NamedTuple):
     lint: LintReport
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "witness": self.witness.to_json() if self.witness else None,
-            "obligations": list(self.obligations),
-            "mismatch_count": len(self.mismatches),
-            "lint": self.lint.to_json(),
-        }
+        """The report's ``verdict``, ``witness`` and ``lint``: the missing
+        obligations of an Inconclusive verdict, the first mismatch of a
+        NotEquivalent one."""
+        witness = None
+        if self.outcome == INCONCLUSIVE:
+            witness = {"missing_obligations": list(self.obligations)}
+        elif self.witness is not None:
+            witness = self.witness.to_json()
+        return {"verdict": self.outcome, "witness": witness, "lint": self.lint.to_json()}
 
 
 def all_mismatches(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:

@@ -16,9 +16,9 @@ type)`` rows per container (``MSAN_FIELDS``, ``SIDE_FIELDS``,
 ``CORRESPONDENCE_FIELDS``), in render order, which is also the order of the
 Datalog facts.  A predicate's argument order and sorts are the fields and
 field types of its fact type (``str`` fields are symbols, ``int`` fields
-numbers); a fact type of ``str`` is a 1-ary fact.  Loading, rendering, the
-Datalog facts and declarations of the rule sets and the text of witness
-facts all read these tables; ``datalog.values.print_fact`` writes every fact.
+numbers); a fact type of ``str`` is a 1-ary fact.  The containers' fields,
+loading, rendering, the Datalog facts and declarations of the rule sets and
+the text of witness facts all read these tables; ``datalog.values.print_fact`` writes every fact.
 
 Loaders accept the canonical arities, in which every site carries a file
 name.  Only the equivalence vocabulary has abbreviated forms, the ones
@@ -71,12 +71,12 @@ _LAZY = {
     name: section
     for section, names in (
         ("msan", "InitFact MemoryErrorFact MSAN_FIELDS MsanFactSet MSAN_SORTS "
-                 "MSAN_PREDICATES _norm_path load_msan_facts lint_msan"),
+                 "_norm_path load_msan_facts lint_msan"),
         ("equiv", "ControlDepFact CondExprFact UnaryFact BinaryFact EntryFact ExitFact "
                   "VarMapFact EntryMapFact ExitMapFact SIDE_FIELDS CORRESPONDENCE_FIELDS "
-                  "EquivSide EquivBundle SIDE_SORTS CORRESPONDENCE_SORTS SIDE_PREDICATES "
-                  "CORRESPONDENCE_PREDICATES _ABBREVIATED entry_files load_equiv_bundle "
-                  "split_bundle_sections load_equiv_bundle_text lint_equiv"),
+                  "EquivSide EquivBundle SIDE_SORTS CORRESPONDENCE_SORTS _ABBREVIATED "
+                  "entry_files load_equiv_bundle split_bundle_sections "
+                  "load_equiv_bundle_text lint_equiv"),
         ("atoms", "msan_facts_from_atoms equiv_bundle_from_atoms"),
     )
     for name in names.split()

@@ -116,10 +116,7 @@ CORRESPONDENCE_FIELDS = (
 
 
 class EquivSide(_Facts):
-    __slots__ = _fields = (
-        "uses", "defs", "flows", "controldeps", "def_with_expr", "cond_with_expr",
-        "unary", "binary", "entries", "exits", "constants", "watch_vars",
-    )
+    __slots__ = _fields = tuple(name for name, _, _ in SIDE_FIELDS)
 
     def variables(self) -> frozenset[str]:
         """Every name that occupies a variable position on this side."""
@@ -151,7 +148,7 @@ def _swap_halves(m: tuple) -> tuple:
 
 
 class EquivBundle(_Facts):
-    __slots__ = _fields = ("code1", "code2", "var_maps", "entry_maps", "exit_maps")
+    __slots__ = _fields = (CODE1, CODE2, *(name for name, _, _ in CORRESPONDENCE_FIELDS))
 
     def __init__(
         self, code1: EquivSide, code2: EquivSide, var_maps: Iterable = (),
@@ -160,9 +157,6 @@ class EquivBundle(_Facts):
         self.code1, self.code2 = code1, code2
         self.var_maps, self.entry_maps = frozenset(var_maps), frozenset(entry_maps)
         self.exit_maps = frozenset(exit_maps)
-
-    def side(self, tag: str) -> EquivSide:
-        return self.code1 if tag == CODE1 else self.code2
 
     def swapped(self) -> "EquivBundle":
         return EquivBundle(
@@ -210,8 +204,6 @@ SIDE_SORTS = {p: relation.sorts for p, relation in _SIDE_RELATIONS.items()}
 CORRESPONDENCE_SORTS = {
     p: relation.sorts for p, relation in _CORRESPONDENCE_RELATIONS.items()
 }
-SIDE_PREDICATES = tuple(SIDE_SORTS)
-CORRESPONDENCE_PREDICATES = tuple(CORRESPONDENCE_SORTS)
 # outputVar loads as a synonym of watchVar.
 _SIDE_RELATIONS["outputVar"] = _SIDE_RELATIONS["watchVar"]
 
@@ -307,7 +299,7 @@ def load_equiv_bundle_text(text: str) -> EquivBundle:
 
 
 def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
-    side = bundle.side(tag)
+    side = bundle.code1 if tag == CODE1 else bundle.code2
     # Besides line 0, a def needs no source at an entry fact's site, which
     # each entryMap half names (else lint_equiv reports it).  On a side
     # without entry facts an entryMap label names no file, so there any

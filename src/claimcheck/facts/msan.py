@@ -34,10 +34,7 @@ MSAN_FIELDS = (
 
 
 class MsanFactSet(_Facts):
-    __slots__ = _fields = (
-        "uses", "uninitialized", "has_initializer", "has_member_initializer",
-        "allocated", "declared", "flow", "memory_error",
-    )
+    __slots__ = _fields = tuple(name for name, _, _ in MSAN_FIELDS)
 
     def render(self) -> str:
         return _render(self, MSAN_FIELDS)
@@ -56,7 +53,6 @@ _MSAN_RELATIONS = _relations(
     MSAN_FIELDS, dict.fromkeys(("file", "src_file", "dst_file"), _norm_path), {}
 )
 MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
-MSAN_PREDICATES = tuple(MSAN_SORTS)
 
 
 def load_msan_facts(source: str) -> MsanFactSet:

@@ -20,7 +20,7 @@ import random
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 from . import facts
 from .datalog.values import Record
@@ -38,9 +38,6 @@ TOKEN_ENV = "CLAIMCHECK_LLM_TOKEN"
 MAX_RESPONSE_BYTES = 1 << 20
 # Seconds an HTTP request may wait on the endpoint before it fails.
 HTTP_TIMEOUT_S = 30.0
-
-class FactSource(Protocol):
-    def __call__(self, task: str, snippets: str, prior_facts: str) -> str: ...
 
 
 class IterationRecord(Record):
@@ -68,9 +65,6 @@ class IterationLog(Record):
 
     def __init__(self) -> None:
         self.records: list[IterationRecord] = []
-
-    def new_fact_counts(self) -> list[int]:
-        return [r.new_facts for r in self.records]
 
     def replay_key(self) -> tuple:
         """Everything except wall time; equal keys mean identical replays."""
@@ -197,13 +191,14 @@ def parse_response(
 
 
 def run_loop(
-    source: FactSource,
+    source: Callable[[str, str, str], str],
     task: str,
     snippets: str,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[facts.MsanFactSet | facts.EquivBundle, IterationLog]:
     """Union facts across source calls until a re-ask adds nothing; returns
-    the task's container of every fact seen, and the log.
+    the task's container of every fact seen, and the log.  Each call is
+    ``source(task, snippets, prior_facts)``, which returns the response text.
 
     Source failures surface as an empty delta plus a log entry; they never
     abort the loop.
@@ -249,7 +244,7 @@ def run_loop(
 
 def mock_source(
     ground_truth: str, withhold_fraction: float = 0.0, seed: int = 0
-) -> FactSource:
+) -> Callable[[str, str, str], str]:
     """A source that knows the answer but forgets a random slice per call.
 
     Each call independently withholds every fact line with the given
@@ -282,7 +277,7 @@ def _split_marked(text: str, marker: str) -> str | None:
     return m.group(1).strip() if m else None
 
 
-def http_source(url: str | None = None) -> FactSource:
+def http_source(url: str | None = None) -> Callable[[str, str, str], str]:
     """A source backed by a completion endpoint.
 
     Each call posts ``{"system": ..., "user": ...}`` as JSON and reads the

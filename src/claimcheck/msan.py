@@ -24,7 +24,7 @@ DONT_KNOW = "DontKnow"
 Site = tuple[str, str, int]  # (variable, file, line)
 
 # The same condition as Datalog rules, loaded on first use (PEP 562).
-_LAZY = {"msan_rules": "msan_datalog", "msan_program": "msan_datalog"}
+_LAZY = {"msan_program": "msan_datalog"}
 __getattr__, __dir__ = _lazy_names(globals(), _LAZY)
 
 
@@ -38,13 +38,12 @@ class MsanVerdict(NamedTuple):
     lint: LintReport
 
     def to_json(self) -> dict:
-        chain = None
+        """The report's ``verdict``, ``witness`` and ``lint``."""
+        witness = None
         if self.witness is not None:
-            chain = [
-                {"var": var, "file": file, "line": line}
-                for var, file, line in self.witness
-            ]
-        return {"outcome": self.outcome, "chain": chain, "lint": self.lint.to_json()}
+            chain = [{"var": var, "file": file, "line": line} for var, file, line in self.witness]
+            witness = {"chain": chain}
+        return {"verdict": self.outcome, "witness": witness, "lint": self.lint.to_json()}
 
 
 def verify_msan(fs: MsanFactSet) -> MsanVerdict:

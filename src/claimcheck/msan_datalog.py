@@ -1,9 +1,12 @@
 """The use-of-uninitialized-value condition as stratified Datalog rules.
 
 ``msan.verify_msan`` is the verdict path; these rules state the same
-condition for export and for the cross-checks in the test suite.  Both
-names import from ``claimcheck.msan``, which loads this module on first
-use of one of them.
+condition for export and for the cross-checks in the test suite.
+:func:`msan_program` puts a fact set under them: evaluated, it derives
+``satisfied()`` exactly when :func:`verify_msan` returns Verified, and the
+first derivation of ``satisfied()`` is that verdict's witness.  The rules
+alone are ``msan_program(MsanFactSet())``.  The name imports from
+``claimcheck.msan``, which loads this module on its first use.
 """
 
 from __future__ import annotations
@@ -50,18 +53,6 @@ def _rule_set() -> RuleSet:
     from .datalog.parser import parse_program
 
     return prepare(parse_program(_RULES_SOURCE, validate=False))
-
-
-def msan_rules() -> Program:
-    """The verification condition as a stratified rule set over the vocabulary.
-
-    Evaluating these rules over a fact set derives ``satisfied()`` exactly
-    when :func:`verify_msan` returns Verified, and over the facts of
-    :func:`msan_program` its first derivation is the witness; the two code
-    paths are cross-checked in the test suite.  Each call returns a new
-    program sharing the rules, which are prepared once per process.
-    """
-    return _rule_set().program()
 
 
 # the tie-break order of a flow: its source's, then its destination's

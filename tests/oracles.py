@@ -47,6 +47,12 @@ _CMP = {
 }
 
 
+def _order(row: tuple) -> list:
+    """A total order on tuples of symbols and numbers, a number before a
+    symbol; no value is written as text, so no int-to-str limit applies."""
+    return [(type(v) is str, v) for v in row]
+
+
 def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
     binding = dict(binding)
     for term, value in zip(atom.args, values):
@@ -113,7 +119,7 @@ def naive_evaluate(program: Program) -> dict[str, frozenset]:
             changed = False
             for rule in rules:
                 positives = rule.positive_atoms()
-                pools = [sorted(state[a.predicate], key=repr) for a in positives]
+                pools = [sorted(state[a.predicate], key=_order) for a in positives]
                 for combo in itertools.product(*pools):
                     binding: dict | None = {}
                     for atom, values in zip(positives, combo):

@@ -354,6 +354,15 @@ def test_extract_msan_then_verify(capsys, tmp_path):
     assert code == 0 and report["verdict"] == "Verified"
 
 
+def test_extract_msan_rejects_a_marked_variable_never_defined(capsys):
+    assert main(["extract", f"{FIXTURES}/toy/copy_chain.toy", "--task", "msan",
+                 "--uninit", "zz"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: marked variables are never defined: ['zz']\n"
+    )
+
+
 def test_extract_empty_toy_bundle(capsys, tmp_path):
     empty = tmp_path / "empty.toy"
     empty.write_text("")
@@ -567,6 +576,70 @@ def test_formalize_writes_the_rendered_container(capsys, tmp_path, task, ground_
     loaded = getattr(facts, load)(written.decode("utf-8"))
     assert written == loaded.render().encode("utf-8")
     assert len(loaded) == report["consolidated_facts"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the readable report
+# ---------------------------------------------------------------------------
+
+
+def test_pretty_report_of_a_lint_error(capsys):
+    code, out = run(
+        capsys, "verify-equiv", f"{FIXTURES}/equiv/guarded_call_onesided_watch.bundle", "--pretty"
+    )
+    message = "code1: watch variables are declared on the other side only"
+    assert (code, out) == (1, (
+        "task:    equiv\n"
+        "verdict: Inconclusive\n"
+        "witness:\n"
+        "  {\n"
+        '    "missing_obligations": [\n'
+        f'      "{message}"\n'
+        "    ]\n"
+        "  }\n"
+        f"lint error: [watchvar-one-sided] {message}\n"
+    ))
+
+
+def test_pretty_report_of_a_usage_error(capsys):
+    assert run(capsys, "lint", "--task", "msan", "--pretty") == (2, (
+        "task:    msan\n"
+        "verdict: None\n"
+        "error:   lint --task msan needs a fact file\n"
+    ))
+
+
+def test_pretty_report_of_formalize(capsys, tmp_path):
+    snippets = tmp_path / "snips"
+    snippets.write_text("x")
+    code, out = run(
+        capsys, "formalize", str(snippets), "--task", "msan", "--source", "mock",
+        "--ground-truth", f"{FIXTURES}/msan/audio_buffer_trace.facts",
+        "--withhold", "0.4", "--seed", "7", "--verify", "--pretty",
+    )
+    assert (code, out) == (0, (
+        "task:    msan\n"
+        "verdict: Verified\n"
+        "witness:\n"
+        "  {\n"
+        '    "chain": [\n'
+        "      {\n"
+        '        "var": "data_",\n'
+        '        "file": "audio/base/audio_buffer.cc",\n'
+        '        "line": 375\n'
+        "      },\n"
+        "      {\n"
+        '        "var": "buffer",\n'
+        '        "file": "utils/encoders/stream_encoder.c",\n'
+        '        "line": 2538\n'
+        "      }\n"
+        "    ]\n"
+        "  }\n"
+        "iteration 1: parsed=5 new=5 failures=0\n"
+        "iteration 2: parsed=7 new=4 failures=0\n"
+        "iteration 3: parsed=9 new=2 failures=0\n"
+        "iteration 4: parsed=5 new=0 failures=0\n"
+    ))
 
 
 def test_formalize_mock_needs_ground_truth(capsys, tmp_path):
@@ -836,6 +909,28 @@ def test_conflicting_var_maps_are_usage_error(capsys, tmp_path):
     )
     assert _error_report(capsys, "verify-equiv", str(bundle)) == (
         2, _failed("equiv", "varMap pairs variable 'a' inconsistently", [bundle]),
+    )
+
+
+def test_formalize_verify_of_conflicting_var_maps_is_usage_error(capsys, tmp_path):
+    bundle = tmp_path / "conflict.bundle"
+    bundle.write_text(
+        Path(FIXTURES, "equiv", "guarded_call_self_pair.bundle").read_text()
+        + 'varMap("a", "main.cpp", 1, "a", "main.cpp", 1).\n'
+        + 'varMap("a", "main.cpp", 1, "b", "main.cpp", 2).\n'
+    )
+    code, report = _error_report(
+        capsys, "formalize", str(bundle), "--task", "equiv", "--source", "mock",
+        "--ground-truth", str(bundle), "--verify",
+    )
+    for record in report["iterations"]:
+        del record["wall_ms"]
+    iterations = [
+        {"index": 1, "parsed_facts": 104, "new_facts": 104, "failures": []},
+        {"index": 2, "parsed_facts": 104, "new_facts": 0, "failures": []},
+    ]
+    assert (code, report) == (
+        2, _failed("equiv", "varMap pairs variable 'a' inconsistently", [bundle], iterations),
     )
 
 

@@ -160,6 +160,18 @@ def test_query_rejects_wrong_pattern_arity():
         query(db, Atom("p", (Var("x"),)))
 
 
+def test_query_with_a_repeated_variable_matches_equal_columns():
+    db = evaluate(parse_program('p("a", "b"). p("c", "c").'))
+    assert query(db, Atom("p", (Var("x"), Var("x")))) == [{"x": "c"}]
+
+
+def test_value_tuple_of_an_atom_that_is_not_ground_is_a_value_error():
+    assert Atom("p", ("a", 1)).value_tuple() == ("a", 1)
+    for term in (Var("x"), WILDCARD):
+        with pytest.raises(ValueError):
+            Atom("p", ("a", term)).value_tuple()
+
+
 def test_query_matches_brute_force_scan():
     rng = random.Random(23)
     for _ in range(20):
@@ -465,15 +477,26 @@ def test_a_number_constant_beyond_the_digit_limit_evaluates():
     program = Program({}, rules, facts)
     db = evaluate(program)
     assert db["hit"] == {(big,)} and db["paired"] == {(1,)} and db["top"] == {(big,)}
-    # the oracle orders tuples by their repr
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        assert dict(db.relations) == naive_evaluate(program)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    assert dict(db.relations) == naive_evaluate(program)
+
+
+# 10**5000 and -(10**5000 + 7) as text, written without int-to-str conversion
+_BIG_TEXT, _NEGATIVE_BIG_TEXT = "1" + "0" * 5000, "-1" + "0" * 4999 + "7"
+
+
+def test_a_number_beyond_the_digit_limit_prints():
+    assert print_atom(Atom("p", (10**5000, -(10**5000 + 7)))) == (
+        f"p({_BIG_TEXT}, {_NEGATIVE_BIG_TEXT})"
+    )
+
+
+def test_a_number_beyond_the_digit_limit_in_a_symbol_column_is_a_sort_error():
+    rule_set = prepare(parse_program(".decl p(a: symbol)\nq(x) :- p(x).\n"))
+    with pytest.raises(SortError) as info:
+        evaluate(rule_set.program([("p", [(10**5000,)])]))
+    assert str(info.value) == (
+        f"fact p({_BIG_TEXT}): argument 1 of 'p' is declared symbol, found number"
+    )
 
 
 _X = Var("x")

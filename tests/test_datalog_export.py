@@ -13,7 +13,7 @@ from claimcheck.datalog import (
 )
 
 from claimcheck.equivalence import build_pairing, equiv_rules
-from claimcheck.errors import ArityMismatchError, ClaimcheckError, SortError
+from claimcheck.errors import ArityMismatchError, ClaimcheckError, SortError, UnknownRelationError
 from claimcheck.facts import load_equiv_bundle_text, load_msan_facts
 from claimcheck.msan import msan_program
 
@@ -156,6 +156,28 @@ def test_import_rejects_a_row_of_the_wrong_arity(tmp_path, rows, found):
     line = rows.count("\n")
     assert str(info.value) == (
         f"e.facts, line {line}: predicate 'e' declared with arity 2, used with {found}"
+    )
+
+
+def test_import_rejects_the_facts_of_an_undeclared_relation(tmp_path):
+    (tmp_path / "program.dl").write_text(".decl e(a: symbol)\n")
+    (tmp_path / "f.facts").write_text("x\n")
+    with pytest.raises(UnknownRelationError) as info:
+        import_external(tmp_path)
+    assert str(info.value) == "unknown relation 'f'"
+
+
+def test_a_number_beyond_the_digit_limit_exports_and_import_refuses_it(tmp_path):
+    digits = "1" + "0" * 5000  # 10**5000, written without int-to-str conversion
+    program = parse_program(".decl p(a: number)\n")
+    program.segments = [("p", [(2,), (10**5000,), (-3,)])]
+    export_external(program, tmp_path)
+    # rows in the order of their repr, which would not convert 10**5000
+    assert (tmp_path / "p.facts").read_text() == f"-3\n{digits}\n2\n"
+    with pytest.raises(SortError) as info:
+        import_external(tmp_path)
+    assert str(info.value) == (
+        f"p.facts, line 2: argument 1 of 'p' is declared number, found {digits!r}"
     )
 
 

@@ -10,15 +10,15 @@ from claimcheck.errors import (
     UnknownPredicateError,
 )
 from claimcheck.facts import (
-    MSAN_PREDICATES,
-    SIDE_PREDICATES,
-    CORRESPONDENCE_PREDICATES,
+    CORRESPONDENCE_SORTS,
+    MSAN_SORTS,
+    SIDE_SORTS,
     load_equiv_bundle,
     load_msan_facts,
 )
 
 _name = st.sampled_from(
-    MSAN_PREDICATES + SIDE_PREDICATES + CORRESPONDENCE_PREDICATES + ("mystery",)
+    [*MSAN_SORTS, *SIDE_SORTS, *CORRESPONDENCE_SORTS, "mystery"]
 )
 _term = st.one_of(
     st.integers(min_value=-3, max_value=2000),

@@ -6,9 +6,9 @@ import pytest
 
 from claimcheck.equivalence import NOT_EQUIVALENT, verify_equiv
 from claimcheck.facts import (
-    CORRESPONDENCE_PREDICATES,
-    MSAN_PREDICATES,
-    SIDE_PREDICATES,
+    CORRESPONDENCE_SORTS,
+    MSAN_SORTS,
+    SIDE_SORTS,
     MsanFactSet,
     SiteFact,
     load_equiv_bundle_text,
@@ -34,7 +34,7 @@ from claimcheck.prompts import load_template, render_template
 def test_full_source_stops_after_second_iteration(renamed_fn_bundle_text):
     result, log = run_loop(mock_source(renamed_fn_bundle_text), EQUIV, "")
     assert len(log.records) == 2
-    assert log.new_fact_counts() == [78, 0]
+    assert [r.new_facts for r in log.records] == [78, 0]
     assert len(result) == 78
     assert verify_equiv(result).outcome == NOT_EQUIVALENT
 
@@ -42,7 +42,7 @@ def test_full_source_stops_after_second_iteration(renamed_fn_bundle_text):
 def test_empty_source_stops_after_second_iteration():
     result, log = run_loop(lambda *args: "", MSAN, "")
     assert len(log.records) == 2
-    assert log.new_fact_counts() == [0, 0]
+    assert [r.new_facts for r in log.records] == [0, 0]
     assert len(result) == 0
 
 
@@ -50,6 +50,16 @@ def test_single_iteration_cap():
     result, log = run_loop(mock_source("uses(\"x\", \"f\", 1).\n"), MSAN, "", max_iters=1)
     assert len(log.records) == 1
     assert len(result) == 1
+
+
+@pytest.mark.parametrize(("task", "max_iters", "message"), [
+    ("datalog", 1, "unknown task 'datalog'"),
+    (MSAN, 0, "max_iters must be >= 1"),
+])
+def test_run_loop_rejects_an_unknown_task_and_no_iterations(task, max_iters, message):
+    with pytest.raises(ValueError) as info:
+        run_loop(lambda *args: "", task, "", max_iters=max_iters)
+    assert str(info.value) == message
 
 
 def test_union_is_monotone_and_source_failures_are_survivable(trace_facts_text):
@@ -189,13 +199,13 @@ def test_msan_template_carries_the_full_vocabulary():
     for head in ("uses(", "uninitialized(", "hasInitializer(", "hasMemberInitializer(",
                  "allocated(", "declared(", "memoryError("):
         assert head in text
-    for head in MSAN_PREDICATES:
+    for head in MSAN_SORTS:
         assert head + "(" in text
 
 
 def test_equiv_template_carries_the_full_vocabulary():
     text = load_template("equiv_formalize_v1")
-    for head in SIDE_PREDICATES + CORRESPONDENCE_PREDICATES:
+    for head in [*SIDE_SORTS, *CORRESPONDENCE_SORTS]:
         assert head + "(" in text or head == "watchVar"  # prompt names it outputVar
     assert "outputVar(" in text
 

@@ -8,7 +8,7 @@ from claimcheck.facts import (
     SiteFact,
     load_msan_facts,
 )
-from claimcheck.msan import DONT_KNOW, VERIFIED, msan_program, msan_rules, verify_msan
+from claimcheck.msan import DONT_KNOW, VERIFIED, msan_program, verify_msan
 
 from generators import msan_reachability_oracle, random_msan_facts
 from oracles import msan_witness_oracle
@@ -130,7 +130,7 @@ def test_rules_on_fixture_and_empty(trace_facts_text):
 
 
 def test_rules_export_shape(monkeypatch):
-    program = msan_rules()
+    program = msan_program(MsanFactSet())
     assert "satisfied" in program.declarations
     assert "reach" in program.declarations
     assert len(program.rules) == 5
@@ -151,7 +151,7 @@ def test_rules_export_shape(monkeypatch):
     assert evaluate(redeclared)["note"] == frozenset()
     assert checked == [extended, redeclared]
 
-    for fresh in (msan_rules(), msan_program(fs)):
+    for fresh in (msan_program(MsanFactSet()), msan_program(fs)):
         assert fresh.rules == rules and len(fresh.rules) == 5
         assert fresh.declarations == declarations
     evaluate(msan_program(fs))

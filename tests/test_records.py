@@ -30,7 +30,7 @@ from claimcheck.facts import (
     MsanFactSet,
     SiteFact,
 )
-from claimcheck.msan import msan_rules, verify_msan
+from claimcheck.msan import msan_program, verify_msan
 
 
 def test_terms_and_atoms_never_equal_constants_or_tuples():
@@ -79,7 +79,7 @@ def test_datalog_reprs():
 
 
 def test_program_equality_and_repr_leave_out_the_rule_set():
-    prepared = msan_rules()
+    prepared = msan_program(MsanFactSet())
     plain = Program(dict(prepared.declarations), list(prepared.rules))
     assert prepared.rule_set is not None and plain.rule_set is None
     assert prepared == plain
@@ -97,9 +97,9 @@ def test_lint_and_mismatch_reprs():
 
 def test_empty_container_repr():
     assert repr(MsanFactSet()) == (
-        "MsanFactSet(uses=frozenset(), uninitialized=frozenset(), "
-        "has_initializer=frozenset(), has_member_initializer=frozenset(), "
-        "allocated=frozenset(), declared=frozenset(), flow=frozenset(), "
+        "MsanFactSet(uninitialized=frozenset(), declared=frozenset(), "
+        "allocated=frozenset(), has_initializer=frozenset(), "
+        "has_member_initializer=frozenset(), uses=frozenset(), flow=frozenset(), "
         "memory_error=frozenset())"
     )
 
