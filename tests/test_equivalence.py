@@ -706,3 +706,32 @@ def test_outputs_on_a_seeded_sweep_are_pinned(fixtures_dir):
         for part in (records, verify_equiv(bundle).to_json(), facts):
             digest.update(json.dumps(part, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == _PINNED_DIGEST
+
+
+def _large_toy_pairs():
+    """Seeded toy pairs of 80, 160 and 320 definitions: each program with
+    itself and with an unrelated program of its size, then four mutations
+    of it, each with its variable map and without one."""
+    rng = random.Random(1811)
+    for n in (80, 160, 320):
+        program = normalize(random_toy(rng, n_free=3, n_defs=n))
+        other = normalize(random_toy(rng, n_free=3, n_defs=n))
+        yield extract_equiv_facts(program, program)
+        yield extract_equiv_facts(program, other)
+        for _ in range(4):
+            mutation = mutate_toy(rng, program)
+            yield extract_equiv_facts(program, mutation.program, mutation.var_map)
+            yield extract_equiv_facts(program, mutation.program)
+
+
+# The sha256 of every record of ``_large_toy_pairs`` and of their mirrors.
+_PINNED_LARGE_DIGEST = "eb21d5930a1c59348f4b8d15c4053134c46b8538c1ba914dad132af84bac35e9"
+
+
+def test_records_on_seeded_large_toy_pairs_are_pinned():
+    digest = hashlib.sha256()
+    for bundle in _large_toy_pairs():
+        for pair in (bundle, bundle.swapped()):
+            records = [m.to_json() for m in all_mismatches(pair, build_pairing(pair))]
+            digest.update(json.dumps(records, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == _PINNED_LARGE_DIGEST
