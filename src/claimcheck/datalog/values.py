@@ -46,8 +46,19 @@ class Record:
         return hash((self.__class__, self._values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def _field_repr(value) -> str:
+    """A field's ``repr``, in which a number, alone or in a tuple, is its
+    ``number_text``: ``repr`` raises ValueError past the digit limit."""
+    if type(value) is int:
+        return number_text(value)
+    if type(value) is tuple:
+        items = ", ".join(map(_field_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
 
 
 # ---------------------------------------------------------------------------

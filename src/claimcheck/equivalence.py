@@ -18,13 +18,24 @@ only.  The same diff is also emitted as a stratified Datalog program
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, NamedTuple
+from itertools import compress
+from operator import itemgetter, not_
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from . import _lazy_names
 from .datalog.values import Record
 from .errors import ConflictingVarMapError
-from .facts import FlowFact, LintReport, SiteFact, fact_text
-from .facts.equiv import CODE1, CODE2, SIDE_FIELDS, EquivBundle, entry_files, lint_equiv
+from .facts import LintReport, SiteFact, fact_text
+from .facts.equiv import (
+    _SITE,
+    CODE1,
+    CODE2,
+    SIDE_FIELDS,
+    EquivBundle,
+    EquivSide,
+    entry_files,
+    lint_equiv,
+)
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
@@ -201,6 +212,11 @@ def _sides(bundle: EquivBundle, pairing: SitePairing) -> tuple[tuple, tuple]:
     )
 
 
+def _transpose(rows: Iterable[tuple], width: int) -> list[tuple]:
+    """The columns of ``rows``: ``width`` empty ones if there are none."""
+    return list(zip(*rows)) or [()] * width
+
+
 def _columns(fact_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The variable columns (``var``, ``*_var``) and the file columns
     (``file``, ``*_file``, each followed by its line) of a fact type."""
@@ -241,12 +257,13 @@ _POINTWISE = tuple(
 
 def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     """Pointwise structural diff; empty means isomorphic modulo the pairing."""
-    # Each loop scans its facts unsorted and sorts only those that yield a
-    # record, so the records of a (side, field) come out in fact order.
+    # Each field's facts are mapped column by column; only those that yield
+    # a record are sorted, so the records of a (side, field) come out in
+    # fact order.
     out: list[Mismatch] = []
     for here, there, half, tag in _sides(bundle, pairing):
         paired = {(var, *site) for var, site, _, _ in half.def_site_pairs}
-        for var, file, line in sorted(f for f in here.defs if f not in paired):
+        for var, file, line in sorted(here.defs - paired):
             out.append(
                 Mismatch(
                     "unpaired_def", file, line, var,
@@ -255,36 +272,34 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
                     **_facts_of(tag, fact_text("def", SiteFact(var, file, line))),
                 )
             )
-        var_map, map_line = half.var_map, half.map_line
+        var_map, line_map = half.var_map, half.line_map
         for field, predicate, suffix, variables, files, unpaired, missing in _POINTWISE:
-            images = getattr(there, field)
-            # fact -> its image, or None when it names an unpaired variable
-            reported: dict[tuple, list | None] = {}
-            for f in getattr(here, field):
-                if any(f[i] not in var_map for i in variables):
-                    reported[f] = None
-                    continue
-                image = list(f)
-                for i in variables:
-                    image[i] = var_map[image[i]]
-                for i in files:
-                    image[i : i + 2] = map_line((image[i], image[i + 1]))
-                if tuple(image) not in images:
-                    reported[f] = image
-            for f in sorted(reported):
+            facts = tuple(getattr(here, field))
+            if not facts:
+                continue
+            # Each fact's image: an unpaired variable maps to None, and a
+            # site without a pair to itself.
+            columns = list(zip(*facts))
+            for i in variables:
+                columns[i] = map(var_map.get, columns[i])
+            for i in files:
+                sites = list(zip(columns[i], columns[i + 1]))
+                columns[i : i + 2] = zip(*map(line_map.get, sites, sites))
+            images = list(zip(*columns))
+            found = map(getattr(there, field).__contains__, images)
+            for f, image in sorted(compress(zip(facts, images), map(not_, found))):
                 file, line = f[files[0]], f[files[0] + 1]
                 rendered = fact_text(predicate, f)
-                image = reported[f]
-                if image is None:
-                    names = [f[i] for i in variables if f[i] not in var_map]
-                    for var in dict.fromkeys(names):
-                        out.append(
-                            Mismatch(
-                                "unpaired_" + suffix, file, line, var,
-                                unpaired.format(tag=tag, var=var, fact=rendered),
-                                **_facts_of(tag, rendered),
-                            )
+                names = [f[i] for i in variables if image[i] is None]
+                for var in dict.fromkeys(names):
+                    out.append(
+                        Mismatch(
+                            "unpaired_" + suffix, file, line, var,
+                            unpaired.format(tag=tag, var=var, fact=rendered),
+                            **_facts_of(tag, rendered),
                         )
+                    )
+                if names:
                     continue
                 out.append(
                     Mismatch(
@@ -304,63 +319,82 @@ def diff_structure(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     return sorted(out, key=Mismatch.sort_key)
 
 
+def _expression_keys(side: EquivSide, rename: Callable | None = None) -> dict[Site, set]:
+    """Each site of ``side``'s unaryFun and binaryFun facts with the keys of
+    those facts: the operator and the operands, renamed by ``rename``.  A
+    unary key has two parts and a binary key three, so no two keys of
+    different arity are equal."""
+    keys: dict = {}
+    for facts, arity in ((side.unary, 1), (side.binary, 2)):
+        columns = _transpose(facts, arity + 3)
+        operands = columns[1 : 1 + arity]
+        if rename is not None:
+            operands = [map(rename, column) for column in operands]
+        for site, key in zip(zip(*columns[-2:]), zip(columns[0], *operands)):
+            keys.setdefault(site, set()).add(key)
+    return keys
+
+
+def _rendered(unary: dict, binary: dict, sites: Iterable[Site]) -> tuple[str, ...]:
+    """The unaryFun facts, then the binaryFun facts at ``sites``, each
+    sorted, as fact text, from a side's facts of each kind by site."""
+    return tuple(
+        fact_text(predicate, f)
+        for predicate, index in (("unaryFun", unary), ("binaryFun", binary))
+        for f in sorted(f for site in sites for f in index.get(site, ()))
+    )
+
+
 def _diff_expressions(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     # Grouped by the code1 site so the comparison matches the generated
     # Datalog exactly: all code2 sites paired with one code1 site contribute
-    # to a single agreement check.
+    # to a single agreement check.  Every fact must meet one on the other
+    # side with the same operator and paired operands: the operands of code1
+    # renamed into code2's names give the same set of keys on both sides.
+    edges = [*map(itemgetter(1, 3), pairing.code1.def_site_pairs), *pairing.cond_site_pairs]
+    here = _expression_keys(bundle.code1, pairing.code1.var_map.get)
+    there = _expression_keys(bundle.code2)
+    images: dict[Site, set] = {}  # each code1 site with the keys of its code2 sites
+    for s1, s2 in edges:
+        if s2 in there:
+            images.setdefault(s1, set()).update(there[s2])
+    compared = here.keys() & set(map(itemgetter(0), edges)) | images.keys()
+    differing = {s1 for s1 in compared if here.get(s1) != images.get(s1)}
+    if not differing:
+        return []
+
     targets: dict[Site, set[Site]] = {}
     subjects: dict[Site, set[str]] = {}
     for var1, s1, _, s2 in pairing.code1.def_site_pairs:
-        targets.setdefault(s1, set()).add(s2)
-        subjects.setdefault(s1, set()).add(var1)
+        if s1 in differing:
+            targets.setdefault(s1, set()).add(s2)
+            subjects.setdefault(s1, set()).add(var1)
     for s1, s2 in pairing.cond_site_pairs:
-        targets.setdefault(s1, set()).add(s2)
-        subjects.setdefault(s1, set()).add("-")
-
-    unary1, unary2, binary1, binary2 = (
-        _index(((f.file, f.line), f) for f in facts)
+        if s1 in differing:
+            targets.setdefault(s1, set()).add(s2)
+            subjects.setdefault(s1, set()).add("-")
+    unary1, binary1, unary2, binary2 = (
+        _index(zip(map(_SITE, facts), facts))
         for facts in (
-            bundle.code1.unary, bundle.code2.unary,
-            bundle.code1.binary, bundle.code2.binary,
+            bundle.code1.unary, bundle.code1.binary, bundle.code2.unary, bundle.code2.binary,
         )
     )
-    rename = pairing.code1.var_map.get
     out = []
-    for s1 in sorted(targets):
-        s2_sites = targets[s1]
-        u1 = sorted(unary1.get(s1, ()))
-        b1 = sorted(binary1.get(s1, ()))
-        u2 = sorted(g for s2 in s2_sites for g in unary2.get(s2, ()))
-        b2 = sorted(g for s2 in s2_sites for g in binary2.get(s2, ()))
-        if not (u1 or b1 or u2 or b2):
-            continue
-        # Every fact must meet one on the other side with the same operator
-        # and paired operands: the operands of code1 renamed into code2's
-        # names give the same set of keys on both sides.
-        differs = {(f.op, rename(f.operand)) for f in u1} != {
-            (g.op, g.operand) for g in u2
-        } or {(f.op, rename(f.left), rename(f.right)) for f in b1} != {
-            (g.op, g.left, g.right) for g in b2
-        }
-        if differs:
-            render1 = tuple(fact_text("unaryFun", f) for f in u1) + tuple(
-                fact_text("binaryFun", f) for f in b1
-            )
-            render2 = tuple(fact_text("unaryFun", f) for f in u2) + tuple(
-                fact_text("binaryFun", f) for f in b2
-            )
-            for subject in sorted(subjects[s1]):
-                out.append(
-                    Mismatch(
-                        "expr_mismatch", s1[0], s1[1], subject,
-                        "expression structure differs at paired site "
-                        f"{s1[0]}:{s1[1]}: "
-                        f"{', '.join(render1) or 'nothing'} vs "
-                        f"{', '.join(render2) or 'nothing'}",
-                        side1=render1,
-                        side2=render2,
-                    )
+    for s1 in sorted(differing):
+        render1 = _rendered(unary1, binary1, (s1,))
+        render2 = _rendered(unary2, binary2, targets[s1])
+        for subject in sorted(subjects[s1]):
+            out.append(
+                Mismatch(
+                    "expr_mismatch", s1[0], s1[1], subject,
+                    "expression structure differs at paired site "
+                    f"{s1[0]}:{s1[1]}: "
+                    f"{', '.join(render1) or 'nothing'} vs "
+                    f"{', '.join(render2) or 'nothing'}",
+                    side1=render1,
+                    side2=render2,
                 )
+            )
     return out
 
 
@@ -376,19 +410,37 @@ def _controldeps_agree(here: list[tuple], there: list[tuple]) -> bool:
     )
 
 
+def _controldep_columns(side: EquivSide) -> tuple[tuple, list, tuple, tuple]:
+    """A side's control dependencies, with the (var, site) of each one's
+    definition, its condition and its branch, in the same order."""
+    facts = tuple(side.controldeps)
+    var, file, line, cond, branch, _, _ = _transpose(facts, 7)
+    return facts, list(zip(var, zip(file, line))), cond, branch
+
+
 def _diff_controldeps(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
-    by_def1, by_def2 = (
-        _index(((f.var, f.file, f.line), f) for f in side.controldeps)
-        for side in (bundle.code1, bundle.code2)
-    )
+    # code1's (def, branch, condition) triples, renamed into code2's names,
+    # equal code2's at every paired definition whose control dependencies
+    # agree without pairing two entry conditions.  Only the others need the
+    # full check.
+    pairs = pairing.code1.def_site_pairs
+    image = dict(zip(map(itemgetter(0, 1), pairs), map(itemgetter(2, 3), pairs)))
+    facts1, defs1, conds1, branches1 = _controldep_columns(bundle.code1)
+    facts2, defs2, conds2, branches2 = _controldep_columns(bundle.code2)
     rename = pairing.code1.var_map.get
+    ours = set(zip(map(image.get, defs1), branches1, map(rename, conds1)))
+    theirs = set(zip(defs2, branches2, conds2))
+    source = dict(zip(image.values(), image))  # each paired code2 def's code1 def
+    checked = sorted(
+        (source[d2], d2) for d2 in {d2 for d2, _, _ in ours ^ theirs} if d2 in source
+    )
+    if not checked:
+        return []
+    by_def1, by_def2 = _index(zip(defs1, facts1)), _index(zip(defs2, facts2))
     out = []
-    for var1, s1, var2, s2 in pairing.code1.def_site_pairs:
-        cd1 = sorted(by_def1.get((var1, *s1), ()))
-        cd2 = sorted(by_def2.get((var2, *s2), ()))
-        if not cd1 and not cd2:
-            continue
-        # code1's conditions renamed into code2's names
+    for (var1, s1), (var2, s2) in checked:
+        cd1 = sorted(by_def1.get((var1, s1), ()))
+        cd2 = sorted(by_def2.get((var2, s2), ()))
         here = [(f.branch, rename(f.cond), _is_entry_cond(f.cond)) for f in cd1]
         there = [(g.branch, g.cond, _is_entry_cond(g.cond)) for g in cd2]
         if _controldeps_agree(here, there) and _controldeps_agree(there, here):
@@ -463,13 +515,14 @@ def check_watchvars(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]
         # exit whose image, at an exit paired with that one, is not on the
         # other side.  code1's records come before code2's: the sort key
         # leaves out the side, so this order is the tie-break.
-        for f in here.flows:
-            var, exit_site = f.dst_var, (f.dst_file, f.dst_line)
-            if f.src_var != var or var not in partner or exit_site not in paired_exits:
+        flows = tuple(here.flows)
+        for f in compress(flows, map(paired_exits.__contains__, map(itemgetter(4, 5), flows))):
+            var = f.dst_var
+            if f.src_var != var or var not in partner:
                 continue
             image = (partner[var], *half.map_line((f.src_file, f.src_line)), partner[var])
-            for other_exit in paired_exits[exit_site]:
-                if FlowFact(*image, *other_exit) in there.flows:
+            for other_exit in paired_exits[(f.dst_file, f.dst_line)]:
+                if (*image, *other_exit) in there.flows:
                     continue
                 out.append(
                     Mismatch(

@@ -4,6 +4,8 @@ map names facts of its sides.  ``claimcheck.facts`` loads this section on
 first use of one of its names."""
 
 import re
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from ..errors import ClaimcheckError
@@ -243,19 +245,16 @@ _MAPS = (
 
 
 def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundle:
-    found = [
-        _scan(code1, _SIDE_RELATIONS),
-        _scan(code2, _SIDE_RELATIONS),
-        _scan(correspondence, _CORRESPONDENCE_RELATIONS),
-    ]
-    if None in found:
+    sides = _scan((code1, code2), _SIDE_RELATIONS)
+    maps = _scan((correspondence,), _CORRESPONDENCE_RELATIONS)
+    if sides is None or maps is None:
         from ..datalog.parser import parse_facts
         from .atoms import equiv_bundle_from_atoms
 
         return equiv_bundle_from_atoms(
             parse_facts(code1), parse_facts(code2), parse_facts(correspondence)
         )
-    return _bundle(*found)
+    return _bundle(*sides, *maps)
 
 
 # A marker line with the "\n" before it: a bundle line ends at "\n", and
@@ -298,6 +297,17 @@ def load_equiv_bundle_text(text: str) -> EquivBundle:
 # ---------------------------------------------------------------------------
 
 
+_SITE = itemgetter(-2, -1)  # the site of a fact whose last fields are its file and line
+_VAR = itemgetter(0)
+
+
+def _not_in(facts: Iterable[tuple], key: Callable, keys) -> list:
+    """The facts whose ``key`` is not in ``keys``, sorted."""
+    if keys.issuperset(map(key, facts)):
+        return []
+    return sorted(f for f in facts if key(f) not in keys)
+
+
 def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     side = bundle.code1 if tag == CODE1 else bundle.code2
     # Besides line 0, a def needs no source at an entry fact's site, which
@@ -308,21 +318,14 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
     map_lines = set() if side.entries else {
         m.line1 if tag == CODE1 else m.line2 for m in bundle.entry_maps
     }
-    inbound: dict[tuple[str, str, int], bool] = {}
-    for f in side.flows:
-        inbound[(f.dst_var, f.dst_file, f.dst_line)] = True
-    expr_sites = {(f.file, f.line) for f in side.unary} | {
-        (f.file, f.line) for f in side.binary
-    }
-    defined_vars = {f.var for f in side.defs}
-    flows_into_var = {f.dst_var for f in side.flows}
+    inbound = set(map(itemgetter(3, 4, 5), side.flows))  # (var, file, line) of each flow's target
+    expr_sites = set(map(_SITE, side.unary)) | set(map(_SITE, side.binary))
+    defined_vars = set(map(_VAR, side.defs))
 
-    # Each loop scans its facts unsorted and sorts only those it reports.
+    # Each check compares whole columns and sorts only the facts it reports.
     sourceless = (
-        f for f in side.defs
+        f for f in side.defs.difference(inbound, side.def_with_expr)
         if not (f.line == 0 or f.line in map_lines or (f.file, f.line) in entry_sites)
-        and (f.var, f.file, f.line) not in inbound
-        and SiteFact(f.var, f.file, f.line) not in side.def_with_expr
     )
     for f in sorted(sourceless):
         report.errors.append(
@@ -335,7 +338,7 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
         )
     expr_facts = (("defWithExpr", side.def_with_expr), ("condWithExpr", side.cond_with_expr))
     for predicate, facts in expr_facts:
-        for f in sorted(f for f in facts if (f.file, f.line) not in expr_sites):
+        for f in _not_in(facts, _SITE, expr_sites):
             report.errors.append(
                 LintIssue(
                     "expr-without-operator",
@@ -346,12 +349,10 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
             )
     # Function, control-dependence and constant facts are compared only at
     # def sites, so one that no def anchors is a claim nothing checks.
-    anchored = {(f.file, f.line) for f in side.defs} | {
-        (f.file, f.line) for f in side.cond_with_expr
-    }
+    anchored = set(map(_SITE, side.defs)) | set(map(_SITE, side.cond_with_expr))
     operator_facts = (("unaryFun", side.unary), ("binaryFun", side.binary))
     for predicate, facts in operator_facts:
-        for f in sorted(f for f in facts if (f.file, f.line) not in anchored):
+        for f in _not_in(facts, _SITE, anchored):
             report.errors.append(
                 LintIssue(
                     "operator-without-def",
@@ -360,8 +361,7 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                     repr(f),
                 )
             )
-    without_def = (f for f in side.controldeps if SiteFact(f.var, f.file, f.line) not in side.defs)
-    for f in sorted(without_def):
+    for f in _not_in(side.controldeps, itemgetter(0, 1, 2), side.defs):
         report.errors.append(
             LintIssue(
                 "controldep-without-def",
@@ -378,12 +378,8 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                 repr(name),
             )
         )
-    undefined = (
-        f for f in side.uses
-        if f.var not in defined_vars and f.var not in flows_into_var
-        and f.var not in side.constants
-    )
-    for f in sorted(undefined):
+    known = defined_vars.union(map(itemgetter(3), side.flows), side.constants)
+    for f in _not_in(side.uses, _VAR, known):
         report.errors.append(
             LintIssue(
                 "use-without-def",
@@ -392,11 +388,11 @@ def _lint_side(bundle: EquivBundle, tag: str, report: LintReport) -> None:
                 repr(f),
             )
         )
-    exit_sites = {(f.file, f.line) for f in side.exits}
-    exit_used = {
-        f.var for f in side.uses if (f.file, f.line) in exit_sites and f in inbound
-    }
-    for f in sorted(f for f in side.watch_vars if f.var not in exit_used):
+    exit_sites = set(map(_SITE, side.exits))
+    uses = tuple(side.uses)
+    exit_uses = compress(uses, map(exit_sites.__contains__, map(_SITE, uses)))
+    exit_used = set(map(_VAR, inbound.intersection(exit_uses)))
+    for f in _not_in(side.watch_vars, _VAR, exit_used):
         report.errors.append(
             LintIssue(
                 "watchvar-without-exit-use",

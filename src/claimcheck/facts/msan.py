@@ -56,13 +56,13 @@ MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
 
 
 def load_msan_facts(source: str) -> MsanFactSet:
-    found = _scan(source, _MSAN_RELATIONS)
+    found = _scan((source,), _MSAN_RELATIONS)
     if found is None:
         from ..datalog.parser import parse_facts
         from .atoms import msan_facts_from_atoms
 
         return msan_facts_from_atoms(parse_facts(source))
-    return MsanFactSet(**found)
+    return MsanFactSet(**found[0])
 
 
 def lint_msan(fs: MsanFactSet) -> LintReport:

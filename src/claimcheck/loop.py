@@ -160,9 +160,9 @@ def parse_response(
         # A line that the fact scan reads in full needs no parser.  A Code1 or
         # Code2 tag is stripped, and a fact outside every section attributed,
         # on the parser path only.
-        scanned = None if '"Code' in line else _scan(line, sections.get(current, {}))
+        scanned = None if '"Code' in line else _scan((line,), sections.get(current, {}))
         if scanned is not None:
-            _add(found[current], scanned)
+            _add(found[current], scanned[0])
             continue
         from .datalog.parser import parse_facts
         from .facts.atoms import _load_atoms

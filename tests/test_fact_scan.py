@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from claimcheck import facts
 from claimcheck.datalog import parser
 from claimcheck.facts import (
     _ABBREVIATED,
@@ -15,6 +16,7 @@ from claimcheck.facts import (
     load_equiv_bundle,
     load_equiv_bundle_text,
     load_msan_facts,
+    split_bundle_sections,
 )
 from claimcheck.toy import extract_equiv_facts, extract_msan_facts, normalize, parse_toy
 
@@ -126,3 +128,25 @@ def test_corpus_and_extracted_facts_load_without_the_parser(monkeypatch, fixture
         assert load_equiv_bundle_text(bundle.render()) == bundle
     facts = extract_msan_facts(toy("copy_chain.toy"), {"a"})
     assert len(facts) and load_msan_facts(facts.render()) == facts
+
+
+def test_a_bundle_looks_up_each_form_once_for_its_sections(monkeypatch, fixtures_dir):
+    # loop_cond_swap writes 10 side predicates, each in one form in both
+    # sides, and 2 map predicates: 12 forms, which each section looked up
+    # again before (44 lookups)
+    calls = []
+    forms = facts._forms
+
+    def counted(relation, source, pos):
+        calls.append(relation.field)
+        return forms(relation, source, pos)
+
+    monkeypatch.setattr(facts, "_forms", counted)
+    for path in sorted((fixtures_dir / "equiv").glob("*.bundle")):
+        sections = split_bundle_sections(path.read_text())
+        texts = [sections[name] for name in ("code1", "code2", "correspondence")]
+        calls.clear()
+        assert load_equiv_bundle(*texts) == reference_load_equiv_bundle(*texts)
+        if path.name == "loop_cond_swap.bundle":
+            assert len(calls) == 12
+        assert len(calls) == len(set(calls)) > 0

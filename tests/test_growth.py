@@ -13,6 +13,8 @@
 - the typed scan and the parser fallback: the text of a chain of n steps,
   and of a toy self pair of n definitions, loaded as it is and with one
   escaped symbol added.
+- the stages of ``verify_equiv`` alone (lint, pairing, structural diff,
+  watch variables) on the same k functions.
 - transitive closure over a path graph, ``evaluate`` alone, as its derived
   tuples grow about 8x; each tuple's slot keeps the step that first derived
   it, which cites its rule by ordinal.
@@ -31,13 +33,21 @@ import time
 import pytest
 
 from claimcheck.datalog import Atom, evaluate, explain, parse_program, parser
-from claimcheck.equivalence import EQUIVALENT, build_pairing, equiv_rules, verify_equiv
+from claimcheck.equivalence import (
+    EQUIVALENT,
+    build_pairing,
+    check_watchvars,
+    diff_structure,
+    equiv_rules,
+    verify_equiv,
+)
 from claimcheck.facts import (
     FlowFact,
     MsanFactSet,
     SiteFact,
     load_equiv_bundle,
     load_equiv_bundle_text,
+    lint_equiv,
     load_msan_facts,
 )
 from claimcheck.msan import VERIFIED, msan_program, verify_msan
@@ -108,6 +118,28 @@ def _time_ratio(check, outcome, small, large):
 
 def test_verify_equiv_time_grows_about_linearly():
     assert _time_ratio(verify_equiv, EQUIVALENT, _functions(N), _functions(8 * N)) < 24
+
+
+# Each stage of verify_equiv alone, from a bundle and its pairing, with
+# what it finds on a lint-clean self pair: nothing.
+_EQUIV_STAGES = {
+    "lint_equiv": lambda bundle, pairing: lint_equiv(bundle).errors,
+    "build_pairing": lambda bundle, pairing: build_pairing(bundle) != pairing,
+    "diff_structure": diff_structure,
+    "check_watchvars": check_watchvars,
+}
+
+
+@pytest.mark.parametrize("stage", list(_EQUIV_STAGES))
+def test_each_equivalence_stage_grows_about_linearly(stage):
+    times = []
+    for k in (N, 8 * N):
+        bundle = _functions(k)
+        pairing = build_pairing(bundle)
+        best, found = _best_time(lambda: _EQUIV_STAGES[stage](bundle, pairing))
+        assert not found
+        times.append(best)
+    assert times[1] / times[0] < 24
 
 
 def test_verify_msan_time_grows_about_linearly_in_sources():

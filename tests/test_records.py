@@ -78,6 +78,20 @@ def test_datalog_reprs():
     )
 
 
+def test_a_number_past_the_digit_limit_reprs_in_full():
+    huge = 10**5000
+    digits = "1" + "0" * 5000
+    assert repr(Atom("p", (huge,))) == f"Atom(predicate='p', args=({digits},))"
+    assert repr(Comparison("<", Var("x"), -huge)) == (
+        f"Comparison(op='<', left=Var(name='x'), right=-{digits})"
+    )
+    # the error names the atom that is not ground
+    with pytest.raises(ValueError, match=f"^atom Atom\\(predicate='p', args=\\({digits}, Var"):
+        Atom("p", (huge, Var("x"))).value_tuple()
+    assert repr(Atom("p", ())) == "Atom(predicate='p', args=())"
+    assert repr(Atom("q", (True, "s", 2))) == "Atom(predicate='q', args=(True, 's', 2))"
+
+
 def test_program_equality_and_repr_leave_out_the_rule_set():
     prepared = msan_program(MsanFactSet())
     plain = Program(dict(prepared.declarations), list(prepared.rules))
