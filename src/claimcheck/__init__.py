@@ -15,7 +15,9 @@ Each submodule is imported on first access to one of its names (PEP 562),
 so a caller pays only for the modules it uses.
 """
 
+import gc
 import sys
+from functools import wraps
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -37,6 +39,30 @@ def _lazy_names(namespace: dict, table: dict[str, str]):
         return sorted({*namespace, *table})
 
     return __getattr__, __dir__
+
+
+def _collector_paused(function):
+    """``function`` with the cyclic garbage collector paused while it runs.
+
+    The facts, steps and derivation nodes that the package builds in bulk
+    are tuples that can never form a cycle, and CPython never untracks a
+    tuple subclass, so each collection during a check would rescan them
+    all.  A call that finds the collector enabled disables it and enables it
+    again on return or raise; one that finds it disabled (a nested call, or
+    a caller that disabled it) leaves it alone.  The switch is process-wide:
+    another thread gets no collections during such a call."""
+
+    @wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 # SHA-256 from the interpreter's own module: ``hashlib`` loads OpenSSL, which

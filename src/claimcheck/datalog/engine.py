@@ -42,6 +42,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, Optional, Sequence
 
+from .. import _collector_paused
 from ..errors import (
     ArityMismatchError,
     NotDerivableError,
@@ -718,6 +719,7 @@ def _plans(
     return tuple(out)
 
 
+@_collector_paused
 def evaluate(program: Program) -> Database:
     """Minimal model of a valid program; total on stratifiable inputs.
 
@@ -798,6 +800,7 @@ class Derivation:
         return out
 
 
+@_collector_paused
 def explain(db: Database, fact: Atom) -> Derivation:
     """One derivation of a ground fact; raises NotDerivableError otherwise.
 

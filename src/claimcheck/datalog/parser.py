@@ -29,6 +29,7 @@ import re
 from operator import itemgetter
 from typing import NoReturn
 
+from .. import _collector_paused
 from ..errors import DatalogSyntaxError
 from .ast import (
     COMPARISON_OPS,
@@ -251,6 +252,7 @@ class _Parser:
         raise self.error(f"expected a term, found {text!r}")
 
 
+@_collector_paused
 def parse_program(source: str, validate: bool = True) -> Program:
     """Parse (and by default validate) a full program.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING
 
+from . import _collector_paused
 from .datalog.values import SYMBOL, print_declaration
 from .equivalence import Site, SitePairing, _columns, _is_entry_cond, _sides
 from .facts.equiv import CODE1, CODE2, SIDE_FIELDS, SIDE_SORTS
@@ -144,6 +145,7 @@ def _rule_set() -> RuleSet:
     return prepare(parse_program(_DECLS + _EQUIV_RULES, validate=False))
 
 
+@_collector_paused
 def equiv_rules(bundle: EquivBundle, pairing: SitePairing) -> Program:
     """The structural diff as Datalog over the bundle plus pairing facts.
 

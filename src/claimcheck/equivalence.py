@@ -22,7 +22,7 @@ from itertools import compress
 from operator import itemgetter, not_
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from . import _lazy_names
+from . import _collector_paused, _lazy_names
 from .datalog.values import Record
 from .errors import ConflictingVarMapError
 from .facts import LintReport, SiteFact, fact_text
@@ -94,6 +94,7 @@ def _index(pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
     return index
 
 
+@_collector_paused
 def build_pairing(bundle: EquivBundle) -> SitePairing:
     pairing = SitePairing()
     one, two = pairing.code1, pairing.code2
@@ -564,6 +565,7 @@ def all_mismatches(bundle: EquivBundle, pairing: SitePairing) -> list[Mismatch]:
     return diff_structure(bundle, pairing) + check_watchvars(bundle, pairing)
 
 
+@_collector_paused
 def verify_equiv(bundle: EquivBundle) -> EquivVerdict:
     lint = lint_equiv(bundle)
     if lint.errors:

@@ -303,52 +303,53 @@ def _forms(relation: _Relation, source: str, pos: int) -> Iterator[tuple[Callabl
             yield _form(relation, *form)
 
 
-def _scan(sources: Iterable[str], relations: dict[str, _Relation]) -> list[dict[str, set]] | None:
+def _scan_source(source: str, relations: dict[str, _Relation], forms: dict, head: Callable):
+    """The typed facts of one source by container field, or None; ``forms``
+    holds the last form of each predicate and is updated."""
+    found: dict[str, set] = {}
+    steps: dict[str, tuple] = {}  # predicate -> (match, convert, add) of its last form here
+    pos = 0
+    try:
+        while (m := head(source, pos)) is not None:
+            pos, predicate = m.end(), m[1]
+            if predicate is None:  # a comment
+                continue
+            step = steps.get(predicate)
+            args = None if step is None else step[0](source, pos)
+            if args is None:
+                relation = relations.get(predicate)
+                if relation is None:
+                    return None
+                # a failed step is the last form; a new one may be that of
+                # an earlier source
+                form = None if step is not None else forms.get(predicate)
+                args = None if form is None else form[0](source, pos)
+                if args is None:
+                    for form in _forms(relation, source, pos):
+                        args = form[0](source, pos)
+                        if args is not None:
+                            break
+                    else:
+                        return None
+                    forms[predicate] = form
+                add = found.setdefault(relation.field, set()).add
+                step = steps[predicate] = (*form, add)
+            step[2](step[1](args))
+            pos = args.end()
+    except ValueError:  # a number too long for int()
+        return None
+    return None if source[pos:].strip() else found
+
+
+def _scan(sources: Iterable[str], relations: dict[str, _Relation]) -> list[dict[str, set] | None]:
     """The typed facts of each of ``sources`` by container field.  Per fact
     the scan matches the head, then the arguments of a form of its
     predicate: the form of the predicate's last fact, else those of
     ``_forms``.  The last form of a predicate carries over from one source
     to the next, so the sources of one load look each form up once.  None
-    where the scan does not read all of a source or no form reads a fact's
-    arguments (an unknown predicate, a wrong arity or sort, an escape),
-    which only the parser and the checks on atoms can report."""
+    for a source that the scan does not read in full or where no form reads
+    a fact's arguments (an unknown predicate, a wrong arity or sort, an
+    escape), which only the parser and the checks on atoms can report."""
     forms: dict[str, tuple] = {}  # predicate -> (match, convert) of its last form
     head = _head().match
-    scanned = []
-    for source in sources:
-        found: dict[str, set] = {}
-        steps: dict[str, tuple] = {}  # predicate -> (match, convert, add) of its last form here
-        pos = 0
-        try:
-            while (m := head(source, pos)) is not None:
-                pos, predicate = m.end(), m[1]
-                if predicate is None:  # a comment
-                    continue
-                step = steps.get(predicate)
-                args = None if step is None else step[0](source, pos)
-                if args is None:
-                    relation = relations.get(predicate)
-                    if relation is None:
-                        return None
-                    # a failed step is the last form; a new one may be that
-                    # of an earlier source
-                    form = None if step is not None else forms.get(predicate)
-                    args = None if form is None else form[0](source, pos)
-                    if args is None:
-                        for form in _forms(relation, source, pos):
-                            args = form[0](source, pos)
-                            if args is not None:
-                                break
-                        else:
-                            return None
-                        forms[predicate] = form
-                    add = found.setdefault(relation.field, set()).add
-                    step = steps[predicate] = (*form, add)
-                step[2](step[1](args))
-                pos = args.end()
-        except ValueError:  # a number too long for int()
-            return None
-        if source[pos:].strip():
-            return None
-        scanned.append(found)
-    return scanned
+    return [_scan_source(source, relations, forms, head) for source in sources]

@@ -8,6 +8,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
+from .. import _collector_paused
 from ..errors import ClaimcheckError
 from . import (
     CODE1,
@@ -116,27 +117,31 @@ CORRESPONDENCE_FIELDS = (
     ("var_maps", "varMap", VarMapFact),
 )
 
+# Each side field with the columns of its facts that hold a variable: the
+# var of a site fact, both ends of a flow, a controldep's var and cond, the
+# operand of a unaryFun and both of a binaryFun.  Each constant is one too.
+_VARIABLE_COLUMNS = (
+    ("uses", (0,)),
+    ("defs", (0,)),
+    ("def_with_expr", (0,)),
+    ("watch_vars", (0,)),
+    ("flows", (0, 3)),
+    ("controldeps", (0, 3)),
+    ("unary", (1,)),
+    ("binary", (1, 2)),
+)
+
 
 class EquivSide(_Facts):
     __slots__ = _fields = tuple(name for name, _, _ in SIDE_FIELDS)
 
     def variables(self) -> frozenset[str]:
         """Every name that occupies a variable position on this side."""
-        names = set()
-        for f in self.uses | self.defs | self.def_with_expr | self.watch_vars:
-            names.add(f.var)
-        for f in self.flows:
-            names.add(f.src_var)
-            names.add(f.dst_var)
-        for f in self.controldeps:
-            names.add(f.var)
-            names.add(f.cond)
-        for f in self.unary:
-            names.add(f.operand)
-        for f in self.binary:
-            names.add(f.left)
-            names.add(f.right)
-        names.update(self.constants)
+        names = set(self.constants)
+        for name, columns in _VARIABLE_COLUMNS:
+            facts = getattr(self, name)
+            for column in columns:
+                names.update(map(itemgetter(column), facts))
         return frozenset(names)
 
     def render(self) -> str:
@@ -244,10 +249,11 @@ _MAPS = (
 )
 
 
+@_collector_paused
 def load_equiv_bundle(code1: str, code2: str, correspondence: str) -> EquivBundle:
     sides = _scan((code1, code2), _SIDE_RELATIONS)
     maps = _scan((correspondence,), _CORRESPONDENCE_RELATIONS)
-    if sides is None or maps is None:
+    if None in sides or None in maps:
         from ..datalog.parser import parse_facts
         from .atoms import equiv_bundle_from_atoms
 

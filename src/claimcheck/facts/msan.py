@@ -5,6 +5,7 @@ use of one of its names."""
 import re
 from typing import NamedTuple
 
+from .. import _collector_paused
 from . import FlowFact, LintIssue, LintReport, SiteFact, _Facts, _relations, _render, _scan
 
 
@@ -55,14 +56,15 @@ _MSAN_RELATIONS = _relations(
 MSAN_SORTS = {p: relation.sorts for p, relation in _MSAN_RELATIONS.items()}
 
 
+@_collector_paused
 def load_msan_facts(source: str) -> MsanFactSet:
-    found = _scan((source,), _MSAN_RELATIONS)
+    [found] = _scan((source,), _MSAN_RELATIONS)
     if found is None:
         from ..datalog.parser import parse_facts
         from .atoms import msan_facts_from_atoms
 
         return msan_facts_from_atoms(parse_facts(source))
-    return MsanFactSet(**found[0])
+    return MsanFactSet(**found)
 
 
 def lint_msan(fs: MsanFactSet) -> LintReport:

@@ -22,7 +22,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable
 
-from . import facts
+from . import _collector_paused, facts
 from .datalog.values import Record
 from .errors import ClaimcheckError, DatalogSyntaxError
 from .facts import CODE1, CODE2, CORRESPONDENCE, EQUIV, MSAN, _scan
@@ -134,6 +134,7 @@ def _vocabulary(task: str) -> tuple[dict, Callable, Callable]:
     return sections, lambda found: _bundle(*map(found.get, sections)), marker
 
 
+@_collector_paused
 def parse_response(
     task: str, text: str
 ) -> tuple[facts.MsanFactSet | facts.EquivBundle, list[tuple[int, str]]]:
@@ -149,6 +150,12 @@ def parse_response(
     sections, container, marker = _vocabulary(task)
     found: dict[str, dict[str, set]] = {section: {} for section in sections}
     failures: list[tuple[int, str]] = []
+    # The fact lines that the scan tries, as one load per table of relations
+    # (a bundle's two sides share theirs), and those only the parser reads:
+    # a Code1 or Code2 tag is stripped, and a fact outside every section
+    # attributed, on the parser path only.
+    loads: dict[int, tuple[dict, list]] = {}
+    unread: list[tuple[int, str, str | None]] = []
     current = MSAN if task == MSAN else None
     for idx, raw in enumerate(text.splitlines(), start=1):
         if not _FACT_LINE.match(raw):  # prose, or a section marker
@@ -157,13 +164,19 @@ def parse_response(
         line = raw.strip()
         if not line.endswith("."):
             line += "."
-        # A line that the fact scan reads in full needs no parser.  A Code1 or
-        # Code2 tag is stripped, and a fact outside every section attributed,
-        # on the parser path only.
-        scanned = None if '"Code' in line else _scan((line,), sections.get(current, {}))
-        if scanned is not None:
-            _add(found[current], scanned[0])
-            continue
+        if current is None or '"Code' in line:
+            unread.append((idx, line, current))
+        else:
+            relations = sections[current]
+            loads.setdefault(id(relations), (relations, []))[1].append((idx, line, current))
+    for relations, lines in loads.values():
+        for entry, scanned in zip(lines, _scan([line for _, line, _ in lines], relations)):
+            if scanned is None:
+                unread.append(entry)
+            else:
+                _add(found[entry[2]], scanned)
+    unread.sort()
+    for idx, line, current in unread:
         from .datalog.parser import parse_facts
         from .facts.atoms import _load_atoms
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from . import _lazy_names
+from . import _collector_paused, _lazy_names
 from .facts import LintReport
 from .facts.msan import MsanFactSet, lint_msan
 
@@ -46,6 +46,7 @@ class MsanVerdict(NamedTuple):
         return {"verdict": self.outcome, "witness": witness, "lint": self.lint.to_json()}
 
 
+@_collector_paused
 def verify_msan(fs: MsanFactSet) -> MsanVerdict:
     """Breadth-first search for the shortest qualifying flow chain.
 

@@ -15,6 +15,7 @@ from functools import cache
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+from . import _collector_paused
 from .datalog.values import print_declaration
 from .facts.msan import MSAN_FIELDS, MSAN_SORTS
 from .msan import _site_key
@@ -59,6 +60,7 @@ def _rule_set() -> RuleSet:
 _SEARCH_ORDER = {"uninitialized": _site_key, "flow": itemgetter(1, 2, 0, 4, 5, 3)}
 
 
+@_collector_paused
 def msan_program(fs: MsanFactSet) -> Program:
     """Rules plus the fact set, one segment of the container's facts per
     relation, ready for evaluation or export.

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from claimcheck import facts
 from claimcheck.datalog import parser
 from claimcheck.facts import (
+    EQUIV,
     _ABBREVIATED,
     CORRESPONDENCE_SORTS,
     MSAN_SORTS,
@@ -18,6 +19,7 @@ from claimcheck.facts import (
     load_msan_facts,
     split_bundle_sections,
 )
+from claimcheck.loop import parse_response
 from claimcheck.toy import extract_equiv_facts, extract_msan_facts, normalize, parse_toy
 
 from generators import mutate_toy, random_toy
@@ -150,3 +152,46 @@ def test_a_bundle_looks_up_each_form_once_for_its_sections(monkeypatch, fixtures
         if path.name == "loop_cond_swap.bundle":
             assert len(calls) == 12
         assert len(calls) == len(set(calls)) > 0
+
+
+def test_a_response_scans_each_section_as_one_load(monkeypatch, fixtures_dir):
+    # read as a response, loop_cond_swap's 101 fact lines are one load per
+    # table of relations, so each of its 12 forms is looked up once, as in
+    # the bundle's own load (each line looked them all up again before)
+    text = (fixtures_dir / "equiv" / "loop_cond_swap.bundle").read_text()
+    calls = []
+    forms = facts._forms
+
+    def counted(relation, source, pos):
+        calls.append(relation.field)
+        return forms(relation, source, pos)
+
+    monkeypatch.setattr(facts, "_forms", counted)
+    bundle, failures = parse_response(EQUIV, text)
+    assert len(calls) == 12 == len(set(calls))
+    assert failures == [] and bundle == load_equiv_bundle_text(text)
+
+
+# lines that the scan does not read, by the marker they follow
+_UNREADABLE = {
+    "=== code1 ===": ['use("x", "main.cpp").', 'bogus("x", "main.cpp", 1).'],
+    "=== code2 ===": ['def("x" "main.cpp", 1).'],
+    "=== correspondence ===": ['varMap("a", 1).'],
+}
+
+
+def test_each_unreadable_response_line_reports_its_own_failure(fixtures_dir):
+    # a side fact before any marker has no section; then a wrong arity, a
+    # predicate outside the vocabulary, a syntax error and a map's wrong arity
+    text = (fixtures_dir / "equiv" / "loop_cond_swap.bundle").read_text()
+    damaged, expected = ['def("x", "s.cpp", 1).'], [(1, "def: no Code1/Code2 attribution")]
+    for line in text.splitlines():
+        damaged.append(line)
+        for bad in _UNREADABLE.get(line, ()):
+            damaged.append(bad)
+            # the reason that the line gives alone in its section
+            [(_, reason)] = parse_response(EQUIV, f"{line}\n{bad}\n")[1]
+            expected.append((len(damaged), reason))
+    bundle, failures = parse_response(EQUIV, "\n".join(damaged))
+    assert failures == expected and len(set(reason for _, reason in failures)) == 5
+    assert bundle == load_equiv_bundle_text(text)
